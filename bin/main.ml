@@ -967,13 +967,23 @@ let () =
          Collection and Profile-Driven Pretenuring\" (PLDI 1998)"
   in
   let code =
-    Cmd.eval
-      (Cmd.group info
-         [ list_cmd; tables_cmd; figure2_cmd; ablation_cmd; profile_cmd;
-           calibrate_cmd; check_cmd; run_cmd; gc_trace_cmd; gc_profile_cmd;
-           gc_serve_cmd ])
+    try
+      Cmd.eval ~catch:false
+        (Cmd.group info
+           [ list_cmd; tables_cmd; figure2_cmd; ablation_cmd; profile_cmd;
+             calibrate_cmd; check_cmd; run_cmd; gc_trace_cmd; gc_profile_cmd;
+             gc_serve_cmd ])
+    with
+    | Collectors.Budget.Exhausted msg ->
+      Printf.eprintf "repro: memory budget exhausted: %s\n" msg;
+      1
+    | e ->
+      Printf.eprintf "repro: internal error, uncaught exception:\n%s\n%s"
+        (Printexc.to_string e) (Printexc.get_backtrace ());
+      Cmd.Exit.internal_error
   in
   (* Unified exit conventions (docs/SLO.md): 0 = success, 1 = invalid
-     data (schema-invalid trace, failing claim, bad policy), 2 = usage
-     error.  Cmdliner reports CLI errors as 124; fold them into 2. *)
+     data (schema-invalid trace, failing claim, bad policy, a memory
+     budget too small for the run), 2 = usage error.  Cmdliner reports
+     CLI errors as 124; fold them into 2. *)
   exit (if code = Cmd.Exit.cli_error then 2 else code)

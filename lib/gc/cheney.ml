@@ -101,17 +101,20 @@ let note_site_copy t ~site ~first ~words =
 (* destination grant for one promotion: the backend placement policy
    when [promote_alloc] is set (grants stay inside [to_space]'s block,
    so the resolved cell handles remain valid), the to-space frontier
-   otherwise *)
+   otherwise.  A promoting engine that runs out has met a budget too
+   small for the live data; a non-promoting one was sized wrong. *)
 let promote_dst t words =
   match t.promote_alloc with
   | Some alloc ->
     (match alloc words with
      | Some dst -> dst
      | None ->
-       failwith "Cheney: tenured backend exhausted during promotion")
+       raise (Budget.Exhausted "tenured backend exhausted during promotion"))
   | None ->
     (match Mem.Space.alloc t.to_space words with
      | Some dst -> dst
+     | None when t.promoting ->
+       raise (Budget.Exhausted "promotion overflows the tenured space")
      | None -> failwith "Cheney: to-space overflow (collector sizing bug)")
 
 (* --- raw path --- *)

@@ -60,7 +60,7 @@ val create :
     promotions reuse swept holes.  Grants may then land below the
     frontier where the contiguous scan pointer cannot see them, so the
     engine drains promoted copies from an explicit gray queue instead;
-    an exhausted allocator is a collector sizing bug and raises.
+    an exhausted allocator raises {!Budget.Exhausted}.
     [eager] (default false) switches the engine to hierarchical
     evacuation: after each copy, the object's not-yet-forwarded children
     are copied depth-first right behind it (bounded in depth and words;
@@ -74,7 +74,11 @@ val create :
 (** [evacuate t v] forwards one value: from-region pointers are copied (or
     resolved through their forwarding pointer); large-object pointers are
     marked/queued; anything else passes through.
-    @raise Failure on to-space overflow (a collector sizing bug). *)
+    @raise Budget.Exhausted when a [promoting] engine's promotion
+    overflows the to-space or exhausts [promote_alloc] (the live data
+    outgrew the budget).
+    @raise Failure on any other to-space overflow (a collector sizing
+    bug). *)
 val evacuate : t -> Mem.Value.t -> Mem.Value.t
 
 (** [visit_root t root] rewrites a root location in place. *)

@@ -1,0 +1,202 @@
+(* Pieces of a collection cycle shared by the semispace and generational
+   collectors: the roots phase, the copy engine, per-site allocation and
+   survival accounting, the profiling death sweep and the allocation
+   epilogue. *)
+
+let now () = Unix.gettimeofday ()
+
+(* --- the roots phase --- *)
+
+let roots ~hooks ~stats ~traced ~t0 mode =
+  let roots = Support.Vec.create () in
+  let res = hooks.Hooks.scan_stack mode (Support.Vec.push roots) in
+  hooks.Hooks.visit_globals (Support.Vec.push roots);
+  Gc_stats.add_scan stats res;
+  let t1 = now () in
+  stats.Gc_stats.stack_seconds <- stats.Gc_stats.stack_seconds +. (t1 -. t0);
+  if traced then
+    Obs.Trace.phase ~name:"roots"
+      ~dur_us:((t1 -. t0) *. 1e6)
+      ~counters:[ ("roots", Support.Vec.length roots) ];
+  (roots, t1)
+
+(* --- engine dispatch ---
+
+   [parallelism = 1] keeps the sequential [Cheney] engine, bit-for-bit
+   the oracle the equivalence tests pin against.  The parallel drain
+   runs only on the raw word paths (the safe path deliberately stays
+   sequential as the executable specification), under immediate
+   promotion (an aging nursery needs the [remember] re-recording the
+   packet protocol does not carry) and without backend-placed promotion
+   (chunk carving and backend placement clash). *)
+type engine =
+  | Seq of Cheney.t
+  | Par of Par_drain.t
+
+let parallel ~parallelism = parallelism > 1 && !Cheney.use_raw
+
+let chunk_opt chunk_words = if chunk_words > 0 then Some chunk_words else None
+
+let engine ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?card_scan
+    ~los ~trace_los ~promoting ~eager ~site_tallies ~object_hooks ~parallelism
+    ~mode ~chunk_words () =
+  if parallel ~parallelism && aging = None && promote_alloc = None then
+    Par
+      (Par_drain.create ~mem ~in_from ~to_space ~los ~trace_los ~promoting
+         ~eager ~site_tallies ~object_hooks ?card_scan ~parallelism ~mode
+         ?chunk_words:(chunk_opt chunk_words) ())
+  else
+    Seq
+      (Cheney.create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc
+         ~eager ~site_tallies ~los ~trace_los ~promoting ~object_hooks ())
+
+let visit_loc = function
+  | Seq e -> Cheney.visit_loc e
+  | Par p -> Par_drain.add_loc p
+
+let visit_fields = function
+  | Seq e -> Cheney.visit_object_fields e
+  | Par p -> Par_drain.add_obj p
+
+let visit_card engine ~scan card =
+  match engine with
+  | Seq e -> scan (Cheney.visit_loc e) card
+  | Par p -> Par_drain.add_card p card
+
+let copied = function
+  | Seq e -> Cheney.words_copied e
+  | Par p -> Par_drain.words_copied p
+
+let promoted = function
+  | Seq e -> Cheney.words_promoted e
+  | Par p -> Par_drain.words_promoted p
+
+let survivals = function
+  | Seq e -> Cheney.site_survivals e
+  | Par p -> Par_drain.site_survivals p
+
+(* visit the collected roots and run the drain to its fixpoint; the
+   parallel engine receives the roots as packets via the batch export.
+   Drain scan work lands in the per-domain slots; the sequential engine
+   is domain 0. *)
+let drain engine ~stats roots =
+  match engine with
+  | Seq e ->
+    Support.Vec.iter (Cheney.visit_root e) roots;
+    Cheney.drain e;
+    Gc_stats.add_scanned stats ~domain:0 (Cheney.words_scanned e)
+  | Par p ->
+    let batch =
+      Rstack.Root.Batch.create ~capacity:32 ~emit:(Par_drain.add_roots p)
+    in
+    Support.Vec.iter (Rstack.Root.Batch.push batch) roots;
+    Rstack.Root.Batch.flush batch;
+    Par_drain.run p;
+    Array.iteri
+      (fun domain words -> Gc_stats.add_scanned stats ~domain words)
+      (Par_drain.per_worker_scanned p)
+
+let trace_copy engine ~with_promoted ~dur_us =
+  let scanned, steals =
+    match engine with
+    | Seq e -> (Cheney.words_scanned e, [])
+    | Par p -> (Par_drain.words_scanned p, [ ("steals", Par_drain.steals p) ])
+  in
+  Obs.Trace.phase ~name:"copy" ~dur_us
+    ~counters:
+      ((("copied_w", copied engine)
+        :: (if with_promoted then [ ("promoted_w", promoted engine) ] else []))
+       @ (("scanned_w", scanned) :: steals));
+  (* per-domain [copy.dN] spans: each worker's virtual-time cost and
+     work counters, the scaling evidence the trace carries for parallel
+     drains *)
+  match engine with
+  | Seq _ -> ()
+  | Par p ->
+    Array.iter
+      (fun r ->
+        Obs.Trace.phase
+          ~name:(Printf.sprintf "copy.d%d" r.Par_drain.w_id)
+          ~dur_us:(float_of_int r.Par_drain.w_cost_ns /. 1e3)
+          ~counters:
+            [ ("copied_w", r.Par_drain.w_copied);
+              ("scanned_w", r.Par_drain.w_scanned);
+              ("packets", r.Par_drain.w_packets);
+              ("steals", r.Par_drain.w_steals) ])
+      (Par_drain.report p)
+
+(* --- per-site accounting (tracing and the control plane only) --- *)
+
+let emit_survivals survivals =
+  if Obs.Trace.detailed () then
+    List.iter
+      (fun (site, objects, first_objects, words) ->
+        Obs.Trace.site_survival ~site ~objects ~first_objects ~words)
+      survivals
+
+type site_allocs = (int, int * int) Hashtbl.t option
+
+let site_allocs enabled : site_allocs =
+  if enabled then Some (Hashtbl.create 32) else None
+
+let flush_site_allocs (sites : site_allocs) =
+  match sites with
+  | None -> []
+  | Some tab ->
+    if Hashtbl.length tab = 0 then []
+    else begin
+      let rows =
+        List.sort compare
+          (Hashtbl.fold
+             (fun site (objects, words) acc -> (site, objects, words) :: acc)
+             tab [])
+      in
+      if Obs.Trace.detailed () then
+        List.iter
+          (fun (site, objects, words) ->
+            Obs.Trace.site_alloc ~site ~objects ~words)
+          rows;
+      Hashtbl.reset tab;
+      rows
+    end
+
+(* --- profiling death sweep --- *)
+
+let profile_sweep ~mem ~hooks ~stats ~traced ~since space =
+  match hooks.Hooks.object_hooks with
+  | None -> ()
+  | Some h ->
+    Cheney.sweep_dead ~mem ~space ~on_die:h.Hooks.on_die;
+    let dt = now () -. since in
+    stats.Gc_stats.profile_seconds <- stats.Gc_stats.profile_seconds +. dt;
+    if traced then
+      Obs.Trace.phase ~name:"profile_sweep" ~dur_us:(dt *. 1e6) ~counters:[]
+
+(* --- allocation epilogue: header, zeroed payload, counters --- *)
+
+let count_alloc ~stats ~(sites : site_allocs) hdr ~words =
+  stats.Gc_stats.words_allocated <- stats.Gc_stats.words_allocated + words;
+  stats.Gc_stats.objects_allocated <- stats.Gc_stats.objects_allocated + 1;
+  (match hdr.Mem.Header.kind with
+   | Mem.Header.Ptr_array | Mem.Header.Nonptr_array ->
+     stats.Gc_stats.words_alloc_arrays <-
+       stats.Gc_stats.words_alloc_arrays + words
+   | Mem.Header.Record _ ->
+     stats.Gc_stats.words_alloc_records <-
+       stats.Gc_stats.words_alloc_records + words);
+  match sites with
+  | None -> ()
+  | Some tab ->
+    let site = hdr.Mem.Header.site in
+    let objects, w =
+      Option.value ~default:(0, 0) (Hashtbl.find_opt tab site)
+    in
+    Hashtbl.replace tab site (objects + 1, w + words)
+
+let finish_alloc ~mem ~stats ~sites hdr ~birth ~words base =
+  Mem.Header.write mem base hdr ~birth;
+  Mem.Memory.fill mem
+    ~dst:(Mem.Header.field_addr base 0)
+    ~words:hdr.Mem.Header.len Mem.Value.zero;
+  count_alloc ~stats ~sites hdr ~words;
+  base

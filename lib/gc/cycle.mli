@@ -1,0 +1,121 @@
+(** Pieces of a collection cycle shared by {!Semispace} and
+    {!Generational}: the roots phase, the copy-engine dispatch, per-site
+    allocation and survival accounting, the profiling death sweep and
+    the allocation epilogue.  Each piece owns exactly the [Gc_stats]
+    timer interval and trace records documented on it, so a collector
+    built from them keeps its pause decomposition (docs/COLLECTORS.md). *)
+
+(** [roots ~hooks ~stats ~traced ~t0 mode] enumerates the stack (under
+    [mode]) and global roots.  The interval from [t0] to the returned
+    end time is credited to [stack_seconds] and, when [traced], emitted
+    as the [roots] phase span. *)
+val roots :
+  hooks:Hooks.t -> stats:Gc_stats.t -> traced:bool -> t0:float ->
+  Rstack.Scan.mode -> Rstack.Root.t Support.Vec.t * float
+
+(** {1 The copy engine} *)
+
+(** The sequential {!Cheney} oracle or the {!Par_drain} work-stealing
+    drain. *)
+type engine =
+  | Seq of Cheney.t
+  | Par of Par_drain.t
+
+(** Whether a collector configured with [parallelism] drains in
+    parallel when nothing else forces the sequential engine (see
+    {!engine}); collectors size their to-space headroom by it. *)
+val parallel : parallelism:int -> bool
+
+(** [chunk_opt n] is the engines' optional [chunk_words] for a config
+    value [n] ([0] = engine default). *)
+val chunk_opt : int -> int option
+
+(** Build the engine for one collection.  The parallel drain is chosen
+    iff {!parallel} holds and neither [aging] nor [promote_alloc] is
+    given (the packet protocol carries neither); the arguments are
+    otherwise those of {!Cheney.create} and {!Par_drain.create}. *)
+val engine :
+  mem:Mem.Memory.t ->
+  in_from:(Mem.Addr.t -> bool) ->
+  to_space:Mem.Space.t ->
+  ?aging:Cheney.aging ->
+  ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
+  ?promote_alloc:(int -> Mem.Addr.t option) ->
+  ?card_scan:((Mem.Addr.t -> unit) -> int -> unit) ->
+  los:Los.t option ->
+  trace_los:bool ->
+  promoting:bool ->
+  eager:bool ->
+  site_tallies:bool ->
+  object_hooks:Hooks.object_hooks option ->
+  parallelism:int ->
+  mode:Par_drain.mode ->
+  chunk_words:int ->
+  unit ->
+  engine
+
+(** Rewrite one heap location (sequential) or stage it (parallel). *)
+val visit_loc : engine -> Mem.Addr.t -> unit
+
+(** Rewrite an object's pointer fields (sequential) or stage it. *)
+val visit_fields : engine -> Mem.Addr.t -> unit
+
+(** [visit_card engine ~scan card] rewrites a marked card in place
+    through [scan visit card] (sequential) or stages it for the drain's
+    own [card_scan]. *)
+val visit_card :
+  engine -> scan:((Mem.Addr.t -> unit) -> int -> unit) -> int -> unit
+
+(** [drain engine ~stats roots] visits [roots], runs the drain to its
+    fixpoint and credits the scan work to [stats]' per-domain slots. *)
+val drain : engine -> stats:Gc_stats.t -> Rstack.Root.t Support.Vec.t -> unit
+
+val copied : engine -> int
+val promoted : engine -> int
+
+(** Per-site survival tallies, as {!Cheney.site_survivals}. *)
+val survivals : engine -> (int * int * int * int) list
+
+(** [trace_copy engine ~with_promoted ~dur_us] emits the [copy] phase
+    span ([copied_w], [promoted_w] when [with_promoted], [scanned_w],
+    and [steals] for a parallel drain), then one [copy.dN] span per
+    parallel worker carrying its virtual time. *)
+val trace_copy : engine -> with_promoted:bool -> dur_us:float -> unit
+
+(** {1 Per-site accounting} *)
+
+(** Emit one [site_survival] record per row while tracing in detail. *)
+val emit_survivals : (int * int * int * int) list -> unit
+
+(** Per-site [(objects, words)] allocated since the last flush; [None]
+    when nobody consumes the rows. *)
+type site_allocs = (int, int * int) Hashtbl.t option
+
+val site_allocs : bool -> site_allocs
+
+(** [flush_site_allocs sites] empties the table and returns its rows
+    sorted by site, emitting one [site_alloc] record per row while
+    tracing in detail. *)
+val flush_site_allocs : site_allocs -> (int * int * int) list
+
+(** {1 Collection and allocation epilogues} *)
+
+(** [profile_sweep ~mem ~hooks ~stats ~traced ~since space] reports
+    every unforwarded object of the collected [space] to the profiler's
+    [on_die] (a no-op without object hooks).  The interval from [since]
+    is credited to [profile_seconds] and emitted as the [profile_sweep]
+    span. *)
+val profile_sweep :
+  mem:Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> traced:bool ->
+  since:float -> Mem.Space.t -> unit
+
+(** Count one fresh object of [words] in the allocation counters and
+    the per-site table. *)
+val count_alloc :
+  stats:Gc_stats.t -> sites:site_allocs -> Mem.Header.t -> words:int -> unit
+
+(** [finish_alloc ~mem ~stats ~sites hdr ~birth ~words base] writes the
+    header, zeroes the payload, counts the object and returns [base]. *)
+val finish_alloc :
+  mem:Mem.Memory.t -> stats:Gc_stats.t -> sites:site_allocs ->
+  Mem.Header.t -> birth:int -> words:int -> Mem.Addr.t -> Mem.Addr.t

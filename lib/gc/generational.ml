@@ -104,7 +104,7 @@ type t = {
          [census_period > 0] *)
   los_births : (Mem.Addr.t, int) Hashtbl.t option;
       (* large-object birth ordinals; [Some] iff [census_period > 0] *)
-  alloc_sites : (int, int * int) Hashtbl.t option;
+  alloc_sites : Cycle.site_allocs;
       (* per-site (objects, words) allocated since the last [site_alloc]
          flush — allocated when the trace layer is recording in detail at
          collector creation (same gating as the engines' survival
@@ -217,9 +217,7 @@ let create mem ~hooks ~stats cfg =
     collections = 0;
     age_table = Age_table.create ();
     los_births = (if cfg.census_period > 0 then Some (Hashtbl.create 16) else None);
-    alloc_sites =
-      (if Obs.Trace.detailed () || cfg.adaptive then Some (Hashtbl.create 32)
-       else None);
+    alloc_sites = Cycle.site_allocs (Obs.Trace.detailed () || cfg.adaptive);
     tenure_dyn = cfg.tenure_threshold;
     controller;
     compact_pending = false;
@@ -310,12 +308,24 @@ let scan_card t ~visit cards card =
       in
       walk start
 
-(* Scan the pretenured region [pretenure_from, frontier_at_gc_start):
-   those objects were allocated directly into the tenured generation since
-   the last collection and may hold young pointers.  Objects whose site
-   the flow analysis cleared are skipped (Section 7.2); [visit_fields] is
-   either the sequential in-place rewrite or the parallel drain's packet
-   staging, so the region counters are identical either way. *)
+(* Scan one pretenured object of [words] at [a]: it was allocated
+   directly into the tenured generation since the last collection and may
+   hold young pointers.  Objects whose site the flow analysis cleared are
+   skipped (Section 7.2); [visit_fields] is either the sequential in-place
+   rewrite or the parallel drain's packet staging, so the region counters
+   are identical either way. *)
+let scan_pretenured t ~visit_fields cells a ~words =
+  let off = Mem.Addr.offset a in
+  if t.hooks.Hooks.site_needs_scan (Mem.Header.site_c cells ~off) then begin
+    visit_fields a;
+    t.stats.Gc_stats.words_region_scanned <-
+      t.stats.Gc_stats.words_region_scanned + words
+  end
+  else
+    t.stats.Gc_stats.words_region_skipped <-
+      t.stats.Gc_stats.words_region_skipped + words
+
+(* the pretenured region [pretenure_from, frontier_at_gc_start) *)
 let scan_pretenured_region t ~visit_fields ~until =
   let cells = Mem.Memory.cells t.mem (Mem.Space.base t.tenured) in
   let limit = Mem.Addr.offset until in
@@ -325,16 +335,8 @@ let scan_pretenured_region t ~visit_fields ~until =
       let words = Mem.Header.object_words_c cells ~off in
       (* chunk-tail fillers from earlier parallel drains are not
          pretenured objects; step over them without counting *)
-      if Mem.Header.is_filler_c cells ~off then ()
-      else if t.hooks.Hooks.site_needs_scan (Mem.Header.site_c cells ~off)
-      then begin
-        visit_fields a;
-        t.stats.Gc_stats.words_region_scanned <-
-          t.stats.Gc_stats.words_region_scanned + words
-      end
-      else
-        t.stats.Gc_stats.words_region_skipped <-
-          t.stats.Gc_stats.words_region_skipped + words;
+      if not (Mem.Header.is_filler_c cells ~off) then
+        scan_pretenured t ~visit_fields cells a ~words;
       walk (Mem.Addr.unsafe_add a words)
     end
   in
@@ -350,17 +352,8 @@ let scan_pretenured_list t ~visit_fields =
   let cells = Mem.Memory.cells t.mem (Mem.Space.base t.tenured) in
   Support.Vec.iter
     (fun a ->
-      let off = Mem.Addr.offset a in
-      let words = Mem.Header.object_words_c cells ~off in
-      if t.hooks.Hooks.site_needs_scan (Mem.Header.site_c cells ~off)
-      then begin
-        visit_fields a;
-        t.stats.Gc_stats.words_region_scanned <-
-          t.stats.Gc_stats.words_region_scanned + words
-      end
-      else
-        t.stats.Gc_stats.words_region_skipped <-
-          t.stats.Gc_stats.words_region_skipped + words)
+      let words = Mem.Header.object_words_c cells ~off:(Mem.Addr.offset a) in
+      scan_pretenured t ~visit_fields cells a ~words)
     t.new_pretenured;
   Support.Vec.clear t.new_pretenured
 
@@ -392,96 +385,6 @@ let drain_barrier t ~visit_loc ~visit_fields ~card =
   t.stats.Gc_stats.barrier_entries_processed <-
     t.stats.Gc_stats.barrier_entries_processed + !processed
 
-(* --- engine dispatch ---
-
-   [parallelism = 1] keeps the sequential [Cheney] engine, bit-for-bit
-   today's behaviour (the oracle the equivalence tests pin against).
-   The parallel drain runs only under immediate promotion and the raw
-   word paths: an aging nursery needs the [remember] re-recording that
-   the packet protocol does not carry, and the safe path deliberately
-   stays sequential as the executable specification. *)
-type engine =
-  | E_seq of Cheney.t
-  | E_par of Par_drain.t
-
-let use_par t =
-  t.cfg.parallelism > 1 && t.tenure_dyn = 1 && !Cheney.use_raw
-  (* redundant with the [create] validation, but keeps the gate honest
-     if that ever loosens: chunk carving and backend placement clash *)
-  && t.cfg.major_kind = Copying
-
-let eng_visit_loc = function
-  | E_seq e -> Cheney.visit_loc e
-  | E_par p -> Par_drain.add_loc p
-
-let eng_visit_fields = function
-  | E_seq e -> Cheney.visit_object_fields e
-  | E_par p -> Par_drain.add_obj p
-
-let eng_copied = function
-  | E_seq e -> Cheney.words_copied e
-  | E_par p -> Par_drain.words_copied p
-
-let eng_promoted = function
-  | E_seq e -> Cheney.words_promoted e
-  | E_par p -> Par_drain.words_promoted p
-
-let eng_scanned = function
-  | E_seq e -> Cheney.words_scanned e
-  | E_par p -> Par_drain.words_scanned p
-
-let eng_site_survivals = function
-  | E_seq e -> Cheney.site_survivals e
-  | E_par p -> Par_drain.site_survivals p
-
-(* visit the collected roots and run the drain to its fixpoint; the
-   parallel engine receives the roots as packets via the batch export *)
-let eng_drain engine roots =
-  match engine with
-  | E_seq e ->
-    Support.Vec.iter (Cheney.visit_root e) roots;
-    Cheney.drain e
-  | E_par p ->
-    let batch =
-      Rstack.Root.Batch.create ~capacity:32 ~emit:(Par_drain.add_roots p)
-    in
-    Support.Vec.iter (Rstack.Root.Batch.push batch) roots;
-    Rstack.Root.Batch.flush batch;
-    Par_drain.run p
-
-(* drain scan work lands in the per-domain slots; the sequential engine
-   is domain 0 *)
-let eng_record_scanned t engine =
-  match engine with
-  | E_seq e -> Gc_stats.add_scanned t.stats ~domain:0 (Cheney.words_scanned e)
-  | E_par p ->
-    Array.iteri
-      (fun domain words -> Gc_stats.add_scanned t.stats ~domain words)
-      (Par_drain.per_worker_scanned p)
-
-(* per-domain [copy.dN] spans: each worker's virtual-time cost and work
-   counters, the scaling evidence the trace carries for parallel drains *)
-let trace_domain_spans engine =
-  match engine with
-  | E_seq _ -> ()
-  | E_par p ->
-    Array.iter
-      (fun r ->
-        Obs.Trace.phase
-          ~name:(Printf.sprintf "copy.d%d" r.Par_drain.w_id)
-          ~dur_us:(float_of_int r.Par_drain.w_cost_ns /. 1e3)
-          ~counters:
-            [ ("copied_w", r.Par_drain.w_copied);
-              ("scanned_w", r.Par_drain.w_scanned);
-              ("packets", r.Par_drain.w_packets);
-              ("steals", r.Par_drain.w_steals) ])
-      (Par_drain.report p)
-
-let steal_counters engine =
-  match engine with
-  | E_seq _ -> []
-  | E_par p -> [ ("steals", Par_drain.steals p) ]
-
 (* Major-trigger gauge.  The copying major reclaims only by evacuating
    the whole space, so any word below the frontier is occupied until
    then.  The mark-sweep major returns dead words to the backend in
@@ -493,46 +396,14 @@ let occupancy t =
   | Copying -> Mem.Space.used_words t.tenured + Los.live_words t.los
   | Mark_sweep -> Alloc.Backend.live_words t.tenured_be + Los.live_words t.los
 
-(* --- per-site allocation accounting (tracing only) --- *)
-
-let note_alloc_site t ~site ~words =
-  match t.alloc_sites with
-  | None -> ()
-  | Some tab ->
-    let objects, w =
-      match Hashtbl.find_opt tab site with
-      | Some p -> p
-      | None -> (0, 0)
-    in
-    Hashtbl.replace tab site (objects + 1, w + words)
-
-(* Flushed at every collection start and at [destroy], so the trace's
-   per-site allocation totals are exact over a fully-traced run.
-   Returns the sorted rows: the controller aggregates the same deltas
+(* Per-site allocation rows, flushed at every collection start and at
+   [destroy], so the trace's per-site allocation totals are exact over
+   a fully-traced run.  The controller aggregates the same sorted rows
    the trace carries, which is what keeps its decisions replayable.
    Emission is gated on the detailed sinks — a flight ring must not be
    flooded with per-site rows just because the control plane keeps the
    table alive. *)
-let flush_site_allocs t =
-  match t.alloc_sites with
-  | None -> []
-  | Some tab ->
-    if Hashtbl.length tab = 0 then []
-    else begin
-      let rows =
-        List.sort compare
-          (Hashtbl.fold
-             (fun site (objects, words) acc -> (site, objects, words) :: acc)
-             tab [])
-      in
-      if Obs.Trace.detailed () then
-        List.iter
-          (fun (site, objects, words) ->
-            Obs.Trace.site_alloc ~site ~objects ~words)
-          rows;
-      Hashtbl.reset tab;
-      rows
-    end
+let flush_site_allocs t = Cycle.flush_site_allocs t.alloc_sites
 
 (* --- heap census (census_period > 0, tracing only) --- *)
 
@@ -725,34 +596,66 @@ let control_after_collection t ~kind ~nursery_begin_w ~pause_us ~promoted_w
         apply_decision t c d)
       (Control.Controller.observe c obs)
 
-let minor_collection t =
+(* --- the collection cycle ---
+
+   Every collection runs one skeleton ([cycle]): the collection ordinal,
+   [gc_begin], the per-site allocation flush, the roots phase, then the
+   kind's reclaim step, then the census, the backend snapshot, the
+   runtime's [after_collection] hook, [gc_end] and the control plane.
+   A reclaim step owns the phase spans and timers between the roots
+   phase and the epilogue, and hands back what the epilogue reports. *)
+
+type reclaimed = {
+  copied : int;
+  promoted : int;
+  live_w : int;
+  survivals : (int * int * int * int) list;
+}
+
+let cycle t ~kind ~scan_mode reclaim =
   t.collections <- t.collections + 1;
   let traced = Obs.Trace.enabled () in
   let nursery_begin_w = Mem.Space.used_words t.nursery in
   if traced then
-    Obs.Trace.gc_begin ~kind:"minor" ~nursery_w:nursery_begin_w
+    Obs.Trace.gc_begin ~kind ~nursery_w:nursery_begin_w
       ~tenured_w:(Mem.Space.used_words t.tenured)
       ~los_w:(Los.live_words t.los);
   let alloc_rows = flush_site_allocs t in
   let t0 = now () in
-  let roots = Support.Vec.create () in
-  (* Skipping previously-scanned frames is sound only under immediate
-     promotion ("objects in the nursery are always promoted", Section 5):
-     with an aging nursery a cached frame may still reference a young
-     object that this collection moves, so cached frames are replayed
-     (decode reuse without the skip). *)
-  let mode =
-    if t.tenure_dyn = 1 then Rstack.Scan.Minor else Rstack.Scan.Full
+  let roots, t1 =
+    Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 scan_mode
   in
-  let res = t.hooks.Hooks.scan_stack mode (Support.Vec.push roots) in
-  t.hooks.Hooks.visit_globals (Support.Vec.push roots);
-  Gc_stats.add_scan t.stats res;
-  let t1 = now () in
-  t.stats.Gc_stats.stack_seconds <- t.stats.Gc_stats.stack_seconds +. (t1 -. t0);
+  let r = reclaim t ~traced ~roots ~t1 in
+  census_after_collection t ~traced;
+  sample_backend_stats t ~traced;
+  t.hooks.Hooks.after_collection ~full:(kind <> "minor");
+  (* one reading feeds both the trace and the controller, so the value
+     the offline replay recovers from [gc_end] is the value the online
+     rules actually saw *)
+  let pause_us = (now () -. t0) *. 1e6 in
   if traced then
-    Obs.Trace.phase ~name:"roots"
-      ~dur_us:((t1 -. t0) *. 1e6)
-      ~counters:[ ("roots", Support.Vec.length roots) ];
+    Obs.Trace.gc_end ~kind ~pause_us ~copied_w:r.copied
+      ~promoted_w:r.promoted ~live_w:r.live_w;
+  control_after_collection t ~kind ~nursery_begin_w ~pause_us
+    ~promoted_w:r.promoted ~live_w:r.live_w ~survivals:r.survivals
+    ~alloc_rows
+
+(* the engine for a copy out of [in_from] into [to_space]; applied in
+   full, as a partial application of [Cycle.engine] would allocate a
+   chain of closures at every collection *)
+let copy_engine t ~in_from ~to_space ?aging ?remember ?promote_alloc
+    ?card_scan ~trace_los ~promoting () =
+  Cycle.engine ~mem:t.mem ~in_from ~to_space ?aging ?remember ?promote_alloc
+    ?card_scan ~los:(Some t.los) ~trace_los ~promoting ~eager:t.cfg.eager_evac
+    ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
+    ~object_hooks:t.hooks.Hooks.object_hooks
+    ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
+    ~chunk_words:t.cfg.chunk_words ()
+
+(* The minor reclaim step: the barrier drain ([barrier_seconds], split
+   into the [barrier] and [region_scan] spans), the nursery copy
+   ([copy_seconds], the [copy] span) and the profiling death sweep. *)
+let reclaim_minor t ~traced ~roots ~t1:_ =
   let tenured_frontier_at_start = Mem.Space.frontier t.tenured in
   (* under an aging nursery, survivors below the threshold evacuate into
      a fresh nursery semispace instead of being promoted *)
@@ -778,60 +681,39 @@ let minor_collection t =
           ~offset:(Mem.Addr.diff loc (Mem.Space.base t.tenured))
       else Ssb.record overflow loc
   in
+  let card_scan cards visit card = scan_card t ~visit cards card in
   let engine =
-    if use_par t then
-      E_par
-        (Par_drain.create ~mem:t.mem
-           ~in_from:(Mem.Space.contains t.nursery)
-           ~to_space:t.tenured ~los:(Some t.los) ~trace_los:false
-           ~promoting:true ~eager:t.cfg.eager_evac
-           ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
-           ~object_hooks:t.hooks.Hooks.object_hooks
-           ?card_scan:
-             (match t.barrier with
-              | B_cards (cards, _) ->
-                Some (fun visit card -> scan_card t ~visit cards card)
-              | B_ssb _ | B_remset _ -> None)
-           ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
-           ?chunk_words:
-             (if t.cfg.chunk_words > 0 then Some t.cfg.chunk_words else None)
-           ())
-    else
-      E_seq
-        (Cheney.create ~mem:t.mem
-           ~in_from:(Mem.Space.contains t.nursery)
-           ~to_space:t.tenured ?aging ~remember
-           ~eager:t.cfg.eager_evac
-           ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
-           ?promote_alloc:
-             (* under the mark-sweep major promotions go through the
-                placement policy so they can land in swept holes *)
-             (match t.cfg.major_kind with
-              | Copying -> None
-              | Mark_sweep ->
-                Some (fun words -> Alloc.Backend.alloc t.tenured_be words))
-           ~los:(Some t.los) ~trace_los:false ~promoting:true
-           ~object_hooks:t.hooks.Hooks.object_hooks ())
+    copy_engine t ~in_from:(Mem.Space.contains t.nursery) ~to_space:t.tenured
+      ?aging ~remember
+      ?promote_alloc:
+        (* under the mark-sweep major promotions go through the
+           placement policy so they can land in swept holes *)
+        (match t.cfg.major_kind with
+         | Copying -> None
+         | Mark_sweep ->
+           Some (fun words -> Alloc.Backend.alloc t.tenured_be words))
+      ?card_scan:
+        (match t.barrier with
+         | B_cards (cards, _) -> Some (card_scan cards)
+         | B_ssb _ | B_remset _ -> None)
+      ~trace_los:false ~promoting:true ()
   in
   let entries0 = t.stats.Gc_stats.barrier_entries_processed in
   let region_scanned0 = t.stats.Gc_stats.words_region_scanned in
   let region_skipped0 = t.stats.Gc_stats.words_region_skipped in
   let t_barrier0 = now () in
-  drain_barrier t ~visit_loc:(eng_visit_loc engine)
-    ~visit_fields:(eng_visit_fields engine)
-    ~card:
-      (match engine with
-       | E_seq e -> fun cards c -> scan_card t ~visit:(Cheney.visit_loc e) cards c
-       | E_par p -> fun _cards c -> Par_drain.add_card p c);
+  drain_barrier t ~visit_loc:(Cycle.visit_loc engine)
+    ~visit_fields:(Cycle.visit_fields engine)
+    ~card:(fun cards -> Cycle.visit_card engine ~scan:(card_scan cards));
   let t_mid = if traced then now () else t_barrier0 in
   (match t.cfg.major_kind with
    | Copying ->
-     scan_pretenured_region t ~visit_fields:(eng_visit_fields engine)
+     scan_pretenured_region t ~visit_fields:(Cycle.visit_fields engine)
        ~until:tenured_frontier_at_start
    | Mark_sweep ->
      (* pretenured grants are not contiguous above [pretenure_from] when
         holes serve them; scan the recorded bases instead *)
-     scan_pretenured_list t ~visit_fields:(eng_visit_fields engine));
+     scan_pretenured_list t ~visit_fields:(Cycle.visit_fields engine));
   let t_barrier1 = now () in
   t.stats.Gc_stats.barrier_seconds <-
     t.stats.Gc_stats.barrier_seconds +. (t_barrier1 -. t_barrier0);
@@ -846,36 +728,18 @@ let minor_collection t =
         [ ("scanned_w", t.stats.Gc_stats.words_region_scanned - region_scanned0);
           ("skipped_w", t.stats.Gc_stats.words_region_skipped - region_skipped0) ]
   end;
-  eng_drain engine roots;
-  eng_record_scanned t engine;
+  Cycle.drain engine ~stats:t.stats roots;
   let t2 = now () in
   t.stats.Gc_stats.copy_seconds <-
     t.stats.Gc_stats.copy_seconds +. (t2 -. t_barrier1);
-  let survivals = eng_site_survivals engine in
+  let survivals = Cycle.survivals engine in
   if traced then begin
-    Obs.Trace.phase ~name:"copy"
-      ~dur_us:((t2 -. t_barrier1) *. 1e6)
-      ~counters:
-        ([ ("copied_w", eng_copied engine);
-           ("promoted_w", eng_promoted engine);
-           ("scanned_w", eng_scanned engine) ]
-         @ steal_counters engine);
-    trace_domain_spans engine;
-    if Obs.Trace.detailed () then
-      List.iter
-        (fun (site, objects, first_objects, words) ->
-          Obs.Trace.site_survival ~site ~objects ~first_objects ~words)
-        survivals
+    Cycle.trace_copy engine ~with_promoted:true
+      ~dur_us:((t2 -. t_barrier1) *. 1e6);
+    Cycle.emit_survivals survivals
   end;
-  (match t.hooks.Hooks.object_hooks with
-   | None -> ()
-   | Some h ->
-     Cheney.sweep_dead ~mem:t.mem ~space:t.nursery ~on_die:h.Hooks.on_die;
-     let dt = now () -. t2 in
-     t.stats.Gc_stats.profile_seconds <-
-       t.stats.Gc_stats.profile_seconds +. dt;
-     if traced then
-       Obs.Trace.phase ~name:"profile_sweep" ~dur_us:(dt *. 1e6) ~counters:[]);
+  Cycle.profile_sweep ~mem:t.mem ~hooks:t.hooks ~stats:t.stats ~traced
+    ~since:t2 t.nursery;
   (match aging with
    | None -> Mem.Space.reset t.nursery
    | Some a ->
@@ -887,113 +751,79 @@ let minor_collection t =
   (match t.controller with
    | None -> ()
    | Some c -> Mem.Space.set_limit t.nursery (Control.Controller.nursery_limit_w c));
-  let copied = eng_copied engine in
+  let copied = Cycle.copied engine and promoted = Cycle.promoted engine in
   t.stats.Gc_stats.words_copied <- t.stats.Gc_stats.words_copied + copied;
-  t.stats.Gc_stats.words_promoted <-
-    t.stats.Gc_stats.words_promoted + eng_promoted engine;
+  t.stats.Gc_stats.words_promoted <- t.stats.Gc_stats.words_promoted + promoted;
   t.stats.Gc_stats.minor_gcs <- t.stats.Gc_stats.minor_gcs + 1;
   t.pretenure_from <- Mem.Space.frontier t.tenured;
   cover_new_tenured t;
-  census_after_collection t ~traced;
-  sample_backend_stats t ~traced;
-  t.hooks.Hooks.after_collection ~full:false;
-  let live_w = occupancy t in
-  let promoted_w = eng_promoted engine in
-  (* one reading feeds both the trace and the controller, so the value
-     the offline replay recovers from [gc_end] is the value the online
-     rules actually saw *)
-  let pause_us = (now () -. t0) *. 1e6 in
-  if traced then
-    Obs.Trace.gc_end ~kind:"minor" ~pause_us ~copied_w:copied
-      ~promoted_w ~live_w;
-  control_after_collection t ~kind:"minor" ~nursery_begin_w ~pause_us
-    ~promoted_w ~live_w ~survivals ~alloc_rows
+  { copied; promoted; live_w = occupancy t; survivals }
 
-let major_collection t =
+let on_die t =
+  match t.hooks.Hooks.object_hooks with
+  | None -> fun ~site:_ ~birth:_ ~words:_ -> ()
+  | Some h -> h.Hooks.on_die
+
+let sweep_los t =
+  let freed = Los.sweep t.los ~on_die:(on_die t) in
+  t.stats.Gc_stats.words_los_freed <- t.stats.Gc_stats.words_los_freed + freed;
+  freed
+
+let trace_los_sweep t ~freed ~dur_us =
+  Obs.Trace.phase ~name:"los_sweep" ~dur_us
+    ~counters:[ ("live_w", Los.live_words t.los); ("freed_w", freed) ]
+
+(* The accounting tail both majors share: collection count, live-size
+   gauges, the next major's trigger, and dropping the birth records of
+   swept large objects.  Returns the live total the epilogue reports. *)
+let major_tail t =
+  t.stats.Gc_stats.major_gcs <- t.stats.Gc_stats.major_gcs + 1;
+  let live_total = live_words t in
+  t.stats.Gc_stats.live_words_after_gc <- live_total;
+  t.stats.Gc_stats.max_live_words <-
+    max t.stats.Gc_stats.max_live_words live_total;
+  (* tenured resizing policy: trigger the next major when occupancy
+     exceeds live / target-liveness, clamped to the budget share *)
+  let target =
+    int_of_float (float_of_int live_total /. t.cfg.tenured_target_liveness)
+  in
+  t.major_trigger <- min t.tenured_cap (max (live_total + (live_total / 2) + 64) target);
+  (match t.los_births with
+   | None -> ()
+   | Some tbl ->
+     let dead =
+       Hashtbl.fold
+         (fun a _ acc -> if Los.contains t.los a then acc else a :: acc)
+         tbl []
+     in
+     List.iter (Hashtbl.remove tbl) dead);
+  live_total
+
+(* The copying major's reclaim step: evacuate tenured space and the
+   LOS's reachable objects into a fresh space, then sweep the LOS.  The
+   whole step is [copy_seconds]; the spans split it into [copy] and
+   [los_sweep]. *)
+let reclaim_copying t ~traced ~roots ~t1 =
   assert (Mem.Space.used_words t.nursery = 0);
-  t.collections <- t.collections + 1;
-  let traced = Obs.Trace.enabled () in
-  if traced then
-    Obs.Trace.gc_begin ~kind:"major"
-      ~nursery_w:(Mem.Space.used_words t.nursery)
-      ~tenured_w:(Mem.Space.used_words t.tenured)
-      ~los_w:(Los.live_words t.los);
-  let alloc_rows = flush_site_allocs t in
-  let t0 = now () in
-  let roots = Support.Vec.create () in
-  let res = t.hooks.Hooks.scan_stack Rstack.Scan.Full (Support.Vec.push roots) in
-  t.hooks.Hooks.visit_globals (Support.Vec.push roots);
-  Gc_stats.add_scan t.stats res;
-  let t1 = now () in
-  t.stats.Gc_stats.stack_seconds <- t.stats.Gc_stats.stack_seconds +. (t1 -. t0);
-  if traced then
-    Obs.Trace.phase ~name:"roots"
-      ~dur_us:((t1 -. t0) *. 1e6)
-      ~counters:[ ("roots", Support.Vec.length roots) ];
   let to_space = Mem.Space.create t.mem ~words:t.tenured_phys in
-  (* the major drain never ages, so only the raw-path gate applies *)
   let engine =
-    if t.cfg.parallelism > 1 && !Cheney.use_raw then
-      E_par
-        (Par_drain.create ~mem:t.mem
-           ~in_from:(Mem.Space.contains t.tenured)
-           ~to_space ~los:(Some t.los) ~trace_los:true ~promoting:false
-           ~eager:t.cfg.eager_evac
-           ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
-           ~object_hooks:t.hooks.Hooks.object_hooks
-           ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
-           ?chunk_words:
-             (if t.cfg.chunk_words > 0 then Some t.cfg.chunk_words else None)
-           ())
-    else
-      E_seq
-        (Cheney.create ~mem:t.mem
-           ~in_from:(Mem.Space.contains t.tenured)
-           ~to_space ~los:(Some t.los) ~trace_los:true ~promoting:false
-           ~eager:t.cfg.eager_evac
-           ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
-           ~object_hooks:t.hooks.Hooks.object_hooks ())
+    copy_engine t ~in_from:(Mem.Space.contains t.tenured) ~to_space
+      ~trace_los:true ~promoting:false ()
   in
-  eng_drain engine roots;
-  eng_record_scanned t engine;
+  Cycle.drain engine ~stats:t.stats roots;
   let t_drain = if traced then now () else t1 in
-  let on_die =
-    match t.hooks.Hooks.object_hooks with
-    | None -> fun ~site:_ ~birth:_ ~words:_ -> ()
-    | Some h -> h.Hooks.on_die
-  in
-  let los_freed_w = Los.sweep t.los ~on_die in
-  t.stats.Gc_stats.words_los_freed <-
-    t.stats.Gc_stats.words_los_freed + los_freed_w;
+  let los_freed_w = sweep_los t in
   let t2 = now () in
   t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
   if traced then begin
-    Obs.Trace.phase ~name:"copy"
-      ~dur_us:((t_drain -. t1) *. 1e6)
-      ~counters:
-        ([ ("copied_w", eng_copied engine);
-           ("scanned_w", eng_scanned engine) ]
-         @ steal_counters engine);
-    trace_domain_spans engine;
-    Obs.Trace.phase ~name:"los_sweep"
-      ~dur_us:((t2 -. t_drain) *. 1e6)
-      ~counters:[ ("live_w", Los.live_words t.los); ("freed_w", los_freed_w) ]
+    Cycle.trace_copy engine ~with_promoted:false
+      ~dur_us:((t_drain -. t1) *. 1e6);
+    trace_los_sweep t ~freed:los_freed_w ~dur_us:((t2 -. t_drain) *. 1e6)
   end;
-  let survivals = eng_site_survivals engine in
-  if traced && Obs.Trace.detailed () then
-    List.iter
-      (fun (site, objects, first_objects, words) ->
-        Obs.Trace.site_survival ~site ~objects ~first_objects ~words)
-      survivals;
-  (match t.hooks.Hooks.object_hooks with
-   | None -> ()
-   | Some h ->
-     Cheney.sweep_dead ~mem:t.mem ~space:t.tenured ~on_die:h.Hooks.on_die;
-     let dt = now () -. t2 in
-     t.stats.Gc_stats.profile_seconds <-
-       t.stats.Gc_stats.profile_seconds +. dt;
-     if traced then
-       Obs.Trace.phase ~name:"profile_sweep" ~dur_us:(dt *. 1e6) ~counters:[]);
+  let survivals = Cycle.survivals engine in
+  Cycle.emit_survivals survivals;
+  Cycle.profile_sweep ~mem:t.mem ~hooks:t.hooks ~stats:t.stats ~traced
+    ~since:t2 t.tenured;
   Mem.Space.release t.tenured t.mem;
   t.tenured <- to_space;
   (* the compaction emptied every hole: restart the placement policy
@@ -1009,75 +839,29 @@ let major_collection t =
      Ssb.clear overflow;
      t.cards_covered_to <- Mem.Space.base to_space);
   cover_new_tenured t;
-  let copied = eng_copied engine in
+  let copied = Cycle.copied engine in
   t.live <- copied;
   t.stats.Gc_stats.words_copied <- t.stats.Gc_stats.words_copied + copied;
-  t.stats.Gc_stats.major_gcs <- t.stats.Gc_stats.major_gcs + 1;
-  let live_total = live_words t in
-  t.stats.Gc_stats.live_words_after_gc <- live_total;
-  t.stats.Gc_stats.max_live_words <-
-    max t.stats.Gc_stats.max_live_words live_total;
-  (* tenured resizing policy: trigger the next major when occupancy
-     exceeds live / target-liveness, clamped to the budget share *)
-  let target =
-    int_of_float (float_of_int live_total /. t.cfg.tenured_target_liveness)
-  in
-  t.major_trigger <- min t.tenured_cap (max (live_total + (live_total / 2) + 64) target);
   if t.cfg.census_period > 0 then begin
     (* the compaction destroyed region boundaries: re-cover the
-       survivors as one conservatively-old region, and drop birth
-       records of swept large objects *)
+       survivors as one conservatively-old region *)
     let born = Age_table.min_born t.age_table ~default:t.collections in
     Age_table.collapse t.age_table
       ~upto:(Mem.Space.used_words t.tenured)
-      ~born;
-    match t.los_births with
-    | None -> ()
-    | Some tbl ->
-      let dead =
-        Hashtbl.fold
-          (fun a _ acc -> if Los.contains t.los a then acc else a :: acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) dead
+      ~born
   end;
-  census_after_collection t ~traced;
-  sample_backend_stats t ~traced;
-  t.hooks.Hooks.after_collection ~full:true;
-  let pause_us = (now () -. t0) *. 1e6 in
-  if traced then
-    Obs.Trace.gc_end ~kind:"major" ~pause_us ~copied_w:copied ~promoted_w:0
-      ~live_w:live_total;
-  control_after_collection t ~kind:"major" ~nursery_begin_w:0 ~pause_us
-    ~promoted_w:0 ~live_w:live_total ~survivals ~alloc_rows
+  { copied; promoted = 0; live_w = major_tail t; survivals }
 
-(* The mark-sweep major: mark tenured + LOS in place, sweep dead tenured
-   objects back into the backend as holes, sweep the LOS as usual.
-   Nothing moves, so — unlike [major_collection] — the tenured space,
-   backend, barrier state and age table all survive untouched; the only
-   card-table consequence is the crossing rebuild in [cover_new_tenured]
-   (sweeps merge corpses into fillers, changing object starts). *)
-let major_mark_sweep t =
+(* The mark-sweep major's reclaim step: mark tenured + LOS in place,
+   sweep dead tenured objects back into the backend as holes, sweep the
+   LOS as usual.  The whole step is [copy_seconds]; the spans split it
+   into [mark], [sweep] and [los_sweep].  Nothing moves, so — unlike
+   the copying major — the tenured space, backend, barrier state and
+   age table all survive untouched; the only card-table consequence is
+   the crossing rebuild in [cover_new_tenured] (sweeps merge corpses
+   into fillers, changing object starts). *)
+let reclaim_mark_sweep t ~traced ~roots ~t1 =
   assert (Mem.Space.used_words t.nursery = 0);
-  t.collections <- t.collections + 1;
-  let traced = Obs.Trace.enabled () in
-  if traced then
-    Obs.Trace.gc_begin ~kind:"major"
-      ~nursery_w:(Mem.Space.used_words t.nursery)
-      ~tenured_w:(Mem.Space.used_words t.tenured)
-      ~los_w:(Los.live_words t.los);
-  let alloc_rows = flush_site_allocs t in
-  let t0 = now () in
-  let roots = Support.Vec.create () in
-  let res = t.hooks.Hooks.scan_stack Rstack.Scan.Full (Support.Vec.push roots) in
-  t.hooks.Hooks.visit_globals (Support.Vec.push roots);
-  Gc_stats.add_scan t.stats res;
-  let t1 = now () in
-  t.stats.Gc_stats.stack_seconds <- t.stats.Gc_stats.stack_seconds +. (t1 -. t0);
-  if traced then
-    Obs.Trace.phase ~name:"roots"
-      ~dur_us:((t1 -. t0) *. 1e6)
-      ~counters:[ ("roots", Support.Vec.length roots) ];
   let eng =
     Mark_sweep.create ~mem:t.mem ~tenured:t.tenured ~los:t.los
       ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive) ()
@@ -1096,18 +880,9 @@ let major_mark_sweep t =
         [ ("marked_w", Mark_sweep.words_marked eng);
           ("marked_objects", Mark_sweep.objects_marked eng);
           ("scanned_w", Mark_sweep.words_scanned eng) ];
-    if Obs.Trace.detailed () then
-      List.iter
-        (fun (site, objects, first_objects, words) ->
-          Obs.Trace.site_survival ~site ~objects ~first_objects ~words)
-        survivals
+    Cycle.emit_survivals survivals
   end;
-  let on_die =
-    match t.hooks.Hooks.object_hooks with
-    | None -> fun ~site:_ ~birth:_ ~words:_ -> ()
-    | Some h -> h.Hooks.on_die
-  in
-  let swept_w = Mark_sweep.sweep eng ~backend:t.tenured_be ~on_die in
+  let swept_w = Mark_sweep.sweep eng ~backend:t.tenured_be ~on_die:(on_die t) in
   t.stats.Gc_stats.words_swept_free <-
     t.stats.Gc_stats.words_swept_free + swept_w;
   let t_sweep = now () in
@@ -1117,55 +892,39 @@ let major_mark_sweep t =
       ~counters:
         [ ("freed_w", swept_w);
           ("live_w", Mark_sweep.words_marked_tenured eng) ];
-  let los_freed_w = Los.sweep t.los ~on_die in
-  t.stats.Gc_stats.words_los_freed <-
-    t.stats.Gc_stats.words_los_freed + los_freed_w;
+  let los_freed_w = sweep_los t in
   let t2 = now () in
   t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
   if traced then
-    Obs.Trace.phase ~name:"los_sweep"
-      ~dur_us:((t2 -. t_sweep) *. 1e6)
-      ~counters:[ ("live_w", Los.live_words t.los); ("freed_w", los_freed_w) ];
+    trace_los_sweep t ~freed:los_freed_w ~dur_us:((t2 -. t_sweep) *. 1e6);
   t.live <- Mark_sweep.words_marked_tenured eng;
   (* accounting cross-check: granted minus freed must equal the marked
      words once every corpse is back in the backend *)
   assert (Alloc.Backend.live_words t.tenured_be = t.live);
-  t.stats.Gc_stats.major_gcs <- t.stats.Gc_stats.major_gcs + 1;
-  let live_total = live_words t in
-  t.stats.Gc_stats.live_words_after_gc <- live_total;
-  t.stats.Gc_stats.max_live_words <-
-    max t.stats.Gc_stats.max_live_words live_total;
-  let target =
-    int_of_float (float_of_int live_total /. t.cfg.tenured_target_liveness)
-  in
-  t.major_trigger <- min t.tenured_cap (max (live_total + (live_total / 2) + 64) target);
+  let live_w = major_tail t in
   t.pretenure_from <- Mem.Space.frontier t.tenured;
   (* the list is consumed by the preceding minors and nothing allocates
      during the major; keep the invariant explicit *)
   Support.Vec.clear t.new_pretenured;
   cover_new_tenured t;
-  if t.cfg.census_period > 0 then begin
-    (* addresses are stable so tenured age regions stay exact; only
-       swept large objects need their birth records dropped *)
-    match t.los_births with
-    | None -> ()
-    | Some tbl ->
-      let dead =
-        Hashtbl.fold
-          (fun a _ acc -> if Los.contains t.los a then acc else a :: acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) dead
-  end;
-  census_after_collection t ~traced;
-  sample_backend_stats t ~traced;
-  t.hooks.Hooks.after_collection ~full:true;
-  let pause_us = (now () -. t0) *. 1e6 in
-  if traced then
-    Obs.Trace.gc_end ~kind:"major" ~pause_us ~copied_w:0 ~promoted_w:0
-      ~live_w:live_total;
-  control_after_collection t ~kind:"major" ~nursery_begin_w:0 ~pause_us
-    ~promoted_w:0 ~live_w:live_total ~survivals ~alloc_rows
+  { copied = 0; promoted = 0; live_w; survivals }
+
+let minor_collection t =
+  (* Skipping previously-scanned frames is sound only under immediate
+     promotion ("objects in the nursery are always promoted", Section 5):
+     with an aging nursery a cached frame may still reference a young
+     object that this collection moves, so cached frames are replayed
+     (decode reuse without the skip). *)
+  let scan_mode =
+    if t.tenure_dyn = 1 then Rstack.Scan.Minor else Rstack.Scan.Full
+  in
+  cycle t ~kind:"minor" ~scan_mode reclaim_minor
+
+let major_collection t =
+  cycle t ~kind:"major" ~scan_mode:Rstack.Scan.Full reclaim_copying
+
+let major_mark_sweep t =
+  cycle t ~kind:"major" ~scan_mode:Rstack.Scan.Full reclaim_mark_sweep
 
 (* Fragmentation fallback gauge: can the tenured area absorb another
    nursery's worth of promotion?  Frontier headroom always counts.
@@ -1227,28 +986,16 @@ let collect t ~major =
 let minor t = collect t ~major:false
 let full t = collect t ~major:true
 
+let exhausted what = raise (Budget.Exhausted ("Generational: " ^ what))
+
 let is_array hdr =
   match hdr.Mem.Header.kind with
   | Mem.Header.Ptr_array | Mem.Header.Nonptr_array -> true
   | Mem.Header.Record _ -> false
 
-(* shared epilogue of a fresh grant: header, zeroed payload, counters *)
 let finish_alloc t hdr ~birth ~words base =
-  Mem.Header.write t.mem base hdr ~birth;
-  Mem.Memory.fill t.mem
-    ~dst:(Mem.Header.field_addr base 0)
-    ~words:hdr.Mem.Header.len Mem.Value.zero;
-  t.stats.Gc_stats.words_allocated <- t.stats.Gc_stats.words_allocated + words;
-  t.stats.Gc_stats.objects_allocated <- t.stats.Gc_stats.objects_allocated + 1;
-  (if is_array hdr then
-     t.stats.Gc_stats.words_alloc_arrays <-
-       t.stats.Gc_stats.words_alloc_arrays + words
-   else
-     t.stats.Gc_stats.words_alloc_records <-
-       t.stats.Gc_stats.words_alloc_records + words);
-  if t.alloc_sites <> None then
-    note_alloc_site t ~site:hdr.Mem.Header.site ~words;
-  base
+  Cycle.finish_alloc ~mem:t.mem ~stats:t.stats ~sites:t.alloc_sites hdr ~birth
+    ~words base
 
 let bump_alloc t space hdr ~birth =
   let words = Mem.Header.object_words hdr in
@@ -1272,14 +1019,9 @@ let alloc t hdr ~birth =
        trigger, then place the object in the large-object space *)
     if occupancy t + words >= t.major_trigger then collect t ~major:true;
     if occupancy t + words > t.tenured_cap then
-      failwith "Generational: large object exceeds memory budget";
+      exhausted "large object exceeds memory budget";
     let base = Los.alloc t.los hdr ~birth in
-    t.stats.Gc_stats.words_allocated <- t.stats.Gc_stats.words_allocated + words;
-    t.stats.Gc_stats.objects_allocated <- t.stats.Gc_stats.objects_allocated + 1;
-    t.stats.Gc_stats.words_alloc_arrays <-
-      t.stats.Gc_stats.words_alloc_arrays + words;
-    if t.alloc_sites <> None then
-      note_alloc_site t ~site:hdr.Mem.Header.site ~words;
+    Cycle.count_alloc ~stats:t.stats ~sites:t.alloc_sites hdr ~words;
     (match t.los_births with
      | None -> ()
      | Some tbl -> Hashtbl.replace tbl base t.collections);
@@ -1287,7 +1029,7 @@ let alloc t hdr ~birth =
   end
   else begin
     if words > t.nursery_words then
-      failwith "Generational: object larger than the nursery";
+      exhausted "object larger than the nursery";
     match bump_alloc t t.nursery hdr ~birth with
     | Some base -> base
     | None ->
@@ -1308,11 +1050,11 @@ let alloc t hdr ~birth =
             | Some base -> base
             | None ->
               if attempts >= t.tenure_dyn then
-                failwith "Generational: nursery exhausted after collection"
+                exhausted "nursery exhausted after collection"
               else retry (attempts + 1)
           end
           else if attempts >= t.tenure_dyn then
-            failwith "Generational: nursery exhausted after collection"
+            exhausted "nursery exhausted after collection"
           else retry (attempts + 1)
       in
       retry 1
@@ -1337,7 +1079,7 @@ let alloc_pretenured t hdr ~birth =
        Hashtbl.replace tab site
          (1 + Option.value ~default:0 (Hashtbl.find_opt tab site)));
     base
-  | None -> failwith "Generational: tenured area exhausted (pretenuring)"
+  | None -> exhausted "tenured area exhausted (pretenuring)"
 
 let destroy t =
   (* allocations since the last collection have not been flushed yet;

@@ -23,7 +23,12 @@
     [los_sweep], [profile_sweep]), per-site [site_survival] tallies and
     a closing [gc_end] record; parallel drains additionally emit one
     [copy.dN] span per domain and a [steals] counter on the [copy]
-    span; see docs/TRACING.md. *)
+    span; see docs/TRACING.md.  Every collection kind runs one cycle
+    skeleton with a per-kind reclaim step (docs/COLLECTORS.md, "One
+    collection cycle").
+
+    A budget too small for the run raises {!Budget.Exhausted} from
+    allocation or collection, never a [Failure]. *)
 
 type barrier_kind =
   | Barrier_ssb     (** sequential store buffer; duplicates recorded *)
@@ -169,11 +174,14 @@ type t
 val create : Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> config -> t
 
 (** [alloc t hdr ~birth] allocates in the nursery (or the large-object
-    space for big arrays), collecting as needed.  Payload zeroed. *)
+    space for big arrays), collecting as needed.  Payload zeroed.
+    @raise Budget.Exhausted when the object or the live data it forces
+    to be promoted does not fit the budget. *)
 val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** [alloc_pretenured t hdr ~birth] allocates directly into the tenured
-    generation (profile-driven pretenuring). *)
+    generation (profile-driven pretenuring).
+    @raise Budget.Exhausted when the tenured area is full. *)
 val alloc_pretenured : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** [record_update t ~obj ~loc] is the write barrier: called on every

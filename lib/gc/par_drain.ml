@@ -237,11 +237,19 @@ let retire_chunk t w =
     w.c_base <- -1
   end
 
+(* the to-space cannot take another chunk: out of a promoting drain the
+   live data has outgrown the budget; anywhere else the collector sized
+   the to-space wrong *)
+let overflow t =
+  if t.promoting then
+    raise (Budget.Exhausted "promotion overflows the tenured space")
+  else failwith "Par_drain: to-space overflow (collector sizing bug)"
+
 let grab_chunk t w ~min_words =
   w.clock <- w.clock + cost_chunk;
   let pref = max t.chunk_words (min_words + (Mem.Header.header_words ())) in
   match Mem.Space.alloc_chunk t.to_space ~min_words ~pref_words:pref with
-  | None -> failwith "Par_drain: to-space overflow (collector sizing bug)"
+  | None -> overflow t
   | Some (a, grant) ->
     let off = Mem.Addr.offset a in
     w.c_base <- off;
@@ -524,7 +532,7 @@ let retire_chunk_r t w =
 let grab_chunk_r t w ~min_words =
   let pref = max t.chunk_words (min_words + (Mem.Header.header_words ())) in
   match Mem.Space.alloc_chunk_atomic t.to_space ~min_words ~pref_words:pref with
-  | None -> failwith "Par_drain: to-space overflow (collector sizing bug)"
+  | None -> overflow t
   | Some (a, grant) ->
     let off = Mem.Addr.offset a in
     w.c_base <- off;

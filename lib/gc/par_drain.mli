@@ -104,7 +104,10 @@ val add_card : t -> int -> unit
 (** [run t] executes the drain to a global fixpoint (all deques empty,
     all local grey regions scanned, every worker idle) and pads the
     final chunks.  Must be called exactly once.
-    @raise Failure on to-space overflow (a collector sizing bug). *)
+    @raise Budget.Exhausted when a [promoting] drain overflows the
+    to-space (the live data outgrew the budget).
+    @raise Failure on any other to-space overflow (a collector sizing
+    bug). *)
 val run : t -> unit
 
 (** {2 Results} *)

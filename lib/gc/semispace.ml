@@ -26,7 +26,7 @@ type t = {
   mutable space : Mem.Space.t;
   mutable soft_limit : int;      (* collect when used exceeds this *)
   mutable live : int;            (* words surviving the last collection *)
-  alloc_sites : (int, int * int) Hashtbl.t option;
+  alloc_sites : Cycle.site_allocs;
       (* per-site (objects, words) allocated since the last [site_alloc]
          flush; [Some] only when created while tracing *)
 }
@@ -50,36 +50,7 @@ let create mem ~hooks ~stats cfg =
     space = Mem.Space.create mem ~words:soft_limit;
     soft_limit;
     live = 0;
-    alloc_sites =
-      (if Obs.Trace.detailed () then Some (Hashtbl.create 32) else None) }
-
-let note_alloc_site t ~site ~words =
-  match t.alloc_sites with
-  | None -> ()
-  | Some tab ->
-    let objects, w =
-      match Hashtbl.find_opt tab site with
-      | Some p -> p
-      | None -> (0, 0)
-    in
-    Hashtbl.replace tab site (objects + 1, w + words)
-
-let flush_site_allocs t =
-  match t.alloc_sites with
-  | None -> ()
-  | Some tab ->
-    if Hashtbl.length tab > 0 then begin
-      let rows =
-        Hashtbl.fold
-          (fun site (objects, words) acc -> (site, objects, words) :: acc)
-          tab []
-      in
-      List.iter
-        (fun (site, objects, words) ->
-          Obs.Trace.site_alloc ~site ~objects ~words)
-        (List.sort compare rows);
-      Hashtbl.reset tab
-    end
+    alloc_sites = Cycle.site_allocs (Obs.Trace.detailed ()) }
 
 let live_words t = t.live
 
@@ -93,26 +64,19 @@ let resize t ~need =
   let floor_w = t.live + need + max (t.live / 4) 64 in
   t.soft_limit <- min t.semi_words (max floor_w (int_of_float target));
   if t.live + need > t.semi_words then
-    failwith "Semispace: live data exceeds memory budget"
+    raise (Budget.Exhausted "Semispace: live data exceeds memory budget")
 
 let collect_for t ~need =
   let traced = Obs.Trace.enabled () in
   if traced then begin
     Obs.Trace.gc_begin ~kind:"semi" ~nursery_w:0
       ~tenured_w:(Mem.Space.used_words t.space) ~los_w:0;
-    flush_site_allocs t
+    ignore (Cycle.flush_site_allocs t.alloc_sites : (int * int * int) list)
   end;
   let t0 = now () in
-  let roots = Support.Vec.create () in
-  let res = t.hooks.Hooks.scan_stack Rstack.Scan.Full (Support.Vec.push roots) in
-  t.hooks.Hooks.visit_globals (Support.Vec.push roots);
-  Gc_stats.add_scan t.stats res;
-  let t1 = now () in
-  t.stats.Gc_stats.stack_seconds <- t.stats.Gc_stats.stack_seconds +. (t1 -. t0);
-  if traced then
-    Obs.Trace.phase ~name:"roots"
-      ~dur_us:((t1 -. t0) *. 1e6)
-      ~counters:[ ("roots", Support.Vec.length roots) ];
+  let roots, t1 =
+    Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 Rstack.Scan.Full
+  in
   (* size the to-space to the current policy limit, not the whole budget
      share: the physical grant tracks the live set, so huge budgets (the
      calibration runs) do not allocate or zero hundreds of megabytes per
@@ -127,105 +91,38 @@ let collect_for t ~need =
   in
   (* parallelism = 1 is the sequential oracle: same engine, same sizing.
      A parallel drain additionally needs to-space headroom for chunk
-     tails and fillers, and stays on the raw paths (the safe path is the
-     sequential reference). *)
-  let par = t.cfg.parallelism > 1 && !Cheney.use_raw in
+     tails and fillers. *)
   let to_words =
-    if par then
+    if Cycle.parallel ~parallelism:t.cfg.parallelism then
       seq_words
       + Par_drain.space_headroom
-          ?chunk_words:
-            (if t.cfg.chunk_words > 0 then Some t.cfg.chunk_words else None)
+          ?chunk_words:(Cycle.chunk_opt t.cfg.chunk_words)
           ~parallelism:t.cfg.parallelism
           ~copy_bound:(Mem.Space.used_words t.space) ()
     else seq_words
   in
   let to_space = Mem.Space.create t.mem ~words:to_words in
-  let copied, promoted_ignored, scanned, sites, steal_counters, reports =
-    if par then begin
-      let engine =
-        Par_drain.create ~mem:t.mem
-          ~in_from:(Mem.Space.contains t.space)
-          ~to_space ~los:None ~trace_los:false ~promoting:false
-          ~eager:t.cfg.eager_evac
-          ~object_hooks:t.hooks.Hooks.object_hooks
-          ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
-          ?chunk_words:
-            (if t.cfg.chunk_words > 0 then Some t.cfg.chunk_words else None)
-          ()
-      in
-      let batch =
-        Rstack.Root.Batch.create ~capacity:32
-          ~emit:(Par_drain.add_roots engine)
-      in
-      Support.Vec.iter (Rstack.Root.Batch.push batch) roots;
-      Rstack.Root.Batch.flush batch;
-      Par_drain.run engine;
-      Array.iteri
-        (fun domain words -> Gc_stats.add_scanned t.stats ~domain words)
-        (Par_drain.per_worker_scanned engine);
-      ( Par_drain.words_copied engine,
-        Par_drain.words_promoted engine,
-        Par_drain.words_scanned engine,
-        Par_drain.site_survivals engine,
-        [ ("steals", Par_drain.steals engine) ],
-        Par_drain.report engine )
-    end
-    else begin
-      let engine =
-        Cheney.create ~mem:t.mem
-          ~in_from:(Mem.Space.contains t.space)
-          ~to_space ~los:None ~trace_los:false ~promoting:false
-          ~eager:t.cfg.eager_evac
-          ~object_hooks:t.hooks.Hooks.object_hooks ()
-      in
-      Support.Vec.iter (Cheney.visit_root engine) roots;
-      Cheney.drain engine;
-      Gc_stats.add_scanned t.stats ~domain:0 (Cheney.words_scanned engine);
-      ( Cheney.words_copied engine,
-        Cheney.words_promoted engine,
-        Cheney.words_scanned engine,
-        Cheney.site_survivals engine,
-        [],
-        [||] )
-    end
+  let engine =
+    Cycle.engine ~mem:t.mem
+      ~in_from:(Mem.Space.contains t.space)
+      ~to_space ~los:None ~trace_los:false ~promoting:false
+      ~eager:t.cfg.eager_evac ~site_tallies:(Obs.Trace.detailed ())
+      ~object_hooks:t.hooks.Hooks.object_hooks
+      ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
+      ~chunk_words:t.cfg.chunk_words ()
   in
-  ignore (promoted_ignored : int);
+  Cycle.drain engine ~stats:t.stats roots;
   let t2 = now () in
   t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
   if traced then begin
-    Obs.Trace.phase ~name:"copy"
-      ~dur_us:((t2 -. t1) *. 1e6)
-      ~counters:
-        ([ ("copied_w", copied); ("scanned_w", scanned) ] @ steal_counters);
-    Array.iter
-      (fun r ->
-        Obs.Trace.phase
-          ~name:(Printf.sprintf "copy.d%d" r.Par_drain.w_id)
-          ~dur_us:(float_of_int r.Par_drain.w_cost_ns /. 1e3)
-          ~counters:
-            [ ("copied_w", r.Par_drain.w_copied);
-              ("scanned_w", r.Par_drain.w_scanned);
-              ("packets", r.Par_drain.w_packets);
-              ("steals", r.Par_drain.w_steals) ])
-      reports;
-    List.iter
-      (fun (site, objects, first_objects, words) ->
-        Obs.Trace.site_survival ~site ~objects ~first_objects ~words)
-      sites
+    Cycle.trace_copy engine ~with_promoted:false ~dur_us:((t2 -. t1) *. 1e6);
+    Cycle.emit_survivals (Cycle.survivals engine)
   end;
-  (match t.hooks.Hooks.object_hooks with
-   | None -> ()
-   | Some h ->
-     Cheney.sweep_dead ~mem:t.mem ~space:t.space ~on_die:h.Hooks.on_die;
-     let dt = now () -. t2 in
-     t.stats.Gc_stats.profile_seconds <-
-       t.stats.Gc_stats.profile_seconds +. dt;
-     if traced then
-       Obs.Trace.phase ~name:"profile_sweep" ~dur_us:(dt *. 1e6) ~counters:[]);
+  Cycle.profile_sweep ~mem:t.mem ~hooks:t.hooks ~stats:t.stats ~traced
+    ~since:t2 t.space;
   Mem.Space.release t.space t.mem;
   t.space <- to_space;
-  t.live <- copied;
+  t.live <- Cycle.copied engine;
   t.stats.Gc_stats.words_copied <- t.stats.Gc_stats.words_copied + t.live;
   t.stats.Gc_stats.major_gcs <- t.stats.Gc_stats.major_gcs + 1;
   t.stats.Gc_stats.live_words_after_gc <- t.live;
@@ -252,27 +149,15 @@ let alloc t hdr ~birth =
       collect_for t ~need:words;
       (match Mem.Space.alloc t.space words with
        | Some a -> a
-       | None -> failwith "Semispace: live data exceeds memory budget")
+       | None ->
+         raise (Budget.Exhausted "Semispace: live data exceeds memory budget"))
   in
-  Mem.Header.write t.mem base hdr ~birth;
-  Mem.Memory.fill t.mem
-    ~dst:(Mem.Header.field_addr base 0)
-    ~words:hdr.Mem.Header.len Mem.Value.zero;
-  t.stats.Gc_stats.words_allocated <- t.stats.Gc_stats.words_allocated + words;
-  t.stats.Gc_stats.objects_allocated <- t.stats.Gc_stats.objects_allocated + 1;
-  (match hdr.Mem.Header.kind with
-   | Mem.Header.Ptr_array | Mem.Header.Nonptr_array ->
-     t.stats.Gc_stats.words_alloc_arrays <-
-       t.stats.Gc_stats.words_alloc_arrays + words
-   | Mem.Header.Record _ ->
-     t.stats.Gc_stats.words_alloc_records <-
-       t.stats.Gc_stats.words_alloc_records + words);
-  if t.alloc_sites <> None then
-    note_alloc_site t ~site:hdr.Mem.Header.site ~words;
-  base
+  Cycle.finish_alloc ~mem:t.mem ~stats:t.stats ~sites:t.alloc_sites hdr ~birth
+    ~words base
 
 let stats t = t.stats
 
 let destroy t =
-  if Obs.Trace.enabled () then flush_site_allocs t;
+  if Obs.Trace.enabled () then
+    ignore (Cycle.flush_site_allocs t.alloc_sites : (int * int * int) list);
   Mem.Space.release t.space t.mem

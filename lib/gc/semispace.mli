@@ -50,7 +50,7 @@ val create : Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> config -> t
 
 (** [alloc t hdr ~birth] allocates one object, collecting first if the
     soft limit would be exceeded.  Payload slots are zeroed.
-    @raise Failure when live data cannot fit in the budget. *)
+    @raise Budget.Exhausted when live data cannot fit in the budget. *)
 val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** Force a collection now. *)

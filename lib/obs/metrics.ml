@@ -63,9 +63,16 @@ type metric =
    point takes [mu], so updates and reads are serialised.  [record]
    deliberately stays lock-free itself and relies on the leaf ops it
    calls — per-event atomicity is not promised, only per-metric. *)
-type t = { tbl : (string, metric) Hashtbl.t; mu : Mutex.t }
+type t = {
+  tbl : (string, metric) Hashtbl.t;
+  frac_us : (string, float ref) Hashtbl.t;
+      (* per-phase sub-microsecond remainder not yet credited to its
+         [phase_us.<name>] counter *)
+  mu : Mutex.t;
+}
 
-let create () = { tbl = Hashtbl.create 64; mu = Mutex.create () }
+let create () =
+  { tbl = Hashtbl.create 64; frac_us = Hashtbl.create 8; mu = Mutex.create () }
 
 let locked t f =
   Mutex.lock t.mu;
@@ -105,6 +112,27 @@ let observe t name v =
   match find_or_add t name (fun () -> Hist (Histogram.create ())) with
   | Hist h -> Histogram.observe h v
   | m -> wrong_kind name m "histogram"
+
+(* Credit [dur_us] to the integer counter [name], carrying the fraction
+   forward so the counter stays the floor of the exact sum: truncating
+   each span would lose every sub-microsecond phase. *)
+let add_us t name dur_us =
+  let whole =
+    locked t @@ fun () ->
+    let r =
+      match Hashtbl.find_opt t.frac_us name with
+      | Some r -> r
+      | None ->
+        let r = ref 0. in
+        Hashtbl.replace t.frac_us name r;
+        r
+    in
+    r := !r +. dur_us;
+    let whole = int_of_float !r in
+    r := !r -. float_of_int whole;
+    whole
+  in
+  incr t name whole
 
 let get_counter t name =
   locked t @@ fun () ->
@@ -146,7 +174,7 @@ let record t e =
     incr t "promoted_w" promoted_w;
     set_gauge t "live_w" live_w
   | Event.Phase { name; dur_us; counters } ->
-    incr t ("phase_us." ^ name) (int_of_float dur_us);
+    add_us t ("phase_us." ^ name) dur_us;
     List.iter
       (fun (k, v) -> incr t (Printf.sprintf "phase.%s.%s" name k) v)
       counters

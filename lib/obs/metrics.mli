@@ -14,7 +14,8 @@
     - [copied_w], [promoted_w] — counters; [live_w] — gauge;
     - [heap.nursery_w], [heap.tenured_w], [heap.los_w] — gauges sampled
       at each collection start;
-    - [phase_us.<name>] — counter of microseconds per phase;
+    - [phase_us.<name>] — counter of microseconds per phase, the floor
+      of the summed span durations (sub-microsecond spans carry over);
       [phase.<name>.<counter>] — the phase's work counters;
     - [scan.frames_decoded], [scan.frames_reused], [scan.slots_decoded],
       [scan.roots] — stack-scan counters;

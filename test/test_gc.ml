@@ -148,7 +148,7 @@ let semispace_budget_failure () =
     done
   with
   | () -> Alcotest.fail "expected budget failure"
-  | exception Failure _ -> ()
+  | exception Collectors.Budget.Exhausted _ -> ()
 
 (* --- Generational --- *)
 

@@ -145,6 +145,19 @@ let metrics_tap () =
      | Some h -> H.count h = 1 && H.total h = 120
      | None -> false)
 
+let metrics_phase_fractions () =
+  (* sub-microsecond spans must not truncate to nothing: the counter is
+     the floor of the exact sum, not the sum of per-span floors *)
+  let m = Obs.Metrics.create () in
+  for _ = 1 to 10 do
+    Obs.Metrics.record m
+      (Obs.Event.Phase { name = "copy"; dur_us = 0.5; counters = [] })
+  done;
+  check_int "ten 0.5 us phases" 5 (Obs.Metrics.get_counter m "phase_us.copy");
+  Obs.Metrics.record m (Obs.Event.Phase { name = "roots"; dur_us = 0.75; counters = [] });
+  check_int "remainders are per name" 5 (Obs.Metrics.get_counter m "phase_us.copy");
+  check_int "one 0.75 us phase" 0 (Obs.Metrics.get_counter m "phase_us.roots")
+
 let metrics_snapshot_parses () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.incr m "c" 1;
@@ -1015,6 +1028,7 @@ let () =
       ("metrics",
        [ Alcotest.test_case "basics" `Quick metrics_basics;
          Alcotest.test_case "trace tap" `Quick metrics_tap;
+         Alcotest.test_case "phase fractions" `Quick metrics_phase_fractions;
          Alcotest.test_case "snapshot parses" `Quick metrics_snapshot_parses;
          Alcotest.test_case "parallel exact" `Quick metrics_parallel_exact;
          Alcotest.test_case "parallel tap exact" `Quick
