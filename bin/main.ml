@@ -275,6 +275,27 @@ let major_kind_conv =
         Format.pp_print_string fmt
           (Collectors.Generational.major_kind_name k) )
 
+(* The collector-knob rules [Generational.create] enforces, checked up
+   front so a bad combination is a usage error (exit 2) rather than an
+   uncaught [Invalid_argument].  The chunk-words floor depends on the
+   header size: a traced run's packed headers carry the birth word. *)
+let validate_collector_knobs cmd ~parallelism ~major_kind ?(chunk_words = 0)
+    header_layout =
+  let fail msg =
+    Printf.eprintf "%s: %s\n" cmd msg;
+    exit 2
+  in
+  let max = Collectors.Gc_stats.max_domains in
+  if parallelism < 1 || parallelism > max then
+    fail (Printf.sprintf "--parallelism must be in [1, %d]" max);
+  if major_kind = Collectors.Generational.Mark_sweep && parallelism > 1 then
+    fail
+      "--major-kind mark_sweep requires --parallelism 1 (the parallel drain \
+       carves copy chunks off the space frontier)";
+  let min_chunk = 2 * Mem.Header.layout_header_words header_layout in
+  if chunk_words <> 0 && chunk_words < min_chunk then
+    fail (Printf.sprintf "--chunk-words must be 0 or at least %d" min_chunk)
+
 (* --- gc-trace --- *)
 
 let gc_trace_cmd =
@@ -378,6 +399,8 @@ let gc_trace_cmd =
       prerr_endline ("unknown workload: " ^ name);
       exit 2
     | w ->
+      validate_collector_knobs "gc-trace" ~parallelism ~major_kind ~chunk_words
+        header_layout;
       let sc = Harness.Runs.scale ~factor w in
       let cfg =
         { (Harness.Runs.config_for ~workload:w ~scale:sc ~technique ~k) with
@@ -763,19 +786,7 @@ let gc_serve_cmd =
       prerr_endline "gc-serve: --phase-shift must be non-negative";
       exit 2
     end;
-    if parallelism < 1 || parallelism > Collectors.Gc_stats.max_domains
-    then begin
-      Printf.eprintf "gc-serve: --parallelism must be in [1, %d]\n"
-        Collectors.Gc_stats.max_domains;
-      exit 2
-    end;
-    if major_kind = Collectors.Generational.Mark_sweep && parallelism > 1
-    then begin
-      prerr_endline
-        "gc-serve: --major-kind mark_sweep requires --parallelism 1 (the \
-         parallel drain carves copy chunks off the space frontier)";
-      exit 2
-    end;
+    validate_collector_knobs "gc-serve" ~parallelism ~major_kind header_layout;
     if min_policy_updates > 0 && (not adaptive || trace_file = None)
     then begin
       prerr_endline

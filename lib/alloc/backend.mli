@@ -9,7 +9,7 @@
     scans, death sweeps) never need to know which backend placed what.
 
     Grant contract shared by every implementation, mirroring
-    {!Mem.Space.alloc_chunk}: a request for [w] words is served from a
+    {!Mem.Space.alloc_chunk_atomic}: a request for [w] words is served from a
     hole only when the remainder would be [0] or at least
     [Mem.Header.header_words] — a 1-2 word tail could not hold a filler
     and would break the walk.  Grants are exact: [alloc t w] hands out

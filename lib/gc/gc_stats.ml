@@ -1,4 +1,5 @@
-(* upper bound on drain domains; matches Par_drain.max_workers *)
+(* upper bound on drain domains, the one definition of the limit:
+   [Par_drain.max_workers] and the CLI validation read it *)
 let max_domains = 16
 
 type t = {

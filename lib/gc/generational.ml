@@ -231,15 +231,21 @@ let tenure_threshold_now t = t.tenure_dyn
 let live_words t = t.live + Los.live_words t.los
 let stats t = t.stats
 
-let record_update t ~obj ~loc =
-  t.stats.Gc_stats.pointer_updates <- t.stats.Gc_stats.pointer_updates + 1;
+(* log one old-to-young edge at [loc] in the barrier's structure; the
+   remembered set records the [owner] object, so an edge known only by
+   its location is not remembered there *)
+let barrier_record t ~loc ~owner =
   match t.barrier with
   | B_ssb ssb -> Ssb.record ssb loc
-  | B_remset rs -> Remset.record rs obj
+  | B_remset rs -> Option.iter (Remset.record rs) owner
   | B_cards (cards, overflow) ->
     if Mem.Space.contains t.tenured loc then
       Card_table.record cards ~offset:(Mem.Addr.diff loc (Mem.Space.base t.tenured))
     else Ssb.record overflow loc
+
+let record_update t ~obj ~loc =
+  t.stats.Gc_stats.pointer_updates <- t.stats.Gc_stats.pointer_updates + 1;
+  barrier_record t ~loc ~owner:(Some obj)
 
 (* extend the card crossing map over tenured objects added since the last
    collection (promotions and pretenured allocations) *)
@@ -666,25 +672,13 @@ let reclaim_minor t ~traced ~roots ~t1:_ =
           threshold = t.tenure_dyn }
     else None
   in
-  (* old-to-young edges that survive the collection (aging only) must
-     re-enter the remembered set *)
-  let remember ~loc ~owner =
-    match t.barrier with
-    | B_ssb ssb -> Ssb.record ssb loc
-    | B_remset rs ->
-      (match owner with
-       | Some obj -> Remset.record rs obj
-       | None -> ())
-    | B_cards (cards, overflow) ->
-      if Mem.Space.contains t.tenured loc then
-        Card_table.record cards
-          ~offset:(Mem.Addr.diff loc (Mem.Space.base t.tenured))
-      else Ssb.record overflow loc
-  in
   let card_scan cards visit card = scan_card t ~visit cards card in
   let engine =
     copy_engine t ~in_from:(Mem.Space.contains t.nursery) ~to_space:t.tenured
-      ?aging ~remember
+      ?aging
+      (* old-to-young edges that survive the collection (aging only)
+         must re-enter the remembered set *)
+      ~remember:(barrier_record t)
       ?promote_alloc:
         (* under the mark-sweep major promotions go through the
            placement policy so they can land in swept holes *)

@@ -1,44 +1,43 @@
 (** Parallel Cheney drain: per-domain copy buffers with work-stealing
     scan, after Cheng & Blelloch's parallel copying collector
-    (PLDI 2001).
+    (PLDI 2001).  One packet engine, run under one of two schedulers.
 
     Work arrives as packets — root batches ({!Rstack.Root.Batch}
     arrays), store-buffer locations, remembered/pretenured objects,
     grey large objects and card indices — staged by the collector with
-    the [add_*] functions before {!run}.  Each of [parallelism] logical
-    domains owns a {!Deque} of packets and a private to-space chunk
-    carved from the shared space with {!Mem.Space.alloc_chunk}; copies
-    bump the private chunk, so domains never contend on the shared
+    the [add_*] functions before {!run}.  Each of [parallelism] workers
+    owns a deque of packets and a private to-space chunk carved from
+    the shared space with {!Mem.Space.alloc_chunk_atomic}; copies bump
+    the private chunk, so workers never contend on the shared
     allocation pointer; the unused tail of a retired chunk is padded
     with a {!Mem.Header.filler_site} filler so the to-space stays
-    linearly walkable.  Forwarding installation is a compare-and-swap
-    claim on the header word.  A domain drains its local grey region
-    depth-first, then its own deque, then steals from the top of a
-    seeded-random victim's deque.
+    linearly walkable.  A copy is blitted optimistically, then claimed
+    by a check-then-install of the forwarding header; a worker that
+    loses the claim rolls its copy back.  A worker drains its local
+    grey region depth-first, then its own deque, then steals from the
+    top of a seeded-random victim's deque.  Object hooks are deferred
+    and replayed on the calling domain after the drain.
 
-    The domains are driven in *virtual time* (this simulator never
-    reports host wall-clock for simulated work — see
-    [lib/harness/simclock.ml]): a discrete-event scheduler always runs
-    the lowest-clock runnable worker for one turn and charges fixed
-    per-operation nanosecond costs; {!makespan_ns} — the maximum worker
-    clock — is the drain's reported pause contribution.  Turns are
-    atomic, so the forwarding CAS cannot lose a race at runtime; the
-    claim discipline is still asserted under {!Deque.checks}, and
-    schedule diversity is explored through [seed].
+    [mode = Virtual] (the default) drives the workers in *virtual time*
+    (this simulator never reports host wall-clock for simulated work —
+    see [lib/harness/simclock.ml]): a discrete-event scheduler always
+    runs the lowest-clock runnable worker for one turn and charges
+    fixed per-operation nanosecond costs; {!makespan_ns} — the maximum
+    worker clock — is the drain's reported pause contribution.  Turns
+    are atomic, so the claim cannot lose a race at runtime; the claim
+    and the {!Deque} owner discipline are still asserted under
+    {!Deque.checks}, and schedule diversity is explored through [seed].
+
+    [mode = Real] runs the same engine on true OCaml 5 domains from the
+    persistent {!Domain_pool}: concurrent {!Cl_deque}s, a striped-mutex
+    forwarding claim, per-worker steal PRNGs, and per-worker wall-clock
+    spans ({!makespan_ns} then reports real nanoseconds).  The Virtual
+    scheduler stays the determinism oracle for it.
 
     [parallelism = 1] runs the identical machinery on one worker and is
     pinned by the equivalence tests to match the sequential {!Cheney}
     drain — same heap contents, same counters, same per-site survival —
-    which keeps the sequential engine the oracle.
-
-    [mode = Real] replaces the discrete-event scheduler with true
-    OCaml 5 domains from the persistent {!Domain_pool}: concurrent
-    {!Cl_deque}s, CAS-carved to-space chunks
-    ({!Mem.Space.alloc_chunk_atomic}), a striped-mutex forwarding claim,
-    and per-worker wall-clock spans ({!makespan_ns} then reports real
-    nanoseconds).  Object hooks are deferred to the calling domain; the
-    packet machinery and all counters are shared with the virtual
-    engine, which stays the determinism oracle. *)
+    which keeps the sequential engine the oracle. *)
 
 type t
 
@@ -140,7 +139,7 @@ type worker_report = {
   w_scanned : int;
   w_packets : int;
   w_steals : int;
-  w_cost_ns : int;  (** the worker's final virtual clock *)
+  w_cost_ns : int;  (** the worker's final clock (virtual or wall ns) *)
 }
 
 (** One report per worker, indexed by worker id (the collectors' [copy.dN]

@@ -72,21 +72,15 @@ let packed = ref false
 let hw = ref 3
 let birth_off = ref 2
 
-let set_layout ?(birth = true) = function
-  | Classic ->
-    packed := false;
-    hw := 3;
-    birth_off := 2
-  | Packed ->
-    packed := true;
-    if birth then begin
-      hw := 2;
-      birth_off := 1
-    end
-    else begin
-      hw := 1;
-      birth_off := -1
-    end
+let layout_header_words ?(birth = true) = function
+  | Classic -> 3
+  | Packed -> if birth then 2 else 1
+
+let set_layout ?(birth = true) l =
+  packed := l = Packed;
+  hw := layout_header_words ~birth l;
+  (* the birth word, when present, is the last header word *)
+  birth_off := if l = Classic || birth then !hw - 1 else -1
 
 let current_layout () = if !packed then Packed else Classic
 let has_birth_word () = !birth_off >= 0

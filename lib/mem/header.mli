@@ -56,6 +56,10 @@ val has_birth_word : unit -> bool
     birth) or 1 (Packed without). *)
 val header_words : unit -> int
 
+(** [layout_header_words ?birth l] is what {!header_words} returns once
+    [set_layout ?birth l] is installed. *)
+val layout_header_words : ?birth:bool -> layout -> int
+
 (** Layout-dependent: 40 (Classic), 30 (Packed — the mask shares the
     meta word). *)
 val max_record_fields : unit -> int

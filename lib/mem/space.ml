@@ -6,12 +6,12 @@ type t = {
      refuses grants past it.  The adaptive control plane shrinks and
      regrows the nursery through this without remapping the block; every
      other space keeps the default [limit = words] and behaves exactly
-     as before.  Chunk carving ([alloc_chunk]{,_atomic}) stays bound by
+     as before.  Chunk carving ([alloc_chunk_atomic]) stays bound by
      the physical size — to-spaces and parallel copy targets must never
      lose room mid-collection. *)
   mutable next : Addr.t;
   (* Used-words frontier for parallel chunk carving: only meaningful
-     between [par_begin] and [par_end], when real domains bump it with
+     between [par_begin] and [par_end], when drain workers bump it with
      CAS instead of racing on [next] (an [Addr.t] cannot live in an
      [Atomic.t] cell usefully, and single-domain callers should not pay
      an atomic on every [alloc]). *)
@@ -43,34 +43,13 @@ let alloc t words =
     Some a
   end
 
-let alloc_chunk t ~min_words ~pref_words =
-  if min_words <= 0 || pref_words < min_words then invalid_arg "Space.alloc_chunk";
-  let free = free_words t in
-  if free < min_words then None
-  else begin
-    let grant =
-      if free >= pref_words then pref_words
-      else if free = min_words || free >= min_words + (Header.header_words ()) then
-        free
-      else
-        (* granting [free] would leave the caller a tail remainder of 1-2
-           words: too small for a filler object.  Grant [min_words] and
-           strand the 1-2 words past the frontier instead; nothing ever
-           walks beyond the frontier, so the gap is invisible. *)
-        min_words
-    in
-    let a = t.next in
-    t.next <- Addr.add t.next grant;
-    Some (a, grant)
-  end
-
 let par_begin t = Atomic.set t.par_used (used_words t)
 
 let alloc_chunk_atomic t ~min_words ~pref_words =
   if min_words <= 0 || pref_words < min_words then
     invalid_arg "Space.alloc_chunk_atomic";
-  (* Same grant rule as [alloc_chunk], replayed as a CAS loop on the
-     integer frontier so concurrent carvers never overlap. *)
+  (* a CAS loop on the integer frontier, so concurrent carvers never
+     overlap *)
   let rec try_carve () =
     let used = Atomic.get t.par_used in
     let free = t.words - used in
@@ -80,7 +59,13 @@ let alloc_chunk_atomic t ~min_words ~pref_words =
         if free >= pref_words then pref_words
         else if free = min_words || free >= min_words + (Header.header_words ())
         then free
-        else min_words
+        else
+          (* granting [free] would leave the caller a tail remainder of
+             1-2 words: too small for a filler object.  Grant
+             [min_words] and strand the 1-2 words past the frontier
+             instead; nothing ever walks beyond the frontier, so the
+             gap is invisible. *)
+          min_words
       in
       if Atomic.compare_and_set t.par_used used (used + grant) then
         Some (Addr.add t.base used, grant)

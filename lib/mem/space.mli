@@ -36,29 +36,24 @@ val set_limit : t -> int -> unit
     [None] when fewer than [words] words remain under {!limit_words}. *)
 val alloc : t -> int -> Addr.t option
 
-(** [alloc_chunk t ~min_words ~pref_words] carves a private bump region
-    out of the space for a parallel copier: the caller gets
-    [Some (base, grant)] with [min_words <= grant <= pref_words], or
-    [None] when fewer than [min_words] words remain.  The grant rule
-    guarantees that the caller can always keep the space linearly
-    walkable with {!Header}-sized filler objects: the grant is either
-    exactly [min_words], or at least [min_words + Header.header_words],
-    never in between (a 1-2 word tail could not hold a filler).  When the
-    space is nearly full the last 1-2 free words may be stranded beyond
-    the frontier, which no walk ever visits. *)
-val alloc_chunk :
-  t -> min_words:int -> pref_words:int -> (Addr.t * int) option
-
 (** [par_begin t] opens a parallel carving phase: the atomic frontier is
     seeded from the current [used_words].  Until {!par_end}, carve only
-    with {!alloc_chunk_atomic} — plain {!alloc}/{!alloc_chunk} would
-    race the atomic frontier. *)
+    with {!alloc_chunk_atomic} — plain {!alloc} would race the atomic
+    frontier. *)
 val par_begin : t -> unit
 
-(** CAS-bumping variant of {!alloc_chunk} for concurrent carvers, valid
-    only between {!par_begin} and {!par_end}.  Same grant rule and
-    filler guarantee; distinct callers always receive disjoint
-    regions. *)
+(** [alloc_chunk_atomic t ~min_words ~pref_words] carves a private bump
+    region out of the space for a parallel copier, valid only between
+    {!par_begin} and {!par_end}: the caller gets [Some (base, grant)]
+    with [min_words <= grant <= pref_words], or [None] when fewer than
+    [min_words] words remain.  Distinct callers, on any domains, always
+    receive disjoint regions.  The grant rule guarantees that the caller
+    can always keep the space linearly walkable with {!Header}-sized
+    filler objects: the grant is either exactly [min_words], or at least
+    [min_words + Header.header_words], never in between (a 1-2 word tail
+    could not hold a filler).  When the space is nearly full the last
+    1-2 free words may be stranded beyond the frontier, which no walk
+    ever visits. *)
 val alloc_chunk_atomic :
   t -> min_words:int -> pref_words:int -> (Addr.t * int) option
 

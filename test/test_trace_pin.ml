@@ -5,8 +5,10 @@
       (every record with its wall-clock fields [t_us]/[pause_us]/[dur_us]
       dropped, in emission order) and the deterministic [Gc_stats] work
       counters.  The expected digests were recorded before the
-      collectors were folded into one shared cycle skeleton; a refactor
-      of the collection code must reproduce them exactly.  A deliberate
+      collectors were folded into one shared cycle skeleton (the last
+      configuration: before the parallel drain's virtual and real
+      engines became one); a refactor of the collection code must
+      reproduce them exactly.  A deliberate
       behaviour change re-records them (the failure message prints the
       new values).
 
@@ -53,7 +55,14 @@ let cases =
     gen "p=2 virtual" (fun c -> { c with parallelism = 2 });
     gen "packed + eager" (fun c ->
       { c with header_layout = Mem.Header.Packed; eager_evac = true });
-    gen "census on" (fun c -> { c with census_period = 3 }) ]
+    gen "census on" (fun c -> { c with census_period = 3 });
+    (* card packets and eager evacuation through the parallel drain *)
+    gen "p=2 virtual cards + packed + eager" (fun c ->
+      { c with
+        parallelism = 2;
+        barrier = Collectors.Generational.Barrier_cards;
+        header_layout = Mem.Header.Packed;
+        eager_evac = true }) ]
 
 let config_of c (w, scale) =
   (* the pretenure policy comes from a profiled run: build configs
@@ -120,7 +129,8 @@ let expected =
     ("mark_sweep bump", "ba51a8e6f86c6304679d123ea224bdab", "6dbd4419b2063aaa50afbf8dde1f66f5");
     ("p=2 virtual", "733ac95bedc5ac55db6c8e6ca7676f4f", "91d3fde38a739f5b620aed5707e6613d");
     ("packed + eager", "d9017f54d80d055b8acd2bfb16334074", "e699817781e0738344fa2b2041ac9701");
-    ("census on", "f951952fa673034bd62ae95acc003ff7", "da4c3c50d79fc59bad6e2891d84fb21f") ]
+    ("census on", "f951952fa673034bd62ae95acc003ff7", "da4c3c50d79fc59bad6e2891d84fb21f");
+    ("p=2 virtual cards + packed + eager", "d180acf2087e8b4233cdfec20609c24f", "7028043169a1ca2092ab58a185c31963") ]
 
 let runs = lazy (List.map (fun c -> (c, traced_runs c)) cases)
 
