@@ -46,11 +46,14 @@ let marked_cards t =
   done;
   !acc
 
-let iter_marked t f =
-  (* snapshot the mark bytes so cards marked by [f] itself (re-remembered
-     edges) are not processed this round — same semantics as iterating a
-     [marked_cards] list built up front, without the list *)
+let clear_marks t = Bytes.fill t.marks 0 t.ncards '\000'
+
+let drain_marked t f =
+  (* snapshot and clear the mark bytes first: cards marked by [f] itself
+     (edges re-remembered under an aging nursery) are not processed this
+     round, and their marks survive for the next collection *)
   let snapshot = Bytes.copy t.marks in
+  clear_marks t;
   for c = 0 to t.ncards - 1 do
     if Bytes.unsafe_get snapshot c = '\001' then f c
   done
@@ -63,8 +66,6 @@ let crossing t c =
   if c < 0 || c >= t.ncards then invalid_arg "Card_table.crossing";
   let x = t.crossing.(c) in
   if x < 0 then None else Some x
-
-let clear_marks t = Bytes.fill t.marks 0 t.ncards '\000'
 
 let reset t =
   clear_marks t;

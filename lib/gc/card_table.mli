@@ -33,10 +33,10 @@ val cover : t -> ((offset:int -> words:int -> unit) -> unit) -> unit
 (** [marked_cards t] returns the indexes of marked cards, ascending. *)
 val marked_cards : t -> int list
 
-(** [iter_marked t f] applies [f] to each marked card, ascending,
-    without building a list; marks set by [f] itself are not visited
-    (the mark bytes are snapshotted first). *)
-val iter_marked : t -> (int -> unit) -> unit
+(** [drain_marked t f] clears every mark, then applies [f] to each card
+    that was marked, ascending, without building a list.  Marks set by
+    [f] itself are not visited and stay set for the next drain. *)
+val drain_marked : t -> (int -> unit) -> unit
 
 (** [card_range t card] is the [(first_word, last_word_exclusive)] window
     of the card, clipped to the covered prefix of the space. *)

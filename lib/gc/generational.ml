@@ -381,10 +381,9 @@ let drain_barrier t ~visit_loc ~visit_fields ~card =
        incr processed;
        if not (in_nursery t obj) then visit_fields obj)
    | B_cards (cards, overflow) ->
-     Card_table.iter_marked cards (fun c ->
+     Card_table.drain_marked cards (fun c ->
        incr processed;
        card cards c);
-     Card_table.clear_marks cards;
      Ssb.drain overflow (fun loc ->
        incr processed;
        if not (in_nursery t loc) then visit_loc loc));

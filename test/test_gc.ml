@@ -350,25 +350,35 @@ let card_table_unit () =
   Collectors.Card_table.clear_marks ct;
   check_int "cleared" 0 (Collectors.Card_table.marked_count ct)
 
-let card_barrier_keeps_edge () =
-  (* same scenario as the write-barrier test, under cards *)
+let card_barrier_keeps_edge threshold () =
+  (* same scenario as the write-barrier test, under cards; under an aging
+     nursery the edge must stay remembered, through every minor that
+     keeps its target young, until the target is promoted *)
   let globals = Array.make 1 V.zero in
-  let mem, g, _ = gen ~barrier:Collectors.Generational.Barrier_cards globals in
+  let mem, g, _ =
+    gen ~barrier:Collectors.Generational.Barrier_cards ~threshold globals
+  in
   let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
   globals.(0) <- V.Ptr holder;
-  Collectors.Generational.minor g;
+  for _ = 1 to threshold do
+    Collectors.Generational.minor g
+  done;
   let holder = V.to_addr globals.(0) in
+  check_bool "holder tenured" true (Collectors.Generational.in_tenured g holder);
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr young 0) (V.Int 321);
   let loc = H.field_addr holder 0 in
   Mem.Memory.set mem loc (V.Ptr young);
   Collectors.Generational.record_update g ~obj:holder ~loc;
-  Collectors.Generational.minor g;
-  let young' = V.to_addr (Mem.Memory.get mem (H.field_addr holder 0)) in
+  let young' () = V.to_addr (Mem.Memory.get mem (H.field_addr holder 0)) in
+  for i = 1 to threshold do
+    Collectors.Generational.minor g;
+    check_int (Printf.sprintf "payload after minor %d" i) 321
+      (V.to_int (Mem.Memory.get mem (H.field_addr (young' ()) 0)))
+  done;
   check_bool "young promoted via card scan" true
-    (Collectors.Generational.in_tenured g young');
-  check_int "payload" 321 (V.to_int (Mem.Memory.get mem (H.field_addr young' 0)));
-  (* a second minor with no new marks must not crash or re-copy *)
+    (Collectors.Generational.in_tenured g (young' ()));
+  (* a further minor with no new marks must not crash or re-copy *)
   Collectors.Generational.minor g
 
 let aging_nursery_delays_promotion () =
@@ -1646,7 +1656,9 @@ let () =
           Alcotest.test_case "pretenured -> LOS edge" `Quick
             pretenured_to_los_edge;
           Alcotest.test_case "card table unit" `Quick card_table_unit;
-          Alcotest.test_case "card barrier" `Quick card_barrier_keeps_edge;
+          Alcotest.test_case "card barrier" `Quick (card_barrier_keeps_edge 1);
+          Alcotest.test_case "card barrier + aging" `Quick
+            (card_barrier_keeps_edge 3);
           Alcotest.test_case "aging nursery" `Quick aging_nursery_delays_promotion;
           Alcotest.test_case "aging copies more" `Quick
             aging_copies_more_than_immediate ] );
