@@ -245,7 +245,11 @@ let barrier_record t ~loc ~owner =
 
 let record_update t ~obj ~loc =
   t.stats.Gc_stats.pointer_updates <- t.stats.Gc_stats.pointer_updates + 1;
-  barrier_record t ~loc ~owner:(Some obj)
+  (* only the remembered set reads the owner: record it here rather than
+     allocate [Some obj] on every pointer store *)
+  match t.barrier with
+  | B_remset rs -> Remset.record rs obj
+  | B_ssb _ | B_cards _ -> barrier_record t ~loc ~owner:None
 
 (* extend the card crossing map over tenured objects added since the last
    collection (promotions and pretenured allocations) *)
