@@ -134,25 +134,27 @@ let calibrate_cmd =
        ~doc:"Measure Min (twice the maximum live data) for every workload")
     Term.(const run $ factor_arg)
 
+(* The technique and memory multiple, shared by run and gc-trace. *)
+
+let technique_arg =
+  let techniques =
+    [ ("semi", Harness.Runs.Semi); ("gen", Harness.Runs.Gen);
+      ("markers", Harness.Runs.Markers);
+      ("pretenure", Harness.Runs.Pretenure);
+      ("pretenure-elide", Harness.Runs.Pretenure_elide) ]
+  in
+  let doc = "Collector technique: semi, gen, markers, pretenure, \
+             pretenure-elide." in
+  Arg.(value & opt (enum techniques) Harness.Runs.Gen
+       & info [ "technique"; "t" ] ~docv:"TECH" ~doc)
+
+let k_arg =
+  let doc = "Memory multiple of the calibrated Min." in
+  Arg.(value & opt float 4.0 & info [ "k" ] ~docv:"K" ~doc)
+
 (* --- run --- *)
 
 let run_cmd =
-  let technique =
-    let techniques =
-      [ ("semi", Harness.Runs.Semi); ("gen", Harness.Runs.Gen);
-        ("markers", Harness.Runs.Markers);
-        ("pretenure", Harness.Runs.Pretenure);
-        ("pretenure-elide", Harness.Runs.Pretenure_elide) ]
-    in
-    let doc = "Collector technique: semi, gen, markers, pretenure, \
-               pretenure-elide." in
-    Arg.(value & opt (enum techniques) Harness.Runs.Gen
-         & info [ "technique"; "t" ] ~docv:"TECH" ~doc)
-  in
-  let k_arg =
-    let doc = "Memory multiple of the calibrated Min." in
-    Arg.(value & opt float 4.0 & info [ "k" ] ~docv:"K" ~doc)
-  in
   let pretenure_from =
     let doc =
       "Derive the pretenuring policy from this saved profile (see `repro \
@@ -242,10 +244,10 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one configuration")
     Term.(
-      const run $ factor_arg $ workload_arg $ technique $ k_arg
+      const run $ factor_arg $ workload_arg $ technique_arg $ k_arg
       $ pretenure_from $ policy_arg $ verify)
 
-(* Shared Arg converters for collector knobs (gc-trace and gc-serve). *)
+(* Collector knobs shared by gc-trace and gc-serve, each declared once. *)
 
 let backend_conv =
   let parse s =
@@ -275,6 +277,70 @@ let major_kind_conv =
         Format.pp_print_string fmt
           (Collectors.Generational.major_kind_name k) )
 
+let parallelism_arg =
+  let doc = "Drain domains for the copying fixpoint (1 = sequential \
+             engine; >1 emits per-domain copy.dN phase spans).  \
+             Incompatible with --major-kind mark_sweep." in
+  Arg.(value & opt int 1 & info [ "parallelism"; "p" ] ~docv:"N" ~doc)
+
+let mode_arg =
+  let modes =
+    [ ("virtual", Collectors.Par_drain.Virtual);
+      ("real", Collectors.Par_drain.Real) ]
+  in
+  let doc = "Parallel-drain execution engine: $(b,virtual) (deterministic \
+             single-threaded scheduler, simulated clocks) or $(b,real) \
+             (OCaml domains, wall-clock phase spans).  Only meaningful \
+             with --parallelism > 1." in
+  Arg.(value & opt (enum modes) Collectors.Par_drain.Virtual
+       & info [ "parallelism-mode" ] ~docv:"MODE" ~doc)
+
+let major_kind_arg =
+  let doc = "Tenured collection strategy: $(b,copying) (evacuating \
+             compaction, the default) or $(b,mark_sweep) (mark in \
+             place, sweep dead objects back into --tenured-backend as \
+             reusable holes; requires --parallelism 1)." in
+  Arg.(value & opt major_kind_conv Collectors.Generational.Copying
+       & info [ "major-kind" ] ~docv:"KIND" ~doc)
+
+let tenured_backend_arg =
+  let doc = "Placement policy for pretenured allocations (and, under \
+             mark_sweep, promotions): bump, free_list or size_class." in
+  Arg.(value & opt backend_conv Alloc.Backend.Bump
+       & info [ "tenured-backend" ] ~docv:"BACKEND" ~doc)
+
+let los_backend_arg =
+  let doc = "Placement policy for the large-object space: bump, \
+             free_list or size_class." in
+  Arg.(value & opt backend_conv Alloc.Backend.Free_list
+       & info [ "los-backend" ] ~docv:"BACKEND" ~doc)
+
+let header_layout_arg =
+  let layouts =
+    [ ("classic", Mem.Header.Classic); ("packed", Mem.Header.Packed) ]
+  in
+  let doc = "Object-header layout: $(b,classic) (three words, the \
+             default) or $(b,packed) (one meta word, plus a birth \
+             word only while tracing/profiling; docs/LAYOUT.md)." in
+  Arg.(value & opt (enum layouts) Mem.Header.Classic
+       & info [ "header-layout" ] ~docv:"LAYOUT" ~doc)
+
+let eager_evac_arg =
+  let doc = "Hierarchical (eager-child) evacuation: copy an object's \
+             children depth-first right behind it for cache locality \
+             (placement only; statistics unchanged)." in
+  Arg.(value & flag & info [ "eager-evac" ] ~doc)
+
+let adaptive_arg =
+  let doc = "Run the adaptive control plane at collection boundaries: \
+             online nursery resizing, tenure-threshold tuning, dynamic \
+             pretenuring and (mark_sweep) compaction scheduling, each \
+             decision traced as a $(b,policy_update) record \
+             (docs/ADAPTIVE.md).  Under gc-serve with $(b,--trace), the \
+             run ends with an offline replay that must re-derive every \
+             decision bit-for-bit (exit 1 otherwise)." in
+  Arg.(value & flag & info [ "adaptive" ] ~doc)
+
 (* The collector-knob rules [Generational.create] enforces, checked up
    front so a bad combination is a usage error (exit 2) rather than an
    uncaught [Invalid_argument].  The chunk-words floor depends on the
@@ -299,42 +365,9 @@ let validate_collector_knobs cmd ~parallelism ~major_kind ?(chunk_words = 0)
 (* --- gc-trace --- *)
 
 let gc_trace_cmd =
-  let technique =
-    let techniques =
-      [ ("semi", Harness.Runs.Semi); ("gen", Harness.Runs.Gen);
-        ("markers", Harness.Runs.Markers);
-        ("pretenure", Harness.Runs.Pretenure);
-        ("pretenure-elide", Harness.Runs.Pretenure_elide) ]
-    in
-    let doc = "Collector technique: semi, gen, markers, pretenure, \
-               pretenure-elide." in
-    Arg.(value & opt (enum techniques) Harness.Runs.Gen
-         & info [ "technique"; "t" ] ~docv:"TECH" ~doc)
-  in
-  let k_arg =
-    let doc = "Memory multiple of the calibrated Min." in
-    Arg.(value & opt float 4.0 & info [ "k" ] ~docv:"K" ~doc)
-  in
   let out =
     let doc = "Trace output file (default $(i,WORKLOAD).trace.jsonl)." in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
-  let parallelism_arg =
-    let doc = "Drain domains for the copying fixpoint (1 = sequential \
-               engine; >1 emits per-domain copy.dN phase spans)." in
-    Arg.(value & opt int 1 & info [ "parallelism"; "p" ] ~docv:"N" ~doc)
-  in
-  let mode_arg =
-    let modes =
-      [ ("virtual", Collectors.Par_drain.Virtual);
-        ("real", Collectors.Par_drain.Real) ]
-    in
-    let doc = "Parallel-drain execution engine: $(b,virtual) (deterministic \
-               single-threaded scheduler, simulated clocks) or $(b,real) \
-               (OCaml domains, wall-clock phase spans).  Only meaningful \
-               with --parallelism > 1." in
-    Arg.(value & opt (enum modes) Collectors.Par_drain.Virtual
-         & info [ "parallelism-mode" ] ~docv:"MODE" ~doc)
   in
   let chunk_words_arg =
     let doc = "Copy-chunk grant size in words for the real-mode drain \
@@ -346,50 +379,6 @@ let gc_trace_cmd =
                buckets) every $(docv)-th collection; 0 disables the \
                census." in
     Arg.(value & opt int 0 & info [ "census" ] ~docv:"K" ~doc)
-  in
-  let tenured_backend_arg =
-    let doc = "Placement policy for pretenured allocations: bump, \
-               free_list or size_class." in
-    Arg.(value & opt backend_conv Alloc.Backend.Bump
-         & info [ "tenured-backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let los_backend_arg =
-    let doc = "Placement policy for the large-object space: bump, \
-               free_list or size_class." in
-    Arg.(value & opt backend_conv Alloc.Backend.Free_list
-         & info [ "los-backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let major_kind_arg =
-    let doc = "Tenured collection strategy: $(b,copying) (evacuating \
-               compaction, the default) or $(b,mark_sweep) (mark in \
-               place, sweep dead objects back into --tenured-backend as \
-               reusable holes; requires --parallelism 1)." in
-    Arg.(value & opt major_kind_conv Collectors.Generational.Copying
-         & info [ "major-kind" ] ~docv:"KIND" ~doc)
-  in
-  let header_layout_arg =
-    let layouts =
-      [ ("classic", Mem.Header.Classic); ("packed", Mem.Header.Packed) ]
-    in
-    let doc = "Object-header layout: $(b,classic) (three words, the \
-               default) or $(b,packed) (one meta word, plus a birth \
-               word only while tracing/profiling; docs/LAYOUT.md)." in
-    Arg.(value & opt (enum layouts) Mem.Header.Classic
-         & info [ "header-layout" ] ~docv:"LAYOUT" ~doc)
-  in
-  let eager_evac_arg =
-    let doc = "Hierarchical (eager-child) evacuation: copy an object's \
-               children depth-first right behind it for cache locality \
-               (placement only; statistics unchanged)." in
-    Arg.(value & flag & info [ "eager-evac" ] ~doc)
-  in
-  let adaptive_arg =
-    let doc = "Run the adaptive control plane at collection boundaries: \
-               online nursery resizing, tenure-threshold tuning, dynamic \
-               pretenuring and (mark_sweep) compaction scheduling, each \
-               decision traced as a $(b,policy_update) record \
-               (docs/ADAPTIVE.md)." in
-    Arg.(value & flag & info [ "adaptive" ] ~doc)
   in
   let run factor name technique k out parallelism parallelism_mode chunk_words
       census_period tenured_backend los_backend major_kind header_layout
@@ -446,7 +435,7 @@ let gc_trace_cmd =
           validate it against the schema, and print the pause-time \
           histograms, phase breakdown and site-survival tables")
     Term.(
-      const run $ factor_arg $ workload_arg $ technique $ k_arg $ out
+      const run $ factor_arg $ workload_arg $ technique_arg $ k_arg $ out
       $ parallelism_arg $ mode_arg $ chunk_words_arg $ census_arg
       $ tenured_backend_arg $ los_backend_arg $ major_kind_arg
       $ header_layout_arg $ eager_evac_arg $ adaptive_arg)
@@ -630,55 +619,6 @@ let gc_serve_cmd =
                emit-policy`)." in
     Arg.(value & opt (some file) None & info [ "policy" ] ~docv:"FILE" ~doc)
   in
-  let major_kind_arg =
-    let doc = "Tenured collection strategy: copying or mark_sweep \
-               (mark_sweep requires --parallelism 1)." in
-    Arg.(value & opt major_kind_conv Collectors.Generational.Copying
-         & info [ "major-kind" ] ~docv:"KIND" ~doc)
-  in
-  let tenured_backend_arg =
-    let doc = "Placement policy for pretenured allocations (and, under \
-               mark_sweep, promotions): bump, free_list or size_class." in
-    Arg.(value & opt backend_conv Alloc.Backend.Bump
-         & info [ "tenured-backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let los_backend_arg =
-    let doc = "Placement policy for the large-object space: bump, \
-               free_list or size_class." in
-    Arg.(value & opt backend_conv Alloc.Backend.Free_list
-         & info [ "los-backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let eager_evac_arg =
-    let doc = "Hierarchical (eager-child) evacuation in the copy engines \
-               (placement only; statistics unchanged)." in
-    Arg.(value & flag & info [ "eager-evac" ] ~doc)
-  in
-  let parallelism_arg =
-    let doc = "Drain domains for the copying fixpoint (1 = sequential \
-               engine).  Incompatible with --major-kind mark_sweep." in
-    Arg.(value & opt int 1 & info [ "parallelism"; "p" ] ~docv:"N" ~doc)
-  in
-  let mode_arg =
-    let modes =
-      [ ("virtual", Collectors.Par_drain.Virtual);
-        ("real", Collectors.Par_drain.Real) ]
-    in
-    let doc = "Parallel-drain execution engine: $(b,virtual) \
-               (deterministic scheduler, simulated clocks) or $(b,real) \
-               (OCaml domains).  Only meaningful with --parallelism > 1." in
-    Arg.(value & opt (enum modes) Collectors.Par_drain.Virtual
-         & info [ "parallelism-mode" ] ~docv:"MODE" ~doc)
-  in
-  let adaptive_arg =
-    let doc = "Run the adaptive control plane: online nursery resizing, \
-               tenure-threshold tuning, dynamic pretenuring and \
-               (mark_sweep) compaction scheduling, each decision traced \
-               as a $(b,policy_update) record (docs/ADAPTIVE.md).  With \
-               $(b,--trace), the run ends with an offline replay that \
-               must re-derive every decision bit-for-bit (exit 1 \
-               otherwise)." in
-    Arg.(value & flag & info [ "adaptive" ] ~doc)
-  in
   let phase_shift_arg =
     let doc = "Rotate every tenant to the next lifetime profile from \
                request $(docv) on (0 = never) — the behaviour change the \
@@ -692,14 +632,6 @@ let gc_serve_cmd =
                $(docv) policy updates (smoke-test hook).  Needs \
                $(b,--adaptive) and $(b,--trace)." in
     Arg.(value & opt int 0 & info [ "min-policy-updates" ] ~docv:"N" ~doc)
-  in
-  let header_layout_arg =
-    let layouts =
-      [ ("classic", Mem.Header.Classic); ("packed", Mem.Header.Packed) ]
-    in
-    let doc = "Object-header layout: classic or packed." in
-    Arg.(value & opt (enum layouts) Mem.Header.Classic
-         & info [ "header-layout" ] ~docv:"LAYOUT" ~doc)
   in
   let max_pause_arg =
     let doc = "SLO: every pause must stay within $(docv) microseconds." in

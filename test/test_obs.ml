@@ -755,6 +755,154 @@ let policy_file_rejects () =
     {|{"v":5,"kind":"pretenure_policy","cutoff":0.8,"sites":[],"no_scan":[]}|}
     "min_objects"
 
+(* --- loader robustness ---
+
+   One real trace, captured in-process with a census every second
+   collection and the adaptive control plane on (the gc-trace
+   [--census 2 --adaptive] shape, under a p99 target tight enough to
+   force decisions), is mutated with a fixed seed: truncation, byte
+   flips, numbers swapped for out-of-range values, deleted spans.  The
+   trace readers and the policy loader must answer [Ok] or [Error] for
+   every mutant; an escaping exception is a bug. *)
+
+let robustness_trace () =
+  let cfg =
+    { (Gsc.Config.generational ~budget_bytes:(8 * 1024 * 1024)) with
+      Gsc.Config.adaptive = true;
+      census_period = 2;
+      nursery_bytes_max = 64 * 1024;
+      slo = { Obs.Slo.no_target with Obs.Slo.p99_us = Some 1. } }
+  in
+  let _, lines =
+    traced_lines (fun () ->
+        let rt = Gsc.Runtime.create cfg in
+        Fun.protect ~finally:(fun () -> Gsc.Runtime.destroy rt) @@ fun () ->
+        ignore
+          (Workloads.Serve.run rt ~phase_shift:300 ~tenants:3 ~sessions:16
+             ~requests:600 ~rate_rps:4000. ~seed:7 ()))
+  in
+  (cfg, lines)
+
+let odd_numbers =
+  [| "-1"; "1e308"; "-1e308"; "99999999999999999999"; "4611686018427387904";
+     "-4611686018427387905"; "1e-308"; "0.5" |]
+
+let is_num_char = function
+  | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
+  | _ -> false
+
+let mutate_string rng s =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    match Random.State.int rng 4 with
+    | 0 -> String.sub s 0 (Random.State.int rng n)
+    | 1 ->
+      let b = Bytes.of_string s in
+      Bytes.set b (Random.State.int rng n) (Char.chr (Random.State.int rng 256));
+      Bytes.to_string b
+    | 2 ->
+      (* swap one number for an out-of-range or foreign-typed one *)
+      let starts =
+        List.filter
+          (fun i ->
+            (match s.[i] with '0' .. '9' -> true | _ -> false)
+            && (i = 0 || not (is_num_char s.[i - 1])))
+          (List.init n Fun.id)
+      in
+      (match starts with
+       | [] -> s
+       | _ ->
+         let i = List.nth starts (Random.State.int rng (List.length starts)) in
+         let j = ref i in
+         while !j < n && is_num_char s.[!j] do
+           incr j
+         done;
+         String.sub s 0 i
+         ^ odd_numbers.(Random.State.int rng (Array.length odd_numbers))
+         ^ String.sub s !j (n - !j))
+    | _ ->
+      let i = Random.State.int rng n in
+      let len = 1 + Random.State.int rng (n - i) in
+      String.sub s 0 i ^ String.sub s (i + len) (n - i - len)
+
+let mutate_trace rng lines =
+  let a = Array.of_list lines in
+  let n = Array.length a in
+  let sub i len = Array.to_list (Array.sub a i len) in
+  match Random.State.int rng 3 with
+  | 0 ->
+    let k = Random.State.int rng n in
+    sub 0 k @ [ String.sub a.(k) 0 (Random.State.int rng (String.length a.(k) + 1)) ]
+  | 1 ->
+    let i = Random.State.int rng n in
+    let len = 1 + Random.State.int rng (min 20 (n - i)) in
+    sub 0 i @ sub (i + len) (n - i - len)
+  | _ ->
+    for _ = 0 to Random.State.int rng 3 do
+      let i = Random.State.int rng n in
+      a.(i) <- mutate_string rng a.(i)
+    done;
+    Array.to_list a
+
+let no_raise what f =
+  match f () with
+  | () -> ()
+  | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+
+let loaders_never_raise () =
+  let cfg, lines = robustness_trace () in
+  let profile =
+    match Obs.Profile.of_lines lines with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "captured trace rejected: %s" msg
+  in
+  check_bool "the trace carries censuses" true (profile.Obs.Profile.censuses <> []);
+  check_bool "the trace carries policy updates" true
+    (profile.Obs.Profile.policy_updates <> []);
+  let gcfg = Gsc.Config.generational_config cfg in
+  let params, nursery_w = Collectors.Generational.adaptive_setup gcfg in
+  let replay lines =
+    ignore
+      (Control.Replay.of_lines params ~nursery_limit_w:nursery_w
+         ~tenure_threshold:gcfg.Collectors.Generational.tenure_threshold
+         ~pretenured:gcfg.Collectors.Generational.pretenured_init lines)
+  in
+  let policy =
+    Obs.Json.to_string
+      (Gsc.Policy_file.to_json
+         (Gsc.Policy_file.of_profile profile ~cutoff:0.5 ~min_objects:1
+            ~scan_elision:true))
+  in
+  let rng = Random.State.make [| 2024 |] in
+  let alphabet = "{}[]:,\"\\ 0123456789.eE+-truefalsnv_" in
+  for _ = 1 to 3000 do
+    let s =
+      String.init (Random.State.int rng 64) (fun _ ->
+          alphabet.[Random.State.int rng (String.length alphabet)])
+    in
+    no_raise "Obs.Json.parse_opt" (fun () -> ignore (Obs.Json.parse_opt s));
+    no_raise "Obs.Schema.validate_line" (fun () ->
+        ignore (Obs.Schema.validate_line s))
+  done;
+  for _ = 1 to 600 do
+    let m = mutate_trace rng lines in
+    no_raise "Obs.Profile.of_lines" (fun () -> ignore (Obs.Profile.of_lines m));
+    no_raise "Obs.Schema.validate_line" (fun () ->
+        List.iter (fun l -> ignore (Obs.Schema.validate_line l)) m);
+    no_raise "Control.Replay.of_lines" (fun () -> replay m)
+  done;
+  for _ = 1 to 6000 do
+    let doc = ref policy in
+    for _ = 0 to Random.State.int rng 2 do
+      doc := mutate_string rng !doc
+    done;
+    no_raise "Gsc.Policy_file.of_json" (fun () ->
+        Option.iter
+          (fun j -> ignore (Gsc.Policy_file.of_json j))
+          (Obs.Json.parse_opt !doc))
+  done
+
 (* --- the online SLO monitor --- *)
 
 (* The tracer stamps a breach record immediately after the breaching
@@ -1069,4 +1217,7 @@ let () =
            census_off_is_untraced ]);
       ("pretenure loop",
        [ Alcotest.test_case "closed loop" `Slow closed_loop;
-         Alcotest.test_case "policy file rejects" `Quick policy_file_rejects ]) ]
+         Alcotest.test_case "policy file rejects" `Quick policy_file_rejects ]);
+      ("loader robustness",
+       [ Alcotest.test_case "mutated traces and policies never raise" `Quick
+           loaders_never_raise ]) ]
