@@ -1,15 +1,10 @@
-(* Two implementations of every inner loop live here.
-
-   The *safe* path goes through [Memory.get]/[set] and [Header.read]:
-   every field touched re-resolves its block and boxes a [Value.t].  It
-   is the executable specification.
-
-   The *raw* path (default, [use_raw]) resolves each object's block once
-   into a cell-array handle ([Memory.cells]) and moves encoded words
-   ([Value.encode]d ints) with no allocation.  [test_gc.ml] pins the two
-   paths to identical [Gc_stats] counters and heap contents. *)
-
-let use_raw = ref true
+(* The engine's inner loops run on the raw memory tier: each object's
+   block is resolved once into a cell-array handle ([Memory.cells]) and
+   fields move as encoded words ([Value.encode]d ints), with no
+   allocation.  The safe-API reference implementation of the same loops
+   lives in test/cheney_ref.ml; a generated-graph property in test_gc.ml
+   pins the two to identical heaps, counters, hook calls and remembered
+   edges. *)
 
 type aging = {
   young_to : Mem.Space.t;
@@ -117,11 +112,9 @@ let promote_dst t words =
        raise (Budget.Exhausted "promotion overflows the tenured space")
      | None -> failwith "Cheney: to-space overflow (collector sizing bug)")
 
-(* --- raw path --- *)
-
 (* [src]/[soff] locate the object being copied in its already-resolved
    block *)
-let copy_object_raw t src soff =
+let copy_object t src soff =
   let words = Mem.Header.object_words_c src ~off:soff in
   (* destination: under an aging nursery, survivors below the tenure
      threshold are copied back young with their age bumped *)
@@ -175,7 +168,7 @@ let copy_object_raw t src soff =
 let eager_depth_bound = 4
 let eager_words_bound = 64
 
-let rec eager_children_raw t dst ~depth =
+let rec eager_children t dst ~depth =
   let dcells = Mem.Memory.cells t.mem dst in
   let doff = Mem.Addr.offset dst in
   let tag = Mem.Header.tag_c dcells ~off:doff in
@@ -197,9 +190,9 @@ let rec eager_children_raw t dst ~depth =
             if not (Mem.Header.is_forwarded_c src ~off:soff) then begin
               t.eager_budget <-
                 t.eager_budget - Mem.Header.object_words_c src ~off:soff;
-              let cdst = copy_object_raw t src soff in
+              let cdst = copy_object t src soff in
               if depth + 1 < eager_depth_bound && t.eager_budget > 0 then
-                eager_children_raw t cdst ~depth:(depth + 1)
+                eager_children t cdst ~depth:(depth + 1)
             end
           end
         end
@@ -209,7 +202,7 @@ let rec eager_children_raw t dst ~depth =
   end
 
 (* forward one encoded word; returns the (possibly rewritten) word *)
-let evacuate_raw t w =
+let evacuate t w =
   if Mem.Value.encoded_is_int w || w = Mem.Value.encoded_null then w
   else begin
     let a = Mem.Value.encoded_to_addr w in
@@ -219,10 +212,10 @@ let evacuate_raw t w =
       if Mem.Header.is_forwarded_c src ~off:soff then
         Mem.Value.encode_addr (Mem.Header.forward_target_c src ~off:soff)
       else begin
-        let dst = copy_object_raw t src soff in
+        let dst = copy_object t src soff in
         if t.eager then begin
           t.eager_budget <- eager_words_bound;
-          eager_children_raw t dst ~depth:0
+          eager_children t dst ~depth:0
         end;
         Mem.Value.encode_addr dst
       end
@@ -248,7 +241,7 @@ let remember_check t ~loc ~owner w' =
     remember ~loc ~owner
   | (Some _ | None), _ -> ()
 
-let scan_object_raw t base =
+let scan_object t base =
   let cells = Mem.Memory.cells t.mem base in
   let off = Mem.Addr.offset base in
   let tag = Mem.Header.tag_c cells ~off in
@@ -258,7 +251,7 @@ let scan_object_raw t base =
      let visit i =
        let foff = off + (Mem.Header.header_words ()) + i in
        let w = cells.(foff) in
-       let w' = evacuate_raw t w in
+       let w' = evacuate t w in
        if w' <> w then cells.(foff) <- w';
        if aging_edges then
          remember_check t
@@ -278,148 +271,26 @@ let scan_object_raw t base =
    end);
   (Mem.Header.header_words ()) + len
 
-let visit_loc_raw t loc =
+let visit_loc t loc =
   let cells = Mem.Memory.cells t.mem loc in
   let off = Mem.Addr.offset loc in
   let w = cells.(off) in
-  let w' = evacuate_raw t w in
+  let w' = evacuate t w in
   if w' <> w then cells.(off) <- w';
   if t.remember <> None && t.aging <> None then
     remember_check t ~loc ~owner:None w'
 
-(* --- safe (reference) path --- *)
-
-let copy_object_safe t a =
-  let words = Mem.Header.object_words_at t.mem a in
-  let age = Mem.Header.age t.mem a in
-  let dst, promote =
-    match t.aging with
-    | Some { young_to; threshold } when age + 1 < threshold ->
-      (match Mem.Space.alloc young_to words with
-       | Some dst -> (dst, false)
-       | None -> failwith "Cheney: to-space overflow (collector sizing bug)")
-    | Some _ | None -> (promote_dst t words, true)
-  in
-  let hdr = Mem.Header.read t.mem a in
-  let first_copy = not (Mem.Header.survivor t.mem a) in
-  Mem.Memory.blit t.mem ~src:a ~dst ~words;
-  Mem.Header.set_survivor t.mem dst;
-  if not promote then
-    Mem.Header.set_age t.mem dst (min Mem.Header.max_age (age + 1));
-  (match t.object_hooks with
-   | None -> ()
-   | Some h ->
-     h.Hooks.on_copy ~site:hdr.Mem.Header.site ~words;
-     if first_copy then h.Hooks.on_first_survival ~site:hdr.Mem.Header.site ~words);
-  if t.sites <> None then
-    note_site_copy t ~site:hdr.Mem.Header.site ~first:first_copy ~words;
-  Mem.Header.set_forward t.mem a ~target:dst;
-  t.copied <- t.copied + words;
-  if promote then begin
-    t.promoted <- t.promoted + words;
-    if t.promote_alloc <> None then Support.Vec.push t.gray_promoted dst
-  end;
-  dst
-
-(* safe twin of [eager_children_raw]; identical traversal order so the
-   two paths place (and account) objects identically *)
-let rec eager_children_safe t dst ~depth =
-  let hdr = Mem.Header.read t.mem dst in
-  match hdr.Mem.Header.kind with
-  | Mem.Header.Nonptr_array -> ()
-  | Mem.Header.Ptr_array | Mem.Header.Record _ ->
-    let i = ref 0 in
-    while !i < hdr.Mem.Header.len && t.eager_budget > 0 do
-      if Mem.Header.is_pointer_field hdr !i then begin
-        match Mem.Memory.get t.mem (Mem.Header.field_addr dst !i) with
-        | Mem.Value.Ptr a
-          when (not (Mem.Addr.is_null a))
-               && t.in_from a
-               && Mem.Header.forwarded t.mem a = None ->
-          t.eager_budget <- t.eager_budget - Mem.Header.object_words_at t.mem a;
-          let cdst = copy_object_safe t a in
-          if depth + 1 < eager_depth_bound && t.eager_budget > 0 then
-            eager_children_safe t cdst ~depth:(depth + 1)
-        | Mem.Value.Ptr _ | Mem.Value.Int _ -> ()
-      end;
-      incr i
-    done
-
-let evacuate_safe t v =
-  match v with
-  | Mem.Value.Int _ -> v
-  | Mem.Value.Ptr a ->
-    if Mem.Addr.is_null a then v
-    else if t.in_from a then begin
-      match Mem.Header.forwarded t.mem a with
-      | Some target -> Mem.Value.Ptr target
-      | None ->
-        let dst = copy_object_safe t a in
-        if t.eager then begin
-          t.eager_budget <- eager_words_bound;
-          eager_children_safe t dst ~depth:0
-        end;
-        Mem.Value.Ptr dst
-    end
-    else begin
-      (match t.los with
-       | Some los when t.trace_los && Los.contains los a ->
-         if Los.mark los a then Support.Vec.push t.gray_large a
-       | Some _ | None -> ());
-      v
-    end
-
-let visit_field_safe t ~owner loc =
-  let v = Mem.Memory.get t.mem loc in
-  let v' = evacuate_safe t v in
-  if not (Mem.Value.equal v v') then Mem.Memory.set t.mem loc v';
-  match t.remember, t.aging, v' with
-  | Some remember, Some a, Mem.Value.Ptr target
-    when (not (Mem.Addr.is_null target))
-         && Mem.Space.contains a.young_to target
-         && not (Mem.Space.contains a.young_to loc) ->
-    remember ~loc ~owner
-  | (Some _ | None), _, _ -> ()
-
-let scan_object_safe t base =
-  let hdr = Mem.Header.read t.mem base in
-  (match hdr.Mem.Header.kind with
-   | Mem.Header.Nonptr_array -> ()
-   | Mem.Header.Ptr_array ->
-     for i = 0 to hdr.Mem.Header.len - 1 do
-       visit_field_safe t ~owner:(Some base) (Mem.Header.field_addr base i)
-     done
-   | Mem.Header.Record { mask } ->
-     for i = 0 to hdr.Mem.Header.len - 1 do
-       if mask land (1 lsl i) <> 0 then
-         visit_field_safe t ~owner:(Some base) (Mem.Header.field_addr base i)
-     done);
-  Mem.Header.object_words hdr
-
-(* --- dispatching entry points --- *)
-
-let evacuate t v =
-  if not !use_raw then evacuate_safe t v
-  else
-    match v with
-    | Mem.Value.Int _ -> v
-    | Mem.Value.Ptr a ->
-      if Mem.Addr.is_null a then v
-      else begin
-        let w' = evacuate_raw t (Mem.Value.encode v) in
-        Mem.Value.Ptr (Mem.Value.encoded_to_addr w')
-      end
-
+(* Every non-null pointer root is rebuilt as a value before the
+   comparison.  Rebuilding only the roots that moved allocates less, but
+   that shifts the OCaml major heap's pacing: the tenured-churn
+   end-to-end workload's peak_mem_mb reads 10% higher. *)
 let visit_root t root =
-  let v = Rstack.Root.get root in
-  let v' = evacuate t v in
-  if not (Mem.Value.equal v v') then Rstack.Root.set root v'
-
-let visit_loc t loc =
-  if !use_raw then visit_loc_raw t loc else visit_field_safe t ~owner:None loc
-
-let scan_object t base =
-  if !use_raw then scan_object_raw t base else scan_object_safe t base
+  match Rstack.Root.get root with
+  | Mem.Value.Ptr a as v when not (Mem.Addr.is_null a) ->
+    let w' = evacuate t (Mem.Value.encode v) in
+    let v' = Mem.Value.Ptr (Mem.Value.encoded_to_addr w') in
+    if not (Mem.Value.equal v v') then Rstack.Root.set root v'
+  | Mem.Value.Ptr _ | Mem.Value.Int _ -> ()
 
 let visit_object_fields t base = ignore (scan_object t base : int)
 
@@ -483,8 +354,7 @@ let site_survivals t =
          tab [])
 
 let sweep_dead ~mem ~space ~on_die =
-  (* one block handle for the whole walk; identical observable behaviour
-     on both paths, so no safe variant is kept *)
+  (* one block handle for the whole walk *)
   let base = Mem.Space.base space in
   let cells = Mem.Memory.cells mem base in
   let base_off = Mem.Addr.offset base in

@@ -15,15 +15,6 @@
 
 type t
 
-(** When true (the default), the engine's inner loops run on the raw
-    memory API: one block-handle resolution per object, encoded words,
-    no per-field [Value.t] boxing.  When false, every loop goes through
-    the safe [Memory.get]/[set] reference implementation.  The two paths
-    are observably identical (values, hook calls, statistics); the flag
-    exists for the equivalence tests and the [gc_hotpath] benchmarks.
-    Not meant to be flipped during a collection. *)
-val use_raw : bool ref
-
 (** Aging-nursery evacuation (Section 7.2's alternative tenuring policy):
     survivors younger than [threshold] are copied into [young_to] with
     their age counter incremented; the rest are promoted into the
@@ -71,17 +62,16 @@ val create :
     [promoting] tags the engine's copies into [to_space] as promotions
     out of the nursery (statistics only). *)
 
-(** [evacuate t v] forwards one value: from-region pointers are copied (or
-    resolved through their forwarding pointer); large-object pointers are
-    marked/queued; anything else passes through.
+(** [visit_root t root] rewrites a root location in place, forwarding
+    the value it holds (as do the visits below): from-region pointers
+    are copied (or resolved through their forwarding pointer);
+    large-object pointers are marked/queued; anything else passes
+    through.
     @raise Budget.Exhausted when a [promoting] engine's promotion
     overflows the to-space or exhausts [promote_alloc] (the live data
     outgrew the budget).
     @raise Failure on any other to-space overflow (a collector sizing
     bug). *)
-val evacuate : t -> Mem.Value.t -> Mem.Value.t
-
-(** [visit_root t root] rewrites a root location in place. *)
 val visit_root : t -> Rstack.Root.t -> unit
 
 (** [visit_loc t loc] rewrites one heap location in place. *)
@@ -92,8 +82,10 @@ val visit_loc : t -> Mem.Addr.t -> unit
     pretenured-region scan). *)
 val visit_object_fields : t -> Mem.Addr.t -> unit
 
-(** [drain t] runs the scan loop to a fixpoint (to-space objects and
-    queued large objects). *)
+(** [drain t] runs the scan loops to a fixpoint: the to-space scan
+    pointer (or, under [promote_alloc], the gray queue of backend-placed
+    promotions instead), the young to-space scan pointer (aging
+    nurseries), and the queue of marked large objects. *)
 val drain : t -> unit
 
 (** Words copied by this engine instance (both destinations). *)

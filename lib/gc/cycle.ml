@@ -24,16 +24,15 @@ let roots ~hooks ~stats ~traced ~t0 mode =
 
    [parallelism = 1] keeps the sequential [Cheney] engine, bit-for-bit
    the oracle the equivalence tests pin against.  The parallel drain
-   runs only on the raw word paths (the safe path deliberately stays
-   sequential as the executable specification), under immediate
-   promotion (an aging nursery needs the [remember] re-recording the
-   packet protocol does not carry) and without backend-placed promotion
-   (chunk carving and backend placement clash). *)
+   runs only under immediate promotion (an aging nursery needs the
+   [remember] re-recording the packet protocol does not carry) and
+   without backend-placed promotion (chunk carving and backend
+   placement clash). *)
 type engine =
   | Seq of Cheney.t
   | Par of Par_drain.t
 
-let parallel ~parallelism = parallelism > 1 && !Cheney.use_raw
+let parallel ~parallelism = parallelism > 1
 
 let chunk_opt chunk_words = if chunk_words > 0 then Some chunk_words else None
 

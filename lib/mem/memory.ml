@@ -74,14 +74,6 @@ let get t addr =
   if off >= Array.length cells then invalid_arg "Memory.get: offset out of block";
   Value.decode cells.(off)
 
-(* Raw fast paths: same block resolution and bounds enforcement (the
-   array access itself is checked), but the cell travels as an encoded
-   int, so nothing is boxed. *)
-
-let get_raw t addr = (find t addr).(Addr.offset addr)
-
-let set_raw t addr w = (find t addr).(Addr.offset addr) <- w
-
 let cells = find
 
 let set t addr v =

@@ -27,21 +27,15 @@ val live_block : t -> Addr.t -> bool
 val get : t -> Addr.t -> Value.t
 val set : t -> Addr.t -> Value.t -> unit
 
-(** {2 Raw fast paths}
+(** {2 Raw fast path}
 
     The collector hot loops pay for [get]/[set] twice: every call
-    re-resolves the block and boxes a {!Value.t}.  The raw API removes
+    re-resolves the block and boxes a {!Value.t}.  The raw tier removes
     both costs while keeping the failure modes: a freed or unknown block
     still raises through the block lookup, and an out-of-block offset
     still raises through the array bounds check (with a generic message).
     See [DESIGN.md], "Hot-path architecture", for when code must use
     which tier. *)
-
-(** [get_raw t addr] is [Value.encode (get t addr)] without the boxing. *)
-val get_raw : t -> Addr.t -> int
-
-(** [set_raw t addr w] stores the already-encoded word [w]. *)
-val set_raw : t -> Addr.t -> int -> unit
 
 (** [cells t addr] is the backing cell array of the block containing
     [addr]: a per-block handle that lets an object scan resolve its block

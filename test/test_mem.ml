@@ -119,16 +119,22 @@ let memory_cells_handle () =
     (Mem.Value.to_int (Mem.Memory.get mem (Mem.Addr.add a 4)));
   check_bool "one handle per block" true
     (Mem.Memory.cells mem (Mem.Addr.add a 5) == cells);
-  check_int "get_raw is the encoded cell" cells.(3)
-    (Mem.Memory.get_raw mem (Mem.Addr.add a 3));
+  let a3 = Mem.Addr.add a 3 in
+  check_int "interior address resolves to the same cell" cells.(3)
+    (Mem.Memory.cells mem a3).(Mem.Addr.offset a3);
   Mem.Memory.free_block mem a;
   (match Mem.Memory.cells mem a with
    | _ -> Alcotest.fail "expected Invalid_argument on freed block"
    | exception Invalid_argument _ -> ())
 
-(* drive one memory through the safe API and a twin through the raw API
-   with the same randomized operations; the heaps must stay identical
-   under both read APIs *)
+(* one encoded cell through a block handle, the way the collectors'
+   raw loops address it: [cells] of the address, indexed by its offset *)
+let cell_get mem addr = (Mem.Memory.cells mem addr).(Mem.Addr.offset addr)
+let cell_set mem addr w = (Mem.Memory.cells mem addr).(Mem.Addr.offset addr) <- w
+
+(* drive one memory through the safe API and a twin through block
+   handles with the same randomized operations; the heaps must stay
+   identical under both read APIs *)
 let raw_safe_agreement_prop =
   QCheck.Test.make ~name:"raw API agrees with safe get/set/blit" ~count:200
     QCheck.(pair (int_range 2 64) (int_range 0 1000000))
@@ -152,11 +158,11 @@ let raw_safe_agreement_prop =
       for _ = 1 to 40 do
         match Support.Prng.int prng 3 with
         | 0 ->
-          (* store: safe set vs raw set of the encoded word *)
+          (* store: safe set vs a handle store of the encoded word *)
           let off = Support.Prng.int prng words in
           let v = rand_value () in
           Mem.Memory.set mem_s (Mem.Addr.add a_s off) v;
-          Mem.Memory.set_raw mem_r (Mem.Addr.add a_r off) (Mem.Value.encode v)
+          cell_set mem_r (Mem.Addr.add a_r off) (Mem.Value.encode v)
         | 1 ->
           let off = Support.Prng.int prng words in
           let v = rand_value () in
@@ -179,10 +185,10 @@ let raw_safe_agreement_prop =
         let ok = ref true in
         for off = 0 to words - 1 do
           let s = Mem.Memory.get mem_s (Mem.Addr.add base_s off) in
-          let r = Mem.Memory.get_raw mem_r (Mem.Addr.add base_r off) in
+          let r = cell_get mem_r (Mem.Addr.add base_r off) in
           ok := !ok
                 && Mem.Value.equal s (Mem.Value.decode r)
-                && Mem.Memory.get_raw mem_s (Mem.Addr.add base_s off) = r
+                && cell_get mem_s (Mem.Addr.add base_s off) = r
         done;
         !ok
       in
