@@ -198,7 +198,13 @@ let run_cmd =
                  prerr_endline ("policy " ^ path ^ ": " ^ msg);
                  exit 1)
             | _, Some path, None ->
-              let data = Heap_profile.Profile_data.load ~path in
+              let data =
+                match Heap_profile.Profile_data.load ~path with
+                | Ok data -> data
+                | Error msg ->
+                  prerr_endline ("profile " ^ path ^ ": " ^ msg);
+                  exit 1
+              in
               let policy =
                 Gsc.Pretenure.of_profile data ~cutoff:Harness.Runs.cutoff
                   ~min_objects:Harness.Runs.min_objects

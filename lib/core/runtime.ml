@@ -123,7 +123,12 @@ let visit_globals_hook t visit =
   Array.iteri (fun i _ -> visit (Rstack.Root.Global (t.globals, i))) t.globals;
   visit (Rstack.Root.Global (t.exn_cell, 0))
 
-let after_collection_hook t ~full:_ =
+let after_collection_hook t ~full:_ ~allocs ~copies =
+  (match t.profiler with
+   | None -> ()
+   | Some p ->
+     Heap_profile.Profiler.fold_allocs p allocs;
+     Heap_profile.Profiler.fold_copies p copies);
   if t.cfg.Config.verify_heap then ignore (check_heap t : int);
   if t.cfg.Config.stack_markers then begin
     let installed = Rstack.Markers.place t.markers t.stack in
@@ -176,9 +181,15 @@ let create cfg =
   let hooks =
     { Collectors.Hooks.scan_stack = scan_stack_hook t;
       visit_globals = visit_globals_hook t;
-      after_collection = (fun ~full -> after_collection_hook t ~full);
+      after_collection =
+        (fun ~full ~allocs ~copies ->
+          after_collection_hook t ~full ~allocs ~copies);
+      (* installing object hooks also switches on the collectors' site
+         tallies, which feed the profiler through [after_collection] *)
       object_hooks =
-        Option.map Heap_profile.Profiler.object_hooks t.profiler;
+        Option.map
+          (fun p -> { Collectors.Hooks.on_die = Heap_profile.Profiler.on_die p })
+          t.profiler;
       site_needs_scan =
         (fun site -> Pretenure.needs_scan cfg.Config.pretenure ~site);
       set_pretenure =
@@ -306,11 +317,6 @@ let int_of t src = Value.to_int (read t src)
 
 (* --- allocation --- *)
 
-let note_alloc t ~site ~words =
-  match t.profiler with
-  | None -> ()
-  | Some p -> Heap_profile.Profiler.note_alloc p ~site ~words
-
 let note_edge_value t ~from_site v =
   (* feeds both edge consumers: the live profiler (scan elision decided
      in-process) and the trace (the offline analyzer's evidence for the
@@ -344,16 +350,12 @@ let alloc_object t hdr =
     | Some b -> b
     | None -> Pretenure.should_pretenure t.cfg.Config.pretenure ~site
   in
-  let base =
-    if pretenure then begin
-      if Obs.Trace.enabled () then
-        Obs.Trace.pretenure ~site ~words:(Header.object_words hdr);
-      Collectors.Collector.alloc_pretenured col hdr ~birth
-    end
-    else Collectors.Collector.alloc col hdr ~birth
-  in
-  note_alloc t ~site ~words:(Header.object_words hdr);
-  base
+  if pretenure then begin
+    if Obs.Trace.enabled () then
+      Obs.Trace.pretenure ~site ~words:(Header.object_words hdr);
+    Collectors.Collector.alloc_pretenured col hdr ~birth
+  end
+  else Collectors.Collector.alloc col hdr ~birth
 
 let check_pointer_value v =
   match v with
@@ -526,7 +528,6 @@ let observe_exit_deaths t =
   match t.profiler with
   | None -> ()
   | Some p ->
-    let hooks = Heap_profile.Profiler.object_hooks p in
     let visited : (Mem.Addr.t, unit) Hashtbl.t = Hashtbl.create 1024 in
     let queue = Queue.create () in
     let push_value v =
@@ -549,7 +550,7 @@ let observe_exit_deaths t =
     while not (Queue.is_empty queue) do
       let base = Queue.pop queue in
       let hdr = Header.read t.mem base in
-      hooks.Collectors.Hooks.on_die ~site:hdr.Header.site
+      Heap_profile.Profiler.on_die p ~site:hdr.Header.site
         ~birth:(Header.birth t.mem base)
         ~words:(Header.object_words hdr);
       for i = 0 to hdr.Header.len - 1 do
@@ -561,5 +562,9 @@ let observe_exit_deaths t =
 let profile t =
   Option.map
     (fun p ->
-      Heap_profile.Profile_data.of_profiler p ~site_name:(site_name t))
+      (* allocations since the last collection: no [after_collection]
+         has carried their rows yet *)
+      Heap_profile.Profiler.fold_allocs p
+        (Collectors.Collector.flush_site_allocs (collector t));
+      Heap_profile.Profiler.data p ~site_name:(site_name t))
     t.profiler

@@ -3,8 +3,8 @@
    fields move as encoded words ([Value.encode]d ints), with no
    allocation.  The safe-API reference implementation of the same loops
    lives in test/cheney_ref.ml; a generated-graph property in test_gc.ml
-   pins the two to identical heaps, counters, hook calls and remembered
-   edges. *)
+   pins the two to identical heaps, counters, site tallies and
+   remembered edges. *)
 
 type aging = {
   young_to : Mem.Space.t;
@@ -28,7 +28,6 @@ type t = {
          frontier, and each copy is queued on [gray_promoted]: grants
          may land in holes below the frontier, so the contiguous
          scan-pointer walk cannot find them *)
-  object_hooks : Hooks.object_hooks option;
   eager : bool;                     (* hierarchical (eager-child) evacuation *)
   mutable eager_budget : int;       (* words left under the current root *)
   mutable scan : Mem.Addr.t;        (* to-space scan pointer *)
@@ -38,19 +37,13 @@ type t = {
   mutable copied : int;
   mutable promoted : int;
   mutable scanned : int;            (* words walked by the drain loops *)
-  sites : (int, int * int * int) Hashtbl.t option;
-      (* per-site (objects, first-collection objects, words) copied —
-         only allocated when the trace layer is recording, [None]
-         otherwise *)
+  sites : Site_tally.t option;
+      (* per-site objects, first-collection objects and words copied —
+         only allocated when someone consumes the rows *)
 }
 
 let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = false)
-    ?site_tallies ~los ~trace_los ~promoting ~object_hooks () =
-  let site_tallies =
-    match site_tallies with
-    | Some b -> b
-    | None -> Obs.Trace.detailed ()
-  in
+    ~site_tallies ~los ~trace_los ~promoting () =
   { mem;
     in_from;
     to_space;
@@ -65,7 +58,6 @@ let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = fal
     trace_los;
     promoting;
     promote_alloc;
-    object_hooks;
     eager;
     eager_budget = 0;
     scan = Mem.Space.frontier to_space;
@@ -78,20 +70,7 @@ let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = fal
     copied = 0;
     promoted = 0;
     scanned = 0;
-    sites = (if site_tallies then Some (Hashtbl.create 32) else None) }
-
-(* per-site survival accounting; engines only pay for it while tracing *)
-let note_site_copy t ~site ~first ~words =
-  match t.sites with
-  | None -> ()
-  | Some tab ->
-    let objects, firsts, w =
-      match Hashtbl.find_opt tab site with
-      | Some p -> p
-      | None -> (0, 0, 0)
-    in
-    Hashtbl.replace tab site
-      (objects + 1, (if first then firsts + 1 else firsts), w + words)
+    sites = (if site_tallies then Some (Site_tally.create ()) else None) }
 
 (* destination grant for one promotion: the backend placement policy
    when [promote_alloc] is set (grants stay inside [to_space]'s block,
@@ -129,20 +108,15 @@ let copy_object t src soff =
   in
   let doff = Mem.Addr.offset dst in
   let first_copy = not (Mem.Header.survivor_c src ~off:soff) in
-  (match t.object_hooks with
-   | None -> ()
-   | Some h ->
-     let site = Mem.Header.site_c src ~off:soff in
-     h.Hooks.on_copy ~site ~words;
-     if first_copy then h.Hooks.on_first_survival ~site ~words);
   Array.blit src soff dcells doff words;
   Mem.Header.set_survivor_c dcells ~off:doff;
   if not promote then
     Mem.Header.set_age_c dcells ~off:doff (min Mem.Header.max_age (age + 1));
-  if t.sites <> None then
-    note_site_copy t
-      ~site:(Mem.Header.site_c src ~off:soff)
-      ~first:first_copy ~words;
+  (match t.sites with
+   | None -> ()
+   | Some tab ->
+     Site_tally.note tab ~site:(Mem.Header.site_c src ~off:soff)
+       ~first:first_copy ~words);
   Mem.Header.set_forward_c src ~off:soff ~target:dst;
   t.copied <- t.copied + words;
   if promote then begin
@@ -347,11 +321,7 @@ let words_scanned t = t.scanned
 let site_survivals t =
   match t.sites with
   | None -> []
-  | Some tab ->
-    List.sort compare
-      (Hashtbl.fold (fun site (objects, first_objects, words) acc ->
-           (site, objects, first_objects, words) :: acc)
-         tab [])
+  | Some tab -> Site_tally.rows tab
 
 let sweep_dead ~mem ~space ~on_die =
   (* one block handle for the whole walk *)

@@ -8,10 +8,10 @@
     large objects alone because every large-object → nursery pointer is
     covered by the write barrier.
 
-    When [Obs.Trace] is enabled at engine creation, the engine also
-    tallies per-allocation-site survival ({!site_survivals}) for the
-    collectors' [site_survival] trace events; untraced engines skip
-    that accounting entirely. *)
+    With [site_tallies] the engine also tallies per-allocation-site
+    survival ({!site_survivals}): the rows behind the collectors'
+    [site_survival] trace events, the control plane and the heap
+    profiler.  Engines without it skip that accounting entirely. *)
 
 type t
 
@@ -32,11 +32,10 @@ val create :
   ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
   ?promote_alloc:(int -> Mem.Addr.t option) ->
   ?eager:bool ->
-  ?site_tallies:bool ->
+  site_tallies:bool ->
   los:Los.t option ->
   trace_los:bool ->
   promoting:bool ->
-  object_hooks:Hooks.object_hooks option ->
   unit ->
   t
 (** [remember] is called for every heap location (outside the young
@@ -59,6 +58,8 @@ val create :
     only — field rewriting still happens on the normal scan pass, and
     every [Gc_stats] total is order-insensitive, so eager and
     breadth-first runs are counter-identical.
+    [site_tallies] switches on {!site_survivals} (collectors pass
+    {!Cycle.site_tallies}).
     [promoting] tags the engine's copies into [to_space] as promotions
     out of the nursery (statistics only). *)
 
@@ -102,7 +103,7 @@ val words_scanned : t -> int
     [(site, objects, first_objects, words)] sorted by site id, where
     [first_objects] counts the objects surviving their first collection
     (no survivor bit yet).  Populated only when the engine was created
-    while fully tracing ([Obs.Trace.detailed]); empty otherwise. *)
+    with [site_tallies]; empty otherwise. *)
 val site_survivals : t -> (int * int * int * int) list
 
 (** [sweep_dead ~mem ~space ~on_die] walks a collected from-space and

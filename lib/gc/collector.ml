@@ -39,6 +39,10 @@ let live_words = function
   | Semispace s -> Semispace.live_words s
   | Generational g -> Generational.live_words g
 
+let flush_site_allocs = function
+  | Semispace s -> Semispace.flush_site_allocs s
+  | Generational g -> Generational.flush_site_allocs g
+
 let destroy = function
   | Semispace s -> Semispace.destroy s
   | Generational g -> Generational.destroy g

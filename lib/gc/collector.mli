@@ -36,5 +36,10 @@ val stats : t -> Gc_stats.t
 (** Live words after the most recent full collection. *)
 val live_words : t -> int
 
+(** Per-site [(site, objects, words)] allocated since the last
+    collection, sorted by site; the table is emptied.  Empty without
+    site tallies ({!Cycle.site_tallies}). *)
+val flush_site_allocs : t -> (int * int * int) list
+
 (** Release all memory held by the collector. *)
 val destroy : t -> unit

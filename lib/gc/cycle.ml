@@ -37,17 +37,17 @@ let parallel ~parallelism = parallelism > 1
 let chunk_opt chunk_words = if chunk_words > 0 then Some chunk_words else None
 
 let engine ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?card_scan
-    ~los ~trace_los ~promoting ~eager ~site_tallies ~object_hooks ~parallelism
-    ~mode ~chunk_words () =
+    ~los ~trace_los ~promoting ~eager ~site_tallies ~parallelism ~mode
+    ~chunk_words () =
   if parallel ~parallelism && aging = None && promote_alloc = None then
     Par
       (Par_drain.create ~mem ~in_from ~to_space ~los ~trace_los ~promoting
-         ~eager ~site_tallies ~object_hooks ?card_scan ~parallelism ~mode
+         ~eager ~site_tallies ?card_scan ~parallelism ~mode
          ?chunk_words:(chunk_opt chunk_words) ())
   else
     Seq
       (Cheney.create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc
-         ~eager ~site_tallies ~los ~trace_los ~promoting ~object_hooks ())
+         ~eager ~site_tallies ~los ~trace_los ~promoting ())
 
 let visit_loc = function
   | Seq e -> Cheney.visit_loc e
@@ -124,7 +124,10 @@ let trace_copy engine ~with_promoted ~dur_us =
               ("steals", r.Par_drain.w_steals) ])
       (Par_drain.report p)
 
-(* --- per-site accounting (tracing and the control plane only) --- *)
+(* --- per-site accounting (tracing, the control plane, the profiler) --- *)
+
+let site_tallies hooks =
+  Obs.Trace.detailed () || hooks.Hooks.object_hooks <> None
 
 let emit_survivals survivals =
   if Obs.Trace.detailed () then
@@ -133,31 +136,27 @@ let emit_survivals survivals =
         Obs.Trace.site_survival ~site ~objects ~first_objects ~words)
       survivals
 
-type site_allocs = (int, int * int) Hashtbl.t option
+type site_allocs = Site_tally.t option
 
 let site_allocs enabled : site_allocs =
-  if enabled then Some (Hashtbl.create 32) else None
+  if enabled then Some (Site_tally.create ()) else None
 
 let flush_site_allocs (sites : site_allocs) =
   match sites with
   | None -> []
   | Some tab ->
-    if Hashtbl.length tab = 0 then []
-    else begin
-      let rows =
-        List.sort compare
-          (Hashtbl.fold
-             (fun site (objects, words) acc -> (site, objects, words) :: acc)
-             tab [])
-      in
-      if Obs.Trace.detailed () then
-        List.iter
-          (fun (site, objects, words) ->
-            Obs.Trace.site_alloc ~site ~objects ~words)
-          rows;
-      Hashtbl.reset tab;
-      rows
-    end
+    let rows =
+      List.map
+        (fun (site, objects, _, words) -> (site, objects, words))
+        (Site_tally.rows tab)
+    in
+    if Obs.Trace.detailed () then
+      List.iter
+        (fun (site, objects, words) ->
+          Obs.Trace.site_alloc ~site ~objects ~words)
+        rows;
+    Site_tally.clear tab;
+    rows
 
 (* --- profiling death sweep --- *)
 
@@ -186,11 +185,7 @@ let count_alloc ~stats ~(sites : site_allocs) hdr ~words =
   match sites with
   | None -> ()
   | Some tab ->
-    let site = hdr.Mem.Header.site in
-    let objects, w =
-      Option.value ~default:(0, 0) (Hashtbl.find_opt tab site)
-    in
-    Hashtbl.replace tab site (objects + 1, w + words)
+    Site_tally.note tab ~site:hdr.Mem.Header.site ~first:false ~words
 
 let finish_alloc ~mem ~stats ~sites hdr ~birth ~words base =
   Mem.Header.write mem base hdr ~birth;

@@ -47,7 +47,6 @@ val engine :
   promoting:bool ->
   eager:bool ->
   site_tallies:bool ->
-  object_hooks:Hooks.object_hooks option ->
   parallelism:int ->
   mode:Par_drain.mode ->
   chunk_words:int ->
@@ -84,12 +83,19 @@ val trace_copy : engine -> with_promoted:bool -> dur_us:float -> unit
 
 (** {1 Per-site accounting} *)
 
+(** Whether a collector keeps per-site allocation and survival rows for
+    a collection under [hooks]: while tracing in detail, or when the
+    runtime installed object hooks (it is profiling, and folds the rows
+    it receives through [after_collection]).  The generational
+    collector's control plane also needs them. *)
+val site_tallies : Hooks.t -> bool
+
 (** Emit one [site_survival] record per row while tracing in detail. *)
 val emit_survivals : (int * int * int * int) list -> unit
 
-(** Per-site [(objects, words)] allocated since the last flush; [None]
-    when nobody consumes the rows. *)
-type site_allocs = (int, int * int) Hashtbl.t option
+(** Per-site [(objects, words)] allocated since the last flush; a
+    no-op table when nobody consumes the rows. *)
+type site_allocs
 
 val site_allocs : bool -> site_allocs
 

@@ -106,9 +106,8 @@ type t = {
       (* large-object birth ordinals; [Some] iff [census_period > 0] *)
   alloc_sites : Cycle.site_allocs;
       (* per-site (objects, words) allocated since the last [site_alloc]
-         flush — allocated when the trace layer is recording in detail at
-         collector creation (same gating as the engines' survival
-         tables), or when the control plane needs the rows *)
+         flush — allocated when [site_tallies] holds at collector
+         creation (the engines' survival tables use the same gate) *)
   mutable tenure_dyn : int;
       (* the live tenure threshold: starts at [cfg.tenure_threshold],
          moved by the controller's tenure actuator; every policy read
@@ -217,7 +216,7 @@ let create mem ~hooks ~stats cfg =
     collections = 0;
     age_table = Age_table.create ();
     los_births = (if cfg.census_period > 0 then Some (Hashtbl.create 16) else None);
-    alloc_sites = Cycle.site_allocs (Obs.Trace.detailed () || cfg.adaptive);
+    alloc_sites = Cycle.site_allocs (Cycle.site_tallies hooks || cfg.adaptive);
     tenure_dyn = cfg.tenure_threshold;
     controller;
     compact_pending = false;
@@ -413,6 +412,10 @@ let occupancy t =
    flooded with per-site rows just because the control plane keeps the
    table alive. *)
 let flush_site_allocs t = Cycle.flush_site_allocs t.alloc_sites
+
+(* per-site rows are kept for the trace, the profiler (both via
+   [Cycle.site_tallies]) and the control plane *)
+let site_tallies t = Cycle.site_tallies t.hooks || t.cfg.adaptive
 
 (* --- heap census (census_period > 0, tracing only) --- *)
 
@@ -619,6 +622,7 @@ type reclaimed = {
   promoted : int;
   live_w : int;
   survivals : (int * int * int * int) list;
+  moved : bool;  (* [survivals] count copies, not marks *)
 }
 
 let cycle t ~kind ~scan_mode reclaim =
@@ -637,7 +641,8 @@ let cycle t ~kind ~scan_mode reclaim =
   let r = reclaim t ~traced ~roots ~t1 in
   census_after_collection t ~traced;
   sample_backend_stats t ~traced;
-  t.hooks.Hooks.after_collection ~full:(kind <> "minor");
+  t.hooks.Hooks.after_collection ~full:(kind <> "minor") ~allocs:alloc_rows
+    ~copies:(if r.moved then r.survivals else []);
   (* one reading feeds both the trace and the controller, so the value
      the offline replay recovers from [gc_end] is the value the online
      rules actually saw *)
@@ -656,10 +661,8 @@ let copy_engine t ~in_from ~to_space ?aging ?remember ?promote_alloc
     ?card_scan ~trace_los ~promoting () =
   Cycle.engine ~mem:t.mem ~in_from ~to_space ?aging ?remember ?promote_alloc
     ?card_scan ~los:(Some t.los) ~trace_los ~promoting ~eager:t.cfg.eager_evac
-    ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
-    ~object_hooks:t.hooks.Hooks.object_hooks
-    ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
-    ~chunk_words:t.cfg.chunk_words ()
+    ~site_tallies:(site_tallies t) ~parallelism:t.cfg.parallelism
+    ~mode:t.cfg.parallelism_mode ~chunk_words:t.cfg.chunk_words ()
 
 (* The minor reclaim step: the barrier drain ([barrier_seconds], split
    into the [barrier] and [region_scan] spans), the nursery copy
@@ -754,7 +757,7 @@ let reclaim_minor t ~traced ~roots ~t1:_ =
   t.stats.Gc_stats.minor_gcs <- t.stats.Gc_stats.minor_gcs + 1;
   t.pretenure_from <- Mem.Space.frontier t.tenured;
   cover_new_tenured t;
-  { copied; promoted; live_w = occupancy t; survivals }
+  { copied; promoted; live_w = occupancy t; survivals; moved = true }
 
 let on_die t =
   match t.hooks.Hooks.object_hooks with
@@ -847,7 +850,7 @@ let reclaim_copying t ~traced ~roots ~t1 =
       ~upto:(Mem.Space.used_words t.tenured)
       ~born
   end;
-  { copied; promoted = 0; live_w = major_tail t; survivals }
+  { copied; promoted = 0; live_w = major_tail t; survivals; moved = true }
 
 (* The mark-sweep major's reclaim step: mark tenured + LOS in place,
    sweep dead tenured objects back into the backend as holes, sweep the
@@ -861,7 +864,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
   assert (Mem.Space.used_words t.nursery = 0);
   let eng =
     Mark_sweep.create ~mem:t.mem ~tenured:t.tenured ~los:t.los
-      ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive) ()
+      ~site_tallies:(site_tallies t) ()
   in
   Support.Vec.iter (Mark_sweep.visit_root eng) roots;
   Mark_sweep.drain eng;
@@ -904,7 +907,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
      during the major; keep the invariant explicit *)
   Support.Vec.clear t.new_pretenured;
   cover_new_tenured t;
-  { copied = 0; promoted = 0; live_w; survivals }
+  { copied = 0; promoted = 0; live_w; survivals; moved = false }
 
 let minor_collection t =
   (* Skipping previously-scanned frames is sound only under immediate

@@ -219,5 +219,11 @@ val nursery_limit_words : t -> int
     controller moves it). *)
 val tenure_threshold_now : t -> int
 
+(** [flush_site_allocs t] empties the per-site allocation table and
+    returns its [(site, objects, words)] rows sorted by site: the
+    allocations since the last collection, which no [after_collection]
+    call has carried yet.  Empty without site tallies. *)
+val flush_site_allocs : t -> (int * int * int) list
+
 (** Release all memory held by the collector. *)
 val destroy : t -> unit

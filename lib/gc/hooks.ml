@@ -1,13 +1,13 @@
-type object_hooks = {
-  on_first_survival : site:int -> words:int -> unit;
-  on_copy : site:int -> words:int -> unit;
-  on_die : site:int -> birth:int -> words:int -> unit;
-}
+type object_hooks = { on_die : site:int -> birth:int -> words:int -> unit }
 
 type t = {
   scan_stack : Rstack.Scan.mode -> (Rstack.Root.t -> unit) -> Rstack.Scan.result;
   visit_globals : (Rstack.Root.t -> unit) -> unit;
-  after_collection : full:bool -> unit;
+  after_collection :
+    full:bool ->
+    allocs:(int * int * int) list ->
+    copies:(int * int * int * int) list ->
+    unit;
   object_hooks : object_hooks option;
   site_needs_scan : int -> bool;
   set_pretenure : site:int -> enabled:bool -> unit;
@@ -22,7 +22,7 @@ let nothing = {
         slots_decoded = 0;
         roots_visited = 0 });
   visit_globals = (fun _ -> ());
-  after_collection = (fun ~full:_ -> ());
+  after_collection = (fun ~full:_ ~allocs:_ ~copies:_ -> ());
   object_hooks = None;
   site_needs_scan = (fun _ -> true);
   set_pretenure = (fun ~site:_ ~enabled:_ -> ());

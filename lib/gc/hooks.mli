@@ -4,31 +4,34 @@
     goes the other way), so root enumeration, marker placement and
     profiling arrive as closures. *)
 
-(** Per-object lifecycle events, consumed by the heap profiler.  [None]
-    disables the (costly) death sweeps.  The hooks are scalar-argument
-    on purpose: they fire once per surviving/dying object inside the
-    collector hot loops, and passing the allocation site as an [int]
-    (read via [Header.site_c]) instead of a decoded [Header.t] keeps
-    those loops allocation-free while profiling is on. *)
-type object_hooks = {
-  on_first_survival : site:int -> words:int -> unit;
-      (** object copied for the first time (promotion / first semispace
-          evacuation) *)
-  on_copy : site:int -> words:int -> unit;
-      (** every copy, first or not *)
-  on_die : site:int -> birth:int -> words:int -> unit;
-      (** object found dead during a from-space or large-object sweep *)
-}
+(** The one per-object event the heap profiler still needs: the death
+    sweep behind Figure 2's average age.  [None] disables the (costly)
+    death sweeps.  A collector calls [on_die] for every object it finds
+    dead in a from-space, large-object or mark-sweep sweep, passing the
+    allocation site as an [int] so the sweeps stay allocation-free. *)
+type object_hooks = { on_die : site:int -> birth:int -> words:int -> unit }
 
 type t = {
   scan_stack : Rstack.Scan.mode -> (Rstack.Root.t -> unit) -> Rstack.Scan.result;
       (** enumerate stack and register roots; honours the scan cache *)
   visit_globals : (Rstack.Root.t -> unit) -> unit;
       (** enumerate the runtime's global roots *)
-  after_collection : full:bool -> unit;
+  after_collection :
+    full:bool ->
+    allocs:(int * int * int) list ->
+    copies:(int * int * int * int) list ->
+    unit;
       (** invoked once per collection after roots are final: the runtime
-          places stack markers and refreshes marker bookkeeping *)
+          places stack markers and refreshes marker bookkeeping, and its
+          profiler folds the collection's per-site rows.  [allocs] are
+          the [(site, objects, words)] allocated since the previous
+          collection ({!Cycle.flush_site_allocs}); [copies] are the
+          [(site, objects, first_objects, words)] this collection copied
+          ({!Cycle.survivals}), empty under the mark-sweep major, whose
+          rows count marks.  Both are sorted by site and empty unless
+          the collector keeps site tallies ({!Cycle.site_tallies}). *)
   object_hooks : object_hooks option;
+      (** [Some] switches on the death sweeps and the site tallies *)
   site_needs_scan : int -> bool;
       (** Section 7.2 scan elision: [false] means objects born at this
           site can only point at pretenured/tenured data, so the

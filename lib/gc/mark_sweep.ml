@@ -25,18 +25,13 @@ type t = {
   mutable marked_los : int;         (* words under marked large objects *)
   mutable marked_objects : int;
   mutable scanned : int;            (* words walked by the drain loop *)
-  sites : (int, int * int * int) Hashtbl.t option;
+  sites : Site_tally.t option;
       (* per-site (objects, first-collection objects, words) marked in
          the tenured space — the mark-phase analogue of the copy
-         engines' survival tallies, gated on tracing the same way *)
+         engines' survival tallies, under the same [site_tallies] gate *)
 }
 
-let create ~mem ~tenured ~los ?site_tallies () =
-  let site_tallies =
-    match site_tallies with
-    | Some b -> b
-    | None -> Obs.Trace.detailed ()
-  in
+let create ~mem ~tenured ~los ~site_tallies () =
   { mem;
     tenured;
     t_cells = Mem.Memory.cells mem (Mem.Space.base tenured);
@@ -48,19 +43,7 @@ let create ~mem ~tenured ~los ?site_tallies () =
     marked_los = 0;
     marked_objects = 0;
     scanned = 0;
-    sites = (if site_tallies then Some (Hashtbl.create 32) else None) }
-
-let note_site_mark t ~site ~first ~words =
-  match t.sites with
-  | None -> ()
-  | Some tab ->
-    let objects, firsts, w =
-      match Hashtbl.find_opt tab site with
-      | Some p -> p
-      | None -> (0, 0, 0)
-    in
-    Hashtbl.replace tab site
-      (objects + 1, (if first then firsts + 1 else firsts), w + words)
+    sites = (if site_tallies then Some (Site_tally.create ()) else None) }
 
 let mark_tenured t a =
   let idx = Mem.Addr.diff a t.t_base in
@@ -70,11 +53,12 @@ let mark_tenured t a =
     let words = Mem.Header.object_words_c t.t_cells ~off in
     t.marked_tenured <- t.marked_tenured + words;
     t.marked_objects <- t.marked_objects + 1;
-    if t.sites <> None then
-      note_site_mark t
-        ~site:(Mem.Header.site_c t.t_cells ~off)
-        ~first:(not (Mem.Header.survivor_c t.t_cells ~off))
-        ~words;
+    (match t.sites with
+     | None -> ()
+     | Some tab ->
+       Site_tally.note tab ~site:(Mem.Header.site_c t.t_cells ~off)
+         ~first:(not (Mem.Header.survivor_c t.t_cells ~off))
+         ~words);
     Deque.push t.worklist ~self:0 a
   end
 
@@ -179,8 +163,4 @@ let words_scanned t = t.scanned
 let site_survivals t =
   match t.sites with
   | None -> []
-  | Some tab ->
-    List.sort compare
-      (Hashtbl.fold (fun site (objects, first_objects, words) acc ->
-           (site, objects, first_objects, words) :: acc)
-         tab [])
+  | Some tab -> Site_tally.rows tab

@@ -18,11 +18,12 @@
 
 type t
 
-(** [create ~mem ~tenured ~los ()] is an engine over the given tenured
-    space and large-object space with an empty mark bitmap. *)
+(** [create ~mem ~tenured ~los ~site_tallies ()] is an engine over the
+    given tenured space and large-object space with an empty mark
+    bitmap; [site_tallies] switches on {!site_survivals}. *)
 val create :
   mem:Mem.Memory.t -> tenured:Mem.Space.t -> los:Los.t ->
-  ?site_tallies:bool -> unit -> t
+  site_tallies:bool -> unit -> t
 
 (** [visit_root t root] marks the root's referent (tenured or large
     object) and queues it for field scanning.  Roots are read, never

@@ -9,8 +9,8 @@
    ([Space.alloc_chunk_atomic]), so domains never contend on the
    allocation pointer; forwarding installation is a check-then-install
    claim on the header word after an optimistic copy; idle domains
-   steal packets from the top of a victim's deque.  Object hooks are
-   deferred and replayed on the calling domain after the drain.
+   steal packets from the top of a victim's deque.  Per-site survival
+   tallies are per worker and merged after the drain.
 
    The engine is written once; [step] runs one turn of one worker (scan
    one object, process one packet, or one steal) and reports whether it
@@ -103,10 +103,6 @@ type worker = {
      under [Virtual] (the scheduler serialises it), one per worker under
      [Real] *)
   prng : Support.Prng.t;
-  (* object-hook events deferred to the post-drain replay (profiler /
-     census updates are not domain-safe): (site, words, first-copy)
-     triples — scalars, so deferring stays allocation-light *)
-  deferred : (int * int * bool) Support.Vec.t;
   (* private copy chunk, as offsets into the to-space cell array;
      [c_base = -1] means no chunk is held *)
   mutable c_base : int;
@@ -121,7 +117,7 @@ type worker = {
   mutable idle : bool;
   mutable eager_depth : int;   (* hierarchical-evacuation recursion depth *)
   mutable eager_budget : int;  (* words left under the current eager root *)
-  sites : (int, int * int * int) Hashtbl.t option;
+  sites : Site_tally.t option;
 }
 
 type t = {
@@ -135,7 +131,6 @@ type t = {
   trace_los : bool;
   promoting : bool;
   eager : bool;
-  object_hooks : Hooks.object_hooks option;
   card_scan : ((Mem.Addr.t -> unit) -> int -> unit) option;
   mode : mode;
   los_mu : Mutex.t;   (* serialises [Los.mark]'s test-and-set in Real mode *)
@@ -151,7 +146,7 @@ type t = {
 }
 
 let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
-    ?site_tallies ~object_hooks ?card_scan ~parallelism ?(mode = Virtual)
+    ~site_tallies ?card_scan ~parallelism ?(mode = Virtual)
     ?(chunk_words = default_chunk_words)
     ?(batch = default_batch) ?(seed = 0x9e3779) () =
   if parallelism < 1 || parallelism > max_workers then
@@ -159,11 +154,6 @@ let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
   if chunk_words < 2 * (Mem.Header.header_words ()) then
     invalid_arg "Par_drain.create: chunk too small";
   if batch < 1 then invalid_arg "Par_drain.create: empty batch";
-  let tracing =
-    match site_tallies with
-    | Some b -> b
-    | None -> Obs.Trace.detailed ()
-  in
   let to_base = Mem.Space.base to_space in
   let shared_prng = Support.Prng.create ~seed in
   { mem;
@@ -176,7 +166,6 @@ let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
     trace_los;
     promoting;
     eager;
-    object_hooks;
     card_scan;
     mode;
     los_mu = Mutex.create ();
@@ -193,7 +182,6 @@ let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
             (match mode with
              | Virtual -> shared_prng
              | Real -> Support.Prng.create ~seed:(seed + id));
-          deferred = Support.Vec.create ();
           c_base = -1;
           c_scan = 0;
           c_alloc = 0;
@@ -206,7 +194,8 @@ let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
           idle = false;
           eager_depth = 0;
           eager_budget = 0;
-          sites = (if tracing then Some (Hashtbl.create 32) else None) });
+          sites =
+            (if site_tallies then Some (Site_tally.create ()) else None) });
     staged = Support.Vec.create ();
     pend_locs = Support.Vec.create ();
     pend_objs = Support.Vec.create ();
@@ -315,18 +304,6 @@ let alloc_copy t w words =
 
 (* --- evacuation --- *)
 
-let note_site_copy w ~site ~first ~words =
-  match w.sites with
-  | None -> ()
-  | Some tab ->
-    let objects, firsts, ws =
-      match Hashtbl.find_opt tab site with
-      | Some p -> p
-      | None -> (0, 0, 0)
-    in
-    Hashtbl.replace tab site
-      (objects + 1, (if first then firsts + 1 else firsts), ws + words)
-
 (* Hierarchical (eager-child) evacuation bounds, matching the Cheney
    engine: each top-level copy may pull at most [eager_words_bound]
    words of descendants behind it, never deeper than
@@ -376,12 +353,13 @@ let rec copy_object t w src soff =
     forward_target t src soff
   end
   else begin
-    let site = Mem.Header.site_c t.to_cells ~off:doff in
     let first_copy = not (Mem.Header.survivor_c t.to_cells ~off:doff) in
-    if t.object_hooks <> None then
-      Support.Vec.push w.deferred (site, words, first_copy);
     Mem.Header.set_survivor_c t.to_cells ~off:doff;
-    if w.sites <> None then note_site_copy w ~site ~first:first_copy ~words;
+    (match w.sites with
+     | None -> ()
+     | Some tab ->
+       Site_tally.note tab ~site:(Mem.Header.site_c t.to_cells ~off:doff)
+         ~first:first_copy ~words);
     w.copied <- w.copied + words;
     w.clock <- w.clock + (words * cost_copy_word);
     (* winner-only eager evacuation: losers abandoned their copy *)
@@ -721,21 +699,7 @@ let run t =
       assert (w.c_base < 0 || w.c_scan = w.c_alloc);
       retire_chunk t w)
     t.workers;
-  Mem.Space.par_end t.to_space;
-  (* replay the deferred hook events on the calling domain; the
-     profiler and census only ever sum, so worker order is immaterial *)
-  match t.object_hooks with
-  | None -> ()
-  | Some h ->
-    Array.iter
-      (fun w ->
-        Support.Vec.iter
-          (fun (site, words, first) ->
-            h.Hooks.on_copy ~site ~words;
-            if first then h.Hooks.on_first_survival ~site ~words)
-          w.deferred;
-        Support.Vec.clear w.deferred)
-      t.workers
+  Mem.Space.par_end t.to_space
 
 (* --- results --- *)
 
@@ -776,27 +740,9 @@ let report t =
     t.workers
 
 let site_survivals t =
-  let merged = Hashtbl.create 32 in
-  Array.iter
-    (fun w ->
-      match w.sites with
-      | None -> ()
-      | Some tab ->
-        Hashtbl.iter
-          (fun site (objects, firsts, words) ->
-            let o, f, ws =
-              match Hashtbl.find_opt merged site with
-              | Some p -> p
-              | None -> (0, 0, 0)
-            in
-            Hashtbl.replace merged site (o + objects, f + firsts, ws + words))
-          tab)
-    t.workers;
-  List.sort compare
-    (Hashtbl.fold
-       (fun site (objects, firsts, words) acc ->
-         (site, objects, firsts, words) :: acc)
-       merged [])
+  Site_tally.rows
+    (Site_tally.merge
+       (List.filter_map (fun w -> w.sites) (Array.to_list t.workers)))
 
 (* worst-case to-space slop of a parallel drain on top of the live data:
    one partly-used chunk per worker, plus a filler tail per retire — and

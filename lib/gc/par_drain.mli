@@ -15,8 +15,8 @@
     by a check-then-install of the forwarding header; a worker that
     loses the claim rolls its copy back.  A worker drains its local
     grey region depth-first, then its own deque, then steals from the
-    top of a seeded-random victim's deque.  Object hooks are deferred
-    and replayed on the calling domain after the drain.
+    top of a seeded-random victim's deque.  Per-site survival tallies
+    are kept per worker and merged by {!site_survivals}.
 
     [mode = Virtual] (the default) drives the workers in *virtual time*
     (this simulator never reports host wall-clock for simulated work —
@@ -67,8 +67,7 @@ val create :
   trace_los:bool ->
   promoting:bool ->
   ?eager:bool ->
-  ?site_tallies:bool ->
-  object_hooks:Hooks.object_hooks option ->
+  site_tallies:bool ->
   ?card_scan:((Mem.Addr.t -> unit) -> int -> unit) ->
   parallelism:int ->
   ?mode:mode ->

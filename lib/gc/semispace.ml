@@ -28,7 +28,7 @@ type t = {
   mutable live : int;            (* words surviving the last collection *)
   alloc_sites : Cycle.site_allocs;
       (* per-site (objects, words) allocated since the last [site_alloc]
-         flush; [Some] only when created while tracing *)
+         flush; [Some] only when created under [Cycle.site_tallies] *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -50,7 +50,7 @@ let create mem ~hooks ~stats cfg =
     space = Mem.Space.create mem ~words:soft_limit;
     soft_limit;
     live = 0;
-    alloc_sites = Cycle.site_allocs (Obs.Trace.detailed ()) }
+    alloc_sites = Cycle.site_allocs (Cycle.site_tallies hooks) }
 
 let live_words t = t.live
 
@@ -68,11 +68,10 @@ let resize t ~need =
 
 let collect_for t ~need =
   let traced = Obs.Trace.enabled () in
-  if traced then begin
+  if traced then
     Obs.Trace.gc_begin ~kind:"semi" ~nursery_w:0
       ~tenured_w:(Mem.Space.used_words t.space) ~los_w:0;
-    ignore (Cycle.flush_site_allocs t.alloc_sites : (int * int * int) list)
-  end;
+  let allocs = Cycle.flush_site_allocs t.alloc_sites in
   let t0 = now () in
   let roots, t1 =
     Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 Rstack.Scan.Full
@@ -106,17 +105,17 @@ let collect_for t ~need =
     Cycle.engine ~mem:t.mem
       ~in_from:(Mem.Space.contains t.space)
       ~to_space ~los:None ~trace_los:false ~promoting:false
-      ~eager:t.cfg.eager_evac ~site_tallies:(Obs.Trace.detailed ())
-      ~object_hooks:t.hooks.Hooks.object_hooks
+      ~eager:t.cfg.eager_evac ~site_tallies:(Cycle.site_tallies t.hooks)
       ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
       ~chunk_words:t.cfg.chunk_words ()
   in
   Cycle.drain engine ~stats:t.stats roots;
   let t2 = now () in
   t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
+  let copies = Cycle.survivals engine in
   if traced then begin
     Cycle.trace_copy engine ~with_promoted:false ~dur_us:((t2 -. t1) *. 1e6);
-    Cycle.emit_survivals (Cycle.survivals engine)
+    Cycle.emit_survivals copies
   end;
   Cycle.profile_sweep ~mem:t.mem ~hooks:t.hooks ~stats:t.stats ~traced
     ~since:t2 t.space;
@@ -128,7 +127,7 @@ let collect_for t ~need =
   t.stats.Gc_stats.live_words_after_gc <- t.live;
   t.stats.Gc_stats.max_live_words <- max t.stats.Gc_stats.max_live_words t.live;
   resize t ~need;
-  t.hooks.Hooks.after_collection ~full:true;
+  t.hooks.Hooks.after_collection ~full:true ~allocs ~copies;
   if traced then
     Obs.Trace.gc_end ~kind:"semi"
       ~pause_us:((now () -. t0) *. 1e6)
@@ -157,7 +156,9 @@ let alloc t hdr ~birth =
 
 let stats t = t.stats
 
+let flush_site_allocs t = Cycle.flush_site_allocs t.alloc_sites
+
 let destroy t =
   if Obs.Trace.enabled () then
-    ignore (Cycle.flush_site_allocs t.alloc_sites : (int * int * int) list);
+    ignore (flush_site_allocs t : (int * int * int) list);
   Mem.Space.release t.space t.mem

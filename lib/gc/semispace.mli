@@ -66,5 +66,8 @@ val live_words : t -> int
     debugging assertions in tests). *)
 val contains : t -> Mem.Addr.t -> bool
 
+(** As {!Generational.flush_site_allocs}. *)
+val flush_site_allocs : t -> (int * int * int) list
+
 (** Release all memory held by the collector. *)
 val destroy : t -> unit

@@ -12,21 +12,24 @@
     sampled: [site_alloc] deltas are flushed at every collection and at
     collector destruction, and [site_survival.first_objects] counts each
     object's first copy exactly once (pretenured objects carry the
-    survivor bit from birth and never count).  The derived
-    {!old_fraction} therefore equals the live profiler's
-    survived/allocated ratio, which is what lets {!select_pretenure}
-    reproduce the live policy decision offline. *)
+    survivor bit from birth and never count).  The runtime's profiler
+    folds the same per-collection rows, so over a copying run the
+    derived {!old_fraction} equals its survived/allocated ratio, which
+    is what lets {!select_pretenure} reproduce the in-process policy
+    decision offline. *)
 
 (** Per-site totals folded over the whole trace. *)
 type site = {
   site : int;
   alloc_objects : int;       (** from [site_alloc] deltas *)
   alloc_words : int;
-  survived_objects : int;    (** copies, summed over collections *)
+  survived_objects : int;    (** survivors summed over collections:
+                                 copies under a copying collection,
+                                 marks under a mark-sweep major *)
   first_objects : int;       (** objects that survived their first
                                  collection — the paper's [old%]
                                  numerator *)
-  survived_words : int;
+  survived_words : int;      (** words of [survived_objects] *)
   pretenured_objects : int;  (** [pretenure] events *)
   pretenured_words : int;
 }

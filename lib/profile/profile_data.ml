@@ -15,24 +15,6 @@ type t = {
   total_copied_bytes : int;
 }
 
-let of_profiler p ~site_name =
-  let sites =
-    List.map
-      (fun (s : Site_stats.t) ->
-        { site = s.Site_stats.site;
-          name = site_name s.Site_stats.site;
-          alloc_bytes = s.Site_stats.alloc_bytes;
-          alloc_count = s.Site_stats.alloc_count;
-          old_fraction = Site_stats.old_fraction s;
-          avg_age_kb = Site_stats.avg_age_kb s;
-          copied_bytes = s.Site_stats.copied_bytes })
-      (Profiler.sites p)
-  in
-  { sites;
-    edges = Profiler.edges p;
-    total_alloc_bytes = Profiler.total_alloc_bytes p;
-    total_copied_bytes = Profiler.total_copied_bytes p }
-
 let select_pretenure_sites t ~cutoff ~min_objects =
   List.filter_map
     (fun s ->
@@ -76,24 +58,27 @@ let of_string text =
   let sites = ref [] and edges = ref [] in
   let total_alloc = ref 0 and total_copied = ref 0 in
   let parse_line line =
-    match String.split_on_char ' ' (String.trim line) with
-    | [] | [ "" ] -> ()
-    | "total" :: a :: c :: [] ->
-      total_alloc := int_of_string a;
-      total_copied := int_of_string c
-    | "site" :: id :: ab :: ac :: old :: age :: cb :: name_parts ->
-      sites :=
-        { site = int_of_string id;
-          name = String.concat " " name_parts;
-          alloc_bytes = int_of_string ab;
-          alloc_count = int_of_string ac;
-          old_fraction = float_of_string old;
-          avg_age_kb = float_of_string age;
-          copied_bytes = int_of_string cb }
-        :: !sites
-    | "edge" :: a :: b :: [] ->
-      edges := (int_of_string a, int_of_string b) :: !edges
-    | _ -> invalid_arg ("Profile_data.of_string: bad line: " ^ line)
+    let bad () = invalid_arg ("Profile_data.of_string: bad line: " ^ line) in
+    try
+      match String.split_on_char ' ' (String.trim line) with
+      | [] | [ "" ] -> ()
+      | "total" :: a :: c :: [] ->
+        total_alloc := int_of_string a;
+        total_copied := int_of_string c
+      | "site" :: id :: ab :: ac :: old :: age :: cb :: name_parts ->
+        sites :=
+          { site = int_of_string id;
+            name = String.concat " " name_parts;
+            alloc_bytes = int_of_string ab;
+            alloc_count = int_of_string ac;
+            old_fraction = float_of_string old;
+            avg_age_kb = float_of_string age;
+            copied_bytes = int_of_string cb }
+          :: !sites
+      | "edge" :: a :: b :: [] ->
+        edges := (int_of_string a, int_of_string b) :: !edges
+      | _ -> bad ()
+    with Failure _ -> bad ()
   in
   String.split_on_char '\n' text |> List.iter parse_line;
   { sites = List.rev !sites;
@@ -108,7 +93,13 @@ let save t ~path =
     (fun () -> output_string oc (to_string t))
 
 let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+  match
+    let ic = open_in path in
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    really_input_string ic (in_channel_length ic)
+  with
+  | exception Sys_error msg -> Error msg
+  | text ->
+    (match of_string text with
+     | t -> Ok t
+     | exception Invalid_argument msg -> Error msg)

@@ -21,9 +21,6 @@ type t = {
   total_copied_bytes : int;
 }
 
-(** [of_profiler p ~site_name] snapshots a profiler. *)
-val of_profiler : Profiler.t -> site_name:(int -> string) -> t
-
 (** [select_pretenure_sites t ~cutoff ~min_objects] returns the sites
     whose old-fraction is at least [cutoff] (the paper uses 0.8) and that
     allocated at least [min_objects] objects (guards against noise from
@@ -38,9 +35,12 @@ val targeted_shares : t -> sites:int list -> float * float
 (** Textual round-trip (a small line-oriented format). *)
 val save : t -> path:string -> unit
 
-val load : path:string -> t
+(** [load ~path] reads a saved profile; an unreadable file or a
+    malformed line is an [Error] naming the problem. *)
+val load : path:string -> (t, string) result
 
-(** In-memory round-trip helpers used by the tests. *)
+(** In-memory round-trip helpers used by the tests.  [of_string]
+    raises [Invalid_argument] naming the first malformed line. *)
 val to_string : t -> string
 
 val of_string : string -> t

@@ -4,12 +4,13 @@
    is the executable specification of the engine's copy, eager-child,
    evacuate and scan loops, and it is kept here, next to the property in
    test_gc.ml that runs it and the engine on the same generated graphs
-   and requires identical heaps, counters, hook calls and remembered
+   and requires identical heaps, counters, site tallies and remembered
    edges.
 
    The state record and the helpers around the loops ([create],
-   [note_site_copy], [promote_dst], [drain]) mirror the engine's; the
-   loops are the engine's loops on the safe tier, in the same
+   [promote_dst], [drain]) mirror the engine's, and [note_site_copy]
+   keeps its own tally for comparison with the engine's [Site_tally]
+   rows; the loops are the engine's loops on the safe tier, in the same
    traversal order, so both place and account objects identically. *)
 
 open Collectors
@@ -29,7 +30,6 @@ type t = {
   trace_los : bool;
   promoting : bool;
   promote_alloc : (int -> Mem.Addr.t option) option;
-  object_hooks : Hooks.object_hooks option;
   eager : bool;
   mutable eager_budget : int;
   mutable scan : Mem.Addr.t;
@@ -43,12 +43,7 @@ type t = {
 }
 
 let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = false)
-    ?site_tallies ~los ~trace_los ~promoting ~object_hooks () =
-  let site_tallies =
-    match site_tallies with
-    | Some b -> b
-    | None -> Obs.Trace.detailed ()
-  in
+    ~site_tallies ~los ~trace_los ~promoting () =
   { mem;
     in_from;
     to_space;
@@ -58,7 +53,6 @@ let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = fal
     trace_los;
     promoting;
     promote_alloc;
-    object_hooks;
     eager;
     eager_budget = 0;
     scan = Mem.Space.frontier to_space;
@@ -119,11 +113,6 @@ let copy_object_safe t a =
   Mem.Header.set_survivor t.mem dst;
   if not promote then
     Mem.Header.set_age t.mem dst (min Mem.Header.max_age (age + 1));
-  (match t.object_hooks with
-   | None -> ()
-   | Some h ->
-     h.Hooks.on_copy ~site:hdr.Mem.Header.site ~words;
-     if first_copy then h.Hooks.on_first_survival ~site:hdr.Mem.Header.site ~words);
   if t.sites <> None then
     note_site_copy t ~site:hdr.Mem.Header.site ~first:first_copy ~words;
   Mem.Header.set_forward t.mem a ~target:dst;

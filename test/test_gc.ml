@@ -1360,7 +1360,10 @@ let ms_sweep_safety_prop =
         (!words, List.sort compare !acc)
       in
       let reachable_words, before = snapshot () in
-      let eng = Collectors.Mark_sweep.create ~mem ~tenured:space ~los () in
+      let eng =
+        Collectors.Mark_sweep.create ~mem ~tenured:space ~los
+          ~site_tallies:false ()
+      in
       Array.iter (Collectors.Mark_sweep.mark_value eng) roots;
       Collectors.Mark_sweep.drain eng;
       let free0 = (Alloc.Backend.frag be).Alloc.Backend.free_words in
@@ -1525,11 +1528,10 @@ module type ENGINE = sig
     ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
     ?promote_alloc:(int -> Mem.Addr.t option) ->
     ?eager:bool ->
-    ?site_tallies:bool ->
+    site_tallies:bool ->
     los:Collectors.Los.t option ->
     trace_los:bool ->
     promoting:bool ->
-    object_hooks:Collectors.Hooks.object_hooks option ->
     unit ->
     t
 
@@ -1549,13 +1551,7 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
     ~trace_los =
   let h = Gen_heap.build ~seed ~n ~backend in
   let mem = h.Gen_heap.mem in
-  let hooks_log = ref [] and remembered = ref [] in
-  let log tag ~site ~words = hooks_log := (tag, site, words) :: !hooks_log in
-  let object_hooks =
-    { Collectors.Hooks.on_copy = log "copy";
-      on_first_survival = log "first";
-      on_die = (fun ~site:_ ~birth:_ ~words:_ -> ()) }
-  in
+  let remembered = ref [] in
   let aging =
     Option.map
       (fun threshold -> { Collectors.Cheney.young_to = h.Gen_heap.young_to; threshold })
@@ -1566,8 +1562,7 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
       ~to_space:h.Gen_heap.to_space ?aging
       ~remember:(fun ~loc ~owner -> remembered := (loc, owner) :: !remembered)
       ?promote_alloc:h.Gen_heap.promote_alloc ~eager ~site_tallies:true
-      ~los:(Some h.Gen_heap.los) ~trace_los ~promoting:true
-      ~object_hooks:(Some object_hooks) ()
+      ~los:(Some h.Gen_heap.los) ~trace_los ~promoting:true ()
   in
   Array.iteri
     (fun i _ -> E.visit_root e (Rstack.Root.Global (h.Gen_heap.globals, i)))
@@ -1598,7 +1593,6 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
     ( "words copied/promoted/scanned",
       `Ints [ E.words_copied e; E.words_promoted e; E.words_scanned e ] );
     ("site survivals", `Sites (E.site_survivals e));
-    ("hook calls", `Hooks (List.rev !hooks_log));
     ("remember calls", `Remembered (List.rev !remembered));
     ("los sweep", `Sweep (freed, List.sort compare !died)) ]
 
@@ -1632,8 +1626,8 @@ let describe_config (layout, threshold, backend, eager, trace_los) =
 (* Differential property: the engine and the safe-API reference engine,
    run on the same generated heap with the same roots, locations and
    objects, leave bit-identical spaces and roots, count the same words,
-   tally the same sites, make the same hook and remember calls in the
-   same order, and leave the same large objects to the sweep. *)
+   tally the same sites, make the same remember calls in the same
+   order, and leave the same large objects to the sweep. *)
 let cheney_matches_reference_prop =
   QCheck.Test.make ~name:"Cheney matches the safe-API reference engine"
     ~count:40
@@ -1770,7 +1764,7 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
         Collectors.Par_drain.create ~mem
           ~in_from:(Mem.Space.contains from)
           ~to_space ~los:None ~trace_los:false ~promoting:false
-          ~object_hooks:None ~parallelism ~mode ~seed ()
+          ~site_tallies:false ~parallelism ~mode ~seed ()
       in
       let batch =
         Rstack.Root.Batch.create ~capacity:grain

@@ -729,6 +729,49 @@ let closed_loop () =
        (fun s -> List.mem s pf_b.Gsc.Policy_file.sites)
        loaded.Gsc.Policy_file.sites)
 
+(* Every registered workload, profiled and traced into one buffer: the
+   runtime's profile and the trace fold carry the same per-site
+   accounting.  k = 2 makes room tight enough for copying majors, so
+   major copies reach both sides too. *)
+let live_profile_equals_trace_fold () =
+  let bpw = Mem.Memory.bytes_per_word in
+  List.iter
+    (fun (w : Workloads.Spec.t) ->
+      let sc = Harness.Runs.scale ~factor:0.5 w in
+      let cfg =
+        Harness.Runs.config_for ~workload:w ~scale:sc
+          ~technique:Harness.Runs.Profiled ~k:2.0
+      in
+      let m, lines =
+        traced_lines (fun () ->
+            Harness.Measure.run ~workload:w ~scale:sc ~cfg ~k:2.0 ())
+      in
+      let live =
+        match m.Harness.Measure.profile with
+        | Some p -> p
+        | None -> Alcotest.failf "%s: profiled run kept no profile" w.name
+      in
+      let folded = analyzed_exn lines in
+      (* (site, (objects, (alloc bytes, (copied bytes, old fraction)))) *)
+      let of_live (s : Heap_profile.Profile_data.site) =
+        Heap_profile.Profile_data.
+          (s.site, (s.alloc_count, (s.alloc_bytes, (s.copied_bytes, s.old_fraction))))
+      in
+      let of_trace (s : Obs.Profile.site) =
+        Obs.Profile.
+          ( s.site,
+            ( s.alloc_objects,
+              (s.alloc_words * bpw, (s.survived_words * bpw, old_fraction s)) ) )
+      in
+      Alcotest.(check (list (pair int (pair int (pair int (pair int (float 0.)))))))
+        (w.name ^ ": per-site rows")
+        (List.map of_trace folded.Obs.Profile.sites)
+        (List.map of_live live.Heap_profile.Profile_data.sites);
+      Alcotest.(check (list (pair int int)))
+        (w.name ^ ": edges") folded.Obs.Profile.edges
+        live.Heap_profile.Profile_data.edges)
+    Workloads.Registry.all
+
 let policy_file_rejects () =
   let check_err what text needle =
     let path = Filename.temp_file "gsc_policy" ".json" in
@@ -1217,6 +1260,8 @@ let () =
            census_off_is_untraced ]);
       ("pretenure loop",
        [ Alcotest.test_case "closed loop" `Slow closed_loop;
+         Alcotest.test_case "live profile equals trace fold" `Slow
+           live_profile_equals_trace_fold;
          Alcotest.test_case "policy file rejects" `Quick policy_file_rejects ]);
       ("loader robustness",
        [ Alcotest.test_case "mutated traces and policies never raise" `Quick

@@ -9,12 +9,12 @@ let check_bool = Alcotest.(check bool)
 
 (* run a little program with two sites: "keeper" objects accumulate in a
    global list, "churn" objects die at once *)
-let profiled_run () =
-  let cfg =
-    { (Gsc.Config.generational ~budget_bytes:(256 * 1024)) with
-      Gsc.Config.nursery_bytes_max = 8 * 1024;
-      profiling = true }
-  in
+let generational_cfg =
+  { (Gsc.Config.generational ~budget_bytes:(256 * 1024)) with
+    Gsc.Config.nursery_bytes_max = 8 * 1024;
+    profiling = true }
+
+let profiled_run ?(cfg = generational_cfg) () =
   let rt = R.create cfg in
   Fun.protect ~finally:(fun () -> R.destroy rt) @@ fun () ->
   let s_keep = R.register_site rt ~name:"keeper" in
@@ -46,6 +46,23 @@ let bimodal_profile () =
   (* churn deaths were observed with a small average age *)
   check_bool "churn age observed" true (churn.PD.avg_age_kb > 0.)
 
+(* the semispace collector feeds the profiler through the same rows *)
+let semispace_profile () =
+  let cfg =
+    { (Gsc.Config.semispace ~budget_bytes:(256 * 1024)) with
+      Gsc.Config.profiling = true }
+  in
+  let data, s_keep, s_churn = profiled_run ~cfg () in
+  let gen, _, _ = profiled_run () in
+  let find (d : PD.t) site = List.find (fun s -> s.PD.site = site) d.PD.sites in
+  let keep = find data s_keep and churn = find data s_churn in
+  check_int "churn count" 4000 churn.PD.alloc_count;
+  check_int "keeper count" 100 keep.PD.alloc_count;
+  check_int "alloc bytes as under generational"
+    gen.PD.total_alloc_bytes data.PD.total_alloc_bytes;
+  check_bool "keeper copied" true (keep.PD.copied_bytes > 0);
+  check_bool "keeper is old" true (keep.PD.old_fraction > 0.9)
+
 let selection_respects_cutoff_and_noise () =
   let data, s_keep, _ = profiled_run () in
   let selected = PD.select_pretenure_sites data ~cutoff:0.8 ~min_objects:32 in
@@ -73,8 +90,25 @@ let file_roundtrip () =
   let path = Filename.temp_file "repro_profile" ".txt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   PD.save data ~path;
-  let data' = PD.load ~path in
-  check_bool "file roundtrip" true (data' = data)
+  check_bool "file roundtrip" true (PD.load ~path = Ok data)
+
+(* a malformed or missing file is an [Error], never an exception *)
+let load_rejects () =
+  let path = Filename.temp_file "repro_profile" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let reject what text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    match PD.load ~path with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error _ -> ()
+  in
+  reject "garbage line" "not a profile\n";
+  reject "bad number" "total 12 x\n";
+  reject "short site" "site 1 2\n";
+  check_bool "missing file" true
+    (Result.is_error (PD.load ~path:(path ^ ".missing")))
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -158,11 +192,13 @@ let () =
   Alcotest.run "profile"
     [ ( "profiler",
         [ Alcotest.test_case "bimodal profile" `Quick bimodal_profile;
+          Alcotest.test_case "semispace profile" `Quick semispace_profile;
           Alcotest.test_case "selection" `Quick selection_respects_cutoff_and_noise;
           Alcotest.test_case "edges" `Quick edges_recorded ] );
       ( "persistence",
         [ Alcotest.test_case "string roundtrip" `Quick roundtrip;
           Alcotest.test_case "file roundtrip" `Quick file_roundtrip;
+          Alcotest.test_case "load rejects" `Quick load_rejects;
           Alcotest.test_case "report" `Quick report_contains_summary ] );
       ( "pretenure",
         [ Alcotest.test_case "site flow" `Quick site_flow_scan_free;
