@@ -339,12 +339,15 @@ let eager_evac_arg =
 
 let adaptive_arg =
   let doc = "Run the adaptive control plane at collection boundaries: \
-             online nursery resizing, tenure-threshold tuning, dynamic \
-             pretenuring and (mark_sweep) compaction scheduling, each \
-             decision traced as a $(b,policy_update) record \
-             (docs/ADAPTIVE.md).  Under gc-serve with $(b,--trace), the \
-             run ends with an offline replay that must re-derive every \
-             decision bit-for-bit (exit 1 otherwise)." in
+             the paper's per-site pretenuring rule applied online, \
+             enabling a site whose windowed survival reaches 80% and \
+             demoting it below 40%, each decision traced as a \
+             $(b,policy_update) record (docs/ADAPTIVE.md).  Decisions \
+             read only per-site allocation and survival counts, so a \
+             seeded run always takes the same ones.  Under gc-serve \
+             with $(b,--trace), the run ends with an offline replay that \
+             must re-derive every decision bit-for-bit (exit 1 \
+             otherwise)." in
   Arg.(value & flag & info [ "adaptive" ] ~doc)
 
 (* The collector-knob rules [Generational.create] enforces, checked up
@@ -628,9 +631,10 @@ let gc_serve_cmd =
   let phase_shift_arg =
     let doc = "Rotate every tenant to the next lifetime profile from \
                request $(docv) on (0 = never) — the behaviour change the \
-               adaptive plane is measured against.  The request stream \
-               stays a pure function of the seed, so checksums compare \
-               across configurations at equal shift." in
+               adaptive plane's per-site pretenuring must follow.  The \
+               request stream stays a pure function of the seed, so \
+               checksums compare across configurations at equal \
+               shift." in
     Arg.(value & opt int 0 & info [ "phase-shift" ] ~docv:"REQ" ~doc)
   in
   let min_policy_updates_arg =
@@ -713,24 +717,33 @@ let gc_serve_cmd =
       parallelism parallelism_mode adaptive phase_shift min_policy_updates
       max_pause p99 p999 min_mmu mmu_window flight_cap flight_dump
       trace_file =
+    let usage msg =
+      prerr_endline ("gc-serve: " ^ msg);
+      exit 2
+    in
     if tenants < 1 || sessions < 1 || requests < 1 || rate <= 0.
-       || flight_cap < 1 then begin
-      prerr_endline
-        "gc-serve: --tenants, --sessions, --requests, --rate and --flight \
-         must be positive";
-      exit 2
-    end;
-    if phase_shift < 0 then begin
-      prerr_endline "gc-serve: --phase-shift must be non-negative";
-      exit 2
-    end;
+       || flight_cap < 1 then
+      usage
+        "--tenants, --sessions, --requests, --rate and --flight must be \
+         positive";
+    if phase_shift < 0 then usage "--phase-shift must be non-negative";
+    let positive x = Float.is_finite x && x > 0. in
+    if budget <= 0 then usage "--budget must be positive";
+    List.iter
+      (fun (flag, bound) ->
+        match bound with
+        | Some us when not (positive us) ->
+          usage (flag ^ " must be a positive, finite number of microseconds")
+        | Some _ | None -> ())
+      [ ("--max-pause-us", max_pause); ("--p99-us", p99); ("--p999-us", p999) ];
+    (match min_mmu with
+     | Some f when not (f >= 0. && f <= 1.) ->
+       usage "--min-mmu must be in [0, 1]"
+     | Some _ | None -> ());
+    if not (positive mmu_window) then usage "--mmu-window-us must be positive";
     validate_collector_knobs "gc-serve" ~parallelism ~major_kind header_layout;
-    if min_policy_updates > 0 && (not adaptive || trace_file = None)
-    then begin
-      prerr_endline
-        "gc-serve: --min-policy-updates needs --adaptive and --trace FILE";
-      exit 2
-    end;
+    if min_policy_updates > 0 && (not adaptive || trace_file = None) then
+      usage "--min-policy-updates needs --adaptive and --trace FILE";
     let base =
       match policy with
       | None -> Gsc.Config.generational ~budget_bytes:budget
@@ -851,17 +864,15 @@ let gc_serve_cmd =
           Printf.eprintf "trace %s failed schema validation: %s\n" path msg;
           exit 1));
     (* Adaptive self-check: the trace must replay to the decisions the
-       online controller took — same seeding as the collector's own
-       controller ([Generational.adaptive_setup] on the exact config the
-       runtime resolved), so any divergence is a real determinism bug,
-       not a harness mismatch. *)
+       online controller took — same parameters and the same initially
+       pretenured sites as the collector's own controller (resolved from
+       the exact config the runtime used), so any divergence is a real
+       determinism bug, not a harness mismatch. *)
     match trace_file with
     | Some path when adaptive ->
       let gcfg = Gsc.Config.generational_config cfg in
-      let params, nursery_w = Collectors.Generational.adaptive_setup gcfg in
       (match
-         Control.Replay.of_file params ~nursery_limit_w:nursery_w
-           ~tenure_threshold:gcfg.Collectors.Generational.tenure_threshold
+         Control.Replay.of_file (Control.Params.default ())
            ~pretenured:gcfg.Collectors.Generational.pretenured_init path
        with
        | Error msg ->

@@ -1,16 +1,6 @@
 type obs = {
-  o_gc : int;
-  o_kind : string;
-  o_nursery_w : int;
-  o_pause_us : float;
-  o_promoted_w : int;
-  o_live_w : int;
   o_survival : (int * int * int * int) list;
   o_alloc : (int * int * int) list;
-  o_pretenured : (int * int) list;
-  o_tenured_live_w : int;
-  o_tenured_free_w : int;
-  o_tenured_largest_hole : int;
 }
 
 type decision = {
@@ -21,223 +11,108 @@ type decision = {
   d_signals : (string * int) list;
 }
 
-(* Per-window accumulators.  Everything the rules read is reduced to
-   non-negative integers here: pauses to tenths of a microsecond through
-   the same 0.1µs quantisation the serialiser applies, rates to permille
-   by integer division.  Both the online feed and the offline replay go
-   through this exact code, so a decision can only come out one way. *)
+(* Per-window per-site accumulators.  Everything the rule reads is a
+   count, reduced to permille by integer division, and both the online
+   feed and the offline replay go through this exact code, so a
+   decision can only come out one way. *)
 type t = {
   p : Params.t;
   mutable window : int;          (* ordinal of the window being filled *)
   mutable n_obs : int;
-  mutable pauses : int list;     (* tenths, newest first *)
-  mutable minor_promoted_w : int;
-  mutable minor_collected_w : int;
-  site_alloc : (int, int * int) Hashtbl.t;
-  site_surv : (int, int * int * int) Hashtbl.t;
-  site_pret : (int, int) Hashtbl.t;
-  mutable frag : (int * int * int) option;  (* live, free, largest; gauge *)
+  site_alloc : (int, int) Hashtbl.t;     (* objects *)
+  site_firsts : (int, int) Hashtbl.t;    (* first-collection survivors *)
+  site_pret : (int, int) Hashtbl.t;      (* pretenured objects *)
   (* knob state *)
-  mutable nursery_limit_w : int;
-  mutable tenure_threshold : int;
   pretenured : (int, bool) Hashtbl.t;
-  last_change : (string, int) Hashtbl.t;    (* knob -> window *)
+  last_change : (int, int) Hashtbl.t;    (* site -> window *)
 }
 
-let create p ~nursery_limit_w ~tenure_threshold ~pretenured =
+let create p ~pretenured =
   let tbl = Hashtbl.create 16 in
   List.iter (fun site -> Hashtbl.replace tbl site true) pretenured;
   { p;
     window = 1;
     n_obs = 0;
-    pauses = [];
-    minor_promoted_w = 0;
-    minor_collected_w = 0;
     site_alloc = Hashtbl.create 32;
-    site_surv = Hashtbl.create 32;
+    site_firsts = Hashtbl.create 32;
     site_pret = Hashtbl.create 8;
-    frag = None;
-    nursery_limit_w =
-      max p.Params.nursery_min_w (min nursery_limit_w p.Params.nursery_max_w);
-    tenure_threshold =
-      max p.Params.tenure_min (min tenure_threshold p.Params.tenure_max);
     pretenured = tbl;
     last_change = Hashtbl.create 8 }
 
-let nursery_limit_w t = t.nursery_limit_w
-let tenure_threshold t = t.tenure_threshold
 let pretenured t site =
   Option.value ~default:false (Hashtbl.find_opt t.pretenured site)
 
-let pause_tenths us = int_of_float (Float.round (Obs.Slo.quant us *. 10.))
+let knob_prefix = "pretenure_site:"
 
-(* nearest-rank p99 on the window's pauses, in tenths *)
-let p99_tenths pauses =
-  match pauses with
-  | [] -> 0
-  | _ ->
-    let sorted = List.sort compare pauses in
-    let n = List.length sorted in
-    let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) in
-    List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+let site_of_knob knob =
+  let n = String.length knob_prefix in
+  int_of_string (String.sub knob n (String.length knob - n))
+
+let count tbl site = Option.value ~default:0 (Hashtbl.find_opt tbl site)
+let add tbl site n = Hashtbl.replace tbl site (count tbl site + n)
+
+let note_pretenured t site = add t.site_pret site 1
 
 let permille num den = if den <= 0 then 0 else num * 1000 / den
 
-let allowed t knob =
-  match Hashtbl.find_opt t.last_change knob with
+let allowed t site =
+  match Hashtbl.find_opt t.last_change site with
   | None -> true
   | Some w0 -> t.window - w0 > t.p.Params.cooldown
 
-(* The rule pass, run when a window closes.  Knobs are considered in a
-   fixed order — nursery, tenure, pretenure sites ascending, compact —
-   so the decision list (and hence the emission order of the
-   [policy_update] records) is deterministic. *)
+(* The rule pass, run when a window closes: judge every site the window
+   allocated enough of, in ascending site order, so the decision list
+   (and hence the emission order of the [policy_update] records) is
+   deterministic.  Survivors of a first collection plus objects
+   pretenured by fiat over allocations — the windowed form of the
+   paper's old% — crossing the cutoff enables the site; falling under
+   the demote band disables it (band hysteresis on top of the
+   cooldown). *)
 let decide t =
   let p = t.p in
-  let decisions = ref [] in
-  let push d = decisions := d :: !decisions in
-  let change knob ~old_v ~new_v ~signals =
-    Hashtbl.replace t.last_change knob t.window;
-    push
-      { d_knob = knob; d_old = old_v; d_new = new_v; d_window = t.window;
-        d_signals = signals }
+  let sites =
+    List.sort compare
+      (Hashtbl.fold (fun site _ acc -> site :: acc) t.site_alloc [])
   in
-  let p99 = p99_tenths t.pauses in
-  let promo = permille t.minor_promoted_w t.minor_collected_w in
-  (* nursery: over-target pauses shrink it; a hot promotion rate with
-     pause headroom grows it (more time to die young) *)
-  if p.Params.can_resize && allowed t "nursery_limit_w" then begin
-    let signals =
-      [ ("p99_tenths", p99); ("promo_permille", promo);
-        ("target_tenths", p.Params.target_p99_tenths) ]
-    in
-    let v = t.nursery_limit_w in
-    if p.Params.target_p99_tenths > 0 && p99 > p.Params.target_p99_tenths
-       && v > p.Params.nursery_min_w
-    then begin
-      let v' = max p.Params.nursery_min_w (v - p.Params.nursery_step_w) in
-      t.nursery_limit_w <- v';
-      change "nursery_limit_w" ~old_v:v ~new_v:v' ~signals
-    end
-    else if promo > p.Params.promo_hi_permille
-            && (p.Params.target_p99_tenths = 0
-                || 2 * p99 <= p.Params.target_p99_tenths)
-            && v < p.Params.nursery_max_w
-    then begin
-      let v' = min p.Params.nursery_max_w (v + p.Params.nursery_step_w) in
-      t.nursery_limit_w <- v';
-      change "nursery_limit_w" ~old_v:v ~new_v:v' ~signals
-    end
-  end;
-  (* tenure threshold: age longer while promotion runs hot, relax back
-     toward immediate promotion when it cools *)
-  if p.Params.can_tenure && allowed t "tenure_threshold" then begin
-    let signals = [ ("promo_permille", promo) ] in
-    let v = t.tenure_threshold in
-    if promo > p.Params.promo_hi_permille && v < p.Params.tenure_max then begin
-      t.tenure_threshold <- v + 1;
-      change "tenure_threshold" ~old_v:v ~new_v:(v + 1) ~signals
-    end
-    else if promo < p.Params.promo_lo_permille && v > p.Params.tenure_min
-    then begin
-      t.tenure_threshold <- v - 1;
-      change "tenure_threshold" ~old_v:v ~new_v:(v - 1) ~signals
-    end
-  end;
-  (* pretenure: judge every site the window allocated enough of.
-     Survivors of a first collection plus objects pretenured by fiat
-     over allocations — the windowed form of the paper's old% — crossing
-     the cutoff enables the site; falling under the demote band disables
-     it (band hysteresis on top of the cooldown). *)
-  if p.Params.can_pretenure then begin
-    let sites =
-      List.sort compare
-        (Hashtbl.fold (fun site _ acc -> site :: acc) t.site_alloc [])
-    in
-    List.iter
-      (fun site ->
-        let objects, _words =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt t.site_alloc site)
+  List.filter_map
+    (fun site ->
+      let objects = count t.site_alloc site in
+      if objects < p.Params.min_site_objects || not (allowed t site) then None
+      else begin
+        let old_pm =
+          permille (count t.site_firsts site + count t.site_pret site) objects
         in
-        if objects >= p.Params.min_site_objects then begin
-          let _, firsts, _ =
-            Option.value ~default:(0, 0, 0) (Hashtbl.find_opt t.site_surv site)
-          in
-          let pret =
-            Option.value ~default:0 (Hashtbl.find_opt t.site_pret site)
-          in
-          let old_pm = permille (firsts + pret) objects in
-          let knob = Printf.sprintf "pretenure_site:%d" site in
-          let signals =
-            [ ("old_permille", old_pm); ("objects", objects) ]
-          in
-          let on = pretenured t site in
-          if allowed t knob then
-            if (not on) && old_pm >= p.Params.cutoff_permille then begin
-              Hashtbl.replace t.pretenured site true;
-              change knob ~old_v:0 ~new_v:1 ~signals
-            end
-            else if on && old_pm < p.Params.demote_permille then begin
-              Hashtbl.replace t.pretenured site false;
-              change knob ~old_v:1 ~new_v:0 ~signals
-            end
-        end)
-      sites
-  end;
-  (* compaction: a momentary 0 -> 1 trigger when the tenured backend
-     fragments past the bar; the knob itself stays 0 *)
-  if p.Params.can_compact && allowed t "compact" then begin
-    match t.frag with
-    | Some (live, free, largest) ->
-      let frag_pm = permille free (live + free) in
-      if frag_pm >= p.Params.frag_hi_permille && free > 0 then
-        change "compact" ~old_v:0 ~new_v:1
-          ~signals:[ ("frag_permille", frag_pm); ("largest_hole", largest) ]
-    | None -> ()
-  end;
-  List.rev !decisions
-
-let reset_window t =
-  t.n_obs <- 0;
-  t.pauses <- [];
-  t.minor_promoted_w <- 0;
-  t.minor_collected_w <- 0;
-  Hashtbl.reset t.site_alloc;
-  Hashtbl.reset t.site_surv;
-  Hashtbl.reset t.site_pret;
-  t.frag <- None;
-  t.window <- t.window + 1
+        let on = pretenured t site in
+        if (not on) && old_pm >= p.Params.cutoff_permille
+           || on && old_pm < p.Params.demote_permille
+        then begin
+          Hashtbl.replace t.pretenured site (not on);
+          Hashtbl.replace t.last_change site t.window;
+          let b = Bool.to_int on in
+          Some
+            { d_knob = knob_prefix ^ string_of_int site;
+              d_old = b;
+              d_new = 1 - b;
+              d_window = t.window;
+              d_signals = [ ("old_permille", old_pm); ("objects", objects) ] }
+        end
+        else None
+      end)
+    sites
 
 let observe t o =
   t.n_obs <- t.n_obs + 1;
-  t.pauses <- pause_tenths o.o_pause_us :: t.pauses;
-  if o.o_kind = "minor" then begin
-    t.minor_promoted_w <- t.minor_promoted_w + o.o_promoted_w;
-    t.minor_collected_w <- t.minor_collected_w + o.o_nursery_w
-  end;
+  List.iter (fun (site, objects, _) -> add t.site_alloc site objects) o.o_alloc;
   List.iter
-    (fun (site, objects, words) ->
-      let a, b =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt t.site_alloc site)
-      in
-      Hashtbl.replace t.site_alloc site (a + objects, b + words))
-    o.o_alloc;
-  List.iter
-    (fun (site, objects, firsts, words) ->
-      let a, b, c =
-        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt t.site_surv site)
-      in
-      Hashtbl.replace t.site_surv site (a + objects, b + firsts, c + words))
+    (fun (site, _, firsts, _) -> add t.site_firsts site firsts)
     o.o_survival;
-  List.iter
-    (fun (site, objects) ->
-      let a = Option.value ~default:0 (Hashtbl.find_opt t.site_pret site) in
-      Hashtbl.replace t.site_pret site (a + objects))
-    o.o_pretenured;
-  t.frag <- Some (o.o_tenured_live_w, o.o_tenured_free_w, o.o_tenured_largest_hole);
   if t.n_obs >= t.p.Params.window then begin
     let ds = decide t in
-    reset_window t;
+    t.n_obs <- 0;
+    Hashtbl.reset t.site_alloc;
+    Hashtbl.reset t.site_firsts;
+    Hashtbl.reset t.site_pret;
+    t.window <- t.window + 1;
     ds
   end
   else []

@@ -1,52 +1,41 @@
-(** The adaptive rule engine: windowed signal aggregation over
-    per-collection observations, deterministic decisions with per-knob
-    hysteresis, cooldown and hard bounds.
+(** The adaptive rule engine: the paper's Section 6 pretenuring rule
+    applied online, per decision window, with band hysteresis and a
+    per-site cooldown.
 
     The engine never runs on the mutator hot path: the collector feeds
     one {!obs} at the end of each collection ({!observe}), and every
     {!Params.t.window}-th observation closes a decision window and runs
     the rule pass.  Decisions are a pure function of the parameters, the
-    knob state and the aggregated window, with every compared quantity
-    reduced to integers first (pauses to tenths of a microsecond through
-    {!Obs.Slo.quant} — the trace's own quantisation — and rates to
-    permille), so feeding the same observation stream always yields the
+    knob state and the window's per-site counts — allocations,
+    first-collection survivors and pretenured allocations, all integers,
+    none of them timed — so the same seeded run always takes the same
+    decisions, and feeding the same observation stream always yields the
     same decisions: that is the contract {!Replay} checks offline
     against the emitted [policy_update] records.
 
     {b Invariants} (pinned by the qcheck properties):
-    - knob values never leave their declared bounds
-      ([nursery_min_w..nursery_max_w], [tenure_min..tenure_max], 0/1);
-    - a knob changed in window [w] cannot change again before window
+    - knob values are 0 or 1, and every decision flips its site's
+      current value;
+    - a site enabled at windowed survival at or above
+      {!Params.t.cutoff_permille} and demoted below
+      {!Params.t.demote_permille};
+    - a site changed in window [w] cannot change again before window
       [w + cooldown + 1] — so it cannot reverse direction inside its
       cooldown either;
-    - the decision list of a window is ordered: nursery, tenure,
-      pretenure sites ascending, compact. *)
+    - the decision list of a window is ordered by site, ascending. *)
 
-(** One collection's observation, assembled from values that also appear
-    in the trace (same fields, same quantisation), which is what makes
-    offline replay exact.  [o_survival] rows are
+(** One collection's per-site rows, as the trace carries them, which
+    is what makes offline replay exact.  [o_survival] rows are
     [(site, objects, first_objects, words)]; [o_alloc] rows are
     [(site, objects, words)] — the deltas flushed at this collection's
-    [gc_begin]; [o_pretenured] rows are [(site, objects)] allocated
-    tenured-by-fiat since the previous collection.  Row order is
-    irrelevant (aggregation is keyed), and the tenured fields are the
-    end-of-collection backend gauges. *)
+    [gc_begin].  Row order is irrelevant (aggregation is keyed). *)
 type obs = {
-  o_gc : int;
-  o_kind : string;          (** "minor" | "major" *)
-  o_nursery_w : int;        (** occupancy at [gc_begin] *)
-  o_pause_us : float;       (** as traced; quantised internally *)
-  o_promoted_w : int;
-  o_live_w : int;
   o_survival : (int * int * int * int) list;
   o_alloc : (int * int * int) list;
-  o_pretenured : (int * int) list;
-  o_tenured_live_w : int;
-  o_tenured_free_w : int;
-  o_tenured_largest_hole : int;
 }
 
-(** One knob change; maps 1:1 onto a [policy_update] trace record. *)
+(** One knob change; maps 1:1 onto a [policy_update] trace record.  The
+    knob is ["pretenure_site:<id>"]. *)
 type decision = {
   d_knob : string;
   d_old : int;
@@ -57,23 +46,22 @@ type decision = {
 
 type t
 
-(** [create p ~nursery_limit_w ~tenure_threshold ~pretenured] seeds the
-    knob state from the run's static configuration (initial values are
-    clamped into the declared bounds; [pretenured] lists the sites the
-    static policy already routes old). *)
-val create :
-  Params.t -> nursery_limit_w:int -> tenure_threshold:int ->
-  pretenured:int list -> t
+(** [create p ~pretenured] seeds the knob state: [pretenured] lists the
+    sites the static policy already routes old. *)
+val create : Params.t -> pretenured:int list -> t
+
+(** [note_pretenured t site] counts one object of [site] allocated
+    tenured by fiat into the open window (one [pretenure] trace
+    record). *)
+val note_pretenured : t -> int -> unit
 
 (** [observe t o] folds one collection into the open window.  Returns
     [] until the window closes, then the window's decisions — already
     applied to the knob state — in their deterministic order. *)
 val observe : t -> obs -> decision list
 
-(** {1 Knob state reads (the actuators' source of truth)} *)
-
-val nursery_limit_w : t -> int
-val tenure_threshold : t -> int
-
 (** [pretenured t site] is the site's current dynamic routing. *)
 val pretenured : t -> int -> bool
+
+(** [site_of_knob knob] is the site id a decision's knob names. *)
+val site_of_knob : string -> int

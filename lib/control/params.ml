@@ -1,50 +1,16 @@
 type t = {
   window : int;
   cooldown : int;
-  nursery_min_w : int;
-  nursery_max_w : int;
-  nursery_step_w : int;
-  tenure_min : int;
-  tenure_max : int;
-  target_p99_tenths : int;
-  promo_hi_permille : int;
-  promo_lo_permille : int;
   cutoff_permille : int;
   demote_permille : int;
   min_site_objects : int;
-  frag_hi_permille : int;
-  can_resize : bool;
-  can_tenure : bool;
-  can_pretenure : bool;
-  can_compact : bool;
 }
 
-let tenths_of_us us = int_of_float (Float.round (us *. 10.))
-
-let default ?(window = 4) ?(cooldown = 1) ?target_p99_us ?(tenure_max = 4)
-    ?(can_resize = true) ?(can_tenure = true) ?(can_pretenure = true)
-    ?(can_compact = false) ~nursery_w () =
+let default ?(window = 4) ?(cooldown = 1) () =
   if window < 1 then invalid_arg "Params.default: window";
   if cooldown < 0 then invalid_arg "Params.default: cooldown";
-  if nursery_w < 1 then invalid_arg "Params.default: nursery_w";
   { window;
     cooldown;
-    nursery_min_w = min nursery_w (max 256 (nursery_w / 8));
-    nursery_max_w = nursery_w;
-    nursery_step_w = max 128 (nursery_w / 4);
-    tenure_min = 1;
-    tenure_max = max 1 tenure_max;
-    target_p99_tenths =
-      (match target_p99_us with
-       | None -> 0
-       | Some us -> max 0 (tenths_of_us us));
-    promo_hi_permille = 300;
-    promo_lo_permille = 50;
     cutoff_permille = 800;
     demote_permille = 400;
-    min_site_objects = 32;
-    frag_hi_permille = 500;
-    can_resize;
-    can_tenure;
-    can_pretenure;
-    can_compact }
+    min_site_objects = 32 }

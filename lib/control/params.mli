@@ -3,9 +3,8 @@
     One immutable record, fixed for the whole run: the rule engine
     ({!Controller}) is a pure function of these parameters, the knob
     state and the aggregated window, which is what makes its decisions
-    replayable offline ({!Replay}).  All comparisons are integer-scaled
-    — pauses in tenths of a microsecond (matching the trace's 0.1µs
-    quantisation), rates in permille — so there is no float-threshold
+    replayable offline ({!Replay}).  Every compared quantity is an
+    integer count or a permille rate, so there is no float-threshold
     nondeterminism between the online and offline evaluations. *)
 
 type t = {
@@ -13,39 +12,14 @@ type t = {
   cooldown : int;       (** windows a knob stays untouchable after a
                             change; also rules out direction reversal
                             inside the cooldown, structurally *)
-  nursery_min_w : int;  (** hard lower bound for the nursery limit *)
-  nursery_max_w : int;  (** hard upper bound (the physical nursery) *)
-  nursery_step_w : int; (** words moved per resize decision *)
-  tenure_min : int;     (** hard lower bound, 1 = immediate promotion *)
-  tenure_max : int;     (** hard upper bound (<= the header age cap) *)
-  target_p99_tenths : int;
-      (** windowed-p99 pause target in tenths of a microsecond;
-          0 disables the pause rules *)
-  promo_hi_permille : int;
-      (** promotion rate (promoted words / nursery occupancy collected)
-          above which the plane fights promotion *)
-  promo_lo_permille : int;  (** rate below which aging relaxes back *)
   cutoff_permille : int;
       (** windowed survival at or above this enables pretenuring for a
           site — the paper's 0.8 cutoff as 800 *)
   demote_permille : int;    (** survival below this disables it again *)
   min_site_objects : int;
       (** sites with fewer windowed allocations are never judged *)
-  frag_hi_permille : int;
-      (** tenured fragmentation (free / footprint) at or above which a
-          compaction is scheduled *)
-  can_resize : bool;
-  can_tenure : bool;
-  can_pretenure : bool;
-  can_compact : bool;   (** only meaningful under the mark-sweep major *)
 }
 
-(** [default ~nursery_w ()] derives bounds from the physical nursery
-    size: limit in [max 256 (nursery_w/8), nursery_w], step
-    [max 128 (nursery_w/4)].  [?target_p99_us] (e.g. the SLO's pause
-    target) enables the pause rules; [?can_compact] should be set only
-    when the major collector can compact on demand (mark-sweep). *)
-val default :
-  ?window:int -> ?cooldown:int -> ?target_p99_us:float -> ?tenure_max:int ->
-  ?can_resize:bool -> ?can_tenure:bool -> ?can_pretenure:bool ->
-  ?can_compact:bool -> nursery_w:int -> unit -> t
+(** [default ()] is the collector's parameters: window 4, cooldown 1,
+    cutoff 800‰, demote 400‰, 32 objects. *)
+val default : ?window:int -> ?cooldown:int -> unit -> t

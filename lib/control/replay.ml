@@ -3,53 +3,29 @@ let mem_int members k =
   | Some (Obs.Json.Num f) -> int_of_float f
   | _ -> 0
 
-let mem_float members k =
-  match List.assoc_opt k members with
-  | Some (Obs.Json.Num f) -> f
-  | _ -> 0.
-
 let mem_str members k =
   match List.assoc_opt k members with
   | Some (Obs.Json.Str s) -> s
   | _ -> ""
 
-(* The collection being rebuilt from its records.  Everything the
-   controller needs is emitted between [gc_begin] and [gc_end]
-   inclusive; [pretenure] records land outside collections (mutator
-   side) and accumulate in [pending_pret] until the next [gc_end], which
-   mirrors exactly when the online feed snapshots its tally. *)
+(* The collection being rebuilt from its records: its per-site rows are
+   emitted between [gc_begin] and [gc_end].  [pretenure] records land
+   outside collections (mutator side) and go straight into the open
+   window, as the online feed counts them. *)
 type building = {
   b_gc : int;
-  b_kind : string;
-  b_nursery_w : int;
   mutable b_survival : (int * int * int * int) list;
   mutable b_alloc : (int * int * int) list;
-  mutable b_ten_live : int;
-  mutable b_ten_free : int;
-  mutable b_ten_largest : int;
 }
 
-let of_lines params ~nursery_limit_w ~tenure_threshold ~pretenured lines =
-  let ctl =
-    Controller.create params ~nursery_limit_w ~tenure_threshold ~pretenured
-  in
+let of_lines params ~pretenured lines =
+  let ctl = Controller.create params ~pretenured in
   let decisions = ref [] in
-  let pending_pret : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let cur = ref None in
   let fold members =
     let gc = mem_int members "gc" in
     match mem_str members "ev" with
-    | "gc_begin" ->
-      cur :=
-        Some
-          { b_gc = gc;
-            b_kind = mem_str members "kind";
-            b_nursery_w = mem_int members "nursery_w";
-            b_survival = [];
-            b_alloc = [];
-            b_ten_live = 0;
-            b_ten_free = 0;
-            b_ten_largest = 0 }
+    | "gc_begin" -> cur := Some { b_gc = gc; b_survival = []; b_alloc = [] }
     | "site_survival" ->
       (match !cur with
        | Some b ->
@@ -66,39 +42,14 @@ let of_lines params ~nursery_limit_w ~tenure_threshold ~pretenured lines =
             mem_int members "words")
            :: b.b_alloc
        | None -> ())
-    | "backend_stats" when mem_str members "region" = "tenured" ->
-      (match !cur with
-       | Some b ->
-         b.b_ten_live <- mem_int members "live_w";
-         b.b_ten_free <- mem_int members "free_w";
-         b.b_ten_largest <- mem_int members "largest_hole"
-       | None -> ())
-    | "pretenure" ->
-      let site = mem_int members "site" in
-      Hashtbl.replace pending_pret site
-        (1 + Option.value ~default:0 (Hashtbl.find_opt pending_pret site))
+    | "pretenure" -> Controller.note_pretenured ctl (mem_int members "site")
     | "gc_end" ->
       (match !cur with
        | Some b when b.b_gc = gc ->
-         let pret =
-           Hashtbl.fold (fun site n acc -> (site, n) :: acc) pending_pret []
-         in
-         Hashtbl.reset pending_pret;
          cur := None;
          let ds =
            Controller.observe ctl
-             { Controller.o_gc = gc;
-               o_kind = b.b_kind;
-               o_nursery_w = b.b_nursery_w;
-               o_pause_us = mem_float members "pause_us";
-               o_promoted_w = mem_int members "promoted_w";
-               o_live_w = mem_int members "live_w";
-               o_survival = b.b_survival;
-               o_alloc = b.b_alloc;
-               o_pretenured = pret;
-               o_tenured_live_w = b.b_ten_live;
-               o_tenured_free_w = b.b_ten_free;
-               o_tenured_largest_hole = b.b_ten_largest }
+             { Controller.o_survival = b.b_survival; o_alloc = b.b_alloc }
          in
          List.iter (fun d -> decisions := (gc, d) :: !decisions) ds
        | Some _ | None ->
@@ -126,7 +77,7 @@ let of_lines params ~nursery_limit_w ~tenure_threshold ~pretenured lines =
   | Error _ as e -> e
   | Ok () -> Ok (List.rev !decisions)
 
-let of_file params ~nursery_limit_w ~tenure_threshold ~pretenured path =
+let of_file params ~pretenured path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
   let rec read acc =
@@ -134,7 +85,7 @@ let of_file params ~nursery_limit_w ~tenure_threshold ~pretenured path =
     | exception End_of_file -> List.rev acc
     | line -> read (line :: acc)
   in
-  of_lines params ~nursery_limit_w ~tenure_threshold ~pretenured (read [])
+  of_lines params ~pretenured (read [])
 
 let verify ~derived ~traced =
   let show_d (gc, (d : Controller.decision)) =

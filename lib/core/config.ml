@@ -95,7 +95,6 @@ let generational_config t =
     los_backend = t.los_backend;
     major_kind = t.major_kind;
     adaptive = t.adaptive;
-    adaptive_target_p99_us = Option.value ~default:0. t.slo.Obs.Slo.p99_us;
     pretenured_init = Pretenure.pretenured_sites t.pretenure }
 
 let name t =

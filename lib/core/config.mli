@@ -94,11 +94,9 @@ type t = {
   pretenure : Pretenure.t;
   adaptive : bool;                    (** generational only: run the
                                           {!Control} plane at collection
-                                          boundaries — online nursery
-                                          resizing, tenure-threshold
-                                          tuning, dynamic pretenure
-                                          enable/disable and (mark-sweep)
-                                          compaction scheduling, each
+                                          boundaries — online per-site
+                                          pretenure enable/disable from
+                                          windowed survival counts, each
                                           decision emitted as a
                                           [policy_update] trace event
                                           (docs/ADAPTIVE.md).  Off by
@@ -145,7 +143,6 @@ val name : t -> string
 (** The generational-collector configuration [t] resolves to — exactly
     what {!Runtime.create} hands to [Collectors.Generational.create]
     under [collector = Generational].  Exposed so tooling (gc-serve's
-    adaptive replay check) can rebuild the collector's controller
-    seeding via [Collectors.Generational.adaptive_setup] without
-    duplicating the field mapping. *)
+    adaptive replay check) can seed its replay with the collector's
+    [pretenured_init] without duplicating the field mapping. *)
 val generational_config : t -> Collectors.Generational.config

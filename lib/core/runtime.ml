@@ -25,7 +25,7 @@ type t = {
   trace_edges : (int * int, unit) Hashtbl.t option;
       (* site pairs already emitted as [site_edge] trace records;
          [Some] only when created while tracing *)
-  pretenure_dyn : (int, bool) Hashtbl.t;
+  pretenure_override : (int, bool) Hashtbl.t;
       (* the adaptive control plane's per-site pretenure overrides,
          written through [Hooks.set_pretenure] at collection boundaries;
          a present binding wins over the static policy.  Stays empty
@@ -171,7 +171,7 @@ let create cfg =
          else None);
       trace_edges =
         (if Obs.Trace.detailed () then Some (Hashtbl.create 64) else None);
-      pretenure_dyn = Hashtbl.create 16;
+      pretenure_override = Hashtbl.create 16;
       handlers = Support.Vec.create ();
       next_handler_id = 0;
       last_scan_serial = -1;
@@ -193,7 +193,8 @@ let create cfg =
       site_needs_scan =
         (fun site -> Pretenure.needs_scan cfg.Config.pretenure ~site);
       set_pretenure =
-        (fun ~site ~enabled -> Hashtbl.replace t.pretenure_dyn site enabled) }
+        (fun ~site ~enabled ->
+          Hashtbl.replace t.pretenure_override site enabled) }
   in
   let col =
     match cfg.Config.collector with
@@ -346,7 +347,7 @@ let alloc_object t hdr =
   let pretenure =
     (* the adaptive override (set at collection boundaries) wins over
        the static policy; absent a binding the static decision stands *)
-    match Hashtbl.find_opt t.pretenure_dyn site with
+    match Hashtbl.find_opt t.pretenure_override site with
     | Some b -> b
     | None -> Pretenure.should_pretenure t.cfg.Config.pretenure ~site
   in

@@ -33,9 +33,6 @@ type config = {
   major_kind : major_kind;
   adaptive : bool;             (* run the control plane at collection
                                   boundaries (docs/ADAPTIVE.md) *)
-  adaptive_target_p99_us : float;
-      (* p99 pause target feeding the controller's pause rules;
-         0 disables them (the SLO target when one is attached) *)
   pretenured_init : int list;  (* sites the static pretenure policy
                                   already routes old, seeding the
                                   controller's knob state *)
@@ -57,7 +54,6 @@ let default_config ~budget_bytes =
     los_backend = Alloc.Backend.Free_list;
     major_kind = Copying;
     adaptive = false;
-    adaptive_target_p99_us = 0.;
     pretenured_init = [] }
 
 type barrier =
@@ -108,19 +104,11 @@ type t = {
       (* per-site (objects, words) allocated since the last [site_alloc]
          flush — allocated when [site_tallies] holds at collector
          creation (the engines' survival tables use the same gate) *)
-  mutable tenure_dyn : int;
-      (* the live tenure threshold: starts at [cfg.tenure_threshold],
-         moved by the controller's tenure actuator; every policy read
-         (scan mode, aging, retry bound, parallel gate) goes through
-         this field *)
   controller : Control.Controller.t option;  (* [Some] iff [cfg.adaptive] *)
-  mutable compact_pending : bool;
-      (* a "compact" decision waiting for [collect] to honour it
-         (mark-sweep major only) *)
-  pret_tally : (int, int) Hashtbl.t option;
-      (* per-site pretenured-allocation counts since the last
-         collection, feeding the controller's demotion rule; [Some] iff
-         [cfg.adaptive] *)
+  marks : Bytes.t;
+      (* the mark-sweep major's bitmap, one byte per tenured word, reused
+         by every major (every tenured space is [tenured_phys] words);
+         empty under the copying major *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -129,21 +117,6 @@ let nursery_words_of cfg =
   let wpb = Mem.Memory.bytes_per_word in
   let budget_w = cfg.budget_bytes / wpb in
   max 64 (min (cfg.nursery_bytes_max / wpb) (budget_w / 4))
-
-(* Single source of truth for the controller's parameters and seed, so
-   the offline replay (gc-serve's self-check, the fixed-point tests) can
-   rebuild exactly the controller [create] wires up. *)
-let adaptive_setup cfg =
-  let nursery_w = nursery_words_of cfg in
-  ( Control.Params.default
-      ?target_p99_us:
-        (if cfg.adaptive_target_p99_us > 0. then
-           Some cfg.adaptive_target_p99_us
-         else None)
-      ~tenure_max:(min 4 Mem.Header.max_age)
-      ~can_compact:(cfg.major_kind = Mark_sweep)
-      ~nursery_w (),
-    nursery_w )
 
 let create mem ~hooks ~stats cfg =
   if cfg.budget_bytes <= 0 then invalid_arg "Generational.create: empty budget";
@@ -181,13 +154,10 @@ let create mem ~hooks ~stats cfg =
   let tenured = Mem.Space.create mem ~words:tenured_phys in
   stats.Gc_stats.major_kind <- major_kind_name cfg.major_kind;
   let controller =
-    if cfg.adaptive then begin
-      let params, _ = adaptive_setup cfg in
+    if cfg.adaptive then
       Some
-        (Control.Controller.create params ~nursery_limit_w:nursery_words
-           ~tenure_threshold:cfg.tenure_threshold
+        (Control.Controller.create (Control.Params.default ())
            ~pretenured:cfg.pretenured_init)
-    end
     else None
   in
   { mem;
@@ -217,16 +187,14 @@ let create mem ~hooks ~stats cfg =
     age_table = Age_table.create ();
     los_births = (if cfg.census_period > 0 then Some (Hashtbl.create 16) else None);
     alloc_sites = Cycle.site_allocs (Cycle.site_tallies hooks || cfg.adaptive);
-    tenure_dyn = cfg.tenure_threshold;
     controller;
-    compact_pending = false;
-    pret_tally = (if cfg.adaptive then Some (Hashtbl.create 16) else None) }
+    marks =
+      (if cfg.major_kind = Mark_sweep then Bytes.create tenured_phys
+       else Bytes.empty) }
 
 let in_nursery t a = Mem.Space.contains t.nursery a
 let in_tenured t a = Mem.Space.contains t.tenured a
 let nursery_bytes t = t.nursery_words * Mem.Memory.bytes_per_word
-let nursery_limit_words t = Mem.Space.limit_words t.nursery
-let tenure_threshold_now t = t.tenure_dyn
 let live_words t = t.live + Los.live_words t.los
 let stats t = t.stats
 
@@ -540,64 +508,19 @@ let sample_backend_stats t ~traced =
 
 (* --- the adaptive control plane (cfg.adaptive, docs/ADAPTIVE.md) --- *)
 
-(* One decision, one actuator.  Knob state lives in the controller; this
-   only pushes it into the machinery it steers.  The nursery limit is a
-   soft cap ([Mem.Space.set_limit]) so a shrink never invalidates words
-   already allocated; [set_pretenure] routes through the runtime's
-   override table; "compact" arms a one-shot flag [collect] consumes. *)
-let apply_decision t c (d : Control.Controller.decision) =
-  match d.Control.Controller.d_knob with
-  | "nursery_limit_w" ->
-    Mem.Space.set_limit t.nursery (Control.Controller.nursery_limit_w c)
-  | "tenure_threshold" ->
-    t.tenure_dyn <- Control.Controller.tenure_threshold c
-  | "compact" -> t.compact_pending <- true
-  | knob ->
-    (match String.index_opt knob ':' with
-     | Some i ->
-       let site =
-         int_of_string (String.sub knob (i + 1) (String.length knob - i - 1))
-       in
-       t.hooks.Hooks.set_pretenure ~site
-         ~enabled:(d.Control.Controller.d_new = 1)
-     | None -> ())
-
-(* Feed the collection that just ended to the controller and act on
-   whatever decisions close the window.  Runs strictly after [gc_end]
-   (so the [policy_update] records carry this collection's ordinal) and
-   never between [gc_begin] and [gc_end] — the control plane stays off
-   the pause's critical path and off the mutator's entirely.  Every
-   field of the observation either appears verbatim in the trace or is
-   derived from it, which is what lets [Control.Replay] re-run the fold
+(* Feed the collection that just ended to the controller and route
+   every site whose decision closes the window through the runtime's
+   override table ([Hooks.set_pretenure]).  Runs strictly after
+   [gc_end] (so the [policy_update] records carry this collection's
+   ordinal) and never between [gc_begin] and [gc_end] — the control
+   plane stays off the pause's critical path and off the mutator's
+   entirely.  The observation is the collection's per-site rows, which
+   the trace carries verbatim, so [Control.Replay] can re-run the fold
    offline and demand bit-for-bit the same decisions. *)
-let control_after_collection t ~kind ~nursery_begin_w ~pause_us ~promoted_w
-    ~live_w ~survivals ~alloc_rows =
+let control_after_collection t ~survivals ~alloc_rows =
   match t.controller with
   | None -> ()
   | Some c ->
-    let pret_rows =
-      match t.pret_tally with
-      | None -> []
-      | Some tab ->
-        let rows = Hashtbl.fold (fun s n acc -> (s, n) :: acc) tab [] in
-        Hashtbl.reset tab;
-        List.sort compare rows
-    in
-    let tf = Alloc.Backend.frag t.tenured_be in
-    let obs =
-      { Control.Controller.o_gc = t.collections;
-        o_kind = kind;
-        o_nursery_w = nursery_begin_w;
-        o_pause_us = pause_us;
-        o_promoted_w = promoted_w;
-        o_live_w = live_w;
-        o_survival = survivals;
-        o_alloc = alloc_rows;
-        o_pretenured = pret_rows;
-        o_tenured_live_w = Alloc.Backend.live_words t.tenured_be;
-        o_tenured_free_w = tf.Alloc.Backend.free_words;
-        o_tenured_largest_hole = tf.Alloc.Backend.largest_hole }
-    in
     List.iter
       (fun (d : Control.Controller.decision) ->
         Obs.Trace.policy_update ~knob:d.Control.Controller.d_knob
@@ -605,8 +528,11 @@ let control_after_collection t ~kind ~nursery_begin_w ~pause_us ~promoted_w
           ~new_value:d.Control.Controller.d_new
           ~window:d.Control.Controller.d_window
           ~signals:d.Control.Controller.d_signals;
-        apply_decision t c d)
-      (Control.Controller.observe c obs)
+        t.hooks.Hooks.set_pretenure
+          ~site:(Control.Controller.site_of_knob d.Control.Controller.d_knob)
+          ~enabled:(d.Control.Controller.d_new = 1))
+      (Control.Controller.observe c
+         { Control.Controller.o_survival = survivals; o_alloc = alloc_rows })
 
 (* --- the collection cycle ---
 
@@ -628,9 +554,8 @@ type reclaimed = {
 let cycle t ~kind ~scan_mode reclaim =
   t.collections <- t.collections + 1;
   let traced = Obs.Trace.enabled () in
-  let nursery_begin_w = Mem.Space.used_words t.nursery in
   if traced then
-    Obs.Trace.gc_begin ~kind ~nursery_w:nursery_begin_w
+    Obs.Trace.gc_begin ~kind ~nursery_w:(Mem.Space.used_words t.nursery)
       ~tenured_w:(Mem.Space.used_words t.tenured)
       ~los_w:(Los.live_words t.los);
   let alloc_rows = flush_site_allocs t in
@@ -643,16 +568,10 @@ let cycle t ~kind ~scan_mode reclaim =
   sample_backend_stats t ~traced;
   t.hooks.Hooks.after_collection ~full:(kind <> "minor") ~allocs:alloc_rows
     ~copies:(if r.moved then r.survivals else []);
-  (* one reading feeds both the trace and the controller, so the value
-     the offline replay recovers from [gc_end] is the value the online
-     rules actually saw *)
-  let pause_us = (now () -. t0) *. 1e6 in
   if traced then
-    Obs.Trace.gc_end ~kind ~pause_us ~copied_w:r.copied
-      ~promoted_w:r.promoted ~live_w:r.live_w;
-  control_after_collection t ~kind ~nursery_begin_w ~pause_us
-    ~promoted_w:r.promoted ~live_w:r.live_w ~survivals:r.survivals
-    ~alloc_rows
+    Obs.Trace.gc_end ~kind ~pause_us:((now () -. t0) *. 1e6)
+      ~copied_w:r.copied ~promoted_w:r.promoted ~live_w:r.live_w;
+  control_after_collection t ~survivals:r.survivals ~alloc_rows
 
 (* the engine for a copy out of [in_from] into [to_space]; applied in
    full, as a partial application of [Cycle.engine] would allocate a
@@ -672,10 +591,10 @@ let reclaim_minor t ~traced ~roots ~t1:_ =
   (* under an aging nursery, survivors below the threshold evacuate into
      a fresh nursery semispace instead of being promoted *)
   let aging =
-    if t.tenure_dyn > 1 then
+    if t.cfg.tenure_threshold > 1 then
       Some
         { Cheney.young_to = Mem.Space.create t.mem ~words:t.nursery_words;
-          threshold = t.tenure_dyn }
+          threshold = t.cfg.tenure_threshold }
     else None
   in
   let card_scan cards visit card = scan_card t ~visit cards card in
@@ -746,11 +665,6 @@ let reclaim_minor t ~traced ~roots ~t1:_ =
      (* the fresh semispace with the young survivors becomes the nursery *)
      Mem.Space.release t.nursery t.mem;
      t.nursery <- a.Cheney.young_to);
-  (* both swap paths restore the full physical capacity; the adaptive
-     soft limit must survive the swap *)
-  (match t.controller with
-   | None -> ()
-   | Some c -> Mem.Space.set_limit t.nursery (Control.Controller.nursery_limit_w c));
   let copied = Cycle.copied engine and promoted = Cycle.promoted engine in
   t.stats.Gc_stats.words_copied <- t.stats.Gc_stats.words_copied + copied;
   t.stats.Gc_stats.words_promoted <- t.stats.Gc_stats.words_promoted + promoted;
@@ -863,7 +777,7 @@ let reclaim_copying t ~traced ~roots ~t1 =
 let reclaim_mark_sweep t ~traced ~roots ~t1 =
   assert (Mem.Space.used_words t.nursery = 0);
   let eng =
-    Mark_sweep.create ~mem:t.mem ~tenured:t.tenured ~los:t.los
+    Mark_sweep.create ~mem:t.mem ~tenured:t.tenured ~los:t.los ~marks:t.marks
       ~site_tallies:(site_tallies t) ()
   in
   Support.Vec.iter (Mark_sweep.visit_root eng) roots;
@@ -916,7 +830,7 @@ let minor_collection t =
      object that this collection moves, so cached frames are replayed
      (decode reuse without the skip). *)
   let scan_mode =
-    if t.tenure_dyn = 1 then Rstack.Scan.Minor else Rstack.Scan.Full
+    if t.cfg.tenure_threshold = 1 then Rstack.Scan.Minor else Rstack.Scan.Full
   in
   cycle t ~kind:"minor" ~scan_mode reclaim_minor
 
@@ -953,16 +867,8 @@ let collect t ~major =
   t.in_gc <- true;
   Fun.protect ~finally:(fun () -> t.in_gc <- false) (fun () ->
     minor_collection t;
-    (* a "compact" decision from the control plane counts as
-       fragmentation pressure: it forces the major now and routes the
-       mark-sweep configuration through the copying compaction *)
-    let pressure =
-      t.cfg.major_kind = Mark_sweep
-      && (needs_compaction t || t.compact_pending)
-    in
+    let pressure = t.cfg.major_kind = Mark_sweep && needs_compaction t in
     if major || occupancy t >= t.major_trigger || pressure then begin
-      let compact_req = t.compact_pending in
-      t.compact_pending <- false;
       (* under an aging nursery survivors may remain young; repeated
          minors age them out so the major sees an empty nursery (bounded
          by the maximum age) *)
@@ -980,7 +886,7 @@ let collect t ~major =
         (* in-place reclamation was not enough room (fragmentation, or a
            bump backend that cannot reuse): compact with the copying
            major, which rebuilds the backend over a fresh space *)
-        if compact_req || needs_compaction t then major_collection t
+        if needs_compaction t then major_collection t
     end)
 
 let minor t = collect t ~major:false
@@ -1041,19 +947,7 @@ let alloc t hdr ~birth =
         match bump_alloc t t.nursery hdr ~birth with
         | Some base -> base
         | None ->
-          if Mem.Space.limit_words t.nursery < t.nursery_words then begin
-            (* the adaptive soft limit is too tight for this object:
-               open the physical nursery rather than fail — the
-               controller's next resize decision re-imposes its limit *)
-            Mem.Space.set_limit t.nursery t.nursery_words;
-            match bump_alloc t t.nursery hdr ~birth with
-            | Some base -> base
-            | None ->
-              if attempts >= t.tenure_dyn then
-                exhausted "nursery exhausted after collection"
-              else retry (attempts + 1)
-          end
-          else if attempts >= t.tenure_dyn then
+          if attempts >= t.cfg.tenure_threshold then
             exhausted "nursery exhausted after collection"
           else retry (attempts + 1)
       in
@@ -1072,12 +966,9 @@ let alloc_pretenured t hdr ~birth =
     Mem.Header.set_survivor t.mem base;
     if t.cfg.major_kind = Mark_sweep then
       Support.Vec.push t.new_pretenured base;
-    (match t.pret_tally with
+    (match t.controller with
      | None -> ()
-     | Some tab ->
-       let site = hdr.Mem.Header.site in
-       Hashtbl.replace tab site
-         (1 + Option.value ~default:0 (Hashtbl.find_opt tab site)));
+     | Some c -> Control.Controller.note_pretenured c hdr.Mem.Header.site);
     base
   | None -> exhausted "tenured area exhausted (pretenuring)"
 

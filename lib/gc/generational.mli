@@ -137,19 +137,15 @@ type config = {
           the pre-[Mark_sweep] collector. *)
   adaptive : bool;
       (** run the {!Control} plane at collection boundaries: after each
-          [gc_end] the collector feeds the controller one observation
-          (the same per-collection quantities the trace carries) and
-          applies whatever decisions close the window — nursery soft
-          limit, tenure threshold, per-site pretenure routing (via
-          [Hooks.set_pretenure]) and, under the mark-sweep major,
-          compaction scheduling.  Every decision is emitted as a
-          [policy_update] trace record, replayable offline with
-          {!Control.Replay}.  Default [false]: the collector is then
-          bit-for-bit the static configuration. *)
-  adaptive_target_p99_us : float;
-      (** p99 pause target (µs) for the controller's pause rules —
-          normally the attached SLO's [p99_us]; [0.] (the default)
-          disables those rules. *)
+          [gc_end] the collector feeds the controller the collection's
+          per-site allocation, survival and pretenure counts (the rows
+          the trace carries) and routes every site a closing window
+          decides on through [Hooks.set_pretenure] — the paper's
+          Section 6 rule applied online.  Every decision is emitted as
+          a [policy_update] trace record, replayable offline with
+          {!Control.Replay} seeded with {!Control.Params.default}.
+          Default [false]: the collector is then bit-for-bit the static
+          configuration. *)
   pretenured_init : int list;
       (** sites the static pretenure policy routes old, seeding the
           controller's per-site knob state so demotion decisions report
@@ -158,13 +154,6 @@ type config = {
 
 (** The paper's parameters under the given budget. *)
 val default_config : budget_bytes:int -> config
-
-(** [adaptive_setup cfg] is the controller parameters and the physical
-    nursery size (words) a collector created from [cfg] seeds its
-    control plane with — the exact inputs an offline {!Control.Replay}
-    needs to re-derive the run's [policy_update] records.  Pure;
-    meaningful whether or not [cfg.adaptive] is set. *)
-val adaptive_setup : config -> Control.Params.t * int
 
 type t
 
@@ -208,16 +197,6 @@ val in_tenured : t -> Mem.Addr.t -> bool
 
 (** Current nursery size (the collector shrinks it to the cache cap). *)
 val nursery_bytes : t -> int
-
-(** {1 Adaptive-plane reads (test and report plumbing)} *)
-
-(** The live nursery soft limit in words (= the physical nursery when
-    the control plane is off or has not resized). *)
-val nursery_limit_words : t -> int
-
-(** The live tenure threshold ([cfg.tenure_threshold] until the
-    controller moves it). *)
-val tenure_threshold_now : t -> int
 
 (** [flush_site_allocs t] empties the per-site allocation table and
     returns its [(site, objects, words)] rows sorted by site: the

@@ -11,7 +11,9 @@
    which keeps the door open for a parallel marker.
 
    The engine is per-collection, like {!Cheney}: create, push roots,
-   [drain], [sweep], drop. *)
+   [drain], [sweep], drop.  The bitmap is the caller's: [create] clears
+   it, so one buffer serves every major of a collector instead of a
+   tenured-sized allocation per major. *)
 
 type t = {
   mem : Mem.Memory.t;
@@ -31,12 +33,15 @@ type t = {
          engines' survival tallies, under the same [site_tallies] gate *)
 }
 
-let create ~mem ~tenured ~los ~site_tallies () =
+let create ~mem ~tenured ~los ~marks ~site_tallies () =
+  if Bytes.length marks <> Mem.Space.size_words tenured then
+    invalid_arg "Mark_sweep.create: mark bitmap size";
+  Bytes.fill marks 0 (Bytes.length marks) '\000';
   { mem;
     tenured;
     t_cells = Mem.Memory.cells mem (Mem.Space.base tenured);
     t_base = Mem.Space.base tenured;
-    marks = Bytes.make (Mem.Space.size_words tenured) '\000';
+    marks;
     los;
     worklist = Deque.create ~owner:0;
     marked_tenured = 0;

@@ -18,11 +18,15 @@
 
 type t
 
-(** [create ~mem ~tenured ~los ~site_tallies ()] is an engine over the
-    given tenured space and large-object space with an empty mark
-    bitmap; [site_tallies] switches on {!site_survivals}. *)
+(** [create ~mem ~tenured ~los ~marks ~site_tallies ()] is an engine
+    over the given tenured space and large-object space.  [marks] is
+    the mark bitmap, one byte per tenured word; [create] clears it, and
+    the engine owns it until dropped, so a collector can hand the same
+    buffer to every major.  [site_tallies] switches on
+    {!site_survivals}.
+    @raise Invalid_argument if [marks] is not [size_words tenured] long. *)
 val create :
-  mem:Mem.Memory.t -> tenured:Mem.Space.t -> los:Los.t ->
+  mem:Mem.Memory.t -> tenured:Mem.Space.t -> los:Los.t -> marks:Bytes.t ->
   site_tallies:bool -> unit -> t
 
 (** [visit_root t root] marks the root's referent (tenured or large

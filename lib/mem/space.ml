@@ -1,14 +1,6 @@
 type t = {
   base : Addr.t;
   words : int;
-  mutable limit : int;
-  (* Soft capacity in words, [used_words t <= limit <= words]; [alloc]
-     refuses grants past it.  The adaptive control plane shrinks and
-     regrows the nursery through this without remapping the block; every
-     other space keeps the default [limit = words] and behaves exactly
-     as before.  Chunk carving ([alloc_chunk_atomic]) stays bound by
-     the physical size — to-spaces and parallel copy targets must never
-     lose room mid-collection. *)
   mutable next : Addr.t;
   (* Used-words frontier for parallel chunk carving: only meaningful
      between [par_begin] and [par_end], when drain workers bump it with
@@ -21,7 +13,7 @@ type t = {
 let create mem ~words =
   if words <= 0 then invalid_arg "Space.create";
   let base = Memory.alloc_block mem ~words in
-  { base; words; limit = words; next = base; par_used = Atomic.make 0 }
+  { base; words; next = base; par_used = Atomic.make 0 }
 
 let base t = t.base
 let frontier t = t.next
@@ -29,14 +21,9 @@ let size_words t = t.words
 let used_words t = Addr.diff t.next t.base
 let free_words t = t.words - used_words t
 
-let limit_words t = t.limit
-
-let set_limit t words =
-  t.limit <- max (used_words t) (min words t.words)
-
 let alloc t words =
   if words < 0 then invalid_arg "Space.alloc";
-  if t.limit - used_words t < words then None
+  if free_words t < words then None
   else begin
     let a = t.next in
     t.next <- Addr.add t.next words;

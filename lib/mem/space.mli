@@ -20,20 +20,8 @@ val size_words : t -> int
 val used_words : t -> int
 val free_words : t -> int
 
-(** The soft capacity {!alloc} honours, [size_words] by default. *)
-val limit_words : t -> int
-
-(** [set_limit t words] moves the soft capacity, clamped to
-    [\[used_words t, size_words t\]] — shrinking below the live frontier
-    is silently raised to it, so a resize at a collection boundary can
-    never invalidate granted objects.  Only {!alloc} honours the limit;
-    chunk carving stays bound by the physical size (a to-space must
-    never lose room mid-collection).  The adaptive control plane resizes
-    the nursery through this without remapping its block. *)
-val set_limit : t -> int -> unit
-
 (** [alloc t words] bumps the frontier, returning the base of the grant, or
-    [None] when fewer than [words] words remain under {!limit_words}. *)
+    [None] when fewer than [words] words remain. *)
 val alloc : t -> int -> Addr.t option
 
 (** [par_begin t] opens a parallel carving phase: the atomic frontier is

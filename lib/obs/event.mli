@@ -119,19 +119,20 @@ type t =
            immediately after its [gc_end] record.  Uniformly,
            [observed_us > limit_us]. *)
   | Policy_update of {
-      knob : string;      (** "nursery_limit_w" | "tenure_threshold"
-                              | "pretenure_site:<id>" | "compact" *)
+      knob : string;      (** "pretenure_site:<id>", the one knob
+                              the control plane emits *)
       old_value : int;
       new_value : int;
       window : int;       (** ordinal of the decision window that closed *)
       signals : (string * int) list;
-        (** the integer-scaled signal values the rule fired on (pauses in
-            tenths of a microsecond, rates in permille) — enough to audit
-            the decision without replaying the whole trace *)
+        (** the integer-scaled signal values the rule fired on
+            (["old_permille"], the windowed survival rate, and
+            ["objects"], the windowed allocations) — enough to audit the
+            decision without replaying the whole trace *)
     }  (** the adaptive control plane changed a knob at a collection
            boundary; emitted right after the deciding collection's
            [gc_end] (and any [slo_breach]) records.  Decisions are pure
-           functions of trace-derivable signals, so an offline fold of
+           functions of the trace's per-site counts, so an offline fold of
            the trace re-derives every [policy_update] bit-for-bit (see
            [docs/ADAPTIVE.md]). *)
 

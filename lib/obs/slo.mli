@@ -95,7 +95,5 @@ val breach_total : t -> int
 
 (** [quant v] rounds [v] to the one decimal the serialiser writes
     (["%.1f"]) — the quantisation that makes online statistics equal
-    offline ones exactly.  The adaptive control plane quantises every
-    pause through this before deciding, so decisions replay bit-for-bit
-    from the trace. *)
+    offline ones exactly. *)
 val quant : float -> float

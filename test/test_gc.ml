@@ -1362,6 +1362,7 @@ let ms_sweep_safety_prop =
       let reachable_words, before = snapshot () in
       let eng =
         Collectors.Mark_sweep.create ~mem ~tenured:space ~los
+          ~marks:(Bytes.create (Mem.Space.size_words space))
           ~site_tallies:false ()
       in
       Array.iter (Collectors.Mark_sweep.mark_value eng) roots;

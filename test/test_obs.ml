@@ -243,7 +243,7 @@ let golden =
       {|{"v":5,"seq":9,"t_us":10.0,"gc":1,"dom":0,"ev":"marker_place","installed":3,"depth":9}|};
       {|{"v":5,"seq":10,"t_us":11.0,"gc":1,"dom":0,"ev":"unwind","target_depth":4}|};
       {|{"v":5,"seq":11,"t_us":12.0,"gc":1,"dom":0,"ev":"slo_breach","rule":"max_pause","observed_us":250.0,"limit_us":100.0,"window_us":0.0}|};
-      {|{"v":5,"seq":12,"t_us":13.0,"gc":1,"dom":0,"ev":"policy_update","knob":"nursery_limit_w","old":8192,"new":6144,"window":2,"signals":{"p99_tenths":1180,"promo_permille":133}}|};
+      {|{"v":5,"seq":12,"t_us":13.0,"gc":1,"dom":0,"ev":"policy_update","knob":"pretenure_site:2","old":0,"new":1,"window":2,"signals":{"old_permille":875,"objects":64}}|};
       "" ]
 
 let golden_emitter () =
@@ -265,9 +265,9 @@ let golden_emitter () =
       Obs.Trace.unwind ~target_depth:4;
       Obs.Trace.slo_breach ~rule:"max_pause" ~observed_us:250.0
         ~limit_us:100.0 ~window_us:0.0;
-      Obs.Trace.policy_update ~knob:"nursery_limit_w" ~old_value:8192
-        ~new_value:6144 ~window:2
-        ~signals:[ ("p99_tenths", 1180); ("promo_permille", 133) ]);
+      Obs.Trace.policy_update ~knob:"pretenure_site:2" ~old_value:0
+        ~new_value:1 ~window:2
+        ~signals:[ ("old_permille", 875); ("objects", 64) ]);
   check_str "emitted lines" golden (Buffer.contents buf);
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.iter (fun line ->
@@ -298,9 +298,9 @@ let async_writer_golden () =
       Obs.Trace.unwind ~target_depth:4;
       Obs.Trace.slo_breach ~rule:"max_pause" ~observed_us:250.0
         ~limit_us:100.0 ~window_us:0.0;
-      Obs.Trace.policy_update ~knob:"nursery_limit_w" ~old_value:8192
-        ~new_value:6144 ~window:2
-        ~signals:[ ("p99_tenths", 1180); ("promo_permille", 133) ]);
+      Obs.Trace.policy_update ~knob:"pretenure_site:2" ~old_value:0
+        ~new_value:1 ~window:2
+        ~signals:[ ("old_permille", 875); ("objects", 64) ]);
   check_str "async emitted lines" golden (Buffer.contents buf)
 
 (* Emitters hold the tracer's lock, so domains may interleave freely:
@@ -904,11 +904,9 @@ let loaders_never_raise () =
   check_bool "the trace carries policy updates" true
     (profile.Obs.Profile.policy_updates <> []);
   let gcfg = Gsc.Config.generational_config cfg in
-  let params, nursery_w = Collectors.Generational.adaptive_setup gcfg in
   let replay lines =
     ignore
-      (Control.Replay.of_lines params ~nursery_limit_w:nursery_w
-         ~tenure_threshold:gcfg.Collectors.Generational.tenure_threshold
+      (Control.Replay.of_lines (Control.Params.default ())
          ~pretenured:gcfg.Collectors.Generational.pretenured_init lines)
   in
   let policy =
