@@ -288,10 +288,25 @@ let mut_op t =
   t.stats.Collectors.Gc_stats.mutator_ops <-
     t.stats.Collectors.Gc_stats.mutator_ops + 1
 
+let rec store_args frame i = function
+  | [] -> ()
+  | v :: rest ->
+    Rstack.Frame.set frame i v;
+    store_args frame (i + 1) rest
+
 let call t ~key ~args f =
   mut_op t;
+  (* check the arity before the push: a failed store must not leave the
+     frame on the stack *)
+  (match args with
+   | [] -> ()
+   | _ :: _ ->
+     if
+       List.compare_length_with args (Rstack.Trace_table.frame_size t.table key)
+       > 0
+     then invalid_arg "Runtime.call: more arguments than frame slots");
   let frame = Rstack.Stack_.push t.stack ~key in
-  List.iteri (fun i v -> Rstack.Frame.set frame i v) args;
+  store_args frame 0 args;
   match f () with
   | v ->
     pop_frame t frame;
@@ -316,14 +331,24 @@ let set_global t g v = t.globals.(g) <- v
 
 let int_of t src = Value.to_int (read t src)
 
+(* [read] for a word about to be stored into the heap: the encoded word,
+   with no [Value.t] built for an immediate *)
+let read_word t = function
+  | Imm n -> Value.encode_int n
+  | Nil -> Value.encoded_null
+  | (Slot _ | Reg _ | Global _) as src -> Value.encode (read t src)
+
 (* --- allocation --- *)
 
-let note_edge_value t ~from_site v =
+let note_edge t ~from_site w =
   (* feeds both edge consumers: the live profiler (scan elision decided
      in-process) and the trace (the offline analyzer's evidence for the
      same decision) *)
-  if (t.profiler <> None || t.trace_edges <> None) && Value.is_ptr v then begin
-    let target = Value.to_addr v in
+  let observed =
+    match t.profiler, t.trace_edges with None, None -> false | _ -> true
+  in
+  if observed && Value.encoded_is_ptr w then begin
+    let target = Value.encoded_to_addr w in
     match Header.forwarded t.mem target with
     | Some _ -> () (* cannot happen outside a collection *)
     | None ->
@@ -347,9 +372,12 @@ let alloc_object t hdr =
   let pretenure =
     (* the adaptive override (set at collection boundaries) wins over
        the static policy; absent a binding the static decision stands *)
-    match Hashtbl.find_opt t.pretenure_override site with
-    | Some b -> b
-    | None -> Pretenure.should_pretenure t.cfg.Config.pretenure ~site
+    if Hashtbl.length t.pretenure_override = 0 then
+      Pretenure.should_pretenure t.cfg.Config.pretenure ~site
+    else
+      match Hashtbl.find_opt t.pretenure_override site with
+      | Some b -> b
+      | None -> Pretenure.should_pretenure t.cfg.Config.pretenure ~site
   in
   if pretenure then begin
     if Obs.Trace.enabled () then
@@ -358,45 +386,47 @@ let alloc_object t hdr =
   end
   else Collectors.Collector.alloc col hdr ~birth
 
-let check_pointer_value v =
-  match v with
-  | Value.Ptr _ -> ()
-  | Value.Int _ -> invalid_arg "Runtime: integer written to a pointer field"
+let check_pointer_word w =
+  if Value.encoded_is_int w then
+    invalid_arg "Runtime: integer written to a pointer field"
 
-let check_integer_value v =
-  match v with
-  | Value.Int _ -> ()
-  | Value.Ptr a when Mem.Addr.is_null a -> ()
-  | Value.Ptr _ -> invalid_arg "Runtime: pointer written to an integer field"
+let check_integer_word w =
+  if Value.encoded_is_ptr w then
+    invalid_arg "Runtime: pointer written to an integer field"
+
+(* reads, checks and stores [fields] from cell [cell] on, in order *)
+let rec store_fields t cells ~site cell = function
+  | [] -> ()
+  | P s :: rest ->
+    let w = read_word t s in
+    check_pointer_word w;
+    note_edge t ~from_site:site w;
+    cells.(cell) <- w;
+    store_fields t cells ~site (cell + 1) rest
+  | I s :: rest ->
+    let w = read_word t s in
+    check_integer_word w;
+    cells.(cell) <- w;
+    store_fields t cells ~site (cell + 1) rest
 
 let alloc_record t ~site ~dst fields =
-  let len = List.length fields in
-  let mask =
-    List.fold_left
-      (fun (i, m) f ->
-        match f with
-        | P _ -> (i + 1, m lor (1 lsl i))
-        | I _ -> (i + 1, m))
-      (0, 0) fields
-    |> snd
-  in
-  let hdr = { Header.kind = Header.Record { mask }; len; site } in
+  (* one pass over [fields] for the length and the pointer mask *)
+  let len = ref 0 and mask = ref 0 and rest = ref fields in
+  while
+    match !rest with
+    | [] -> false
+    | f :: tl ->
+      (match f with P _ -> mask := !mask lor (1 lsl !len) | I _ -> ());
+      incr len;
+      rest := tl;
+      true
+  do
+    ()
+  done;
+  let hdr = { Header.kind = Header.Record { mask = !mask }; len = !len; site } in
   let base = alloc_object t hdr in
-  List.iteri
-    (fun i f ->
-      let v =
-        match f with
-        | P s ->
-          let v = read t s in
-          check_pointer_value v;
-          note_edge_value t ~from_site:site v;
-          v
-        | I s ->
-          let v = read t s in
-          check_integer_value v;
-          v
-      in
-      Memory.set t.mem (Header.field_addr base i) v)
+  store_fields t (Memory.cells t.mem base) ~site
+    (Mem.Addr.offset base + Header.header_words ())
     fields;
   write t dst (Value.Ptr base)
 
@@ -412,7 +442,14 @@ let alloc_nonptr_array t ~site ~dst ~len =
   let base = alloc_object t hdr in
   write t dst (Value.Ptr base)
 
-(* --- heap access --- *)
+(* --- heap access ---
+
+   Each operation resolves the object's block once ([Memory.cells]) and
+   decodes its header with the [Header.*_c] accessors: no [Header.t], no
+   second block lookup, no [Addr.add].  The checks and their messages
+   are the safe tier's, in its order: null or integer dereference, freed
+   block (the lookup), forwarded object, index bounds, then the field's
+   pointerness.  test/runtime_ref.ml is that safe-tier twin. *)
 
 let obj_base t src =
   match read t src with
@@ -420,50 +457,61 @@ let obj_base t src =
   | Value.Ptr _ -> invalid_arg "Runtime: null pointer dereference"
   | Value.Int _ -> invalid_arg "Runtime: dereferencing an integer"
 
-let header_of t src = Header.read t.mem (obj_base t src)
-
-let check_index hdr idx =
-  if idx < 0 || idx >= hdr.Header.len then
-    invalid_arg "Runtime: field index out of bounds"
+(* the cell of field [idx] of the object at [off] *)
+let field_cell cells ~off idx =
+  Header.check_not_forwarded_c cells ~off;
+  if idx < 0 || idx >= Header.len_c cells ~off then
+    invalid_arg "Runtime: field index out of bounds";
+  off + Header.header_words () + idx
 
 let load_field t ~obj ~idx ~dst =
   mut_op t;
   let base = obj_base t obj in
-  let hdr = Header.read t.mem base in
-  check_index hdr idx;
-  write t dst (Memory.get t.mem (Header.field_addr base idx))
+  let cells = Memory.cells t.mem base in
+  write t dst
+    (Value.decode cells.(field_cell cells ~off:(Mem.Addr.offset base) idx))
 
 let store_field t ~obj ~idx field =
   mut_op t;
   let base = obj_base t obj in
-  let hdr = Header.read t.mem base in
-  check_index hdr idx;
-  let loc = Header.field_addr base idx in
+  let cells = Memory.cells t.mem base in
+  let off = Mem.Addr.offset base in
+  let cell = field_cell cells ~off idx in
   match field with
   | P s ->
-    if not (Header.is_pointer_field hdr idx) then
+    if not (Header.is_pointer_field_c cells ~off idx) then
       invalid_arg "Runtime: pointer store into a non-pointer field";
-    let v = read t s in
-    check_pointer_value v;
-    Memory.set t.mem loc v;
-    Collectors.Collector.record_update (collector t) ~obj:base ~loc;
-    note_edge_value t ~from_site:hdr.Header.site v
+    let w = read_word t s in
+    check_pointer_word w;
+    cells.(cell) <- w;
+    (* the field lies inside the object's block: [cell] was just stored *)
+    Collectors.Collector.record_update (collector t) ~obj:base
+      ~loc:(Mem.Addr.unsafe_add base (cell - off));
+    note_edge t ~from_site:(Header.site_c cells ~off) w
   | I s ->
-    if Header.is_pointer_field hdr idx then
+    if Header.is_pointer_field_c cells ~off idx then
       invalid_arg "Runtime: integer store into a pointer field";
-    let v = read t s in
-    check_integer_value v;
-    Memory.set t.mem loc v
+    let w = read_word t s in
+    check_integer_word w;
+    cells.(cell) <- w
 
 let field_int t ~obj ~idx =
   mut_op t;
   let base = obj_base t obj in
-  let hdr = Header.read t.mem base in
-  check_index hdr idx;
-  Value.to_int (Memory.get t.mem (Header.field_addr base idx))
+  let cells = Memory.cells t.mem base in
+  Value.decode_int cells.(field_cell cells ~off:(Mem.Addr.offset base) idx)
 
-let obj_length t ~obj = (header_of t obj).Header.len
-let obj_site t ~obj = (header_of t obj).Header.site
+let obj_length t ~obj =
+  let base = obj_base t obj in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  Header.check_not_forwarded_c cells ~off;
+  Header.len_c cells ~off
+
+let obj_site t ~obj =
+  let base = obj_base t obj in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  Header.check_not_forwarded_c cells ~off;
+  Header.site_c cells ~off
 
 let is_nil t src =
   match read t src with
@@ -569,3 +617,13 @@ let profile t =
         (Collectors.Collector.flush_site_allocs (collector t));
       Heap_profile.Profiler.data p ~site_name:(site_name t))
     t.profiler
+
+module Internal = struct
+  let memory t = t.mem
+  let alloc_object = alloc_object
+
+  let record_update t ~obj ~loc =
+    Collectors.Collector.record_update (collector t) ~obj ~loc
+
+  let note_edge = note_edge
+end

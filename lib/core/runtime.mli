@@ -80,7 +80,9 @@ val write : t -> dst -> Mem.Value.t -> unit
 (** [call t ~key ~args body] pushes a frame for trace-table entry [key],
     stores [args] into slots [0..n-1], runs [body], pops the frame, and
     returns [body]'s result.  [args] are read in the caller {e before}
-    the push; do not allocate between reading them and calling. *)
+    the push; do not allocate between reading them and calling.
+    @raise Invalid_argument if [args] outnumber the frame's slots; the
+    check runs before the push, so the stack is left as it was. *)
 val call : t -> key:int -> args:Mem.Value.t list -> (unit -> 'a) -> 'a
 
 val depth : t -> int
@@ -189,3 +191,27 @@ val profile : t -> Heap_profile.Profile_data.t option
     blocks; used by the test-suite and property tests.  Returns the
     number of live objects visited. *)
 val check_heap : t -> int
+
+(** {1 Reference-twin access}
+
+    The layer below the operand forms, exposed so that the safe-tier
+    twin of the heap-access operations (test/runtime_ref.ml) can run
+    against the same runtime state.  Workloads never need it. *)
+module Internal : sig
+  (** The simulated memory the runtime allocates into. *)
+  val memory : t -> Mem.Memory.t
+
+  (** [alloc_object t hdr] allocates an object with header [hdr] through
+      the collector (pretenured when the policy says so), as every
+      [alloc_*] operation does; it may collect. *)
+  val alloc_object : t -> Mem.Header.t -> Mem.Addr.t
+
+  (** [record_update t ~obj ~loc] runs the write barrier for a pointer
+      store into [loc], a field of [obj]. *)
+  val record_update : t -> obj:Mem.Addr.t -> loc:Mem.Addr.t -> unit
+
+  (** [note_edge t ~from_site w] reports the encoded word [w], just
+      stored into an object of [from_site], to the profiler and the
+      trace when it is a non-null pointer. *)
+  val note_edge : t -> from_site:int -> int -> unit
+end

@@ -145,6 +145,14 @@ let birth_c cells ~off =
 
 let is_forwarded_c cells ~off = tag_c cells ~off = tag_forwarded
 
+let check_not_forwarded_c cells ~off =
+  if is_forwarded_c cells ~off then invalid_arg "Header.read: forwarded object"
+
+let is_pointer_field_c cells ~off i =
+  let tag = tag_c cells ~off in
+  if tag = tag_record then mask_c cells ~off land (1 lsl i) <> 0
+  else tag = tag_ptr_array
+
 (* classic: the forward word holds [Value.Ptr target], i.e. the raw
    address shifted left once; packed: the target lives in the meta word *)
 let forward_target_c cells ~off =
@@ -240,7 +248,7 @@ let write mem base h ~birth =
 
 let read mem base =
   let cells = Memory.cells mem base and off = Addr.offset base in
-  if is_forwarded_c cells ~off then invalid_arg "Header.read: forwarded object";
+  check_not_forwarded_c cells ~off;
   read_c cells ~off
 
 let birth mem base =

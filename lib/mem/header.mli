@@ -165,6 +165,17 @@ val site_c : int array -> off:int -> int
 val birth_c : int array -> off:int -> int
 val is_forwarded_c : int array -> off:int -> bool
 
+(** [check_not_forwarded_c cells ~off] fails exactly as {!read} does on a
+    forwarded object; the runtime façade calls it before decoding a
+    header with the scalar accessors.
+    @raise Invalid_argument if the object is forwarded. *)
+val check_not_forwarded_c : int array -> off:int -> unit
+
+(** [is_pointer_field_c cells ~off i] is {!is_pointer_field} on the
+    decoded header of a non-forwarded object, without the range check on
+    [i] (callers check [0 <= i < len_c] first). *)
+val is_pointer_field_c : int array -> off:int -> int -> bool
+
 (** [forward_target_c] is meaningful only when [is_forwarded_c]. *)
 val forward_target_c : int array -> off:int -> Addr.t
 

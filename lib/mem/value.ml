@@ -14,9 +14,11 @@ let to_addr = function
   | Ptr _ -> invalid_arg "Value.to_addr: null pointer"
   | Int _ -> invalid_arg "Value.to_addr: integer"
 
+let pointer_as_int () = invalid_arg "Value.to_int: pointer"
+
 let to_int = function
   | Int n -> n
-  | Ptr _ -> invalid_arg "Value.to_int: pointer"
+  | Ptr _ -> pointer_as_int ()
 
 let equal a b =
   match a, b with
@@ -47,6 +49,8 @@ let encoded_is_int w = w land 1 = 1
 let encoded_is_ptr w = w land 1 = 0 && w <> encoded_null
 
 let encoded_to_int w = w asr 1
+
+let decode_int w = if w land 1 = 1 then w asr 1 else pointer_as_int ()
 
 let encoded_to_addr w = Addr.decode_raw (w asr 1)
 

@@ -60,6 +60,10 @@ val encoded_is_ptr : int -> bool
     [encoded_is_int w].  No check is performed. *)
 val encoded_to_int : int -> int
 
+(** [decode_int w] is [to_int (decode w)] without building the [t]:
+    @raise Invalid_argument as {!to_int} does when [w] is a pointer. *)
+val decode_int : int -> int
+
 (** [encoded_to_addr w] is the address payload; meaningful only when
     [encoded_is_ptr w].  No check is performed. *)
 val encoded_to_addr : int -> Addr.t

@@ -12,17 +12,15 @@ let table t = t.table
 let depth t = Support.Vec.length t.frames
 
 let push t ~key =
-  let entry = Trace_table.lookup t.table key in
-  let size = Array.length entry.Trace_table.slots in
-  let frame = Frame.create ~key ~size ~serial:t.serial in
+  let traces = (Trace_table.lookup t.table key).Trace_table.slots in
+  let frame = Frame.create ~key ~size:(Array.length traces) ~serial:t.serial in
   (* fresh slots read as null pointers where the trace says pointer (a
      zeroed stack word is the null pointer), and as zero elsewhere *)
-  Array.iteri
-    (fun i trace ->
-      match trace with
-      | Trace.Ptr | Trace.Callee_save _ -> Frame.set frame i Mem.Value.null
-      | Trace.Non_ptr | Trace.Compute _ -> ())
-    entry.Trace_table.slots;
+  for i = 0 to Array.length traces - 1 do
+    match traces.(i) with
+    | Trace.Ptr | Trace.Callee_save _ -> frame.Frame.slots.(i) <- Mem.Value.null
+    | Trace.Non_ptr | Trace.Compute _ -> ()
+  done;
   t.serial <- t.serial + 1;
   Support.Vec.push t.frames frame;
   t.max_depth <- max t.max_depth (depth t);

@@ -1,0 +1,118 @@
+(* The reference façade: [Gsc.Runtime]'s heap-access operations and
+   record allocation written against the safe memory API.  Every field
+   touched goes through [Memory.get]/[set], every header through
+   [Header.read], and every value is a boxed [Value.t].  It is the
+   executable specification of the façade's block-handle path, kept here
+   next to the property in test_runtime.ml that runs both on twin
+   runtimes and requires identical heap words, results, exception
+   messages and counters.
+
+   Below the operand layer it reaches the runtime through
+   [Runtime.Internal]: the allocation entry point, the write barrier and
+   the edge reporting are the façade's own, so only the tier differs. *)
+
+module R = Gsc.Runtime
+module V = Mem.Value
+module H = Mem.Header
+module M = Mem.Memory
+
+let mut_op rt =
+  let s = R.stats rt in
+  s.Collectors.Gc_stats.mutator_ops <- s.Collectors.Gc_stats.mutator_ops + 1
+
+let check_pointer_value = function
+  | V.Ptr _ -> ()
+  | V.Int _ -> invalid_arg "Runtime: integer written to a pointer field"
+
+let check_integer_value = function
+  | V.Int _ -> ()
+  | V.Ptr a when Mem.Addr.is_null a -> ()
+  | V.Ptr _ -> invalid_arg "Runtime: pointer written to an integer field"
+
+let note_edge rt ~from_site v = R.Internal.note_edge rt ~from_site (V.encode v)
+
+let alloc_record rt ~site ~dst fields =
+  let mem = R.Internal.memory rt in
+  let len = List.length fields in
+  let mask =
+    List.fold_left
+      (fun (i, m) f ->
+        match f with
+        | R.P _ -> (i + 1, m lor (1 lsl i))
+        | R.I _ -> (i + 1, m))
+      (0, 0) fields
+    |> snd
+  in
+  let base =
+    R.Internal.alloc_object rt { H.kind = H.Record { mask }; len; site }
+  in
+  List.iteri
+    (fun i f ->
+      let v =
+        match f with
+        | R.P s ->
+          let v = R.read rt s in
+          check_pointer_value v;
+          note_edge rt ~from_site:site v;
+          v
+        | R.I s ->
+          let v = R.read rt s in
+          check_integer_value v;
+          v
+      in
+      M.set mem (H.field_addr base i) v)
+    fields;
+  R.write rt dst (V.Ptr base)
+
+let obj_base rt src =
+  match R.read rt src with
+  | V.Ptr a when not (Mem.Addr.is_null a) -> a
+  | V.Ptr _ -> invalid_arg "Runtime: null pointer dereference"
+  | V.Int _ -> invalid_arg "Runtime: dereferencing an integer"
+
+let check_index hdr idx =
+  if idx < 0 || idx >= hdr.H.len then
+    invalid_arg "Runtime: field index out of bounds"
+
+let load_field rt ~obj ~idx ~dst =
+  mut_op rt;
+  let mem = R.Internal.memory rt in
+  let base = obj_base rt obj in
+  let hdr = H.read mem base in
+  check_index hdr idx;
+  R.write rt dst (M.get mem (H.field_addr base idx))
+
+let store_field rt ~obj ~idx field =
+  mut_op rt;
+  let mem = R.Internal.memory rt in
+  let base = obj_base rt obj in
+  let hdr = H.read mem base in
+  check_index hdr idx;
+  let loc = H.field_addr base idx in
+  match field with
+  | R.P s ->
+    if not (H.is_pointer_field hdr idx) then
+      invalid_arg "Runtime: pointer store into a non-pointer field";
+    let v = R.read rt s in
+    check_pointer_value v;
+    M.set mem loc v;
+    R.Internal.record_update rt ~obj:base ~loc;
+    note_edge rt ~from_site:hdr.H.site v
+  | R.I s ->
+    if H.is_pointer_field hdr idx then
+      invalid_arg "Runtime: integer store into a pointer field";
+    let v = R.read rt s in
+    check_integer_value v;
+    M.set mem loc v
+
+let field_int rt ~obj ~idx =
+  mut_op rt;
+  let mem = R.Internal.memory rt in
+  let base = obj_base rt obj in
+  let hdr = H.read mem base in
+  check_index hdr idx;
+  V.to_int (M.get mem (H.field_addr base idx))
+
+let header_of rt src = H.read (R.Internal.memory rt) (obj_base rt src)
+let obj_length rt ~obj = (header_of rt obj).H.len
+let obj_site rt ~obj = (header_of rt obj).H.site

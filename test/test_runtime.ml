@@ -378,6 +378,278 @@ let torture_prop =
       let expected = Model.run ops in
       List.for_all (fun cfg -> run_sim cfg ops = expected) torture_configs)
 
+(* --- call arity --- *)
+
+let call_arity_checked_before_push () =
+  with_rt @@ fun rt ->
+  let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "pi") in
+  let callee = R.register_frame rt ~name:"g" ~slots:(Workloads.Dsl.slots "i") in
+  R.call rt ~key ~args:[] (fun () ->
+    (match
+       R.call rt ~key:callee ~args:[ V.Int 1; V.Int 2 ] (fun () -> ())
+     with
+     | () -> Alcotest.fail "two args into a one-slot frame must fail"
+     | exception Invalid_argument msg ->
+       Alcotest.(check string) "message"
+         "Runtime.call: more arguments than frame slots" msg);
+    check_int "no frame left behind" 1 (R.depth rt);
+    check_int "full arity still accepted" 7
+      (R.call rt ~key:callee ~args:[ V.Int 7 ] (fun () ->
+         V.to_int (R.get_slot rt 0))));
+  check_int "stack balanced" 0 (R.depth rt)
+
+(* --- the block-handle façade against its safe-tier twin ---
+
+   One generated program runs on two runtimes of the same configuration:
+   one through [Runtime]'s block-handle operations, one through the
+   safe-tier twin in runtime_ref.ml.  Bad operations (null and integer
+   dereferences, bounds, pointer/integer mismatches, reads through an
+   address a collection has just moved or freed) are generated on
+   purpose.  Every result and exception message, the words of the
+   objects the slots hold after each op, every live memory block word
+   for word at the end, the frame slots, the work counters and (when
+   profiling) the heap profile must be identical.
+
+   The frame has four pointer slots and one untraced integer slot (4).
+   Slot 4 holds an integer except inside [F_stale], which parks a pointer
+   there, collects, reads through the now-stale address and clears it:
+   a stale pointer never outlives the op, so no allocation reuses its
+   memory while it is live, and the read-only ops never write through
+   it. *)
+
+type operand = O_slot of int | O_nil | O_imm of int
+
+type fop =
+  | F_record of int * (bool * operand) list  (* dst slot; (pointer?, source) *)
+  | F_array of int * bool * int  (* dst slot, pointer elements?, length *)
+  | F_load of operand * int * int  (* object, index, dst slot *)
+  | F_store of operand * int * bool * operand  (* object, index, pointer?, source *)
+  | F_field_int of operand * int
+  | F_length of operand
+  | F_site of operand
+  | F_stale of int * int  (* slot, index *)
+
+let show_operand = function
+  | O_slot s -> Printf.sprintf "s%d" s
+  | O_nil -> "nil"
+  | O_imm n -> Printf.sprintf "#%d" n
+
+let show_fop = function
+  | F_record (d, fs) ->
+    Printf.sprintf "record s%d [%s]" d
+      (String.concat ","
+         (List.map
+            (fun (p, o) -> (if p then "P " else "I ") ^ show_operand o)
+            fs))
+  | F_array (d, p, n) -> Printf.sprintf "array s%d %b %d" d p n
+  | F_load (o, i, d) -> Printf.sprintf "load %s.%d -> s%d" (show_operand o) i d
+  | F_store (o, i, p, v) ->
+    Printf.sprintf "store %s.%d %s %s" (show_operand o) i
+      (if p then "P" else "I") (show_operand v)
+  | F_field_int (o, i) -> Printf.sprintf "field_int %s.%d" (show_operand o) i
+  | F_length o -> "length " ^ show_operand o
+  | F_site o -> "site " ^ show_operand o
+  | F_stale (d, i) -> Printf.sprintf "stale s%d.%d" d i
+
+let fop_gen =
+  let open QCheck.Gen in
+  let ptr_slot = int_bound 3 in
+  (* an object operand: mostly a pointer slot, sometimes a bad one *)
+  let obj =
+    frequency
+      [ (8, map (fun s -> O_slot s) ptr_slot); (1, return (O_slot 4));
+        (1, return O_nil); (1, map (fun n -> O_imm n) (int_bound 50)) ]
+  in
+  (* a stored value: pointer slots, nil or immediates; the integer slot
+     only as an [I] source, so no stale pointer reaches the heap *)
+  let value ~ptr =
+    frequency
+      [ ((if ptr then 6 else 2), map (fun s -> O_slot s) ptr_slot);
+        (2, return O_nil);
+        ((if ptr then 1 else 6), map (fun n -> O_imm n) (int_bound 1000));
+        ((if ptr then 0 else 1), return (O_slot 4)) ]
+  in
+  let field =
+    bool >>= fun ptr -> map (fun v -> (ptr, v)) (value ~ptr)
+  in
+  (* mostly the workloads' cell shape [{int; pointer}], so that stores
+     and loads usually hit a field of the kind they expect *)
+  let fields =
+    frequency
+      [ (3, map2 (fun n s -> [ (false, O_imm n); (true, s) ]) (int_bound 1000)
+           (value ~ptr:true));
+        (2, list_size (int_bound 5) field) ]
+  in
+  let idx = frequency [ (4, int_bound 1); (1, int_range (-1) 6) ] in
+  frequency
+    [ (6, map2 (fun d fs -> F_record (d, fs)) ptr_slot fields);
+      (2, map3 (fun d p n -> F_array (d, p, n)) ptr_slot bool (int_bound 6));
+      (4, map3 (fun o i d -> F_load (o, i, d)) obj idx ptr_slot);
+      (4,
+       obj >>= fun o ->
+       idx >>= fun i ->
+       bool >>= fun ptr -> map (fun v -> F_store (o, i, ptr, v)) (value ~ptr));
+      (3, map2 (fun o i -> F_field_int (o, i)) obj idx);
+      (1, map (fun o -> F_length o) obj);
+      (1, map (fun o -> F_site o) obj);
+      (1, map2 (fun d i -> F_stale (d, i)) ptr_slot (int_bound 3)) ]
+
+let arb_fprogram =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_fop ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 10 80) fop_gen)
+
+type facade = {
+  alloc_record : R.t -> site:int -> dst:R.dst -> R.field list -> unit;
+  load_field : R.t -> obj:R.src -> idx:int -> dst:R.dst -> unit;
+  store_field : R.t -> obj:R.src -> idx:int -> R.field -> unit;
+  field_int : R.t -> obj:R.src -> idx:int -> int;
+  obj_length : R.t -> obj:R.src -> int;
+  obj_site : R.t -> obj:R.src -> int;
+}
+
+let block_handles =
+  { alloc_record = R.alloc_record; load_field = R.load_field;
+    store_field = R.store_field; field_int = R.field_int;
+    obj_length = R.obj_length; obj_site = R.obj_site }
+
+let safe_tier =
+  { alloc_record = Runtime_ref.alloc_record;
+    load_field = Runtime_ref.load_field;
+    store_field = Runtime_ref.store_field;
+    field_int = Runtime_ref.field_int;
+    obj_length = Runtime_ref.obj_length;
+    obj_site = Runtime_ref.obj_site }
+
+let src_of = function
+  | O_slot s -> R.Slot s
+  | O_nil -> R.Nil
+  | O_imm n -> R.Imm n
+
+let field_of (ptr, o) = if ptr then R.P (src_of o) else R.I (src_of o)
+
+(* every live block of [mem], word for word; block ids are small and
+   reused, so a fixed id range covers a test-sized heap *)
+let heap_words mem =
+  List.filter_map
+    (fun id ->
+      let a = Mem.Addr.make ~block:id ~offset:0 in
+      if Mem.Memory.live_block mem a then
+        Some (id, Array.copy (Mem.Memory.cells mem a))
+      else None)
+    (List.init 256 Fun.id)
+
+let work_counters (s : Collectors.Gc_stats.t) =
+  let open Collectors.Gc_stats in
+  [ s.mutator_ops; s.pointer_updates; s.words_allocated; s.objects_allocated;
+    s.words_pretenured; s.minor_gcs; s.major_gcs; s.words_copied;
+    s.words_promoted; s.barrier_entries_processed; s.roots_visited ]
+
+let run_facade (f : facade) cfg ops =
+  with_rt ~cfg @@ fun rt ->
+  let site = R.register_site rt ~name:"rec" in
+  let site_arr = R.register_site rt ~name:"arr" in
+  let key = R.register_frame rt ~name:"twin" ~slots:(Workloads.Dsl.slots "ppppi") in
+  let mem = R.Internal.memory rt in
+  (* after each op: the result, then every word of the objects the
+     pointer slots hold *)
+  let outcome thunk =
+    let r =
+      match thunk () with
+      | r -> r
+      | exception Invalid_argument msg -> "invalid: " ^ msg
+    in
+    let objects =
+      List.init 4 (fun i ->
+        match R.get_slot rt i with
+        | V.Ptr a when not (Mem.Addr.is_null a) ->
+          let off = Mem.Addr.offset a in
+          Array.to_list
+            (Array.sub (Mem.Memory.cells mem a) off
+               (Mem.Header.object_words_at mem a))
+        | V.Ptr _ | V.Int _ -> [])
+    in
+    String.concat " " (r :: List.map string_of_int (List.concat objects))
+  in
+  R.call rt ~key ~args:[] (fun () ->
+    let results =
+      List.concat_map
+        (fun op ->
+          match op with
+          | F_record (d, fs) ->
+            [ outcome (fun () ->
+                f.alloc_record rt ~site ~dst:(R.To_slot d) (List.map field_of fs);
+                "ok") ]
+          | F_array (d, ptr, len) ->
+            (if ptr then R.alloc_ptr_array else R.alloc_nonptr_array)
+              rt ~site:site_arr ~dst:(R.To_slot d) ~len;
+            []
+          | F_load (o, idx, d) ->
+            [ outcome (fun () ->
+                f.load_field rt ~obj:(src_of o) ~idx ~dst:(R.To_slot d);
+                "ok") ]
+          | F_store (o, idx, ptr, v) ->
+            [ outcome (fun () ->
+                f.store_field rt ~obj:(src_of o) ~idx (field_of (ptr, v));
+                "ok") ]
+          | F_field_int (o, idx) ->
+            [ outcome (fun () ->
+                string_of_int (f.field_int rt ~obj:(src_of o) ~idx)) ]
+          | F_length o ->
+            [ outcome (fun () -> string_of_int (f.obj_length rt ~obj:(src_of o))) ]
+          | F_site o ->
+            [ outcome (fun () -> string_of_int (f.obj_site rt ~obj:(src_of o))) ]
+          | F_stale (d, idx) ->
+            R.set_slot rt 4 (R.get_slot rt d);
+            R.collect_now rt;
+            let obj = R.Slot 4 in
+            let reads =
+              [ outcome (fun () -> string_of_int (f.obj_length rt ~obj));
+                outcome (fun () -> string_of_int (f.obj_site rt ~obj));
+                outcome (fun () -> string_of_int (f.field_int rt ~obj ~idx)) ]
+            in
+            R.set_slot rt 4 (V.Int 0);
+            reads)
+        ops
+    in
+    ( results,
+      heap_words mem,
+      List.init 5 (fun i -> V.encode (R.get_slot rt i)),
+      work_counters (R.stats rt),
+      Option.map Heap_profile.Profile_data.to_string (R.profile rt) ))
+
+let twin_configs =
+  let budget = 128 * 1024 in
+  let small c = { c with Gsc.Config.nursery_bytes_max = 2 * 1024 } in
+  let gen = small (Gsc.Config.generational ~budget_bytes:budget) in
+  [ gen;
+    { gen with Gsc.Config.header_layout = Mem.Header.Packed };
+    Gsc.Config.semispace ~budget_bytes:budget;
+    { gen with Gsc.Config.profiling = true };
+    { gen with Gsc.Config.barrier = Collectors.Generational.Barrier_cards };
+    { gen with Gsc.Config.barrier = Collectors.Generational.Barrier_remset };
+    small
+      (Gsc.Config.with_pretenuring ~budget_bytes:budget
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]));
+    { (small
+         (Gsc.Config.with_pretenuring ~budget_bytes:budget
+            (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[])))
+      with
+      Gsc.Config.major_kind = Collectors.Generational.Mark_sweep } ]
+
+let twin_prop =
+  QCheck.Test.make ~name:"block-handle façade matches its safe-tier twin"
+    ~count:60 arb_fprogram (fun ops ->
+      List.for_all
+        (fun cfg ->
+          let fast = run_facade block_handles cfg ops
+          and safe = run_facade safe_tier cfg ops in
+          if fast = safe then true
+          else
+            QCheck.Test.fail_reportf "diverged under %s" (Gsc.Config.name cfg))
+        twin_configs)
+
 let () =
   Alcotest.run "runtime"
     [ ( "typing",
@@ -391,4 +663,8 @@ let () =
       ( "exceptions",
         [ Alcotest.test_case "nested" `Quick nested_exceptions;
           Alcotest.test_case "unhandled" `Quick unhandled_raise_fails ] );
+      ( "call",
+        [ Alcotest.test_case "arity checked before the push" `Quick
+            call_arity_checked_before_push ] );
+      ("twin", [ QCheck_alcotest.to_alcotest twin_prop ]);
       ("torture", [ QCheck_alcotest.to_alcotest torture_prop ]) ]
