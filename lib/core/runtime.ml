@@ -17,8 +17,8 @@ type t = {
   regs : Rstack.Reg_file.t;
   cache : Rstack.Scan_cache.t;
   markers : Rstack.Markers.t;
-  globals : Value.t array;
-  exn_cell : Value.t array;
+  globals : int array;           (* encoded words, like frame slots *)
+  exn_cell : int array;
   stats : Collectors.Gc_stats.t;
   site_names : string Support.Vec.t;
   profiler : Heap_profile.Profiler.t option;
@@ -50,28 +50,39 @@ let birth_bytes t =
 
 (* --- heap checking --- *)
 
-let check_heap t =
+(* [f] on every root word, in the collector's order: a trace-accurate
+   Full stack scan into a local buffer against a scratch cache, then the
+   globals and the exception cell *)
+let iter_root_words t f =
+  let roots = Rstack.Root.Buf.create () in
+  ignore
+    (Rstack.Scan.run ~stack:t.stack ~regs:t.regs
+       ~cache:(Rstack.Scan_cache.create ()) ~valid_prefix:0
+       ~mode:Rstack.Scan.Full ~roots
+      : Rstack.Scan.result);
+  Rstack.Root.Buf.iter roots (fun cells i -> f cells.(i));
+  Array.iter f t.globals;
+  f t.exn_cell.(0)
+
+(* a breadth-first walk's visited set and queue, fed encoded words *)
+let reach_queue () =
   let visited : (Mem.Addr.t, unit) Hashtbl.t = Hashtbl.create 1024 in
   let queue = Queue.create () in
-  let push_value v =
-    match v with
-    | Value.Int _ -> ()
-    | Value.Ptr a ->
-      if not (Mem.Addr.is_null a) then
-        if not (Hashtbl.mem visited a) then begin
-          Hashtbl.replace visited a ();
-          Queue.add a queue
-        end
+  let push_word w =
+    if Value.encoded_is_ptr w then begin
+      let a = Value.encoded_to_addr w in
+      if not (Hashtbl.mem visited a) then begin
+        Hashtbl.replace visited a ();
+        Queue.add a queue
+      end
+    end
   in
-  (* roots: trace-accurate stack scan against a scratch cache *)
-  let scratch = Rstack.Scan_cache.create () in
-  ignore
-    (Rstack.Scan.run ~stack:t.stack ~regs:t.regs ~cache:scratch ~valid_prefix:0
-       ~mode:Rstack.Scan.Full
-       ~visit:(fun root -> push_value (Rstack.Root.get root))
-      : Rstack.Scan.result);
-  Array.iter push_value t.globals;
-  push_value t.exn_cell.(0);
+  (queue, push_word)
+
+let check_heap t =
+  let queue, push_word = reach_queue () in
+  iter_root_words t push_word;
+  let push_value v = push_word (Value.encode v) in
   let count = ref 0 in
   while not (Queue.is_empty queue) do
     let base = Queue.pop queue in
@@ -91,7 +102,7 @@ let check_heap t =
 
 (* --- hooks wired into the collector --- *)
 
-let scan_stack_hook t mode visit =
+let scan_stack_hook t mode roots =
   (* deferred exception strategy: fold unwinds recorded since the last
      collection into the marker state now (the paper's alternative of
      walking the handler chain at each collection) *)
@@ -109,7 +120,7 @@ let scan_stack_hook t mode visit =
   in
   let res =
     Rstack.Scan.run ~stack:t.stack ~regs:t.regs ~cache:t.cache
-      ~valid_prefix:valid ~mode ~visit
+      ~valid_prefix:valid ~mode ~roots
   in
   let fresh =
     Rstack.Stack_.count_new_frames t.stack ~since_serial:t.last_scan_serial
@@ -119,9 +130,11 @@ let scan_stack_hook t mode visit =
     t.stats.Collectors.Gc_stats.new_frames_sum + fresh;
   res
 
-let visit_globals_hook t visit =
-  Array.iteri (fun i _ -> visit (Rstack.Root.Global (t.globals, i))) t.globals;
-  visit (Rstack.Root.Global (t.exn_cell, 0))
+let visit_globals_hook t roots =
+  for i = 0 to Array.length t.globals - 1 do
+    Rstack.Root.Buf.push roots t.globals i
+  done;
+  Rstack.Root.Buf.push roots t.exn_cell 0
 
 let after_collection_hook t ~full:_ ~allocs ~copies =
   (match t.profiler with
@@ -157,8 +170,8 @@ let create cfg =
       regs = Rstack.Reg_file.create ();
       cache = Rstack.Scan_cache.create ();
       markers = Rstack.Markers.create ~n:cfg.Config.marker_spacing;
-      globals = Array.make cfg.Config.global_slots Value.zero;
-      exn_cell = Array.make 1 Value.zero;
+      globals = Array.make cfg.Config.global_slots Value.encoded_zero;
+      exn_cell = Array.make 1 Value.encoded_zero;
       stats;
       site_names = Support.Vec.create ();
       profiler =
@@ -256,18 +269,23 @@ type field =
   | P of src
   | I of src
 
-let read t = function
-  | Imm n -> Value.Int n
-  | Nil -> Value.null
-  | Slot i -> Rstack.Frame.get (Rstack.Stack_.top t.stack) i
-  | Reg r -> Rstack.Reg_file.get t.regs r
+(* operands move as encoded words: frames, registers and globals hold
+   them, so no [Value.t] is built between a cell and the heap *)
+let read_word t = function
+  | Imm n -> Value.encode_int n
+  | Nil -> Value.encoded_null
+  | Slot i -> Rstack.Frame.get_word (Rstack.Stack_.top t.stack) i
+  | Reg r -> Rstack.Reg_file.get_word t.regs r
   | Global g -> t.globals.(g)
 
-let write t dst v =
+let write_word t dst w =
   match dst with
-  | To_slot i -> Rstack.Frame.set (Rstack.Stack_.top t.stack) i v
-  | To_reg r -> Rstack.Reg_file.set t.regs r v
-  | To_global g -> t.globals.(g) <- v
+  | To_slot i -> Rstack.Frame.set_word (Rstack.Stack_.top t.stack) i w
+  | To_reg r -> Rstack.Reg_file.set_word t.regs r w
+  | To_global g -> t.globals.(g) <- w
+
+let read t src = Value.decode (read_word t src)
+let write t dst v = write_word t dst (Value.encode v)
 
 (* --- frames --- *)
 
@@ -326,17 +344,10 @@ let set_slot t i v = Rstack.Frame.set (Rstack.Stack_.top t.stack) i v
 let get_reg t r = Rstack.Reg_file.get t.regs r
 let set_reg t r v = Rstack.Reg_file.set t.regs r v
 
-let get_global t g = t.globals.(g)
-let set_global t g v = t.globals.(g) <- v
+let get_global t g = Value.decode t.globals.(g)
+let set_global t g v = t.globals.(g) <- Value.encode v
 
-let int_of t src = Value.to_int (read t src)
-
-(* [read] for a word about to be stored into the heap: the encoded word,
-   with no [Value.t] built for an immediate *)
-let read_word t = function
-  | Imm n -> Value.encode_int n
-  | Nil -> Value.encoded_null
-  | (Slot _ | Reg _ | Global _) as src -> Value.encode (read t src)
+let int_of t src = Value.decode_int (read_word t src)
 
 (* --- allocation --- *)
 
@@ -428,19 +439,19 @@ let alloc_record t ~site ~dst fields =
   store_fields t (Memory.cells t.mem base) ~site
     (Mem.Addr.offset base + Header.header_words ())
     fields;
-  write t dst (Value.Ptr base)
+  write_word t dst (Value.encode_addr base)
 
 let alloc_ptr_array t ~site ~dst ~len =
   let hdr = { Header.kind = Header.Ptr_array; len; site } in
   let base = alloc_object t hdr in
   (* null pointers, not zero integers *)
   Memory.fill t.mem ~dst:(Header.field_addr base 0) ~words:len Value.null;
-  write t dst (Value.Ptr base)
+  write_word t dst (Value.encode_addr base)
 
 let alloc_nonptr_array t ~site ~dst ~len =
   let hdr = { Header.kind = Header.Nonptr_array; len; site } in
   let base = alloc_object t hdr in
-  write t dst (Value.Ptr base)
+  write_word t dst (Value.encode_addr base)
 
 (* --- heap access ---
 
@@ -452,10 +463,11 @@ let alloc_nonptr_array t ~site ~dst ~len =
    pointerness.  test/runtime_ref.ml is that safe-tier twin. *)
 
 let obj_base t src =
-  match read t src with
-  | Value.Ptr a when not (Mem.Addr.is_null a) -> a
-  | Value.Ptr _ -> invalid_arg "Runtime: null pointer dereference"
-  | Value.Int _ -> invalid_arg "Runtime: dereferencing an integer"
+  let w = read_word t src in
+  if Value.encoded_is_ptr w then Value.encoded_to_addr w
+  else if Value.encoded_is_int w then
+    invalid_arg "Runtime: dereferencing an integer"
+  else invalid_arg "Runtime: null pointer dereference"
 
 (* the cell of field [idx] of the object at [off] *)
 let field_cell cells ~off idx =
@@ -468,8 +480,7 @@ let load_field t ~obj ~idx ~dst =
   mut_op t;
   let base = obj_base t obj in
   let cells = Memory.cells t.mem base in
-  write t dst
-    (Value.decode cells.(field_cell cells ~off:(Mem.Addr.offset base) idx))
+  write_word t dst cells.(field_cell cells ~off:(Mem.Addr.offset base) idx)
 
 let store_field t ~obj ~idx field =
   mut_op t;
@@ -513,16 +524,14 @@ let obj_site t ~obj =
   Header.check_not_forwarded_c cells ~off;
   Header.site_c cells ~off
 
-let is_nil t src =
-  match read t src with
-  | Value.Ptr a -> Mem.Addr.is_null a
-  | Value.Int _ -> false
+let is_nil t src = read_word t src = Value.encoded_null
 
 let same_obj t a b =
-  match read t a, read t b with
-  | Value.Ptr x, Value.Ptr y -> Mem.Addr.equal x y
-  | Value.Int _, _ | _, Value.Int _ ->
-    invalid_arg "Runtime.same_obj: integer operand"
+  let wb = read_word t b in
+  let wa = read_word t a in
+  if Value.encoded_is_int wa || Value.encoded_is_int wb then
+    invalid_arg "Runtime.same_obj: integer operand";
+  wa = wb
 
 (* --- exceptions --- *)
 
@@ -546,8 +555,7 @@ let try_with t body ~handler =
     raise e
 
 let raise_exn t src =
-  let v = read t src in
-  t.exn_cell.(0) <- v;
+  t.exn_cell.(0) <- read_word t src;
   if Support.Vec.is_empty t.handlers then
     failwith "Runtime: unhandled simulated exception";
   let entry = Support.Vec.pop t.handlers in
@@ -563,7 +571,7 @@ let raise_exn t src =
      t.pending_unwind <- min t.pending_unwind entry.h_depth);
   raise (Sim_raise entry.h_id)
 
-let exn_value t = t.exn_cell.(0)
+let exn_value t = Value.decode t.exn_cell.(0)
 
 (* --- control and stats --- *)
 
@@ -577,25 +585,9 @@ let observe_exit_deaths t =
   match t.profiler with
   | None -> ()
   | Some p ->
-    let visited : (Mem.Addr.t, unit) Hashtbl.t = Hashtbl.create 1024 in
-    let queue = Queue.create () in
-    let push_value v =
-      match v with
-      | Value.Int _ -> ()
-      | Value.Ptr a ->
-        if (not (Mem.Addr.is_null a)) && not (Hashtbl.mem visited a) then begin
-          Hashtbl.replace visited a ();
-          Queue.add a queue
-        end
-    in
-    let scratch = Rstack.Scan_cache.create () in
-    ignore
-      (Rstack.Scan.run ~stack:t.stack ~regs:t.regs ~cache:scratch
-         ~valid_prefix:0 ~mode:Rstack.Scan.Full
-         ~visit:(fun root -> push_value (Rstack.Root.get root))
-        : Rstack.Scan.result);
-    Array.iter push_value t.globals;
-    push_value t.exn_cell.(0);
+    let queue, push_word = reach_queue () in
+    iter_root_words t push_word;
+    let push_value v = push_word (Value.encode v) in
     while not (Queue.is_empty queue) do
       let base = Queue.pop queue in
       let hdr = Header.read t.mem base in

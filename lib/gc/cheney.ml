@@ -254,17 +254,10 @@ let visit_loc t loc =
   if t.remember <> None && t.aging <> None then
     remember_check t ~loc ~owner:None w'
 
-(* Every non-null pointer root is rebuilt as a value before the
-   comparison.  Rebuilding only the roots that moved allocates less, but
-   that shifts the OCaml major heap's pacing: the tenured-churn
-   end-to-end workload's peak_mem_mb reads 10% higher. *)
-let visit_root t root =
-  match Rstack.Root.get root with
-  | Mem.Value.Ptr a as v when not (Mem.Addr.is_null a) ->
-    let w' = evacuate t (Mem.Value.encode v) in
-    let v' = Mem.Value.Ptr (Mem.Value.encoded_to_addr w') in
-    if not (Mem.Value.equal v v') then Rstack.Root.set root v'
-  | Mem.Value.Ptr _ | Mem.Value.Int _ -> ()
+let visit_root t cells i =
+  let w = cells.(i) in
+  let w' = evacuate t w in
+  if w' <> w then cells.(i) <- w'
 
 let visit_object_fields t base = ignore (scan_object t base : int)
 

@@ -63,8 +63,9 @@ val create :
     [promoting] tags the engine's copies into [to_space] as promotions
     out of the nursery (statistics only). *)
 
-(** [visit_root t root] rewrites a root location in place, forwarding
-    the value it holds (as do the visits below): from-region pointers
+(** [visit_root t cells i] rewrites the root cell [cells.(i)] (an
+    encoded word) in place, forwarding the value it holds (as do the
+    visits below): from-region pointers
     are copied (or resolved through their forwarding pointer);
     large-object pointers are marked/queued; anything else passes
     through.
@@ -73,7 +74,7 @@ val create :
     outgrew the budget).
     @raise Failure on any other to-space overflow (a collector sizing
     bug). *)
-val visit_root : t -> Rstack.Root.t -> unit
+val visit_root : t -> int array -> int -> unit
 
 (** [visit_loc t loc] rewrites one heap location in place. *)
 val visit_loc : t -> Mem.Addr.t -> unit

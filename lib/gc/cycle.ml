@@ -7,18 +7,18 @@ let now () = Unix.gettimeofday ()
 
 (* --- the roots phase --- *)
 
-let roots ~hooks ~stats ~traced ~t0 mode =
-  let roots = Support.Vec.create () in
-  let res = hooks.Hooks.scan_stack mode (Support.Vec.push roots) in
-  hooks.Hooks.visit_globals (Support.Vec.push roots);
+let roots ~hooks ~stats ~traced ~t0 ~roots mode =
+  Rstack.Root.Buf.clear roots;
+  let res = hooks.Hooks.scan_stack mode roots in
+  hooks.Hooks.visit_globals roots;
   Gc_stats.add_scan stats res;
   let t1 = now () in
   stats.Gc_stats.stack_seconds <- stats.Gc_stats.stack_seconds +. (t1 -. t0);
   if traced then
     Obs.Trace.phase ~name:"roots"
       ~dur_us:((t1 -. t0) *. 1e6)
-      ~counters:[ ("roots", Support.Vec.length roots) ];
-  (roots, t1)
+      ~counters:[ ("roots", Rstack.Root.Buf.length roots) ];
+  t1
 
 (* --- engine dispatch ---
 
@@ -81,14 +81,14 @@ let survivals = function
 let drain engine ~stats roots =
   match engine with
   | Seq e ->
-    Support.Vec.iter (Cheney.visit_root e) roots;
+    Rstack.Root.Buf.iter roots (Cheney.visit_root e);
     Cheney.drain e;
     Gc_stats.add_scanned stats ~domain:0 (Cheney.words_scanned e)
   | Par p ->
     let batch =
       Rstack.Root.Batch.create ~capacity:32 ~emit:(Par_drain.add_roots p)
     in
-    Support.Vec.iter (Rstack.Root.Batch.push batch) roots;
+    Rstack.Root.Buf.iter roots (Rstack.Root.Batch.push batch);
     Rstack.Root.Batch.flush batch;
     Par_drain.run p;
     Array.iteri

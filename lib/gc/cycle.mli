@@ -5,13 +5,14 @@
     timer interval and trace records documented on it, so a collector
     built from them keeps its pause decomposition (docs/COLLECTORS.md). *)
 
-(** [roots ~hooks ~stats ~traced ~t0 mode] enumerates the stack (under
-    [mode]) and global roots.  The interval from [t0] to the returned
-    end time is credited to [stack_seconds] and, when [traced], emitted
-    as the [roots] phase span. *)
+(** [roots ~hooks ~stats ~traced ~t0 ~roots mode] empties the
+    collector's reused root buffer [roots] and refills it with the stack
+    (under [mode]) and global roots, and returns the end time.  The
+    interval from [t0] to it is credited to [stack_seconds] and, when
+    [traced], emitted as the [roots] phase span. *)
 val roots :
   hooks:Hooks.t -> stats:Gc_stats.t -> traced:bool -> t0:float ->
-  Rstack.Scan.mode -> Rstack.Root.t Support.Vec.t * float
+  roots:Rstack.Root.Buf.t -> Rstack.Scan.mode -> float
 
 (** {1 The copy engine} *)
 
@@ -67,7 +68,7 @@ val visit_card :
 
 (** [drain engine ~stats roots] visits [roots], runs the drain to its
     fixpoint and credits the scan work to [stats]' per-domain slots. *)
-val drain : engine -> stats:Gc_stats.t -> Rstack.Root.t Support.Vec.t -> unit
+val drain : engine -> stats:Gc_stats.t -> Rstack.Root.Buf.t -> unit
 
 val copied : engine -> int
 val promoted : engine -> int

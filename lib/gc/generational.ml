@@ -104,6 +104,7 @@ type t = {
       (* per-site (objects, words) allocated since the last [site_alloc]
          flush — allocated when [site_tallies] holds at collector
          creation (the engines' survival tables use the same gate) *)
+  roots : Rstack.Root.Buf.t;   (* the roots phase's buffer, reused *)
   controller : Control.Controller.t option;  (* [Some] iff [cfg.adaptive] *)
   marks : Bytes.t;
       (* the mark-sweep major's bitmap, one byte per tenured word, reused
@@ -187,6 +188,7 @@ let create mem ~hooks ~stats cfg =
     age_table = Age_table.create ();
     los_births = (if cfg.census_period > 0 then Some (Hashtbl.create 16) else None);
     alloc_sites = Cycle.site_allocs (Cycle.site_tallies hooks || cfg.adaptive);
+    roots = Rstack.Root.Buf.create ();
     controller;
     marks =
       (if cfg.major_kind = Mark_sweep then Bytes.create tenured_phys
@@ -560,10 +562,11 @@ let cycle t ~kind ~scan_mode reclaim =
       ~los_w:(Los.live_words t.los);
   let alloc_rows = flush_site_allocs t in
   let t0 = now () in
-  let roots, t1 =
-    Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 scan_mode
+  let t1 =
+    Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 ~roots:t.roots
+      scan_mode
   in
-  let r = reclaim t ~traced ~roots ~t1 in
+  let r = reclaim t ~traced ~roots:t.roots ~t1 in
   census_after_collection t ~traced;
   sample_backend_stats t ~traced;
   t.hooks.Hooks.after_collection ~full:(kind <> "minor") ~allocs:alloc_rows
@@ -780,7 +783,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
     Mark_sweep.create ~mem:t.mem ~tenured:t.tenured ~los:t.los ~marks:t.marks
       ~site_tallies:(site_tallies t) ()
   in
-  Support.Vec.iter (Mark_sweep.visit_root eng) roots;
+  Rstack.Root.Buf.iter roots (Mark_sweep.visit_root eng);
   Mark_sweep.drain eng;
   Gc_stats.add_scanned t.stats ~domain:0 (Mark_sweep.words_scanned eng);
   t.stats.Gc_stats.words_marked <-
@@ -918,7 +921,11 @@ let tenured_alloc t hdr ~birth =
   | None -> None
   | Some base -> Some (finish_alloc t hdr ~birth ~words base)
 
+(* Both entries reject a bad header before any collection, grant or
+   counter: a rejected allocation leaves the heap, the statistics and
+   the site tallies untouched. *)
 let alloc t hdr ~birth =
+  Mem.Header.validate hdr;
   let words = Mem.Header.object_words hdr in
   if is_array hdr && words >= t.cfg.los_threshold_words then begin
     (* large object: collect first if the old generation is at its
@@ -955,6 +962,7 @@ let alloc t hdr ~birth =
   end
 
 let alloc_pretenured t hdr ~birth =
+  Mem.Header.validate hdr;
   let words = Mem.Header.object_words hdr in
   if occupancy t + words >= t.major_trigger then collect t ~major:true;
   match tenured_alloc t hdr ~birth with

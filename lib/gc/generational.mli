@@ -165,12 +165,15 @@ val create : Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> config -> t
 (** [alloc t hdr ~birth] allocates in the nursery (or the large-object
     space for big arrays), collecting as needed.  Payload zeroed.
     @raise Budget.Exhausted when the object or the live data it forces
-    to be promoted does not fit the budget. *)
+    to be promoted does not fit the budget.
+    @raise Invalid_argument as {!Mem.Header.validate}, before anything
+    is collected, granted or counted. *)
 val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** [alloc_pretenured t hdr ~birth] allocates directly into the tenured
     generation (profile-driven pretenuring).
-    @raise Budget.Exhausted when the tenured area is full. *)
+    @raise Budget.Exhausted when the tenured area is full.
+    @raise Invalid_argument as {!alloc}. *)
 val alloc_pretenured : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** [record_update t ~obj ~loc] is the write barrier: called on every

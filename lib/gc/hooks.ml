@@ -1,8 +1,8 @@
 type object_hooks = { on_die : site:int -> birth:int -> words:int -> unit }
 
 type t = {
-  scan_stack : Rstack.Scan.mode -> (Rstack.Root.t -> unit) -> Rstack.Scan.result;
-  visit_globals : (Rstack.Root.t -> unit) -> unit;
+  scan_stack : Rstack.Scan.mode -> Rstack.Root.Buf.t -> Rstack.Scan.result;
+  visit_globals : Rstack.Root.Buf.t -> unit;
   after_collection :
     full:bool ->
     allocs:(int * int * int) list ->
@@ -15,7 +15,7 @@ type t = {
 
 let nothing = {
   scan_stack =
-    (fun _mode _visit ->
+    (fun _mode _roots ->
       { Rstack.Scan.depth = 0;
         frames_decoded = 0;
         frames_reused = 0;

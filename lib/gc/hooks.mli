@@ -12,10 +12,12 @@
 type object_hooks = { on_die : site:int -> birth:int -> words:int -> unit }
 
 type t = {
-  scan_stack : Rstack.Scan.mode -> (Rstack.Root.t -> unit) -> Rstack.Scan.result;
-      (** enumerate stack and register roots; honours the scan cache *)
-  visit_globals : (Rstack.Root.t -> unit) -> unit;
-      (** enumerate the runtime's global roots *)
+  scan_stack : Rstack.Scan.mode -> Rstack.Root.Buf.t -> Rstack.Scan.result;
+      (** append the stack and register roots to the collector's root
+          buffer; honours the scan cache *)
+  visit_globals : Rstack.Root.Buf.t -> unit;
+      (** append the runtime's global roots (globals, then the
+          exception cell) to the collector's root buffer *)
   after_collection :
     full:bool ->
     allocs:(int * int * int) list ->

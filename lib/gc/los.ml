@@ -23,6 +23,7 @@ let create ?(backend = Alloc.Backend.Free_list) mem =
   }
 
 let alloc t hdr ~birth =
+  Mem.Header.validate hdr;
   let words = Mem.Header.object_words hdr in
   let base =
     match Alloc.Backend.alloc t.backend words with

@@ -17,7 +17,9 @@ type t
 val create : ?backend:Alloc.Backend.kind -> Mem.Memory.t -> t
 
 (** [alloc t hdr ~birth] places a fresh large object, writing its header.
-    Payload is zeroed. *)
+    Payload is zeroed.
+    @raise Invalid_argument as {!Mem.Header.validate}, before the
+    backend grants anything. *)
 val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** [contains t a] tells whether [a] is the base address of a live large

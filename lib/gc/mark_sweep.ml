@@ -75,18 +75,12 @@ let mark_addr t a =
       Deque.push t.worklist ~self:0 a
     end
 
-(* marking rewrites nothing, so both value representations funnel into
-   [mark_addr]; there is no separate safe/raw pair to keep equivalent *)
+(* roots and fields alike are encoded words *)
 let mark_encoded t w =
   if not (Mem.Value.encoded_is_int w || w = Mem.Value.encoded_null) then
     mark_addr t (Mem.Value.encoded_to_addr w)
 
-let mark_value t v =
-  match v with
-  | Mem.Value.Int _ -> ()
-  | Mem.Value.Ptr a -> if not (Mem.Addr.is_null a) then mark_addr t a
-
-let visit_root t root = mark_value t (Rstack.Root.get root)
+let visit_root t cells i = mark_encoded t cells.(i)
 
 let scan_object t base =
   let cells = Mem.Memory.cells t.mem base in

@@ -29,14 +29,10 @@ val create :
   mem:Mem.Memory.t -> tenured:Mem.Space.t -> los:Los.t -> marks:Bytes.t ->
   site_tallies:bool -> unit -> t
 
-(** [visit_root t root] marks the root's referent (tenured or large
-    object) and queues it for field scanning.  Roots are read, never
-    rewritten — nothing moves. *)
-val visit_root : t -> Rstack.Root.t -> unit
-
-(** [mark_value t v] marks a single value's referent, for callers
-    holding a {!Mem.Value.t} rather than a root handle. *)
-val mark_value : t -> Mem.Value.t -> unit
+(** [visit_root t cells i] marks the referent (tenured or large object)
+    of the encoded word in the root cell [cells.(i)] and queues it for
+    field scanning.  Roots are read, never rewritten — nothing moves. *)
+val visit_root : t -> int array -> int -> unit
 
 (** [drain t] runs the mark loop to a fixpoint over the gray set. *)
 val drain : t -> unit

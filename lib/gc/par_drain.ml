@@ -49,7 +49,8 @@
    identical to the sequential [Cheney] drain, which stays the oracle. *)
 
 type packet =
-  | Roots of Rstack.Root.t array
+  | Roots of int array array * int array
+      (* root cells and their indexes, as {!Rstack.Root.Batch} emits *)
   | Locs of Mem.Addr.t array
   | Visit_objs of Mem.Addr.t array
       (* remset / pretenured-region objects: fields rewritten, but the
@@ -480,23 +481,18 @@ let visit_loc t w loc =
   let word' = evacuate t w word in
   if word' <> word then cells.(off) <- word'
 
-let visit_root t w root =
+let visit_root t w cells i =
   w.clock <- w.clock + cost_root;
-  let v = Rstack.Root.get root in
-  match v with
-  | Mem.Value.Int _ -> ()
-  | Mem.Value.Ptr a ->
-    if not (Mem.Addr.is_null a) then begin
-      let word' = evacuate t w (Mem.Value.encode v) in
-      let v' = Mem.Value.Ptr (Mem.Value.encoded_to_addr word') in
-      if not (Mem.Value.equal v v') then Rstack.Root.set root v'
-    end
+  let word = cells.(i) in
+  let word' = evacuate t w word in
+  if word' <> word then cells.(i) <- word'
 
 let process_packet t w p =
   w.packets <- w.packets + 1;
   w.clock <- w.clock + cost_packet;
   match p with
-  | Roots arr -> Array.iter (visit_root t w) arr
+  | Roots (cells, index) ->
+    Array.iteri (fun k i -> visit_root t w cells.(k) i) index
   | Locs arr -> Array.iter (visit_loc t w) arr
   | Visit_objs arr -> Array.iter (fun a -> scan_obj t w a ~count:false) arr
   | Scan_objs arr -> Array.iter (fun a -> scan_obj t w a ~count:true) arr
@@ -589,9 +585,9 @@ let flush_pending (type a) t (vec : a Support.Vec.t) (mk : a array -> packet) =
   done;
   Support.Vec.clear vec
 
-let add_roots t arr =
+let add_roots t cells index =
   check_staging t "add_roots";
-  if Array.length arr > 0 then stage t (Roots arr)
+  if Array.length index > 0 then stage t (Roots (cells, index))
 
 let add_loc t loc =
   check_staging t "add_loc";

@@ -82,9 +82,10 @@ val create :
     All staging must happen before {!run}; each raises
     [Invalid_argument] afterwards. *)
 
-(** [add_roots t roots] stages one root packet (the array is consumed as
-    a packet; {!Rstack.Root.Batch} emits arrays of the right grain). *)
-val add_roots : t -> Rstack.Root.t array -> unit
+(** [add_roots t cells index] stages one root packet: root [k] is the
+    cell [cells.(k).(index.(k))].  The arrays are consumed as a packet;
+    {!Rstack.Root.Batch} emits arrays of the right grain. *)
+val add_roots : t -> int array array -> int array -> unit
 
 (** [add_loc t loc] stages a heap location to rewrite (store-buffer
     entries, card-overflow locations). *)

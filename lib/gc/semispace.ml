@@ -29,6 +29,7 @@ type t = {
   alloc_sites : Cycle.site_allocs;
       (* per-site (objects, words) allocated since the last [site_alloc]
          flush; [Some] only when created under [Cycle.site_tallies] *)
+  roots : Rstack.Root.Buf.t;     (* the roots phase's buffer, reused *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -50,7 +51,8 @@ let create mem ~hooks ~stats cfg =
     space = Mem.Space.create mem ~words:soft_limit;
     soft_limit;
     live = 0;
-    alloc_sites = Cycle.site_allocs (Cycle.site_tallies hooks) }
+    alloc_sites = Cycle.site_allocs (Cycle.site_tallies hooks);
+    roots = Rstack.Root.Buf.create () }
 
 let live_words t = t.live
 
@@ -73,8 +75,9 @@ let collect_for t ~need =
       ~tenured_w:(Mem.Space.used_words t.space) ~los_w:0;
   let allocs = Cycle.flush_site_allocs t.alloc_sites in
   let t0 = now () in
-  let roots, t1 =
-    Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 Rstack.Scan.Full
+  let t1 =
+    Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 ~roots:t.roots
+      Rstack.Scan.Full
   in
   (* size the to-space to the current policy limit, not the whole budget
      share: the physical grant tracks the live set, so huge budgets (the
@@ -109,7 +112,7 @@ let collect_for t ~need =
       ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
       ~chunk_words:t.cfg.chunk_words ()
   in
-  Cycle.drain engine ~stats:t.stats roots;
+  Cycle.drain engine ~stats:t.stats t.roots;
   let t2 = now () in
   t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
   let copies = Cycle.survivals engine in
@@ -136,6 +139,8 @@ let collect_for t ~need =
 let collect t = collect_for t ~need:0
 
 let alloc t hdr ~birth =
+  (* reject a bad header before any collection or grant *)
+  Mem.Header.validate hdr;
   let words = Mem.Header.object_words hdr in
   if Mem.Space.used_words t.space + words > t.soft_limit then
     collect_for t ~need:words;

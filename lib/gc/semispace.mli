@@ -50,7 +50,9 @@ val create : Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> config -> t
 
 (** [alloc t hdr ~birth] allocates one object, collecting first if the
     soft limit would be exceeded.  Payload slots are zeroed.
-    @raise Budget.Exhausted when live data cannot fit in the budget. *)
+    @raise Budget.Exhausted when live data cannot fit in the budget.
+    @raise Invalid_argument as {!Mem.Header.validate}, before anything
+    is collected, granted or counted. *)
 val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** Force a collection now. *)

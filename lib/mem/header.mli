@@ -76,7 +76,15 @@ val payload_words : t -> int
     @raise Invalid_argument if [i] is outside the payload. *)
 val is_pointer_field : t -> int -> bool
 
-(** [write mem base h ~birth] stores the header at [base]. *)
+(** [validate h] checks that [h] can be stored under the current layout
+    (length, site, record width and mask, packed array length).
+    Allocation entries call it before granting any space, so a rejected
+    allocation leaves the heap untouched.
+    @raise Invalid_argument with a ["Header: ..."] message otherwise. *)
+val validate : t -> unit
+
+(** [write mem base h ~birth] stores the header at [base].
+    @raise Invalid_argument as {!validate}. *)
 val write : Memory.t -> Addr.t -> t -> birth:int -> unit
 
 (** [read mem base] decodes a header.

@@ -1,19 +1,22 @@
 type t = {
   key : int;
-  slots : Mem.Value.t array;
+  slots : int array;
   serial : int;
   mutable marked : bool;
 }
 
 let create ~key ~size ~serial =
-  { key; slots = Array.make size Mem.Value.zero; serial; marked = false }
+  { key; slots = Array.make size Mem.Value.encoded_zero; serial; marked = false }
 
-let get t i =
+let get_word t i =
   if i < 0 || i >= Array.length t.slots then invalid_arg "Frame.get";
-  t.slots.(i)
+  Array.unsafe_get t.slots i
 
-let set t i v =
+let set_word t i w =
   if i < 0 || i >= Array.length t.slots then invalid_arg "Frame.set";
-  t.slots.(i) <- v
+  Array.unsafe_set t.slots i w
+
+let get t i = Mem.Value.decode (get_word t i)
+let set t i v = set_word t i (Mem.Value.encode v)
 
 let size t = Array.length t.slots

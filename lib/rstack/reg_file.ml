@@ -1,16 +1,21 @@
-type t = { regs : Mem.Value.t array }
+type t = { regs : int array }
 
-let create () = { regs = Array.make Trace.num_registers Mem.Value.zero }
+let create () = { regs = Array.make Trace.num_registers Mem.Value.encoded_zero }
 
 let check r =
   if r < 0 || r >= Trace.num_registers then invalid_arg "Reg_file: bad register"
 
-let get t r =
+let get_word t r =
   check r;
-  t.regs.(r)
+  Array.unsafe_get t.regs r
 
-let set t r v =
+let set_word t r w =
   check r;
-  t.regs.(r) <- v
+  Array.unsafe_set t.regs r w
 
-let clear t = Array.fill t.regs 0 Trace.num_registers Mem.Value.zero
+let get t r = Mem.Value.decode (get_word t r)
+let set t r v = set_word t r (Mem.Value.encode v)
+
+let cells t = t.regs
+
+let clear t = Array.fill t.regs 0 Trace.num_registers Mem.Value.encoded_zero

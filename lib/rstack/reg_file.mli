@@ -1,4 +1,5 @@
-(** The simulated general-purpose register file. *)
+(** The simulated general-purpose register file.  Registers hold
+    encoded words, like frame slots ({!Frame}). *)
 
 type t
 
@@ -9,6 +10,15 @@ val create : unit -> t
 val get : t -> int -> Mem.Value.t
 
 val set : t -> int -> Mem.Value.t -> unit
+
+(** {!get}/{!set} on the encoded word, with the same checks. *)
+val get_word : t -> int -> int
+
+val set_word : t -> int -> int -> unit
+
+(** [cells t] is the register file itself, indexed by register: the
+    cells a stack scan reports as register roots. *)
+val cells : t -> int array
 
 (** [clear t] resets every register to [Int 0] (e.g. between workload
     runs). *)

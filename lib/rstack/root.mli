@@ -2,34 +2,59 @@
 
     A root is a *location* holding a pointer, not the pointer itself: a
     copying collector must be able to update the location after moving the
-    referent.  Roots live in stack slots, registers, or the runtime's
-    global table. *)
+    referent.  Every root location — a frame slot, a register, a global
+    or the exception cell — is a cell of an [int array] holding an
+    encoded word ({!Mem.Value.encode}), so a root is that cell. *)
 
-type t =
-  | Frame_slot of Frame.t * int
-  | Register of Reg_file.t * int
-  | Global of Mem.Value.t array * int
+type t = {
+  cells : int array;
+  index : int;
+}
 
-val get : t -> Mem.Value.t
-val set : t -> Mem.Value.t -> unit
-val pp : Format.formatter -> t -> unit
-
-(** Fixed-capacity root batching, the export format the parallel drain
-    consumes: collectors push roots one at a time as the stack walk
-    discovers them, and [emit] receives freshly-allocated arrays of at
-    most [capacity] roots — each array becomes one work packet.  The
-    final partial batch must be released with {!Batch.flush} before the
-    drain runs. *)
-module Batch : sig
+(** A growable buffer of roots kept as two parallel arrays, so pushing a
+    root allocates nothing once the buffer has grown to the stack's
+    size.  A collector owns one and reuses it across collections: the
+    stack scan and the global enumeration fill it, the copy or mark
+    engine reads and rewrites each cell in place. *)
+module Buf : sig
   type root = t
 
   type t
 
+  val create : unit -> t
+
+  (** [clear b] empties [b], keeping its capacity. *)
+  val clear : t -> unit
+
+  val length : t -> int
+
+  (** [push b cells i] appends the root at [cells.(i)]. *)
+  val push : t -> int array -> int -> unit
+
+  (** [iter b f] calls [f cells i] for every root [cells.(i)], in push
+      order. *)
+  val iter : t -> (int array -> int -> unit) -> unit
+
+  (** [get b k] is the [k]-th root ([k < length b]; allocates). *)
+  val get : t -> int -> root
+end
+
+(** Fixed-capacity root batching, the export format the parallel drain
+    consumes: collectors push roots one at a time, and [emit] receives
+    freshly-allocated parallel arrays of at most [capacity] roots (the
+    cells and their indexes) — each pair becomes one work packet.  The
+    final partial batch must be released with {!Batch.flush} before the
+    drain runs. *)
+module Batch : sig
+  type t
+
   (** [create ~capacity ~emit] batches roots into arrays of [capacity].
       @raise Invalid_argument if [capacity <= 0]. *)
-  val create : capacity:int -> emit:(root array -> unit) -> t
+  val create :
+    capacity:int -> emit:(int array array -> int array -> unit) -> t
 
-  val push : t -> root -> unit
+  (** [push b cells i] adds the root at [cells.(i)]. *)
+  val push : t -> int array -> int -> unit
 
   (** [flush b] emits the pending partial batch, if any. *)
   val flush : t -> unit

@@ -11,114 +11,83 @@ type result = {
 }
 
 let type_code_of regs frame = function
-  | Trace.Type_in_slot i -> Mem.Value.to_int (Frame.get frame i)
-  | Trace.Type_in_reg r -> Mem.Value.to_int (Reg_file.get regs r)
+  | Trace.Type_in_slot i -> Mem.Value.decode_int frame.Frame.slots.(i)
+  | Trace.Type_in_reg r -> Mem.Value.decode_int (Reg_file.get_word regs r)
 
-(* A reusable buffer of root slot indexes: frame decoding is a GC hot
-   loop (the paper's "root processing can be 95% of GC cost"), so the
-   per-frame cons-list + [Array.of_list] is replaced by one scratch
-   buffer per scan, copied out only into cache entries. *)
-type scratch = {
-  mutable buf : int array;
-  mutable n : int;
-}
-
-let scratch_add s i =
-  if s.n = Array.length s.buf then begin
-    let bigger = Array.make (2 * Array.length s.buf) 0 in
-    Array.blit s.buf 0 bigger 0 s.n;
-    s.buf <- bigger
-  end;
-  s.buf.(s.n) <- i;
-  s.n <- s.n + 1
-
-(* Decode one frame given the caller-side register status; fills
-   [scratch] with the root slot indexes (in slot order) and returns the
-   number of slot traces examined.  [status] is updated in place to the
-   status after this frame. *)
-let decode table regs frame (status : bool array) scratch =
-  let entry = Trace_table.lookup table frame.Frame.key in
-  scratch.n <- 0;
-  Array.iteri
-    (fun i trace ->
-      match trace with
-      | Trace.Ptr -> scratch_add scratch i
-      | Trace.Non_ptr -> ()
-      | Trace.Callee_save r -> if status.(r) then scratch_add scratch i
+(* Decode one frame given the caller-side register [status] (a
+   bitmask): appends its root slot indexes, in slot order, to [cache]
+   and its roots to [roots], and returns the status after the frame.
+   No closure and no allocation per frame — root processing is the GC
+   hot loop the paper's Section 5 attacks. *)
+let decode table regs cache roots frame status =
+  let key = frame.Frame.key in
+  let traces = (Trace_table.lookup table key).Trace_table.slots in
+  for i = 0 to Array.length traces - 1 do
+    let root =
+      match Array.unsafe_get traces i with
+      | Trace.Ptr -> true
+      | Trace.Non_ptr -> false
+      | Trace.Callee_save r -> status land (1 lsl r) <> 0
       | Trace.Compute src ->
         let code = type_code_of regs frame src in
-        if code = Trace.type_code_boxed then scratch_add scratch i
+        if code = Trace.type_code_boxed then true
         else if code <> Trace.type_code_word then
-          invalid_arg "Scan: bad runtime type code")
-    entry.Trace_table.slots;
-  for r = 0 to Trace.num_registers - 1 do
-    status.(r) <-
-      (match entry.Trace_table.regs.(r) with
-       | Trace.Reg_ptr -> true
-       | Trace.Reg_non_ptr -> false
-       | Trace.Reg_callee_save -> status.(r))
+          invalid_arg "Scan: bad runtime type code"
+        else false
+    in
+    if root then begin
+      Scan_cache.add_slot cache i;
+      Root.Buf.push roots frame.Frame.slots i
+    end
   done;
-  Array.length entry.Trace_table.slots
+  Trace_table.reg_status_after table key status
 
-let run ~stack ~regs ~cache ~valid_prefix ~mode ~visit =
+let run ~stack ~regs ~cache ~valid_prefix ~mode ~roots =
   let depth = Stack_.depth stack in
   if valid_prefix < 0 then invalid_arg "Scan.run: negative prefix";
   if valid_prefix > depth || valid_prefix > Scan_cache.length cache then
     invalid_arg "Scan.run: valid prefix exceeds stack or cache";
   let table = Stack_.table stack in
-  let frames_decoded = ref 0 in
-  let frames_reused = ref 0 in
-  let slots_decoded = ref 0 in
-  let roots_visited = ref 0 in
-  let emit root =
-    incr roots_visited;
-    visit root
-  in
-  (* resume pass two at the prefix boundary *)
-  let status = Array.make Trace.num_registers false in
-  if valid_prefix > 0 then begin
-    let boundary = Scan_cache.get cache (valid_prefix - 1) in
-    Array.blit boundary.Scan_cache.reg_status_after 0 status 0 Trace.num_registers
-  end;
+  let roots_before = Root.Buf.length roots in
   (* cached prefix *)
   for i = 0 to valid_prefix - 1 do
     let frame = Stack_.frame_at stack i in
-    let entry = Scan_cache.get cache i in
-    if entry.Scan_cache.serial <> frame.Frame.serial then
+    if Scan_cache.serial cache i <> frame.Frame.serial then
       invalid_arg "Scan.run: cache serial mismatch (marker invariant broken)";
-    incr frames_reused;
     match mode with
     | Minor -> ()
     | Full ->
-      Array.iter (fun s -> emit (Root.Frame_slot (frame, s))) entry.Scan_cache.root_slots
+      for k = Scan_cache.slots_start cache i to Scan_cache.slots_stop cache i - 1 do
+        Root.Buf.push roots frame.Frame.slots (Scan_cache.slot cache k)
+      done
   done;
-  (* fresh frames *)
-  let scratch = { buf = Array.make 16 0; n = 0 } in
+  (* fresh frames: resume pass two at the prefix boundary *)
+  Scan_cache.truncate cache valid_prefix;
+  let status =
+    ref (if valid_prefix > 0 then Scan_cache.reg_status_after cache (valid_prefix - 1)
+         else 0)
+  in
+  let slots_decoded = ref 0 in
   for i = valid_prefix to depth - 1 do
     let frame = Stack_.frame_at stack i in
-    let slots_seen = decode table regs frame status scratch in
-    incr frames_decoded;
-    slots_decoded := !slots_decoded + slots_seen;
-    for k = 0 to scratch.n - 1 do
-      emit (Root.Frame_slot (frame, scratch.buf.(k)))
-    done;
-    Scan_cache.record cache i
-      { Scan_cache.serial = frame.Frame.serial;
-        root_slots = Array.sub scratch.buf 0 scratch.n;
-        reg_status_after = Array.copy status }
+    status := decode table regs cache roots frame !status;
+    slots_decoded := !slots_decoded + Frame.size frame;
+    Scan_cache.add_frame cache ~serial:frame.Frame.serial ~reg_status:!status
   done;
-  Scan_cache.truncate cache depth;
   (* live registers at the collection point *)
+  let reg_cells = Reg_file.cells regs in
   for r = 0 to Trace.num_registers - 1 do
-    if status.(r) then emit (Root.Register (regs, r))
+    if !status land (1 lsl r) <> 0 then Root.Buf.push roots reg_cells r
   done;
+  let frames_decoded = depth - valid_prefix in
+  let roots_visited = Root.Buf.length roots - roots_before in
   if Obs.Trace.enabled () then
     Obs.Trace.stack_scan
       ~mode:(match mode with Minor -> "minor" | Full -> "full")
-      ~valid_prefix ~depth ~decoded:!frames_decoded ~reused:!frames_reused
-      ~slots:!slots_decoded ~roots:!roots_visited;
+      ~valid_prefix ~depth ~decoded:frames_decoded ~reused:valid_prefix
+      ~slots:!slots_decoded ~roots:roots_visited;
   { depth;
-    frames_decoded = !frames_decoded;
-    frames_reused = !frames_reused;
+    frames_decoded;
+    frames_reused = valid_prefix;
     slots_decoded = !slots_decoded;
-    roots_visited = !roots_visited }
+    roots_visited }

@@ -31,9 +31,11 @@ type result = {
   roots_visited : int;   (** root locations reported, registers included *)
 }
 
-(** [run ~stack ~regs ~cache ~valid_prefix ~mode ~visit] scans, reports
-    roots to [visit], and refreshes [cache] so that its entries cover the
-    whole stack at return time.
+(** [run ~stack ~regs ~cache ~valid_prefix ~mode ~roots] scans, appends
+    the roots it finds to [roots] (cached prefix in Full mode, then fresh
+    frames bottom-up, each frame's slots in order, then live registers),
+    and refreshes [cache] so that its entries cover the whole stack at
+    return time.
 
     @raise Invalid_argument if [valid_prefix] exceeds the cache or stack
     depth, or if a cached serial does not match the frame at its depth
@@ -44,5 +46,5 @@ val run :
   cache:Scan_cache.t ->
   valid_prefix:int ->
   mode:mode ->
-  visit:(Root.t -> unit) ->
+  roots:Root.Buf.t ->
   result

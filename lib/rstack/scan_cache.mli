@@ -3,32 +3,45 @@
     Decoding a frame is the expensive part of root processing: walking its
     trace-table entry, resolving callee-save chains and computing dynamic
     pointerness.  The cache stores, for every frame depth scanned last
-    time, the decoded root slot indexes and the register pointer-status
-    vector *after* that frame, so a later scan can resume pass two from an
-    arbitrary prefix boundary. *)
+    time, the frame's serial, the decoded root slot indexes and the
+    register pointer status *after* that frame, so a later scan can
+    resume pass two from an arbitrary prefix boundary.
 
-type entry = {
-  serial : int;                (** birth stamp of the cached frame *)
-  root_slots : int array;      (** slot indexes that are pointer roots *)
-  reg_status_after : bool array;
-    (** register pointer status after this frame; length
-        {!Trace.num_registers} *)
-}
+    The store is flat: per-frame serials, status masks and slot-range
+    ends in int arrays, every frame's root slot indexes back to back in
+    one more.  A scan truncates it at the valid prefix and appends the
+    frames it decodes, so a warm cache allocates nothing. *)
 
 type t
 
 val create : unit -> t
+
+(** Number of cached frames. *)
 val length : t -> int
 
-(** [get t i] returns the cached entry for frame index [i].
-    @raise Invalid_argument when out of range. *)
-val get : t -> int -> entry
+(** [serial t i] is the birth stamp of the frame cached at index [i]. *)
+val serial : t -> int -> int
 
-(** [record t i entry] stores [entry] at index [i]; [i] must be at most
-    [length t] (the cache grows densely). *)
-val record : t -> int -> entry -> unit
+(** [reg_status_after t i] is the register pointer status after frame
+    [i], as a bitmask ({!Trace_table.reg_status_after}). *)
+val reg_status_after : t -> int -> int
 
-(** [truncate t n] forgets entries at indexes [>= n]. *)
+(** Frame [i]'s root slot indexes are [slot t k] for
+    [slots_start t i <= k < slots_stop t i], in slot order. *)
+val slots_start : t -> int -> int
+
+val slots_stop : t -> int -> int
+val slot : t -> int -> int
+
+(** The per-frame accessors above raise [Invalid_argument] unless
+    [0 <= i < length t]. *)
+
+(** [truncate t n] forgets frames at indexes [>= n], and any slot
+    appended after the last {!add_frame}. *)
 val truncate : t -> int -> unit
 
-val clear : t -> unit
+(** [add_slot t s] appends root slot [s] to the frame being recorded;
+    {!add_frame} closes that frame at index [length t]. *)
+val add_slot : t -> int -> unit
+
+val add_frame : t -> serial:int -> reg_status:int -> unit

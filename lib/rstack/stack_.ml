@@ -18,7 +18,7 @@ let push t ~key =
      zeroed stack word is the null pointer), and as zero elsewhere *)
   for i = 0 to Array.length traces - 1 do
     match traces.(i) with
-    | Trace.Ptr | Trace.Callee_save _ -> frame.Frame.slots.(i) <- Mem.Value.null
+    | Trace.Ptr | Trace.Callee_save _ -> frame.Frame.slots.(i) <- Mem.Value.encoded_null
     | Trace.Non_ptr | Trace.Compute _ -> ()
   done;
   t.serial <- t.serial + 1;

@@ -4,7 +4,21 @@ type entry = {
   regs : Trace.reg_trace array;
 }
 
-type t = { entries : entry Support.Vec.t }
+(* a registered entry with its register transfer precomputed as two
+   bitmasks: bit [r] of [ptr_regs] is set for [Reg_ptr], of [keep_regs]
+   for [Reg_callee_save] *)
+type compiled = {
+  entry : entry;
+  ptr_regs : int;
+  keep_regs : int;
+}
+
+type t = { entries : compiled Support.Vec.t }
+
+(* register statuses are bits of one host int *)
+let () =
+  if Trace.num_registers > Sys.int_size then
+    failwith "Trace_table: Trace.num_registers does not fit in an int"
 
 let create () = { entries = Support.Vec.create () }
 
@@ -24,15 +38,29 @@ let validate entry =
   in
   Array.iter check entry.slots
 
+let reg_mask regs trace =
+  let m = ref 0 in
+  Array.iteri (fun r t -> if t = trace then m := !m lor (1 lsl r)) regs;
+  !m
+
 let register t entry =
   validate entry;
-  Support.Vec.push t.entries entry;
+  Support.Vec.push t.entries
+    { entry;
+      ptr_regs = reg_mask entry.regs Trace.Reg_ptr;
+      keep_regs = reg_mask entry.regs Trace.Reg_callee_save };
   Support.Vec.length t.entries - 1
 
-let lookup t key =
+let compiled t key =
   if key < 0 || key >= Support.Vec.length t.entries then
     invalid_arg "Trace_table.lookup: unknown key";
   Support.Vec.get t.entries key
+
+let lookup t key = (compiled t key).entry
+
+let reg_status_after t key status =
+  let c = compiled t key in
+  c.ptr_regs lor (status land c.keep_regs)
 
 let frame_size t key = Array.length (lookup t key).slots
 

@@ -24,6 +24,14 @@ val register : t -> entry -> int
     @raise Invalid_argument on an unknown key. *)
 val lookup : t -> int -> entry
 
+(** [reg_status_after t key status] is the register pointer status after
+    a frame of entry [key], given the caller-side [status]: bit [r] of a
+    status is set iff register [r] holds a pointer.  [Reg_ptr] sets the
+    bit, [Reg_non_ptr] clears it and [Reg_callee_save] keeps the
+    caller's; both masks are precomputed at {!register}.
+    @raise Invalid_argument on an unknown key. *)
+val reg_status_after : t -> int -> int -> int
+
 (** [frame_size t key] is the slot count of the entry. *)
 val frame_size : t -> int -> int
 

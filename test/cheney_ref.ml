@@ -200,10 +200,10 @@ let scan_object_safe t base =
 
 (* --- the engine's entry points, on the safe loops --- *)
 
-let visit_root t root =
-  let v = Rstack.Root.get root in
+let visit_root t cells i =
+  let v = Mem.Value.decode cells.(i) in
   let v' = evacuate_safe t v in
-  if not (Mem.Value.equal v v') then Rstack.Root.set root v'
+  if not (Mem.Value.equal v v') then cells.(i) <- Mem.Value.encode v'
 
 let visit_loc t loc = visit_field_safe t ~owner:None loc
 

@@ -9,12 +9,13 @@ module V = Mem.Value
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* a hooks record whose only roots are the cells of [globals] *)
+(* a hooks record whose only roots are the cells of [globals] (encoded
+   words) *)
 let global_hooks globals =
   { Collectors.Hooks.nothing with
     Collectors.Hooks.visit_globals =
-      (fun visit ->
-        Array.iteri (fun i _ -> visit (Rstack.Root.Global (globals, i))) globals)
+      (fun roots ->
+        Array.iteri (fun i _ -> Rstack.Root.Buf.push roots globals i) globals)
   }
 
 let record_hdr ?(site = 0) ~mask len = { H.kind = H.Record { mask }; len; site }
@@ -85,24 +86,24 @@ let semi ?(budget = 64 * 1024) globals =
   (mem, s)
 
 let semispace_collect_preserves_graph () =
-  let globals = Array.make 2 V.zero in
+  let globals = Array.make 2 V.encoded_zero in
   let mem, s = semi globals in
   (* a two-node cycle-free chain: g0 -> a -> b *)
   let b = Collectors.Semispace.alloc s (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr b 0) (V.Int 77);
   let a = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Ptr b);
-  globals.(0) <- V.Ptr a;
+  globals.(0) <- V.encode_addr a;
   Collectors.Semispace.collect s;
   (* everything moved; the graph must survive *)
-  let a' = V.to_addr globals.(0) in
+  let a' = V.to_addr (V.decode globals.(0)) in
   check_bool "a moved" false (Mem.Addr.equal a a');
   let b' = V.to_addr (Mem.Memory.get mem (H.field_addr a' 0)) in
   check_int "payload preserved" 77 (V.to_int (Mem.Memory.get mem (H.field_addr b' 0)));
   check_int "live words" (2 * 4) (Collectors.Semispace.live_words s)
 
 let semispace_drops_garbage () =
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let _mem, s = semi globals in
   for _ = 1 to 100 do
     ignore (Collectors.Semispace.alloc s (record_hdr ~mask:0 2) ~birth:0)
@@ -112,39 +113,39 @@ let semispace_drops_garbage () =
 
 let semispace_sharing_preserved () =
   (* two roots to the same object must stay aliased after copying *)
-  let globals = Array.make 2 V.zero in
+  let globals = Array.make 2 V.encoded_zero in
   let mem, s = semi globals in
   let a = Collectors.Semispace.alloc s (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Int 5);
-  globals.(0) <- V.Ptr a;
-  globals.(1) <- V.Ptr a;
+  globals.(0) <- V.encode_addr a;
+  globals.(1) <- V.encode_addr a;
   Collectors.Semispace.collect s;
-  check_bool "still aliased" true (V.equal globals.(0) globals.(1))
+  check_bool "still aliased" true (globals.(0) = globals.(1))
 
 let semispace_cycle () =
   (* a 2-cycle must not loop the collector *)
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, s = semi globals in
   let a = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
   let b = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Ptr b);
   Mem.Memory.set mem (H.field_addr b 0) (V.Ptr a);
-  globals.(0) <- V.Ptr a;
+  globals.(0) <- V.encode_addr a;
   Collectors.Semispace.collect s;
-  let a' = V.to_addr globals.(0) in
+  let a' = V.to_addr (V.decode globals.(0)) in
   let b' = V.to_addr (Mem.Memory.get mem (H.field_addr a' 0)) in
   let a'' = V.to_addr (Mem.Memory.get mem (H.field_addr b' 0)) in
   check_bool "cycle closed" true (Mem.Addr.equal a' a'');
   check_int "live words" 8 (Collectors.Semispace.live_words s)
 
 let semispace_budget_failure () =
-  let globals = Array.make 64 V.zero in
+  let globals = Array.make 64 V.encoded_zero in
   let _mem, s = semi ~budget:(4 * 1024) globals in
   (* keep everything alive until the budget must fail *)
   match
     for i = 0 to 63 do
       let a = Collectors.Semispace.alloc s { H.kind = H.Nonptr_array; len = 16; site = 0 } ~birth:0 in
-      globals.(i) <- V.Ptr a
+      globals.(i) <- V.encode_addr a
     done
   with
   | () -> Alcotest.fail "expected budget failure"
@@ -176,14 +177,14 @@ let gen ?(budget = 256 * 1024) ?(nursery = 8 * 1024)
   (mem, g, stats)
 
 let gen_promotion () =
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, g, stats = gen globals in
   let a = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Int 9);
-  globals.(0) <- V.Ptr a;
+  globals.(0) <- V.encode_addr a;
   check_bool "starts in nursery" true (Collectors.Generational.in_nursery g a);
   Collectors.Generational.minor g;
-  let a' = V.to_addr globals.(0) in
+  let a' = V.to_addr (V.decode globals.(0)) in
   check_bool "promoted to tenured" true (Collectors.Generational.in_tenured g a');
   check_int "payload" 9 (V.to_int (Mem.Memory.get mem (H.field_addr a' 0)));
   check_int "one minor gc" 1 stats.Collectors.Gc_stats.minor_gcs;
@@ -193,12 +194,12 @@ let gen_promotion () =
 let gen_write_barrier () =
   (* an old->young pointer created by mutation must keep the young object
      alive even though no stack/global root reaches it at minor GC *)
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, g, _stats = gen globals in
   let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
-  globals.(0) <- V.Ptr holder;
+  globals.(0) <- V.encode_addr holder;
   Collectors.Generational.minor g;
-  let holder = V.to_addr globals.(0) in
+  let holder = V.to_addr (V.decode globals.(0)) in
   check_bool "holder tenured" true (Collectors.Generational.in_tenured g holder);
   (* young object reachable only through the mutated tenured field *)
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
@@ -216,12 +217,12 @@ let gen_write_barrier () =
 let gen_missing_barrier_loses_object () =
   (* the converse: without the barrier record, the young object dies —
      this pins down that the barrier is load-bearing in these tests *)
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, g, _ = gen globals in
   let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
-  globals.(0) <- V.Ptr holder;
+  globals.(0) <- V.encode_addr holder;
   Collectors.Generational.minor g;
-  let holder = V.to_addr globals.(0) in
+  let holder = V.to_addr (V.decode globals.(0)) in
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr holder 0) (V.Ptr young);
   (* no record_update *)
@@ -234,7 +235,7 @@ let gen_missing_barrier_loses_object () =
     (V.equal v (V.Ptr young))
 
 let gen_large_object_space () =
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let _mem, g, stats = gen globals in
   let big =
     Collectors.Generational.alloc g
@@ -242,12 +243,12 @@ let gen_large_object_space () =
   in
   check_bool "not in nursery" false (Collectors.Generational.in_nursery g big);
   check_bool "not in tenured" false (Collectors.Generational.in_tenured g big);
-  globals.(0) <- V.Ptr big;
+  globals.(0) <- V.encode_addr big;
   Collectors.Generational.full g;
   (* large objects are marked, not copied *)
-  check_bool "address stable" true (V.equal globals.(0) (V.Ptr big));
+  check_bool "address stable" true (V.equal (V.decode globals.(0)) (V.Ptr big));
   (* drop it: the next full collection sweeps it *)
-  globals.(0) <- V.zero;
+  globals.(0) <- V.encoded_zero;
   let live_before = Collectors.Generational.live_words g in
   Collectors.Generational.full g;
   check_bool "swept" true (Collectors.Generational.live_words g < live_before);
@@ -256,7 +257,7 @@ let gen_large_object_space () =
 let gen_pretenured_region_scan () =
   (* a pretenured object initialised with a young pointer: the region
      scan must promote the young object at the next minor collection *)
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, g, stats = gen globals in
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr young 0) (V.Int 55);
@@ -264,7 +265,7 @@ let gen_pretenured_region_scan () =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
   in
   Mem.Memory.set mem (H.field_addr old_obj 0) (V.Ptr young);
-  globals.(0) <- V.Ptr old_obj;
+  globals.(0) <- V.encode_addr old_obj;
   check_bool "pretenured in tenured" true
     (Collectors.Generational.in_tenured g old_obj);
   Collectors.Generational.minor g;
@@ -278,7 +279,7 @@ let gen_pretenured_region_scan () =
 let gen_scan_elision_skips () =
   (* with site_needs_scan = false the region scan skips the object; its
      young referent is then (unsoundly, by design of the test) lost *)
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem = Mem.Memory.create () in
   let stats = Collectors.Gc_stats.create () in
   let hooks =
@@ -293,13 +294,13 @@ let gen_scan_elision_skips () =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:0 ~site:7 1)
       ~birth:0
   in
-  globals.(0) <- V.Ptr old_obj;
+  globals.(0) <- V.encode_addr old_obj;
   Collectors.Generational.minor g;
   check_int "region words skipped" 4 stats.Collectors.Gc_stats.words_region_skipped;
   check_int "none scanned" 0 stats.Collectors.Gc_stats.words_region_scanned
 
 let gen_survives_many_collections () =
-  let globals = Array.make 4 V.zero in
+  let globals = Array.make 4 V.encoded_zero in
   let mem, g, stats = gen globals in
   (* a persistent list in globals.(0), garbage elsewhere *)
   let prng = Support.Prng.create ~seed:42 in
@@ -308,8 +309,8 @@ let gen_survives_many_collections () =
     let hdr = record_hdr ~mask:2 2 in
     let a = Collectors.Generational.alloc g hdr ~birth:0 in
     Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
-    Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-    if keep then globals.(0) <- V.Ptr a
+    Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
+    if keep then globals.(0) <- V.encode_addr a
   done;
   check_bool "many gcs" true (stats.Collectors.Gc_stats.minor_gcs > 5);
   (* walk the list and verify the kept values are descending *)
@@ -321,7 +322,7 @@ let gen_survives_many_collections () =
       walk (Mem.Memory.get mem (H.field_addr a 1)) x (count + 1)
     | V.Ptr _ | V.Int _ -> count
   in
-  let n = walk globals.(0) max_int 0 in
+  let n = walk (V.decode globals.(0)) max_int 0 in
   check_bool "kept a sensible number" true (n > 200 && n < 400)
 
 let card_table_unit () =
@@ -354,16 +355,16 @@ let card_barrier_keeps_edge threshold () =
   (* same scenario as the write-barrier test, under cards; under an aging
      nursery the edge must stay remembered, through every minor that
      keeps its target young, until the target is promoted *)
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, g, _ =
     gen ~barrier:Collectors.Generational.Barrier_cards ~threshold globals
   in
   let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
-  globals.(0) <- V.Ptr holder;
+  globals.(0) <- V.encode_addr holder;
   for _ = 1 to threshold do
     Collectors.Generational.minor g
   done;
-  let holder = V.to_addr globals.(0) in
+  let holder = V.to_addr (V.decode globals.(0)) in
   check_bool "holder tenured" true (Collectors.Generational.in_tenured g holder);
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr young 0) (V.Int 321);
@@ -382,25 +383,25 @@ let card_barrier_keeps_edge threshold () =
   Collectors.Generational.minor g
 
 let aging_nursery_delays_promotion () =
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, g, stats = gen ~threshold:3 globals in
   let a = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Int 31);
-  globals.(0) <- V.Ptr a;
+  globals.(0) <- V.encode_addr a;
   (* two minors: survives in the nursery, aging *)
   Collectors.Generational.minor g;
-  let a1 = V.to_addr globals.(0) in
+  let a1 = V.to_addr (V.decode globals.(0)) in
   check_bool "still young after one gc" true
     (Collectors.Generational.in_nursery g a1);
   check_int "age 1" 1 (Mem.Header.age mem a1);
   Collectors.Generational.minor g;
-  let a2 = V.to_addr globals.(0) in
+  let a2 = V.to_addr (V.decode globals.(0)) in
   check_bool "still young after two" true
     (Collectors.Generational.in_nursery g a2);
   check_int "age 2" 2 (Mem.Header.age mem a2);
   (* third minor promotes *)
   Collectors.Generational.minor g;
-  let a3 = V.to_addr globals.(0) in
+  let a3 = V.to_addr (V.decode globals.(0)) in
   check_bool "promoted at the threshold" true
     (Collectors.Generational.in_tenured g a3);
   check_int "payload intact" 31 (V.to_int (Mem.Memory.get mem (H.field_addr a3 0)));
@@ -412,13 +413,13 @@ let aging_copies_more_than_immediate () =
   (* the motivation for pretenuring under aging policies: long-lived data
      is copied [threshold] times instead of once *)
   let run threshold =
-    let globals = Array.make 1 V.zero in
+    let globals = Array.make 1 V.encoded_zero in
     let mem, g, stats = gen ~threshold globals in
     for i = 1 to 400 do
       let a = Collectors.Generational.alloc g (record_hdr ~mask:2 2) ~birth:0 in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
-      Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      globals.(0) <- V.Ptr a
+      Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
+      globals.(0) <- V.encode_addr a
     done;
     stats.Collectors.Gc_stats.words_copied
   in
@@ -428,7 +429,7 @@ let aging_copies_more_than_immediate () =
 let pretenured_to_los_edge () =
   (* a pretenured record pointing at a large object: the major trace must
      mark the large object through the tenured record *)
-  let globals = Array.make 1 V.zero in
+  let globals = Array.make 1 V.encoded_zero in
   let mem, g, _ = gen globals in
   let big =
     Collectors.Generational.alloc g
@@ -438,16 +439,16 @@ let pretenured_to_los_edge () =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
   in
   Mem.Memory.set mem (H.field_addr holder 0) (V.Ptr big);
-  globals.(0) <- V.Ptr holder;
+  globals.(0) <- V.encode_addr holder;
   Collectors.Generational.full g;
   (* the large object survived because the tenured record references it *)
-  let holder = V.to_addr globals.(0) in
+  let holder = V.to_addr (V.decode globals.(0)) in
   let big' = V.to_addr (Mem.Memory.get mem (H.field_addr holder 0)) in
   check_bool "large object survived the sweep" true
     (Mem.Memory.live_block mem big');
   check_bool "large objects do not move" true (Mem.Addr.equal big big');
   (* dropping the holder lets the next full collection sweep it *)
-  globals.(0) <- V.zero;
+  globals.(0) <- V.encoded_zero;
   Collectors.Generational.full g;
   check_int "everything swept" 0 (Collectors.Generational.live_words g)
 
@@ -481,7 +482,7 @@ let counters (s : Collectors.Gc_stats.t) =
    fingerprint of the surviving heap. *)
 let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
     ?tenured_backend ?los_backend ?major_kind ?eager ~barrier ~threshold () =
-  let globals = Array.make 4 V.zero in
+  let globals = Array.make 4 V.encoded_zero in
   let mem, g, stats =
     gen ~budget ~barrier ~threshold ~parallelism ?mode ?tenured_backend
       ?los_backend ?major_kind ?eager globals
@@ -491,11 +492,11 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
     let keep = Support.Prng.int prng 10 = 0 in
     let a = Collectors.Generational.alloc g (record_hdr ~mask:2 2) ~birth:i in
     Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
-    Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-    if keep then globals.(0) <- V.Ptr a;
+    Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
+    if keep then globals.(0) <- V.encode_addr a;
     (* barriered old->young store into a pretenured holder *)
     (if i mod 7 = 3 then
-       match globals.(2) with
+       match V.decode globals.(2) with
        | V.Ptr holder when Collectors.Generational.in_tenured g holder ->
          let loc = H.field_addr holder 0 in
          Mem.Memory.set mem loc (V.Ptr a);
@@ -506,13 +507,13 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
         Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1)
           ~birth:i
       in
-      Mem.Memory.set mem (H.field_addr p 0) globals.(0);
+      Mem.Memory.set mem (H.field_addr p 0) (V.decode globals.(0));
       Collectors.Generational.record_update g ~obj:p ~loc:(H.field_addr p 0);
-      globals.(2) <- V.Ptr p
+      globals.(2) <- V.encode_addr p
     end;
     if i mod 501 = 0 then
       globals.(3) <-
-        V.Ptr
+        V.encode_addr
           (Collectors.Generational.alloc g
              { H.kind = H.Ptr_array; len = 600; site = 4 }
              ~birth:i)
@@ -526,7 +527,7 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
         (V.to_int (Mem.Memory.get mem (H.field_addr a 0)) :: acc)
     | V.Ptr _ | V.Int _ -> acc
   in
-  (counters stats, fingerprint globals.(0) [])
+  (counters stats, fingerprint (V.decode globals.(0)) [])
 
 (* Digest of one run's counters and surviving-heap fingerprint.  Each
    expected digest below was recorded while the collectors could still
@@ -573,13 +574,13 @@ let gen_pins () =
 
 let semispace_pin () =
   let run () =
-    let globals = Array.make 2 V.zero in
+    let globals = Array.make 2 V.encoded_zero in
     let mem, s = semi ~budget:(64 * 1024) globals in
     for i = 1 to 800 do
       let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
-      Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      if i mod 5 = 0 then globals.(0) <- V.Ptr a
+      Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
+      if i mod 5 = 0 then globals.(0) <- V.encode_addr a
     done;
     Collectors.Semispace.collect s;
     (counters (Collectors.Semispace.stats s), [ Collectors.Semispace.live_words s ])
@@ -625,7 +626,7 @@ let par_seq_identical_stats () =
 
 let par_seq_identical_semispace () =
   let run parallelism =
-    let globals = Array.make 2 V.zero in
+    let globals = Array.make 2 V.encoded_zero in
     let mem = Mem.Memory.create () in
     let stats = Collectors.Gc_stats.create () in
     let s =
@@ -636,8 +637,8 @@ let par_seq_identical_semispace () =
     for i = 1 to 800 do
       let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
-      Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      if i mod 5 = 0 then globals.(0) <- V.Ptr a
+      Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
+      if i mod 5 = 0 then globals.(0) <- V.encode_addr a
     done;
     Collectors.Semispace.collect s;
     (counters stats, Collectors.Semispace.live_words s)
@@ -697,7 +698,7 @@ let real_seq_identical_stats () =
 
 let real_seq_identical_semispace () =
   let run parallelism mode =
-    let globals = Array.make 2 V.zero in
+    let globals = Array.make 2 V.encoded_zero in
     let mem = Mem.Memory.create () in
     let stats = Collectors.Gc_stats.create () in
     let s =
@@ -709,8 +710,8 @@ let real_seq_identical_semispace () =
     for i = 1 to 800 do
       let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
-      Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      if i mod 5 = 0 then globals.(0) <- V.Ptr a
+      Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
+      if i mod 5 = 0 then globals.(0) <- V.encode_addr a
     done;
     Collectors.Semispace.collect s;
     (counters stats, Collectors.Semispace.live_words s)
@@ -1266,7 +1267,7 @@ let packed_classic_equivalence () =
    pretenured allocations are served from them (free words fall with no
    sweep in between) *)
 let ms_reclaims_and_reuses_holes () =
-  let globals = Array.make 2 V.zero in
+  let globals = Array.make 2 V.encoded_zero in
   let mem, g, stats =
     gen ~tenured_backend:Alloc.Backend.Free_list
       ~major_kind:Collectors.Generational.Mark_sweep globals
@@ -1277,7 +1278,7 @@ let ms_reclaims_and_reuses_holes () =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:0 1) ~birth:0
   in
   Mem.Memory.set mem (H.field_addr keep 0) (V.Int 77);
-  globals.(0) <- V.Ptr keep;
+  globals.(0) <- V.encode_addr keep;
   (* a batch of doomed pretenured records: never rooted, they die at the
      first major and must come back as holes *)
   for i = 1 to 60 do
@@ -1292,7 +1293,7 @@ let ms_reclaims_and_reuses_holes () =
   check_bool "holes visible in the gauges" true
     (stats.Collectors.Gc_stats.tenured_free_words > 0);
   check_bool "survivor address stable" true
-    (V.equal globals.(0) (V.Ptr keep));
+    (V.equal (V.decode globals.(0)) (V.Ptr keep));
   check_int "survivor intact" 77
     (V.to_int (Mem.Memory.get mem (H.field_addr keep 0)));
   let free_before = stats.Collectors.Gc_stats.tenured_free_words in
@@ -1303,7 +1304,7 @@ let ms_reclaims_and_reuses_holes () =
       Collectors.Generational.alloc_pretenured g
         (record_hdr ~site:2 ~mask:0 2) ~birth:(100 + i)
     in
-    globals.(1) <- V.Ptr p
+    globals.(1) <- V.encode_addr p
   done;
   (* an empty-nursery minor only resamples the gauges *)
   Collectors.Generational.minor g;
@@ -1365,7 +1366,8 @@ let ms_sweep_safety_prop =
           ~marks:(Bytes.create (Mem.Space.size_words space))
           ~site_tallies:false ()
       in
-      Array.iter (Collectors.Mark_sweep.mark_value eng) roots;
+      let cells = Array.map V.encode roots in
+      Array.iteri (fun i _ -> Collectors.Mark_sweep.visit_root eng cells i) cells;
       Collectors.Mark_sweep.drain eng;
       let free0 = (Alloc.Backend.frag be).Alloc.Backend.free_words in
       let died = ref 0 in
@@ -1399,7 +1401,7 @@ module Gen_heap = struct
     young_to : Mem.Space.t;
     los : Collectors.Los.t;
     large : Mem.Addr.t array;
-    globals : V.t array;
+    globals : int array;  (* encoded root words *)
     locs : Mem.Addr.t list;   (* [visit_loc] targets *)
     objs : Mem.Addr.t list;   (* [visit_object_fields] targets *)
     promote_alloc : (int -> Mem.Addr.t option) option;
@@ -1473,7 +1475,7 @@ module Gen_heap = struct
         H.set_age mem a (int 4);
         if int 2 = 0 then H.set_survivor mem a)
       young;
-    let globals = Array.init (1 + int 5) (fun _ -> pick ()) in
+    let globals = Array.init (1 + int 5) (fun _ -> V.encode (pick ())) in
     let some_old () = olds.(int (Array.length olds)) in
     let locs =
       List.init (int 5) (fun _ ->
@@ -1536,7 +1538,7 @@ module type ENGINE = sig
     unit ->
     t
 
-  val visit_root : t -> Rstack.Root.t -> unit
+  val visit_root : t -> int array -> int -> unit
   val visit_loc : t -> Mem.Addr.t -> unit
   val visit_object_fields : t -> Mem.Addr.t -> unit
   val drain : t -> unit
@@ -1566,7 +1568,7 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
       ~los:(Some h.Gen_heap.los) ~trace_los ~promoting:true ()
   in
   Array.iteri
-    (fun i _ -> E.visit_root e (Rstack.Root.Global (h.Gen_heap.globals, i)))
+    (fun i _ -> E.visit_root e h.Gen_heap.globals i)
     h.Gen_heap.globals;
   List.iter (E.visit_loc e) h.Gen_heap.locs;
   List.iter (E.visit_object_fields e) h.Gen_heap.objs;
@@ -1734,7 +1736,9 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
         Mem.Memory.set mem (H.field_addr a 2) (pick ());
         objs.(i) <- a
       done;
-      let globals = Array.init 4 (fun _ -> V.Ptr objs.(Support.Prng.int prng n)) in
+      let globals =
+        Array.init 4 (fun _ -> V.encode_addr objs.(Support.Prng.int prng n))
+      in
       let snapshot () =
         let seen = Hashtbl.create 64 in
         let words = ref 0 and acc = ref [] in
@@ -1750,7 +1754,7 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
               go (Mem.Memory.get mem (H.field_addr a 2))
             end
         in
-        Array.iter go globals;
+        Array.iter (fun w -> go (V.decode w)) globals;
         (!words, List.sort compare !acc)
       in
       let reachable_words, before = snapshot () in
@@ -1777,7 +1781,7 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
         ignore round;
         Array.iteri
           (fun i _ ->
-            Rstack.Root.Batch.push batch (Rstack.Root.Global (globals, i)))
+            Rstack.Root.Batch.push batch globals i)
           globals
       done;
       Rstack.Root.Batch.flush batch;
@@ -1867,7 +1871,7 @@ let graph_roundtrip_prop =
   QCheck.Test.make ~name:"semispace preserves random graphs" ~count:60
     QCheck.(pair (int_range 1 60) (int_range 0 1000000))
     (fun (n, seed) ->
-      let globals = Array.make 4 V.zero in
+      let globals = Array.make 4 V.encoded_zero in
       let mem, s = semi ~budget:(512 * 1024) globals in
       let prng = Support.Prng.create ~seed in
       (* build n records, each pointing to up to two earlier ones, plus an
@@ -1885,7 +1889,7 @@ let graph_roundtrip_prop =
         objs.(i) <- a
       done;
       for r = 0 to 3 do
-        globals.(r) <- V.Ptr objs.(Support.Prng.int prng n)
+        globals.(r) <- V.encode_addr objs.(Support.Prng.int prng n)
       done;
       (* snapshot reachable payloads (sorted multiset) *)
       let snapshot () =
@@ -1902,7 +1906,7 @@ let graph_roundtrip_prop =
               go (Mem.Memory.get mem (H.field_addr a 2))
             end
         in
-        Array.iter go globals;
+        Array.iter (fun w -> go (V.decode w)) globals;
         List.sort compare !acc
       in
       let before = snapshot () in

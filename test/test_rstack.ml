@@ -18,12 +18,11 @@ let some_addr = Mem.Addr.make ~block:3 ~offset:0
 let ptr = Mem.Value.Ptr some_addr
 
 let scan ?(mode = Rstack.Scan.Full) ?(valid = 0) ~stack ~regs ~cache () =
-  let roots = ref [] in
+  let roots = Rstack.Root.Buf.create () in
   let res =
-    Rstack.Scan.run ~stack ~regs ~cache ~valid_prefix:valid ~mode
-      ~visit:(fun r -> roots := r :: !roots)
+    Rstack.Scan.run ~stack ~regs ~cache ~valid_prefix:valid ~mode ~roots
   in
-  (res, List.rev !roots)
+  (res, List.init (Rstack.Root.Buf.length roots) (Rstack.Root.Buf.get roots))
 
 (* --- trace table --- *)
 
@@ -151,9 +150,150 @@ let scan_cache_serial_guard () =
   (match scan ~valid:10 ~stack ~regs ~cache () with
    | _ -> Alcotest.fail "expected serial mismatch"
    | exception Invalid_argument _ -> ());
+  Alcotest.check_raises "message"
+    (Invalid_argument "Scan.run: cache serial mismatch (marker invariant broken)")
+    (fun () -> ignore (scan ~valid:10 ~stack ~regs ~cache ()));
   (* a 5-deep prefix is fine *)
   let res, _ = scan ~valid:5 ~stack ~regs ~cache () in
   check_int "reused 5" 5 res.Rstack.Scan.frames_reused
+
+(* property: a cached scan reports exactly the roots a fresh scan would.
+   Random push/pop/raise/mutate traffic runs against the marker state
+   machine; a "collection" scans with the markers' valid prefix (in
+   either mode) and places markers, a bare scan only scans.  After every
+   cached scan its roots must be the same cells, in the same order, as a
+   Full scan from scratch — all of them in Full mode, those outside the
+   reused prefix in Minor mode — and decoded plus reused frames must
+   cover the stack.  Frames mix plain, callee-save and compute slots
+   over pointer, callee-save and non-pointer registers, so the cached
+   register status at the prefix boundary matters. *)
+type cache_op =
+  | C_push of int  (* trace-table key *)
+  | C_pop
+  | C_raise of int  (* unwind to this share (of 8) of the depth *)
+  | C_mutate of bool  (* top frame's type code: boxed? *)
+  | C_scan of bool  (* Full mode? *)
+  | C_collect of bool  (* scan (Full mode?), then place markers *)
+
+let cache_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (8, map (fun k -> C_push k) (int_bound 3));
+        (4, return C_pop);
+        (1, map (fun d -> C_raise d) (int_bound 7));
+        (2, map (fun b -> C_mutate b) bool);
+        (1, map (fun b -> C_scan b) bool);
+        (3, map (fun b -> C_collect b) bool) ])
+
+let show_cache_op = function
+  | C_push k -> Printf.sprintf "push %d" k
+  | C_pop -> "pop"
+  | C_raise d -> Printf.sprintf "raise %d/8" d
+  | C_mutate b -> Printf.sprintf "mutate %b" b
+  | C_scan b -> Printf.sprintf "scan full=%b" b
+  | C_collect b -> Printf.sprintf "collect full=%b" b
+
+let cache_equivalence_prop =
+  QCheck.Test.make ~name:"cached scans report a fresh scan's roots" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_cache_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 20 200) cache_op_gen))
+    (fun ops ->
+      let t = mk_table () in
+      let regs_of l =
+        let r = TT.plain_regs () in
+        List.iter (fun (i, tr) -> r.(i) <- tr) l;
+        r
+      in
+      let keys =
+        [| reg_entry t ~name:"plain" ~slots:[| T.Ptr; T.Non_ptr; T.Ptr |]
+             ~regs:(regs_of [ (3, T.Reg_ptr); (5, T.Reg_non_ptr) ]);
+           reg_entry t ~name:"spill" ~slots:[| T.Callee_save 3; T.Ptr |]
+             ~regs:(regs_of [ (3, T.Reg_callee_save); (5, T.Reg_ptr) ]);
+           reg_entry t ~name:"poly"
+             ~slots:[| T.Non_ptr; T.Compute (T.Type_in_slot 0); T.Callee_save 5 |]
+             ~regs:(regs_of [ (3, T.Reg_non_ptr); (5, T.Reg_callee_save) ]);
+           reg_entry t ~name:"boxed-reg"
+             ~slots:[| T.Compute (T.Type_in_reg 7); T.Callee_save 5 |]
+             ~regs:(regs_of [ (3, T.Reg_callee_save); (5, T.Reg_callee_save) ]) |]
+      in
+      let stack = St.create t in
+      let regs = Rstack.Reg_file.create () in
+      (* register contents never change: a compute slot typed by a
+         register reads it at scan time, for cached frames too *)
+      Rstack.Reg_file.set regs 3 ptr;
+      Rstack.Reg_file.set regs 5 ptr;
+      Rstack.Reg_file.set regs 7 (Mem.Value.Int T.type_code_boxed);
+      let cache = Rstack.Scan_cache.create () in
+      let m = Rstack.Markers.create ~n:5 in
+      let push k =
+        let f = St.push stack ~key:keys.(k) in
+        if k = 2 then Rstack.Frame.set f 0 (Mem.Value.Int T.type_code_word)
+      in
+      for k = 0 to 11 do
+        push (k mod 4)
+      done;
+      let cells roots = List.map (fun r -> (r.Rstack.Root.cells, r.Rstack.Root.index)) roots in
+      let same a b =
+        List.length a = List.length b
+        && List.for_all2 (fun (c, i) (c', i') -> c == c' && i = i') a b
+      in
+      let check ~full =
+        let valid =
+          min (Rstack.Markers.valid_prefix m)
+            (min (Rstack.Scan_cache.length cache) (St.depth stack))
+        in
+        let mode = if full then Rstack.Scan.Full else Rstack.Scan.Minor in
+        let res, got = scan ~mode ~valid ~stack ~regs ~cache () in
+        let _, fresh =
+          scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) ()
+        in
+        let prefix_frames = List.init valid (St.frame_at stack) in
+        let in_prefix (c, _) =
+          List.exists (fun f -> f.Rstack.Frame.slots == c) prefix_frames
+        in
+        let expected =
+          if full then cells fresh
+          else List.filter (fun r -> not (in_prefix r)) (cells fresh)
+        in
+        same (cells got) expected
+        && res.Rstack.Scan.frames_decoded + res.Rstack.Scan.frames_reused
+           = St.depth stack
+        && res.Rstack.Scan.frames_reused = valid
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | C_push k ->
+            push k;
+            true
+          | C_pop ->
+            if St.depth stack > 0 then begin
+              let d = St.depth stack in
+              Rstack.Markers.frame_popped m (St.pop stack) ~depth:d
+            end;
+            true
+          | C_raise share ->
+            let target = St.depth stack * share / 8 in
+            St.unwind_to stack ~depth:target;
+            Rstack.Markers.exception_unwound m ~target_depth:target;
+            true
+          | C_mutate boxed ->
+            (* only the active frame writes its slots *)
+            (if St.depth stack > 0 then
+               let f = St.top stack in
+               if f.Rstack.Frame.key = keys.(2) then
+                 Rstack.Frame.set f 0
+                   (Mem.Value.Int
+                      (if boxed then T.type_code_boxed else T.type_code_word)));
+            true
+          | C_scan full -> check ~full
+          | C_collect full ->
+            let ok = check ~full in
+            ignore (Rstack.Markers.place m stack : int);
+            ok)
+        ops)
 
 (* --- markers --- *)
 
@@ -363,7 +503,8 @@ let () =
           Alcotest.test_case "compute" `Quick scan_compute ] );
       ( "cache",
         [ Alcotest.test_case "reuse" `Quick scan_cache_reuse;
-          Alcotest.test_case "serial guard" `Quick scan_cache_serial_guard ] );
+          Alcotest.test_case "serial guard" `Quick scan_cache_serial_guard;
+          QCheck_alcotest.to_alcotest cache_equivalence_prop ] );
       ( "scan-edges",
         [ Alcotest.test_case "empty stack" `Quick scan_empty_stack;
           Alcotest.test_case "fully cached" `Quick scan_fully_cached ] );

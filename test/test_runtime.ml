@@ -163,6 +163,90 @@ let unhandled_raise_fails () =
     | _ -> Alcotest.fail "expected failure"
     | exception Failure _ -> ())
 
+(* --- a rejected allocation leaves no trace ---
+
+   A header the layout cannot store must be refused before any space is
+   bumped or granted: a hole left in the nursery would be walked by the
+   profiler's death sweep as phantom objects, and a leaked free-list
+   grant would break the mark-sweep major's accounting. *)
+
+let too_wide = List.init 41 (fun i -> R.I (R.Imm i))
+
+let reject_too_wide rt ~site =
+  match R.alloc_record rt ~site ~dst:(R.To_slot 0) too_wide with
+  | () -> Alcotest.fail "a 41-field record must be rejected"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message" "Header: record too large" msg
+
+let rejected_header_leaves_no_hole () =
+  List.iter
+    (fun layout ->
+      let cfg =
+        { (Gsc.Config.generational ~budget_bytes:budget) with
+          Gsc.Config.profiling = true;
+          header_layout = layout }
+      in
+      let sites =
+        with_rt ~cfg @@ fun rt ->
+        let site = R.register_site rt ~name:"s" in
+        let key =
+          R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p")
+        in
+        R.call rt ~key ~args:[] (fun () ->
+          for i = 1 to 300 do
+            R.alloc_record rt ~site ~dst:(R.To_slot 0)
+              [ R.I (R.Imm i); R.I (R.Imm i); R.I (R.Imm i); R.I (R.Imm i) ]
+          done;
+          R.collect_now rt;
+          R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 1) ];
+          let st = R.stats rt in
+          let words = st.Collectors.Gc_stats.words_allocated
+          and objects = st.Collectors.Gc_stats.objects_allocated in
+          reject_too_wide rt ~site;
+          check_int "words allocated unchanged" words
+            st.Collectors.Gc_stats.words_allocated;
+          check_int "objects allocated unchanged" objects
+            st.Collectors.Gc_stats.objects_allocated;
+          R.collect_now rt;
+          ignore (R.check_heap rt : int));
+        match R.profile rt with
+        | None -> Alcotest.fail "profiling run without a profile"
+        | Some p ->
+          List.map (fun s -> s.Heap_profile.Profile_data.site) p.sites
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "only the real site (%s)"
+           (match layout with
+            | Mem.Header.Classic -> "classic"
+            | Mem.Header.Packed -> "packed"))
+        [ 0 ] sites)
+    [ Mem.Header.Classic; Mem.Header.Packed ]
+
+let rejected_pretenured_header_leaks_no_grant () =
+  let cfg =
+    { (Gsc.Config.with_pretenuring ~budget_bytes:budget
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]))
+      with
+      Gsc.Config.major_kind = Collectors.Generational.Mark_sweep;
+      tenured_backend = Alloc.Backend.Free_list }
+  in
+  with_rt ~cfg @@ fun rt ->
+  let site = R.register_site rt ~name:"s" in
+  let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") in
+  R.call rt ~key ~args:[] (fun () ->
+    for i = 1 to 50 do
+      R.alloc_record rt ~site ~dst:(R.To_slot 0)
+        [ R.I (R.Imm i); R.P (R.Slot 0) ]
+    done;
+    let pretenured = (R.stats rt).Collectors.Gc_stats.words_pretenured in
+    reject_too_wide rt ~site;
+    check_int "pretenured words unchanged" pretenured
+      (R.stats rt).Collectors.Gc_stats.words_pretenured;
+    (* the major cross-checks granted minus freed against marked words *)
+    R.collect_now rt;
+    ignore (R.check_heap rt : int);
+    check_int "chain intact" 50 (R.field_int rt ~obj:(R.Slot 0) ~idx:0))
+
 (* --- the torture property --- *)
 
 (* A tiny program language interpreted both against the runtime and
@@ -178,6 +262,9 @@ type op =
   | StoreInt of int * int     (* cell only: payload := v *)
   | CallDeep of int           (* recurse, allocating at every level *)
   | RaiseInto of int          (* try { raise v } handled locally *)
+  | DeepRaise of int * int
+      (* try { recurse n frames, allocating at every level; raise a heap
+         value v from the bottom } handled outside the recursion *)
 
 let num_slots = 4
 let small_arr = 6
@@ -194,7 +281,9 @@ let op_gen =
            (int_bound 1000) (int_bound (num_slots - 1)));
         (2, map2 (fun s v -> StoreInt (s, v)) (int_bound (num_slots - 1)) (int_bound 1000));
         (1, map (fun d -> CallDeep (1 + (d mod 30))) (int_bound 100));
-        (1, map (fun v -> RaiseInto v) (int_bound 1000)) ])
+        (1, map (fun v -> RaiseInto v) (int_bound 1000));
+        (1, map2 (fun d v -> DeepRaise (1 + (d mod 30), v)) (int_bound 100)
+             (int_bound 1000)) ])
 
 let show_op = function
   | Alloc (d, v) -> Printf.sprintf "Alloc(%d,%d)" d v
@@ -205,6 +294,7 @@ let show_op = function
   | StoreInt (s, v) -> Printf.sprintf "StoreInt(%d,%d)" s v
   | CallDeep n -> Printf.sprintf "CallDeep %d" n
   | RaiseInto v -> Printf.sprintf "RaiseInto %d" v
+  | DeepRaise (n, v) -> Printf.sprintf "DeepRaise(%d,%d)" n v
 
 let arb_program =
   QCheck.make
@@ -253,15 +343,21 @@ module Model = struct
           | CallDeep n ->
             let rec deep n = if n > 0 then begin add n; deep (n - 1) end in
             deep n
-          | RaiseInto v -> add (v + 3))
+          | RaiseInto v -> add (v + 3)
+          | DeepRaise (n, v) ->
+            for k = 1 to n do
+              add k
+            done;
+            add (v + 5))
         ops
     in
     interp ops;
     !sum
 end
 
-(* runtime interpretation; every Alloc can trigger a collection *)
-let run_sim cfg ops =
+(* runtime interpretation; every Alloc can trigger a collection.
+   [inspect] sees the runtime after the program. *)
+let run_sim ?(inspect = ignore) cfg ops =
   with_rt ~cfg @@ fun rt ->
   let site = R.register_site rt ~name:"torture" in
   let site_arr = R.register_site rt ~name:"torture_arr" in
@@ -323,9 +419,37 @@ let run_sim cfg ops =
           add
             (R.try_with rt
                (fun () -> R.raise_exn rt (R.Imm v))
-               ~handler:(fun () -> V.to_int (R.exn_value rt) + 3)))
+               ~handler:(fun () -> V.to_int (R.exn_value rt) + 3))
+        | DeepRaise (n, v) ->
+          (* the unwind skips every frame of the recursion, past the
+             markers its collections placed; the handler then allocates,
+             so the exception value must survive as a root *)
+          let rec deep k =
+            R.call rt ~key:k_deep ~args:[] (fun () ->
+              add k;
+              R.alloc_record rt ~site ~dst:(R.To_slot 0)
+                [ R.I (R.Imm k); R.P (R.Slot 0) ];
+              if k < n then deep (k + 1)
+              else begin
+                R.alloc_record rt ~site ~dst:(R.To_slot 1)
+                  [ R.I (R.Imm v); R.P R.Nil ];
+                R.raise_exn rt (R.Slot 1)
+              end)
+          in
+          add
+            (R.try_with rt
+               (fun () -> deep 1)
+               ~handler:(fun () ->
+                 R.set_global rt 0 (R.exn_value rt);
+                 R.alloc_record rt ~site ~dst:(R.To_global 1)
+                   [ R.I (R.Imm 0); R.P (R.Global 0) ];
+                 let x = R.field_int rt ~obj:(R.Global 0) ~idx:0 in
+                 R.set_global rt 0 V.zero;
+                 R.set_global rt 1 V.zero;
+                 x + 5)))
       ops;
     ignore (R.check_heap rt : int));
+  inspect rt;
   !sum
 
 let torture_configs =
@@ -377,6 +501,42 @@ let torture_prop =
     ~count:120 arb_program (fun ops ->
       let expected = Model.run ops in
       List.for_all (fun cfg -> run_sim cfg ops = expected) torture_configs)
+
+(* One generated program, pinned by its generator seed, whose DeepRaise
+   recurses deeper than the marker spacing of the marker configs (4):
+   collections inside the recursion place markers in its frames, and
+   the raise unwinds past them to the handler outside.  Every config
+   must agree with the model, and the marker configs must really have
+   placed markers and unwound. *)
+let deep_raise_seed = 119
+
+let deep_raise_pinned () =
+  let ops =
+    QCheck.Gen.generate1
+      ~rand:(Random.State.make [| deep_raise_seed |])
+      arb_program.QCheck.gen
+  in
+  let deepest =
+    List.fold_left
+      (fun m op -> match op with DeepRaise (n, _) -> max m n | _ -> m)
+      0 ops
+  in
+  Alcotest.(check bool) "a DeepRaise deeper than the marker spacing" true
+    (deepest > 4);
+  let expected = Model.run ops in
+  List.iter
+    (fun cfg ->
+      let inspect rt =
+        let st = R.stats rt in
+        if cfg.Gsc.Config.stack_markers then begin
+          Alcotest.(check bool) "markers placed" true
+            (st.Collectors.Gc_stats.marker_stubs_installed > 0);
+          Alcotest.(check bool) "unwound" true
+            (st.Collectors.Gc_stats.exception_unwinds > 0)
+        end
+      in
+      check_int (Gsc.Config.name cfg) expected (run_sim ~inspect cfg ops))
+    torture_configs
 
 (* --- call arity --- *)
 
@@ -662,7 +822,14 @@ let () =
           Alcotest.test_case "globals" `Quick globals_are_roots ] );
       ( "exceptions",
         [ Alcotest.test_case "nested" `Quick nested_exceptions;
-          Alcotest.test_case "unhandled" `Quick unhandled_raise_fails ] );
+          Alcotest.test_case "unhandled" `Quick unhandled_raise_fails;
+          Alcotest.test_case "raise past markers (pinned seed)" `Quick
+            deep_raise_pinned ] );
+      ( "rejected allocation",
+        [ Alcotest.test_case "no nursery hole" `Quick
+            rejected_header_leaves_no_hole;
+          Alcotest.test_case "no leaked free-list grant" `Quick
+            rejected_pretenured_header_leaks_no_grant ] );
       ( "call",
         [ Alcotest.test_case "arity checked before the push" `Quick
             call_arity_checked_before_push ] );
