@@ -20,15 +20,15 @@ let mem t = t.mem
 let alloc t words =
   if words <= 0 then invalid_arg "Arena.alloc";
   match t.segments with
-  | seg :: _ when Mem.Space.free_words seg >= words -> Mem.Space.alloc seg words
+  | seg :: _ when Mem.Space.free_words seg >= words -> Mem.Space.grant seg words
   | _ ->
-    if t.segment_words = 0 then None
+    if t.segment_words = 0 then Mem.Addr.null
     else begin
       let seg =
         Mem.Space.create t.mem ~words:(max t.segment_words words)
       in
       t.segments <- seg :: t.segments;
-      Mem.Space.alloc seg words
+      Mem.Space.grant seg words
     end
 
 let contains t addr =

@@ -20,9 +20,9 @@ val growable : Mem.Memory.t -> segment_words:int -> t
 
 val mem : t -> Mem.Memory.t
 
-(** Frontier bump from the newest segment; [None] only when a fixed
-    arena is full. *)
-val alloc : t -> int -> Mem.Addr.t option
+(** Frontier bump from the newest segment; {!Mem.Addr.null} only when a
+    fixed arena is full. *)
+val alloc : t -> int -> Mem.Addr.t
 
 val contains : t -> Mem.Addr.t -> bool
 

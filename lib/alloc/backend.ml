@@ -28,7 +28,7 @@ module type S = sig
   type t
 
   val kind : kind
-  val alloc : t -> int -> Mem.Addr.t option
+  val alloc : t -> int -> Mem.Addr.t
   val free : t -> Mem.Addr.t -> words:int -> unit
   val contains : t -> Mem.Addr.t -> bool
   val iter_objects : t -> (Mem.Addr.t -> unit) -> unit

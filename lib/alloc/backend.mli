@@ -53,10 +53,12 @@ module type S = sig
   val kind : kind
 
   (** [alloc t words] grants exactly [words] contiguous words, or
-      [None] when a fixed arena is full (growable arenas never refuse).
-      A reused grant carries the previous occupant's bits: the caller
-      writes the header and initialises the payload. *)
-  val alloc : t -> int -> Mem.Addr.t option
+      {!Mem.Addr.null} when a fixed arena is full (growable arenas never
+      refuse) — a sentinel rather than an option, so a grant allocates
+      nothing on the host.  A reused grant carries the previous
+      occupant's bits: the caller writes the header and initialises the
+      payload. *)
+  val alloc : t -> int -> Mem.Addr.t
 
   (** [free t addr ~words] returns [words] words at [addr]; the backend
       covers the extent with one filler so the region stays walkable.
@@ -93,7 +95,7 @@ val kind_of : packed -> kind
 (** [name p] is [kind_name (kind_of p)]. *)
 val name : packed -> string
 
-val alloc : packed -> int -> Mem.Addr.t option
+val alloc : packed -> int -> Mem.Addr.t
 val free : packed -> Mem.Addr.t -> words:int -> unit
 val contains : packed -> Mem.Addr.t -> bool
 val iter_objects : packed -> (Mem.Addr.t -> unit) -> unit

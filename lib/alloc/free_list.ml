@@ -12,9 +12,8 @@ let growable mem ~segment_words = make (Arena.growable mem ~segment_words)
 (* First-fit over the coalesced hole list, falling back to the frontier.
    The fallback keeps a hole-free region identical to a bump backend. *)
 let alloc t words =
-  match Holes.take_first_fit t.holes words with
-  | Some _ as a -> a
-  | None -> Arena.alloc t.arena words
+  let a = Holes.take_first_fit t.holes words in
+  if Mem.Addr.is_null a then Arena.alloc t.arena words else a
 
 let free t addr ~words = Holes.insert t.holes addr ~words
 let contains t addr = Arena.contains t.arena addr

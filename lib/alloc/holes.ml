@@ -59,34 +59,39 @@ let insert t base ~words =
   in
   cover t covering
 
-(* First hole that can serve [words] under the filler rule: remainder 0
-   or >= header_words (a 1-2 word tail could not stay walkable).  The
-   grant comes from the hole's start; any remainder stays listed and is
-   re-covered. *)
+(* Whether hole [h] can serve [words] under the filler rule: remainder 0
+   or >= header_words (a 1-2 word tail could not stay walkable). *)
+let fits words h =
+  h.words = words || h.words >= words + Mem.Header.header_words ()
+
+let rec first_fit words = function
+  | [] -> Mem.Addr.null
+  | h :: rest -> if fits words h then h.base else first_fit words rest
+
+(* [l] with a [words] grant taken from the start of the hole at [base]:
+   the hole leaves the list, or its remainder stays listed in its place
+   and is re-covered *)
+let rec take t ~base words = function
+  | [] -> []
+  | h :: rest when Mem.Addr.equal h.base base ->
+    if h.words = words then rest
+    else begin
+      let rem = { base = Mem.Addr.add h.base words; words = h.words - words } in
+      cover t rem;
+      rem :: rest
+    end
+  | h :: rest -> h :: take t ~base words rest
+
+(* The search allocates nothing, so a miss (an empty or unfitting list,
+   the common case on the pretenured path) costs no host allocation. *)
 let take_first_fit t words =
   if words <= 0 then invalid_arg "Holes.take_first_fit";
-  let fits h =
-    h.words = words || h.words >= words + (Mem.Header.header_words ())
-  in
-  let rec go = function
-    | [] -> None
-    | h :: rest when fits h ->
-      if h.words = words then Some (h.base, rest)
-      else begin
-        let rem =
-          { base = Mem.Addr.add h.base words; words = h.words - words }
-        in
-        cover t rem;
-        Some (h.base, rem :: rest)
-      end
-    | h :: rest -> Option.map (fun (a, l) -> (a, h :: l)) (go rest)
-  in
-  match go t.list with
-  | None -> None
-  | Some (base, list) ->
-    t.list <- list;
-    t.free_words <- t.free_words - words;
-    Some base
+  let base = first_fit words t.list in
+  if not (Mem.Addr.is_null base) then begin
+    t.list <- take t ~base words t.list;
+    t.free_words <- t.free_words - words
+  end;
+  base
 
 let free_words t = t.free_words
 let count t = List.length t.list

@@ -19,9 +19,9 @@ val insert : t -> Mem.Addr.t -> words:int -> unit
 (** [take_first_fit t words] grants [words] from the first (lowest
     address) hole that fits under the remainder rule — remainder [0] or
     [>= Mem.Header.header_words].  The grant comes from the hole's
-    start; a remainder stays listed and re-covered.  [None] when no
-    hole fits. *)
-val take_first_fit : t -> int -> Mem.Addr.t option
+    start; a remainder stays listed and re-covered.  {!Mem.Addr.null}
+    when no hole fits. *)
+val take_first_fit : t -> int -> Mem.Addr.t
 
 val free_words : t -> int
 val count : t -> int

@@ -81,10 +81,10 @@ let take_bucketed t words =
     incr i
   done;
   match !found with
-  | None -> None
+  | None -> Mem.Addr.null
   | Some (base, w) ->
     if w > words then push_bucket t (Mem.Addr.add base words) (w - words);
-    Some base
+    base
 
 let alloc t words =
   if words <= 0 then invalid_arg "Size_class.alloc";
@@ -92,9 +92,7 @@ let alloc t words =
     if words > top_class t then Holes.take_first_fit t.oversize words
     else take_bucketed t words
   in
-  match reused with
-  | Some _ as a -> a
-  | None -> Arena.alloc t.arena words
+  if Mem.Addr.is_null reused then Arena.alloc t.arena words else reused
 
 let contains t addr = Arena.contains t.arena addr
 let iter_objects t f = Arena.iter_objects t.arena f

@@ -23,7 +23,7 @@ val growable : ?classes:int list -> Mem.Memory.t -> segment_words:int -> t
 
 (** Operations as specified by {!Backend.S}. *)
 
-val alloc : t -> int -> Mem.Addr.t option
+val alloc : t -> int -> Mem.Addr.t
 val free : t -> Mem.Addr.t -> words:int -> unit
 val contains : t -> Mem.Addr.t -> bool
 val iter_objects : t -> (Mem.Addr.t -> unit) -> unit

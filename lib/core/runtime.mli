@@ -202,8 +202,9 @@ module Internal : sig
   val memory : t -> Mem.Memory.t
 
   (** [alloc_object t hdr] allocates an object with header [hdr] through
-      the collector (pretenured when the policy says so), as every
-      [alloc_*] operation does; it may collect. *)
+      the collector's allocation entry (pretenured when the per-site
+      pretenure table says so), as every [alloc_*] operation does; it
+      may collect.  The header-record form, for the safe-tier twin. *)
   val alloc_object : t -> Mem.Header.t -> Mem.Addr.t
 
   (** [record_update t ~obj ~loc] runs the write barrier for a pointer

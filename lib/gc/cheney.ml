@@ -22,7 +22,7 @@ type t = {
   los : Los.t option;
   trace_los : bool;
   promoting : bool;
-  promote_alloc : (int -> Mem.Addr.t option) option;
+  promote_alloc : (int -> Mem.Addr.t) option;
       (* when set, promotions are placed by this allocator (a backend
          over [to_space]'s block) instead of bumping the to-space
          frontier, and each copy is queued on [gray_promoted]: grants
@@ -80,16 +80,18 @@ let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = fal
 let promote_dst t words =
   match t.promote_alloc with
   | Some alloc ->
-    (match alloc words with
-     | Some dst -> dst
-     | None ->
-       raise (Budget.Exhausted "tenured backend exhausted during promotion"))
+    let dst = alloc words in
+    if Mem.Addr.is_null dst then
+      raise (Budget.Exhausted "tenured backend exhausted during promotion");
+    dst
   | None ->
-    (match Mem.Space.alloc t.to_space words with
-     | Some dst -> dst
-     | None when t.promoting ->
-       raise (Budget.Exhausted "promotion overflows the tenured space")
-     | None -> failwith "Cheney: to-space overflow (collector sizing bug)")
+    let dst = Mem.Space.grant t.to_space words in
+    if Mem.Addr.is_null dst then begin
+      if t.promoting then
+        raise (Budget.Exhausted "promotion overflows the tenured space");
+      failwith "Cheney: to-space overflow (collector sizing bug)"
+    end;
+    dst
 
 (* [src]/[soff] locate the object being copied in its already-resolved
    block *)
@@ -101,9 +103,10 @@ let copy_object t src soff =
   let dst, dcells, promote =
     match t.aging with
     | Some { young_to; threshold } when age + 1 < threshold ->
-      (match Mem.Space.alloc young_to words with
-       | Some dst -> (dst, t.young_cells, false)
-       | None -> failwith "Cheney: to-space overflow (collector sizing bug)")
+      let dst = Mem.Space.grant young_to words in
+      if Mem.Addr.is_null dst then
+        failwith "Cheney: to-space overflow (collector sizing bug)";
+      (dst, t.young_cells, false)
     | Some _ | None -> (promote_dst t words, t.to_cells, true)
   in
   let doff = Mem.Addr.offset dst in

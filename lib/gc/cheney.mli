@@ -30,7 +30,7 @@ val create :
   to_space:Mem.Space.t ->
   ?aging:aging ->
   ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
-  ?promote_alloc:(int -> Mem.Addr.t option) ->
+  ?promote_alloc:(int -> Mem.Addr.t) ->
   ?eager:bool ->
   site_tallies:bool ->
   los:Los.t option ->
@@ -50,7 +50,8 @@ val create :
     promotions reuse swept holes.  Grants may then land below the
     frontier where the contiguous scan pointer cannot see them, so the
     engine drains promoted copies from an explicit gray queue instead;
-    an exhausted allocator raises {!Budget.Exhausted}.
+    an allocator that returns {!Mem.Addr.null} is exhausted and raises
+    {!Budget.Exhausted}.
     [eager] (default false) switches the engine to hierarchical
     evacuation: after each copy, the object's not-yet-forwarded children
     are copied depth-first right behind it (bounded in depth and words;

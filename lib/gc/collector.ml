@@ -10,15 +10,23 @@ let kind = function
   | Semispace _ -> Semispace_kind
   | Generational _ -> Generational_kind
 
-let alloc t hdr ~birth =
+let alloc_fields t ~pretenure ~tag ~len ~mask ~site ~birth =
   match t with
-  | Semispace s -> Semispace.alloc s hdr ~birth
-  | Generational g -> Generational.alloc g hdr ~birth
+  | Semispace s -> Semispace.alloc s ~tag ~len ~mask ~site ~birth
+  | Generational g ->
+    if pretenure then
+      Generational.alloc_pretenured g ~tag ~len ~mask ~site ~birth
+    else Generational.alloc g ~tag ~len ~mask ~site ~birth
 
-let alloc_pretenured t hdr ~birth =
-  match t with
-  | Semispace s -> Semispace.alloc s hdr ~birth
-  | Generational g -> Generational.alloc_pretenured g hdr ~birth
+let alloc_header t ~pretenure hdr ~birth =
+  alloc_fields t ~pretenure
+    ~tag:(Mem.Header.tag_of_kind hdr.Mem.Header.kind)
+    ~len:hdr.Mem.Header.len
+    ~mask:(Mem.Header.mask_of_kind hdr.Mem.Header.kind)
+    ~site:hdr.Mem.Header.site ~birth
+
+let alloc t hdr ~birth = alloc_header t ~pretenure:false hdr ~birth
+let alloc_pretenured t hdr ~birth = alloc_header t ~pretenure:true hdr ~birth
 
 let record_update t ~obj ~loc =
   match t with

@@ -12,12 +12,27 @@ type t =
 (** The technique behind a collector value. *)
 val kind : t -> kind
 
-(** [alloc t hdr ~birth] allocates one zero-filled object, collecting
-    first if the active collector's policy requires it. *)
+(** [alloc_fields t ~pretenure ~tag ~len ~mask ~site ~birth] is the
+    allocation entry: one zero-filled object with these header fields
+    ({!Mem.Header.validate_fields}), collecting first if the active
+    collector's policy requires it.  [pretenure] places it directly in
+    the tenured generation; the semispace collector ignores it (it has a
+    single region anyway).  It builds no {!Mem.Header.t}, boxes nothing
+    and resolves no block: the runtime's every allocation goes through
+    it.
+    @raise Invalid_argument as {!Mem.Header.validate_fields}, before
+    anything is collected, granted or counted. *)
+val alloc_fields :
+  t -> pretenure:bool -> tag:int -> len:int -> mask:int -> site:int ->
+  birth:int -> Mem.Addr.t
+
+(** [alloc t hdr ~birth] is {!alloc_fields} [~pretenure:false] on the
+    fields of [hdr] — the header-record form kept for tests and the
+    safe-tier twin. *)
 val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
-(** Pretenured allocation; falls back to a normal allocation under the
-    semispace collector (which has a single region anyway). *)
+(** [alloc_pretenured t hdr ~birth] is {!alloc_fields} [~pretenure:true]
+    on the fields of [hdr]. *)
 val alloc_pretenured : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
 
 (** Write barrier; a no-op under the semispace collector (which has no

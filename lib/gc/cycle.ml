@@ -172,25 +172,24 @@ let profile_sweep ~mem ~hooks ~stats ~traced ~since space =
 
 (* --- allocation epilogue: header, zeroed payload, counters --- *)
 
-let count_alloc ~stats ~(sites : site_allocs) hdr ~words =
+(* [count_alloc] and [finish_alloc] are inlined into the collectors'
+   allocation entries, as are the header and space helpers they call:
+   the runtime's every allocation passes through them *)
+let[@inline] count_alloc ~stats ~(sites : site_allocs) ~tag ~site ~words =
   stats.Gc_stats.words_allocated <- stats.Gc_stats.words_allocated + words;
   stats.Gc_stats.objects_allocated <- stats.Gc_stats.objects_allocated + 1;
-  (match hdr.Mem.Header.kind with
-   | Mem.Header.Ptr_array | Mem.Header.Nonptr_array ->
-     stats.Gc_stats.words_alloc_arrays <-
-       stats.Gc_stats.words_alloc_arrays + words
-   | Mem.Header.Record _ ->
-     stats.Gc_stats.words_alloc_records <-
-       stats.Gc_stats.words_alloc_records + words);
+  if tag = Mem.Header.tag_record then
+    stats.Gc_stats.words_alloc_records <-
+      stats.Gc_stats.words_alloc_records + words
+  else
+    stats.Gc_stats.words_alloc_arrays <-
+      stats.Gc_stats.words_alloc_arrays + words;
   match sites with
   | None -> ()
-  | Some tab ->
-    Site_tally.note tab ~site:hdr.Mem.Header.site ~first:false ~words
+  | Some tab -> Site_tally.note tab ~site ~first:false ~words
 
-let finish_alloc ~mem ~stats ~sites hdr ~birth ~words base =
-  Mem.Header.write mem base hdr ~birth;
-  Mem.Memory.fill mem
-    ~dst:(Mem.Header.field_addr base 0)
-    ~words:hdr.Mem.Header.len Mem.Value.zero;
-  count_alloc ~stats ~sites hdr ~words;
+let[@inline] finish_alloc ~stats ~sites cells ~tag ~len ~mask ~site ~birth base =
+  Mem.Header.init_object_c cells ~off:(Mem.Addr.offset base) ~tag ~len ~mask
+    ~site ~birth;
+  count_alloc ~stats ~sites ~tag ~site ~words:(Mem.Header.header_words () + len);
   base

@@ -41,7 +41,7 @@ val engine :
   to_space:Mem.Space.t ->
   ?aging:Cheney.aging ->
   ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
-  ?promote_alloc:(int -> Mem.Addr.t option) ->
+  ?promote_alloc:(int -> Mem.Addr.t) ->
   ?card_scan:((Mem.Addr.t -> unit) -> int -> unit) ->
   los:Los.t option ->
   trace_los:bool ->
@@ -116,13 +116,17 @@ val profile_sweep :
   mem:Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> traced:bool ->
   since:float -> Mem.Space.t -> unit
 
-(** Count one fresh object of [words] in the allocation counters and
-    the per-site table. *)
+(** Count one fresh object of [words] with header tag [tag] in the
+    allocation counters and the per-site table. *)
 val count_alloc :
-  stats:Gc_stats.t -> sites:site_allocs -> Mem.Header.t -> words:int -> unit
+  stats:Gc_stats.t -> sites:site_allocs -> tag:int -> site:int -> words:int ->
+  unit
 
-(** [finish_alloc ~mem ~stats ~sites hdr ~birth ~words base] writes the
-    header, zeroes the payload, counts the object and returns [base]. *)
+(** [finish_alloc ~stats ~sites cells ~tag ~len ~mask ~site ~birth base]
+    writes the header and zeroes the payload through [cells], the block
+    handle of the space [base] was granted from (no block lookup),
+    counts the object and returns [base].  The fields have passed
+    {!Mem.Header.validate_fields}. *)
 val finish_alloc :
-  mem:Mem.Memory.t -> stats:Gc_stats.t -> sites:site_allocs ->
-  Mem.Header.t -> birth:int -> words:int -> Mem.Addr.t -> Mem.Addr.t
+  stats:Gc_stats.t -> sites:site_allocs -> int array -> tag:int -> len:int ->
+  mask:int -> site:int -> birth:int -> Mem.Addr.t -> Mem.Addr.t

@@ -511,8 +511,8 @@ let sample_backend_stats t ~traced =
 (* --- the adaptive control plane (cfg.adaptive, docs/ADAPTIVE.md) --- *)
 
 (* Feed the collection that just ended to the controller and route
-   every site whose decision closes the window through the runtime's
-   override table ([Hooks.set_pretenure]).  Runs strictly after
+   every site whose decision closes the window into the runtime's
+   per-site pretenure table ([Hooks.set_pretenure]).  Runs strictly after
    [gc_end] (so the [policy_update] records carry this collection's
    ordinal) and never between [gc_begin] and [gc_end] — the control
    plane stays off the pause's critical path and off the mutator's
@@ -897,44 +897,23 @@ let full t = collect t ~major:true
 
 let exhausted what = raise (Budget.Exhausted ("Generational: " ^ what))
 
-let is_array hdr =
-  match hdr.Mem.Header.kind with
-  | Mem.Header.Ptr_array | Mem.Header.Nonptr_array -> true
-  | Mem.Header.Record _ -> false
-
-let finish_alloc t hdr ~birth ~words base =
-  Cycle.finish_alloc ~mem:t.mem ~stats:t.stats ~sites:t.alloc_sites hdr ~birth
-    ~words base
-
-let bump_alloc t space hdr ~birth =
-  let words = Mem.Header.object_words hdr in
-  match Mem.Space.alloc space words with
-  | None -> None
-  | Some base -> Some (finish_alloc t hdr ~birth ~words base)
-
-(* pretenured grants go through the configured placement policy; with
-   the default bump backend this is byte-identical to [bump_alloc] on
-   the tenured space *)
-let tenured_alloc t hdr ~birth =
-  let words = Mem.Header.object_words hdr in
-  match Alloc.Backend.alloc t.tenured_be words with
-  | None -> None
-  | Some base -> Some (finish_alloc t hdr ~birth ~words base)
-
 (* Both entries reject a bad header before any collection, grant or
    counter: a rejected allocation leaves the heap, the statistics and
-   the site tallies untouched. *)
-let alloc t hdr ~birth =
-  Mem.Header.validate hdr;
-  let words = Mem.Header.object_words hdr in
-  if is_array hdr && words >= t.cfg.los_threshold_words then begin
+   the site tallies untouched.  A grant is written through the block
+   handle of the space it came from, read after any collection (an
+   aging minor swaps the nursery, a copying major the tenured space). *)
+let alloc t ~tag ~len ~mask ~site ~birth =
+  Mem.Header.validate_fields ~tag ~len ~mask ~site;
+  let words = Mem.Header.header_words () + len in
+  if tag <> Mem.Header.tag_record && words >= t.cfg.los_threshold_words
+  then begin
     (* large object: collect first if the old generation is at its
        trigger, then place the object in the large-object space *)
     if occupancy t + words >= t.major_trigger then collect t ~major:true;
     if occupancy t + words > t.tenured_cap then
       exhausted "large object exceeds memory budget";
-    let base = Los.alloc t.los hdr ~birth in
-    Cycle.count_alloc ~stats:t.stats ~sites:t.alloc_sites hdr ~words;
+    let base = Los.alloc t.los ~tag ~len ~mask ~site ~birth in
+    Cycle.count_alloc ~stats:t.stats ~sites:t.alloc_sites ~tag ~site ~words;
     (match t.los_births with
      | None -> ()
      | Some tbl -> Hashtbl.replace tbl base t.collections);
@@ -943,42 +922,50 @@ let alloc t hdr ~birth =
   else begin
     if words > t.nursery_words then
       exhausted "object larger than the nursery";
-    match bump_alloc t t.nursery hdr ~birth with
-    | Some base -> base
-    | None ->
-      (* under an aging nursery, survivors occupy part of the fresh
-         semispace; repeated minors age them up to promotion, so at most
-         [tenure_threshold] collections free the space *)
-      let rec retry attempts =
-        collect t ~major:false;
-        match bump_alloc t t.nursery hdr ~birth with
-        | Some base -> base
-        | None ->
-          if attempts >= t.cfg.tenure_threshold then
+    let base = Mem.Space.grant t.nursery words in
+    let base =
+      if not (Mem.Addr.is_null base) then base
+      else
+        (* under an aging nursery, survivors occupy part of the fresh
+           semispace; repeated minors age them up to promotion, so at
+           most [tenure_threshold] collections free the space *)
+        let rec retry attempts =
+          collect t ~major:false;
+          let base = Mem.Space.grant t.nursery words in
+          if not (Mem.Addr.is_null base) then base
+          else if attempts >= t.cfg.tenure_threshold then
             exhausted "nursery exhausted after collection"
           else retry (attempts + 1)
-      in
-      retry 1
+        in
+        retry 1
+    in
+    Cycle.finish_alloc ~stats:t.stats ~sites:t.alloc_sites
+      (Mem.Space.cells t.nursery) ~tag ~len ~mask ~site ~birth base
   end
 
-let alloc_pretenured t hdr ~birth =
-  Mem.Header.validate hdr;
-  let words = Mem.Header.object_words hdr in
+(* pretenured grants go through the configured placement policy, which
+   places inside [t.tenured]'s block; with the default bump backend this
+   is a frontier bump of the tenured space *)
+let alloc_pretenured t ~tag ~len ~mask ~site ~birth =
+  Mem.Header.validate_fields ~tag ~len ~mask ~site;
+  let words = Mem.Header.header_words () + len in
   if occupancy t + words >= t.major_trigger then collect t ~major:true;
-  match tenured_alloc t hdr ~birth with
-  | Some base ->
-    t.stats.Gc_stats.words_pretenured <-
-      t.stats.Gc_stats.words_pretenured + words;
-    (* the object has already survived its "first collection" by fiat;
-       mark it so the profiler does not double-count a later copy *)
-    Mem.Header.set_survivor t.mem base;
-    if t.cfg.major_kind = Mark_sweep then
-      Support.Vec.push t.new_pretenured base;
-    (match t.controller with
-     | None -> ()
-     | Some c -> Control.Controller.note_pretenured c hdr.Mem.Header.site);
-    base
-  | None -> exhausted "tenured area exhausted (pretenuring)"
+  let base = Alloc.Backend.alloc t.tenured_be words in
+  if Mem.Addr.is_null base then exhausted "tenured area exhausted (pretenuring)";
+  let cells = Mem.Space.cells t.tenured in
+  ignore
+    (Cycle.finish_alloc ~stats:t.stats ~sites:t.alloc_sites cells ~tag ~len
+       ~mask ~site ~birth base
+      : Mem.Addr.t);
+  t.stats.Gc_stats.words_pretenured <- t.stats.Gc_stats.words_pretenured + words;
+  (* the object has already survived its "first collection" by fiat;
+     mark it so the profiler does not double-count a later copy *)
+  Mem.Header.set_survivor_c cells ~off:(Mem.Addr.offset base);
+  if t.cfg.major_kind = Mark_sweep then Support.Vec.push t.new_pretenured base;
+  (match t.controller with
+   | None -> ()
+   | Some c -> Control.Controller.note_pretenured c site);
+  base
 
 let destroy t =
   (* allocations since the last collection have not been flushed yet;

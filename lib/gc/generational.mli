@@ -162,19 +162,25 @@ type t
     [hooks]. *)
 val create : Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> config -> t
 
-(** [alloc t hdr ~birth] allocates in the nursery (or the large-object
-    space for big arrays), collecting as needed.  Payload zeroed.
+(** [alloc t ~tag ~len ~mask ~site ~birth] allocates an object with
+    these header fields ({!Mem.Header.validate_fields}) in the nursery
+    (or the large-object space for big arrays), collecting as needed.
+    Payload zeroed.  No header record is built and nothing is boxed:
+    the object is written through the granting space's block handle.
     @raise Budget.Exhausted when the object or the live data it forces
     to be promoted does not fit the budget.
-    @raise Invalid_argument as {!Mem.Header.validate}, before anything
-    is collected, granted or counted. *)
-val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
+    @raise Invalid_argument as {!Mem.Header.validate_fields}, before
+    anything is collected, granted or counted. *)
+val alloc :
+  t -> tag:int -> len:int -> mask:int -> site:int -> birth:int -> Mem.Addr.t
 
-(** [alloc_pretenured t hdr ~birth] allocates directly into the tenured
-    generation (profile-driven pretenuring).
+(** [alloc_pretenured t ~tag ~len ~mask ~site ~birth] allocates directly
+    into the tenured generation (profile-driven pretenuring), through
+    the tenured placement backend.
     @raise Budget.Exhausted when the tenured area is full.
     @raise Invalid_argument as {!alloc}. *)
-val alloc_pretenured : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
+val alloc_pretenured :
+  t -> tag:int -> len:int -> mask:int -> site:int -> birth:int -> Mem.Addr.t
 
 (** [record_update t ~obj ~loc] is the write barrier: called on every
     pointer store, where [loc] is the mutated slot and [obj] the object

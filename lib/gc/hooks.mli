@@ -40,9 +40,9 @@ type t = {
           pretenured-region scan may skip them *)
   set_pretenure : site:int -> enabled:bool -> unit;
       (** the adaptive controller's pretenure actuator: override the
-          static pretenure decision for [site] at the next allocation
-          (the runtime keeps the override table; collectors only call
-          this at collection boundaries) *)
+          static pretenure decision for [site] from the next allocation
+          on (the runtime writes it into its per-site pretenure table;
+          collectors only call this at collection boundaries) *)
 }
 
 (** Hooks that scan nothing and profile nothing (used by unit tests that

@@ -22,20 +22,15 @@ let create ?(backend = Alloc.Backend.Free_list) mem =
     live_words = 0;
   }
 
-let alloc t hdr ~birth =
-  Mem.Header.validate hdr;
-  let words = Mem.Header.object_words hdr in
-  let base =
-    match Alloc.Backend.alloc t.backend words with
-    | Some base -> base
-    | None -> failwith "Los.alloc: growable backend refused a grant"
-  in
-  Mem.Header.write t.mem base hdr ~birth;
+let alloc t ~tag ~len ~mask ~site ~birth =
+  let words = Mem.Header.header_words () + len in
+  let base = Alloc.Backend.alloc t.backend words in
+  if Mem.Addr.is_null base then
+    failwith "Los.alloc: growable backend refused a grant";
   (* reused holes carry stale payloads; fresh segments are zeroed, but
      zero unconditionally so placement cannot leak through contents *)
-  Mem.Memory.fill t.mem
-    ~dst:(Mem.Header.field_addr base 0)
-    ~words:hdr.Mem.Header.len Mem.Value.zero;
+  Mem.Header.init_object_c (Mem.Memory.cells t.mem base)
+    ~off:(Mem.Addr.offset base) ~tag ~len ~mask ~site ~birth;
   Hashtbl.replace t.objects base { base; words; marked = false };
   t.live_words <- t.live_words + words;
   base

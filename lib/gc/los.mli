@@ -16,11 +16,13 @@ type t
     [backend] picks the placement policy (default {!Alloc.Backend.Free_list}). *)
 val create : ?backend:Alloc.Backend.kind -> Mem.Memory.t -> t
 
-(** [alloc t hdr ~birth] places a fresh large object, writing its header.
-    Payload is zeroed.
-    @raise Invalid_argument as {!Mem.Header.validate}, before the
-    backend grants anything. *)
-val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
+(** [alloc t ~tag ~len ~mask ~site ~birth] places a fresh large object
+    of the given header fields, writing its header; the payload is
+    zeroed.  The fields are not checked here: the collector's allocation
+    entry has run {!Mem.Header.validate_fields} on them before any
+    grant. *)
+val alloc :
+  t -> tag:int -> len:int -> mask:int -> site:int -> birth:int -> Mem.Addr.t
 
 (** [contains t a] tells whether [a] is the base address of a live large
     object.  (All tracing paths hand object bases around, never interior

@@ -138,26 +138,28 @@ let collect_for t ~need =
 
 let collect t = collect_for t ~need:0
 
-let alloc t hdr ~birth =
+let alloc t ~tag ~len ~mask ~site ~birth =
   (* reject a bad header before any collection or grant *)
-  Mem.Header.validate hdr;
-  let words = Mem.Header.object_words hdr in
+  Mem.Header.validate_fields ~tag ~len ~mask ~site;
+  let words = Mem.Header.header_words () + len in
   if Mem.Space.used_words t.space + words > t.soft_limit then
     collect_for t ~need:words;
+  let base = Mem.Space.grant t.space words in
   let base =
-    match Mem.Space.alloc t.space words with
-    | Some a -> a
-    | None ->
+    if not (Mem.Addr.is_null base) then base
+    else begin
       (* the physical grant was too small for this object even though the
          policy allows it: collect into a to-space sized to fit *)
       collect_for t ~need:words;
-      (match Mem.Space.alloc t.space words with
-       | Some a -> a
-       | None ->
-         raise (Budget.Exhausted "Semispace: live data exceeds memory budget"))
+      let base = Mem.Space.grant t.space words in
+      if Mem.Addr.is_null base then
+        raise (Budget.Exhausted "Semispace: live data exceeds memory budget");
+      base
+    end
   in
-  Cycle.finish_alloc ~mem:t.mem ~stats:t.stats ~sites:t.alloc_sites hdr ~birth
-    ~words base
+  (* a collection swaps [t.space]: take the handle of the granting one *)
+  Cycle.finish_alloc ~stats:t.stats ~sites:t.alloc_sites
+    (Mem.Space.cells t.space) ~tag ~len ~mask ~site ~birth base
 
 let stats t = t.stats
 

@@ -48,12 +48,15 @@ type t
     @raise Invalid_argument on an empty budget. *)
 val create : Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> config -> t
 
-(** [alloc t hdr ~birth] allocates one object, collecting first if the
-    soft limit would be exceeded.  Payload slots are zeroed.
+(** [alloc t ~tag ~len ~mask ~site ~birth] allocates one object with
+    these header fields ({!Mem.Header.validate_fields}), collecting
+    first if the soft limit would be exceeded.  Payload slots are
+    zeroed.  No header record is built and nothing is boxed.
     @raise Budget.Exhausted when live data cannot fit in the budget.
-    @raise Invalid_argument as {!Mem.Header.validate}, before anything
-    is collected, granted or counted. *)
-val alloc : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
+    @raise Invalid_argument as {!Mem.Header.validate_fields}, before
+    anything is collected, granted or counted. *)
+val alloc :
+  t -> tag:int -> len:int -> mask:int -> site:int -> birth:int -> Mem.Addr.t
 
 (** Force a collection now. *)
 val collect : t -> unit

@@ -97,16 +97,33 @@ let is_pointer_field h i =
   | Ptr_array -> true
   | Nonptr_array -> false
 
-let validate h =
-  if h.len < 0 then invalid_arg "Header: negative length";
-  if h.site < 0 || h.site > max_site then invalid_arg "Header: site out of range";
-  match h.kind with
-  | Record { mask } ->
-    if h.len > max_record_fields () then invalid_arg "Header: record too large";
-    if mask lsr h.len <> 0 then invalid_arg "Header: mask wider than record"
-  | Ptr_array | Nonptr_array ->
-    if !packed && h.len > packed_array_len_max then
+let tag_of_kind = function
+  | Record _ -> tag_record
+  | Ptr_array -> tag_ptr_array
+  | Nonptr_array -> tag_nonptr_array
+
+let mask_of_kind = function
+  | Record { mask } -> mask
+  | Ptr_array | Nonptr_array -> 0
+
+(* the checks of [validate], on the header's fields; an array's mask is
+   ignored (arrays store none) *)
+let[@inline] validate_fields ~tag ~len ~mask ~site =
+  if len < 0 then invalid_arg "Header: negative length";
+  if site < 0 || site > max_site then invalid_arg "Header: site out of range";
+  if tag = tag_record then begin
+    if len > max_record_fields () then invalid_arg "Header: record too large";
+    if mask lsr len <> 0 then invalid_arg "Header: mask wider than record"
+  end
+  else if tag = tag_ptr_array || tag = tag_nonptr_array then begin
+    if !packed && len > packed_array_len_max then
       invalid_arg "Header: array too large for packed layout"
+  end
+  else invalid_arg "Header: bad tag"
+
+let validate h =
+  validate_fields ~tag:(tag_of_kind h.kind) ~len:h.len ~mask:(mask_of_kind h.kind)
+    ~site:h.site
 
 (* --- cell-array accessors ---
 
@@ -190,30 +207,31 @@ let survivor_c cells ~off = word0_c cells ~off land 4 <> 0
 
 let set_survivor_c cells ~off = cells.(off) <- cells.(off) lor (4 lsl 1)
 
-let write_c cells ~off h ~birth =
-  validate h;
+let[@inline] write_fields_c cells ~off ~tag ~len ~mask ~site ~birth =
   (if !packed then begin
-     let tag, hi =
-       match h.kind with
-       | Record { mask } ->
-         tag_record, (mask lsl packed_mask_shift) lor (h.len lsl packed_len_shift)
-       | Ptr_array -> tag_ptr_array, h.len lsl packed_len_shift
-       | Nonptr_array -> tag_nonptr_array, h.len lsl packed_len_shift
+     let hi =
+       if tag = tag_record then
+         (mask lsl packed_mask_shift) lor (len lsl packed_len_shift)
+       else len lsl packed_len_shift
      in
-     cells.(off) <- ((hi lor (h.site lsl packed_site_shift) lor tag) lsl 1) lor 1
+     cells.(off) <- ((hi lor (site lsl packed_site_shift) lor tag) lsl 1) lor 1
    end
    else begin
-     let tag, extra =
-       match h.kind with
-       | Record { mask } -> tag_record, mask
-       | Ptr_array -> tag_ptr_array, 0
-       | Nonptr_array -> tag_nonptr_array, 0
-     in
-     cells.(off) <- (((h.len lsl 6) lor tag) lsl 1) lor 1;
-     cells.(off + 1) <- (((extra lsl 20) lor h.site) lsl 1) lor 1
+     let extra = if tag = tag_record then mask else 0 in
+     cells.(off) <- (((len lsl 6) lor tag) lsl 1) lor 1;
+     cells.(off + 1) <- (((extra lsl 20) lor site) lsl 1) lor 1
    end);
   let b = !birth_off in
   if b >= 0 then cells.(off + b) <- (birth lsl 1) lor 1
+
+(* a loop, not [Array.fill]: most payloads are a few words, below the
+   cost of the C call *)
+let[@inline] init_object_c cells ~off ~tag ~len ~mask ~site ~birth =
+  write_fields_c cells ~off ~tag ~len ~mask ~site ~birth;
+  let first = off + !hw in
+  for i = first to first + len - 1 do
+    cells.(i) <- Value.encoded_zero
+  done
 
 let read_c cells ~off =
   let w0 = word0_c cells ~off in
@@ -244,7 +262,10 @@ let read_c cells ~off =
 (* --- safe (boxed) API: the same decodings through a resolved block --- *)
 
 let write mem base h ~birth =
-  write_c (Memory.cells mem base) ~off:(Addr.offset base) h ~birth
+  validate h;
+  write_fields_c (Memory.cells mem base) ~off:(Addr.offset base)
+    ~tag:(tag_of_kind h.kind) ~len:h.len ~mask:(mask_of_kind h.kind)
+    ~site:h.site ~birth
 
 let read mem base =
   let cells = Memory.cells mem base and off = Addr.offset base in

@@ -196,9 +196,38 @@ val set_age_c : int array -> off:int -> int -> unit
 val survivor_c : int array -> off:int -> bool
 val set_survivor_c : int array -> off:int -> unit
 
-(** [write_c cells ~off h ~birth] stores the header through a resolved
-    block handle (the cell twin of {!write}). *)
-val write_c : int array -> off:int -> t -> birth:int -> unit
+(** {2 The scalar allocation path}
+
+    An allocation entry passes a header as its fields — [tag] (one of
+    the [tag_*] constants above, not {!tag_forwarded}), [len], [mask]
+    and [site] — so no [t] or [kind] is built per object.  An array's
+    [mask] is ignored, as arrays store none. *)
+
+(** [validate_fields ~tag ~len ~mask ~site] makes {!validate}'s checks,
+    in its order and with its messages; a tag that names no object kind
+    fails with ["Header: bad tag"].  [validate h] is [validate_fields]
+    on [h]'s fields.
+    @raise Invalid_argument as {!validate}. *)
+val validate_fields : tag:int -> len:int -> mask:int -> site:int -> unit
+
+(** The fields of a [kind]: its tag and its mask ([0] for arrays). *)
+val tag_of_kind : kind -> int
+
+val mask_of_kind : kind -> int
+
+(** [write_fields_c cells ~off ~tag ~len ~mask ~site ~birth] stores a
+    header through a resolved block handle, unchecked: the caller has
+    run {!validate_fields} on the same fields. *)
+val write_fields_c :
+  int array -> off:int -> tag:int -> len:int -> mask:int -> site:int ->
+  birth:int -> unit
+
+(** [init_object_c] is {!write_fields_c} followed by zeroing the [len]
+    payload cells — a fresh object, as every allocation entry leaves
+    it. *)
+val init_object_c :
+  int array -> off:int -> tag:int -> len:int -> mask:int -> site:int ->
+  birth:int -> unit
 
 (** [read_c cells ~off] decodes a full header record.
     @raise Invalid_argument if the object is forwarded. *)

@@ -89,12 +89,6 @@ let blit t ~src ~dst ~words =
     invalid_arg "Memory.blit: out of range";
   Array.blit scells soff dcells doff words
 
-let fill t ~dst ~words v =
-  let cells = find t dst in
-  let off = Addr.offset dst in
-  if off + words > Array.length cells then invalid_arg "Memory.fill: out of range";
-  Array.fill cells off words (Value.encode v)
-
 let allocated_words t = t.allocated
 
 let bytes_per_word = 8

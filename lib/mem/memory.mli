@@ -51,9 +51,6 @@ val cells : t -> Addr.t -> int array
     may live in different blocks but must not overlap within one block. *)
 val blit : t -> src:Addr.t -> dst:Addr.t -> words:int -> unit
 
-(** [fill t ~dst ~words v] stores [v] into [words] consecutive cells. *)
-val fill : t -> dst:Addr.t -> words:int -> Value.t -> unit
-
 (** Total words across currently-allocated blocks (for budget sanity
     checks in tests). *)
 val allocated_words : t -> int

@@ -1,5 +1,6 @@
 type t = {
   base : Addr.t;
+  cells : int array;  (* the block handle, resolved once at [create] *)
   words : int;
   mutable next : Addr.t;
   (* Used-words frontier for parallel chunk carving: only meaningful
@@ -13,21 +14,26 @@ type t = {
 let create mem ~words =
   if words <= 0 then invalid_arg "Space.create";
   let base = Memory.alloc_block mem ~words in
-  { base; words; next = base; par_used = Atomic.make 0 }
+  { base;
+    cells = Memory.cells mem base;
+    words;
+    next = base;
+    par_used = Atomic.make 0 }
 
 let base t = t.base
+let cells t = t.cells
 let frontier t = t.next
 let size_words t = t.words
 let used_words t = Addr.diff t.next t.base
 let free_words t = t.words - used_words t
 
-let alloc t words =
-  if words < 0 then invalid_arg "Space.alloc";
-  if free_words t < words then None
+let[@inline] grant t words =
+  if words < 0 then invalid_arg "Space.grant";
+  if free_words t < words then Addr.null
   else begin
     let a = t.next in
-    t.next <- Addr.add t.next words;
-    Some a
+    t.next <- Addr.add a words;
+    a
   end
 
 let par_begin t = Atomic.set t.par_used (used_words t)

@@ -20,13 +20,20 @@ val size_words : t -> int
 val used_words : t -> int
 val free_words : t -> int
 
-(** [alloc t words] bumps the frontier, returning the base of the grant, or
-    [None] when fewer than [words] words remain. *)
-val alloc : t -> int -> Addr.t option
+(** [cells t] is the block handle ({!Memory.cells}) of the space,
+    resolved once at {!create}: allocation entries write a fresh object
+    through it without a block lookup.  Valid until {!release}. *)
+val cells : t -> int array
+
+(** [grant t words] bumps the frontier, returning the base of the grant,
+    or {!Addr.null} when fewer than [words] words remain.  The miss is
+    a sentinel, not an option, so a grant allocates nothing on the
+    host. *)
+val grant : t -> int -> Addr.t
 
 (** [par_begin t] opens a parallel carving phase: the atomic frontier is
     seeded from the current [used_words].  Until {!par_end}, carve only
-    with {!alloc_chunk_atomic} — plain {!alloc} would race the atomic
+    with {!alloc_chunk_atomic} — plain {!grant} would race the atomic
     frontier. *)
 val par_begin : t -> unit
 

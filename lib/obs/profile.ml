@@ -426,25 +426,66 @@ type percentiles = {
   total_us : float;
 }
 
-let percentile_of sorted n q =
-  (* nearest-rank on a sorted array: the ceil(q*n)-th value *)
-  let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
+(* [select a lo hi k] permutes [a.(lo..hi)] so that [a.(k)] holds the
+   value of rank [k] in it, with nothing greater to its left and nothing
+   smaller to its right: Hoare quickselect with a median-of-three pivot,
+   ordered by [Float.compare] (the order [compare] gives floats, so a
+   NaN ranks lowest, as under a sort). *)
+let rec select a lo hi k =
+  if lo < hi then begin
+    let swap i j =
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    in
+    let mid = lo + ((hi - lo) / 2) in
+    if Float.compare a.(mid) a.(lo) < 0 then swap mid lo;
+    if Float.compare a.(hi) a.(lo) < 0 then swap hi lo;
+    if Float.compare a.(hi) a.(mid) < 0 then swap hi mid;
+    let pivot = a.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while Float.compare a.(!i) pivot < 0 do incr i done;
+      while Float.compare a.(!j) pivot > 0 do decr j done;
+      if !i <= !j then begin
+        swap !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    if k <= !j then select a lo !j k else if k >= !i then select a !i hi k
+  end
 
+(* Nearest-rank percentiles by selection: the ceil(q*n)-th smallest
+   value for each q, selected in ascending rank order, each within the
+   suffix the previous selection left at or above it.  Max and total
+   come from the copying pass; the total sums in input order. *)
 let percentiles_of durs =
   let n = Array.length durs in
   if n = 0 then None
   else begin
-    let sorted = Array.copy durs in
-    Array.sort compare sorted;
-    Some
-      { count = n;
-        p50 = percentile_of sorted n 0.50;
-        p90 = percentile_of sorted n 0.90;
-        p99 = percentile_of sorted n 0.99;
-        p999 = percentile_of sorted n 0.999;
-        max_us = sorted.(n - 1);
-        total_us = Array.fold_left ( +. ) 0. sorted }
+    let a = Array.make n 0. in
+    let max_us = ref durs.(0) and total = ref 0. in
+    for i = 0 to n - 1 do
+      let d = durs.(i) in
+      a.(i) <- d;
+      if Float.compare d !max_us > 0 then max_us := d;
+      total := !total +. d
+    done;
+    let from = ref 0 in
+    let at q =
+      let k =
+        max 0 (min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
+      in
+      select a !from (n - 1) k;
+      from := k;
+      a.(k)
+    in
+    let p50 = at 0.50 in
+    let p90 = at 0.90 in
+    let p99 = at 0.99 in
+    let p999 = at 0.999 in
+    Some { count = n; p50; p90; p99; p999; max_us = !max_us; total_us = !total }
   end
 
 let pause_percentiles t =

@@ -155,9 +155,11 @@ type percentiles = {
   total_us : float;
 }
 
-(** [percentiles_of durs] summarises a raw duration sample (order
-    irrelevant); [None] when empty.  Exposed so the online monitor
-    ({!Slo}) and per-tenant reports share the exact nearest-rank
+(** [percentiles_of durs] summarises a raw duration sample; [None] when
+    empty.  The percentiles are nearest-rank (the [ceil(q*n)]-th
+    smallest value), found by selection in expected linear time rather
+    than a sort; [total_us] sums [durs] in their given order.  Exposed so
+    the online monitor ({!Slo}) and per-tenant reports share the exact
     arithmetic with the offline analyzer. *)
 val percentiles_of : float array -> percentiles option
 

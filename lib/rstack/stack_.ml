@@ -11,8 +11,8 @@ let create table =
 let table t = t.table
 let depth t = Support.Vec.length t.frames
 
-let push t ~key =
-  let traces = (Trace_table.lookup t.table key).Trace_table.slots in
+let push t ~key entry =
+  let traces = entry.Trace_table.slots in
   let frame = Frame.create ~key ~size:(Array.length traces) ~serial:t.serial in
   (* fresh slots read as null pointers where the trace says pointer (a
      zeroed stack word is the null pointer), and as zero elsewhere *)

@@ -15,10 +15,12 @@ val create : Trace_table.t -> t
 val table : t -> Trace_table.t
 val depth : t -> int
 
-(** [push t ~key] pushes a frame sized per the trace-table entry for
-    [key], stamped with the next serial.  Pointer-traced and callee-save
-    slots start as null pointers, other slots as zero. *)
-val push : t -> key:int -> Frame.t
+(** [push t ~key entry] pushes a frame of [key] sized per [entry] —
+    [key]'s trace-table entry ({!Trace_table.lookup}), which the caller
+    has looked up once for its own checks — stamped with the next
+    serial.  Pointer-traced and callee-save slots start as null
+    pointers, other slots as zero. *)
+val push : t -> key:int -> Trace_table.entry -> Frame.t
 
 (** [pop t] removes and returns the top frame.
     @raise Invalid_argument on an empty stack. *)

@@ -62,7 +62,6 @@ let reg_status_after t key status =
   let c = compiled t key in
   c.ptr_regs lor (status land c.keep_regs)
 
-let frame_size t key = Array.length (lookup t key).slots
 
 let size t = Support.Vec.length t.entries
 

@@ -32,9 +32,6 @@ val lookup : t -> int -> entry
     @raise Invalid_argument on an unknown key. *)
 val reg_status_after : t -> int -> int -> int
 
-(** [frame_size t key] is the slot count of the entry. *)
-val frame_size : t -> int -> int
-
 val size : t -> int
 
 (** [entry_of_regs ()] is an all-[Reg_non_ptr] register descriptor, the

@@ -29,7 +29,7 @@ type t = {
   los : Los.t option;
   trace_los : bool;
   promoting : bool;
-  promote_alloc : (int -> Mem.Addr.t option) option;
+  promote_alloc : (int -> Mem.Addr.t) option;
   eager : bool;
   mutable eager_budget : int;
   mutable scan : Mem.Addr.t;
@@ -79,15 +79,18 @@ let note_site_copy t ~site ~first ~words =
     Hashtbl.replace tab site
       (objects + 1, (if first then firsts + 1 else firsts), w + words)
 
+(* grants signal a miss with [Addr.null] *)
+let granted a = if Mem.Addr.is_null a then None else Some a
+
 let promote_dst t words =
   match t.promote_alloc with
   | Some alloc ->
-    (match alloc words with
+    (match granted (alloc words) with
      | Some dst -> dst
      | None ->
        raise (Budget.Exhausted "tenured backend exhausted during promotion"))
   | None ->
-    (match Mem.Space.alloc t.to_space words with
+    (match granted (Mem.Space.grant t.to_space words) with
      | Some dst -> dst
      | None when t.promoting ->
        raise (Budget.Exhausted "promotion overflows the tenured space")
@@ -102,7 +105,7 @@ let copy_object_safe t a =
   let dst, promote =
     match t.aging with
     | Some { young_to; threshold } when age + 1 < threshold ->
-      (match Mem.Space.alloc young_to words with
+      (match granted (Mem.Space.grant young_to words) with
        | Some dst -> (dst, false)
        | None -> failwith "Cheney: to-space overflow (collector sizing bug)")
     | Some _ | None -> (promote_dst t words, true)

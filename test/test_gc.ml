@@ -20,13 +20,32 @@ let global_hooks globals =
 
 let record_hdr ?(site = 0) ~mask len = { H.kind = H.Record { mask }; len; site }
 
+(* grants signal a miss with [Addr.null] *)
+let grant_opt a = if Mem.Addr.is_null a then None else Some a
+
+(* the header-record wrappers over the collectors' scalar allocation
+   entries *)
+let gen_alloc g hdr ~birth =
+  Collectors.Collector.alloc (Collectors.Collector.Generational g) hdr ~birth
+
+let gen_alloc_pretenured g hdr ~birth =
+  Collectors.Collector.alloc_pretenured (Collectors.Collector.Generational g)
+    hdr ~birth
+
+let semi_alloc s hdr ~birth =
+  Collectors.Collector.alloc (Collectors.Collector.Semispace s) hdr ~birth
+
+let los_alloc los hdr ~birth =
+  Collectors.Los.alloc los ~tag:(H.tag_of_kind hdr.H.kind) ~len:hdr.H.len
+    ~mask:(H.mask_of_kind hdr.H.kind) ~site:hdr.H.site ~birth
+
 (* --- Los --- *)
 
 let los_mark_sweep () =
   let mem = Mem.Memory.create () in
   let los = Collectors.Los.create mem in
-  let a = Collectors.Los.alloc los { H.kind = H.Nonptr_array; len = 600; site = 1 } ~birth:0 in
-  let b = Collectors.Los.alloc los { H.kind = H.Nonptr_array; len = 700; site = 2 } ~birth:0 in
+  let a = los_alloc los { H.kind = H.Nonptr_array; len = 600; site = 1 } ~birth:0 in
+  let b = los_alloc los { H.kind = H.Nonptr_array; len = 700; site = 2 } ~birth:0 in
   check_bool "contains a" true (Collectors.Los.contains los a);
   check_int "live words" (603 + 703) (Collectors.Los.live_words los);
   check_bool "first mark" true (Collectors.Los.mark los a);
@@ -89,9 +108,9 @@ let semispace_collect_preserves_graph () =
   let globals = Array.make 2 V.encoded_zero in
   let mem, s = semi globals in
   (* a two-node cycle-free chain: g0 -> a -> b *)
-  let b = Collectors.Semispace.alloc s (record_hdr ~mask:0 1) ~birth:0 in
+  let b = semi_alloc s (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr b 0) (V.Int 77);
-  let a = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
+  let a = semi_alloc s (record_hdr ~mask:1 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Ptr b);
   globals.(0) <- V.encode_addr a;
   Collectors.Semispace.collect s;
@@ -106,7 +125,7 @@ let semispace_drops_garbage () =
   let globals = Array.make 1 V.encoded_zero in
   let _mem, s = semi globals in
   for _ = 1 to 100 do
-    ignore (Collectors.Semispace.alloc s (record_hdr ~mask:0 2) ~birth:0)
+    ignore (semi_alloc s (record_hdr ~mask:0 2) ~birth:0)
   done;
   Collectors.Semispace.collect s;
   check_int "no survivors" 0 (Collectors.Semispace.live_words s)
@@ -115,7 +134,7 @@ let semispace_sharing_preserved () =
   (* two roots to the same object must stay aliased after copying *)
   let globals = Array.make 2 V.encoded_zero in
   let mem, s = semi globals in
-  let a = Collectors.Semispace.alloc s (record_hdr ~mask:0 1) ~birth:0 in
+  let a = semi_alloc s (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Int 5);
   globals.(0) <- V.encode_addr a;
   globals.(1) <- V.encode_addr a;
@@ -126,8 +145,8 @@ let semispace_cycle () =
   (* a 2-cycle must not loop the collector *)
   let globals = Array.make 1 V.encoded_zero in
   let mem, s = semi globals in
-  let a = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
-  let b = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
+  let a = semi_alloc s (record_hdr ~mask:1 1) ~birth:0 in
+  let b = semi_alloc s (record_hdr ~mask:1 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Ptr b);
   Mem.Memory.set mem (H.field_addr b 0) (V.Ptr a);
   globals.(0) <- V.encode_addr a;
@@ -144,7 +163,7 @@ let semispace_budget_failure () =
   (* keep everything alive until the budget must fail *)
   match
     for i = 0 to 63 do
-      let a = Collectors.Semispace.alloc s { H.kind = H.Nonptr_array; len = 16; site = 0 } ~birth:0 in
+      let a = semi_alloc s { H.kind = H.Nonptr_array; len = 16; site = 0 } ~birth:0 in
       globals.(i) <- V.encode_addr a
     done
   with
@@ -179,7 +198,7 @@ let gen ?(budget = 256 * 1024) ?(nursery = 8 * 1024)
 let gen_promotion () =
   let globals = Array.make 1 V.encoded_zero in
   let mem, g, stats = gen globals in
-  let a = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  let a = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Int 9);
   globals.(0) <- V.encode_addr a;
   check_bool "starts in nursery" true (Collectors.Generational.in_nursery g a);
@@ -196,13 +215,13 @@ let gen_write_barrier () =
      alive even though no stack/global root reaches it at minor GC *)
   let globals = Array.make 1 V.encoded_zero in
   let mem, g, _stats = gen globals in
-  let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
+  let holder = gen_alloc g (record_hdr ~mask:1 1) ~birth:0 in
   globals.(0) <- V.encode_addr holder;
   Collectors.Generational.minor g;
   let holder = V.to_addr (V.decode globals.(0)) in
   check_bool "holder tenured" true (Collectors.Generational.in_tenured g holder);
   (* young object reachable only through the mutated tenured field *)
-  let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  let young = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr young 0) (V.Int 123);
   let loc = H.field_addr holder 0 in
   Mem.Memory.set mem loc (V.Ptr young);
@@ -219,11 +238,11 @@ let gen_missing_barrier_loses_object () =
      this pins down that the barrier is load-bearing in these tests *)
   let globals = Array.make 1 V.encoded_zero in
   let mem, g, _ = gen globals in
-  let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
+  let holder = gen_alloc g (record_hdr ~mask:1 1) ~birth:0 in
   globals.(0) <- V.encode_addr holder;
   Collectors.Generational.minor g;
   let holder = V.to_addr (V.decode globals.(0)) in
-  let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  let young = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr holder 0) (V.Ptr young);
   (* no record_update *)
   Collectors.Generational.minor g;
@@ -238,7 +257,7 @@ let gen_large_object_space () =
   let globals = Array.make 1 V.encoded_zero in
   let _mem, g, stats = gen globals in
   let big =
-    Collectors.Generational.alloc g
+    gen_alloc g
       { H.kind = H.Nonptr_array; len = 600; site = 3 } ~birth:0
   in
   check_bool "not in nursery" false (Collectors.Generational.in_nursery g big);
@@ -259,10 +278,10 @@ let gen_pretenured_region_scan () =
      scan must promote the young object at the next minor collection *)
   let globals = Array.make 1 V.encoded_zero in
   let mem, g, stats = gen globals in
-  let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  let young = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr young 0) (V.Int 55);
   let old_obj =
-    Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
+    gen_alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
   in
   Mem.Memory.set mem (H.field_addr old_obj 0) (V.Ptr young);
   globals.(0) <- V.encode_addr old_obj;
@@ -291,7 +310,7 @@ let gen_scan_elision_skips () =
         Collectors.Generational.nursery_bytes_max = 8 * 1024 }
   in
   let old_obj =
-    Collectors.Generational.alloc_pretenured g (record_hdr ~mask:0 ~site:7 1)
+    gen_alloc_pretenured g (record_hdr ~mask:0 ~site:7 1)
       ~birth:0
   in
   globals.(0) <- V.encode_addr old_obj;
@@ -307,7 +326,7 @@ let gen_survives_many_collections () =
   for i = 1 to 3000 do
     let keep = Support.Prng.int prng 10 = 0 in
     let hdr = record_hdr ~mask:2 2 in
-    let a = Collectors.Generational.alloc g hdr ~birth:0 in
+    let a = gen_alloc g hdr ~birth:0 in
     Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
     Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
     if keep then globals.(0) <- V.encode_addr a
@@ -359,14 +378,14 @@ let card_barrier_keeps_edge threshold () =
   let mem, g, _ =
     gen ~barrier:Collectors.Generational.Barrier_cards ~threshold globals
   in
-  let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
+  let holder = gen_alloc g (record_hdr ~mask:1 1) ~birth:0 in
   globals.(0) <- V.encode_addr holder;
   for _ = 1 to threshold do
     Collectors.Generational.minor g
   done;
   let holder = V.to_addr (V.decode globals.(0)) in
   check_bool "holder tenured" true (Collectors.Generational.in_tenured g holder);
-  let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  let young = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr young 0) (V.Int 321);
   let loc = H.field_addr holder 0 in
   Mem.Memory.set mem loc (V.Ptr young);
@@ -385,7 +404,7 @@ let card_barrier_keeps_edge threshold () =
 let aging_nursery_delays_promotion () =
   let globals = Array.make 1 V.encoded_zero in
   let mem, g, stats = gen ~threshold:3 globals in
-  let a = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  let a = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
   Mem.Memory.set mem (H.field_addr a 0) (V.Int 31);
   globals.(0) <- V.encode_addr a;
   (* two minors: survives in the nursery, aging *)
@@ -416,7 +435,7 @@ let aging_copies_more_than_immediate () =
     let globals = Array.make 1 V.encoded_zero in
     let mem, g, stats = gen ~threshold globals in
     for i = 1 to 400 do
-      let a = Collectors.Generational.alloc g (record_hdr ~mask:2 2) ~birth:0 in
+      let a = gen_alloc g (record_hdr ~mask:2 2) ~birth:0 in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
       Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
       globals.(0) <- V.encode_addr a
@@ -432,11 +451,11 @@ let pretenured_to_los_edge () =
   let globals = Array.make 1 V.encoded_zero in
   let mem, g, _ = gen globals in
   let big =
-    Collectors.Generational.alloc g
+    gen_alloc g
       { H.kind = H.Nonptr_array; len = 600; site = 9 } ~birth:0
   in
   let holder =
-    Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
+    gen_alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
   in
   Mem.Memory.set mem (H.field_addr holder 0) (V.Ptr big);
   globals.(0) <- V.encode_addr holder;
@@ -490,7 +509,7 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
   let prng = Support.Prng.create ~seed:7 in
   for i = 1 to 2500 do
     let keep = Support.Prng.int prng 10 = 0 in
-    let a = Collectors.Generational.alloc g (record_hdr ~mask:2 2) ~birth:i in
+    let a = gen_alloc g (record_hdr ~mask:2 2) ~birth:i in
     Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
     Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
     if keep then globals.(0) <- V.encode_addr a;
@@ -504,7 +523,7 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
        | V.Ptr _ | V.Int _ -> ());
     if i mod 97 = 0 then begin
       let p =
-        Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1)
+        gen_alloc_pretenured g (record_hdr ~mask:1 1)
           ~birth:i
       in
       Mem.Memory.set mem (H.field_addr p 0) (V.decode globals.(0));
@@ -514,7 +533,7 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
     if i mod 501 = 0 then
       globals.(3) <-
         V.encode_addr
-          (Collectors.Generational.alloc g
+          (gen_alloc g
              { H.kind = H.Ptr_array; len = 600; site = 4 }
              ~birth:i)
   done;
@@ -577,7 +596,7 @@ let semispace_pin () =
     let globals = Array.make 2 V.encoded_zero in
     let mem, s = semi ~budget:(64 * 1024) globals in
     for i = 1 to 800 do
-      let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
+      let a = semi_alloc s (record_hdr ~mask:2 2) ~birth:i in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
       Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
       if i mod 5 = 0 then globals.(0) <- V.encode_addr a
@@ -635,7 +654,7 @@ let par_seq_identical_semispace () =
           Collectors.Semispace.parallelism }
     in
     for i = 1 to 800 do
-      let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
+      let a = semi_alloc s (record_hdr ~mask:2 2) ~birth:i in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
       Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
       if i mod 5 = 0 then globals.(0) <- V.encode_addr a
@@ -708,7 +727,7 @@ let real_seq_identical_semispace () =
           parallelism_mode = mode }
     in
     for i = 1 to 800 do
-      let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
+      let a = semi_alloc s (record_hdr ~mask:2 2) ~birth:i in
       Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
       Mem.Memory.set mem (H.field_addr a 1) (V.decode globals.(0));
       if i mod 5 = 0 then globals.(0) <- V.encode_addr a
@@ -825,12 +844,12 @@ let los_backend_reuse () =
     let mem = Mem.Memory.create () in
     let los = Collectors.Los.create ~backend mem in
     let hdr = { H.kind = H.Nonptr_array; len = 600; site = 1 } in
-    let a = Collectors.Los.alloc los hdr ~birth:0 in
-    let b = Collectors.Los.alloc los hdr ~birth:0 in
+    let a = los_alloc los hdr ~birth:0 in
+    let b = los_alloc los hdr ~birth:0 in
     ignore (Collectors.Los.mark los a);
     let freed = Collectors.Los.sweep los ~on_die:(fun ~site:_ ~birth:_ ~words:_ -> ()) in
     check_int "sweep freed b" 603 freed;
-    let c = Collectors.Los.alloc los hdr ~birth:0 in
+    let c = los_alloc los hdr ~birth:0 in
     let frag = Collectors.Los.frag los in
     (b, c, frag)
   in
@@ -941,7 +960,7 @@ let backend_no_overlap_prop =
       for _ = 1 to ops do
         if Support.Prng.int prng 3 < 2 || Hashtbl.length live = 0 then begin
           let words = 3 + Support.Prng.int prng 60 in
-          match Alloc.Backend.alloc be words with
+          match grant_opt (Alloc.Backend.alloc be words) with
           | None -> ok := false (* growable backends never refuse *)
           | Some base ->
             if overlaps base words then ok := false;
@@ -989,7 +1008,7 @@ let free_list_coalesce_prop =
       let grants =
         Array.map
           (fun w ->
-            match Alloc.Free_list.alloc fl w with
+            match grant_opt (Alloc.Free_list.alloc fl w) with
             | Some b -> (b, w)
             | None -> QCheck.assume_fail ())
           words
@@ -1025,7 +1044,7 @@ let size_class_fallback_prop =
       let sc = Alloc.Size_class.growable mem ~segment_words:4096 in
       let prng = Support.Prng.create ~seed in
       let b1 =
-        match Alloc.Size_class.alloc sc big with
+        match grant_opt (Alloc.Size_class.alloc sc big) with
         | Some b -> b
         | None -> QCheck.assume_fail ()
       in
@@ -1033,14 +1052,14 @@ let size_class_fallback_prop =
       (* a small grant must not carve the oversize hole *)
       let small = 3 + Support.Prng.int prng 10 in
       let s =
-        match Alloc.Size_class.alloc sc small with
+        match grant_opt (Alloc.Size_class.alloc sc small) with
         | Some b -> b
         | None -> QCheck.assume_fail ()
       in
       let frag_after_small = Alloc.Size_class.frag sc in
       (* the oversize hole is reused exactly by an equal request *)
       let b2 =
-        match Alloc.Size_class.alloc sc big with
+        match grant_opt (Alloc.Size_class.alloc sc big) with
         | Some b -> b
         | None -> QCheck.assume_fail ()
       in
@@ -1065,7 +1084,7 @@ let backend_walkable_prop =
       let live = ref [] in
       for i = 1 to 60 do
         let words = (H.header_words ()) + Support.Prng.int prng 12 in
-        (match Alloc.Backend.alloc be words with
+        (match grant_opt (Alloc.Backend.alloc be words) with
          | None -> ()
          | Some base ->
            H.write mem base
@@ -1275,7 +1294,7 @@ let ms_reclaims_and_reuses_holes () =
   Alcotest.(check string)
     "stats label" "mark_sweep" stats.Collectors.Gc_stats.major_kind;
   let keep =
-    Collectors.Generational.alloc_pretenured g (record_hdr ~mask:0 1) ~birth:0
+    gen_alloc_pretenured g (record_hdr ~mask:0 1) ~birth:0
   in
   Mem.Memory.set mem (H.field_addr keep 0) (V.Int 77);
   globals.(0) <- V.encode_addr keep;
@@ -1283,7 +1302,7 @@ let ms_reclaims_and_reuses_holes () =
      first major and must come back as holes *)
   for i = 1 to 60 do
     ignore
-      (Collectors.Generational.alloc_pretenured g
+      (gen_alloc_pretenured g
          (record_hdr ~site:1 ~mask:0 2) ~birth:i)
   done;
   Collectors.Generational.full g;
@@ -1301,7 +1320,7 @@ let ms_reclaims_and_reuses_holes () =
      holes (address-ordered, below the frontier) *)
   for i = 1 to 10 do
     let p =
-      Collectors.Generational.alloc_pretenured g
+      gen_alloc_pretenured g
         (record_hdr ~site:2 ~mask:0 2) ~birth:(100 + i)
     in
     globals.(1) <- V.encode_addr p
@@ -1328,7 +1347,7 @@ let ms_sweep_safety_prop =
       let prng = Support.Prng.create ~seed in
       let objs = Array.make n Mem.Addr.null in
       for i = 0 to n - 1 do
-        match Alloc.Backend.alloc be ((H.header_words ()) + 3) with
+        match grant_opt (Alloc.Backend.alloc be ((H.header_words ()) + 3)) with
         | None -> QCheck.assume_fail ()
         | Some a ->
           H.write mem a (record_hdr ~mask:0b110 3) ~birth:0;
@@ -1404,7 +1423,7 @@ module Gen_heap = struct
     globals : int array;  (* encoded root words *)
     locs : Mem.Addr.t list;   (* [visit_loc] targets *)
     objs : Mem.Addr.t list;   (* [visit_object_fields] targets *)
-    promote_alloc : (int -> Mem.Addr.t option) option;
+    promote_alloc : (int -> Mem.Addr.t) option;
   }
 
   let build ~seed ~n ~backend =
@@ -1412,7 +1431,7 @@ module Gen_heap = struct
     let int k = Support.Prng.int prng k in
     let mem = Mem.Memory.create () in
     let place space (h : H.t) =
-      match Mem.Space.alloc space (H.object_words h) with
+      match grant_opt (Mem.Space.grant space (H.object_words h)) with
       | Some a ->
         H.write mem a h ~birth:(int 1000);
         a
@@ -1449,7 +1468,7 @@ module Gen_heap = struct
     let large =
       Array.init (int 4) (fun _ ->
         let kind = if int 3 = 0 then H.Nonptr_array else H.Ptr_array in
-        Collectors.Los.alloc los { H.kind; len = 1 + int 6; site = 14 }
+        los_alloc los { H.kind; len = 1 + int 6; site = 14 }
           ~birth:(int 1000))
     in
     let pick () =
@@ -1498,7 +1517,7 @@ module Gen_heap = struct
         let grants =
           Array.map
             (fun w ->
-              match Alloc.Backend.alloc be w with
+              match grant_opt (Alloc.Backend.alloc be w) with
               | Some a ->
                 H.write mem a
                   { H.kind = H.Nonptr_array; len = w - H.header_words (); site = 15 }
@@ -1529,7 +1548,7 @@ module type ENGINE = sig
     to_space:Mem.Space.t ->
     ?aging:Collectors.Cheney.aging ->
     ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
-    ?promote_alloc:(int -> Mem.Addr.t option) ->
+    ?promote_alloc:(int -> Mem.Addr.t) ->
     ?eager:bool ->
     site_tallies:bool ->
     los:Collectors.Los.t option ->
@@ -1722,7 +1741,7 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
       let objs = Array.make n Mem.Addr.null in
       for i = 0 to n - 1 do
         let a =
-          match Mem.Space.alloc from ((H.header_words ()) + 3) with
+          match grant_opt (Mem.Space.grant from ((H.header_words ()) + 3)) with
           | Some a -> a
           | None -> QCheck.assume_fail ()
         in
@@ -1878,7 +1897,7 @@ let graph_roundtrip_prop =
          int payload; roots = 4 random picks *)
       let objs = Array.make n Mem.Addr.null in
       for i = 0 to n - 1 do
-        let a = Collectors.Semispace.alloc s (record_hdr ~mask:0b110 3) ~birth:0 in
+        let a = semi_alloc s (record_hdr ~mask:0b110 3) ~birth:0 in
         Mem.Memory.set mem (H.field_addr a 0) (V.Int (i * 17));
         let pick () =
           if i = 0 || Support.Prng.bool prng then V.null
@@ -1913,6 +1932,213 @@ let graph_roundtrip_prop =
       Collectors.Semispace.collect s;
       let after = snapshot () in
       before = after)
+
+(* --- the scalar allocation entry against the header-record wrapper ---
+
+   A generated stream of allocation requests, rejected ones included,
+   runs three ways on fresh collectors of one configuration: A through
+   the scalar entry [Collector.alloc_fields]; B through the [Header.t]
+   wrapper [Collector.alloc]/[alloc_pretenured] (a bad tag has no
+   [kind], so B skips those); and C through the scalar entry fed only
+   the requests A accepted.  A and B must return the same addresses and
+   heap words and raise the same messages; A and C must agree as well,
+   which shows a rejected request bumped and granted nothing.  A refuses
+   exactly the requests a model of the layout's rules refuses, with its
+   message.  All three
+   end with equal counters and site tallies.  The streams reach the
+   nursery, the pretenured area and the large-object space. *)
+
+type alloc_req = {
+  r_tag : int;
+  r_len : int;
+  r_mask : int;
+  r_site : int;
+  r_pre : bool;
+}
+
+let alloc_req_gen =
+  let open QCheck.Gen in
+  let* r_tag =
+    frequency
+      [ (6, return H.tag_record);
+        (2, return H.tag_ptr_array);
+        (2, return H.tag_nonptr_array);
+        (1, oneofl [ H.tag_forwarded; 7; -1 ]) ]
+  in
+  let* r_len =
+    if r_tag = H.tag_record then
+      frequency [ (8, 0 -- 12); (2, 25 -- 44); (1, return (-1)) ]
+    else frequency [ (8, 0 -- 20); (2, 600 -- 700); (1, return (-1)) ]
+  in
+  let* r_mask =
+    let width = max 0 (min r_len 44) in
+    frequency
+      [ (8, map (fun m -> m land ((1 lsl width) - 1)) (0 -- max_int));
+        (1, return (1 lsl width)) ]
+  in
+  let* r_site =
+    frequency [ (10, 0 -- 15); (1, oneofl [ -1; H.max_site + 1 ]) ]
+  in
+  let* r_pre = bool in
+  return { r_tag; r_len; r_mask; r_site; r_pre }
+
+let print_alloc_req r =
+  Printf.sprintf "{tag=%d len=%d mask=%#x site=%d pre=%b}" r.r_tag r.r_len
+    r.r_mask r.r_site r.r_pre
+
+type entry_config = {
+  e_layout : H.layout;
+  e_collector : [ `Semi | `Gen_copying | `Gen_mark_sweep ];
+}
+
+(* one collector of [cfg], its root ring and memory *)
+let entry_collector cfg =
+  let mem = Mem.Memory.create () in
+  let globals = Array.make 8 V.encoded_zero in
+  let hooks =
+    { (global_hooks globals) with
+      Collectors.Hooks.object_hooks =
+        Some { Collectors.Hooks.on_die = (fun ~site:_ ~birth:_ ~words:_ -> ()) } }
+  in
+  let stats = Collectors.Gc_stats.create () in
+  let budget_bytes = 128 * 1024 in
+  let col =
+    match cfg.e_collector with
+    | `Semi ->
+      Collectors.Collector.Semispace
+        (Collectors.Semispace.create mem ~hooks ~stats
+           (Collectors.Semispace.default_config ~budget_bytes))
+    | (`Gen_copying | `Gen_mark_sweep) as k ->
+      let base = Collectors.Generational.default_config ~budget_bytes in
+      let cfg =
+        if k = `Gen_copying then
+          { base with Collectors.Generational.nursery_bytes_max = 2 * 1024 }
+        else
+          { base with
+            Collectors.Generational.nursery_bytes_max = 2 * 1024;
+            major_kind = Collectors.Generational.Mark_sweep;
+            tenured_backend = Alloc.Backend.Free_list }
+      in
+      Collectors.Collector.Generational
+        (Collectors.Generational.create mem ~hooks ~stats cfg)
+  in
+  (mem, globals, col)
+
+type outcome = Granted of Mem.Addr.t * int list | Refused of string
+
+(* run [reqs] through [alloc]; an accepted object's words are read back
+   right away, and every third accepted object is kept in the root ring *)
+let run_entry (mem, globals, col) alloc reqs =
+  let accepted = ref 0 in
+  let outcomes =
+    List.map
+      (fun r ->
+        match alloc col r ~birth:!accepted with
+        | a ->
+          let cells = Mem.Memory.cells mem a and off = Mem.Addr.offset a in
+          let words =
+            Array.to_list (Array.sub cells off (H.object_words_c cells ~off))
+          in
+          if !accepted mod 3 = 0 then
+            globals.((!accepted / 3) mod 8) <- V.encode_addr a;
+          incr accepted;
+          Granted (a, words)
+        | exception Invalid_argument msg -> Refused msg
+        | exception Collectors.Budget.Exhausted msg -> Refused ("exhausted: " ^ msg))
+      reqs
+  in
+  let stats = Collectors.Collector.stats col in
+  let result =
+    (outcomes, counters stats, Collectors.Collector.flush_site_allocs col)
+  in
+  Collectors.Collector.destroy col;
+  result
+
+let scalar_entry col r ~birth =
+  Collectors.Collector.alloc_fields col ~pretenure:r.r_pre ~tag:r.r_tag
+    ~len:r.r_len ~mask:r.r_mask ~site:r.r_site ~birth
+
+let header_entry col r ~birth =
+  let kind =
+    if r.r_tag = H.tag_record then H.Record { mask = r.r_mask }
+    else if r.r_tag = H.tag_ptr_array then H.Ptr_array
+    else H.Nonptr_array
+  in
+  let hdr = { H.kind; len = r.r_len; site = r.r_site } in
+  if r.r_pre then Collectors.Collector.alloc_pretenured col hdr ~birth
+  else Collectors.Collector.alloc col hdr ~birth
+
+let valid_tag t =
+  t = H.tag_record || t = H.tag_ptr_array || t = H.tag_nonptr_array
+
+(* the layout's rules, in [Header.validate]'s order (the generated
+   arrays stay far below the packed length limit) *)
+let expected_refusal r =
+  if r.r_len < 0 then Some "Header: negative length"
+  else if r.r_site < 0 || r.r_site > H.max_site then
+    Some "Header: site out of range"
+  else if r.r_tag = H.tag_record then
+    if r.r_len > H.max_record_fields () then Some "Header: record too large"
+    else if r.r_mask lsr r.r_len <> 0 then Some "Header: mask wider than record"
+    else None
+  else if valid_tag r.r_tag then None
+  else Some "Header: bad tag"
+
+let scalar_entry_matches_header_prop =
+  QCheck.Test.make ~name:"scalar alloc entry = header wrapper" ~count:40
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map print_alloc_req l))
+       QCheck.Gen.(list_size (100 -- 400) alloc_req_gen))
+    (fun reqs ->
+      List.for_all
+        (fun cfg ->
+          H.set_layout cfg.e_layout;
+          Fun.protect ~finally:(fun () -> H.set_layout H.Classic) @@ fun () ->
+          let a_out, a_counters, a_sites =
+            run_entry (entry_collector cfg) scalar_entry reqs
+          in
+          let b_out, b_counters, b_sites =
+            run_entry (entry_collector cfg) header_entry
+              (List.filter (fun r -> valid_tag r.r_tag) reqs)
+          in
+          (* what passed validation: granted, or refused for budget *)
+          let validated = function
+            | Granted _ -> true
+            | Refused msg -> not (String.starts_with ~prefix:"Header: " msg)
+          in
+          let accepted =
+            List.filter_map
+              (fun (r, o) -> if validated o then Some r else None)
+              (List.combine reqs a_out)
+          in
+          let c_out, c_counters, c_sites =
+            run_entry (entry_collector cfg) scalar_entry accepted
+          in
+          let a_valid =
+            List.filter_map
+              (fun (r, o) -> if valid_tag r.r_tag then Some o else None)
+              (List.combine reqs a_out)
+          in
+          let a_validated = List.filter validated a_out in
+          let refusals_as_expected =
+            List.for_all2
+              (fun r o ->
+                match o, expected_refusal r with
+                | Refused msg, Some expected -> msg = expected
+                | Refused msg, None ->
+                  not (String.starts_with ~prefix:"Header: " msg)
+                | Granted _, expected -> expected = None)
+              reqs a_out
+          in
+          a_valid = b_out && a_validated = c_out && refusals_as_expected
+          && a_counters = b_counters && a_counters = c_counters
+          && a_sites = b_sites && a_sites = c_sites)
+        (List.concat_map
+           (fun e_layout ->
+             List.map
+               (fun e_collector -> { e_layout; e_collector })
+               [ `Semi; `Gen_copying; `Gen_mark_sweep ])
+           [ H.Classic; H.Packed ]))
 
 let () =
   Alcotest.run "gc"
@@ -1987,6 +2213,8 @@ let () =
           Alcotest.test_case "reclaims and reuses holes" `Quick
             ms_reclaims_and_reuses_holes;
           QCheck_alcotest.to_alcotest ms_sweep_safety_prop ] );
+      ( "alloc-entry",
+        [ QCheck_alcotest.to_alcotest scalar_entry_matches_header_prop ] );
       ( "alloc-backends",
         [ Alcotest.test_case "los backends reuse swept holes" `Quick
             los_backend_reuse;

@@ -422,14 +422,13 @@ let space_bump () =
   let mem = Mem.Memory.create () in
   let sp = Mem.Space.create mem ~words:32 in
   check_int "fresh used" 0 (Mem.Space.used_words sp);
-  (match Mem.Space.alloc sp 10 with
-   | Some a -> check_bool "contains grant" true (Mem.Space.contains sp a)
-   | None -> Alcotest.fail "alloc failed");
+  (match Mem.Space.grant sp 10 with
+   | a when Mem.Addr.is_null a -> Alcotest.fail "grant failed"
+   | a -> check_bool "contains grant" true (Mem.Space.contains sp a));
   check_int "used" 10 (Mem.Space.used_words sp);
   check_int "free" 22 (Mem.Space.free_words sp);
-  (match Mem.Space.alloc sp 23 with
-   | Some _ -> Alcotest.fail "overcommit"
-   | None -> ());
+  check_bool "overcommit refused" true
+    (Mem.Addr.is_null (Mem.Space.grant sp 23));
   Mem.Space.reset sp;
   check_int "reset" 0 (Mem.Space.used_words sp)
 
@@ -437,12 +436,11 @@ let space_iter_objects () =
   let mem = Mem.Memory.create () in
   let sp = Mem.Space.create mem ~words:64 in
   let alloc_obj len =
-    match Mem.Space.alloc sp ((Mem.Header.header_words ()) + len) with
-    | Some a ->
-      Mem.Header.write mem a
-        { Mem.Header.kind = Mem.Header.Nonptr_array; len; site = 0 } ~birth:0;
-      a
-    | None -> Alcotest.fail "space full"
+    let a = Mem.Space.grant sp ((Mem.Header.header_words ()) + len) in
+    if Mem.Addr.is_null a then Alcotest.fail "space full";
+    Mem.Header.write mem a
+      { Mem.Header.kind = Mem.Header.Nonptr_array; len; site = 0 } ~birth:0;
+    a
   in
   let a1 = alloc_obj 2 and a2 = alloc_obj 5 and a3 = alloc_obj 0 in
   let seen = ref [] in

@@ -1060,13 +1060,35 @@ let slo_percentile_prop =
       let arr = Array.of_list (List.map float_of_int samples) in
       Array.sort compare arr;
       let n = Array.length arr in
-      let fold q =
-        let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-        arr.(max 0 (min (n - 1) (rank - 1)))
-      in
       List.for_all
-        (fun q -> Obs.Slo.percentile slo q = fold q)
+        (fun q ->
+          Obs.Slo.percentile slo q = Percentiles_ref.percentile_of arr n q)
         [ 0.5; 0.9; 0.99; 0.999 ])
+
+(* The selection kernel against the sort-based oracle.  Samples are
+   drawn from a few dozen values, so duplicates are the rule; n = 1 and
+   all-equal arrays get generators of their own.  Every sample is a
+   multiple of 1/8 below 2^10 and n stays small, so every partial sum is
+   exact and the totals must match bit for bit whatever the summation
+   order. *)
+let percentiles_by_selection_prop =
+  let dyadic = QCheck.Gen.map (fun k -> float_of_int k /. 8.) QCheck.Gen.(0 -- 40) in
+  let sample =
+    QCheck.Gen.(
+      oneof
+        [ array_size (1 -- 300) dyadic;
+          map (fun v -> [| v |]) dyadic;
+          map2 (fun n v -> Array.make n v) (1 -- 300) dyadic ])
+  in
+  QCheck.Test.make ~name:"percentiles by selection = sorted oracle" ~count:500
+    (QCheck.make
+       ~print:(fun a ->
+         String.concat " " (Array.to_list (Array.map string_of_float a)))
+       sample)
+    (fun durs ->
+      let before = Array.copy durs in
+      let got = Obs.Profile.percentiles_of durs in
+      got = Percentiles_ref.percentiles_of durs && durs = before)
 
 (* --- the flight recorder --- *)
 
@@ -1246,7 +1268,8 @@ let () =
        [ Alcotest.test_case "breach inline" `Quick slo_breach_inline;
          Alcotest.test_case "online equals offline" `Quick slo_equals_profile;
          Alcotest.test_case "mmu rule" `Quick slo_mmu_rule;
-         QCheck_alcotest.to_alcotest slo_percentile_prop ]);
+         QCheck_alcotest.to_alcotest slo_percentile_prop;
+         QCheck_alcotest.to_alcotest percentiles_by_selection_prop ]);
       ("flight",
        [ Alcotest.test_case "ring bounded" `Quick flight_ring_bounded;
          Alcotest.test_case "breach dump" `Quick flight_breach_dump;

@@ -6,6 +6,9 @@ module T = Rstack.Trace
 module TT = Rstack.Trace_table
 module St = Rstack.Stack_
 
+(* push a frame of [key], its entry looked up in the stack's own table *)
+let push_frame stack ~key = St.push stack ~key (TT.lookup (St.table stack) key)
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -37,7 +40,7 @@ let table_validation () =
     (fun () ->
       ignore (reg_entry t ~name:"bad" ~slots:[| T.Compute (T.Type_in_slot 5) |]));
   let k = reg_entry t ~name:"ok" ~slots:[| T.Ptr; T.Non_ptr |] in
-  check_int "frame size" 2 (TT.frame_size t k)
+  check_int "frame size" 2 (Array.length (TT.lookup t k).TT.slots)
 
 (* --- basic scanning --- *)
 
@@ -46,7 +49,7 @@ let scan_finds_pointer_slots () =
   let k = reg_entry t ~name:"f" ~slots:[| T.Ptr; T.Non_ptr; T.Ptr |] in
   let stack = St.create t in
   let regs = Rstack.Reg_file.create () in
-  let frame = St.push stack ~key:k in
+  let frame = push_frame stack ~key:k in
   Rstack.Frame.set frame 0 ptr;
   Rstack.Frame.set frame 2 ptr;
   let res, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
@@ -68,8 +71,8 @@ let scan_callee_save () =
   in
   let stack = St.create t in
   let regs = Rstack.Reg_file.create () in
-  ignore (St.push stack ~key:k_caller);
-  let callee = St.push stack ~key:k_callee in
+  ignore (push_frame stack ~key:k_caller);
+  let callee = push_frame stack ~key:k_callee in
   Rstack.Frame.set callee 0 ptr;
   Rstack.Reg_file.set regs 5 ptr;
   let _, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
@@ -82,8 +85,8 @@ let scan_callee_save () =
     reg_entry t2 ~name:"callee" ~slots:[| T.Callee_save 5 |] ~regs:callee_regs
   in
   let stack2 = St.create t2 in
-  ignore (St.push stack2 ~key:k_caller2);
-  let callee2 = St.push stack2 ~key:k_callee2 in
+  ignore (push_frame stack2 ~key:k_caller2);
+  let callee2 = push_frame stack2 ~key:k_callee2 in
   Rstack.Frame.set callee2 0 (Mem.Value.Int 7);
   let _, roots2 = scan ~stack:stack2 ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "no roots when caller register dead" 0 (List.length roots2)
@@ -96,7 +99,7 @@ let scan_compute () =
   in
   let stack = St.create t in
   let regs = Rstack.Reg_file.create () in
-  let frame = St.push stack ~key:k in
+  let frame = push_frame stack ~key:k in
   Rstack.Frame.set frame 0 (Mem.Value.Int T.type_code_boxed);
   Rstack.Frame.set frame 1 ptr;
   let _, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
@@ -110,7 +113,7 @@ let scan_compute () =
 let deep_stack table key n =
   let stack = St.create table in
   for _ = 1 to n do
-    let f = St.push stack ~key in
+    let f = push_frame stack ~key in
     Rstack.Frame.set f 0 ptr
   done;
   stack
@@ -144,7 +147,7 @@ let scan_cache_serial_guard () =
   (* replace the top 5 frames: serials change *)
   St.unwind_to stack ~depth:5;
   for _ = 1 to 5 do
-    ignore (St.push stack ~key:k)
+    ignore (push_frame stack ~key:k)
   done;
   (* claiming a 10-deep valid prefix must be caught *)
   (match scan ~valid:10 ~stack ~regs ~cache () with
@@ -228,7 +231,7 @@ let cache_equivalence_prop =
       let cache = Rstack.Scan_cache.create () in
       let m = Rstack.Markers.create ~n:5 in
       let push k =
-        let f = St.push stack ~key:keys.(k) in
+        let f = push_frame stack ~key:keys.(k) in
         if k = 2 then Rstack.Frame.set f 0 (Mem.Value.Int T.type_code_word)
       in
       for k = 0 to 11 do
@@ -331,7 +334,7 @@ let markers_push_between () =
   done;
   check_int "no marker fired" 49 (Rstack.Markers.valid_prefix m);
   for _ = 1 to 20 do
-    ignore (St.push stack ~key:k)
+    ignore (push_frame stack ~key:k)
   done;
   check_int "pushes do not hurt" 49 (Rstack.Markers.valid_prefix m)
 
@@ -370,7 +373,7 @@ let markers_prop =
       let k = reg_entry t ~name:"f" ~slots:[| T.Non_ptr |] in
       let stack = St.create t in
       for _ = 1 to 80 do
-        ignore (St.push stack ~key:k)
+        ignore (push_frame stack ~key:k)
       done;
       let m = Rstack.Markers.create ~n:10 in
       ignore (Rstack.Markers.place m stack : int);
@@ -418,7 +421,7 @@ let markers_prop =
             done
           | 3 | 4 | 5 ->
             for _ = 1 to 4 do
-              ignore (St.push stack ~key:k);
+              ignore (push_frame stack ~key:k);
               mutate_top ()
             done
           | 6 ->
@@ -484,13 +487,13 @@ let new_frames_counting () =
   let k = reg_entry t ~name:"f" ~slots:[| T.Ptr |] in
   let stack = St.create t in
   for _ = 1 to 10 do
-    ignore (St.push stack ~key:k)
+    ignore (push_frame stack ~key:k)
   done;
   let mark = St.next_serial stack - 1 in
   check_int "all new initially" 10 (St.count_new_frames stack ~since_serial:(-1));
   check_int "none new after mark" 0 (St.count_new_frames stack ~since_serial:mark);
-  ignore (St.push stack ~key:k);
-  ignore (St.push stack ~key:k);
+  ignore (push_frame stack ~key:k);
+  ignore (push_frame stack ~key:k);
   check_int "two new" 2 (St.count_new_frames stack ~since_serial:mark)
 
 let () =

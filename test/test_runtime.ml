@@ -798,6 +798,89 @@ let twin_configs =
       with
       Gsc.Config.major_kind = Collectors.Generational.Mark_sweep } ]
 
+(* --- a field store rejected partway through a record ---
+
+   The record is granted and zeroed before its fields are stored, so an
+   integer handed to a pointer field raises with the object already in
+   the heap: field 0 stored, the rest still zero — although the grant
+   reuses words that held pointers.  Nothing roots it, but
+   a pretenured grant under the mark-sweep major is on the region-scan
+   list, so the next minor scans its pointer fields; those must hold
+   either a stored pointer or a zero.  Both tiers must raise the same
+   message and leave the same heap, and [check_heap] and [verify_heap]
+   must pass through the next minor and a full collection. *)
+
+let rejected_field_store () =
+  let verified cfg = { cfg with Gsc.Config.verify_heap = true } in
+  let configs =
+    [ ("nursery", verified (Gsc.Config.generational ~budget_bytes:budget));
+      ( "pretenured mark-sweep",
+        verified
+          { (Gsc.Config.with_pretenuring ~budget_bytes:budget
+               (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]))
+            with
+            Gsc.Config.major_kind = Collectors.Generational.Mark_sweep;
+            tenured_backend = Alloc.Backend.Free_list } ) ]
+  in
+  let run (f : facade) cfg =
+    with_rt ~cfg @@ fun rt ->
+    let site = R.register_site rt ~name:"s" in
+    let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "ppp") in
+    let mem = R.Internal.memory rt in
+    R.call rt ~key ~args:[] (fun () ->
+      R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 7) ];
+      (* garbage full of pointers, then a full collection: the next
+         grant reuses its words (the reset nursery, or a swept hole) *)
+      for _ = 1 to 300 do
+        R.alloc_record rt ~site ~dst:(R.To_slot 2)
+          [ R.P (R.Slot 0); R.P (R.Slot 0); R.P (R.Slot 0); R.P (R.Slot 0) ]
+      done;
+      R.collect_now rt;
+      let msg =
+        match
+          f.alloc_record rt ~site ~dst:(R.To_slot 1)
+            [ R.P (R.Slot 0); R.P (R.Imm 5); R.P (R.Slot 0); R.I (R.Imm 9) ]
+        with
+        | () -> Alcotest.fail "an integer in a pointer field must be refused"
+        | exception Invalid_argument msg -> msg
+      in
+      (* the abandoned record lies just below the next grant: the
+         nursery bumps, and first fit splits the lowest hole from its
+         start *)
+      R.alloc_record rt ~site ~dst:(R.To_slot 2) [ R.I (R.Imm 1) ];
+      let probe = V.to_addr (R.get_slot rt 2) in
+      let obj = Mem.Addr.add probe (-(Mem.Header.header_words () + 4)) in
+      let payload =
+        List.init 4 (fun i -> Mem.Memory.get mem (Mem.Header.field_addr obj i))
+      in
+      let stats = R.stats rt in
+      let minors = stats.Collectors.Gc_stats.minor_gcs in
+      while stats.Collectors.Gc_stats.minor_gcs = minors do
+        R.alloc_record rt ~site ~dst:(R.To_slot 2) [ R.I (R.Imm 2) ]
+      done;
+      ignore (R.check_heap rt : int);
+      let after_minor = heap_words mem in
+      R.collect_now rt;
+      ignore (R.check_heap rt : int);
+      check_int "slot 0 intact" 7 (R.field_int rt ~obj:(R.Slot 0) ~idx:0);
+      (msg, payload, after_minor))
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let ((msg, payload, _) as fast) = run block_handles cfg in
+      Alcotest.(check string)
+        (name ^ ": message") "Runtime: integer written to a pointer field" msg;
+      (match payload with
+       | [ V.Ptr p; z1; z2; z3 ] ->
+         Alcotest.(check bool) (name ^ ": field 0 stored") false
+           (Mem.Addr.is_null p);
+         Alcotest.(check bool) (name ^ ": fields 1-3 zero") true
+           (List.for_all (fun v -> V.equal v V.zero) [ z1; z2; z3 ])
+       | _ -> Alcotest.failf "%s: unexpected payload" name);
+      Alcotest.(check bool) (name ^ ": twin agrees") true
+        (fast = run safe_tier cfg))
+    configs
+
 let twin_prop =
   QCheck.Test.make ~name:"block-handle façade matches its safe-tier twin"
     ~count:60 arb_fprogram (fun ops ->
@@ -830,6 +913,9 @@ let () =
             rejected_header_leaves_no_hole;
           Alcotest.test_case "no leaked free-list grant" `Quick
             rejected_pretenured_header_leaks_no_grant ] );
+      ( "rejected field store",
+        [ Alcotest.test_case "record stays zeroed and walkable" `Quick
+            rejected_field_store ] );
       ( "call",
         [ Alcotest.test_case "arity checked before the push" `Quick
             call_arity_checked_before_push ] );
