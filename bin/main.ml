@@ -70,11 +70,34 @@ let ablation_cmd =
     (Cmd.info "ablation" ~doc:"Design-choice ablations (see DESIGN.md)")
     Term.(const run $ factor_arg)
 
+(* Write a policy, then reload it: the file must load back to the policy
+   derived, so a later `run --policy` sees the same decisions.  Shared by
+   `profile -o` and `gc-profile emit-policy`, which write one format. *)
+let save_policy ?(note = "") path policy =
+  Gsc.Policy_file.save policy path;
+  (match Gsc.Policy_file.load path with
+   | Ok p when p = policy -> ()
+   | Ok _ ->
+     Printf.eprintf "%s: reloaded policy differs from the one written\n" path;
+     exit 1
+   | Error msg ->
+     Printf.eprintf "%s: written policy fails to load: %s\n" path msg;
+     exit 1);
+  Printf.printf
+    "%s: %d pretenured site(s), %d scan-free (cutoff %.2f, min %d objects%s)\n"
+    path
+    (List.length policy.Gsc.Policy_file.sites)
+    (List.length policy.Gsc.Policy_file.no_scan)
+    policy.Gsc.Policy_file.cutoff policy.Gsc.Policy_file.min_objects note
+
 (* --- profile --- *)
 
 let profile_cmd =
   let out =
-    let doc = "Write the raw profile to this file (for later pretenuring)." in
+    let doc =
+      "Write the pretenuring policy this profile selects (with the \
+       scan-free subset) to this file, for `repro run --policy`."
+    in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
   let run factor name out =
@@ -88,11 +111,12 @@ let profile_cmd =
       print_string
         (Heap_profile.Report.render ~title:name ~cutoff:Harness.Runs.cutoff
            data);
-      (match out with
-       | None -> ()
-       | Some path ->
-         Heap_profile.Profile_data.save data ~path;
-         Printf.printf "profile written to %s\n" path)
+      Option.iter
+        (fun path ->
+          save_policy path
+            (Gsc.Policy_file.of_profile_data data ~cutoff:Harness.Runs.cutoff
+               ~min_objects:Harness.Runs.min_objects ~scan_elision:true))
+        out
   in
   Cmd.v
     (Cmd.info "profile"
@@ -143,9 +167,9 @@ let technique_arg =
       ("pretenure", Harness.Runs.Pretenure);
       ("pretenure-elide", Harness.Runs.Pretenure_elide) ]
   in
-  let doc = "Collector technique: semi, gen, markers, pretenure, \
-             pretenure-elide." in
-  Arg.(value & opt (enum techniques) Harness.Runs.Gen
+  let doc = "Collector technique: semi, gen (the default), markers, \
+             pretenure, pretenure-elide." in
+  Arg.(value & opt (some (enum techniques)) None
        & info [ "technique"; "t" ] ~docv:"TECH" ~doc)
 
 let k_arg =
@@ -155,18 +179,11 @@ let k_arg =
 (* --- run --- *)
 
 let run_cmd =
-  let pretenure_from =
-    let doc =
-      "Derive the pretenuring policy from this saved profile (see `repro \
-       profile --out`) instead of profiling in-process."
-    in
-    Arg.(value & opt (some file) None
-         & info [ "pretenure-from" ] ~docv:"FILE" ~doc)
-  in
   let policy_arg =
     let doc =
-      "Pretenure from a policy file emitted by `repro gc-profile \
-       emit-policy` (the trace-driven loop; no profiler attached)."
+      "Pretenure from a policy file written by `repro profile -o` or \
+       `repro gc-profile emit-policy` (no profiler attached).  Cannot \
+       be combined with --technique."
     in
     Arg.(value & opt (some file) None & info [ "policy" ] ~docv:"FILE" ~doc)
   in
@@ -174,63 +191,35 @@ let run_cmd =
     let doc = "Walk and check the whole heap after every collection." in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  let run factor name technique k pretenure_from policy verify =
+  let run factor name technique k policy verify =
     match Workloads.Registry.find name with
     | exception Not_found ->
       prerr_endline ("unknown workload: " ^ name);
       exit 2
     | w ->
       let sc = Harness.Runs.scale ~factor w in
-      let m =
-        match pretenure_from, policy, verify with
-        | None, None, false ->
-          Harness.Runs.measure ~workload:w ~scale:sc ~technique ~k
-        | _ ->
-          (* ad-hoc configuration: saved profile or policy file, and/or
-             verification *)
+      let label, cfg =
+        match policy, technique with
+        | Some _, Some _ ->
+          prerr_endline "run: --policy and --technique cannot be combined";
+          exit 2
+        | Some path, None ->
           let budget = Harness.Calibrate.budget_for ~workload:w ~scale:sc ~k in
-          let base =
-            match technique, pretenure_from, policy with
-            | _, _, Some path ->
-              (match Gsc.Config.with_policy_file ~budget_bytes:budget path with
-               | Ok cfg -> cfg
-               | Error msg ->
-                 prerr_endline ("policy " ^ path ^ ": " ^ msg);
-                 exit 1)
-            | _, Some path, None ->
-              let data =
-                match Heap_profile.Profile_data.load ~path with
-                | Ok data -> data
-                | Error msg ->
-                  prerr_endline ("profile " ^ path ^ ": " ^ msg);
-                  exit 1
-              in
-              let policy =
-                Gsc.Pretenure.of_profile data ~cutoff:Harness.Runs.cutoff
-                  ~min_objects:Harness.Runs.min_objects
-                  ~scan_elision:(technique = Harness.Runs.Pretenure_elide)
-              in
-              Gsc.Config.with_pretenuring ~budget_bytes:budget policy
-            | Harness.Runs.Semi, None, None ->
-              Gsc.Config.semispace ~budget_bytes:budget
-            | Harness.Runs.Gen, None, None ->
-              Gsc.Config.generational ~budget_bytes:budget
-            | (Harness.Runs.Markers | Harness.Runs.Profiled), None, None ->
-              Gsc.Config.with_markers ~budget_bytes:budget
-            | (Harness.Runs.Pretenure | Harness.Runs.Pretenure_elide), None, None ->
-              Gsc.Config.with_pretenuring ~budget_bytes:budget
-                (Harness.Runs.policy_of ~workload:w ~scale:sc
-                   ~scan_elision:(technique = Harness.Runs.Pretenure_elide))
-          in
-          let cfg =
-            Harness.Runs.with_nursery_cap
-              { base with Gsc.Config.verify_heap = verify }
-          in
-          Harness.Measure.run ~workload:w ~scale:sc ~cfg ~k ()
+          (match Gsc.Config.with_policy_file ~budget_bytes:budget path with
+           | Ok cfg -> (Gsc.Config.name cfg, Harness.Runs.with_nursery_cap cfg)
+           | Error msg ->
+             prerr_endline ("policy " ^ path ^ ": " ^ msg);
+             exit 1)
+        | None, technique ->
+          let technique = Option.value technique ~default:Harness.Runs.Gen in
+          ( Harness.Runs.technique_name technique,
+            Harness.Runs.config_for ~workload:w ~scale:sc ~technique ~k )
       in
-      Printf.printf "%s under %s at k=%.1f (scale %d)\n" name
-        (Harness.Runs.technique_name technique)
-        k sc;
+      let m =
+        Harness.Measure.run ~workload:w ~scale:sc
+          ~cfg:{ cfg with Gsc.Config.verify_heap = verify } ~k ()
+      in
+      Printf.printf "%s under %s at k=%.1f (scale %d)\n" name label k sc;
       Printf.printf "  total   %.3fs (gc %.3fs = stack %.3fs + copy %.3fs)\n"
         m.Harness.Measure.total_seconds m.Harness.Measure.gc_seconds
         m.Harness.Measure.stack_seconds m.Harness.Measure.copy_seconds;
@@ -251,7 +240,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one workload under one configuration")
     Term.(
       const run $ factor_arg $ workload_arg $ technique_arg $ k_arg
-      $ pretenure_from $ policy_arg $ verify)
+      $ policy_arg $ verify)
 
 (* Collector knobs shared by gc-trace and gc-serve, each declared once. *)
 
@@ -399,6 +388,7 @@ let gc_trace_cmd =
     | w ->
       validate_collector_knobs "gc-trace" ~parallelism ~major_kind ~chunk_words
         header_layout;
+      let technique = Option.value technique ~default:Harness.Runs.Gen in
       let sc = Harness.Runs.scale ~factor w in
       let cfg =
         { (Harness.Runs.config_for ~workload:w ~scale:sc ~technique ~k) with
@@ -544,33 +534,14 @@ let gc_profile_cmd =
           (fun acc path2 -> Obs.Profile.merge acc (analyze path2))
           (analyze path) merges
       in
-      let policy =
-        Gsc.Policy_file.of_profile p ~cutoff ~min_objects
-          ~scan_elision:(not no_elide)
-      in
-      Gsc.Policy_file.save policy out;
-      (* Reload and verify: the file we just wrote must load back to the
-         policy we derived, so a later `run --policy` sees the same
-         decisions. *)
-      (match Gsc.Policy_file.load out with
-       | Ok p' when p' = policy -> ()
-       | Ok _ ->
-         Printf.eprintf "%s: reloaded policy differs from the one written\n"
-           out;
-         exit 1
-       | Error msg ->
-         Printf.eprintf "%s: written policy fails to load: %s\n" out msg;
-         exit 1);
-      Printf.printf
-        "%s: %d pretenured site(s), %d scan-free (cutoff %.2f, min %d \
-         objects%s)\n"
+      save_policy
+        ~note:
+          (match merges with
+           | [] -> ""
+           | _ -> Printf.sprintf ", %d traces merged" (1 + List.length merges))
         out
-        (List.length policy.Gsc.Policy_file.sites)
-        (List.length policy.Gsc.Policy_file.no_scan)
-        cutoff min_objects
-        (match merges with
-         | [] -> ""
-         | _ -> Printf.sprintf ", %d traces merged" (1 + List.length merges))
+        (Gsc.Policy_file.of_profile p ~cutoff ~min_objects
+           ~scan_elision:(not no_elide))
     in
     Cmd.v
       (Cmd.info "emit-policy"

@@ -129,11 +129,11 @@ val with_markers : budget_bytes:int -> t
 val with_pretenuring : budget_bytes:int -> Pretenure.t -> t
 
 (** [with_policy_file ~budget_bytes path] is {!with_pretenuring} with
-    the policy loaded from a file {!Policy_file.save}d by the offline
-    analyzer — a run configured this way pretenures from an earlier
-    run's trace with no live profiler attached.  Errors (unreadable
-    file, version mismatch, malformed policy) are returned, not
-    raised. *)
+    the policy loaded from a {!Policy_file} (written by [repro profile
+    -o] or [repro gc-profile emit-policy]) — a run configured this way
+    pretenures from an earlier run's profile with no profiler
+    attached.  Errors (unreadable file, version mismatch, malformed
+    policy) are returned, not raised. *)
 val with_policy_file : budget_bytes:int -> string -> (t, string) result
 
 (** [name t] is a short label for tables: ["semi"], ["gen"],

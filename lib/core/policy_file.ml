@@ -5,16 +5,28 @@ type t = {
   no_scan : int list;
 }
 
-let of_profile p ~cutoff ~min_objects ~scan_elision =
-  let sites = Obs.Profile.select_pretenure p ~cutoff ~min_objects in
+(* The one builder behind both derivations: the only place sites are
+   put in canonical order and the scan-free subset is derived. *)
+let make ~cutoff ~min_objects ~scan_elision ~sites ~edges =
+  let sites = List.sort_uniq compare sites in
   let no_scan =
     if scan_elision then
       Site_flow.Int_set.elements
-        (Site_flow.scan_free ~edges:p.Obs.Profile.edges
-           ~pretenured:(Site_flow.Int_set.of_list sites))
+        (Site_flow.scan_free ~edges ~pretenured:(Site_flow.Int_set.of_list sites))
     else []
   in
   { cutoff; min_objects; sites; no_scan }
+
+let of_profile p ~cutoff ~min_objects ~scan_elision =
+  make ~cutoff ~min_objects ~scan_elision ~edges:p.Obs.Profile.edges
+    ~sites:(Obs.Profile.select_pretenure p ~cutoff ~min_objects)
+
+let of_profile_data data ~cutoff ~min_objects ~scan_elision =
+  make ~cutoff ~min_objects ~scan_elision
+    ~edges:data.Heap_profile.Profile_data.edges
+    ~sites:
+      (Heap_profile.Profile_data.select_pretenure_sites data ~cutoff
+         ~min_objects)
 
 let to_json t =
   let num f = Obs.Json.Num f in

@@ -1,10 +1,11 @@
 (** Persisted pretenuring policies — the file format that closes the
     profile-driven loop (Section 6).
 
-    A profiled run writes a JSONL trace; the offline analyzer
-    ({!Obs.Profile}) folds it and {!of_profile} applies the paper's
-    selection rule to produce a policy; {!save} writes it as one JSON
-    document; a later run {!load}s it and pretenures without any live
+    This is the only on-disk form of a pretenuring decision.  Either a
+    profiled run's JSONL trace, folded by the offline analyzer
+    ({!Obs.Profile}, {!of_profile}), or the live profiler's data
+    ({!of_profile_data}) yields a policy; {!save} writes it as one JSON
+    document; a later run {!load}s it and pretenures without any
     profiler attached.
 
     The file carries the trace-format version ({!Obs.Event.version}): a
@@ -24,10 +25,23 @@ type t = {
     [Obs.Profile.old_fraction >= cutoff] and at least [min_objects]
     allocations are pretenured; with [scan_elision] the trace's
     points-to edges additionally exempt scan-free sites
-    ({!Site_flow.scan_free}).  Over a fully-traced run this reproduces
-    {!Pretenure.of_profile} on the live profiler's data exactly. *)
+    ({!Site_flow.scan_free}).  Over a fully-traced run this equals
+    {!of_profile_data} on the live profiler's data: both build the
+    policy through one function. *)
 val of_profile :
   Obs.Profile.t ->
+  cutoff:float ->
+  min_objects:int ->
+  scan_elision:bool ->
+  t
+
+(** [of_profile_data data ~cutoff ~min_objects ~scan_elision] applies
+    the same rule to the live profiler's data
+    ({!Heap_profile.Profile_data.select_pretenure_sites}); this is what
+    [repro profile -o] writes and what {!Pretenure.of_profile} runs
+    under. *)
+val of_profile_data :
+  Heap_profile.Profile_data.t ->
   cutoff:float ->
   min_objects:int ->
   scan_elision:bool ->

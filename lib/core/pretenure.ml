@@ -14,22 +14,12 @@ let of_sites ~sites ~no_scan =
     invalid_arg "Pretenure.of_sites: no_scan must be a subset of sites";
   { sites; no_scan }
 
-let of_profile data ~cutoff ~min_objects ~scan_elision =
-  let sites =
-    Int_set.of_list
-      (Heap_profile.Profile_data.select_pretenure_sites data ~cutoff ~min_objects)
-  in
-  let no_scan =
-    if scan_elision then
-      Site_flow.scan_free
-        ~edges:data.Heap_profile.Profile_data.edges
-        ~pretenured:sites
-    else Int_set.empty
-  in
-  { sites; no_scan }
-
 let of_policy p =
   of_sites ~sites:p.Policy_file.sites ~no_scan:p.Policy_file.no_scan
+
+let of_profile data ~cutoff ~min_objects ~scan_elision =
+  of_policy
+    (Policy_file.of_profile_data data ~cutoff ~min_objects ~scan_elision)
 
 let is_empty t = Int_set.is_empty t.sites
 let pretenured_sites t = Int_set.elements t.sites

@@ -18,7 +18,10 @@ val of_sites : sites:int list -> no_scan:int list -> t
     from a heap profile: sites with old-fraction at least [cutoff] (paper:
     0.8) and at least [min_objects] observed objects are pretenured; with
     [scan_elision] the observed points-to edges additionally exempt
-    scan-free sites. *)
+    scan-free sites.  It is {!of_policy} over
+    {!Policy_file.of_profile_data}, so a run that profiles in-process
+    and a run that loads the file [repro profile -o] wrote pretenure
+    the same sites. *)
 val of_profile :
   Heap_profile.Profile_data.t ->
   cutoff:float ->
@@ -26,11 +29,10 @@ val of_profile :
   scan_elision:bool ->
   t
 
-(** [of_policy p] builds the policy a saved {!Policy_file.t} describes —
-    the trace-driven counterpart of {!of_profile}: a run configured with
-    it pretenures from an earlier run's trace with no live profiler
-    attached.  Loaded policies are already validated, so this cannot
-    raise. *)
+(** [of_policy p] builds the policy a {!Policy_file.t} describes: a
+    run configured with a loaded one pretenures from an earlier run's
+    profile with no profiler attached.  Loaded and derived policies
+    are already validated, so this cannot raise. *)
 val of_policy : Policy_file.t -> t
 
 val is_empty : t -> bool

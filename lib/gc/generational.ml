@@ -110,6 +110,8 @@ type t = {
       (* the mark-sweep major's bitmap, one byte per tenured word, reused
          by every major (every tenured space is [tenured_phys] words);
          empty under the copying major *)
+  mark_stack : Mem.Addr.t Support.Vec.t;
+      (* the mark-sweep major's gray stack, reused by every major *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -192,7 +194,8 @@ let create mem ~hooks ~stats cfg =
     controller;
     marks =
       (if cfg.major_kind = Mark_sweep then Bytes.create tenured_phys
-       else Bytes.empty) }
+       else Bytes.empty);
+    mark_stack = Support.Vec.create () }
 
 let in_nursery t a = Mem.Space.contains t.nursery a
 let in_tenured t a = Mem.Space.contains t.tenured a
@@ -781,7 +784,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
   assert (Mem.Space.used_words t.nursery = 0);
   let eng =
     Mark_sweep.create ~mem:t.mem ~tenured:t.tenured ~los:t.los ~marks:t.marks
-      ~site_tallies:(site_tallies t) ()
+      ~worklist:t.mark_stack ~site_tallies:(site_tallies t) ()
   in
   Rstack.Root.Buf.iter roots (Mark_sweep.visit_root eng);
   Mark_sweep.drain eng;

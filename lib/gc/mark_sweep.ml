@@ -5,15 +5,14 @@
    Mark state lives in a side bitmap (one byte per tenured word, indexed
    by the object's space-relative base offset) so object headers stay
    untouched — the mutator, the census walk and the write barrier all
-   keep seeing ordinary headers.  The gray set is a {!Deque} used
-   sequentially by owner 0: the worklist discipline (and its
-   [GSC_DEQUE_CHECKS] assertions) is shared with the parallel drain,
-   which keeps the door open for a parallel marker.
+   keep seeing ordinary headers.  The gray set is a plain LIFO stack of
+   addresses: the marker is sequential, so it needs no owner checks and
+   no [option] box per pop.
 
    The engine is per-collection, like {!Cheney}: create, push roots,
-   [drain], [sweep], drop.  The bitmap is the caller's: [create] clears
-   it, so one buffer serves every major of a collector instead of a
-   tenured-sized allocation per major. *)
+   [drain], [sweep], drop.  The bitmap and the gray stack are the
+   caller's: [create] clears them, so one buffer of each serves every
+   major of a collector instead of fresh host allocations per major. *)
 
 type t = {
   mem : Mem.Memory.t;
@@ -22,7 +21,7 @@ type t = {
   t_base : Mem.Addr.t;
   marks : Bytes.t;                  (* '\001' at marked object bases *)
   los : Los.t;
-  worklist : Mem.Addr.t Deque.t;
+  worklist : Mem.Addr.t Support.Vec.t;
   mutable marked_tenured : int;     (* words under marked tenured objects *)
   mutable marked_los : int;         (* words under marked large objects *)
   mutable marked_objects : int;
@@ -33,17 +32,18 @@ type t = {
          engines' survival tallies, under the same [site_tallies] gate *)
 }
 
-let create ~mem ~tenured ~los ~marks ~site_tallies () =
+let create ~mem ~tenured ~los ~marks ~worklist ~site_tallies () =
   if Bytes.length marks <> Mem.Space.size_words tenured then
     invalid_arg "Mark_sweep.create: mark bitmap size";
   Bytes.fill marks 0 (Bytes.length marks) '\000';
+  Support.Vec.clear worklist;
   { mem;
     tenured;
     t_cells = Mem.Memory.cells mem (Mem.Space.base tenured);
     t_base = Mem.Space.base tenured;
     marks;
     los;
-    worklist = Deque.create ~owner:0;
+    worklist;
     marked_tenured = 0;
     marked_los = 0;
     marked_objects = 0;
@@ -64,7 +64,7 @@ let mark_tenured t a =
        Site_tally.note tab ~site:(Mem.Header.site_c t.t_cells ~off)
          ~first:(not (Mem.Header.survivor_c t.t_cells ~off))
          ~words);
-    Deque.push t.worklist ~self:0 a
+    Support.Vec.push t.worklist a
   end
 
 let mark_addr t a =
@@ -72,7 +72,7 @@ let mark_addr t a =
   else if Los.contains t.los a then
     if Los.mark t.los a then begin
       t.marked_los <- t.marked_los + Mem.Header.object_words_at t.mem a;
-      Deque.push t.worklist ~self:0 a
+      Support.Vec.push t.worklist a
     end
 
 (* roots and fields alike are encoded words *)
@@ -103,14 +103,9 @@ let scan_object t base =
   (Mem.Header.header_words ()) + len
 
 let drain t =
-  let rec loop () =
-    match Deque.pop t.worklist ~self:0 with
-    | None -> ()
-    | Some base ->
-      t.scanned <- t.scanned + scan_object t base;
-      loop ()
-  in
-  loop ()
+  while not (Support.Vec.is_empty t.worklist) do
+    t.scanned <- t.scanned + scan_object t (Support.Vec.pop t.worklist)
+  done
 
 let sweep t ~backend ~on_die =
   let cells = t.t_cells in

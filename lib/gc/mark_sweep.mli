@@ -12,22 +12,22 @@
 
     Like {!Cheney}, an engine value is per-collection: create it, feed
     it the roots, {!drain} to the mark fixpoint, {!sweep}, drop it.
-    The gray set reuses the {!Deque} machinery (owner 0, sequential
-    discipline) so the [GSC_DEQUE_CHECKS] assertions apply and a future
-    parallel marker inherits the worklist shape. *)
+    The gray set is a plain LIFO stack of addresses ({!Support.Vec}):
+    the marker is sequential ([major_kind = Mark_sweep] requires
+    [parallelism = 1]). *)
 
 type t
 
-(** [create ~mem ~tenured ~los ~marks ~site_tallies ()] is an engine
-    over the given tenured space and large-object space.  [marks] is
-    the mark bitmap, one byte per tenured word; [create] clears it, and
-    the engine owns it until dropped, so a collector can hand the same
-    buffer to every major.  [site_tallies] switches on
-    {!site_survivals}.
+(** [create ~mem ~tenured ~los ~marks ~worklist ~site_tallies ()] is
+    an engine over the given tenured space and large-object space.
+    [marks] is the mark bitmap, one byte per tenured word, and
+    [worklist] the gray stack; [create] clears both, and the engine
+    owns them until dropped, so a collector can hand the same buffers
+    to every major.  [site_tallies] switches on {!site_survivals}.
     @raise Invalid_argument if [marks] is not [size_words tenured] long. *)
 val create :
   mem:Mem.Memory.t -> tenured:Mem.Space.t -> los:Los.t -> marks:Bytes.t ->
-  site_tallies:bool -> unit -> t
+  worklist:Mem.Addr.t Support.Vec.t -> site_tallies:bool -> unit -> t
 
 (** [visit_root t cells i] marks the referent (tenured or large object)
     of the encoded word in the root cell [cells.(i)] and queues it for

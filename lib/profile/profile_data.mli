@@ -1,8 +1,10 @@
-(** Serializable heap-profile summaries.
+(** Heap-profile summaries.
 
-    A profiling run produces this value; a later production run loads it
-    to drive pretenuring ("profile-driven": the prediction is made before
-    the final execution, Section 6). *)
+    A profiling run produces this value; the pretenuring decision
+    derived from it ([Gsc.Policy_file.of_profile_data]) is what a later
+    production run loads ("profile-driven": the prediction is made
+    before the final execution, Section 6).  The summary itself is not
+    saved. *)
 
 type site = {
   site : int;
@@ -31,16 +33,3 @@ val select_pretenure_sites : t -> cutoff:float -> min_objects:int -> int list
     fraction of all copied / allocated bytes attributable to [sites]
     (the two percentages in Figure 2's summary). *)
 val targeted_shares : t -> sites:int list -> float * float
-
-(** Textual round-trip (a small line-oriented format). *)
-val save : t -> path:string -> unit
-
-(** [load ~path] reads a saved profile; an unreadable file or a
-    malformed line is an [Error] naming the problem. *)
-val load : path:string -> (t, string) result
-
-(** In-memory round-trip helpers used by the tests.  [of_string]
-    raises [Invalid_argument] naming the first malformed line. *)
-val to_string : t -> string
-
-val of_string : string -> t

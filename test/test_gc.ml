@@ -1383,7 +1383,7 @@ let ms_sweep_safety_prop =
       let eng =
         Collectors.Mark_sweep.create ~mem ~tenured:space ~los
           ~marks:(Bytes.create (Mem.Space.size_words space))
-          ~site_tallies:false ()
+          ~worklist:(Support.Vec.create ()) ~site_tallies:false ()
       in
       let cells = Array.map V.encode roots in
       Array.iteri (fun i _ -> Collectors.Mark_sweep.visit_root eng cells i) cells;

@@ -1,4 +1,4 @@
-(* Tests for the heap profiler, profile persistence, the Figure 2 report,
+(* Tests for the heap profiler, the Figure 2 report,
    the pretenuring policy and the Section 7.2 site-flow analysis. *)
 
 module R = Gsc.Runtime
@@ -76,39 +76,6 @@ let edges_recorded () =
   (* keeper objects point at keeper objects *)
   check_bool "keeper self edge" true
     (List.mem (s_keep, s_keep) data.PD.edges)
-
-let roundtrip () =
-  let data, _, _ = profiled_run () in
-  let data' = PD.of_string (PD.to_string data) in
-  check_bool "sites roundtrip" true (data'.PD.sites = data.PD.sites);
-  check_bool "edges roundtrip" true (data'.PD.edges = data.PD.edges);
-  check_int "total alloc" data.PD.total_alloc_bytes data'.PD.total_alloc_bytes;
-  check_int "total copied" data.PD.total_copied_bytes data'.PD.total_copied_bytes
-
-let file_roundtrip () =
-  let data, _, _ = profiled_run () in
-  let path = Filename.temp_file "repro_profile" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  PD.save data ~path;
-  check_bool "file roundtrip" true (PD.load ~path = Ok data)
-
-(* a malformed or missing file is an [Error], never an exception *)
-let load_rejects () =
-  let path = Filename.temp_file "repro_profile" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let reject what text =
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    match PD.load ~path with
-    | Ok _ -> Alcotest.failf "%s: accepted" what
-    | Error _ -> ()
-  in
-  reject "garbage line" "not a profile\n";
-  reject "bad number" "total 12 x\n";
-  reject "short site" "site 1 2\n";
-  check_bool "missing file" true
-    (Result.is_error (PD.load ~path:(path ^ ".missing")))
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -194,11 +161,8 @@ let () =
           Alcotest.test_case "semispace profile" `Quick semispace_profile;
           Alcotest.test_case "selection" `Quick selection_respects_cutoff_and_noise;
           Alcotest.test_case "edges" `Quick edges_recorded ] );
-      ( "persistence",
-        [ Alcotest.test_case "string roundtrip" `Quick roundtrip;
-          Alcotest.test_case "file roundtrip" `Quick file_roundtrip;
-          Alcotest.test_case "load rejects" `Quick load_rejects;
-          Alcotest.test_case "report" `Quick report_contains_summary ] );
+      ( "report",
+        [ Alcotest.test_case "report" `Quick report_contains_summary ] );
       ( "pretenure",
         [ Alcotest.test_case "site flow" `Quick site_flow_scan_free;
           Alcotest.test_case "policy basics" `Quick pretenure_policy_basics;

@@ -777,7 +777,7 @@ let run_facade (f : facade) cfg ops =
       heap_words mem,
       List.init 5 (fun i -> V.encode (R.get_slot rt i)),
       work_counters (R.stats rt),
-      Option.map Heap_profile.Profile_data.to_string (R.profile rt) ))
+      R.profile rt ))
 
 let twin_configs =
   let budget = 128 * 1024 in
