@@ -17,12 +17,10 @@ let kind_of_string = function
 let all_kinds = [ Bump; Free_list; Size_class ]
 
 type frag = {
-  free_words : int;
-  free_blocks : int;
-  largest_hole : int;
+  mutable free_words : int;
+  mutable free_blocks : int;
+  mutable largest_hole : int;
 }
-
-let no_frag = { free_words = 0; free_blocks = 0; largest_hole = 0 }
 
 module type S = sig
   type t
@@ -33,7 +31,7 @@ module type S = sig
   val contains : t -> Mem.Addr.t -> bool
   val iter_objects : t -> (Mem.Addr.t -> unit) -> unit
   val live_words : t -> int
-  val frag : t -> frag
+  val frag_into : t -> frag -> unit
   val destroy : t -> unit
 end
 
@@ -46,5 +44,11 @@ let free (Packed ((module B), b)) addr ~words = B.free b addr ~words
 let contains (Packed ((module B), b)) addr = B.contains b addr
 let iter_objects (Packed ((module B), b)) f = B.iter_objects b f
 let live_words (Packed ((module B), b)) = B.live_words b
-let frag (Packed ((module B), b)) = B.frag b
+let frag_into (Packed ((module B), b)) f = B.frag_into b f
+
+let frag p =
+  let f = { free_words = 0; free_blocks = 0; largest_hole = 0 } in
+  frag_into p f;
+  f
+
 let destroy (Packed ((module B), b)) = B.destroy b

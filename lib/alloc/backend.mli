@@ -39,12 +39,10 @@ val all_kinds : kind list
     frontier.  For {!Bump} the "holes" are freed-but-unreusable words —
     the number the other backends exist to shrink. *)
 type frag = {
-  free_words : int;    (** words across all holes *)
-  free_blocks : int;   (** number of holes *)
-  largest_hole : int;  (** biggest single hole, in words *)
+  mutable free_words : int;    (** words across all holes *)
+  mutable free_blocks : int;   (** number of holes *)
+  mutable largest_hole : int;  (** biggest single hole, in words *)
 }
-
-val no_frag : frag
 
 (** What every backend implements. *)
 module type S = sig
@@ -80,7 +78,9 @@ module type S = sig
   (** Granted words not yet freed. *)
   val live_words : t -> int
 
-  val frag : t -> frag
+  (** [frag_into t f] overwrites [f] with the current snapshot, so a
+      collector sampling after every collection allocates nothing. *)
+  val frag_into : t -> frag -> unit
 
   (** Release owned segments.  Backends wrapping an externally-owned
       space ([of_space] constructors) release nothing. *)
@@ -100,5 +100,8 @@ val free : packed -> Mem.Addr.t -> words:int -> unit
 val contains : packed -> Mem.Addr.t -> bool
 val iter_objects : packed -> (Mem.Addr.t -> unit) -> unit
 val live_words : packed -> int
+val frag_into : packed -> frag -> unit
+
+(** [frag p] is a fresh snapshot. *)
 val frag : packed -> frag
 val destroy : packed -> unit

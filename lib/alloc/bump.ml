@@ -26,12 +26,10 @@ let contains t addr = Arena.contains t.arena addr
 let iter_objects t f = Arena.iter_objects t.arena f
 let live_words t = Arena.used_words t.arena - t.dead_words
 
-let frag t =
-  {
-    Backend.free_words = t.dead_words;
-    free_blocks = t.dead_blocks;
-    largest_hole = t.dead_largest;
-  }
+let frag_into t (f : Backend.frag) =
+  f.free_words <- t.dead_words;
+  f.free_blocks <- t.dead_blocks;
+  f.largest_hole <- t.dead_largest
 
 let destroy t = Arena.destroy t.arena
 
@@ -44,7 +42,7 @@ module B = struct
   let contains = contains
   let iter_objects = iter_objects
   let live_words = live_words
-  let frag = frag
+  let frag_into = frag_into
   let destroy = destroy
 end
 

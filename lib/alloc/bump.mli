@@ -24,9 +24,9 @@ val contains : t -> Mem.Addr.t -> bool
 val iter_objects : t -> (Mem.Addr.t -> unit) -> unit
 val live_words : t -> int
 
-(** [frag] reports freed-but-unreusable words: the waste a reusing
+(** [frag_into] reports freed-but-unreusable words: the waste a reusing
     backend would recover. *)
-val frag : t -> Backend.frag
+val frag_into : t -> Backend.frag -> unit
 
 val destroy : t -> unit
 

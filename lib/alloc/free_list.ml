@@ -20,12 +20,10 @@ let contains t addr = Arena.contains t.arena addr
 let iter_objects t f = Arena.iter_objects t.arena f
 let live_words t = Arena.used_words t.arena - Holes.free_words t.holes
 
-let frag t =
-  {
-    Backend.free_words = Holes.free_words t.holes;
-    free_blocks = Holes.count t.holes;
-    largest_hole = Holes.largest t.holes;
-  }
+let frag_into t (f : Backend.frag) =
+  f.free_words <- Holes.free_words t.holes;
+  f.free_blocks <- Holes.count t.holes;
+  f.largest_hole <- Holes.largest t.holes
 
 let destroy t =
   Holes.clear t.holes;
@@ -40,7 +38,7 @@ module B = struct
   let contains = contains
   let iter_objects = iter_objects
   let live_words = live_words
-  let frag = frag
+  let frag_into = frag_into
   let destroy = destroy
 end
 

@@ -100,7 +100,7 @@ let iter_objects t f = Arena.iter_objects t.arena f
 let free_words t = t.bucket_words + Holes.free_words t.oversize
 let live_words t = Arena.used_words t.arena - free_words t
 
-let frag t =
+let frag_into t (f : Backend.frag) =
   let blocks =
     Array.fold_left (fun acc l -> acc + List.length l) 0 t.buckets
     + Holes.count t.oversize
@@ -110,7 +110,9 @@ let frag t =
       (fun acc l -> List.fold_left (fun acc (_, w) -> max acc w) acc l)
       (Holes.largest t.oversize) t.buckets
   in
-  { Backend.free_words = free_words t; free_blocks = blocks; largest_hole = largest }
+  f.Backend.free_words <- free_words t;
+  f.free_blocks <- blocks;
+  f.largest_hole <- largest
 
 let destroy t =
   Array.iteri (fun i _ -> t.buckets.(i) <- []) t.buckets;
@@ -127,7 +129,7 @@ module B = struct
   let contains = contains
   let iter_objects = iter_objects
   let live_words = live_words
-  let frag = frag
+  let frag_into = frag_into
   let destroy = destroy
 end
 

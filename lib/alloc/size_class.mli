@@ -28,7 +28,7 @@ val free : t -> Mem.Addr.t -> words:int -> unit
 val contains : t -> Mem.Addr.t -> bool
 val iter_objects : t -> (Mem.Addr.t -> unit) -> unit
 val live_words : t -> int
-val frag : t -> Backend.frag
+val frag_into : t -> Backend.frag -> unit
 val destroy : t -> unit
 
 (** This backend packed for uniform dispatch. *)

@@ -16,8 +16,14 @@ type t = {
   stack : Rstack.Stack_.t;
   regs : Rstack.Reg_file.t;
   cache : Rstack.Scan_cache.t;
+  scan_result : Rstack.Scan.result;  (* the collector-facing scan's, reused *)
   markers : Rstack.Markers.t;
   globals : int array;           (* encoded words, like frame slots *)
+  dirty : Bytes.t;
+      (* one flag per global: written since the last completed
+         collection.  A [Minor] root scan visits only these (DESIGN.md
+         §5n) *)
+  mutable dirty_count : int;     (* flags set in [dirty] *)
   exn_cell : int array;
   stats : Collectors.Gc_stats.t;
   site_names : string Support.Vec.t;
@@ -61,9 +67,19 @@ let iter_root_words t f =
        ~cache:(Rstack.Scan_cache.create ()) ~valid_prefix:0
        ~mode:Rstack.Scan.Full ~roots
       : Rstack.Scan.result);
-  Rstack.Root.Buf.iter roots (fun cells i -> f cells.(i));
+  Rstack.Root.Buf.iter roots (fun f cells i -> f cells.(i)) f;
   Array.iter f t.globals;
   f t.exn_cell.(0)
+
+let young_roots t =
+  let col = collector t in
+  let n = ref 0 in
+  iter_root_words t (fun w ->
+    if
+      Value.encoded_is_ptr w
+      && Collectors.Collector.in_nursery col (Value.encoded_to_addr w)
+    then incr n);
+  !n
 
 (* a breadth-first walk's visited set and queue, fed encoded words *)
 let reach_queue () =
@@ -119,38 +135,73 @@ let scan_stack_hook t mode roots =
         (min (Rstack.Scan_cache.length t.cache) (Rstack.Stack_.depth t.stack))
     else 0
   in
-  let res =
-    Rstack.Scan.run ~stack:t.stack ~regs:t.regs ~cache:t.cache
-      ~valid_prefix:valid ~mode ~roots
-  in
+  Rstack.Scan.run_into t.scan_result ~stack:t.stack ~regs:t.regs
+    ~cache:t.cache ~valid_prefix:valid ~mode ~roots;
   let fresh =
     Rstack.Stack_.count_new_frames t.stack ~since_serial:t.last_scan_serial
   in
   t.last_scan_serial <- Rstack.Stack_.next_serial t.stack - 1;
   t.stats.Collectors.Gc_stats.new_frames_sum <-
     t.stats.Collectors.Gc_stats.new_frames_sum + fresh;
-  res
+  t.scan_result
 
-let visit_globals_hook t roots =
-  for i = 0 to Array.length t.globals - 1 do
-    Rstack.Root.Buf.push roots t.globals i
-  done;
+(* [Full] visits every global.  [Minor] visits only the globals written
+   since the last collection, in index order: minor scans run only under
+   immediate promotion, so after any collection no global points into
+   the nursery, and a global not written since still does not.  The
+   exception cell is always visited. *)
+let visit_globals_hook t mode roots =
+  (match mode with
+   | Rstack.Scan.Full ->
+     for i = 0 to Array.length t.globals - 1 do
+       Rstack.Root.Buf.push roots t.globals i
+     done
+   | Rstack.Scan.Minor ->
+     let left = ref t.dirty_count and i = ref 0 in
+     while !left > 0 do
+       if Bytes.unsafe_get t.dirty !i <> '\000' then begin
+         Rstack.Root.Buf.push roots t.globals !i;
+         decr left
+       end;
+       incr i
+     done);
   Rstack.Root.Buf.push roots t.exn_cell 0
 
-let after_collection_hook t ~full:_ ~allocs ~copies =
+(* [g] was just stored through a bounds-checked write, so it indexes
+   [dirty] too *)
+let[@inline] mark_dirty t g =
+  if Bytes.unsafe_get t.dirty g = '\000' then begin
+    Bytes.unsafe_set t.dirty g '\001';
+    t.dirty_count <- t.dirty_count + 1
+  end
+
+let clear_dirty t =
+  if t.dirty_count > 0 then begin
+    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+    t.dirty_count <- 0
+  end
+
+let after_collection_hook t ~full ~allocs ~copies =
   (match t.profiler with
    | None -> ()
    | Some p ->
      Heap_profile.Profiler.fold_allocs p allocs;
      Heap_profile.Profiler.fold_copies p copies);
-  if t.cfg.Config.verify_heap then ignore (check_heap t : int);
+  if t.cfg.Config.verify_heap then begin
+    (* a minor under immediate promotion empties the nursery, so a root
+       still pointing into it is one the roots phase did not visit *)
+    if (not full) && t.cfg.Config.tenure_threshold = 1 && young_roots t > 0
+    then failwith "check_heap: a root points into the nursery after a minor";
+    ignore (check_heap t : int)
+  end;
   if t.cfg.Config.stack_markers then begin
     let installed = Rstack.Markers.place t.markers t.stack in
     t.stats.Collectors.Gc_stats.marker_stubs_installed <-
       t.stats.Collectors.Gc_stats.marker_stubs_installed + installed;
     if Obs.Trace.enabled () then
       Obs.Trace.marker_place ~installed ~depth:(Rstack.Stack_.depth t.stack)
-  end
+  end;
+  clear_dirty t
 
 (* --- the per-site table --- *)
 
@@ -214,8 +265,11 @@ let create cfg =
       stack = Rstack.Stack_.create table;
       regs = Rstack.Reg_file.create ();
       cache = Rstack.Scan_cache.create ();
+      scan_result = Rstack.Scan.result ();
       markers = Rstack.Markers.create ~n:cfg.Config.marker_spacing;
       globals = Array.make cfg.Config.global_slots Value.encoded_zero;
+      dirty = Bytes.make cfg.Config.global_slots '\000';
+      dirty_count = 0;
       exn_cell = Array.make 1 Value.encoded_zero;
       stats;
       site_names = Support.Vec.create ();
@@ -324,7 +378,9 @@ let write_word t dst w =
   match dst with
   | To_slot i -> Rstack.Frame.set_word (Rstack.Stack_.top t.stack) i w
   | To_reg r -> Rstack.Reg_file.set_word t.regs r w
-  | To_global g -> t.globals.(g) <- w
+  | To_global g ->
+    t.globals.(g) <- w;
+    mark_dirty t g
 
 let read t src = Value.decode (read_word t src)
 let write t dst v = write_word t dst (Value.encode v)
@@ -386,7 +442,9 @@ let get_reg t r = Rstack.Reg_file.get t.regs r
 let set_reg t r v = Rstack.Reg_file.set t.regs r v
 
 let get_global t g = Value.decode t.globals.(g)
-let set_global t g v = t.globals.(g) <- Value.encode v
+let set_global t g v =
+  t.globals.(g) <- Value.encode v;
+  mark_dirty t g
 
 let int_of t src = Value.decode_int (read_word t src)
 
@@ -642,6 +700,7 @@ let profile t =
 
 module Internal = struct
   let memory t = t.mem
+  let collector = collector
   let alloc_object t hdr =
     alloc_fields t
       ~tag:(Header.tag_of_kind hdr.Header.kind)

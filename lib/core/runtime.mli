@@ -192,6 +192,14 @@ val profile : t -> Heap_profile.Profile_data.t option
     number of live objects visited. *)
 val check_heap : t -> int
 
+(** [young_roots t] is the number of root words, over the same full
+    enumeration as [check_heap] (stack slots, live registers, every
+    global and the exception cell), that point into the nursery; always
+    [0] under the semispace collector.  With [verify_heap], a minor
+    under immediate promotion ([tenure_threshold = 1]) fails unless it
+    leaves this at [0]. *)
+val young_roots : t -> int
+
 (** {1 Reference-twin access}
 
     The layer below the operand forms, exposed so that the safe-tier
@@ -200,6 +208,10 @@ val check_heap : t -> int
 module Internal : sig
   (** The simulated memory the runtime allocates into. *)
   val memory : t -> Mem.Memory.t
+
+  (** The collector the runtime allocates through, for code that
+      collects directly (the bench's per-minor rows). *)
+  val collector : t -> Collectors.Collector.t
 
   (** [alloc_object t hdr] allocates an object with header [hdr] through
       the collector's allocation entry (pretenured when the per-site

@@ -37,7 +37,7 @@ type t = {
   mutable copied : int;
   mutable promoted : int;
   mutable scanned : int;            (* words walked by the drain loops *)
-  sites : Site_tally.t option;
+  mutable sites : Site_tally.t option;
       (* per-site objects, first-collection objects and words copied —
          only allocated when someone consumes the rows *)
 }
@@ -71,6 +71,24 @@ let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = fal
     promoted = 0;
     scanned = 0;
     sites = (if site_tallies then Some (Site_tally.create ()) else None) }
+
+let reset t ~site_tallies =
+  t.eager_budget <- 0;
+  t.scan <- Mem.Space.frontier t.to_space;
+  (match t.aging with
+   | Some a -> t.scan_young <- Mem.Space.frontier a.young_to
+   | None -> ());
+  Support.Vec.clear t.gray_large;
+  Support.Vec.clear t.gray_promoted;
+  t.copied <- 0;
+  t.promoted <- 0;
+  t.scanned <- 0;
+  match t.sites with
+  | Some tab when site_tallies -> Site_tally.clear tab
+  | Some _ | None ->
+    t.sites <- (if site_tallies then Some (Site_tally.create ()) else None)
+
+let in_from t a = t.in_from a
 
 (* destination grant for one promotion: the backend placement policy
    when [promote_alloc] is set (grants stay inside [to_space]'s block,

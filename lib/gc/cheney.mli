@@ -64,6 +64,19 @@ val create :
     [promoting] tags the engine's copies into [to_space] as promotions
     out of the nursery (statistics only). *)
 
+(** [reset t ~site_tallies] readies the engine for another collection
+    with the same spaces: the scan pointers restart at the to-spaces'
+    current frontiers, the gray queues and the counters empty, and the
+    site tallies restart empty (kept, dropped or created as
+    [site_tallies] now asks).  The to-space's block must be the one the
+    engine was created with; a collector that replaces it builds a new
+    engine.  Nothing is allocated unless a tally table is created or
+    had grown. *)
+val reset : t -> site_tallies:bool -> unit
+
+(** [in_from t a]: [a] lies in the region the engine evacuates. *)
+val in_from : t -> Mem.Addr.t -> bool
+
 (** [visit_root t cells i] rewrites the root cell [cells.(i)] (an
     encoded word) in place, forwarding the value it holds (as do the
     visits below): from-region pointers

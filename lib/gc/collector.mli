@@ -40,6 +40,11 @@ val alloc_pretenured : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
     so Table 2's pointer-update column is collector-independent. *)
 val record_update : t -> obj:Mem.Addr.t -> loc:Mem.Addr.t -> unit
 
+(** [in_nursery t a]: [a] lies in the generational collector's nursery
+    (its block, whether or not below the frontier); [false] under the
+    semispace collector, which has none. *)
+val in_nursery : t -> Mem.Addr.t -> bool
+
 (** Force a full collection — under the generational collector, a major
     of the configured [major_kind] (copying by default, mark-in-place
     with [Mark_sweep] — see {!Generational.major_kind}). *)

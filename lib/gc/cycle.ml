@@ -3,20 +3,23 @@
    survival accounting, the profiling death sweep and the allocation
    epilogue. *)
 
-let now () = Unix.gettimeofday ()
+(* the collection clock, in integer nanoseconds: passing and summing
+   it boxes nothing *)
+let now () = Support.Units.now_ns ()
+
+let us ns = float_of_int ns *. 1e-3
 
 (* --- the roots phase --- *)
 
 let roots ~hooks ~stats ~traced ~t0 ~roots mode =
   Rstack.Root.Buf.clear roots;
   let res = hooks.Hooks.scan_stack mode roots in
-  hooks.Hooks.visit_globals roots;
+  hooks.Hooks.visit_globals mode roots;
   Gc_stats.add_scan stats res;
   let t1 = now () in
-  stats.Gc_stats.stack_seconds <- stats.Gc_stats.stack_seconds +. (t1 -. t0);
+  stats.Gc_stats.stack_ns <- stats.Gc_stats.stack_ns + (t1 - t0);
   if traced then
-    Obs.Trace.phase ~name:"roots"
-      ~dur_us:((t1 -. t0) *. 1e6)
+    Obs.Trace.phase ~name:"roots" ~dur_us:(us (t1 - t0))
       ~counters:[ ("roots", Rstack.Root.Buf.length roots) ];
   t1
 
@@ -49,13 +52,20 @@ let engine ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?card_scan
       (Cheney.create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc
          ~eager ~site_tallies ~los ~trace_los ~promoting ())
 
-let visit_loc = function
-  | Seq e -> Cheney.visit_loc e
-  | Par p -> Par_drain.add_loc p
+let in_from engine a =
+  match engine with
+  | Seq e -> Cheney.in_from e a
+  | Par p -> Par_drain.in_from p a
 
-let visit_fields = function
-  | Seq e -> Cheney.visit_object_fields e
-  | Par p -> Par_drain.add_obj p
+let visit_loc engine loc =
+  match engine with
+  | Seq e -> Cheney.visit_loc e loc
+  | Par p -> Par_drain.add_loc p loc
+
+let visit_fields engine base =
+  match engine with
+  | Seq e -> Cheney.visit_object_fields e base
+  | Par p -> Par_drain.add_obj p base
 
 let visit_card engine ~scan card =
   match engine with
@@ -81,14 +91,14 @@ let survivals = function
 let drain engine ~stats roots =
   match engine with
   | Seq e ->
-    Rstack.Root.Buf.iter roots (Cheney.visit_root e);
+    Rstack.Root.Buf.iter roots Cheney.visit_root e;
     Cheney.drain e;
     Gc_stats.add_scanned stats ~domain:0 (Cheney.words_scanned e)
   | Par p ->
     let batch =
       Rstack.Root.Batch.create ~capacity:32 ~emit:(Par_drain.add_roots p)
     in
-    Rstack.Root.Buf.iter roots (Rstack.Root.Batch.push batch);
+    Rstack.Root.Buf.iter roots Rstack.Root.Batch.push batch;
     Rstack.Root.Batch.flush batch;
     Par_drain.run p;
     Array.iteri
@@ -165,10 +175,10 @@ let profile_sweep ~mem ~hooks ~stats ~traced ~since space =
   | None -> ()
   | Some h ->
     Cheney.sweep_dead ~mem ~space ~on_die:h.Hooks.on_die;
-    let dt = now () -. since in
-    stats.Gc_stats.profile_seconds <- stats.Gc_stats.profile_seconds +. dt;
+    let dt = now () - since in
+    stats.Gc_stats.profile_ns <- stats.Gc_stats.profile_ns + dt;
     if traced then
-      Obs.Trace.phase ~name:"profile_sweep" ~dur_us:(dt *. 1e6) ~counters:[]
+      Obs.Trace.phase ~name:"profile_sweep" ~dur_us:(us dt) ~counters:[]
 
 (* --- allocation epilogue: header, zeroed payload, counters --- *)
 

@@ -5,14 +5,22 @@
     timer interval and trace records documented on it, so a collector
     built from them keeps its pause decomposition (docs/COLLECTORS.md). *)
 
+(** The collection clock: wall time in integer nanoseconds, so that
+    timestamps pass between the cycle's pieces and sum into the
+    [Gc_stats] timers without boxing a float. *)
+val now : unit -> int
+
+(** [us ns] is [ns] in microseconds, the trace's span unit. *)
+val us : int -> float
+
 (** [roots ~hooks ~stats ~traced ~t0 ~roots mode] empties the
     collector's reused root buffer [roots] and refills it with the stack
-    (under [mode]) and global roots, and returns the end time.  The
-    interval from [t0] to it is credited to [stack_seconds] and, when
+    and global roots, both under [mode], and returns the end time.  The
+    interval from [t0] to it is credited to [stack_ns] and, when
     [traced], emitted as the [roots] phase span. *)
 val roots :
-  hooks:Hooks.t -> stats:Gc_stats.t -> traced:bool -> t0:float ->
-  roots:Rstack.Root.Buf.t -> Rstack.Scan.mode -> float
+  hooks:Hooks.t -> stats:Gc_stats.t -> traced:bool -> t0:int ->
+  roots:Rstack.Root.Buf.t -> Rstack.Scan.mode -> int
 
 (** {1 The copy engine} *)
 
@@ -53,6 +61,9 @@ val engine :
   chunk_words:int ->
   unit ->
   engine
+
+(** [in_from engine a]: [a] lies in the region the engine evacuates. *)
+val in_from : engine -> Mem.Addr.t -> bool
 
 (** Rewrite one heap location (sequential) or stage it (parallel). *)
 val visit_loc : engine -> Mem.Addr.t -> unit
@@ -110,11 +121,11 @@ val flush_site_allocs : site_allocs -> (int * int * int) list
 (** [profile_sweep ~mem ~hooks ~stats ~traced ~since space] reports
     every unforwarded object of the collected [space] to the profiler's
     [on_die] (a no-op without object hooks).  The interval from [since]
-    is credited to [profile_seconds] and emitted as the [profile_sweep]
+    is credited to [profile_ns] and emitted as the [profile_sweep]
     span. *)
 val profile_sweep :
   mem:Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> traced:bool ->
-  since:float -> Mem.Space.t -> unit
+  since:int -> Mem.Space.t -> unit
 
 (** Count one fresh object of [words] with header tag [tag] in the
     allocation counters and the per-site table. *)

@@ -34,10 +34,10 @@ type t = {
   mutable marker_stubs_installed : int;
   mutable marker_stub_hits : int;
   mutable exception_unwinds : int;
-  mutable stack_seconds : float;
-  mutable copy_seconds : float;
-  mutable barrier_seconds : float;
-  mutable profile_seconds : float;
+  mutable stack_ns : int;
+  mutable copy_ns : int;
+  mutable barrier_ns : int;
+  mutable profile_ns : int;
   mutable tenured_free_words : int;
   mutable tenured_free_blocks : int;
   mutable tenured_largest_hole : int;
@@ -78,10 +78,10 @@ let create () = {
   marker_stubs_installed = 0;
   marker_stub_hits = 0;
   exception_unwinds = 0;
-  stack_seconds = 0.;
-  copy_seconds = 0.;
-  barrier_seconds = 0.;
-  profile_seconds = 0.;
+  stack_ns = 0;
+  copy_ns = 0;
+  barrier_ns = 0;
+  profile_ns = 0;
   tenured_free_words = 0;
   tenured_free_blocks = 0;
   tenured_largest_hole = 0;
@@ -100,7 +100,9 @@ let add_scanned t ~domain words =
   if domain < 0 || domain >= max_domains then invalid_arg "Gc_stats.add_scanned";
   t.words_scanned_dom.(domain) <- t.words_scanned_dom.(domain) + words
 
-let gc_seconds t = t.stack_seconds +. t.copy_seconds +. t.barrier_seconds
+let seconds ns = float_of_int ns *. 1e-9
+
+let gc_seconds t = seconds (t.stack_ns + t.copy_ns + t.barrier_ns)
 
 let bytes_allocated t = t.words_allocated * Mem.Memory.bytes_per_word
 let bytes_copied t = t.words_copied * Mem.Memory.bytes_per_word
@@ -136,4 +138,4 @@ let pp fmt t =
     (max_live_bytes t)
     t.pointer_updates t.barrier_entries_processed
     t.frames_decoded t.frames_reused
-    t.stack_seconds t.copy_seconds
+    (seconds t.stack_ns) (seconds t.copy_ns)

@@ -2,8 +2,8 @@
 
     Two kinds of figures coexist:
 
-    - *wall-clock phase timers* ([stack_seconds], [copy_seconds]), the
-      analogue of the paper's GC / GC-stack / GC-copy columns;
+    - *wall-clock phase timers* ([stack_ns], [copy_ns], [barrier_ns]),
+      the analogue of the paper's GC / GC-stack / GC-copy columns;
     - *work counters* (frames decoded, words copied, …), deterministic
       across runs and machines, used by the test-suite and by the
       shape-comparison in EXPERIMENTS.md.
@@ -59,11 +59,12 @@ type t = {
   mutable marker_stubs_installed : int;
   mutable marker_stub_hits : int;   (** stub activations (mutator side) *)
   mutable exception_unwinds : int;  (** simulated raises that unwound *)
-  (* phase timers, seconds *)
-  mutable stack_seconds : float;
-  mutable copy_seconds : float;
-  mutable barrier_seconds : float;    (** write-barrier drain *)
-  mutable profile_seconds : float;    (** death sweeps; profiling runs only *)
+  (* phase timers, nanoseconds: integers, so a collection adds to them
+     without boxing a float *)
+  mutable stack_ns : int;
+  mutable copy_ns : int;
+  mutable barrier_ns : int;           (** write-barrier drain *)
+  mutable profile_ns : int;           (** death sweeps; profiling runs only *)
   (* allocation-backend fragmentation, sampled after each collection:
      gauges (last value wins), not accumulating counters *)
   mutable tenured_free_words : int;
@@ -89,8 +90,9 @@ val add_scanned : t -> domain:int -> int -> unit
 
 val gcs : t -> int
 
-(** Total GC time: stack + copy phases (profiling overhead excluded, as in
-    the paper where profiled runs are reported separately). *)
+(** Total GC time in seconds: stack + barrier + copy phases (profiling
+    overhead excluded, as in the paper where profiled runs are reported
+    separately). *)
 val gc_seconds : t -> float
 
 val bytes_allocated : t -> int

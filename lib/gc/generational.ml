@@ -63,6 +63,16 @@ type barrier =
       (* cards for the tenured space; the buffer catches large-object
          locations, which the card table does not cover *)
 
+(* What a reclaim step hands the collection epilogue: one record per
+   collector, rewritten by every collection ([report]). *)
+type reclaimed = {
+  mutable copied : int;
+  mutable promoted : int;
+  mutable live_w : int;
+  mutable survivals : (int * int * int * int) list;
+  mutable moved : bool;  (* [survivals] count copies, not marks *)
+}
+
 type t = {
   mem : Mem.Memory.t;
   hooks : Hooks.t;
@@ -112,9 +122,16 @@ type t = {
          empty under the copying major *)
   mark_stack : Mem.Addr.t Support.Vec.t;
       (* the mark-sweep major's gray stack, reused by every major *)
+  mutable minor_engine : Cycle.engine option;
+      (* the sequential minor's copy engine, reset and reused by every
+         minor under immediate promotion at parallelism 1 (aging and
+         parallel minors build theirs per collection); rebuilt when a
+         copying major replaces the tenured space *)
+  reclaimed : reclaimed;
+  frag : Alloc.Backend.frag;  (* scratch for the backends' gauges *)
 }
 
-let now () = Unix.gettimeofday ()
+let now = Cycle.now
 
 let nursery_words_of cfg =
   let wpb = Mem.Memory.bytes_per_word in
@@ -195,7 +212,11 @@ let create mem ~hooks ~stats cfg =
     marks =
       (if cfg.major_kind = Mark_sweep then Bytes.create tenured_phys
        else Bytes.empty);
-    mark_stack = Support.Vec.create () }
+    mark_stack = Support.Vec.create ();
+    minor_engine = None;
+    reclaimed =
+      { copied = 0; promoted = 0; live_w = 0; survivals = []; moved = false };
+    frag = { Alloc.Backend.free_words = 0; free_blocks = 0; largest_hole = 0 } }
 
 let in_nursery t a = Mem.Space.contains t.nursery a
 let in_tenured t a = Mem.Space.contains t.tenured a
@@ -293,13 +314,13 @@ let scan_card t ~visit cards card =
 (* Scan one pretenured object of [words] at [a]: it was allocated
    directly into the tenured generation since the last collection and may
    hold young pointers.  Objects whose site the flow analysis cleared are
-   skipped (Section 7.2); [visit_fields] is either the sequential in-place
-   rewrite or the parallel drain's packet staging, so the region counters
+   skipped (Section 7.2); the engine either rewrites in place
+   (sequential) or stages a packet (parallel), so the region counters
    are identical either way. *)
-let scan_pretenured t ~visit_fields cells a ~words =
+let scan_pretenured t engine cells a ~words =
   let off = Mem.Addr.offset a in
   if t.hooks.Hooks.site_needs_scan (Mem.Header.site_c cells ~off) then begin
-    visit_fields a;
+    Cycle.visit_fields engine a;
     t.stats.Gc_stats.words_region_scanned <-
       t.stats.Gc_stats.words_region_scanned + words
   end
@@ -308,21 +329,19 @@ let scan_pretenured t ~visit_fields cells a ~words =
       t.stats.Gc_stats.words_region_skipped + words
 
 (* the pretenured region [pretenure_from, frontier_at_gc_start) *)
-let scan_pretenured_region t ~visit_fields ~until =
+let scan_pretenured_region t engine ~until =
   let cells = Mem.Memory.cells t.mem (Mem.Space.base t.tenured) in
   let limit = Mem.Addr.offset until in
-  let rec walk a =
-    let off = Mem.Addr.offset a in
-    if off < limit then begin
-      let words = Mem.Header.object_words_c cells ~off in
-      (* chunk-tail fillers from earlier parallel drains are not
-         pretenured objects; step over them without counting *)
-      if not (Mem.Header.is_filler_c cells ~off) then
-        scan_pretenured t ~visit_fields cells a ~words;
-      walk (Mem.Addr.unsafe_add a words)
-    end
-  in
-  walk t.pretenure_from
+  let a = ref t.pretenure_from in
+  while Mem.Addr.offset !a < limit do
+    let off = Mem.Addr.offset !a in
+    let words = Mem.Header.object_words_c cells ~off in
+    (* chunk-tail fillers from earlier parallel drains are not
+       pretenured objects; step over them without counting *)
+    if not (Mem.Header.is_filler_c cells ~off) then
+      scan_pretenured t engine cells !a ~words;
+    a := Mem.Addr.unsafe_add !a words
+  done
 
 (* The mark-sweep counterpart of [scan_pretenured_region]: pretenured
    grants may sit in reclaimed holes anywhere in the space, so the
@@ -330,41 +349,53 @@ let scan_pretenured_region t ~visit_fields ~until =
    with the same site-elision filter and region counters.  Entries are
    consumed: once scanned, any surviving old-to-young edge is re-covered
    by the write barrier (or, under aging, by the engine's [remember]). *)
-let scan_pretenured_list t ~visit_fields =
+let scan_pretenured_list t engine =
   let cells = Mem.Memory.cells t.mem (Mem.Space.base t.tenured) in
-  Support.Vec.iter
-    (fun a ->
-      let words = Mem.Header.object_words_c cells ~off:(Mem.Addr.offset a) in
-      scan_pretenured t ~visit_fields cells a ~words)
-    t.new_pretenured;
+  for i = 0 to Support.Vec.length t.new_pretenured - 1 do
+    let a = Support.Vec.get t.new_pretenured i in
+    let words = Mem.Header.object_words_c cells ~off:(Mem.Addr.offset a) in
+    scan_pretenured t engine cells a ~words
+  done;
   Support.Vec.clear t.new_pretenured
 
-(* [visit_loc]/[visit_fields]/[card] abstract over the engine: the
-   sequential path rewrites in place, the parallel path stages packets.
-   The [processed] counter is bumped at enumeration time, so both paths
-   report identical barrier statistics. *)
-let drain_barrier t ~visit_loc ~visit_fields ~card =
-  let processed = ref 0 in
-  (match t.barrier with
-   | B_ssb ssb ->
-     Ssb.drain ssb (fun loc ->
-       incr processed;
-       (* a mutated slot inside the nursery needs no action: live nursery
-          objects are traced wholesale *)
-       if not (in_nursery t loc) then visit_loc loc)
-   | B_remset rs ->
-     Remset.drain rs (fun obj ->
-       incr processed;
-       if not (in_nursery t obj) then visit_fields obj)
-   | B_cards (cards, overflow) ->
-     Card_table.drain_marked cards (fun c ->
-       incr processed;
-       card cards c);
-     Ssb.drain overflow (fun loc ->
-       incr processed;
-       if not (in_nursery t loc) then visit_loc loc));
+(* A mutated slot or remembered object inside the nursery needs no
+   action: live nursery objects are traced wholesale.  Toplevel, so the
+   drains take them without a closure. *)
+let visit_barrier_loc engine loc =
+  if not (Cycle.in_from engine loc) then Cycle.visit_loc engine loc
+
+let visit_barrier_obj engine obj =
+  if not (Cycle.in_from engine obj) then Cycle.visit_fields engine obj
+
+(* The engine either rewrites in place (sequential) or stages packets
+   (parallel).  Entries are counted as enumerated, so both paths report
+   identical barrier statistics. *)
+let drain_barrier t engine =
+  let processed =
+    match t.barrier with
+    | B_ssb ssb ->
+      let n = Ssb.length ssb in
+      Ssb.drain ssb visit_barrier_loc engine;
+      n
+    | B_remset rs ->
+      let n = Remset.length rs in
+      Remset.drain rs visit_barrier_obj engine;
+      n
+    | B_cards (cards, overflow) ->
+      let marked = ref 0 in
+      Card_table.drain_marked cards (fun c ->
+        incr marked;
+        Cycle.visit_card engine
+          ~scan:(fun visit card -> scan_card t ~visit cards card)
+          c);
+      (* counted after the cards: scanning them may re-remember
+         large-object locations in the overflow buffer *)
+      let n = Ssb.length overflow in
+      Ssb.drain overflow visit_barrier_loc engine;
+      !marked + n
+  in
   t.stats.Gc_stats.barrier_entries_processed <-
-    t.stats.Gc_stats.barrier_entries_processed + !processed
+    t.stats.Gc_stats.barrier_entries_processed + processed
 
 (* Major-trigger gauge.  The copying major reclaims only by evacuating
    the whole space, so any word below the frontier is occupied until
@@ -489,27 +520,28 @@ let census_after_collection t ~traced =
    counts) stay comparable across backends; these gauges carry the part
    that legitimately differs. *)
 let sample_backend_stats t ~traced =
-  let tf = Alloc.Backend.frag t.tenured_be in
-  let lf = Los.frag t.los in
-  t.stats.Gc_stats.tenured_free_words <- tf.Alloc.Backend.free_words;
-  t.stats.Gc_stats.tenured_free_blocks <- tf.Alloc.Backend.free_blocks;
-  t.stats.Gc_stats.tenured_largest_hole <- tf.Alloc.Backend.largest_hole;
-  t.stats.Gc_stats.los_free_words <- lf.Alloc.Backend.free_words;
-  t.stats.Gc_stats.los_free_blocks <- lf.Alloc.Backend.free_blocks;
-  t.stats.Gc_stats.los_largest_hole <- lf.Alloc.Backend.largest_hole;
-  if traced then begin
+  let f = t.frag in
+  Alloc.Backend.frag_into t.tenured_be f;
+  t.stats.Gc_stats.tenured_free_words <- f.Alloc.Backend.free_words;
+  t.stats.Gc_stats.tenured_free_blocks <- f.Alloc.Backend.free_blocks;
+  t.stats.Gc_stats.tenured_largest_hole <- f.Alloc.Backend.largest_hole;
+  if traced then
     Obs.Trace.backend_stats ~region:"tenured"
       ~backend:(Alloc.Backend.name t.tenured_be)
       ~live_w:(Alloc.Backend.live_words t.tenured_be)
-      ~free_w:tf.Alloc.Backend.free_words
-      ~free_blocks:tf.Alloc.Backend.free_blocks
-      ~largest_hole:tf.Alloc.Backend.largest_hole;
+      ~free_w:f.Alloc.Backend.free_words
+      ~free_blocks:f.Alloc.Backend.free_blocks
+      ~largest_hole:f.Alloc.Backend.largest_hole;
+  Los.frag_into t.los f;
+  t.stats.Gc_stats.los_free_words <- f.Alloc.Backend.free_words;
+  t.stats.Gc_stats.los_free_blocks <- f.Alloc.Backend.free_blocks;
+  t.stats.Gc_stats.los_largest_hole <- f.Alloc.Backend.largest_hole;
+  if traced then
     Obs.Trace.backend_stats ~region:"los" ~backend:(Los.backend_name t.los)
       ~live_w:(Los.live_words t.los)
-      ~free_w:lf.Alloc.Backend.free_words
-      ~free_blocks:lf.Alloc.Backend.free_blocks
-      ~largest_hole:lf.Alloc.Backend.largest_hole
-  end
+      ~free_w:f.Alloc.Backend.free_words
+      ~free_blocks:f.Alloc.Backend.free_blocks
+      ~largest_hole:f.Alloc.Backend.largest_hole
 
 (* --- the adaptive control plane (cfg.adaptive, docs/ADAPTIVE.md) --- *)
 
@@ -546,15 +578,18 @@ let control_after_collection t ~survivals ~alloc_rows =
    kind's reclaim step, then the census, the backend snapshot, the
    runtime's [after_collection] hook, [gc_end] and the control plane.
    A reclaim step owns the phase spans and timers between the roots
-   phase and the epilogue, and hands back what the epilogue reports. *)
+   phase and the epilogue, and leaves what the epilogue reports in
+   [t.reclaimed].  The default minor allocates nothing on the host: its
+   clock is integer nanoseconds, its engine is reused, and its loops
+   take no closures. *)
 
-type reclaimed = {
-  copied : int;
-  promoted : int;
-  live_w : int;
-  survivals : (int * int * int * int) list;
-  moved : bool;  (* [survivals] count copies, not marks *)
-}
+let report t ~copied ~promoted ~live_w ~survivals ~moved =
+  let r = t.reclaimed in
+  r.copied <- copied;
+  r.promoted <- promoted;
+  r.live_w <- live_w;
+  r.survivals <- survivals;
+  r.moved <- moved
 
 let cycle t ~kind ~scan_mode reclaim =
   t.collections <- t.collections + 1;
@@ -569,13 +604,14 @@ let cycle t ~kind ~scan_mode reclaim =
     Cycle.roots ~hooks:t.hooks ~stats:t.stats ~traced ~t0 ~roots:t.roots
       scan_mode
   in
-  let r = reclaim t ~traced ~roots:t.roots ~t1 in
+  reclaim t ~traced ~roots:t.roots ~t1;
+  let r = t.reclaimed in
   census_after_collection t ~traced;
   sample_backend_stats t ~traced;
   t.hooks.Hooks.after_collection ~full:(kind <> "minor") ~allocs:alloc_rows
     ~copies:(if r.moved then r.survivals else []);
   if traced then
-    Obs.Trace.gc_end ~kind ~pause_us:((now () -. t0) *. 1e6)
+    Obs.Trace.gc_end ~kind ~pause_us:(Cycle.us (now () - t0))
       ~copied_w:r.copied ~promoted_w:r.promoted ~live_w:r.live_w;
   control_after_collection t ~survivals:r.survivals ~alloc_rows
 
@@ -589,10 +625,48 @@ let copy_engine t ~in_from ~to_space ?aging ?remember ?promote_alloc
     ~site_tallies:(site_tallies t) ~parallelism:t.cfg.parallelism
     ~mode:t.cfg.parallelism_mode ~chunk_words:t.cfg.chunk_words ()
 
-(* The minor reclaim step: the barrier drain ([barrier_seconds], split
-   into the [barrier] and [region_scan] spans), the nursery copy
-   ([copy_seconds], the [copy] span) and the profiling death sweep. *)
-let reclaim_minor t ~traced ~roots ~t1:_ =
+(* the engine for one minor: out of the nursery, promoting into the
+   tenured space *)
+let new_minor_engine t ~aging =
+  copy_engine t ~in_from:(in_nursery t) ~to_space:t.tenured ?aging
+    (* old-to-young edges that survive the collection (aging only)
+       must re-enter the remembered set *)
+    ~remember:(barrier_record t)
+    ?promote_alloc:
+      (* under the mark-sweep major promotions go through the
+         placement policy so they can land in swept holes *)
+      (match t.cfg.major_kind with
+       | Copying -> None
+       | Mark_sweep ->
+         Some (fun words -> Alloc.Backend.alloc t.tenured_be words))
+    ?card_scan:
+      (match t.barrier with
+       | B_cards (cards, _) ->
+         Some (fun visit card -> scan_card t ~visit cards card)
+       | B_ssb _ | B_remset _ -> None)
+    ~trace_los:false ~promoting:true ()
+
+(* Under immediate promotion at parallelism 1 every minor copies from
+   the same nursery into the same tenured space, so one sequential
+   engine serves them all: built at the first minor, reset by the
+   next ones.  An aging minor needs a fresh young to-space and a
+   parallel drain its per-collection packets, so both build their own. *)
+let minor_engine t ~aging =
+  match t.minor_engine with
+  | Some (Cycle.Seq e as engine) ->
+    Cheney.reset e ~site_tallies:(site_tallies t);
+    engine
+  | Some (Cycle.Par _) | None ->
+    let engine = new_minor_engine t ~aging in
+    if t.cfg.tenure_threshold = 1 && t.cfg.parallelism = 1 then
+      t.minor_engine <- Some engine;
+    engine
+
+(* The minor reclaim step: the barrier drain ([barrier_ns], split into
+   the [barrier] and [region_scan] spans, and starting where the roots
+   phase ended, so it includes readying the engine), the nursery copy
+   ([copy_ns], the [copy] span) and the profiling death sweep. *)
+let reclaim_minor t ~traced ~roots ~t1 =
   let tenured_frontier_at_start = Mem.Space.frontier t.tenured in
   (* under an aging nursery, survivors below the threshold evacuate into
      a fresh nursery semispace instead of being promoted *)
@@ -603,64 +677,38 @@ let reclaim_minor t ~traced ~roots ~t1:_ =
           threshold = t.cfg.tenure_threshold }
     else None
   in
-  let card_scan cards visit card = scan_card t ~visit cards card in
-  let engine =
-    copy_engine t ~in_from:(Mem.Space.contains t.nursery) ~to_space:t.tenured
-      ?aging
-      (* old-to-young edges that survive the collection (aging only)
-         must re-enter the remembered set *)
-      ~remember:(barrier_record t)
-      ?promote_alloc:
-        (* under the mark-sweep major promotions go through the
-           placement policy so they can land in swept holes *)
-        (match t.cfg.major_kind with
-         | Copying -> None
-         | Mark_sweep ->
-           Some (fun words -> Alloc.Backend.alloc t.tenured_be words))
-      ?card_scan:
-        (match t.barrier with
-         | B_cards (cards, _) -> Some (card_scan cards)
-         | B_ssb _ | B_remset _ -> None)
-      ~trace_los:false ~promoting:true ()
-  in
+  let engine = minor_engine t ~aging in
   let entries0 = t.stats.Gc_stats.barrier_entries_processed in
   let region_scanned0 = t.stats.Gc_stats.words_region_scanned in
   let region_skipped0 = t.stats.Gc_stats.words_region_skipped in
-  let t_barrier0 = now () in
-  drain_barrier t ~visit_loc:(Cycle.visit_loc engine)
-    ~visit_fields:(Cycle.visit_fields engine)
-    ~card:(fun cards -> Cycle.visit_card engine ~scan:(card_scan cards));
-  let t_mid = if traced then now () else t_barrier0 in
+  drain_barrier t engine;
+  let t_mid = if traced then now () else t1 in
   (match t.cfg.major_kind with
    | Copying ->
-     scan_pretenured_region t ~visit_fields:(Cycle.visit_fields engine)
-       ~until:tenured_frontier_at_start
+     scan_pretenured_region t engine ~until:tenured_frontier_at_start
    | Mark_sweep ->
      (* pretenured grants are not contiguous above [pretenure_from] when
         holes serve them; scan the recorded bases instead *)
-     scan_pretenured_list t ~visit_fields:(Cycle.visit_fields engine));
+     scan_pretenured_list t engine);
   let t_barrier1 = now () in
-  t.stats.Gc_stats.barrier_seconds <-
-    t.stats.Gc_stats.barrier_seconds +. (t_barrier1 -. t_barrier0);
+  t.stats.Gc_stats.barrier_ns <- t.stats.Gc_stats.barrier_ns + (t_barrier1 - t1);
   if traced then begin
-    Obs.Trace.phase ~name:"barrier"
-      ~dur_us:((t_mid -. t_barrier0) *. 1e6)
+    Obs.Trace.phase ~name:"barrier" ~dur_us:(Cycle.us (t_mid - t1))
       ~counters:
         [ ("entries", t.stats.Gc_stats.barrier_entries_processed - entries0) ];
     Obs.Trace.phase ~name:"region_scan"
-      ~dur_us:((t_barrier1 -. t_mid) *. 1e6)
+      ~dur_us:(Cycle.us (t_barrier1 - t_mid))
       ~counters:
         [ ("scanned_w", t.stats.Gc_stats.words_region_scanned - region_scanned0);
           ("skipped_w", t.stats.Gc_stats.words_region_skipped - region_skipped0) ]
   end;
   Cycle.drain engine ~stats:t.stats roots;
   let t2 = now () in
-  t.stats.Gc_stats.copy_seconds <-
-    t.stats.Gc_stats.copy_seconds +. (t2 -. t_barrier1);
+  t.stats.Gc_stats.copy_ns <- t.stats.Gc_stats.copy_ns + (t2 - t_barrier1);
   let survivals = Cycle.survivals engine in
   if traced then begin
     Cycle.trace_copy engine ~with_promoted:true
-      ~dur_us:((t2 -. t_barrier1) *. 1e6);
+      ~dur_us:(Cycle.us (t2 - t_barrier1));
     Cycle.emit_survivals survivals
   end;
   Cycle.profile_sweep ~mem:t.mem ~hooks:t.hooks ~stats:t.stats ~traced
@@ -677,7 +725,7 @@ let reclaim_minor t ~traced ~roots ~t1:_ =
   t.stats.Gc_stats.minor_gcs <- t.stats.Gc_stats.minor_gcs + 1;
   t.pretenure_from <- Mem.Space.frontier t.tenured;
   cover_new_tenured t;
-  { copied; promoted; live_w = occupancy t; survivals; moved = true }
+  report t ~copied ~promoted ~live_w:(occupancy t) ~survivals ~moved:true
 
 let on_die t =
   match t.hooks.Hooks.object_hooks with
@@ -734,11 +782,11 @@ let reclaim_copying t ~traced ~roots ~t1 =
   let t_drain = if traced then now () else t1 in
   let los_freed_w = sweep_los t in
   let t2 = now () in
-  t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
+  t.stats.Gc_stats.copy_ns <- t.stats.Gc_stats.copy_ns + (t2 - t1);
   if traced then begin
     Cycle.trace_copy engine ~with_promoted:false
-      ~dur_us:((t_drain -. t1) *. 1e6);
-    trace_los_sweep t ~freed:los_freed_w ~dur_us:((t2 -. t_drain) *. 1e6)
+      ~dur_us:(Cycle.us (t_drain - t1));
+    trace_los_sweep t ~freed:los_freed_w ~dur_us:(Cycle.us (t2 - t_drain))
   end;
   let survivals = Cycle.survivals engine in
   Cycle.emit_survivals survivals;
@@ -750,6 +798,8 @@ let reclaim_copying t ~traced ~roots ~t1 =
      over the fresh space (of_space backends own no segments, so the
      old value needs no teardown beyond dropping it) *)
   t.tenured_be <- Alloc.Registry.of_space t.cfg.tenured_backend t.mem to_space;
+  (* the reused minor engine copies into the old space's block *)
+  t.minor_engine <- None;
   t.pretenure_from <- Mem.Space.frontier to_space;
   (match t.barrier with
    | B_ssb _ | B_remset _ -> ()
@@ -770,7 +820,7 @@ let reclaim_copying t ~traced ~roots ~t1 =
       ~upto:(Mem.Space.used_words t.tenured)
       ~born
   end;
-  { copied; promoted = 0; live_w = major_tail t; survivals; moved = true }
+  report t ~copied ~promoted:0 ~live_w:(major_tail t) ~survivals ~moved:true
 
 (* The mark-sweep major's reclaim step: mark tenured + LOS in place,
    sweep dead tenured objects back into the backend as holes, sweep the
@@ -786,7 +836,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
     Mark_sweep.create ~mem:t.mem ~tenured:t.tenured ~los:t.los ~marks:t.marks
       ~worklist:t.mark_stack ~site_tallies:(site_tallies t) ()
   in
-  Rstack.Root.Buf.iter roots (Mark_sweep.visit_root eng);
+  Rstack.Root.Buf.iter roots Mark_sweep.visit_root eng;
   Mark_sweep.drain eng;
   Gc_stats.add_scanned t.stats ~domain:0 (Mark_sweep.words_scanned eng);
   t.stats.Gc_stats.words_marked <-
@@ -794,8 +844,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
   let t_mark = now () in
   let survivals = Mark_sweep.site_survivals eng in
   if traced then begin
-    Obs.Trace.phase ~name:"mark"
-      ~dur_us:((t_mark -. t1) *. 1e6)
+    Obs.Trace.phase ~name:"mark" ~dur_us:(Cycle.us (t_mark - t1))
       ~counters:
         [ ("marked_w", Mark_sweep.words_marked eng);
           ("marked_objects", Mark_sweep.objects_marked eng);
@@ -807,16 +856,15 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
     t.stats.Gc_stats.words_swept_free + swept_w;
   let t_sweep = now () in
   if traced then
-    Obs.Trace.phase ~name:"sweep"
-      ~dur_us:((t_sweep -. t_mark) *. 1e6)
+    Obs.Trace.phase ~name:"sweep" ~dur_us:(Cycle.us (t_sweep - t_mark))
       ~counters:
         [ ("freed_w", swept_w);
           ("live_w", Mark_sweep.words_marked_tenured eng) ];
   let los_freed_w = sweep_los t in
   let t2 = now () in
-  t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
+  t.stats.Gc_stats.copy_ns <- t.stats.Gc_stats.copy_ns + (t2 - t1);
   if traced then
-    trace_los_sweep t ~freed:los_freed_w ~dur_us:((t2 -. t_sweep) *. 1e6);
+    trace_los_sweep t ~freed:los_freed_w ~dur_us:(Cycle.us (t2 - t_sweep));
   t.live <- Mark_sweep.words_marked_tenured eng;
   (* accounting cross-check: granted minus freed must equal the marked
      words once every corpse is back in the backend *)
@@ -827,7 +875,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
      during the major; keep the invariant explicit *)
   Support.Vec.clear t.new_pretenured;
   cover_new_tenured t;
-  { copied = 0; promoted = 0; live_w; survivals; moved = false }
+  report t ~copied:0 ~promoted:0 ~live_w ~survivals ~moved:false
 
 let minor_collection t =
   (* Skipping previously-scanned frames is sound only under immediate
@@ -864,36 +912,44 @@ let needs_compaction t =
     match t.cfg.tenured_backend with
     | Alloc.Backend.Bump | Alloc.Backend.Size_class -> 0
     | Alloc.Backend.Free_list ->
-      (Alloc.Backend.frag t.tenured_be).Alloc.Backend.largest_hole / 2
+      Alloc.Backend.frag_into t.tenured_be t.frag;
+      t.frag.Alloc.Backend.largest_hole / 2
   in
   frontier_room + reusable < t.nursery_words
 
+let collect_unguarded t ~major =
+  minor_collection t;
+  let pressure = t.cfg.major_kind = Mark_sweep && needs_compaction t in
+  if major || occupancy t >= t.major_trigger || pressure then begin
+    (* under an aging nursery survivors may remain young; repeated
+       minors age them out so the major sees an empty nursery (bounded
+       by the maximum age) *)
+    let guard = ref 0 in
+    while
+      Mem.Space.used_words t.nursery > 0 && !guard <= Mem.Header.max_age
+    do
+      incr guard;
+      minor_collection t
+    done;
+    match t.cfg.major_kind with
+    | Copying -> major_collection t
+    | Mark_sweep ->
+      major_mark_sweep t;
+      (* in-place reclamation was not enough room (fragmentation, or a
+         bump backend that cannot reuse): compact with the copying
+         major, which rebuilds the backend over a fresh space *)
+      if needs_compaction t then major_collection t
+  end
+
+(* a handler rather than [Fun.protect], which takes two closures *)
 let collect t ~major =
   if t.in_gc then failwith "Generational: re-entrant collection";
   t.in_gc <- true;
-  Fun.protect ~finally:(fun () -> t.in_gc <- false) (fun () ->
-    minor_collection t;
-    let pressure = t.cfg.major_kind = Mark_sweep && needs_compaction t in
-    if major || occupancy t >= t.major_trigger || pressure then begin
-      (* under an aging nursery survivors may remain young; repeated
-         minors age them out so the major sees an empty nursery (bounded
-         by the maximum age) *)
-      let guard = ref 0 in
-      while
-        Mem.Space.used_words t.nursery > 0 && !guard <= Mem.Header.max_age
-      do
-        incr guard;
-        minor_collection t
-      done;
-      match t.cfg.major_kind with
-      | Copying -> major_collection t
-      | Mark_sweep ->
-        major_mark_sweep t;
-        (* in-place reclamation was not enough room (fragmentation, or a
-           bump backend that cannot reuse): compact with the copying
-           major, which rebuilds the backend over a fresh space *)
-        if needs_compaction t then major_collection t
-    end)
+  match collect_unguarded t ~major with
+  | () -> t.in_gc <- false
+  | exception e ->
+    t.in_gc <- false;
+    raise e
 
 let minor t = collect t ~major:false
 let full t = collect t ~major:true
@@ -926,22 +982,18 @@ let alloc t ~tag ~len ~mask ~site ~birth =
     if words > t.nursery_words then
       exhausted "object larger than the nursery";
     let base = Mem.Space.grant t.nursery words in
-    let base =
-      if not (Mem.Addr.is_null base) then base
-      else
-        (* under an aging nursery, survivors occupy part of the fresh
-           semispace; repeated minors age them up to promotion, so at
-           most [tenure_threshold] collections free the space *)
-        let rec retry attempts =
-          collect t ~major:false;
-          let base = Mem.Space.grant t.nursery words in
-          if not (Mem.Addr.is_null base) then base
-          else if attempts >= t.cfg.tenure_threshold then
-            exhausted "nursery exhausted after collection"
-          else retry (attempts + 1)
-        in
-        retry 1
-    in
+    (* under an aging nursery, survivors occupy part of the fresh
+       semispace; repeated minors age them up to promotion, so at most
+       [tenure_threshold] collections free the space *)
+    let base = ref base and attempts = ref 0 in
+    while Mem.Addr.is_null !base do
+      if !attempts >= t.cfg.tenure_threshold then
+        exhausted "nursery exhausted after collection";
+      incr attempts;
+      collect t ~major:false;
+      base := Mem.Space.grant t.nursery words
+    done;
+    let base = !base in
     Cycle.finish_alloc ~stats:t.stats ~sites:t.alloc_sites
       (Mem.Space.cells t.nursery) ~tag ~len ~mask ~site ~birth base
   end

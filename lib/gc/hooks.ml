@@ -2,7 +2,7 @@ type object_hooks = { on_die : site:int -> birth:int -> words:int -> unit }
 
 type t = {
   scan_stack : Rstack.Scan.mode -> Rstack.Root.Buf.t -> Rstack.Scan.result;
-  visit_globals : Rstack.Root.Buf.t -> unit;
+  visit_globals : Rstack.Scan.mode -> Rstack.Root.Buf.t -> unit;
   after_collection :
     full:bool ->
     allocs:(int * int * int) list ->
@@ -14,14 +14,8 @@ type t = {
 }
 
 let nothing = {
-  scan_stack =
-    (fun _mode _roots ->
-      { Rstack.Scan.depth = 0;
-        frames_decoded = 0;
-        frames_reused = 0;
-        slots_decoded = 0;
-        roots_visited = 0 });
-  visit_globals = (fun _ -> ());
+  scan_stack = (fun _mode _roots -> Rstack.Scan.result ());
+  visit_globals = (fun _ _ -> ());
   after_collection = (fun ~full:_ ~allocs:_ ~copies:_ -> ());
   object_hooks = None;
   site_needs_scan = (fun _ -> true);

@@ -14,10 +14,17 @@ type object_hooks = { on_die : site:int -> birth:int -> words:int -> unit }
 type t = {
   scan_stack : Rstack.Scan.mode -> Rstack.Root.Buf.t -> Rstack.Scan.result;
       (** append the stack and register roots to the collector's root
-          buffer; honours the scan cache *)
-  visit_globals : Rstack.Root.Buf.t -> unit;
+          buffer; honours the scan cache.  The collector reads the
+          result before its next call, so the runtime may return one
+          record it rewrites every time. *)
+  visit_globals : Rstack.Scan.mode -> Rstack.Root.Buf.t -> unit;
       (** append the runtime's global roots (globals, then the
-          exception cell) to the collector's root buffer *)
+          exception cell) to the collector's root buffer.  [Full] visits
+          every global; [Minor] may skip a global that was not written
+          since the last collection (the collector only scans [Minor]
+          when every collection leaves no global pointing into the
+          nursery), keeping index order among those it visits.  The
+          exception cell is always visited. *)
   after_collection :
     full:bool ->
     allocs:(int * int * int) list ->

@@ -75,6 +75,7 @@ let iter t f = Hashtbl.iter (fun _ e -> f e.base) t.objects
 let backend_name t = Alloc.Backend.name t.backend
 
 let frag t = Alloc.Backend.frag t.backend
+let frag_into t f = Alloc.Backend.frag_into t.backend f
 
 let destroy t =
   Alloc.Backend.destroy t.backend;

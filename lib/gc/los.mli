@@ -57,5 +57,9 @@ val backend_name : t -> string
 (** Fragmentation snapshot of the backing arena. *)
 val frag : t -> Alloc.Backend.frag
 
+(** [frag_into t f] overwrites [f] with the snapshot
+    ({!Alloc.Backend.frag_into}). *)
+val frag_into : t -> Alloc.Backend.frag -> unit
+
 (** Release every segment (end of a run). *)
 val destroy : t -> unit

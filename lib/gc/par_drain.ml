@@ -589,6 +589,8 @@ let add_roots t cells index =
   check_staging t "add_roots";
   if Array.length index > 0 then stage t (Roots (cells, index))
 
+let in_from t a = t.in_from a
+
 let add_loc t loc =
   check_staging t "add_loc";
   Support.Vec.push t.pend_locs loc;

@@ -77,6 +77,9 @@ val create :
   unit ->
   t
 
+(** [in_from t a]: [a] lies in the region the drain evacuates. *)
+val in_from : t -> Mem.Addr.t -> bool
+
 (** {2 Staging}
 
     All staging must happen before {!run}; each raises

@@ -22,7 +22,7 @@ let length t = Support.Vec.length t.order
 
 let total_recorded t = t.total
 
-let drain t f =
+let drain t f env =
   (* swap-then-iterate: [f] may re-record objects for the next
      collection (aging nurseries), so the set is emptied before any
      callback runs; the spare buffer makes the drain allocation-free *)
@@ -30,7 +30,9 @@ let drain t f =
   t.order <- t.draining;
   t.draining <- snapshot;
   Hashtbl.reset t.seen;
-  Support.Vec.iter f snapshot;
+  for i = 0 to Support.Vec.length snapshot - 1 do
+    f env (Support.Vec.get snapshot i)
+  done;
   Support.Vec.clear snapshot
 
 let clear t =

@@ -24,9 +24,10 @@ val length : t -> int
 (** Total record calls ever made (mutator-side barrier traffic). *)
 val total_recorded : t -> int
 
-(** [drain t f] applies [f] to each distinct remembered object, clearing
-    the set first so objects recorded by [f] itself stay remembered. *)
-val drain : t -> (Mem.Addr.t -> unit) -> unit
+(** [drain t f env] applies [f env] to each distinct remembered object,
+    clearing the set first so objects recorded by [f] itself stay
+    remembered. *)
+val drain : t -> ('a -> Mem.Addr.t -> unit) -> 'a -> unit
 
 (** Forget every remembered object without processing it. *)
 val clear : t -> unit

@@ -32,7 +32,7 @@ type t = {
   roots : Rstack.Root.Buf.t;     (* the roots phase's buffer, reused *)
 }
 
-let now () = Unix.gettimeofday ()
+let now = Cycle.now
 
 let create mem ~hooks ~stats cfg =
   if cfg.budget_bytes <= 0 then invalid_arg "Semispace.create: empty budget";
@@ -114,10 +114,10 @@ let collect_for t ~need =
   in
   Cycle.drain engine ~stats:t.stats t.roots;
   let t2 = now () in
-  t.stats.Gc_stats.copy_seconds <- t.stats.Gc_stats.copy_seconds +. (t2 -. t1);
+  t.stats.Gc_stats.copy_ns <- t.stats.Gc_stats.copy_ns + (t2 - t1);
   let copies = Cycle.survivals engine in
   if traced then begin
-    Cycle.trace_copy engine ~with_promoted:false ~dur_us:((t2 -. t1) *. 1e6);
+    Cycle.trace_copy engine ~with_promoted:false ~dur_us:(Cycle.us (t2 - t1));
     Cycle.emit_survivals copies
   end;
   Cycle.profile_sweep ~mem:t.mem ~hooks:t.hooks ~stats:t.stats ~traced
@@ -133,7 +133,7 @@ let collect_for t ~need =
   t.hooks.Hooks.after_collection ~full:true ~allocs ~copies;
   if traced then
     Obs.Trace.gc_end ~kind:"semi"
-      ~pause_us:((now () -. t0) *. 1e6)
+      ~pause_us:(Cycle.us (now () - t0))
       ~copied_w:t.live ~promoted_w:0 ~live_w:t.live
 
 let collect t = collect_for t ~need:0

@@ -17,7 +17,7 @@ let length t = Support.Vec.length t.entries
 
 let total_recorded t = t.total
 
-let drain t f =
+let drain t f env =
   (* the callback may record new entries (the collector re-remembers
      surviving old-to-young edges under aging nurseries): swap in the
      spare buffer first so those records survive for the next
@@ -26,7 +26,9 @@ let drain t f =
   let snapshot = t.entries in
   t.entries <- t.draining;
   t.draining <- snapshot;
-  Support.Vec.iter f snapshot;
+  for i = 0 to Support.Vec.length snapshot - 1 do
+    f env (Support.Vec.get snapshot i)
+  done;
   Support.Vec.clear snapshot
 
 let clear t = Support.Vec.clear t.entries

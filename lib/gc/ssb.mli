@@ -20,10 +20,12 @@ val length : t -> int
 (** Total entries ever recorded. *)
 val total_recorded : t -> int
 
-(** [drain t f] applies [f] to every buffered location and empties the
-    buffer first, so locations recorded by [f] itself (re-remembered
-    edges) stay buffered for the next collection. *)
-val drain : t -> (Mem.Addr.t -> unit) -> unit
+(** [drain t f env] applies [f env] to every buffered location and
+    empties the buffer first, so locations recorded by [f] itself
+    (re-remembered edges) stay buffered for the next collection.  With
+    a toplevel [f], the drain allocates nothing once the buffers have
+    grown. *)
+val drain : t -> ('a -> Mem.Addr.t -> unit) -> 'a -> unit
 
 (** Drop every buffered entry without processing it. *)
 val clear : t -> unit

@@ -32,9 +32,9 @@ module Buf = struct
     Array.unsafe_set b.index b.len i;
     b.len <- b.len + 1
 
-  let iter b f =
+  let iter b f env =
     for k = 0 to b.len - 1 do
-      f (Array.unsafe_get b.cells k) (Array.unsafe_get b.index k)
+      f env (Array.unsafe_get b.cells k) (Array.unsafe_get b.index k)
     done
 
   let get b k : root = { cells = b.cells.(k); index = b.index.(k) }

@@ -31,9 +31,11 @@ module Buf : sig
   (** [push b cells i] appends the root at [cells.(i)]. *)
   val push : t -> int array -> int -> unit
 
-  (** [iter b f] calls [f cells i] for every root [cells.(i)], in push
-      order. *)
-  val iter : t -> (int array -> int -> unit) -> unit
+  (** [iter b f env] calls [f env cells i] for every root [cells.(i)],
+      in push order.  Passing the state as [env] rather than in a
+      closure lets a collector visit its roots without allocating: [f]
+      is a toplevel function such as an engine's root visitor. *)
+  val iter : t -> ('a -> int array -> int -> unit) -> 'a -> unit
 
   (** [get b k] is the [k]-th root ([k < length b]; allocates). *)
   val get : t -> int -> root

@@ -3,12 +3,19 @@ type mode =
   | Full
 
 type result = {
-  depth : int;
-  frames_decoded : int;
-  frames_reused : int;
-  slots_decoded : int;
-  roots_visited : int;
+  mutable depth : int;
+  mutable frames_decoded : int;
+  mutable frames_reused : int;
+  mutable slots_decoded : int;
+  mutable roots_visited : int;
 }
+
+let result () =
+  { depth = 0;
+    frames_decoded = 0;
+    frames_reused = 0;
+    slots_decoded = 0;
+    roots_visited = 0 }
 
 let type_code_of regs frame = function
   | Trace.Type_in_slot i -> Mem.Value.decode_int frame.Frame.slots.(i)
@@ -42,7 +49,7 @@ let decode table regs cache roots frame status =
   done;
   Trace_table.reg_status_after table key status
 
-let run ~stack ~regs ~cache ~valid_prefix ~mode ~roots =
+let run_into r ~stack ~regs ~cache ~valid_prefix ~mode ~roots =
   let depth = Stack_.depth stack in
   if valid_prefix < 0 then invalid_arg "Scan.run: negative prefix";
   if valid_prefix > depth || valid_prefix > Scan_cache.length cache then
@@ -86,8 +93,13 @@ let run ~stack ~regs ~cache ~valid_prefix ~mode ~roots =
       ~mode:(match mode with Minor -> "minor" | Full -> "full")
       ~valid_prefix ~depth ~decoded:frames_decoded ~reused:valid_prefix
       ~slots:!slots_decoded ~roots:roots_visited;
-  { depth;
-    frames_decoded;
-    frames_reused = valid_prefix;
-    slots_decoded = !slots_decoded;
-    roots_visited }
+  r.depth <- depth;
+  r.frames_decoded <- frames_decoded;
+  r.frames_reused <- valid_prefix;
+  r.slots_decoded <- !slots_decoded;
+  r.roots_visited <- roots_visited
+
+let run ~stack ~regs ~cache ~valid_prefix ~mode ~roots =
+  let r = result () in
+  run_into r ~stack ~regs ~cache ~valid_prefix ~mode ~roots;
+  r

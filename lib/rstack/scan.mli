@@ -24,12 +24,16 @@ type mode =
   | Full
 
 type result = {
-  depth : int;           (** stack depth at this scan *)
-  frames_decoded : int;  (** frames whose trace entry was walked *)
-  frames_reused : int;   (** frames served from the cache *)
-  slots_decoded : int;   (** total slot traces examined *)
-  roots_visited : int;   (** root locations reported, registers included *)
+  mutable depth : int;           (** stack depth at this scan *)
+  mutable frames_decoded : int;  (** frames whose trace entry was walked *)
+  mutable frames_reused : int;   (** frames served from the cache *)
+  mutable slots_decoded : int;   (** total slot traces examined *)
+  mutable roots_visited : int;
+      (** root locations reported, registers included *)
 }
+
+(** A zeroed result, for {!run_into}. *)
+val result : unit -> result
 
 (** [run ~stack ~regs ~cache ~valid_prefix ~mode ~roots] scans, appends
     the roots it finds to [roots] (cached prefix in Full mode, then fresh
@@ -48,3 +52,16 @@ val run :
   mode:mode ->
   roots:Root.Buf.t ->
   result
+
+(** [run_into r ...] is {!run} writing its figures into [r] instead of a
+    fresh record: a collector that reuses one [r] scans without
+    allocating. *)
+val run_into :
+  result ->
+  stack:Stack_.t ->
+  regs:Reg_file.t ->
+  cache:Scan_cache.t ->
+  valid_prefix:int ->
+  mode:mode ->
+  roots:Root.Buf.t ->
+  unit

@@ -45,12 +45,10 @@ let next_serial t = t.serial
 let count_new_frames t ~since_serial =
   (* frames are pushed with increasing serials, so the new ones form a
      suffix of the stack *)
-  let rec count i acc =
-    if i < 0 then acc
-    else if (Support.Vec.get t.frames i).Frame.serial > since_serial then
-      count (i - 1) (acc + 1)
-    else acc
-  in
-  count (depth t - 1) 0
+  let i = ref (depth t - 1) in
+  while !i >= 0 && (Support.Vec.get t.frames !i).Frame.serial > since_serial do
+    decr i
+  done;
+  depth t - 1 - !i
 
 let max_depth t = t.max_depth

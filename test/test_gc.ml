@@ -14,7 +14,7 @@ let check_bool = Alcotest.(check bool)
 let global_hooks globals =
   { Collectors.Hooks.nothing with
     Collectors.Hooks.visit_globals =
-      (fun roots ->
+      (fun _ roots ->
         Array.iteri (fun i _ -> Rstack.Root.Buf.push roots globals i) globals)
   }
 
@@ -75,7 +75,7 @@ let ssb_duplicates () =
   check_int "keeps duplicates" 10 (Collectors.Ssb.length ssb);
   check_int "total" 10 (Collectors.Ssb.total_recorded ssb);
   let n = ref 0 in
-  Collectors.Ssb.drain ssb (fun _ -> incr n);
+  Collectors.Ssb.drain ssb (fun () _ -> incr n) ();
   check_int "drained all" 10 !n;
   check_int "empty after drain" 0 (Collectors.Ssb.length ssb)
 
@@ -90,7 +90,7 @@ let remset_dedups () =
   check_int "dedups" 2 (Collectors.Remset.length rs);
   check_int "but counts traffic" 20 (Collectors.Remset.total_recorded rs);
   let n = ref 0 in
-  Collectors.Remset.drain rs (fun _ -> incr n);
+  Collectors.Remset.drain rs (fun () _ -> incr n) ();
   check_int "drained distinct" 2 !n
 
 (* --- Semispace --- *)
@@ -1027,7 +1027,7 @@ let free_list_coalesce_prop =
           let b, w = grants.(i) in
           Alloc.Free_list.free fl b ~words:w)
         order;
-      let frag = Alloc.Free_list.frag fl in
+      let frag = Alloc.Backend.frag (Alloc.Free_list.backend fl) in
       frag.Alloc.Backend.free_words = total
       && frag.Alloc.Backend.free_blocks = 1
       && frag.Alloc.Backend.largest_hole = total
@@ -1056,7 +1056,7 @@ let size_class_fallback_prop =
         | Some b -> b
         | None -> QCheck.assume_fail ()
       in
-      let frag_after_small = Alloc.Size_class.frag sc in
+      let frag_after_small = Alloc.Backend.frag (Alloc.Size_class.backend sc) in
       (* the oversize hole is reused exactly by an equal request *)
       let b2 =
         match grant_opt (Alloc.Size_class.alloc sc big) with
@@ -1066,7 +1066,7 @@ let size_class_fallback_prop =
       (not (Mem.Addr.equal s b1))
       && frag_after_small.Alloc.Backend.free_words = big
       && Mem.Addr.equal b1 b2
-      && Alloc.Size_class.frag sc |> fun f ->
+      && Alloc.Backend.frag (Alloc.Size_class.backend sc) |> fun f ->
          f.Alloc.Backend.free_words = 0)
 
 (* walkability: after any interleaving, a linear walk of the backend

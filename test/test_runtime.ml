@@ -126,6 +126,44 @@ let globals_are_roots () =
     check_int "global root survived" 13
       (R.field_int rt ~obj:(R.Global 5) ~idx:0))
 
+(* both global write paths check the index before anything else: a bad
+   one raises, and the runtime's later minors and heap check are
+   unaffected *)
+let bad_global_index_raises () =
+  with_rt @@ fun rt ->
+  let site = R.register_site rt ~name:"s" in
+  let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") in
+  let slots = (R.config rt).Gsc.Config.global_slots in
+  R.call rt ~key ~args:[] (fun () ->
+    R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 7) ];
+    List.iter
+      (fun g ->
+        (match R.set_global rt g (R.read rt (R.Slot 0)) with
+         | () -> Alcotest.failf "set_global %d must raise" g
+         | exception Invalid_argument _ -> ());
+        match R.write rt (R.To_global g) (R.read rt (R.Slot 0)) with
+        | () -> Alcotest.failf "write To_global %d must raise" g
+        | exception Invalid_argument _ -> ())
+      [ slots; -1 ];
+    churn rt site 0 20000;
+    ignore (R.check_heap rt : int))
+
+(* the root check [verify_heap] runs after every minor counts a global
+   holding a young object, so a global a minor failed to visit would be
+   caught *)
+let young_global_counted () =
+  with_rt @@ fun rt ->
+  let site = R.register_site rt ~name:"s" in
+  check_int "no young roots" 0 (R.young_roots rt);
+  R.alloc_record rt ~site ~dst:(R.To_global 3) [ R.I (R.Imm 1) ];
+  check_int "the young global is counted" 1 (R.young_roots rt);
+  R.collect_now rt;
+  check_int "promoted" 0 (R.young_roots rt);
+  with_rt ~cfg:(Gsc.Config.semispace ~budget_bytes:budget) @@ fun rt ->
+  let site = R.register_site rt ~name:"s" in
+  R.alloc_record rt ~site ~dst:(R.To_global 3) [ R.I (R.Imm 1) ];
+  check_int "no nursery under semispace" 0 (R.young_roots rt)
+
 (* --- exceptions --- *)
 
 let nested_exceptions () =
@@ -265,8 +303,14 @@ type op =
   | DeepRaise of int * int
       (* try { recurse n frames, allocating at every level; raise a heap
          value v from the bottom } handled outside the recursion *)
+  | GStore of int * int       (* global g := slot s *)
+  | GLoad of int * int        (* slot d := global g *)
 
 let num_slots = 4
+(* the programs' globals are [global_base ..]: DeepRaise's handler uses
+   globals 0 and 1 *)
+let num_globals = 3
+let global_base = 2
 let small_arr = 6
 let big_arr = 600 (* above the large-object threshold *)
 
@@ -283,7 +327,11 @@ let op_gen =
         (1, map (fun d -> CallDeep (1 + (d mod 30))) (int_bound 100));
         (1, map (fun v -> RaiseInto v) (int_bound 1000));
         (1, map2 (fun d v -> DeepRaise (1 + (d mod 30), v)) (int_bound 100)
-             (int_bound 1000)) ])
+             (int_bound 1000));
+        (2, map2 (fun g s -> GStore (g, s)) (int_bound (num_globals - 1))
+             (int_bound (num_slots - 1)));
+        (2, map2 (fun g d -> GLoad (g, d)) (int_bound (num_globals - 1))
+             (int_bound (num_slots - 1))) ])
 
 let show_op = function
   | Alloc (d, v) -> Printf.sprintf "Alloc(%d,%d)" d v
@@ -295,6 +343,8 @@ let show_op = function
   | CallDeep n -> Printf.sprintf "CallDeep %d" n
   | RaiseInto v -> Printf.sprintf "RaiseInto %d" v
   | DeepRaise (n, v) -> Printf.sprintf "DeepRaise(%d,%d)" n v
+  | GStore (g, s) -> Printf.sprintf "GStore(%d,%d)" g s
+  | GLoad (g, d) -> Printf.sprintf "GLoad(%d,%d)" g d
 
 let arb_program =
   QCheck.make
@@ -312,6 +362,7 @@ module Model = struct
 
   let run ops =
     let slots = Array.make num_slots Nil in
+    let globals = Array.make num_globals Nil in
     let sum = ref 0 in
     let add x = sum := (!sum + x) land 0x3FFFFFFF in
     let interp ops =
@@ -348,7 +399,9 @@ module Model = struct
             for k = 1 to n do
               add k
             done;
-            add (v + 5))
+            add (v + 5)
+          | GStore (g, s) -> globals.(g) <- slots.(s)
+          | GLoad (g, d) -> slots.(d) <- globals.(g))
         ops
     in
     interp ops;
@@ -372,6 +425,9 @@ let run_sim ?(inspect = ignore) cfg ops =
   let is_arr s =
     (not (R.is_nil rt (R.Slot s))) && R.obj_site rt ~obj:(R.Slot s) = site_arr
   in
+  for g = 0 to num_globals - 1 do
+    R.set_global rt (global_base + g) V.null
+  done;
   R.call rt ~key ~args:[] (fun () ->
     List.iter
       (fun op ->
@@ -446,7 +502,11 @@ let run_sim ?(inspect = ignore) cfg ops =
                  let x = R.field_int rt ~obj:(R.Global 0) ~idx:0 in
                  R.set_global rt 0 V.zero;
                  R.set_global rt 1 V.zero;
-                 x + 5)))
+                 x + 5))
+        | GStore (g, s) ->
+          R.write rt (R.To_global (global_base + g)) (R.read rt (R.Slot s))
+        | GLoad (g, d) ->
+          R.write rt (R.To_slot d) (R.read rt (R.Global (global_base + g))))
       ops;
     ignore (R.check_heap rt : int));
   inspect rt;
@@ -508,7 +568,7 @@ let torture_prop =
    the raise unwinds past them to the handler outside.  Every config
    must agree with the model, and the marker configs must really have
    placed markers and unwound. *)
-let deep_raise_seed = 119
+let deep_raise_seed = 590
 
 let deep_raise_pinned () =
   let ops =
@@ -534,6 +594,26 @@ let deep_raise_pinned () =
           Alcotest.(check bool) "unwound" true
             (st.Collectors.Gc_stats.exception_unwinds > 0)
         end
+      in
+      check_int (Gsc.Config.name cfg) expected (run_sim ~inspect cfg ops))
+    torture_configs
+
+(* A young cell reachable only from a global, which is then left
+   unwritten across more than 100 minors (every one of them skips it
+   under immediate promotion) and read back at the end. *)
+let global_survives_minors () =
+  let ops =
+    [ Alloc (0, 42); GStore (0, 0); AllocArr (0, false) ]
+    @ List.init 5000 (fun _ -> AllocArr (1, false))
+    @ [ GLoad (0, 2); Read 2 ]
+  in
+  let expected = Model.run ops in
+  List.iter
+    (fun cfg ->
+      let inspect rt =
+        if cfg.Gsc.Config.collector = Gsc.Config.Generational then
+          Alcotest.(check bool) "more than 100 minors" true
+            ((R.stats rt).Collectors.Gc_stats.minor_gcs > 100)
       in
       check_int (Gsc.Config.name cfg) expected (run_sim ~inspect cfg ops))
     torture_configs
@@ -902,7 +982,11 @@ let () =
           Alcotest.test_case "callee-save spill" `Quick
             callee_save_spill_through_gc;
           Alcotest.test_case "compute trace" `Quick compute_trace_through_gc;
-          Alcotest.test_case "globals" `Quick globals_are_roots ] );
+          Alcotest.test_case "globals" `Quick globals_are_roots;
+          Alcotest.test_case "bad global index" `Quick bad_global_index_raises;
+          Alcotest.test_case "young global counted" `Quick young_global_counted;
+          Alcotest.test_case "global across 100 minors (pinned)" `Quick
+            global_survives_minors ] );
       ( "exceptions",
         [ Alcotest.test_case "nested" `Quick nested_exceptions;
           Alcotest.test_case "unhandled" `Quick unhandled_raise_fails;

@@ -118,19 +118,25 @@ let work_counters (s : Collectors.Gc_stats.t) =
 let digest strings = Digest.to_hex (Digest.string (String.concat "\n" strings))
 
 (* (config, trace digest, counters digest), recorded before the shared
-   collection skeleton replaced the per-kind routines *)
+   collection skeleton replaced the per-kind routines.  The trace digests
+   of the configurations whose minors scan in [Minor] mode (immediate
+   promotion) were re-recorded when those minors stopped visiting
+   globals not written since the last collection: their normalized
+   traces differ only in the minor [roots] span's counter and, under
+   p = 2, the minor [copy.dN] spans' [packets] (the roots reach the
+   drain in packets of 32).  Every counters digest is unchanged. *)
 let expected =
   [ ("semispace", "dbada3dd5c9576cf160a4f4038ad7cd0", "bdac15062c668d69ea6790fca0781054");
-    ("gen ssb", "0f21582d8497a62ce5496581234d3045", "836d52ba57ff16e33415d32b9591f639");
+    ("gen ssb", "e73f7037379a30b50a38b59d979e1450", "836d52ba57ff16e33415d32b9591f639");
     ("gen cards tenure 2", "f87d2bf24b8f6f161200df40e5219d5a", "0d04cab309d28c1b3d888474521b8c54");
-    ("gen remset", "ab48dfc374fdae9a8a655a3fa2692c0e", "c2aff8627ce9a3ff79c6b28258fdeb62");
-    ("forced copying major", "6a585b30a0d8d05a752f24262e1f33f5", "da4c3c50d79fc59bad6e2891d84fb21f");
-    ("mark_sweep free_list", "e6811d77a3dcaaf6518463830cf49b53", "8ce0c6b5ced8d15f33caf282f561b5f6");
-    ("mark_sweep bump", "ba51a8e6f86c6304679d123ea224bdab", "6dbd4419b2063aaa50afbf8dde1f66f5");
-    ("p=2 virtual", "733ac95bedc5ac55db6c8e6ca7676f4f", "91d3fde38a739f5b620aed5707e6613d");
-    ("packed + eager", "d9017f54d80d055b8acd2bfb16334074", "e699817781e0738344fa2b2041ac9701");
-    ("census on", "f951952fa673034bd62ae95acc003ff7", "da4c3c50d79fc59bad6e2891d84fb21f");
-    ("p=2 virtual cards + packed + eager", "d180acf2087e8b4233cdfec20609c24f", "7028043169a1ca2092ab58a185c31963") ]
+    ("gen remset", "dfd6e1e3173a568b637ce7864edffe98", "c2aff8627ce9a3ff79c6b28258fdeb62");
+    ("forced copying major", "7c7cdbe5085aa42307b2c79f39bba83d", "da4c3c50d79fc59bad6e2891d84fb21f");
+    ("mark_sweep free_list", "78d57f51808504a332ae916cd511b509", "8ce0c6b5ced8d15f33caf282f561b5f6");
+    ("mark_sweep bump", "73045c3065975bbaf09d7c3105063553", "6dbd4419b2063aaa50afbf8dde1f66f5");
+    ("p=2 virtual", "79313491d216717be37c0169b5e1fdbd", "91d3fde38a739f5b620aed5707e6613d");
+    ("packed + eager", "b100f59deae77dc7908e3df01b028ddf", "e699817781e0738344fa2b2041ac9701");
+    ("census on", "5b0e70059c1bd025f637a957583393e8", "da4c3c50d79fc59bad6e2891d84fb21f");
+    ("p=2 virtual cards + packed + eager", "10f125c47ae45eeccc6875586c876c92", "7028043169a1ca2092ab58a185c31963") ]
 
 let runs = lazy (List.map (fun c -> (c, traced_runs c)) cases)
 
