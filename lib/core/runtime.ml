@@ -96,10 +96,13 @@ let reach_queue () =
   in
   (queue, push_word)
 
-let check_heap t =
+(* [~no_young_fields]: also fail on a reachable heap field that points
+   into the nursery, which must be empty of live data after a minor
+   under immediate promotion *)
+let walk_heap t ~no_young_fields =
   let queue, push_word = reach_queue () in
   iter_root_words t push_word;
-  let push_value v = push_word (Value.encode v) in
+  let col = collector t in
   let count = ref 0 in
   while not (Queue.is_empty queue) do
     let base = Queue.pop queue in
@@ -111,11 +114,20 @@ let check_heap t =
      | None -> ());
     let hdr = Header.read t.mem base in
     for i = 0 to hdr.Header.len - 1 do
-      if Header.is_pointer_field hdr i then
-        push_value (Memory.get t.mem (Header.field_addr base i))
+      if Header.is_pointer_field hdr i then begin
+        let w = Value.encode (Memory.get t.mem (Header.field_addr base i)) in
+        if
+          no_young_fields && Value.encoded_is_ptr w
+          && Collectors.Collector.in_nursery col (Value.encoded_to_addr w)
+        then
+          failwith "check_heap: a heap field points into the nursery after a minor";
+        push_word w
+      end
     done
   done;
   !count
+
+let check_heap t = walk_heap t ~no_young_fields:false
 
 (* --- hooks wired into the collector --- *)
 
@@ -189,10 +201,12 @@ let after_collection_hook t ~full ~allocs ~copies =
      Heap_profile.Profiler.fold_copies p copies);
   if t.cfg.Config.verify_heap then begin
     (* a minor under immediate promotion empties the nursery, so a root
-       still pointing into it is one the roots phase did not visit *)
-    if (not full) && t.cfg.Config.tenure_threshold = 1 && young_roots t > 0
-    then failwith "check_heap: a root points into the nursery after a minor";
-    ignore (check_heap t : int)
+       or a reachable field still pointing into it is one the minor did
+       not visit *)
+    let emptied = (not full) && t.cfg.Config.tenure_threshold = 1 in
+    if emptied && young_roots t > 0 then
+      failwith "check_heap: a root points into the nursery after a minor";
+    ignore (walk_heap t ~no_young_fields:emptied : int)
   end;
   if t.cfg.Config.stack_markers then begin
     let installed = Rstack.Markers.place t.markers t.stack in
@@ -370,13 +384,13 @@ type field =
 let read_word t = function
   | Imm n -> Value.encode_int n
   | Nil -> Value.encoded_null
-  | Slot i -> Rstack.Frame.get_word (Rstack.Stack_.top t.stack) i
+  | Slot i -> Rstack.Stack_.get_word t.stack i
   | Reg r -> Rstack.Reg_file.get_word t.regs r
   | Global g -> t.globals.(g)
 
 let write_word t dst w =
   match dst with
-  | To_slot i -> Rstack.Frame.set_word (Rstack.Stack_.top t.stack) i w
+  | To_slot i -> Rstack.Stack_.set_word t.stack i w
   | To_reg r -> Rstack.Reg_file.set_word t.regs r w
   | To_global g ->
     t.globals.(g) <- w;
@@ -389,26 +403,32 @@ let write t dst v = write_word t dst (Value.encode v)
 
 let depth t = Rstack.Stack_.depth t.stack
 
-let pop_frame t frame =
+(* is the top frame the one born with [serial]? *)
+let on_top t serial =
   let d = Rstack.Stack_.depth t.stack in
-  let popped = Rstack.Stack_.pop t.stack in
-  assert (popped == frame);
+  d > 0 && Rstack.Stack_.serial_at t.stack (d - 1) = serial
+
+(* pops the frame born with [serial], which must be on top *)
+let pop_frame t serial =
+  assert (on_top t serial);
+  let d = Rstack.Stack_.depth t.stack in
+  let marked = Rstack.Stack_.pop t.stack in
   if t.cfg.Config.stack_markers then begin
-    if popped.Rstack.Frame.marked then
+    if marked then
       t.stats.Collectors.Gc_stats.marker_stub_hits <-
         t.stats.Collectors.Gc_stats.marker_stub_hits + 1;
-    Rstack.Markers.frame_popped t.markers popped ~depth:d
+    Rstack.Markers.frame_popped t.markers ~marked ~depth:d
   end
 
 let mut_op t =
   t.stats.Collectors.Gc_stats.mutator_ops <-
     t.stats.Collectors.Gc_stats.mutator_ops + 1
 
-let rec store_args frame i = function
+let rec store_args stack i = function
   | [] -> ()
   | v :: rest ->
-    Rstack.Frame.set frame i v;
-    store_args frame (i + 1) rest
+    Rstack.Stack_.set stack i v;
+    store_args stack (i + 1) rest
 
 let call t ~key ~args f =
   mut_op t;
@@ -420,11 +440,12 @@ let call t ~key ~args f =
     List.compare_length_with args (Array.length entry.Rstack.Trace_table.slots)
     > 0
   then invalid_arg "Runtime.call: more arguments than frame slots";
-  let frame = Rstack.Stack_.push t.stack ~key entry in
-  store_args frame 0 args;
+  let serial = Rstack.Stack_.next_serial t.stack in
+  Rstack.Stack_.push t.stack ~key entry;
+  store_args t.stack 0 args;
   match f () with
   | v ->
-    pop_frame t frame;
+    pop_frame t serial;
     v
   | exception (Sim_raise _ as e) ->
     (* the simulated unwind already removed this frame *)
@@ -432,12 +453,11 @@ let call t ~key ~args f =
   | exception e ->
     (* host-level exception (test assertion, bug): keep the simulated
        stack consistent before propagating *)
-    if Rstack.Stack_.depth t.stack > 0 && Rstack.Stack_.top t.stack == frame
-    then pop_frame t frame;
+    if on_top t serial then pop_frame t serial;
     raise e
 
-let get_slot t i = Rstack.Frame.get (Rstack.Stack_.top t.stack) i
-let set_slot t i v = Rstack.Frame.set (Rstack.Stack_.top t.stack) i v
+let get_slot t i = Rstack.Stack_.get t.stack i
+let set_slot t i v = Rstack.Stack_.set t.stack i v
 let get_reg t r = Rstack.Reg_file.get t.regs r
 let set_reg t r v = Rstack.Reg_file.set t.regs r v
 

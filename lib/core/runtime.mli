@@ -197,7 +197,8 @@ val check_heap : t -> int
     global and the exception cell), that point into the nursery; always
     [0] under the semispace collector.  With [verify_heap], a minor
     under immediate promotion ([tenure_threshold = 1]) fails unless it
-    leaves this at [0]. *)
+    leaves this at [0], and unless no heap field [check_heap] reaches
+    points into the nursery either. *)
 val young_roots : t -> int
 
 (** {1 Reference-twin access}

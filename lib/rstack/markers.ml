@@ -26,9 +26,8 @@ let place t stack =
   let installed = ref 0 in
   let d = ref t.n in
   while !d <= t.scan_depth do
-    let frame = Stack_.frame_at stack (!d - 1) in
-    if not frame.Frame.marked then begin
-      frame.Frame.marked <- true;
+    if not (Stack_.mark_at stack (!d - 1)) then begin
+      Stack_.set_mark stack (!d - 1);
       incr installed
     end;
     Support.Vec.push t.depths !d;
@@ -36,8 +35,8 @@ let place t stack =
   done;
   !installed
 
-let frame_popped t frame ~depth =
-  if frame.Frame.marked then begin
+let frame_popped t ~marked ~depth =
+  if marked then begin
     t.stub_hits <- t.stub_hits + 1;
     (* every marker at this depth or deeper is gone: markers above [depth]
        already fired (or were destroyed by an unwind covered by M), and

@@ -24,17 +24,19 @@ val create : n:int -> t
 
 val spacing : t -> int
 
-(** [place t stack] is called at each collection, after scanning: it marks
-    every [n]-th frame, records their depths, clears the fired set and
+(** [place t stack] is called at each collection, after scanning: it sets
+    the marker bit ({!Stack_.set_mark}) of the frame at every [n]-th
+    depth, records those depths, clears the fired set and
     resets the watermark.  Returns the number of marks newly installed
     (bookkeeping cost charged to the collector, not the mutator). *)
 val place : t -> Stack_.t -> int
 
-(** [frame_popped t frame ~depth] must be called on every normal pop,
+(** [frame_popped t ~marked ~depth] must be called on every normal pop,
     where [depth] is the stack depth just before the pop (i.e. the popped
-    frame had index [depth - 1]).  If the frame was marked, its stub fires
-    and the reusable prefix shrinks. *)
-val frame_popped : t -> Frame.t -> depth:int -> unit
+    frame had index [depth - 1]) and [marked] the popped frame's marker
+    bit ({!Stack_.pop}).  If the frame was marked, its stub fires and the
+    reusable prefix shrinks. *)
+val frame_popped : t -> marked:bool -> depth:int -> unit
 
 (** [exception_unwound t ~target_depth] lowers the watermark [M] after an
     exception unwound the stack down to [target_depth] frames. *)

@@ -1,5 +1,5 @@
 (** The simulated general-purpose register file.  Registers hold
-    encoded words, like frame slots ({!Frame}). *)
+    encoded words, like frame slots ({!Stack_.words}). *)
 
 type t
 

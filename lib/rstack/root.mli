@@ -4,7 +4,10 @@
     copying collector must be able to update the location after moving the
     referent.  Every root location — a frame slot, a register, a global
     or the exception cell — is a cell of an [int array] holding an
-    encoded word ({!Mem.Value.encode}), so a root is that cell. *)
+    encoded word ({!Mem.Value.encode}), so a root is that cell.  A frame
+    slot is a cell of the stack's one words array ({!Stack_.words}),
+    which a push may replace with a larger copy: a root is valid only
+    within the collection that gathered it. *)
 
 type t = {
   cells : int array;
@@ -15,7 +18,8 @@ type t = {
     root allocates nothing once the buffer has grown to the stack's
     size.  A collector owns one and reuses it across collections: the
     stack scan and the global enumeration fill it, the copy or mark
-    engine reads and rewrites each cell in place. *)
+    engine reads and rewrites each cell in place.  A cleared buffer may
+    still reference the arrays it held, but never reads them again. *)
 module Buf : sig
   type root = t
 

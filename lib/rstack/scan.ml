@@ -17,17 +17,16 @@ let result () =
     slots_decoded = 0;
     roots_visited = 0 }
 
-let type_code_of regs frame = function
-  | Trace.Type_in_slot i -> Mem.Value.decode_int frame.Frame.slots.(i)
+let type_code_of regs words base = function
+  | Trace.Type_in_slot i -> Mem.Value.decode_int (Array.unsafe_get words (base + i))
   | Trace.Type_in_reg r -> Mem.Value.decode_int (Reg_file.get_word regs r)
 
-(* Decode one frame given the caller-side register [status] (a
-   bitmask): appends its root slot indexes, in slot order, to [cache]
-   and its roots to [roots], and returns the status after the frame.
-   No closure and no allocation per frame — root processing is the GC
-   hot loop the paper's Section 5 attacks. *)
-let decode table regs cache roots frame status =
-  let key = frame.Frame.key in
+(* Decode the frame of [key] at [base] in [words] given the caller-side
+   register [status] (a bitmask): appends its root slot indexes, in slot
+   order, to [cache] and its roots to [roots], and returns the status
+   after the frame.  No closure and no allocation per frame — root
+   processing is the GC hot loop the paper's Section 5 attacks. *)
+let decode table regs cache roots words base key status =
   let traces = (Trace_table.lookup table key).Trace_table.slots in
   for i = 0 to Array.length traces - 1 do
     let root =
@@ -36,7 +35,7 @@ let decode table regs cache roots frame status =
       | Trace.Non_ptr -> false
       | Trace.Callee_save r -> status land (1 lsl r) <> 0
       | Trace.Compute src ->
-        let code = type_code_of regs frame src in
+        let code = type_code_of regs words base src in
         if code = Trace.type_code_boxed then true
         else if code <> Trace.type_code_word then
           invalid_arg "Scan: bad runtime type code"
@@ -44,7 +43,7 @@ let decode table regs cache roots frame status =
     in
     if root then begin
       Scan_cache.add_slot cache i;
-      Root.Buf.push roots frame.Frame.slots i
+      Root.Buf.push roots words (base + i)
     end
   done;
   Trace_table.reg_status_after table key status
@@ -55,17 +54,18 @@ let run_into r ~stack ~regs ~cache ~valid_prefix ~mode ~roots =
   if valid_prefix > depth || valid_prefix > Scan_cache.length cache then
     invalid_arg "Scan.run: valid prefix exceeds stack or cache";
   let table = Stack_.table stack in
+  let words = Stack_.words stack in
   let roots_before = Root.Buf.length roots in
-  (* cached prefix *)
+  (* cached prefix: the cache holds frame-relative slot indexes *)
   for i = 0 to valid_prefix - 1 do
-    let frame = Stack_.frame_at stack i in
-    if Scan_cache.serial cache i <> frame.Frame.serial then
+    if Scan_cache.serial cache i <> Stack_.serial_at stack i then
       invalid_arg "Scan.run: cache serial mismatch (marker invariant broken)";
     match mode with
     | Minor -> ()
     | Full ->
+      let base = Stack_.base_at stack i in
       for k = Scan_cache.slots_start cache i to Scan_cache.slots_stop cache i - 1 do
-        Root.Buf.push roots frame.Frame.slots (Scan_cache.slot cache k)
+        Root.Buf.push roots words (base + Scan_cache.slot cache k)
       done
   done;
   (* fresh frames: resume pass two at the prefix boundary *)
@@ -76,10 +76,12 @@ let run_into r ~stack ~regs ~cache ~valid_prefix ~mode ~roots =
   in
   let slots_decoded = ref 0 in
   for i = valid_prefix to depth - 1 do
-    let frame = Stack_.frame_at stack i in
-    status := decode table regs cache roots frame !status;
-    slots_decoded := !slots_decoded + Frame.size frame;
-    Scan_cache.add_frame cache ~serial:frame.Frame.serial ~reg_status:!status
+    status :=
+      decode table regs cache roots words (Stack_.base_at stack i)
+        (Stack_.key_at stack i) !status;
+    slots_decoded := !slots_decoded + Stack_.size_at stack i;
+    Scan_cache.add_frame cache ~serial:(Stack_.serial_at stack i)
+      ~reg_status:!status
   done;
   (* live registers at the collection point *)
   let reg_cells = Reg_file.cells regs in

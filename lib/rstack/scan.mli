@@ -39,7 +39,9 @@ val result : unit -> result
     the roots it finds to [roots] (cached prefix in Full mode, then fresh
     frames bottom-up, each frame's slots in order, then live registers),
     and refreshes [cache] so that its entries cover the whole stack at
-    return time.
+    return time.  A frame slot's root is the cell
+    [(Stack_.words stack, base + slot)]: the collector must use it
+    before the next push, which may move the words array.
 
     @raise Invalid_argument if [valid_prefix] exceeds the cache or stack
     depth, or if a cached serial does not match the frame at its depth

@@ -9,6 +9,9 @@ module St = Rstack.Stack_
 (* push a frame of [key], its entry looked up in the stack's own table *)
 let push_frame stack ~key = St.push stack ~key (TT.lookup (St.table stack) key)
 
+(* slot 0 of the frame at depth index [i] *)
+let slot0 stack i = Mem.Value.decode (St.words stack).(St.base_at stack i)
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -49,9 +52,9 @@ let scan_finds_pointer_slots () =
   let k = reg_entry t ~name:"f" ~slots:[| T.Ptr; T.Non_ptr; T.Ptr |] in
   let stack = St.create t in
   let regs = Rstack.Reg_file.create () in
-  let frame = push_frame stack ~key:k in
-  Rstack.Frame.set frame 0 ptr;
-  Rstack.Frame.set frame 2 ptr;
+  push_frame stack ~key:k;
+  St.set stack 0 ptr;
+  St.set stack 2 ptr;
   let res, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "roots" 2 (List.length roots);
   check_int "decoded" 1 res.Rstack.Scan.frames_decoded;
@@ -71,9 +74,9 @@ let scan_callee_save () =
   in
   let stack = St.create t in
   let regs = Rstack.Reg_file.create () in
-  ignore (push_frame stack ~key:k_caller);
-  let callee = push_frame stack ~key:k_callee in
-  Rstack.Frame.set callee 0 ptr;
+  push_frame stack ~key:k_caller;
+  push_frame stack ~key:k_callee;
+  St.set stack 0 ptr;
   Rstack.Reg_file.set regs 5 ptr;
   let _, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   (* spill slot + live register *)
@@ -85,9 +88,9 @@ let scan_callee_save () =
     reg_entry t2 ~name:"callee" ~slots:[| T.Callee_save 5 |] ~regs:callee_regs
   in
   let stack2 = St.create t2 in
-  ignore (push_frame stack2 ~key:k_caller2);
-  let callee2 = push_frame stack2 ~key:k_callee2 in
-  Rstack.Frame.set callee2 0 (Mem.Value.Int 7);
+  push_frame stack2 ~key:k_caller2;
+  push_frame stack2 ~key:k_callee2;
+  St.set stack2 0 (Mem.Value.Int 7);
   let _, roots2 = scan ~stack:stack2 ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "no roots when caller register dead" 0 (List.length roots2)
 
@@ -99,12 +102,12 @@ let scan_compute () =
   in
   let stack = St.create t in
   let regs = Rstack.Reg_file.create () in
-  let frame = push_frame stack ~key:k in
-  Rstack.Frame.set frame 0 (Mem.Value.Int T.type_code_boxed);
-  Rstack.Frame.set frame 1 ptr;
+  push_frame stack ~key:k;
+  St.set stack 0 (Mem.Value.Int T.type_code_boxed);
+  St.set stack 1 ptr;
   let _, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "boxed: one root" 1 (List.length roots);
-  Rstack.Frame.set frame 0 (Mem.Value.Int T.type_code_word);
+  St.set stack 0 (Mem.Value.Int T.type_code_word);
   let _, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "unboxed: no roots" 0 (List.length roots)
 
@@ -113,8 +116,8 @@ let scan_compute () =
 let deep_stack table key n =
   let stack = St.create table in
   for _ = 1 to n do
-    let f = push_frame stack ~key in
-    Rstack.Frame.set f 0 ptr
+    push_frame stack ~key;
+    St.set stack 0 ptr
   done;
   stack
 
@@ -147,7 +150,7 @@ let scan_cache_serial_guard () =
   (* replace the top 5 frames: serials change *)
   St.unwind_to stack ~depth:5;
   for _ = 1 to 5 do
-    ignore (push_frame stack ~key:k)
+    push_frame stack ~key:k
   done;
   (* claiming a 10-deep valid prefix must be caught *)
   (match scan ~valid:10 ~stack ~regs ~cache () with
@@ -231,8 +234,8 @@ let cache_equivalence_prop =
       let cache = Rstack.Scan_cache.create () in
       let m = Rstack.Markers.create ~n:5 in
       let push k =
-        let f = push_frame stack ~key:keys.(k) in
-        if k = 2 then Rstack.Frame.set f 0 (Mem.Value.Int T.type_code_word)
+        push_frame stack ~key:keys.(k);
+        if k = 2 then St.set stack 0 (Mem.Value.Int T.type_code_word)
       in
       for k = 0 to 11 do
         push (k mod 4)
@@ -252,10 +255,13 @@ let cache_equivalence_prop =
         let _, fresh =
           scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) ()
         in
-        let prefix_frames = List.init valid (St.frame_at stack) in
-        let in_prefix (c, _) =
-          List.exists (fun f -> f.Rstack.Frame.slots == c) prefix_frames
+        (* the reused frames' slots are the words array's first [stop]
+           cells *)
+        let stop =
+          if valid = 0 then 0
+          else St.base_at stack (valid - 1) + St.size_at stack (valid - 1)
         in
+        let in_prefix (c, i) = c == St.words stack && i < stop in
         let expected =
           if full then cells fresh
           else List.filter (fun r -> not (in_prefix r)) (cells fresh)
@@ -274,7 +280,7 @@ let cache_equivalence_prop =
           | C_pop ->
             if St.depth stack > 0 then begin
               let d = St.depth stack in
-              Rstack.Markers.frame_popped m (St.pop stack) ~depth:d
+              Rstack.Markers.frame_popped m ~marked:(St.pop stack) ~depth:d
             end;
             true
           | C_raise share ->
@@ -284,12 +290,11 @@ let cache_equivalence_prop =
             true
           | C_mutate boxed ->
             (* only the active frame writes its slots *)
-            (if St.depth stack > 0 then
-               let f = St.top stack in
-               if f.Rstack.Frame.key = keys.(2) then
-                 Rstack.Frame.set f 0
-                   (Mem.Value.Int
-                      (if boxed then T.type_code_boxed else T.type_code_word)));
+            (let d = St.depth stack in
+             if d > 0 && St.key_at stack (d - 1) = keys.(2) then
+               St.set stack 0
+                 (Mem.Value.Int
+                    (if boxed then T.type_code_boxed else T.type_code_word)));
             true
           | C_scan full -> check ~full
           | C_collect full ->
@@ -313,8 +318,7 @@ let markers_basic () =
      may have resumed, so 74 frames are reusable *)
   for _ = 1 to 10 do
     let d = St.depth stack in
-    let f = St.pop stack in
-    Rstack.Markers.frame_popped m f ~depth:d
+    Rstack.Markers.frame_popped m ~marked:(St.pop stack) ~depth:d
   done;
   check_int "marker at 75 bounds reuse" 74 (Rstack.Markers.valid_prefix m);
   check_int "one stub hit" 1 (Rstack.Markers.stub_hits m)
@@ -329,12 +333,11 @@ let markers_push_between () =
   (* pop 5 (no marker fired: 60 -> 55), push 20 new ones *)
   for _ = 1 to 5 do
     let d = St.depth stack in
-    let f = St.pop stack in
-    Rstack.Markers.frame_popped m f ~depth:d
+    Rstack.Markers.frame_popped m ~marked:(St.pop stack) ~depth:d
   done;
   check_int "no marker fired" 49 (Rstack.Markers.valid_prefix m);
   for _ = 1 to 20 do
-    ignore (push_frame stack ~key:k)
+    push_frame stack ~key:k
   done;
   check_int "pushes do not hurt" 49 (Rstack.Markers.valid_prefix m)
 
@@ -373,23 +376,22 @@ let markers_prop =
       let k = reg_entry t ~name:"f" ~slots:[| T.Non_ptr |] in
       let stack = St.create t in
       for _ = 1 to 80 do
-        ignore (push_frame stack ~key:k)
+        push_frame stack ~key:k
       done;
       let m = Rstack.Markers.create ~n:10 in
       ignore (Rstack.Markers.place m stack : int);
       (* remember serials and slot contents present at scan time *)
       let serials_at_scan =
-        Array.init (St.depth stack) (fun i -> (St.frame_at stack i).Rstack.Frame.serial)
+        Array.init (St.depth stack) (St.serial_at stack)
       in
       let slots_at_scan =
-        Array.init (St.depth stack) (fun i ->
-          Rstack.Frame.get (St.frame_at stack i) 0)
+        Array.init (St.depth stack) (slot0 stack)
       in
       let stamp = ref 1000 in
       let mutate_top () =
         if St.depth stack > 0 then begin
           incr stamp;
-          Rstack.Frame.set (St.top stack) 0 (Mem.Value.Int !stamp)
+          St.set stack 0 (Mem.Value.Int !stamp)
         end
       in
       let check ok =
@@ -398,10 +400,9 @@ let markers_prop =
           ok := false
         else
           for i = 0 to v - 1 do
-            let f = St.frame_at stack i in
             if
-              f.Rstack.Frame.serial <> serials_at_scan.(i)
-              || not (Mem.Value.equal (Rstack.Frame.get f 0) slots_at_scan.(i))
+              St.serial_at stack i <> serials_at_scan.(i)
+              || not (Mem.Value.equal (slot0 stack i) slots_at_scan.(i))
             then ok := false
           done
       in
@@ -414,14 +415,13 @@ let markers_prop =
             for _ = 1 to 3 do
               if St.depth stack > 0 then begin
                 let d = St.depth stack in
-                let f = St.pop stack in
-                Rstack.Markers.frame_popped m f ~depth:d;
+                Rstack.Markers.frame_popped m ~marked:(St.pop stack) ~depth:d;
                 mutate_top ()
               end
             done
           | 3 | 4 | 5 ->
             for _ = 1 to 4 do
-              ignore (push_frame stack ~key:k);
+              push_frame stack ~key:k;
               mutate_top ()
             done
           | 6 ->
@@ -487,14 +487,95 @@ let new_frames_counting () =
   let k = reg_entry t ~name:"f" ~slots:[| T.Ptr |] in
   let stack = St.create t in
   for _ = 1 to 10 do
-    ignore (push_frame stack ~key:k)
+    push_frame stack ~key:k
   done;
   let mark = St.next_serial stack - 1 in
   check_int "all new initially" 10 (St.count_new_frames stack ~since_serial:(-1));
   check_int "none new after mark" 0 (St.count_new_frames stack ~since_serial:mark);
-  ignore (push_frame stack ~key:k);
-  ignore (push_frame stack ~key:k);
+  push_frame stack ~key:k;
+  push_frame stack ~key:k;
   check_int "two new" 2 (St.count_new_frames stack ~since_serial:mark)
+
+(* --- stack hygiene --- *)
+
+(* the frame at the top reads [expected], slot by slot *)
+let check_top stack what expected =
+  List.iteri
+    (fun i v ->
+      check_bool
+        (Printf.sprintf "%s: slot %d" what i)
+        true
+        (Mem.Value.equal v (St.get stack i)))
+    expected
+
+(* a frame pushed where a popped or unwound frame lay reads null in its
+   pointer-traced and callee-save slots and zero elsewhere, whatever the
+   old frame left there: pointers where the new frame has non-pointer
+   slots, integers where it has pointer slots *)
+let fresh_frame_hides_stale_words () =
+  let t = mk_table () in
+  let k_dirty = reg_entry t ~name:"dirty" ~slots:(Array.make 4 T.Non_ptr) in
+  let k =
+    reg_entry t ~name:"mixed"
+      ~slots:[| T.Ptr; T.Non_ptr; T.Callee_save 3; T.Compute (T.Type_in_slot 1) |]
+  in
+  let stack = St.create t in
+  let dirty () =
+    push_frame stack ~key:k_dirty;
+    for i = 0 to 3 do
+      St.set stack i (if i mod 2 = 0 then Mem.Value.Int (100 + i) else ptr)
+    done
+  in
+  let fresh = Mem.Value.[ null; zero; null; zero ] in
+  push_frame stack ~key:k_dirty;
+  dirty ();
+  ignore (St.pop stack : bool);
+  push_frame stack ~key:k;
+  check_top stack "over a popped frame" fresh;
+  ignore (St.pop stack : bool);
+  dirty ();
+  dirty ();
+  St.unwind_to stack ~depth:1;
+  push_frame stack ~key:k;
+  check_top stack "over an unwound frame" fresh;
+  push_frame stack ~key:k;
+  check_top stack "over a frame unwound from deeper" fresh
+
+(* a stack that outgrows its words array keeps every slot, and a scan
+   after the growth reports cells of the new array only *)
+let growth_keeps_slots () =
+  let t = mk_table () in
+  let k = reg_entry t ~name:"f" ~slots:[| T.Non_ptr; T.Ptr; T.Non_ptr |] in
+  let stack = St.create t in
+  let first = St.words stack in
+  let n = ref 0 in
+  let push () =
+    push_frame stack ~key:k;
+    St.set stack 0 (Mem.Value.Int !n);
+    St.set stack 1 ptr;
+    St.set stack 2 (Mem.Value.Int (- !n));
+    incr n
+  in
+  while St.words stack == first do
+    push ()
+  done;
+  for _ = 1 to !n do
+    push ()
+  done;
+  for i = 0 to St.depth stack - 1 do
+    let w = St.words stack and base = St.base_at stack i in
+    check_bool (Printf.sprintf "frame %d" i) true
+      (Mem.Value.decode w.(base) = Mem.Value.Int i
+       && Mem.Value.decode w.(base + 1) = ptr
+       && Mem.Value.decode w.(base + 2) = Mem.Value.Int (-i))
+  done;
+  let _, roots =
+    scan ~stack ~regs:(Rstack.Reg_file.create ())
+      ~cache:(Rstack.Scan_cache.create ()) ()
+  in
+  check_int "one root per frame" (St.depth stack) (List.length roots);
+  check_bool "every root in the current array" true
+    (List.for_all (fun r -> r.Rstack.Root.cells == St.words stack) roots)
 
 let () =
   Alcotest.run "rstack"
@@ -523,4 +604,7 @@ let () =
             markers_idempotent_placement;
           QCheck_alcotest.to_alcotest markers_prop ] );
       ( "stack",
-        [ Alcotest.test_case "new frames" `Quick new_frames_counting ] ) ]
+        [ Alcotest.test_case "new frames" `Quick new_frames_counting;
+          Alcotest.test_case "fresh frame hides stale words" `Quick
+            fresh_frame_hides_stale_words;
+          Alcotest.test_case "growth keeps slots" `Quick growth_keeps_slots ] ) ]

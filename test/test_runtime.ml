@@ -164,6 +164,43 @@ let young_global_counted () =
   R.alloc_record rt ~site ~dst:(R.To_global 3) [ R.I (R.Imm 1) ];
   check_int "no nursery under semispace" 0 (R.young_roots rt)
 
+(* The scan-elision probe: site [a] is pretenured and declared
+   scan-free, yet its record holds the only pointer to a young record of
+   site [b].  The minor that the nursery churn triggers skips [a]'s
+   region, so [b] is not promoted and [a]'s field is left pointing into
+   the emptied nursery (reading it returns a stale word, not the stored
+   42).  The heap verifier must see that field.  Elision itself stays
+   unsound against such a policy. *)
+let elision_probe ~no_scan =
+  let cfg =
+    { (Gsc.Config.with_pretenuring ~budget_bytes:budget
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan)) with
+      Gsc.Config.verify_heap = true }
+  in
+  with_rt ~cfg @@ fun rt ->
+  let a = R.register_site rt ~name:"a" in
+  check_int "site a is the policy's site 0" 0 a;
+  let b = R.register_site rt ~name:"b" in
+  let c = R.register_site rt ~name:"churn" in
+  let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "ppp") in
+  R.call rt ~key ~args:[] (fun () ->
+    R.alloc_record rt ~site:b ~dst:(R.To_slot 1) [ R.I (R.Imm 42) ];
+    R.alloc_record rt ~site:a ~dst:(R.To_slot 0) [ R.P (R.Slot 1) ];
+    R.write rt (R.To_slot 1) V.null;
+    churn rt c 2 20000;
+    R.collect_now rt;
+    R.load_field rt ~obj:(R.Slot 0) ~idx:0 ~dst:(R.To_slot 1);
+    R.field_int rt ~obj:(R.Slot 1) ~idx:0)
+
+let young_field_caught () =
+  Alcotest.check_raises "scan-free site holding a young pointer"
+    (Failure "check_heap: a heap field points into the nursery after a minor")
+    (fun () -> ignore (elision_probe ~no_scan:[ 0 ] : int))
+
+let young_field_control () =
+  check_int "scanned site keeps its young referent" 42
+    (elision_probe ~no_scan:[])
+
 (* --- exceptions --- *)
 
 let nested_exceptions () =
@@ -554,6 +591,14 @@ let torture_configs =
       Gsc.Config.nursery_bytes_max = 2 * 1024;
       barrier = Collectors.Generational.Barrier_cards;
       tenure_threshold = 2;
+      verify_heap = true };
+    (* Full scans under the in-place major read the cached stack
+       prefix's cells where they are *)
+    { (Gsc.Config.with_markers ~budget_bytes:tight) with
+      Gsc.Config.nursery_bytes_max = 2 * 1024;
+      major_kind = Collectors.Generational.Mark_sweep;
+      tenured_backend = Alloc.Backend.Free_list;
+      marker_spacing = 4;
       verify_heap = true } ]
 
 let torture_prop =
@@ -617,6 +662,96 @@ let global_survives_minors () =
       in
       check_int (Gsc.Config.name cfg) expected (run_sim ~inspect cfg ops))
     torture_configs
+
+(* --- stack hygiene --- *)
+
+(* a frame pushed where a returned frame, or one removed by [raise_exn],
+   lay reads null in its pointer slots and zero in the others *)
+let fresh_frame_after_pop_and_raise () =
+  with_rt @@ fun rt ->
+  let site = R.register_site rt ~name:"s" in
+  let dirty =
+    R.register_frame rt ~name:"dirty" ~slots:(Workloads.Dsl.slots "ipip")
+  in
+  let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "pipi") in
+  let fill () =
+    R.write rt (R.To_slot 0) (V.Int 10);
+    R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Imm 1) ];
+    R.write rt (R.To_slot 2) (V.Int 12);
+    R.alloc_record rt ~site ~dst:(R.To_slot 3) [ R.I (R.Imm 3) ]
+  in
+  let fresh what =
+    R.call rt ~key ~args:[] (fun () ->
+      List.iteri
+        (fun i v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: slot %d" what i)
+            true
+            (V.equal v (R.get_slot rt i)))
+        [ V.null; V.zero; V.null; V.zero ])
+  in
+  R.call rt ~key ~args:[] (fun () ->
+    R.call rt ~key:dirty ~args:[] fill;
+    fresh "after a return";
+    R.try_with rt
+      (fun () ->
+        R.call rt ~key:dirty ~args:[] (fun () ->
+          fill ();
+          R.call rt ~key:dirty ~args:[] (fun () ->
+            fill ();
+            R.raise_exn rt (R.Imm 0))))
+      ~handler:(fun () -> ());
+    fresh "after a raise";
+    R.call rt ~key ~args:[] (fun () -> fresh "after a raise, one deeper"))
+
+(* a stack that outgrows its words array between two collections: every
+   frame keeps its integer slot and its record, which both collections
+   forwarded through the frame's slot *)
+let stack_growth_between_collections () =
+  List.iter
+    (fun cfg ->
+      with_rt ~cfg @@ fun rt ->
+      let site = R.register_site rt ~name:"s" in
+      let key =
+        R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "ipp")
+      in
+      let depth = 300 in
+      let rec descend n =
+        R.call rt ~key ~args:[ V.Int n ] (fun () ->
+          R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Slot 0) ];
+          if n = 10 || n = depth then R.collect_now rt;
+          if n < depth then descend (n + 1);
+          churn rt site 2 8;
+          check_int (Gsc.Config.name cfg ^ ": slot") n
+            (V.to_int (R.get_slot rt 0));
+          check_int (Gsc.Config.name cfg ^ ": record") n
+            (R.field_int rt ~obj:(R.Slot 1) ~idx:0))
+      in
+      descend 1;
+      ignore (R.check_heap rt : int))
+    torture_configs
+
+(* a host exception inside [call] pops exactly the frames of the calls it
+   leaves, and no frame of a call it does not *)
+let host_exception_pops_own_frame () =
+  with_rt ~cfg:{ (Gsc.Config.with_markers ~budget_bytes:budget) with
+                 Gsc.Config.marker_spacing = 1 }
+  @@ fun rt ->
+  let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "i") in
+  R.call rt ~key ~args:[ V.Int 1 ] (fun () ->
+    (match
+       R.call rt ~key ~args:[ V.Int 2 ] (fun () ->
+         R.call rt ~key ~args:[ V.Int 3 ] (fun () ->
+           R.collect_now rt;
+           raise Exit))
+     with
+     | () -> Alcotest.fail "Exit must propagate"
+     | exception Exit -> ());
+    check_int "the two raising calls popped" 1 (R.depth rt);
+    check_int "the caller's slot intact" 1 (V.to_int (R.get_slot rt 0));
+    check_int "both marked frames fired their stubs" 2
+      (R.marker_stub_hits rt));
+  check_int "stack balanced" 0 (R.depth rt)
 
 (* --- call arity --- *)
 
@@ -985,6 +1120,9 @@ let () =
           Alcotest.test_case "globals" `Quick globals_are_roots;
           Alcotest.test_case "bad global index" `Quick bad_global_index_raises;
           Alcotest.test_case "young global counted" `Quick young_global_counted;
+          Alcotest.test_case "young heap field caught" `Quick young_field_caught;
+          Alcotest.test_case "young heap field control" `Quick
+            young_field_control;
           Alcotest.test_case "global across 100 minors (pinned)" `Quick
             global_survives_minors ] );
       ( "exceptions",
@@ -1002,6 +1140,13 @@ let () =
             rejected_field_store ] );
       ( "call",
         [ Alcotest.test_case "arity checked before the push" `Quick
-            call_arity_checked_before_push ] );
+            call_arity_checked_before_push;
+          Alcotest.test_case "host exception pops its own frame" `Quick
+            host_exception_pops_own_frame ] );
+      ( "stack hygiene",
+        [ Alcotest.test_case "fresh frame after a return or a raise" `Quick
+            fresh_frame_after_pop_and_raise;
+          Alcotest.test_case "growth between collections" `Quick
+            stack_growth_between_collections ] );
       ("twin", [ QCheck_alcotest.to_alcotest twin_prop ]);
       ("torture", [ QCheck_alcotest.to_alcotest torture_prop ]) ]
