@@ -14,8 +14,8 @@ type aging = {
 type t = {
   mem : Mem.Memory.t;
   in_from : Mem.Addr.t -> bool;
-  to_space : Mem.Space.t;
-  to_cells : int array;             (* block handle of [to_space] *)
+  mutable to_space : Mem.Space.t;   (* retargeted by [reset] *)
+  mutable to_cells : int array;     (* block handle of [to_space] *)
   aging : aging option;
   young_cells : int array;          (* block handle of [aging.young_to] *)
   remember : (loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) option;
@@ -72,7 +72,9 @@ let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = fal
     scanned = 0;
     sites = (if site_tallies then Some (Site_tally.create ()) else None) }
 
-let reset t ~site_tallies =
+let reset t ~to_space ~site_tallies =
+  t.to_space <- to_space;
+  t.to_cells <- Mem.Space.cells to_space;
   t.eager_budget <- 0;
   t.scan <- Mem.Space.frontier t.to_space;
   (match t.aging with
@@ -226,15 +228,31 @@ let evacuate t w =
 
 (* aging: a location outside the young to-space now pointing into it is
    an old-to-young edge that must stay remembered.  Only reached when
-   both [remember] and [aging] are set. *)
+   both [remember] and [aging] are set.  [owner] is {!Mem.Addr.null} for
+   a raw location; the option [remember] takes is boxed only for an
+   edge actually remembered. *)
 let remember_check t ~loc ~owner w' =
   match t.remember, t.aging with
   | Some remember, Some a
     when Mem.Value.encoded_is_ptr w'
          && Mem.Space.contains a.young_to (Mem.Value.encoded_to_addr w')
          && not (Mem.Space.contains a.young_to loc) ->
-    remember ~loc ~owner
+    remember ~loc
+      ~owner:(if Mem.Addr.is_null owner then None else Some owner)
   | (Some _ | None), _ -> ()
+
+(* rewrite field [i] of the object at [base], resolved to [cells]/[off];
+   toplevel with its environment as arguments, so the field loops
+   allocate no closure per object *)
+let scan_field t cells base off ~aging_edges i =
+  let foff = off + Mem.Header.header_words () + i in
+  let w = cells.(foff) in
+  let w' = evacuate t w in
+  if w' <> w then cells.(foff) <- w';
+  if aging_edges then
+    remember_check t
+      ~loc:(Mem.Addr.unsafe_add base (Mem.Header.header_words () + i))
+      ~owner:base w'
 
 let scan_object t base =
   let cells = Mem.Memory.cells t.mem base in
@@ -243,24 +261,14 @@ let scan_object t base =
   let len = Mem.Header.len_c cells ~off in
   (if tag <> Mem.Header.tag_nonptr_array then begin
      let aging_edges = t.remember <> None && t.aging <> None in
-     let visit i =
-       let foff = off + (Mem.Header.header_words ()) + i in
-       let w = cells.(foff) in
-       let w' = evacuate t w in
-       if w' <> w then cells.(foff) <- w';
-       if aging_edges then
-         remember_check t
-           ~loc:(Mem.Addr.unsafe_add base ((Mem.Header.header_words ()) + i))
-           ~owner:(Some base) w'
-     in
      if tag = Mem.Header.tag_ptr_array then
        for i = 0 to len - 1 do
-         visit i
+         scan_field t cells base off ~aging_edges i
        done
      else begin
        let mask = Mem.Header.mask_c cells ~off in
        for i = 0 to len - 1 do
-         if mask land (1 lsl i) <> 0 then visit i
+         if mask land (1 lsl i) <> 0 then scan_field t cells base off ~aging_edges i
        done
      end
    end);
@@ -273,7 +281,7 @@ let visit_loc t loc =
   let w' = evacuate t w in
   if w' <> w then cells.(off) <- w';
   if t.remember <> None && t.aging <> None then
-    remember_check t ~loc ~owner:None w'
+    remember_check t ~loc ~owner:Mem.Addr.null w'
 
 let visit_root t cells i =
   let w = cells.(i) in

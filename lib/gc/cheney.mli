@@ -64,15 +64,16 @@ val create :
     [promoting] tags the engine's copies into [to_space] as promotions
     out of the nursery (statistics only). *)
 
-(** [reset t ~site_tallies] readies the engine for another collection
-    with the same spaces: the scan pointers restart at the to-spaces'
-    current frontiers, the gray queues and the counters empty, and the
-    site tallies restart empty (kept, dropped or created as
-    [site_tallies] now asks).  The to-space's block must be the one the
-    engine was created with; a collector that replaces it builds a new
-    engine.  Nothing is allocated unless a tally table is created or
-    had grown. *)
-val reset : t -> site_tallies:bool -> unit
+(** [reset t ~to_space ~site_tallies] readies the engine for another
+    collection into [to_space]: the main to-space and its block handle
+    are retargeted (a collector that replaced its tenured space passes
+    the new one, otherwise the same), the scan pointers restart at the
+    to-spaces' current frontiers, the gray queues and the counters
+    empty, and the site tallies restart empty (kept, dropped or created
+    as [site_tallies] now asks).  The young to-space of an aging engine
+    is not retargeted: aging engines are built per collection.  Nothing
+    is allocated unless a tally table is created or had grown. *)
+val reset : t -> to_space:Mem.Space.t -> site_tallies:bool -> unit
 
 (** [in_from t a]: [a] lies in the region the engine evacuates. *)
 val in_from : t -> Mem.Addr.t -> bool

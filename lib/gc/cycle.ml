@@ -69,7 +69,7 @@ let visit_fields engine base =
 
 let visit_card engine ~scan card =
   match engine with
-  | Seq e -> scan (Cheney.visit_loc e) card
+  | Seq e -> scan e card
   | Par p -> Par_drain.add_card p card
 
 let copied = function

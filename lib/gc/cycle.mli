@@ -72,10 +72,9 @@ val visit_loc : engine -> Mem.Addr.t -> unit
 val visit_fields : engine -> Mem.Addr.t -> unit
 
 (** [visit_card engine ~scan card] rewrites a marked card in place
-    through [scan visit card] (sequential) or stages it for the drain's
-    own [card_scan]. *)
-val visit_card :
-  engine -> scan:((Mem.Addr.t -> unit) -> int -> unit) -> int -> unit
+    through [scan e card], [e] the sequential engine, or stages it for
+    the drain's own [card_scan]. *)
+val visit_card : engine -> scan:(Cheney.t -> int -> unit) -> int -> unit
 
 (** [drain engine ~stats roots] visits [roots], runs the drain to its
     fixpoint and credits the scan work to [stats]' per-domain slots. *)

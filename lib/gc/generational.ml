@@ -83,10 +83,17 @@ type t = {
   mutable tenured : Mem.Space.t;
   mutable tenured_be : Alloc.Backend.packed;
       (* placement policy over [tenured]; rebuilt when a major swaps the
-         space.  The copy engines keep bumping the space frontier
-         directly (their scan pointer needs contiguity), so the backend
-         only serves pretenured allocations. *)
+         space, since it holds the space's block handle.  The copy
+         engines keep bumping the space frontier directly (their scan
+         pointer needs contiguity), so the backend only serves
+         pretenured allocations. *)
   tenured_phys : int;         (* physical block size of the tenured area *)
+  mutable tenured_spare : int array;
+      (* the zeroed cells of the tenured space the last copying major
+         evacuated, re-issued as the next major's to-space; [[||]] until
+         the first major (DESIGN.md §5p) *)
+  mutable nursery_spare : int array;
+      (* the same for the aging minor's nursery pair *)
   tenured_cap : int;          (* hard budget share for tenured + large *)
   mutable major_trigger : int; (* soft trigger from the liveness policy *)
   los : Los.t;
@@ -125,8 +132,9 @@ type t = {
   mutable minor_engine : Cycle.engine option;
       (* the sequential minor's copy engine, reset and reused by every
          minor under immediate promotion at parallelism 1 (aging and
-         parallel minors build theirs per collection); rebuilt when a
-         copying major replaces the tenured space *)
+         parallel minors build theirs per collection); each reset
+         retargets it at the current tenured space, which a copying
+         major replaces *)
   reclaimed : reclaimed;
   frag : Alloc.Backend.frag;  (* scratch for the backends' gauges *)
 }
@@ -189,6 +197,8 @@ let create mem ~hooks ~stats cfg =
     tenured;
     tenured_be = Alloc.Registry.of_space cfg.tenured_backend mem tenured;
     tenured_phys;
+    tenured_spare = [||];
+    nursery_spare = [||];
     tenured_cap;
     major_trigger = tenured_cap;
     los = Los.create ~backend:cfg.los_backend mem;
@@ -273,11 +283,25 @@ let cover_new_tenured t =
       walk (Mem.Addr.diff t.cards_covered_to base));
     t.cards_covered_to <- Mem.Space.frontier t.tenured
 
+(* visit, through [visit env], the pointer fields of the object at
+   space offset [off] that lie inside the card window [lo, hi); [masked]
+   records take only the fields [mask] flags.  Toplevel with its
+   environment as arguments, so a card scan allocates no closure per
+   object. *)
+let visit_window visit env base ~lo ~hi ~off ~len ~masked ~mask =
+  let fbase = off + Mem.Header.header_words () in
+  let i_lo = max 0 (lo - fbase) in
+  let i_hi = min (len - 1) (hi - 1 - fbase) in
+  for i = i_lo to i_hi do
+    if (not masked) || mask land (1 lsl i) <> 0 then
+      visit env (Mem.Addr.unsafe_add base (fbase + i))
+  done
+
 (* scan one marked card: walk the objects overlapping it and visit the
-   pointer fields that lie inside the card window through [visit].  The
-   tenured block is resolved once; headers decode straight from the cell
-   array. *)
-let scan_card t ~visit cards card =
+   pointer fields that lie inside the card window through [visit env].
+   The tenured block is resolved once; headers decode straight from the
+   cell array. *)
+let scan_card t visit env cards card =
   let base = Mem.Space.base t.tenured in
   let lo, hi = Card_table.card_range cards card in
   if lo < hi then
@@ -286,30 +310,22 @@ let scan_card t ~visit cards card =
     | Some start ->
       let cells = Mem.Memory.cells t.mem base in
       let base_off = Mem.Addr.offset base in
-      let rec walk off =
-        if off < hi then begin
-          let aoff = base_off + off in
-          let tag = Mem.Header.tag_c cells ~off:aoff in
-          let len = Mem.Header.len_c cells ~off:aoff in
-          let visit_window is_ptr_field =
-            (* clip the field loop to the card window *)
-            let i_lo = max 0 (lo - (off + (Mem.Header.header_words ()))) in
-            let i_hi = min (len - 1) (hi - 1 - (off + (Mem.Header.header_words ()))) in
-            for i = i_lo to i_hi do
-              if is_ptr_field i then
-                visit
-                  (Mem.Addr.unsafe_add base (off + (Mem.Header.header_words ()) + i))
-            done
-          in
-          if tag = Mem.Header.tag_ptr_array then visit_window (fun _ -> true)
-          else if tag = Mem.Header.tag_record then begin
-            let mask = Mem.Header.mask_c cells ~off:aoff in
-            visit_window (fun i -> mask land (1 lsl i) <> 0)
-          end;
-          walk (off + (Mem.Header.header_words ()) + len)
-        end
-      in
-      walk start
+      let off = ref start in
+      while !off < hi do
+        let aoff = base_off + !off in
+        let tag = Mem.Header.tag_c cells ~off:aoff in
+        let len = Mem.Header.len_c cells ~off:aoff in
+        if tag = Mem.Header.tag_ptr_array then
+          visit_window visit env base ~lo ~hi ~off:!off ~len ~masked:false
+            ~mask:0
+        else if tag = Mem.Header.tag_record then
+          visit_window visit env base ~lo ~hi ~off:!off ~len ~masked:true
+            ~mask:(Mem.Header.mask_c cells ~off:aoff);
+        off := !off + Mem.Header.header_words () + len
+      done
+
+(* the parallel drain hands its card scanner a visit closure *)
+let apply_visit visit a = visit a
 
 (* Scan one pretenured object of [words] at [a]: it was allocated
    directly into the tenured generation since the last collection and may
@@ -383,11 +399,10 @@ let drain_barrier t engine =
       n
     | B_cards (cards, overflow) ->
       let marked = ref 0 in
+      let scan e card = scan_card t Cheney.visit_loc e cards card in
       Card_table.drain_marked cards (fun c ->
         incr marked;
-        Cycle.visit_card engine
-          ~scan:(fun visit card -> scan_card t ~visit cards card)
-          c);
+        Cycle.visit_card engine ~scan c);
       (* counted after the cards: scanning them may re-remember
          large-object locations in the overflow buffer *)
       let n = Ssb.length overflow in
@@ -642,25 +657,39 @@ let new_minor_engine t ~aging =
     ?card_scan:
       (match t.barrier with
        | B_cards (cards, _) ->
-         Some (fun visit card -> scan_card t ~visit cards card)
+         Some (fun visit card -> scan_card t apply_visit visit cards card)
        | B_ssb _ | B_remset _ -> None)
     ~trace_los:false ~promoting:true ()
 
 (* Under immediate promotion at parallelism 1 every minor copies from
-   the same nursery into the same tenured space, so one sequential
-   engine serves them all: built at the first minor, reset by the
-   next ones.  An aging minor needs a fresh young to-space and a
-   parallel drain its per-collection packets, so both build their own. *)
+   the same nursery into the tenured space, so one sequential engine
+   serves them all: built at the first minor, reset by the next ones,
+   and retargeted by the reset when a copying major has replaced the
+   tenured space since.  An aging minor needs the other nursery
+   semispace as its young to-space and a parallel drain its
+   per-collection packets, so both build their own. *)
 let minor_engine t ~aging =
   match t.minor_engine with
   | Some (Cycle.Seq e as engine) ->
-    Cheney.reset e ~site_tallies:(site_tallies t);
+    Cheney.reset e ~to_space:t.tenured ~site_tallies:(site_tallies t);
     engine
   | Some (Cycle.Par _) | None ->
     let engine = new_minor_engine t ~aging in
     if t.cfg.tenure_threshold = 1 && t.cfg.parallelism = 1 then
       t.minor_engine <- Some engine;
     engine
+
+(* The to-space of a pair swap (copying major, aging minor): the spare
+   the previous swap retired, re-issued, or a fresh block at the first
+   swap.  Either way the block takes the id a fresh [Space.create] would
+   have, so ids, traces and stale-pointer errors match a run that
+   allocates every to-space afresh. *)
+let adopt_spare mem spare ~words =
+  if Array.length spare = 0 then Mem.Space.create mem ~words
+  else begin
+    assert (Array.length spare = words);
+    Mem.Space.reissue mem spare
+  end
 
 (* The minor reclaim step: the barrier drain ([barrier_ns], split into
    the [barrier] and [region_scan] spans, and starting where the roots
@@ -669,12 +698,13 @@ let minor_engine t ~aging =
 let reclaim_minor t ~traced ~roots ~t1 =
   let tenured_frontier_at_start = Mem.Space.frontier t.tenured in
   (* under an aging nursery, survivors below the threshold evacuate into
-     a fresh nursery semispace instead of being promoted *)
+     the other nursery semispace instead of being promoted *)
   let aging =
-    if t.cfg.tenure_threshold > 1 then
-      Some
-        { Cheney.young_to = Mem.Space.create t.mem ~words:t.nursery_words;
-          threshold = t.cfg.tenure_threshold }
+    if t.cfg.tenure_threshold > 1 then begin
+      let young_to = adopt_spare t.mem t.nursery_spare ~words:t.nursery_words in
+      t.nursery_spare <- [||];
+      Some { Cheney.young_to; threshold = t.cfg.tenure_threshold }
+    end
     else None
   in
   let engine = minor_engine t ~aging in
@@ -716,8 +746,9 @@ let reclaim_minor t ~traced ~roots ~t1 =
   (match aging with
    | None -> Mem.Space.reset t.nursery
    | Some a ->
-     (* the fresh semispace with the young survivors becomes the nursery *)
-     Mem.Space.release t.nursery t.mem;
+     (* the semispace with the young survivors becomes the nursery; the
+        old one, retired, is the next aging minor's to-space *)
+     t.nursery_spare <- Mem.Space.retire t.nursery t.mem;
      t.nursery <- a.Cheney.young_to);
   let copied = Cycle.copied engine and promoted = Cycle.promoted engine in
   t.stats.Gc_stats.words_copied <- t.stats.Gc_stats.words_copied + copied;
@@ -768,12 +799,13 @@ let major_tail t =
   live_total
 
 (* The copying major's reclaim step: evacuate tenured space and the
-   LOS's reachable objects into a fresh space, then sweep the LOS.  The
-   whole step is [copy_seconds]; the spans split it into [copy] and
-   [los_sweep]. *)
+   LOS's reachable objects into the spare space, then sweep the LOS.
+   The evacuated space is retired into the spare.  The whole step is
+   [copy_seconds]; the spans split it into [copy] and [los_sweep]. *)
 let reclaim_copying t ~traced ~roots ~t1 =
   assert (Mem.Space.used_words t.nursery = 0);
-  let to_space = Mem.Space.create t.mem ~words:t.tenured_phys in
+  let to_space = adopt_spare t.mem t.tenured_spare ~words:t.tenured_phys in
+  t.tenured_spare <- [||];
   let engine =
     copy_engine t ~in_from:(Mem.Space.contains t.tenured) ~to_space
       ~trace_los:true ~promoting:false ()
@@ -792,14 +824,14 @@ let reclaim_copying t ~traced ~roots ~t1 =
   Cycle.emit_survivals survivals;
   Cycle.profile_sweep ~mem:t.mem ~hooks:t.hooks ~stats:t.stats ~traced
     ~since:t2 t.tenured;
-  Mem.Space.release t.tenured t.mem;
+  t.tenured_spare <- Mem.Space.retire t.tenured t.mem;
   t.tenured <- to_space;
   (* the compaction emptied every hole: restart the placement policy
-     over the fresh space (of_space backends own no segments, so the
-     old value needs no teardown beyond dropping it) *)
+     over the new space (of_space backends own no segments, so the old
+     value needs no teardown beyond dropping it, and must be dropped:
+     its block handle is now the spare).  The reused minor engine is
+     retargeted at its next reset. *)
   t.tenured_be <- Alloc.Registry.of_space t.cfg.tenured_backend t.mem to_space;
-  (* the reused minor engine copies into the old space's block *)
-  t.minor_engine <- None;
   t.pretenure_from <- Mem.Space.frontier to_space;
   (match t.barrier with
    | B_ssb _ | B_remset _ -> ()
@@ -1030,4 +1062,6 @@ let destroy t =
   ignore (flush_site_allocs t : (int * int * int) list);
   Mem.Space.release t.nursery t.mem;
   Mem.Space.release t.tenured t.mem;
+  t.tenured_spare <- [||];
+  t.nursery_spare <- [||];
   Los.destroy t.los

@@ -88,15 +88,15 @@ let scan_object t base =
   let tag = Mem.Header.tag_c cells ~off in
   let len = Mem.Header.len_c cells ~off in
   (if tag <> Mem.Header.tag_nonptr_array then begin
-     let visit i = mark_encoded t cells.(off + (Mem.Header.header_words ()) + i) in
+     let fbase = off + Mem.Header.header_words () in
      if tag = Mem.Header.tag_ptr_array then
        for i = 0 to len - 1 do
-         visit i
+         mark_encoded t cells.(fbase + i)
        done
      else begin
        let mask = Mem.Header.mask_c cells ~off in
        for i = 0 to len - 1 do
-         if mask land (1 lsl i) <> 0 then visit i
+         if mask land (1 lsl i) <> 0 then mark_encoded t cells.(fbase + i)
        done
      end
    end);

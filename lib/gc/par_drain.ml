@@ -438,26 +438,28 @@ let evacuate t w word =
     end
   end
 
+(* rewrite the field word at [cells.(foff)]; toplevel, so the field
+   loops allocate no closure per object *)
+let scan_field t w cells foff =
+  let word = cells.(foff) in
+  let word' = evacuate t w word in
+  if word' <> word then cells.(foff) <- word'
+
 (* rewrite the pointer fields of the object at [cells]/[off]; returns its
    footprint *)
 let scan_fields t w cells off =
   let tag = Mem.Header.tag_c cells ~off in
   let len = Mem.Header.len_c cells ~off in
   (if tag <> Mem.Header.tag_nonptr_array then begin
-     let visit foff =
-       let word = cells.(foff) in
-       let word' = evacuate t w word in
-       if word' <> word then cells.(foff) <- word'
-     in
      let fbase = off + (Mem.Header.header_words ()) in
      if tag = Mem.Header.tag_ptr_array then
        for i = 0 to len - 1 do
-         visit (fbase + i)
+         scan_field t w cells (fbase + i)
        done
      else begin
        let mask = Mem.Header.mask_c cells ~off in
        for i = 0 to len - 1 do
-         if mask land (1 lsl i) <> 0 then visit (fbase + i)
+         if mask land (1 lsl i) <> 0 then scan_field t w cells (fbase + i)
        done
      end
    end);

@@ -21,23 +21,31 @@ let create () =
     allocated = 0;
     events = 0 }
 
-let alloc_block t ~words =
-  if words <= 0 then invalid_arg "Memory.alloc_block";
+(* register [cells] as a live block under the id the block table hands
+   out next: the most recently freed one, else a new one *)
+let register t cells =
   t.events <- t.events + 1;
-  let cells = Some (Array.make words zero_cell) in
   let id =
     if Support.Vec.is_empty t.free_ids then begin
-      Support.Vec.push t.blocks { cells; freed_at = -1 };
+      Support.Vec.push t.blocks { cells = Some cells; freed_at = -1 };
       Support.Vec.length t.blocks - 1
     end
     else begin
       let id = Support.Vec.pop t.free_ids in
-      (Support.Vec.get t.blocks id).cells <- cells;
+      (Support.Vec.get t.blocks id).cells <- Some cells;
       id
     end
   in
-  t.allocated <- t.allocated + words;
+  t.allocated <- t.allocated + Array.length cells;
   Addr.make ~block:id ~offset:0
+
+let alloc_block t ~words =
+  if words <= 0 then invalid_arg "Memory.alloc_block";
+  register t (Array.make words zero_cell)
+
+let reissue_block t cells =
+  if Array.length cells = 0 then invalid_arg "Memory.reissue_block";
+  register t cells
 
 let find t addr =
   let id = Addr.block addr in
@@ -52,14 +60,17 @@ let find t addr =
          b.freed_at t.events)
   | Some cells -> cells
 
-let free_block t base =
+let retire_block t base =
   let cells = find t base in
   t.events <- t.events + 1;
   t.allocated <- t.allocated - Array.length cells;
   let b = Support.Vec.get t.blocks (Addr.block base) in
   b.cells <- None;
   b.freed_at <- t.events;
-  Support.Vec.push t.free_ids (Addr.block base)
+  Support.Vec.push t.free_ids (Addr.block base);
+  cells
+
+let free_block t base = ignore (retire_block t base : int array)
 
 let block_words t addr = Array.length (find t addr)
 

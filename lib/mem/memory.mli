@@ -17,6 +17,30 @@ val alloc_block : t -> words:int -> Addr.t
     @raise Invalid_argument if already freed or unknown. *)
 val free_block : t -> Addr.t -> unit
 
+(** {2 Recycled blocks}
+
+    A collector that swaps a pair of equal-sized spaces at every
+    collection (the copying major, the aging nursery) can keep the dead
+    half's cell array as a spare instead of allocating a fresh one each
+    time.  Retiring and re-issuing keep the block table's bookkeeping
+    exactly as {!free_block} followed by {!alloc_block} would: the same
+    ids, the same event stamps, the same {!allocated_words}, and a
+    stale address into the retired block still raises
+    ["Memory: access to freed block"]. *)
+
+(** [retire_block t base] frees the block containing [base] exactly as
+    {!free_block} does, then hands back its cell array, contents
+    untouched, for a later {!reissue_block}.
+    @raise Invalid_argument if already freed or unknown. *)
+val retire_block : t -> Addr.t -> int array
+
+(** [reissue_block t cells] registers [cells] as a fresh block under the
+    id the next {!alloc_block} would have taken, and returns its base.
+    [cells] must hold only {!Value.zero} words (the caller zeroes what
+    it wrote) and must not back any other live block.
+    @raise Invalid_argument on an empty array. *)
+val reissue_block : t -> int array -> Addr.t
+
 (** [block_words t addr] is the size of the block containing [addr]. *)
 val block_words : t -> Addr.t -> int
 
@@ -41,9 +65,15 @@ val set : t -> Addr.t -> Value.t -> unit
     [addr]: a per-block handle that lets an object scan resolve its block
     once instead of per field.  Cells hold {!Value.encode}d words and are
     indexed by {!Addr.offset}.  The handle stays valid until the block is
-    freed; a stale handle silently aliases nothing (the array is
-    unreachable from [t] after the free), so holders must not outlive the
-    block — collectors drop their handles at the end of each collection.
+    freed.  A stale handle is not checked: after a {!free_block} it
+    aliases nothing, but after a {!retire_block} the same array may be
+    re-issued and then aliases a live block under another id.  So a
+    holder must not outlive the block: collectors drop per-collection
+    handles (an aging engine's young to-space handle among them) at the
+    end of each collection, and the generational collector rebuilds
+    every long-lived holder of a handle, or of the layout behind one,
+    at the swap that retires its block: the tenured backend, the reused
+    minor engine and the card table.
     @raise Invalid_argument on a freed or unknown block. *)
 val cells : t -> Addr.t -> int array
 

@@ -3,6 +3,10 @@ type t = {
   cells : int array;  (* the block handle, resolved once at [create] *)
   words : int;
   mutable next : Addr.t;
+  mutable written : int;
+      (* high-water mark of the frontier as of the last [reset]: the
+         prefix [retire] must zero (nothing is written past the
+         frontier, but a reset space keeps its old contents) *)
   (* Used-words frontier for parallel chunk carving: only meaningful
      between [par_begin] and [par_end], when drain workers bump it with
      CAS instead of racing on [next] (an [Addr.t] cannot live in an
@@ -11,14 +15,20 @@ type t = {
   par_used : int Atomic.t;
 }
 
+let of_block mem base =
+  let cells = Memory.cells mem base in
+  { base;
+    cells;
+    words = Array.length cells;
+    next = base;
+    written = 0;
+    par_used = Atomic.make 0 }
+
 let create mem ~words =
   if words <= 0 then invalid_arg "Space.create";
-  let base = Memory.alloc_block mem ~words in
-  { base;
-    cells = Memory.cells mem base;
-    words;
-    next = base;
-    par_used = Atomic.make 0 }
+  of_block mem (Memory.alloc_block mem ~words)
+
+let reissue mem cells = of_block mem (Memory.reissue_block mem cells)
 
 let base t = t.base
 let cells t = t.cells
@@ -72,9 +82,17 @@ let par_end t = t.next <- Addr.add t.base (Atomic.get t.par_used)
 let contains t addr =
   (not (Addr.is_null addr)) && Addr.block addr = Addr.block t.base
 
-let reset t = t.next <- t.base
+let reset t =
+  t.written <- max t.written (used_words t);
+  t.next <- t.base
 
 let release t mem = Memory.free_block mem t.base
+
+let retire t mem =
+  let written = max t.written (used_words t) in
+  let cells = Memory.retire_block mem t.base in
+  Array.fill cells (Addr.offset t.base) written Value.encoded_zero;
+  cells
 
 let iter_objects t mem f =
   let rec walk a =

@@ -10,6 +10,13 @@ type t
 (** [create mem ~words] reserves a fresh block of [words] words. *)
 val create : Memory.t -> words:int -> t
 
+(** [reissue mem cells] is an empty space over [cells], a spare that
+    {!retire} handed back, registered as a fresh block
+    ({!Memory.reissue_block}): the same id and size a [create] of
+    [Array.length cells] words would have given, with no host
+    allocation proportional to the size. *)
+val reissue : Memory.t -> int array -> t
+
 (** [base t] is the address of the first word. *)
 val base : t -> Addr.t
 
@@ -21,8 +28,9 @@ val used_words : t -> int
 val free_words : t -> int
 
 (** [cells t] is the block handle ({!Memory.cells}) of the space,
-    resolved once at {!create}: allocation entries write a fresh object
-    through it without a block lookup.  Valid until {!release}. *)
+    resolved once at {!create} (or {!reissue}): allocation entries write
+    a fresh object through it without a block lookup.  Valid until
+    {!release} or {!retire}. *)
 val cells : t -> int array
 
 (** [grant t words] bumps the frontier, returning the base of the grant,
@@ -66,6 +74,15 @@ val reset : t -> unit
 (** [release t mem] frees the backing block; the space must not be used
     afterwards. *)
 val release : t -> Memory.t -> unit
+
+(** [retire t mem] frees the backing block exactly as {!release} does
+    (stale addresses into it still raise), then hands back its cell
+    array with every word ever written zeroed, ready for {!reissue}.
+    Only the prefix below the highest frontier the space reached is
+    cleared: nothing is ever written past the frontier.  The space must
+    not be used afterwards, and neither may any {!cells} handle of it:
+    once re-issued the array backs another block. *)
+val retire : t -> Memory.t -> int array
 
 (** [iter_objects t mem f] walks the allocated objects laid out
     back-to-back from [base] to [frontier], calling [f base_addr] on each

@@ -428,6 +428,87 @@ let aging_nursery_delays_promotion () =
   check_int "copied three times" (3 * 4) stats.Collectors.Gc_stats.words_copied;
   check_int "promoted once" 4 stats.Collectors.Gc_stats.words_promoted
 
+(* --- recycled pair swaps (DESIGN.md §5p) ---
+
+   A swap retires its from-space into a spare and the next swap
+   re-issues the spare as its to-space.  A pointer kept into a retired
+   space must still fail as a freed-block access, and the re-issued
+   block must take the id a fresh block would have. *)
+
+let expect_freed what mem a =
+  match Mem.Memory.get mem a with
+  | _ -> Alcotest.failf "%s: stale pointer read succeeded" what
+  | exception Invalid_argument msg ->
+    check_bool what true
+      (String.starts_with ~prefix:"Memory: access to freed block" msg)
+
+let root_addr globals i = V.to_addr (V.decode globals.(i))
+
+let recycled_major_stale_pointer () =
+  let globals = Array.make 2 V.encoded_zero in
+  let mem, g, _ = gen globals in
+  (* a pretenured object marks the first tenured block; unrooted
+     pretenured garbage behind it dirties the block *)
+  let p = gen_alloc_pretenured g (record_hdr ~mask:0 1) ~birth:0 in
+  Mem.Memory.set mem (H.field_addr p 0) (V.Int 77);
+  globals.(0) <- V.encode_addr p;
+  for i = 1 to 50 do
+    let junk = gen_alloc_pretenured g (record_hdr ~mask:0 1) ~birth:0 in
+    Mem.Memory.set mem (H.field_addr junk 0) (V.Int i)
+  done;
+  (* the first major allocates its to-space and retires the first
+     tenured block into the spare *)
+  Collectors.Generational.full g;
+  let stale = root_addr globals 0 in
+  let words = Mem.Memory.allocated_words mem in
+  (* the second major copies into the re-issued spare *)
+  Collectors.Generational.full g;
+  let live = root_addr globals 0 in
+  check_int "spare re-issued under the id a fresh block takes"
+    (Mem.Addr.block p) (Mem.Addr.block live);
+  check_int "payload" 77 (V.to_int (Mem.Memory.get mem (H.field_addr live 0)));
+  check_int "allocated words as free + alloc" words
+    (Mem.Memory.allocated_words mem);
+  expect_freed "pointer into the evacuated space" mem stale;
+  expect_freed "field of the evacuated object" mem (H.field_addr stale 0);
+  (* the retired block was zeroed before re-issue: past the one copied
+     object the recycled space reads as fresh memory *)
+  let copied = Mem.Header.object_words_at mem live in
+  let dirty = ref 0 in
+  for i = copied to Mem.Memory.block_words mem live - 1 do
+    if not (V.equal (Mem.Memory.get mem (Mem.Addr.add live i)) V.zero) then
+      incr dirty
+  done;
+  check_int "recycled space zero past the copy" 0 !dirty
+
+let recycled_aging_minor_stale_pointer () =
+  let globals = Array.make 2 V.encoded_zero in
+  let mem, g, _ = gen ~threshold:2 globals in
+  let a = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  Mem.Memory.set mem (H.field_addr a 0) (V.Int 5);
+  globals.(0) <- V.encode_addr a;
+  (* the first aging minor evacuates into a fresh semispace and retires
+     the first nursery block into the spare *)
+  Collectors.Generational.minor g;
+  let young = root_addr globals 0 in
+  check_bool "aged in the nursery" true (Collectors.Generational.in_nursery g young);
+  expect_freed "pointer into the first nursery" mem a;
+  let b = gen_alloc g (record_hdr ~mask:0 1) ~birth:0 in
+  Mem.Memory.set mem (H.field_addr b 0) (V.Int 6);
+  globals.(1) <- V.encode_addr b;
+  (* the second one evacuates into the re-issued spare: [a] is promoted,
+     [b] stays young in the recycled block *)
+  Collectors.Generational.minor g;
+  let a' = root_addr globals 0 and b' = root_addr globals 1 in
+  check_bool "promoted at the threshold" true (Collectors.Generational.in_tenured g a');
+  check_bool "young survivor in the recycled nursery" true
+    (Collectors.Generational.in_nursery g b');
+  check_int "spare re-issued under the id a fresh block takes"
+    (Mem.Addr.block a) (Mem.Addr.block b');
+  check_int "promoted payload" 5 (V.to_int (Mem.Memory.get mem (H.field_addr a' 0)));
+  check_int "young payload" 6 (V.to_int (Mem.Memory.get mem (H.field_addr b' 0)));
+  expect_freed "pointer into the evacuated nursery" mem young
+
 let aging_copies_more_than_immediate () =
   (* the motivation for pretenuring under aging policies: long-lived data
      is copied [threshold] times instead of once *)
@@ -2174,7 +2255,11 @@ let () =
             (card_barrier_keeps_edge 3);
           Alcotest.test_case "aging nursery" `Quick aging_nursery_delays_promotion;
           Alcotest.test_case "aging copies more" `Quick
-            aging_copies_more_than_immediate ] );
+            aging_copies_more_than_immediate;
+          Alcotest.test_case "recycled major: stale pointer fails" `Quick
+            recycled_major_stale_pointer;
+          Alcotest.test_case "recycled aging minor: stale pointer fails"
+            `Quick recycled_aging_minor_stale_pointer ] );
       ( "engine-pins",
         [ Alcotest.test_case "pinned stats (generational)" `Quick gen_pins;
           Alcotest.test_case "pinned stats (semispace)" `Quick semispace_pin ] );

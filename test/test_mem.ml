@@ -96,6 +96,44 @@ let memory_block_reuse () =
   (* reused blocks are re-zeroed *)
   check_int "reused zeroed" 0 (Mem.Value.to_int (Mem.Memory.get mem b))
 
+(* a freed-block access raises with the collectors' stale-pointer
+   message, not just any [Invalid_argument] *)
+let expect_freed what mem a =
+  match Mem.Memory.get mem a with
+  | _ -> Alcotest.failf "%s: access succeeded" what
+  | exception Invalid_argument msg ->
+    check_bool what true
+      (String.starts_with ~prefix:"Memory: access to freed block" msg)
+
+(* Retire then re-issue is accounted exactly as free then alloc: a twin
+   memory runs the plain sequence beside it. *)
+let memory_retire_reissue () =
+  let mem = Mem.Memory.create () and twin = Mem.Memory.create () in
+  let a = Mem.Memory.alloc_block mem ~words:8 in
+  let a' = Mem.Memory.alloc_block twin ~words:8 in
+  ignore (Mem.Memory.alloc_block mem ~words:4 : Mem.Addr.t);
+  ignore (Mem.Memory.alloc_block twin ~words:4 : Mem.Addr.t);
+  Mem.Memory.set mem (Mem.Addr.add a 5) (Mem.Value.Int 9);
+  let cells = Mem.Memory.retire_block mem a in
+  Mem.Memory.free_block twin a';
+  check_int "retired cells handed back" 9
+    (Mem.Value.to_int (Mem.Value.decode cells.(5)));
+  expect_freed "stale address into the retired block" mem (Mem.Addr.add a 5);
+  check_int "retired as freed" (Mem.Memory.allocated_words twin)
+    (Mem.Memory.allocated_words mem);
+  Array.fill cells 0 (Array.length cells) Mem.Value.encoded_zero;
+  let r = Mem.Memory.reissue_block mem cells in
+  let f = Mem.Memory.alloc_block twin ~words:8 in
+  check_int "re-issued under the id alloc_block takes" (Mem.Addr.block f)
+    (Mem.Addr.block r);
+  check_int "re-issued as allocated" (Mem.Memory.allocated_words twin)
+    (Mem.Memory.allocated_words mem);
+  check_int "re-issued size" 8 (Mem.Memory.block_words mem r);
+  for i = 0 to 7 do
+    check_int "re-issued block is zero" 0
+      (Mem.Value.to_int (Mem.Memory.get mem (Mem.Addr.add r i)))
+  done
+
 let memory_blit () =
   let mem = Mem.Memory.create () in
   let a = Mem.Memory.alloc_block mem ~words:8 in
@@ -432,6 +470,32 @@ let space_bump () =
   Mem.Space.reset sp;
   check_int "reset" 0 (Mem.Space.used_words sp)
 
+(* [retire] zeroes every word the space ever held, including what a
+   [reset] left behind above the current frontier *)
+let space_retire_reissue () =
+  let mem = Mem.Memory.create () in
+  let sp = Mem.Space.create mem ~words:32 in
+  let fill n v =
+    let a = Mem.Space.grant sp n in
+    for i = 0 to n - 1 do
+      Mem.Memory.set mem (Mem.Addr.add a i) (Mem.Value.Int v)
+    done
+  in
+  fill 12 7;
+  Mem.Space.reset sp;
+  fill 5 3;
+  let base = Mem.Space.base sp in
+  let cells = Mem.Space.retire sp mem in
+  expect_freed "stale address into the retired space" mem base;
+  check_bool "every written word zeroed" true
+    (Array.for_all (( = ) Mem.Value.encoded_zero) cells);
+  let sp' = Mem.Space.reissue mem cells in
+  check_int "same block id" (Mem.Addr.block base)
+    (Mem.Addr.block (Mem.Space.base sp'));
+  check_int "re-issued size" 32 (Mem.Space.size_words sp');
+  check_int "re-issued empty" 0 (Mem.Space.used_words sp');
+  check_bool "one handle" true (Mem.Space.cells sp' == cells)
+
 let space_iter_objects () =
   let mem = Mem.Memory.create () in
   let sp = Mem.Space.create mem ~words:64 in
@@ -465,6 +529,8 @@ let () =
         [ Alcotest.test_case "basic" `Quick memory_basic;
           Alcotest.test_case "freed access" `Quick memory_freed_access;
           Alcotest.test_case "block reuse" `Quick memory_block_reuse;
+          Alcotest.test_case "retire and re-issue" `Quick
+            memory_retire_reissue;
           Alcotest.test_case "blit" `Quick memory_blit;
           Alcotest.test_case "cells handle" `Quick memory_cells_handle;
           QCheck_alcotest.to_alcotest raw_safe_agreement_prop ] );
@@ -482,4 +548,6 @@ let () =
           QCheck_alcotest.to_alcotest header_cells_prop ] );
       ( "space",
         [ Alcotest.test_case "bump" `Quick space_bump;
+          Alcotest.test_case "retire and re-issue" `Quick
+            space_retire_reissue;
           Alcotest.test_case "iter objects" `Quick space_iter_objects ] ) ]
