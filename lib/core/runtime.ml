@@ -181,7 +181,7 @@ let visit_globals_hook t mode roots =
 
 (* [g] was just stored through a bounds-checked write, so it indexes
    [dirty] too *)
-let[@inline] mark_dirty t g =
+let mark_dirty t g =
   if Bytes.unsafe_get t.dirty g = '\000' then begin
     Bytes.unsafe_set t.dirty g '\001';
     t.dirty_count <- t.dirty_count + 1

@@ -25,26 +25,31 @@ val create : space_words:int -> t
     (relative to the space base). *)
 val record : t -> offset:int -> unit
 
-(** [cover t ~base_offset ~objects] updates the crossing map for a run
-    of objects laid out back to back starting at [base_offset];
-    [objects] yields each object's (offset, words) in address order. *)
-val cover : t -> ((offset:int -> words:int -> unit) -> unit) -> unit
+(** [cover t ~offset ~words] enters the object of [words] words at
+    [offset] in the crossing map.  A run of objects laid out back to back
+    is covered by one call per object, in address order. *)
+val cover : t -> offset:int -> words:int -> unit
 
 (** [marked_cards t] returns the indexes of marked cards, ascending. *)
 val marked_cards : t -> int list
 
 (** [drain_marked t f] clears every mark, then applies [f] to each card
-    that was marked, ascending, without building a list.  Marks set by
-    [f] itself are not visited and stay set for the next drain. *)
-val drain_marked : t -> (int -> unit) -> unit
+    that was marked, ascending, without building a list, and returns the
+    number of cards visited.  Marks set by [f] itself are not visited and
+    stay set for the next drain. *)
+val drain_marked : t -> (int -> unit) -> int
 
-(** [card_range t card] is the [(first_word, last_word_exclusive)] window
-    of the card, clipped to the covered prefix of the space. *)
-val card_range : t -> int -> int * int
+(** [card_lo t card] is the first word of the card's window. *)
+val card_lo : t -> int -> int
+
+(** [card_hi t card] is the end (exclusive) of the card's window,
+    clipped to the covered prefix of the space, so the window is empty
+    when [card_hi t card <= card_lo t card]. *)
+val card_hi : t -> int -> int
 
 (** [crossing t card] is the offset of the first object whose scan covers
-    the card, or [None] when nothing covers it yet. *)
-val crossing : t -> int -> int option
+    the card, or [-1] when nothing covers it yet. *)
+val crossing : t -> int -> int
 
 (** Clear all card marks (after a collection processed them). *)
 val clear_marks : t -> unit

@@ -182,10 +182,11 @@ let profile_sweep ~mem ~hooks ~stats ~traced ~since space =
 
 (* --- allocation epilogue: header, zeroed payload, counters --- *)
 
-(* [count_alloc] and [finish_alloc] are inlined into the collectors'
-   allocation entries, as are the header and space helpers they call:
-   the runtime's every allocation passes through them *)
-let[@inline] count_alloc ~stats ~(sites : site_allocs) ~tag ~site ~words =
+(* every allocation of the runtime passes through [count_alloc] and
+   [finish_alloc]; the release build's inlining budget (dune-workspace)
+   inlines them into the collectors' allocation entries, with the header
+   and space helpers they call *)
+let count_alloc ~stats ~(sites : site_allocs) ~tag ~site ~words =
   stats.Gc_stats.words_allocated <- stats.Gc_stats.words_allocated + words;
   stats.Gc_stats.objects_allocated <- stats.Gc_stats.objects_allocated + 1;
   if tag = Mem.Header.tag_record then
@@ -198,7 +199,7 @@ let[@inline] count_alloc ~stats ~(sites : site_allocs) ~tag ~site ~words =
   | None -> ()
   | Some tab -> Site_tally.note tab ~site ~first:false ~words
 
-let[@inline] finish_alloc ~stats ~sites cells ~tag ~len ~mask ~site ~birth base =
+let finish_alloc ~stats ~sites cells ~tag ~len ~mask ~site ~birth base =
   Mem.Header.init_object_c cells ~off:(Mem.Addr.offset base) ~tag ~len ~mask
     ~site ~birth;
   count_alloc ~stats ~sites ~tag ~site ~words:(Mem.Header.header_words () + len);

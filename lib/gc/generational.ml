@@ -272,15 +272,12 @@ let cover_new_tenured t =
     let cells = Mem.Memory.cells t.mem base in
     let base_off = Mem.Addr.offset base in
     let limit = Mem.Addr.diff (Mem.Space.frontier t.tenured) base in
-    Card_table.cover cards (fun f ->
-      let rec walk offset =
-        if offset < limit then begin
-          let words = Mem.Header.object_words_c cells ~off:(base_off + offset) in
-          f ~offset ~words;
-          walk (offset + words)
-        end
-      in
-      walk (Mem.Addr.diff t.cards_covered_to base));
+    let offset = ref (Mem.Addr.diff t.cards_covered_to base) in
+    while !offset < limit do
+      let words = Mem.Header.object_words_c cells ~off:(base_off + !offset) in
+      Card_table.cover cards ~offset:!offset ~words;
+      offset := !offset + words
+    done;
     t.cards_covered_to <- Mem.Space.frontier t.tenured
 
 (* visit, through [visit env], the pointer fields of the object at
@@ -303,26 +300,26 @@ let visit_window visit env base ~lo ~hi ~off ~len ~masked ~mask =
    cell array. *)
 let scan_card t visit env cards card =
   let base = Mem.Space.base t.tenured in
-  let lo, hi = Card_table.card_range cards card in
-  if lo < hi then
-    match Card_table.crossing cards card with
-    | None -> ()
-    | Some start ->
-      let cells = Mem.Memory.cells t.mem base in
-      let base_off = Mem.Addr.offset base in
-      let off = ref start in
-      while !off < hi do
-        let aoff = base_off + !off in
-        let tag = Mem.Header.tag_c cells ~off:aoff in
-        let len = Mem.Header.len_c cells ~off:aoff in
-        if tag = Mem.Header.tag_ptr_array then
-          visit_window visit env base ~lo ~hi ~off:!off ~len ~masked:false
-            ~mask:0
-        else if tag = Mem.Header.tag_record then
-          visit_window visit env base ~lo ~hi ~off:!off ~len ~masked:true
-            ~mask:(Mem.Header.mask_c cells ~off:aoff);
-        off := !off + Mem.Header.header_words () + len
-      done
+  let lo = Card_table.card_lo cards card in
+  let hi = Card_table.card_hi cards card in
+  let start = Card_table.crossing cards card in
+  if lo < hi && start >= 0 then begin
+    let cells = Mem.Memory.cells t.mem base in
+    let base_off = Mem.Addr.offset base in
+    let off = ref start in
+    while !off < hi do
+      let aoff = base_off + !off in
+      let tag = Mem.Header.tag_c cells ~off:aoff in
+      let len = Mem.Header.len_c cells ~off:aoff in
+      if tag = Mem.Header.tag_ptr_array then
+        visit_window visit env base ~lo ~hi ~off:!off ~len ~masked:false
+          ~mask:0
+      else if tag = Mem.Header.tag_record then
+        visit_window visit env base ~lo ~hi ~off:!off ~len ~masked:true
+          ~mask:(Mem.Header.mask_c cells ~off:aoff);
+      off := !off + Mem.Header.header_words () + len
+    done
+  end
 
 (* the parallel drain hands its card scanner a visit closure *)
 let apply_visit visit a = visit a
@@ -398,16 +395,15 @@ let drain_barrier t engine =
       Remset.drain rs visit_barrier_obj engine;
       n
     | B_cards (cards, overflow) ->
-      let marked = ref 0 in
       let scan e card = scan_card t Cheney.visit_loc e cards card in
-      Card_table.drain_marked cards (fun c ->
-        incr marked;
-        Cycle.visit_card engine ~scan c);
+      let marked =
+        Card_table.drain_marked cards (fun c -> Cycle.visit_card engine ~scan c)
+      in
       (* counted after the cards: scanning them may re-remember
          large-object locations in the overflow buffer *)
       let n = Ssb.length overflow in
       Ssb.drain overflow visit_barrier_loc engine;
-      !marked + n
+      marked + n
   in
   t.stats.Gc_stats.barrier_entries_processed <-
     t.stats.Gc_stats.barrier_entries_processed + processed

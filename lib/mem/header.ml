@@ -108,7 +108,7 @@ let mask_of_kind = function
 
 (* the checks of [validate], on the header's fields; an array's mask is
    ignored (arrays store none) *)
-let[@inline] validate_fields ~tag ~len ~mask ~site =
+let validate_fields ~tag ~len ~mask ~site =
   if len < 0 then invalid_arg "Header: negative length";
   if site < 0 || site > max_site then invalid_arg "Header: site out of range";
   if tag = tag_record then begin
@@ -207,7 +207,7 @@ let survivor_c cells ~off = word0_c cells ~off land 4 <> 0
 
 let set_survivor_c cells ~off = cells.(off) <- cells.(off) lor (4 lsl 1)
 
-let[@inline] write_fields_c cells ~off ~tag ~len ~mask ~site ~birth =
+let write_fields_c cells ~off ~tag ~len ~mask ~site ~birth =
   (if !packed then begin
      let hi =
        if tag = tag_record then
@@ -226,7 +226,7 @@ let[@inline] write_fields_c cells ~off ~tag ~len ~mask ~site ~birth =
 
 (* a loop, not [Array.fill]: most payloads are a few words, below the
    cost of the C call *)
-let[@inline] init_object_c cells ~off ~tag ~len ~mask ~site ~birth =
+let init_object_c cells ~off ~tag ~len ~mask ~site ~birth =
   write_fields_c cells ~off ~tag ~len ~mask ~site ~birth;
   let first = off + !hw in
   for i = first to first + len - 1 do

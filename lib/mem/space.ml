@@ -37,7 +37,7 @@ let size_words t = t.words
 let used_words t = Addr.diff t.next t.base
 let free_words t = t.words - used_words t
 
-let[@inline] grant t words =
+let grant t words =
   if words < 0 then invalid_arg "Space.grant";
   if free_words t < words then Addr.null
   else begin

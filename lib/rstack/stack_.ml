@@ -104,38 +104,38 @@ let unwind_to t ~depth:d =
   if d < 0 || d > t.depth then invalid_arg "Stack_.unwind_to";
   if d < t.depth then shrink_to t d
 
-(* The accessors below are [@inline]: ocamlopt without flambda leaves a
-   function that can raise a call otherwise, and the scan makes four of
-   these reads per decoded frame. *)
+(* The scan makes four of the reads below per decoded frame; the
+   release build's inlining budget (dune-workspace) inlines each of them
+   into its caller, across modules. *)
 
-let[@inline] get_word t i =
+let get_word t i =
   if i < 0 || i >= t.top_size then invalid_arg "Frame.get";
   Array.unsafe_get t.words (t.top_base + i)
 
-let[@inline] set_word t i w =
+let set_word t i w =
   if i < 0 || i >= t.top_size then invalid_arg "Frame.set";
   Array.unsafe_set t.words (t.top_base + i) w
 
 let get t i = Mem.Value.decode (get_word t i)
 let set t i v = set_word t i (Mem.Value.encode v)
 
-let[@inline] check t i =
+let check t i =
   if i < 0 || i >= t.depth then invalid_arg "Stack_: depth index out of range"
 
-let[@inline] key_at t i =
+let key_at t i =
   check t i;
   Array.unsafe_get t.keys i
 
-let[@inline] base_at t i =
+let base_at t i =
   check t i;
   Array.unsafe_get t.bases i
 
-let[@inline] size_at t i =
+let size_at t i =
   check t i;
   if i = t.depth - 1 then t.top_size
   else Array.unsafe_get t.bases (i + 1) - Array.unsafe_get t.bases i
 
-let[@inline] serial_at t i =
+let serial_at t i =
   check t i;
   Array.unsafe_get t.serials i
 

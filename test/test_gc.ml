@@ -355,18 +355,35 @@ let card_table_unit () =
   Alcotest.(check (list int)) "cards" [ 1; 10 ]
     (Collectors.Card_table.marked_cards ct);
   (* cover: objects of 40 words back to back from offset 0 *)
-  Collectors.Card_table.cover ct (fun f ->
-    let off = ref 0 in
-    for _ = 1 to 20 do
-      f ~offset:!off ~words:40;
-      off := !off + 40
-    done);
+  for i = 0 to 19 do
+    Collectors.Card_table.cover ct ~offset:(40 * i) ~words:40
+  done;
   (* card 1 spans words 64..128: the object at 40 covers its start *)
-  check_bool "crossing for card 1" true
-    (Collectors.Card_table.crossing ct 1 = Some 40);
-  let lo, hi = Collectors.Card_table.card_range ct 1 in
-  check_int "window lo" 64 lo;
-  check_int "window hi" 128 hi;
+  check_int "crossing for card 1" 40 (Collectors.Card_table.crossing ct 1);
+  check_int "uncovered card" (-1) (Collectors.Card_table.crossing ct 15);
+  check_int "window lo" 64 (Collectors.Card_table.card_lo ct 1);
+  check_int "window hi" 128 (Collectors.Card_table.card_hi ct 1);
+  (* the window is clipped to the covered prefix (800 words) *)
+  check_int "clipped hi" 800 (Collectors.Card_table.card_hi ct 12);
+  (* a drain visits the marked cards and counts them; a card marked by
+     the visit itself waits for the next drain, over both mark buffers *)
+  let seen = ref [] in
+  let drained =
+    Collectors.Card_table.drain_marked ct (fun c ->
+      seen := c :: !seen;
+      if c = 10 then Collectors.Card_table.record ct ~offset:200)
+  in
+  check_int "drained" 2 drained;
+  Alcotest.(check (list int)) "drain order" [ 10; 1 ] !seen;
+  Alcotest.(check (list int)) "marked during the drain" [ 3 ]
+    (Collectors.Card_table.marked_cards ct);
+  for _ = 1 to 2 do
+    Alcotest.(check (list int)) "next drain" [ 3 ]
+      (let seen = ref [] in
+       ignore (Collectors.Card_table.drain_marked ct (fun c -> seen := c :: !seen));
+       !seen);
+    Collectors.Card_table.record ct ~offset:200
+  done;
   Collectors.Card_table.clear_marks ct;
   check_int "cleared" 0 (Collectors.Card_table.marked_count ct)
 
