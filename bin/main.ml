@@ -14,6 +14,27 @@ let workload_arg =
   let doc = "Workload name (see `repro list`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
 
+(* [w]'s problem size at [factor].  A factor that takes it outside the
+   sizes [w] accepts is a usage error (exit 2), not a failure deep inside
+   the run. *)
+let scale_or_exit cmd ~factor w =
+  let sc = Harness.Runs.scale ~factor w in
+  if not (Workloads.Spec.accepts w sc) then begin
+    let lo, hi = w.Workloads.Spec.scale_range in
+    Printf.eprintf "%s: --factor %g gives %s scale %d, outside %s\n" cmd factor
+      w.Workloads.Spec.name sc
+      (if hi = max_int then Printf.sprintf "%d.." lo
+       else Printf.sprintf "%d..%d" lo hi);
+    exit 2
+  end;
+  sc
+
+(* the same check for a command that runs every workload *)
+let check_factor cmd factor =
+  List.iter
+    (fun w -> ignore (scale_or_exit cmd ~factor w : int))
+    Workloads.Registry.all
+
 (* --- list --- *)
 
 let list_cmd =
@@ -39,6 +60,7 @@ let tables_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let run factor only trace_path =
+    check_factor "tables" factor;
     match only with
     | None -> print_string (Harness.Suite.render_all ?trace_path ~factor ())
     | Some id ->
@@ -56,7 +78,10 @@ let tables_cmd =
 (* --- figure2 --- *)
 
 let figure2_cmd =
-  let run factor = print_string (Harness.Figure2.render ~factor) in
+  let run factor =
+    check_factor "figure2" factor;
+    print_string (Harness.Figure2.render ~factor)
+  in
   Cmd.v
     (Cmd.info "figure2"
        ~doc:"Heap-profile reports for Knuth-Bendix and Nqueen (Figure 2)")
@@ -65,7 +90,10 @@ let figure2_cmd =
 (* --- ablation --- *)
 
 let ablation_cmd =
-  let run factor = print_string (Harness.Ablation.render ~factor) in
+  let run factor =
+    check_factor "ablation" factor;
+    print_string (Harness.Ablation.render ~factor)
+  in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Design-choice ablations (see DESIGN.md)")
     Term.(const run $ factor_arg)
@@ -106,7 +134,7 @@ let profile_cmd =
       prerr_endline ("unknown workload: " ^ name);
       exit 2
     | w ->
-      let sc = Harness.Runs.scale ~factor w in
+      let sc = scale_or_exit "profile" ~factor w in
       let data = Harness.Runs.profile_of ~workload:w ~scale:sc in
       print_string
         (Heap_profile.Report.render ~title:name ~cutoff:Harness.Runs.cutoff
@@ -127,6 +155,7 @@ let profile_cmd =
 
 let check_cmd =
   let run factor =
+    check_factor "check" factor;
     let out = Harness.Claims.render ~factor in
     print_string out;
     if not (Harness.Claims.all_pass ~factor) then exit 1
@@ -142,6 +171,7 @@ let check_cmd =
 
 let calibrate_cmd =
   let run factor =
+    check_factor "calibrate" factor;
     Printf.printf "%-14s %12s %12s  (Min = 2 x max live; budgets are k*Min)\n"
       "Workload" "Max live" "Min";
     List.iter
@@ -197,7 +227,7 @@ let run_cmd =
       prerr_endline ("unknown workload: " ^ name);
       exit 2
     | w ->
-      let sc = Harness.Runs.scale ~factor w in
+      let sc = scale_or_exit "run" ~factor w in
       let label, cfg =
         match policy, technique with
         | Some _, Some _ ->
@@ -389,7 +419,7 @@ let gc_trace_cmd =
       validate_collector_knobs "gc-trace" ~parallelism ~major_kind ~chunk_words
         header_layout;
       let technique = Option.value technique ~default:Harness.Runs.Gen in
-      let sc = Harness.Runs.scale ~factor w in
+      let sc = scale_or_exit "gc-trace" ~factor w in
       let cfg =
         { (Harness.Runs.config_for ~workload:w ~scale:sc ~technique ~k) with
           Gsc.Config.parallelism; parallelism_mode; chunk_words; census_period;

@@ -19,14 +19,15 @@ let program rt =
   let s_keep = R.register_site rt ~name:"aging.keeper" in
   let s_churn = R.register_site rt ~name:"aging.churn" in
   let key = R.register_frame rt ~name:"aging.main" ~slots:(Workloads.Dsl.slots "pp") in
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     for i = 1 to 20_000 do
-      R.alloc_record rt ~site:s_churn ~dst:(R.To_slot 1)
-        [ R.I (R.Imm i); R.I (R.Imm i) ];
+      R.alloc_record2 rt ~site:s_churn ~mask:0 ~dst:(R.to_slot 1)
+        (R.imm i) (R.imm i);
       if i mod 20 = 0 then
-        R.alloc_record rt ~site:s_keep ~dst:(R.To_slot 0)
-          [ R.I (R.Imm i); R.P (R.Slot 0) ]
-    done);
+        R.alloc_record2 rt ~site:s_keep ~mask:0b10 ~dst:(R.to_slot 0)
+          (R.imm i) (R.slot 0)
+    done)
+    ();
   s_keep
 
 let run ~threshold ~pretenure =

@@ -23,18 +23,21 @@ let run cfg =
     R.register_frame rt ~name:"deep.level"
       ~slots:[| Rstack.Trace.Ptr; Rstack.Trace.Ptr |]
   in
-  let rec go level =
-    R.call rt ~key ~args:[] (fun () ->
-      R.alloc_record rt ~site ~dst:(R.To_slot 0)
-        [ R.I (R.Imm level); R.P (R.Slot 0) ];
-      for _ = 1 to junk_per_level do
-        R.alloc_record rt ~site:site_junk ~dst:(R.To_slot 1)
-          [ R.I (R.Imm 0); R.I (R.Imm 0) ]
-      done;
-      if level = 0 then 0
-      else go (level - 1) + R.field_int rt ~obj:(R.Slot 0) ~idx:0)
+  (* one call body for every level, built once: [R.call0] passes it the
+     level and allocates nothing per call *)
+  let rec level_body level =
+    R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 0) (R.imm level)
+      (R.slot 0);
+    for _ = 1 to junk_per_level do
+      R.alloc_record2 rt ~site:site_junk ~mask:0 ~dst:(R.to_slot 1) (R.imm 0)
+        (R.imm 0)
+    done;
+    if level = 0 then 0
+    else
+      R.call0 rt ~key level_body (level - 1)
+      + R.field_int rt ~obj:(R.slot 0) ~idx:0
   in
-  let total = go depth in
+  let total = R.call0 rt ~key level_body depth in
   assert (total = depth * (depth + 1) / 2);
   let s = R.stats rt in
   let clock = Harness.Simclock.of_stats s in

@@ -20,21 +20,22 @@ let () =
       ~slots:[| Rstack.Trace.Ptr; Rstack.Trace.Non_ptr |]
   in
   let total =
-    R.call rt ~key ~args:[] (fun () ->
-      R.set_slot rt 0 Mem.Value.null;
+    R.call0 rt ~key (fun () ->
+      R.move rt R.nil (R.to_slot 0);
       for i = 1 to 10_000 do
         (* cons cell: { square; next } — the collector may run inside
            this allocation; the result lands rooted in slot 0 *)
-        R.alloc_record rt ~site:site_cons ~dst:(R.To_slot 0)
-          [ R.I (R.Imm (i * i)); R.P (R.Slot 0) ]
+        R.alloc_record2 rt ~site:site_cons ~mask:0b10 ~dst:(R.to_slot 0)
+          (R.imm (i * i)) (R.slot 0)
       done;
       (* walk the list *)
       let sum = ref 0 in
-      while not (R.is_nil rt (R.Slot 0)) do
-        sum := !sum + R.field_int rt ~obj:(R.Slot 0) ~idx:0;
-        R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 0)
+      while not (R.is_nil rt (R.slot 0)) do
+        sum := !sum + R.field_int rt ~obj:(R.slot 0) ~idx:0;
+        R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 0)
       done;
       !sum)
+      ()
   in
   Printf.printf "sum of squares 1..10000 = %d\n" total;
   let stats = R.stats rt in

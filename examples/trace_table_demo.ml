@@ -50,18 +50,20 @@ let () =
     (Rstack.Trace_table.pp_entry ~key:callee_key)
     (Rstack.Trace_table.lookup scratch scratch_key);
   (* build the frames and scan *)
-  R.call rt ~key:caller_key ~args:[] (fun () ->
-    R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 1) ];
-    R.alloc_record rt ~site ~dst:(R.To_reg 10) [ R.I (R.Imm 2) ];
-    R.call rt ~key:callee_key ~args:[] (fun () ->
-      R.set_slot rt 0 (Mem.Value.Int 42);
-      R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Imm 3) ];
-      R.alloc_record rt ~site ~dst:(R.To_slot 2) [ R.I (R.Imm 4) ];
+  R.call0 rt ~key:caller_key (fun () ->
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.imm 1);
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_reg 10) (R.imm 2);
+    R.call0 rt ~key:callee_key (fun () ->
+      R.move rt (R.imm 42) (R.to_slot 0);
+      R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 1) (R.imm 3);
+      R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 2) (R.imm 4);
       (* slot 3 says "slot 4 is boxed"; slot 4 then needs a pointer *)
-      R.set_slot rt 3 (Mem.Value.Int Rstack.Trace.type_code_boxed);
-      R.alloc_record rt ~site ~dst:(R.To_slot 4) [ R.I (R.Imm 5) ];
+      R.move rt (R.imm Rstack.Trace.type_code_boxed) (R.to_slot 3);
+      R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 4) (R.imm 5);
       (* save the caller's register 10 into slot 5, as the callee would *)
-      R.set_slot rt 5 (R.get_reg rt 10);
+      R.move rt (R.reg 10) (R.to_slot 5);
       let live = R.check_heap rt in
       Printf.printf
-        "two-pass scan finds every root: %d live objects (expected 5)\n" live))
+        "two-pass scan finds every root: %d live objects (expected 5)\n" live)
+      ())
+    ()

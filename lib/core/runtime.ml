@@ -361,40 +361,52 @@ let site_name t site =
 
 let site_count t = Support.Vec.length t.site_names
 
-(* --- operands --- *)
+(* --- operands ---
 
-type src =
-  | Imm of int
-  | Nil
-  | Slot of int
-  | Reg of int
-  | Global of int
+   An operand is an immediate int (DESIGN.md §5r).  An immediate is its
+   own encoded word, [Value.encode_int n] with low bit 1; a location is
+   [(idx lsl 3) lor (kind lsl 1)] with low bit 0, kind 0 the null
+   pointer, 1 a frame slot, 2 a register and 3 a global.  A [dst] is a
+   location of kind 1 to 3.  Operands move as encoded words: frames,
+   registers and globals hold them, so no [Value.t] is built between a
+   cell and the heap. *)
 
-type dst =
-  | To_slot of int
-  | To_reg of int
-  | To_global of int
+type src = int
+type dst = int
+type word = int
 
-type field =
-  | P of src
-  | I of src
+let imm n = Value.encode_int n
+let nil = 0
+let location kind idx = (idx lsl 3) lor (kind lsl 1)
+let slot i = location 1 i
+let reg r = location 2 r
+let global g = location 3 g
+let to_slot = slot
+let to_reg = reg
+let to_global = global
 
-(* operands move as encoded words: frames, registers and globals hold
-   them, so no [Value.t] is built between a cell and the heap *)
-let read_word t = function
-  | Imm n -> Value.encode_int n
-  | Nil -> Value.encoded_null
-  | Slot i -> Rstack.Stack_.get_word t.stack i
-  | Reg r -> Rstack.Reg_file.get_word t.regs r
-  | Global g -> t.globals.(g)
+let read_word t s =
+  if s land 1 = 1 then s
+  else
+    let idx = s asr 3 in
+    match (s lsr 1) land 3 with
+    | 0 -> Value.encoded_null
+    | 1 -> Rstack.Stack_.get_word t.stack idx
+    | 2 -> Rstack.Reg_file.get_word t.regs idx
+    | _ -> t.globals.(idx)
 
-let write_word t dst w =
-  match dst with
-  | To_slot i -> Rstack.Stack_.set_word t.stack i w
-  | To_reg r -> Rstack.Reg_file.set_word t.regs r w
-  | To_global g ->
-    t.globals.(g) <- w;
-    mark_dirty t g
+let write_word t d w =
+  let idx = d asr 3 in
+  match (d lsr 1) land 3 with
+  | 1 -> Rstack.Stack_.set_word t.stack idx w
+  | 2 -> Rstack.Reg_file.set_word t.regs idx w
+  | _ ->
+    t.globals.(idx) <- w;
+    mark_dirty t idx
+
+let word = read_word
+let set = write_word
+let move t src dst = write_word t dst (read_word t src)
 
 let read t src = Value.decode (read_word t src)
 let write t dst v = write_word t dst (Value.encode v)
@@ -424,26 +436,20 @@ let mut_op t =
   t.stats.Collectors.Gc_stats.mutator_ops <-
     t.stats.Collectors.Gc_stats.mutator_ops + 1
 
-let rec store_args stack i = function
-  | [] -> ()
-  | v :: rest ->
-    Rstack.Stack_.set stack i v;
-    store_args stack (i + 1) rest
-
-let call t ~key ~args f =
+(* pushes a frame for [key] and returns its serial.  One trace-table
+   lookup serves the arity check and the push; the arity is checked
+   before the push, so a rejected call leaves the stack as it was *)
+let enter t ~key ~arity =
   mut_op t;
-  (* one trace-table lookup serves the arity check and the push; the
-     arity is checked before the push, so a failed store never leaves
-     the frame on the stack *)
   let entry = Rstack.Trace_table.lookup t.table key in
-  if
-    List.compare_length_with args (Array.length entry.Rstack.Trace_table.slots)
-    > 0
-  then invalid_arg "Runtime.call: more arguments than frame slots";
+  if arity > Array.length entry.Rstack.Trace_table.slots then
+    invalid_arg "Runtime.call: more arguments than frame slots";
   let serial = Rstack.Stack_.next_serial t.stack in
   Rstack.Stack_.push t.stack ~key entry;
-  store_args t.stack 0 args;
-  match f () with
+  serial
+
+let run_frame t serial body x =
+  match body x with
   | v ->
     pop_frame t serial;
     v
@@ -456,15 +462,29 @@ let call t ~key ~args f =
     if on_top t serial then pop_frame t serial;
     raise e
 
-let get_slot t i = Rstack.Stack_.get t.stack i
-let set_slot t i v = Rstack.Stack_.set t.stack i v
-let get_reg t r = Rstack.Reg_file.get t.regs r
-let set_reg t r v = Rstack.Reg_file.set t.regs r v
+(* the arguments are read in the caller, before the push *)
+let call0 t ~key body x = run_frame t (enter t ~key ~arity:0) body x
 
-let get_global t g = Value.decode t.globals.(g)
-let set_global t g v =
-  t.globals.(g) <- Value.encode v;
-  mark_dirty t g
+let call1 t ~key a0 body x =
+  let w0 = read_word t a0 in
+  let serial = enter t ~key ~arity:1 in
+  Rstack.Stack_.set_word t.stack 0 w0;
+  run_frame t serial body x
+
+let call2 t ~key a0 a1 body x =
+  let w0 = read_word t a0 and w1 = read_word t a1 in
+  let serial = enter t ~key ~arity:2 in
+  Rstack.Stack_.set_word t.stack 0 w0;
+  Rstack.Stack_.set_word t.stack 1 w1;
+  run_frame t serial body x
+
+let call3 t ~key a0 a1 a2 body x =
+  let w0 = read_word t a0 and w1 = read_word t a1 and w2 = read_word t a2 in
+  let serial = enter t ~key ~arity:3 in
+  Rstack.Stack_.set_word t.stack 0 w0;
+  Rstack.Stack_.set_word t.stack 1 w1;
+  Rstack.Stack_.set_word t.stack 2 w2;
+  run_frame t serial body x
 
 let int_of t src = Value.decode_int (read_word t src)
 
@@ -512,41 +532,82 @@ let check_integer_word w =
   if Value.encoded_is_ptr w then
     invalid_arg "Runtime: pointer written to an integer field"
 
-(* reads, checks and stores [fields] from cell [cell] on, in order *)
-let rec store_fields t cells ~site cell = function
-  | [] -> ()
-  | P s :: rest ->
-    let w = read_word t s in
+(* [src] is read, checked and stored into field [i] of the fresh record
+   [base] of [site] ([cells], [off]: its block and offset); bit [i] of
+   [mask] says the field is a pointer.  A pointer field of a scan-free
+   site (Section 7.2) that the minor's region scan would skip falls back
+   to the write barrier when it holds a nursery object: the policy's
+   observed edges are no proof that it never does *)
+let init_field t cells ~off ~site ~mask base i src =
+  let w = read_word t src in
+  let cell = off + Header.header_words () + i in
+  if mask land (1 lsl i) <> 0 then begin
     check_pointer_word w;
     note_edge t ~from_site:site w;
     cells.(cell) <- w;
-    store_fields t cells ~site (cell + 1) rest
-  | I s :: rest ->
-    let w = read_word t s in
+    if not (needs_scan t site) && Value.encoded_is_ptr w then begin
+      let col = collector t in
+      if
+        Collectors.Collector.in_nursery col (Value.encoded_to_addr w)
+        && not (Collectors.Collector.in_nursery col base)
+      then begin
+        Collectors.Collector.remember col ~obj:base
+          ~loc:(Mem.Addr.unsafe_add base (cell - off));
+        t.stats.Collectors.Gc_stats.region_scan_fallbacks <-
+          t.stats.Collectors.Gc_stats.region_scan_fallbacks + 1
+      end
+    end
+  end
+  else begin
     check_integer_word w;
-    cells.(cell) <- w;
-    store_fields t cells ~site (cell + 1) rest
+    cells.(cell) <- w
+  end
 
-let alloc_record t ~site ~dst fields =
-  (* one pass over [fields] for the length and the pointer mask *)
-  let len = ref 0 and mask = ref 0 and rest = ref fields in
-  while
-    match !rest with
-    | [] -> false
-    | f :: tl ->
-      (match f with P _ -> mask := !mask lor (1 lsl !len) | I _ -> ());
-      incr len;
-      rest := tl;
-      true
-  do
-    ()
-  done;
-  let base =
-    alloc_fields t ~tag:Header.tag_record ~len:!len ~mask:!mask ~site
-  in
-  store_fields t (Memory.cells t.mem base) ~site
-    (Mem.Addr.offset base + Header.header_words ())
-    fields;
+let alloc_record1 t ~site ~mask ~dst a0 =
+  let base = alloc_fields t ~tag:Header.tag_record ~len:1 ~mask ~site in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  init_field t cells ~off ~site ~mask base 0 a0;
+  write_word t dst (Value.encode_addr base)
+
+let alloc_record2 t ~site ~mask ~dst a0 a1 =
+  let base = alloc_fields t ~tag:Header.tag_record ~len:2 ~mask ~site in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  init_field t cells ~off ~site ~mask base 0 a0;
+  init_field t cells ~off ~site ~mask base 1 a1;
+  write_word t dst (Value.encode_addr base)
+
+let alloc_record3 t ~site ~mask ~dst a0 a1 a2 =
+  let base = alloc_fields t ~tag:Header.tag_record ~len:3 ~mask ~site in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  init_field t cells ~off ~site ~mask base 0 a0;
+  init_field t cells ~off ~site ~mask base 1 a1;
+  init_field t cells ~off ~site ~mask base 2 a2;
+  write_word t dst (Value.encode_addr base)
+
+let alloc_record4 t ~site ~mask ~dst a0 a1 a2 a3 =
+  let base = alloc_fields t ~tag:Header.tag_record ~len:4 ~mask ~site in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  init_field t cells ~off ~site ~mask base 0 a0;
+  init_field t cells ~off ~site ~mask base 1 a1;
+  init_field t cells ~off ~site ~mask base 2 a2;
+  init_field t cells ~off ~site ~mask base 3 a3;
+  write_word t dst (Value.encode_addr base)
+
+let alloc_record5 t ~site ~mask ~dst a0 a1 a2 a3 a4 =
+  let base = alloc_fields t ~tag:Header.tag_record ~len:5 ~mask ~site in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  init_field t cells ~off ~site ~mask base 0 a0;
+  init_field t cells ~off ~site ~mask base 1 a1;
+  init_field t cells ~off ~site ~mask base 2 a2;
+  init_field t cells ~off ~site ~mask base 3 a3;
+  init_field t cells ~off ~site ~mask base 4 a4;
+  write_word t dst (Value.encode_addr base)
+
+let alloc_record_n t ~site ~mask ~dst fields =
+  let len = Array.length fields in
+  let base = alloc_fields t ~tag:Header.tag_record ~len ~mask ~site in
+  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
+  Array.iteri (init_field t cells ~off ~site ~mask base) fields;
   write_word t dst (Value.encode_addr base)
 
 let alloc_ptr_array t ~site ~dst ~len =
@@ -590,29 +651,30 @@ let load_field t ~obj ~idx ~dst =
   let cells = Memory.cells t.mem base in
   write_word t dst cells.(field_cell cells ~off:(Mem.Addr.offset base) idx)
 
-let store_field t ~obj ~idx field =
+let store_field t ~obj ~idx ~ptr src =
   mut_op t;
   let base = obj_base t obj in
   let cells = Memory.cells t.mem base in
   let off = Mem.Addr.offset base in
   let cell = field_cell cells ~off idx in
-  match field with
-  | P s ->
+  if ptr then begin
     if not (Header.is_pointer_field_c cells ~off idx) then
       invalid_arg "Runtime: pointer store into a non-pointer field";
-    let w = read_word t s in
+    let w = read_word t src in
     check_pointer_word w;
     cells.(cell) <- w;
     (* the field lies inside the object's block: [cell] was just stored *)
     Collectors.Collector.record_update (collector t) ~obj:base
       ~loc:(Mem.Addr.unsafe_add base (cell - off));
     note_edge t ~from_site:(Header.site_c cells ~off) w
-  | I s ->
+  end
+  else begin
     if Header.is_pointer_field_c cells ~off idx then
       invalid_arg "Runtime: integer store into a pointer field";
-    let w = read_word t s in
+    let w = read_word t src in
     check_integer_word w;
     cells.(cell) <- w
+  end
 
 let field_int t ~obj ~idx =
   mut_op t;
@@ -727,6 +789,10 @@ module Internal = struct
       ~len:hdr.Header.len
       ~mask:(Header.mask_of_kind hdr.Header.kind)
       ~site:hdr.Header.site
+
+  let alloc_record = alloc_record_n
+
+  let scan_free t site = not (needs_scan t site)
 
   let record_update t ~obj ~loc =
     Collectors.Collector.record_update (collector t) ~obj ~loc

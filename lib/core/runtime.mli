@@ -7,11 +7,17 @@
     simulated exceptions.  The garbage collector may run inside any
     allocation, so the one discipline workloads must follow is:
 
-    {b a [Mem.Value.t] obtained from the runtime is only valid until the
-    next allocation} — read a value out of a rooted location and
-    immediately store it into another rooted location (or into a fresh
-    object).  The [src]/[dst] operand forms make the common cases safe by
-    re-reading locations after any collection the operation performs.
+    {b a word read out of the runtime is only valid until the next
+    allocation} — read it out of a rooted location and immediately store
+    it into another rooted location (or into a fresh object).  Operations
+    take {!src}/{!dst} operands instead of values and re-read their
+    locations after any collection they perform, so the common cases are
+    safe by construction; a {!word} or {!Mem.Value.t} held across an
+    allocation is not.
+
+    Operands are immediate ints, built once and passed by value, so no
+    operation on a workload's path allocates host memory (DESIGN.md
+    §5r).
 
     Frames, slots and the exception machinery mirror Section 2.3 of the
     paper; stack markers and the scan cache implement Section 5;
@@ -50,51 +56,77 @@ val register_site : t -> name:string -> int
 val site_name : t -> int -> string
 val site_count : t -> int
 
-(** {1 Operands} *)
+(** {1 Operands}
+
+    An operand is an immediate int.  An immediate [imm n] is exactly
+    [Mem.Value.encode_int n] (low bit 1), so its range is the heap's int
+    range; a location is [(idx lsl 3) lor (kind lsl 1)] (low bit 0;
+    kind 0 {!nil}, 1 a slot, 2 a register, 3 a global), so [to_slot i]
+    and [slot i] are the same int.  Build the operands a loop
+    uses once, or inline: either way nothing is allocated. *)
 
 (** Where an operation reads a value from. *)
-type src =
-  | Imm of int        (** an immediate integer *)
-  | Nil               (** the null pointer *)
-  | Slot of int       (** slot of the current frame *)
-  | Reg of int        (** register *)
-  | Global of int     (** global table entry *)
+type src = private int
 
 (** Where an operation writes its result. *)
-type dst =
-  | To_slot of int
-  | To_reg of int
-  | To_global of int
+type dst = private int
 
-(** A record/array field specification: [P] fields hold pointers (traced
-    by the collector), [I] fields hold raw integers. *)
-type field =
-  | P of src
-  | I of src
+(** An encoded machine word read out of a location: valid until the next
+    allocation. *)
+type word = private int
 
+(** [imm n]: the integer [n]. *)
+val imm : int -> src
+
+(** The null pointer. *)
+val nil : src
+
+(** [slot i]: slot [i] of the current frame; [reg r]: register [r];
+    [global g]: entry [g] of the global table. *)
+val slot : int -> src
+
+val reg : int -> src
+val global : int -> src
+
+val to_slot : int -> dst
+val to_reg : int -> dst
+val to_global : int -> dst
+
+(** [word t src] reads [src]'s word; [set t dst w] stores one;
+    [move t src dst] is [set t dst (word t src)].  None of them counts as
+    a mutator operation. *)
+val word : t -> src -> word
+
+val set : t -> dst -> word -> unit
+val move : t -> src -> dst -> unit
+
+(** [read]/[write] are {!word}/{!set} through the boxed [Mem.Value.t]:
+    for tests and inspection, not for a workload's loop. *)
 val read : t -> src -> Mem.Value.t
+
 val write : t -> dst -> Mem.Value.t -> unit
-
-(** {1 Frames, registers, globals} *)
-
-(** [call t ~key ~args body] pushes a frame for trace-table entry [key],
-    stores [args] into slots [0..n-1], runs [body], pops the frame, and
-    returns [body]'s result.  [args] are read in the caller {e before}
-    the push; do not allocate between reading them and calling.
-    @raise Invalid_argument if [args] outnumber the frame's slots; the
-    check runs before the push, so the stack is left as it was. *)
-val call : t -> key:int -> args:Mem.Value.t list -> (unit -> 'a) -> 'a
-
-val depth : t -> int
-val get_slot : t -> int -> Mem.Value.t
-val set_slot : t -> int -> Mem.Value.t -> unit
-val get_reg : t -> int -> Mem.Value.t
-val set_reg : t -> int -> Mem.Value.t -> unit
-val get_global : t -> int -> Mem.Value.t
-val set_global : t -> int -> Mem.Value.t -> unit
 
 (** [int_of t src] reads an operand that must be an integer. *)
 val int_of : t -> src -> int
+
+(** {1 Frames}
+
+    [call0 t ~key body x] pushes a frame for trace-table entry [key],
+    runs [body x], pops the frame and returns [body]'s result.
+    [call1]…[call3] also store their operands into slots [0..n-1] of the
+    new frame; the operands are read in the caller, before the push.
+    Hoist [body] out of the loop that calls it (one closure per run, not
+    per call) and pass what varies through [x].
+    @raise Invalid_argument if the arguments outnumber the frame's
+    slots; the check runs before the push, so the stack is left as it
+    was. *)
+
+val call0 : t -> key:int -> ('a -> 'b) -> 'a -> 'b
+val call1 : t -> key:int -> src -> ('a -> 'b) -> 'a -> 'b
+val call2 : t -> key:int -> src -> src -> ('a -> 'b) -> 'a -> 'b
+val call3 : t -> key:int -> src -> src -> src -> ('a -> 'b) -> 'a -> 'b
+
+val depth : t -> int
 
 (** {1 Allocation}
 
@@ -102,11 +134,29 @@ val int_of : t -> src -> int
     after any collection they trigger, so the result is immediately
     rooted.  Field sources are read after the potential collection. *)
 
-(** [alloc_record t ~site ~dst fields] allocates a record; the pointer
-    mask is derived from the [P]/[I] field specifications.  [P] fields
-    must evaluate to pointers or [Nil]; [I] fields to integers.
-    @raise Invalid_argument on a mismatch. *)
-val alloc_record : t -> site:int -> dst:dst -> field list -> unit
+(** [alloc_record1 t ~site ~mask ~dst a0] … [alloc_record5] allocate
+    a record of one to five fields, initialised from the operands in
+    order; bit [i] of [mask] is set iff field [i] is a pointer.  A
+    pointer field must read as a pointer or [nil], an integer field as
+    an integer.  A pointer field of a scan-free site (Section 7.2)
+    initialised to a nursery object is also recorded in the write
+    barrier, and counted in [Gc_stats.region_scan_fallbacks].
+    @raise Invalid_argument on a mismatch, or on a mask wider than the
+    record. *)
+val alloc_record1 : t -> site:int -> mask:int -> dst:dst -> src -> unit
+
+val alloc_record2 :
+  t -> site:int -> mask:int -> dst:dst -> src -> src -> unit
+
+val alloc_record3 :
+  t -> site:int -> mask:int -> dst:dst -> src -> src -> src -> unit
+
+val alloc_record4 :
+  t -> site:int -> mask:int -> dst:dst -> src -> src -> src -> src -> unit
+
+val alloc_record5 :
+  t -> site:int -> mask:int -> dst:dst -> src -> src -> src -> src -> src ->
+  unit
 
 (** [alloc_ptr_array t ~site ~dst ~len] allocates a pointer array,
     initialised to null pointers. *)
@@ -122,10 +172,11 @@ val alloc_nonptr_array : t -> site:int -> dst:dst -> len:int -> unit
     [obj] points to. *)
 val load_field : t -> obj:src -> idx:int -> dst:dst -> unit
 
-(** [store_field t ~obj ~idx field] writes one field, through the write
-    barrier for pointer stores.  The field's pointerness must agree with
-    the object's header. @raise Invalid_argument otherwise. *)
-val store_field : t -> obj:src -> idx:int -> field -> unit
+(** [store_field t ~obj ~idx ~ptr src] writes one field, through the
+    write barrier when [ptr] (a pointer store).  [ptr] must agree with
+    the field's pointerness in the object's header.
+    @raise Invalid_argument otherwise. *)
+val store_field : t -> obj:src -> idx:int -> ptr:bool -> src -> unit
 
 (** [field_int t ~obj ~idx] reads an integer field directly. *)
 val field_int : t -> obj:src -> idx:int -> int
@@ -203,7 +254,7 @@ val young_roots : t -> int
 
 (** {1 Reference-twin access}
 
-    The layer below the operand forms, exposed so that the safe-tier
+    The layer below the operands, exposed so that the safe-tier
     twin of the heap-access operations (test/runtime_ref.ml) can run
     against the same runtime state.  Workloads never need it. *)
 module Internal : sig
@@ -219,6 +270,15 @@ module Internal : sig
       pretenure table says so), as every [alloc_*] operation does; it
       may collect.  The header-record form, for the safe-tier twin. *)
   val alloc_object : t -> Mem.Header.t -> Mem.Addr.t
+
+  (** [alloc_record t ~site ~mask ~dst fields] is [alloc_record1]…
+      [alloc_record5] at any arity, through the same field-initialising
+      helper: for tests that need other widths. *)
+  val alloc_record : t -> site:int -> mask:int -> dst:dst -> src array -> unit
+
+  (** [scan_free t site]: the policy lets the minor skip [site]'s
+      pretenured objects. *)
+  val scan_free : t -> int -> bool
 
   (** [record_update t ~obj ~loc] runs the write barrier for a pointer
       store into [loc], a field of [obj]. *)

@@ -35,6 +35,11 @@ let record_update t ~obj ~loc =
     st.Gc_stats.pointer_updates <- st.Gc_stats.pointer_updates + 1
   | Generational g -> Generational.record_update g ~obj ~loc
 
+let remember t ~obj ~loc =
+  match t with
+  | Semispace _ -> ()
+  | Generational g -> Generational.remember g ~obj ~loc
+
 let in_nursery t a =
   match t with
   | Semispace _ -> false

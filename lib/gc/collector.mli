@@ -40,6 +40,10 @@ val alloc_pretenured : t -> Mem.Header.t -> birth:int -> Mem.Addr.t
     so Table 2's pointer-update column is collector-independent. *)
 val record_update : t -> obj:Mem.Addr.t -> loc:Mem.Addr.t -> unit
 
+(** [remember t ~obj ~loc] logs an edge without counting an update
+    ({!Generational.remember}); a no-op under the semispace collector. *)
+val remember : t -> obj:Mem.Addr.t -> loc:Mem.Addr.t -> unit
+
 (** [in_nursery t a]: [a] lies in the generational collector's nursery
     (its block, whether or not below the frontier); [false] under the
     semispace collector, which has none. *)

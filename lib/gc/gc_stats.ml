@@ -14,6 +14,7 @@ type t = {
   mutable words_pretenured : int;
   mutable words_region_scanned : int;
   mutable words_region_skipped : int;
+  mutable region_scan_fallbacks : int;
   mutable words_los_freed : int;
   mutable words_marked : int;
   mutable words_swept_free : int;
@@ -58,6 +59,7 @@ let create () = {
   words_pretenured = 0;
   words_region_scanned = 0;
   words_region_skipped = 0;
+  region_scan_fallbacks = 0;
   words_los_freed = 0;
   words_marked = 0;
   words_swept_free = 0;

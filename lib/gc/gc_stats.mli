@@ -24,6 +24,10 @@ type t = {
   mutable words_pretenured : int;     (** allocated straight into tenured *)
   mutable words_region_scanned : int; (** pretenured-region scan work *)
   mutable words_region_skipped : int; (** scan elision savings (Section 7.2) *)
+  mutable region_scan_fallbacks : int;
+      (** pointer fields of records at scan-free sites initialised to a
+          nursery object, so recorded in the write barrier instead
+          (DESIGN.md §5r); not counted in [pointer_updates] *)
   mutable words_los_freed : int;      (** returned to the LOS backend by sweeps *)
   mutable words_marked : int;
       (** live words marked in place by mark-sweep majors (tenured +

@@ -246,13 +246,16 @@ let barrier_record t ~loc ~owner =
       Card_table.record cards ~offset:(Mem.Addr.diff loc (Mem.Space.base t.tenured))
     else Ssb.record overflow loc
 
-let record_update t ~obj ~loc =
-  t.stats.Gc_stats.pointer_updates <- t.stats.Gc_stats.pointer_updates + 1;
-  (* only the remembered set reads the owner: record it here rather than
-     allocate [Some obj] on every pointer store *)
+(* only the remembered set reads the owner: record it here rather than
+   allocate [Some obj] on every pointer store *)
+let remember t ~obj ~loc =
   match t.barrier with
   | B_remset rs -> Remset.record rs obj
   | B_ssb _ | B_cards _ -> barrier_record t ~loc ~owner:None
+
+let record_update t ~obj ~loc =
+  t.stats.Gc_stats.pointer_updates <- t.stats.Gc_stats.pointer_updates + 1;
+  remember t ~obj ~loc
 
 (* extend the card crossing map over tenured objects added since the last
    collection (promotions and pretenured allocations) *)

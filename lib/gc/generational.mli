@@ -187,6 +187,12 @@ val alloc_pretenured :
     containing it. *)
 val record_update : t -> obj:Mem.Addr.t -> loc:Mem.Addr.t -> unit
 
+(** [remember t ~obj ~loc] logs the edge at [loc] in the barrier's
+    structure as [record_update] does, without counting a pointer
+    update: the runtime's scan-elision fallback for a record's
+    initialising store. *)
+val remember : t -> obj:Mem.Addr.t -> loc:Mem.Addr.t -> unit
+
 (** Force a minor collection. *)
 val minor : t -> unit
 

@@ -1,13 +1,15 @@
 (* Cells are stored in [int array]s using {!Value.encode}, so a simulated
    word costs exactly one unboxed host word. *)
 
-type block = {
-  mutable cells : int array option; (* [None] once freed *)
-  mutable freed_at : int;           (* event stamp of the last free *)
-}
-
+(* The block table is flat: [table.(id)] is block [id]'s cell array, so
+   resolving an address is two dependent loads (the table, then the
+   block).  A freed id holds the empty array, which no live block can
+   be ([alloc_block] and [reissue_block] refuse empty blocks).  Ids at or
+   past [issued] were never handed out. *)
 type t = {
-  blocks : block Support.Vec.t;
+  mutable table : int array array;
+  mutable freed_at : int array;     (* event stamp of each id's last free *)
+  mutable issued : int;             (* ids handed out so far *)
   free_ids : int Support.Vec.t;
   mutable allocated : int;
   mutable events : int;             (* alloc/free event counter *)
@@ -16,26 +18,37 @@ type t = {
 let zero_cell = Value.encode Value.zero
 
 let create () =
-  { blocks = Support.Vec.create ();
+  { table = [||];
+    freed_at = [||];
+    issued = 0;
     free_ids = Support.Vec.create ();
     allocated = 0;
     events = 0 }
+
+(* a fresh id past the issued ones, growing the table by doubling *)
+let fresh_id t =
+  let id = t.issued in
+  let cap = Array.length t.table in
+  if id = cap then begin
+    let cap' = max 16 (2 * cap) in
+    let table = Array.make cap' [||] and freed_at = Array.make cap' (-1) in
+    Array.blit t.table 0 table 0 cap;
+    Array.blit t.freed_at 0 freed_at 0 cap;
+    t.table <- table;
+    t.freed_at <- freed_at
+  end;
+  t.issued <- id + 1;
+  id
 
 (* register [cells] as a live block under the id the block table hands
    out next: the most recently freed one, else a new one *)
 let register t cells =
   t.events <- t.events + 1;
   let id =
-    if Support.Vec.is_empty t.free_ids then begin
-      Support.Vec.push t.blocks { cells = Some cells; freed_at = -1 };
-      Support.Vec.length t.blocks - 1
-    end
-    else begin
-      let id = Support.Vec.pop t.free_ids in
-      (Support.Vec.get t.blocks id).cells <- Some cells;
-      id
-    end
+    if Support.Vec.is_empty t.free_ids then fresh_id t
+    else Support.Vec.pop t.free_ids
   in
+  t.table.(id) <- cells;
   t.allocated <- t.allocated + Array.length cells;
   Addr.make ~block:id ~offset:0
 
@@ -49,25 +62,24 @@ let reissue_block t cells =
 
 let find t addr =
   let id = Addr.block addr in
-  if id >= Support.Vec.length t.blocks then
-    invalid_arg "Memory: address in unknown block";
-  let b = Support.Vec.get t.blocks id in
-  match b.cells with
-  | None ->
+  if id >= t.issued then invalid_arg "Memory: address in unknown block";
+  (* [0 <= id < issued <= Array.length t.table] *)
+  let cells = Array.unsafe_get t.table id in
+  if Array.length cells = 0 then
     invalid_arg
       (Printf.sprintf
          "Memory: access to freed block (id %d freed at event %d, now %d)" id
-         b.freed_at t.events)
-  | Some cells -> cells
+         t.freed_at.(id) t.events)
+  else cells
 
 let retire_block t base =
   let cells = find t base in
+  let id = Addr.block base in
   t.events <- t.events + 1;
   t.allocated <- t.allocated - Array.length cells;
-  let b = Support.Vec.get t.blocks (Addr.block base) in
-  b.cells <- None;
-  b.freed_at <- t.events;
-  Support.Vec.push t.free_ids (Addr.block base);
+  t.table.(id) <- [||];
+  t.freed_at.(id) <- t.events;
+  Support.Vec.push t.free_ids id;
   cells
 
 let free_block t base = ignore (retire_block t base : int array)
@@ -76,8 +88,7 @@ let block_words t addr = Array.length (find t addr)
 
 let live_block t addr =
   let id = Addr.block addr in
-  id < Support.Vec.length t.blocks
-  && (Support.Vec.get t.blocks id).cells <> None
+  id < t.issued && Array.length t.table.(id) > 0
 
 let get t addr =
   let cells = find t addr in

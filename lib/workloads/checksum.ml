@@ -32,43 +32,44 @@ let run rt ~scale =
   (* step: 0 = buffer, 1 = acc record *)
   let k_step = R.register_frame rt ~name:"chk.step" ~slots:(Dsl.slots "pp") in
   let prng = Support.Prng.create ~seed:0xC45 in
-  R.call rt ~key:k_main ~args:[] (fun () ->
-    (* create the buffer once and fill it deterministically *)
-    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 0) ~len:buffer_words;
-    for i = 0 to buffer_words - 1 do
-      R.store_field rt ~obj:(R.Slot 0) ~idx:i
-        (R.I (R.Imm (Support.Prng.int prng 65536)))
+  let step_body i =
+    let acc = R.field_int rt ~obj:(R.slot 1) ~idx:0 in
+    let v = R.field_int rt ~obj:(R.slot 0) ~idx:i in
+    R.alloc_record1 rt ~site:s_acc ~mask:0 ~dst:(R.to_slot 1)
+      (R.imm ((acc + v) land 0xFFFF));
+    R.word rt (R.slot 1)
+  in
+  let iterate_body () =
+    (* boxed accumulator: a fresh record per element, exactly the
+       short-lived allocation the paper's iterators produce *)
+    R.alloc_record1 rt ~site:s_acc ~mask:0 ~dst:(R.to_slot 1) (R.imm 0);
+    let len = R.obj_length rt ~obj:(R.slot 0) in
+    for i = 0 to len - 1 do
+      R.set rt (R.to_slot 1)
+        (R.call2 rt ~key:k_step (R.slot 0) (R.slot 1) step_body i)
     done;
-    R.set_slot rt 1 (Mem.Value.Int 0);
+    R.field_int rt ~obj:(R.slot 1) ~idx:0
+  in
+  R.call0 rt ~key:k_main (fun () ->
+    (* create the buffer once and fill it deterministically *)
+    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 0) ~len:buffer_words;
+    for i = 0 to buffer_words - 1 do
+      R.store_field rt ~obj:(R.slot 0) ~idx:i
+        ~ptr:false (R.imm (Support.Prng.int prng 65536))
+    done;
+    R.move rt (R.imm 0) (R.to_slot 1);
     for _ = 1 to scale do
       let pass_sum =
-        R.call rt ~key:k_iter
-          ~args:[ R.get_slot rt 0; Mem.Value.null; Mem.Value.Int 0 ]
-          (fun () ->
-            (* boxed accumulator: a fresh record per element, exactly the
-               short-lived allocation the paper's iterators produce *)
-            R.alloc_record rt ~site:s_acc ~dst:(R.To_slot 1) [ R.I (R.Imm 0) ];
-            let len = R.obj_length rt ~obj:(R.Slot 0) in
-            for i = 0 to len - 1 do
-              R.call rt ~key:k_step
-                ~args:[ R.get_slot rt 0; R.get_slot rt 1 ]
-                (fun () ->
-                  let acc = R.field_int rt ~obj:(R.Slot 1) ~idx:0 in
-                  let v = R.field_int rt ~obj:(R.Slot 0) ~idx:i in
-                  R.alloc_record rt ~site:s_acc ~dst:(R.To_slot 1)
-                    [ R.I (R.Imm ((acc + v) land 0xFFFF)) ];
-                  R.get_slot rt 1)
-              |> R.set_slot rt 1
-            done;
-            R.field_int rt ~obj:(R.Slot 1) ~idx:0)
+        R.call3 rt ~key:k_iter (R.slot 0) R.nil (R.imm 0) iterate_body ()
       in
-      let outer = Mem.Value.to_int (R.get_slot rt 1) in
-      R.set_slot rt 1 (Mem.Value.Int ((outer + pass_sum) land 0xFFFF))
+      let outer = R.int_of rt (R.slot 1) in
+      R.move rt (R.imm ((outer + pass_sum) land 0xFFFF)) (R.to_slot 1)
     done;
-    let got = Mem.Value.to_int (R.get_slot rt 1) in
+    let got = R.int_of rt (R.slot 1) in
     let want = expected_checksum ~iters:scale in
     if got <> want then
       failwith (Printf.sprintf "checksum: got %d, want %d" got want))
+    ()
 
 let workload =
   { Spec.name = "checksum";
@@ -77,4 +78,5 @@ let workload =
        with a boxing iterator many times";
     paper_lines = 241;
     default_scale = 40;
+    scale_range = (1, max_int);
     run }

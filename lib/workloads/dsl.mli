@@ -28,10 +28,6 @@ val list_advance : R.t -> list:int -> unit
     [cursor] slot. *)
 val list_length : R.t -> list:int -> cursor:int -> int
 
-(** [iter_int rt ~list ~cursor f] applies [f] to each integer element,
-    clobbering the [cursor] slot.  [f] may allocate. *)
-val iter_int : R.t -> list:int -> cursor:int -> (int -> unit) -> unit
-
 (** Trace shorthand: [ptr_slots n] is [n] pointer slots;
     [slots spec] builds an array from a string where 'p' is a pointer
     slot and 'i' a non-pointer slot (e.g. [slots "ppi"]). *)

@@ -100,68 +100,72 @@ let run rt ~scale =
   (* main: 0 = cur_re, 1 = cur_im, 2 = next_re, 3 = next_im, 4 = scratch *)
   let k_main = R.register_frame rt ~name:"fft.main" ~slots:(Dsl.slots "ppppp") in
   let k_fft = R.register_frame rt ~name:"fft.stage" ~slots:(Dsl.slots "ppppp") in
-  let get arr i = R.field_int rt ~obj:(R.Slot arr) ~idx:i in
-  let put arr i v = R.store_field rt ~obj:(R.Slot arr) ~idx:i (R.I (R.Imm v)) in
+  let get arr i = R.field_int rt ~obj:(R.slot arr) ~idx:i in
+  let put arr i v =
+    R.store_field rt ~obj:(R.slot arr) ~idx:i ~ptr:false (R.imm v)
+  in
   (* simulated fft over the arrays in slots 0/1 of the current frame;
      leaves the result in slots 0/1.  Allocates fresh arrays per stage. *)
-  let sim_fft ~inverse =
-    R.call rt ~key:k_fft ~args:[ R.get_slot rt 0; R.get_slot rt 1 ] (fun () ->
-      let tw = twiddles n ~inverse in
-      (* bit-reversal copy *)
-      R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 2) ~len:n;
-      R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 3) ~len:n;
-      for i = 0 to n - 1 do
-        let j = bit_reverse ~bits i in
-        put 2 i (get 0 j);
-        put 3 i (get 1 j)
-      done;
-      R.set_slot rt 0 (R.get_slot rt 2);
-      R.set_slot rt 1 (R.get_slot rt 3);
-      let len = ref 2 in
-      while !len <= n do
-        let half = !len / 2 in
-        let step = n / !len in
-        R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 2) ~len:n;
-        R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 3) ~len:n;
-        let i = ref 0 in
-        while !i < n do
-          for j = 0 to half - 1 do
-            let wr, wi = tw.(j * step) in
-            let a = !i + j and b = !i + j + half in
-            let br = get 0 b and bi = get 1 b in
-            let tr = fix_mul wr br - fix_mul wi bi in
-            let ti = fix_mul wr bi + fix_mul wi br in
-            let ar = get 0 a and ai = get 1 a in
-            put 2 a (ar + tr);
-            put 3 a (ai + ti);
-            put 2 b (ar - tr);
-            put 3 b (ai - ti)
-          done;
-          i := !i + !len
+  let fft_stages inverse =
+    let tw = twiddles n ~inverse in
+    (* bit-reversal copy *)
+    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 2) ~len:n;
+    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 3) ~len:n;
+    for i = 0 to n - 1 do
+      let j = bit_reverse ~bits i in
+      put 2 i (get 0 j);
+      put 3 i (get 1 j)
+    done;
+    R.move rt (R.slot 2) (R.to_slot 0);
+    R.move rt (R.slot 3) (R.to_slot 1);
+    let len = ref 2 in
+    while !len <= n do
+      let half = !len / 2 in
+      let step = n / !len in
+      R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 2) ~len:n;
+      R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 3) ~len:n;
+      let i = ref 0 in
+      while !i < n do
+        for j = 0 to half - 1 do
+          let wr, wi = tw.(j * step) in
+          let a = !i + j and b = !i + j + half in
+          let br = get 0 b and bi = get 1 b in
+          let tr = fix_mul wr br - fix_mul wi bi in
+          let ti = fix_mul wr bi + fix_mul wi br in
+          let ar = get 0 a and ai = get 1 a in
+          put 2 a (ar + tr);
+          put 3 a (ai + ti);
+          put 2 b (ar - tr);
+          put 3 b (ai - ti)
         done;
-        R.set_slot rt 0 (R.get_slot rt 2);
-        R.set_slot rt 1 (R.get_slot rt 3);
-        len := !len * 2
+        i := !i + !len
       done;
-      (R.get_slot rt 0, R.get_slot rt 1))
+      R.move rt (R.slot 2) (R.to_slot 0);
+      R.move rt (R.slot 3) (R.to_slot 1);
+      len := !len * 2
+    done;
+    (R.word rt (R.slot 0), R.word rt (R.slot 1))
+  in
+  let sim_fft ~inverse =
+    R.call2 rt ~key:k_fft (R.slot 0) (R.slot 1) fft_stages inverse
   in
   let p = coefficients ~seed:0xFF1 (n / 2) in
   let q = coefficients ~seed:0xFF2 (n / 2) in
   let expected = native_multiply p q n in
-  R.call rt ~key:k_main ~args:[] (fun () ->
+  R.call0 rt ~key:k_main (fun () ->
     (* a small boxed descriptor, so the benchmark has a record site too *)
-    R.alloc_record rt ~site:s_box ~dst:(R.To_slot 4)
-      [ R.I (R.Imm n); R.I (R.Imm bits) ];
-    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 0) ~len:n;
-    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 1) ~len:n;
+    R.alloc_record2 rt ~site:s_box ~mask:0 ~dst:(R.to_slot 4)
+      (R.imm n) (R.imm bits);
+    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 0) ~len:n;
+    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 1) ~len:n;
     Array.iteri (fun i c -> put 0 i (c lsl fraction_bits)) p;
     Array.iteri (fun i c -> put 1 i (c lsl fraction_bits)) q;
     let fre, fim = sim_fft ~inverse:false in
-    R.set_slot rt 0 fre;
-    R.set_slot rt 1 fim;
+    R.set rt (R.to_slot 0) fre;
+    R.set rt (R.to_slot 1) fim;
     (* unpack the two packed transforms and multiply pointwise *)
-    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 2) ~len:n;
-    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.To_slot 3) ~len:n;
+    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 2) ~len:n;
+    R.alloc_nonptr_array rt ~site:s_buf ~dst:(R.to_slot 3) ~len:n;
     for k = 0 to n - 1 do
       let k' = (n - k) mod n in
       let ar = (get 0 k + get 0 k') / 2 in
@@ -171,16 +175,17 @@ let run rt ~scale =
       put 2 k (fix_mul ar br - fix_mul ai bi);
       put 3 k (fix_mul ar bi + fix_mul ai br)
     done;
-    R.set_slot rt 0 (R.get_slot rt 2);
-    R.set_slot rt 1 (R.get_slot rt 3);
+    R.move rt (R.slot 2) (R.to_slot 0);
+    R.move rt (R.slot 3) (R.to_slot 1);
     let rre, _rim = sim_fft ~inverse:true in
-    R.set_slot rt 0 rre;
+    R.set rt (R.to_slot 0) rre;
     for i = 0 to n - 1 do
       let c = (get 0 i / n + (fix_one / 2)) asr fraction_bits in
       if c <> expected.(i) then
         failwith
           (Printf.sprintf "fft: coefficient %d is %d, want %d" i c expected.(i))
     done)
+    ()
 
 let workload =
   { Spec.name = "fft";
@@ -189,4 +194,6 @@ let workload =
        large non-pointer arrays)";
     paper_lines = 246;
     default_scale = 11;
+    (* 2^18 points is the largest transform checked *)
+    scale_range = (1, 18);
     run }

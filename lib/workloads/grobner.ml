@@ -33,57 +33,73 @@ let divides e1 e2 = ex_of e1 <= ex_of e2 && ey_of e1 <= ey_of e2
 let expt_sub e2 e1 = pack (ex_of e2 - ex_of e1) (ey_of e2 - ey_of e1)
 let expt_lcm e1 e2 = pack (max (ex_of e1) (ex_of e2)) (max (ey_of e1) (ey_of e2))
 
-(* --- native mirror: polys as (coeff, expt) lists, sorted by key desc --- *)
+(* --- native mirror: polys as monomial lists, sorted by key desc.  A
+   monomial packs its coefficient and exponent into one int
+   ([c * 1024 + e]), so a term costs the mirror one cons cell. --- *)
 
 module Native = struct
-  type poly = (int * int) list
+  type poly = int list
+
+  let mono c e = (c lsl 10) lor e
+  let co m = m lsr 10
+  let ex m = m land 1023
 
   let rec add (p : poly) (q : poly) : poly =
     match p, q with
     | [], r | r, [] -> r
-    | (cp, ep) :: p', (cq, eq) :: q' ->
-      if key ep > key eq then (cp, ep) :: add p' q
-      else if key ep < key eq then (cq, eq) :: add p q'
+    | mp :: p', mq :: q' ->
+      let ep = ex mp and eq = ex mq in
+      if key ep > key eq then mp :: add p' q
+      else if key ep < key eq then mq :: add p q'
       else begin
-        let c = (cp + cq) mod md in
-        if c = 0 then add p' q' else (c, ep) :: add p' q'
+        let c = (co mp + co mq) mod md in
+        if c = 0 then add p' q' else mono c ep :: add p' q'
       end
 
   let cmul c e (p : poly) : poly =
-    List.map (fun (cp, ep) -> (cp * c mod md, pack (ex_of ep + ex_of e) (ey_of ep + ey_of e))) p
+    List.map
+      (fun m ->
+        let ep = ex m in
+        mono (co m * c mod md) (pack (ex_of ep + ex_of e) (ey_of ep + ey_of e)))
+      p
 
-  let neg (p : poly) = List.map (fun (c, e) -> (md - c, e)) p
+  let neg (p : poly) = List.map (fun m -> mono (md - co m) (ex m)) p
 
   let monic (p : poly) =
     match p with
     | [] -> []
-    | (c, _) :: _ -> cmul (inv c) 0 p
+    | m :: _ -> cmul (inv (co m)) 0 p
 
   let rec normal_form (p : poly) basis : poly =
     match p with
     | [] -> []
-    | (cp, ep) :: rest ->
+    | m :: rest ->
+      let cp = co m and ep = ex m in
       (match List.find_opt (fun g ->
          match g with
-         | (_, eg) :: _ -> divides eg ep
+         | g0 :: _ -> divides (ex g0) ep
          | [] -> false) basis
        with
-       | Some ((cg, eg) :: _ as g) ->
-         let factor = cp * inv cg mod md in
+       | Some (g0 :: _ as g) ->
+         let eg = ex g0 in
+         let factor = cp * inv (co g0) mod md in
          let reducer = neg (cmul factor (expt_sub ep eg) g) in
          normal_form (add p reducer) basis
-       | Some [] | None -> (cp, ep) :: normal_form rest basis)
+       | Some [] | None -> m :: normal_form rest basis)
 
   let spoly f g =
     match f, g with
-    | (cf, ef) :: _, (cg, eg) :: _ ->
+    | mf :: _, mg :: _ ->
+      let ef = ex mf and eg = ex mg in
       let l = expt_lcm ef eg in
-      let uf = cmul (inv cf) (expt_sub l ef) f in
-      let ug = cmul (inv cg) (expt_sub l eg) g in
+      let uf = cmul (inv (co mf)) (expt_sub l ef) f in
+      let ug = cmul (inv (co mg)) (expt_sub l eg) g in
       add uf (neg ug)
     | _, _ -> []
 
+  (* [inputs] as [system] gives them: (coefficient, exponent) lists *)
   let buchberger inputs =
+    let inputs = List.map (List.map (fun (c, e) -> mono c e)) inputs in
     let basis = ref (List.filter (fun p -> p <> []) (List.map monic inputs)) in
     let pairs = ref [] in
     let n = List.length !basis in
@@ -108,7 +124,9 @@ module Native = struct
   let checksum basis =
     List.fold_left
       (fun acc p ->
-        List.fold_left (fun a (c, e) -> (a + (c * 1031) + e) land 0x3FFFFFFF) acc p)
+        List.fold_left
+          (fun a m -> (a + (co m * 1031) + ex m) land 0x3FFFFFFF)
+          acc p)
       (List.length basis * 7) basis
 end
 
@@ -138,146 +156,149 @@ let run rt ~scale =
   let coeff src = R.field_int rt ~obj:src ~idx:0 in
   let expt src = R.field_int rt ~obj:src ~idx:1 in
   let cons_mono ~site ~dst ~c ~e ~next_slot =
-    R.alloc_record rt ~site ~dst
-      [ R.I (R.Imm c); R.I (R.Imm e); R.P (R.Slot next_slot) ]
+    R.alloc_record3 rt ~site ~mask:0b100 ~dst
+      (R.imm c) (R.imm e) (R.slot next_slot)
   in
+  (* Each polynomial operation runs in a fresh frame, takes its
+     polynomial arguments as operands read in the caller, and returns the
+     result's word, which the caller stores at once.  The call bodies are
+     built once per run. *)
   (* add two polys held in slots 0 and 1 of a fresh frame *)
-  let rec sim_add p_val q_val =
-    R.call rt ~key:k_add ~args:[ p_val; q_val ] (fun () ->
-      if R.is_nil rt (R.Slot 0) then R.get_slot rt 1
-      else if R.is_nil rt (R.Slot 1) then R.get_slot rt 0
+  let rec add_body () =
+    if R.is_nil rt (R.slot 0) then R.word rt (R.slot 1)
+    else if R.is_nil rt (R.slot 1) then R.word rt (R.slot 0)
+    else begin
+      let cp = coeff (R.slot 0) and ep = expt (R.slot 0) in
+      let cq = coeff (R.slot 1) and eq = expt (R.slot 1) in
+      if key ep > key eq then begin
+        R.load_field rt ~obj:(R.slot 0) ~idx:2 ~dst:(R.to_slot 2);
+        R.set rt (R.to_slot 3) (sim_add (R.slot 2) (R.slot 1));
+        cons_mono ~site:s_scratch ~dst:(R.to_slot 4) ~c:cp ~e:ep ~next_slot:3;
+        R.word rt (R.slot 4)
+      end
+      else if key ep < key eq then begin
+        R.load_field rt ~obj:(R.slot 1) ~idx:2 ~dst:(R.to_slot 2);
+        R.set rt (R.to_slot 3) (sim_add (R.slot 0) (R.slot 2));
+        cons_mono ~site:s_scratch ~dst:(R.to_slot 4) ~c:cq ~e:eq ~next_slot:3;
+        R.word rt (R.slot 4)
+      end
       else begin
-        let cp = coeff (R.Slot 0) and ep = expt (R.Slot 0) in
-        let cq = coeff (R.Slot 1) and eq = expt (R.Slot 1) in
-        if key ep > key eq then begin
-          R.load_field rt ~obj:(R.Slot 0) ~idx:2 ~dst:(R.To_slot 2);
-          R.set_slot rt 3 (sim_add (R.get_slot rt 2) (R.get_slot rt 1));
-          cons_mono ~site:s_scratch ~dst:(R.To_slot 4) ~c:cp ~e:ep ~next_slot:3;
-          R.get_slot rt 4
-        end
-        else if key ep < key eq then begin
-          R.load_field rt ~obj:(R.Slot 1) ~idx:2 ~dst:(R.To_slot 2);
-          R.set_slot rt 3 (sim_add (R.get_slot rt 0) (R.get_slot rt 2));
-          cons_mono ~site:s_scratch ~dst:(R.To_slot 4) ~c:cq ~e:eq ~next_slot:3;
-          R.get_slot rt 4
-        end
+        let c = (cp + cq) mod md in
+        R.load_field rt ~obj:(R.slot 0) ~idx:2 ~dst:(R.to_slot 2);
+        R.load_field rt ~obj:(R.slot 1) ~idx:2 ~dst:(R.to_slot 3);
+        let rest = sim_add (R.slot 2) (R.slot 3) in
+        if c = 0 then rest
         else begin
-          let c = (cp + cq) mod md in
-          R.load_field rt ~obj:(R.Slot 0) ~idx:2 ~dst:(R.To_slot 2);
-          R.load_field rt ~obj:(R.Slot 1) ~idx:2 ~dst:(R.To_slot 3);
-          let rest = sim_add (R.get_slot rt 2) (R.get_slot rt 3) in
-          if c = 0 then rest
-          else begin
-            R.set_slot rt 3 rest;
-            cons_mono ~site:s_scratch ~dst:(R.To_slot 4) ~c ~e:ep ~next_slot:3;
-            R.get_slot rt 4
-          end
+          R.set rt (R.to_slot 3) rest;
+          cons_mono ~site:s_scratch ~dst:(R.to_slot 4) ~c ~e:ep ~next_slot:3;
+          R.word rt (R.slot 4)
         end
-      end)
+      end
+    end
+  and sim_add p q = R.call2 rt ~key:k_add p q add_body () in
+  (* multiply poly (slot 0) by coefficient c and monomial e, passed
+     packed as [c * 1024 + e] (e < 1024) *)
+  let rec cmul_body ce =
+    if R.is_nil rt (R.slot 0) then R.word rt R.nil
+    else begin
+      let c = ce / 1024 and e = ce mod 1024 in
+      let cp = coeff (R.slot 0) and ep = expt (R.slot 0) in
+      R.load_field rt ~obj:(R.slot 0) ~idx:2 ~dst:(R.to_slot 1);
+      R.set rt (R.to_slot 1) (R.call1 rt ~key:k_cmul (R.slot 1) cmul_body ce);
+      let c' = cp * c mod md in
+      let e' = pack (ex_of ep + ex_of e) (ey_of ep + ey_of e) in
+      cons_mono ~site:s_scratch ~dst:(R.to_slot 2) ~c:c' ~e:e' ~next_slot:1;
+      R.word rt (R.slot 2)
+    end
   in
-  (* multiply poly (slot 0) by coefficient c and monomial e *)
-  let rec sim_cmul c e p_val =
-    R.call rt ~key:k_cmul ~args:[ p_val ] (fun () ->
-      if R.is_nil rt (R.Slot 0) then Mem.Value.null
-      else begin
-        let cp = coeff (R.Slot 0) and ep = expt (R.Slot 0) in
-        R.load_field rt ~obj:(R.Slot 0) ~idx:2 ~dst:(R.To_slot 1);
-        R.set_slot rt 1 (sim_cmul c e (R.get_slot rt 1));
-        let c' = cp * c mod md in
-        let e' = pack (ex_of ep + ex_of e) (ey_of ep + ey_of e) in
-        cons_mono ~site:s_scratch ~dst:(R.To_slot 2) ~c:c' ~e:e' ~next_slot:1;
-        R.get_slot rt 2
-      end)
+  let sim_cmul c e p = R.call1 rt ~key:k_cmul p cmul_body ((c * 1024) + e) in
+  let sim_neg p = sim_cmul (md - 1) 0 p in
+  let monic_body () =
+    let c = coeff (R.slot 0) in
+    sim_cmul (inv c) 0 (R.slot 0)
   in
-  let sim_neg p_val = sim_cmul (md - 1) 0 p_val in
-  let sim_monic p_val =
-    if Mem.Value.is_ptr p_val then
-      R.call rt ~key:k_cmul ~args:[ p_val ] (fun () ->
-        let c = coeff (R.Slot 0) in
-        sim_cmul (inv c) 0 (R.get_slot rt 0))
-    else p_val
+  let sim_monic p =
+    if R.is_nil rt p then R.word rt p
+    else R.call1 rt ~key:k_cmul p monic_body ()
   in
   (* normal form of poly (slot 0) w.r.t. the basis (slot 1, a cons list
      of poly pointers) *)
-  let rec sim_nf p_val basis_val =
-    R.call rt ~key:k_nf ~args:[ p_val; basis_val ] (fun () ->
-      if R.is_nil rt (R.Slot 0) then Mem.Value.null
+  let rec nf_body () =
+    if R.is_nil rt (R.slot 0) then R.word rt R.nil
+    else begin
+      let cp = coeff (R.slot 0) and ep = expt (R.slot 0) in
+      (* find a reducer: first basis poly whose lead divides ep *)
+      R.move rt (R.slot 1) (R.to_slot 2);
+      let reducer_found = ref false in
+      while (not !reducer_found) && not (R.is_nil rt (R.slot 2)) do
+        R.load_field rt ~obj:(R.slot 2) ~idx:0 ~dst:(R.to_slot 3);
+        if divides (expt (R.slot 3)) ep then reducer_found := true
+        else Dsl.list_advance rt ~list:2
+      done;
+      if !reducer_found then begin
+        (* slot 3 holds g *)
+        let cg = coeff (R.slot 3) and eg = expt (R.slot 3) in
+        let factor = cp * inv cg mod md in
+        R.set rt (R.to_slot 4) (sim_cmul factor (expt_sub ep eg) (R.slot 3));
+        R.set rt (R.to_slot 4) (sim_neg (R.slot 4));
+        (* the reduced poly is passed on in an argument register, as
+           TIL passes arguments: no frame slot of this call changes *)
+        R.set rt (R.to_reg 0) (sim_add (R.slot 0) (R.slot 4));
+        sim_nf (R.reg 0) (R.slot 1)
+      end
       else begin
-        let cp = coeff (R.Slot 0) and ep = expt (R.Slot 0) in
-        (* find a reducer: first basis poly whose lead divides ep *)
-        R.set_slot rt 2 (R.get_slot rt 1);
-        let reducer_found = ref false in
-        while (not !reducer_found) && not (R.is_nil rt (R.Slot 2)) do
-          R.load_field rt ~obj:(R.Slot 2) ~idx:0 ~dst:(R.To_slot 3);
-          if divides (expt (R.Slot 3)) ep then reducer_found := true
-          else Dsl.list_advance rt ~list:2
-        done;
-        if !reducer_found then begin
-          (* slot 3 holds g *)
-          let cg = coeff (R.Slot 3) and eg = expt (R.Slot 3) in
-          let factor = cp * inv cg mod md in
-          let scaled = sim_cmul factor (expt_sub ep eg) (R.get_slot rt 3) in
-          R.set_slot rt 4 scaled;
-          R.set_slot rt 4 (sim_neg (R.get_slot rt 4));
-          let p' = sim_add (R.get_slot rt 0) (R.get_slot rt 4) in
-          sim_nf p' (R.get_slot rt 1)
-        end
-        else begin
-          R.load_field rt ~obj:(R.Slot 0) ~idx:2 ~dst:(R.To_slot 2);
-          R.set_slot rt 3 (sim_nf (R.get_slot rt 2) (R.get_slot rt 1));
-          cons_mono ~site:s_scratch ~dst:(R.To_slot 4) ~c:cp ~e:ep ~next_slot:3;
-          R.get_slot rt 4
-        end
-      end)
+        R.load_field rt ~obj:(R.slot 0) ~idx:2 ~dst:(R.to_slot 2);
+        R.set rt (R.to_slot 3) (sim_nf (R.slot 2) (R.slot 1));
+        cons_mono ~site:s_scratch ~dst:(R.to_slot 4) ~c:cp ~e:ep ~next_slot:3;
+        R.word rt (R.slot 4)
+      end
+    end
+  and sim_nf p basis = R.call2 rt ~key:k_nf p basis nf_body () in
+  let spoly_body () =
+    let cf = coeff (R.slot 0) and ef = expt (R.slot 0) in
+    let cg = coeff (R.slot 1) and eg = expt (R.slot 1) in
+    let l = expt_lcm ef eg in
+    R.set rt (R.to_slot 2) (sim_cmul (inv cf) (expt_sub l ef) (R.slot 0));
+    R.set rt (R.to_slot 3) (sim_cmul (inv cg) (expt_sub l eg) (R.slot 1));
+    R.set rt (R.to_slot 3) (sim_neg (R.slot 3));
+    sim_add (R.slot 2) (R.slot 3)
   in
-  let sim_spoly f_val g_val =
-    R.call rt ~key:k_sp ~args:[ f_val; g_val ] (fun () ->
-      let cf = coeff (R.Slot 0) and ef = expt (R.Slot 0) in
-      let cg = coeff (R.Slot 1) and eg = expt (R.Slot 1) in
-      let l = expt_lcm ef eg in
-      R.set_slot rt 2 (sim_cmul (inv cf) (expt_sub l ef) (R.get_slot rt 0));
-      R.set_slot rt 3 (sim_cmul (inv cg) (expt_sub l eg) (R.get_slot rt 1));
-      R.set_slot rt 3 (sim_neg (R.get_slot rt 3));
-      sim_add (R.get_slot rt 2) (R.get_slot rt 3))
-  in
+  let sim_spoly f g = R.call2 rt ~key:k_sp f g spoly_body () in
   (* copy a poly into long-lived basis cells *)
-  let sim_copy_to_basis p_val =
-    R.call rt ~key:k_copy ~args:[ p_val ] (fun () ->
-      let rec copy () =
-        if R.is_nil rt (R.Slot 0) then Mem.Value.null
-        else begin
-          let c = coeff (R.Slot 0) and e = expt (R.Slot 0) in
-          R.load_field rt ~obj:(R.Slot 0) ~idx:2 ~dst:(R.To_slot 1);
-          R.set_slot rt 0 (R.get_slot rt 1);
-          R.set_slot rt 2 (copy ());
-          cons_mono ~site:s_basis_mono ~dst:(R.To_slot 2) ~c ~e ~next_slot:2;
-          R.get_slot rt 2
-        end
-      in
-      copy ())
+  let rec copy () =
+    if R.is_nil rt (R.slot 0) then R.word rt R.nil
+    else begin
+      let c = coeff (R.slot 0) and e = expt (R.slot 0) in
+      R.load_field rt ~obj:(R.slot 0) ~idx:2 ~dst:(R.to_slot 1);
+      R.move rt (R.slot 1) (R.to_slot 0);
+      R.set rt (R.to_slot 2) (copy ());
+      cons_mono ~site:s_basis_mono ~dst:(R.to_slot 2) ~c ~e ~next_slot:2;
+      R.word rt (R.slot 2)
+    end
   in
+  let sim_copy_to_basis p = R.call1 rt ~key:k_copy p copy () in
   (* build a poly literal from a native (c, e) list *)
-  let sim_of_native p =
-    R.call rt ~key:k_copy ~args:[ Mem.Value.null ] (fun () ->
-      R.set_slot rt 2 Mem.Value.null;
-      List.iter
-        (fun (c, e) ->
-          cons_mono ~site:s_scratch ~dst:(R.To_slot 2) ~c ~e ~next_slot:2)
-        (List.rev p);
-      R.get_slot rt 2)
+  let of_native_body p =
+    R.move rt R.nil (R.to_slot 2);
+    List.iter
+      (fun (c, e) ->
+        cons_mono ~site:s_scratch ~dst:(R.to_slot 2) ~c ~e ~next_slot:2)
+      (List.rev p);
+    R.word rt (R.slot 2)
   in
+  let sim_of_native p = R.call1 rt ~key:k_copy R.nil of_native_body p in
   let dump_basis () =
     let buf = Buffer.create 256 in
-    R.set_slot rt 2 (R.get_slot rt 0);
-    while not (R.is_nil rt (R.Slot 2)) do
-      R.load_field rt ~obj:(R.Slot 2) ~idx:0 ~dst:(R.To_slot 3);
-      R.set_slot rt 4 (R.get_slot rt 3);
+    R.move rt (R.slot 0) (R.to_slot 2);
+    while not (R.is_nil rt (R.slot 2)) do
+      R.load_field rt ~obj:(R.slot 2) ~idx:0 ~dst:(R.to_slot 3);
+      R.move rt (R.slot 3) (R.to_slot 4);
       Buffer.add_string buf "  poly:";
-      while not (R.is_nil rt (R.Slot 4)) do
+      while not (R.is_nil rt (R.slot 4)) do
         Buffer.add_string buf
-          (Printf.sprintf " %d*x%dy%d" (coeff (R.Slot 4)) (ex_of (expt (R.Slot 4)))
-             (ey_of (expt (R.Slot 4))));
-        R.load_field rt ~obj:(R.Slot 4) ~idx:2 ~dst:(R.To_slot 4)
+          (Printf.sprintf " %d*x%dy%d" (coeff (R.slot 4)) (ex_of (expt (R.slot 4)))
+             (ey_of (expt (R.slot 4))));
+        R.load_field rt ~obj:(R.slot 4) ~idx:2 ~dst:(R.to_slot 4)
       done;
       Buffer.add_char buf '\n';
       Dsl.list_advance rt ~list:2
@@ -288,18 +309,18 @@ let run rt ~scale =
     (* basis cons list in main slot 0 (most recent first); mirror appends,
        so walk the reversal: collect pointers natively first *)
     let acc = ref 0 and count = ref 0 in
-    R.set_slot rt 2 (R.get_slot rt 0);
+    R.move rt (R.slot 0) (R.to_slot 2);
     let polys = ref [] in
-    while not (R.is_nil rt (R.Slot 2)) do
-      R.load_field rt ~obj:(R.Slot 2) ~idx:0 ~dst:(R.To_slot 3);
+    while not (R.is_nil rt (R.slot 2)) do
+      R.load_field rt ~obj:(R.slot 2) ~idx:0 ~dst:(R.to_slot 3);
       incr count;
       (* accumulate monomial checksum for this poly *)
       let poly_sum = ref 0 in
-      R.set_slot rt 4 (R.get_slot rt 3);
-      while not (R.is_nil rt (R.Slot 4)) do
-        let c = coeff (R.Slot 4) and e = expt (R.Slot 4) in
+      R.move rt (R.slot 3) (R.to_slot 4);
+      while not (R.is_nil rt (R.slot 4)) do
+        let c = coeff (R.slot 4) and e = expt (R.slot 4) in
         poly_sum := (!poly_sum + (c * 1031) + e) land 0x3FFFFFFF;
-        R.load_field rt ~obj:(R.Slot 4) ~idx:2 ~dst:(R.To_slot 4)
+        R.load_field rt ~obj:(R.slot 4) ~idx:2 ~dst:(R.to_slot 4)
       done;
       polys := !poly_sum :: !polys;
       Dsl.list_advance rt ~list:2
@@ -309,41 +330,41 @@ let run rt ~scale =
     List.iter (fun s -> acc := (!acc + s) land 0x3FFFFFFF) !polys;
     (!count, !acc)
   in
-  R.call rt ~key:k_main ~args:[] (fun () ->
+  R.call0 rt ~key:k_main (fun () ->
     for sys = 1 to scale do
       let inputs = system ~seed:(0x6B0 + sys) in
       let native_basis = Native.buchberger inputs in
       let expected = Native.checksum native_basis in
       (* slot 0 = basis list (newest first), slot 1 = pair queue *)
-      R.set_slot rt 0 Mem.Value.null;
-      R.set_slot rt 1 Mem.Value.null;
+      R.move rt R.nil (R.to_slot 0);
+      R.move rt R.nil (R.to_slot 1);
       (* basis := monic inputs (in order), rooting each polynomial in the
          basis list before the next is built — a native list of simulated
          pointers would go stale across the collections the construction
          triggers *)
       List.iter
         (fun p ->
-          R.set_slot rt 2 (sim_of_native p);
-          R.set_slot rt 2 (sim_monic (R.get_slot rt 2));
-          R.alloc_record rt ~site:s_basis_cons ~dst:(R.To_slot 0)
-            [ R.P (R.Slot 2); R.P (R.Slot 0) ])
+          R.set rt (R.to_slot 2) (sim_of_native p);
+          R.set rt (R.to_slot 2) (sim_monic (R.slot 2));
+          R.alloc_record2 rt ~site:s_basis_cons ~mask:0b11 ~dst:(R.to_slot 0)
+            (R.slot 2) (R.slot 0))
         inputs;
       (* basis list is newest-first; element i of the mirror's basis is at
          position (len - 1 - i) from the head *)
       let basis_len = ref (List.length inputs) in
       let nth_basis i =
         let from_head = !basis_len - 1 - i in
-        R.set_slot rt 2 (R.get_slot rt 0);
+        R.move rt (R.slot 0) (R.to_slot 2);
         for _ = 1 to from_head do
           Dsl.list_advance rt ~list:2
         done;
-        R.load_field rt ~obj:(R.Slot 2) ~idx:0 ~dst:(R.To_slot 2);
-        R.get_slot rt 2
+        R.load_field rt ~obj:(R.slot 2) ~idx:0 ~dst:(R.to_slot 2);
+        R.word rt (R.slot 2)
       in
       (* pair queue: records [I i; I j; P next], LIFO like the mirror *)
       let push_pair i j =
-        R.alloc_record rt ~site:s_pair ~dst:(R.To_slot 1)
-          [ R.I (R.Imm i); R.I (R.Imm j); R.P (R.Slot 1) ]
+        R.alloc_record3 rt ~site:s_pair ~mask:0b100 ~dst:(R.to_slot 1)
+          (R.imm i) (R.imm j) (R.slot 1)
       in
       let n = List.length inputs in
       for i = 0 to n - 1 do
@@ -351,27 +372,23 @@ let run rt ~scale =
           push_pair i j
         done
       done;
-      while not (R.is_nil rt (R.Slot 1)) do
-        let i = R.field_int rt ~obj:(R.Slot 1) ~idx:0 in
-        let j = R.field_int rt ~obj:(R.Slot 1) ~idx:1 in
-        R.load_field rt ~obj:(R.Slot 1) ~idx:2 ~dst:(R.To_slot 1);
-        let f = nth_basis i in
-        R.set_slot rt 3 f;
-        let g = nth_basis j in
-        R.set_slot rt 4 g;
-        let s = sim_spoly (R.get_slot rt 3) (R.get_slot rt 4) in
-        R.set_slot rt 3 s;
-        let r = sim_nf (R.get_slot rt 3) (R.get_slot rt 0) in
-        R.set_slot rt 3 r;
-        R.set_slot rt 3 (sim_monic (R.get_slot rt 3));
-        if not (R.is_nil rt (R.Slot 3)) then begin
+      while not (R.is_nil rt (R.slot 1)) do
+        let i = R.field_int rt ~obj:(R.slot 1) ~idx:0 in
+        let j = R.field_int rt ~obj:(R.slot 1) ~idx:1 in
+        R.load_field rt ~obj:(R.slot 1) ~idx:2 ~dst:(R.to_slot 1);
+        R.set rt (R.to_slot 3) (nth_basis i);
+        R.set rt (R.to_slot 4) (nth_basis j);
+        R.set rt (R.to_slot 3) (sim_spoly (R.slot 3) (R.slot 4));
+        R.set rt (R.to_slot 3) (sim_nf (R.slot 3) (R.slot 0));
+        R.set rt (R.to_slot 3) (sim_monic (R.slot 3));
+        if not (R.is_nil rt (R.slot 3)) then begin
           (* new basis element: pair it with everything, then append *)
-          R.set_slot rt 3 (sim_copy_to_basis (R.get_slot rt 3));
+          R.set rt (R.to_slot 3) (sim_copy_to_basis (R.slot 3));
           for b = 0 to !basis_len - 1 do
             push_pair b !basis_len
           done;
-          R.alloc_record rt ~site:s_basis_cons ~dst:(R.To_slot 0)
-            [ R.P (R.Slot 3); R.P (R.Slot 0) ];
+          R.alloc_record2 rt ~site:s_basis_cons ~mask:0b11 ~dst:(R.to_slot 0)
+            (R.slot 3) (R.slot 0);
           incr basis_len
         end
       done;
@@ -382,6 +399,7 @@ let run rt ~scale =
              "grobner: system %d basis (%d, %d), want (%d, %d)\n%s" sys count
              acc (List.length native_basis) expected (dump_basis ()))
     done)
+    ()
 
 let workload =
   { Spec.name = "grobner";
@@ -390,4 +408,5 @@ let workload =
        variables, graded-lex order)";
     paper_lines = 904;
     default_scale = 12;
+    scale_range = (1, max_int);
     run }

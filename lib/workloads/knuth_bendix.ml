@@ -175,121 +175,132 @@ let run rt ~scale =
   let k_word = R.register_frame rt ~name:"kb.word_util" ~slots:(Dsl.slots "pppp") in
   let k_step = R.register_frame rt ~name:"kb.complete_step" ~slots:(Dsl.slots "pppppp") in
   let head l = R.field_int rt ~obj:l ~idx:0 in
-  (* build a simulated word from a native one, in the given site *)
+  (* A call body returns the word of its result, which the caller stores
+     at once; an integer word stands for "no result", since every result
+     is a pointer or null.  The bodies are built once per run. *)
+  let none = R.word rt (R.imm 0) in
+  let found (w : R.word) = (w :> int) <> (none :> int) in
+  (* build a simulated word from a native one, in site [!word_site] *)
+  let word_site = ref 0 in
+  let of_native_body w =
+    R.move rt R.nil (R.to_slot 0);
+    List.iter
+      (fun s ->
+        R.alloc_record2 rt ~site:!word_site ~mask:0b10 ~dst:(R.to_slot 0)
+          (R.imm s) (R.slot 0))
+      (List.rev w);
+    R.word rt (R.slot 0)
+  in
   let of_native ~site w =
-    R.call rt ~key:k_word ~args:[] (fun () ->
-      R.set_slot rt 0 Mem.Value.null;
-      List.iter
-        (fun s ->
-          R.alloc_record rt ~site ~dst:(R.To_slot 0)
-            [ R.I (R.Imm s); R.P (R.Slot 0) ])
-        (List.rev w);
-      R.get_slot rt 0)
+    word_site := site;
+    R.call0 rt ~key:k_word of_native_body w
   in
   (* read a simulated word back to a native list (verification only) *)
-  let to_native w_val =
-    R.call rt ~key:k_word ~args:[ w_val ] (fun () ->
-      let acc = ref [] in
-      while not (R.is_nil rt (R.Slot 0)) do
-        acc := head (R.Slot 0) :: !acc;
-        Dsl.list_advance rt ~list:0
-      done;
-      List.rev !acc)
+  let to_native_body () =
+    let acc = ref [] in
+    while not (R.is_nil rt (R.slot 0)) do
+      acc := head (R.slot 0) :: !acc;
+      Dsl.list_advance rt ~list:0
+    done;
+    List.rev !acc
   in
+  let to_native w = R.call1 rt ~key:k_word w to_native_body () in
   (* append two words into scratch cells *)
-  let rec append a_val b_val =
-    R.call rt ~key:k_append ~args:[ a_val; b_val ] (fun () ->
-      if R.is_nil rt (R.Slot 0) then R.get_slot rt 1
-      else begin
-        let h = head (R.Slot 0) in
-        R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 2);
-        R.set_slot rt 2 (append (R.get_slot rt 2) (R.get_slot rt 1));
-        R.alloc_record rt ~site:s_scratch ~dst:(R.To_slot 3)
-          [ R.I (R.Imm h); R.P (R.Slot 2) ];
-        R.get_slot rt 3
-      end)
-  in
+  let rec append_body () =
+    if R.is_nil rt (R.slot 0) then R.word rt (R.slot 1)
+    else begin
+      let h = head (R.slot 0) in
+      R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 2);
+      R.set rt (R.to_slot 2) (append (R.slot 2) (R.slot 1));
+      R.alloc_record2 rt ~site:s_scratch ~mask:0b10 ~dst:(R.to_slot 3)
+        (R.imm h) (R.slot 2);
+      R.word rt (R.slot 3)
+    end
+  and append a b = R.call2 rt ~key:k_append a b append_body () in
   (* match_prefix: does lhs prefix word?  Returns the remainder. *)
-  let rec match_prefix word_val lhs_val =
-    R.call rt ~key:k_match ~args:[ word_val; lhs_val ] (fun () ->
-      if R.is_nil rt (R.Slot 1) then Some (R.get_slot rt 0)
-      else if R.is_nil rt (R.Slot 0) then None
-      else if head (R.Slot 0) <> head (R.Slot 1) then None
-      else begin
-        R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 2);
-        R.load_field rt ~obj:(R.Slot 1) ~idx:1 ~dst:(R.To_slot 3);
-        match_prefix (R.get_slot rt 2) (R.get_slot rt 3)
-      end)
-  in
+  let rec match_body () =
+    if R.is_nil rt (R.slot 1) then R.word rt (R.slot 0)
+    else if R.is_nil rt (R.slot 0) then none
+    else if head (R.slot 0) <> head (R.slot 1) then none
+    else begin
+      R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 2);
+      R.load_field rt ~obj:(R.slot 1) ~idx:1 ~dst:(R.to_slot 3);
+      match_prefix (R.slot 2) (R.slot 3)
+    end
+  and match_prefix word lhs = R.call2 rt ~key:k_match word lhs match_body () in
   (* first rule (in database order) rewriting at the head position;
      one simulated frame per database entry — the deep-stack driver *)
-  let rec try_rules_at word_val rules_val =
-    R.call rt ~key:k_tryrules ~args:[ word_val; rules_val ] (fun () ->
-      if R.is_nil rt (R.Slot 1) then None
+  let rec try_rules_body () =
+    if R.is_nil rt (R.slot 1) then none
+    else begin
+      (* a short-lived box per attempted rule (the comparison closure);
+         this is where the benchmark's allocation happens while the
+         stack is deepest.  It is dead on arrival: unroot it at once so
+         the collector never copies it. *)
+      R.alloc_record1 rt ~site:s_try ~mask:0 ~dst:(R.to_slot 4) (R.imm 0);
+      R.move rt R.nil (R.to_slot 4);
+      R.load_field rt ~obj:(R.slot 1) ~idx:0 ~dst:(R.to_slot 2);
+      R.load_field rt ~obj:(R.slot 2) ~idx:0 ~dst:(R.to_slot 3);
+      (* slot 3 = lhs *)
+      let remainder = match_prefix (R.slot 0) (R.slot 3) in
+      if found remainder then begin
+        R.set rt (R.to_slot 4) remainder;
+        R.load_field rt ~obj:(R.slot 2) ~idx:1 ~dst:(R.to_slot 5);
+        append (R.slot 5) (R.slot 4)
+      end
       else begin
-        (* a short-lived box per attempted rule (the comparison closure);
-           this is where the benchmark's allocation happens while the
-           stack is deepest.  It is dead on arrival: unroot it at once so
-           the collector never copies it. *)
-        R.alloc_record rt ~site:s_try ~dst:(R.To_slot 4) [ R.I (R.Imm 0) ];
-        R.set_slot rt 4 Mem.Value.null;
-        R.load_field rt ~obj:(R.Slot 1) ~idx:0 ~dst:(R.To_slot 2);
-        R.load_field rt ~obj:(R.Slot 2) ~idx:0 ~dst:(R.To_slot 3);
-        (* slot 3 = lhs *)
-        match match_prefix (R.get_slot rt 0) (R.get_slot rt 3) with
-        | Some remainder ->
-          R.set_slot rt 4 remainder;
-          R.load_field rt ~obj:(R.Slot 2) ~idx:1 ~dst:(R.To_slot 5);
-          Some (append (R.get_slot rt 5) (R.get_slot rt 4))
-        | None ->
-          R.load_field rt ~obj:(R.Slot 1) ~idx:1 ~dst:(R.To_slot 5);
-          try_rules_at (R.get_slot rt 0) (R.get_slot rt 5)
-      end)
+        R.load_field rt ~obj:(R.slot 1) ~idx:1 ~dst:(R.to_slot 5);
+        try_rules_at (R.slot 0) (R.slot 5)
+      end
+    end
+  and try_rules_at word rules =
+    R.call2 rt ~key:k_tryrules word rules try_rules_body ()
   in
-  let rec rewrite word_val rules_val =
-    R.call rt ~key:k_rewrite ~args:[ word_val; rules_val ] (fun () ->
-      if R.is_nil rt (R.Slot 0) then None
-      else
-        match try_rules_at (R.get_slot rt 0) (R.get_slot rt 1) with
-        | Some w' -> Some w'
-        | None -> begin
-            let h = head (R.Slot 0) in
-            R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 2);
-            match rewrite (R.get_slot rt 2) (R.get_slot rt 1) with
-            | None -> None
-            | Some t' ->
-              R.set_slot rt 3 t';
-              R.alloc_record rt ~site:s_scratch ~dst:(R.To_slot 4)
-                [ R.I (R.Imm h); R.P (R.Slot 3) ];
-              Some (R.get_slot rt 4)
-          end)
+  let rec rewrite_body () =
+    if R.is_nil rt (R.slot 0) then none
+    else
+      let w' = try_rules_at (R.slot 0) (R.slot 1) in
+      if found w' then w'
+      else begin
+        let h = head (R.slot 0) in
+        R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 2);
+        let t' = rewrite (R.slot 2) (R.slot 1) in
+        if not (found t') then none
+        else begin
+          R.set rt (R.to_slot 3) t';
+          R.alloc_record2 rt ~site:s_scratch ~mask:0b10 ~dst:(R.to_slot 4)
+            (R.imm h) (R.slot 3);
+          R.word rt (R.slot 4)
+        end
+      end
+  and rewrite word rules =
+    R.call2 rt ~key:k_rewrite word rules rewrite_body ()
   in
-  let normalize word_val =
-    R.call rt ~key:k_word ~args:[ word_val ] (fun () ->
-      let continue_ = ref true in
-      while !continue_ do
-        match rewrite (R.get_slot rt 0) (R.get_global rt g_rules) with
-        | Some w' -> R.set_slot rt 0 w'
-        | None -> continue_ := false
-      done;
-      R.get_slot rt 0)
+  let normalize_body () =
+    let continue_ = ref true in
+    while !continue_ do
+      let w' = rewrite (R.slot 0) (R.global g_rules) in
+      if found w' then R.set rt (R.to_slot 0) w' else continue_ := false
+    done;
+    R.word rt (R.slot 0)
   in
-  R.call rt ~key:k_main ~args:[] (fun () ->
-    R.set_global rt g_queue Mem.Value.null;
-    R.set_global rt g_rules Mem.Value.null;
+  let normalize w = R.call1 rt ~key:k_word w normalize_body () in
+  R.call0 rt ~key:k_main (fun () ->
+    R.move rt R.nil (R.to_global g_queue);
+    R.move rt R.nil (R.to_global g_rules);
     (* push an equation (u in slot a, v in slot b of main) onto the queue *)
     let push_eq_from_slots a b =
       assert (a <> 5 && b <> 5);
-      R.set_slot rt 5 (R.get_global rt g_queue);
-      R.alloc_record rt ~site:s_eq ~dst:(R.To_slot 5)
-        [ R.P (R.Slot a); R.P (R.Slot b); R.P (R.Slot 5) ];
-      R.set_global rt g_queue (R.get_slot rt 5)
+      R.move rt (R.global g_queue) (R.to_slot 5);
+      R.alloc_record3 rt ~site:s_eq ~mask:0b111 ~dst:(R.to_slot 5)
+        (R.slot a) (R.slot b) (R.slot 5);
+      R.move rt (R.slot 5) (R.to_global g_queue)
     in
     (* seed the queue: LIFO, so push in reverse to process in order *)
     List.iter
       (fun (u, v) ->
-        R.set_slot rt 0 (of_native ~site:s_eq_word u);
-        R.set_slot rt 1 (of_native ~site:s_eq_word v);
+        R.set rt (R.to_slot 0) (of_native ~site:s_eq_word u);
+        R.set rt (R.to_slot 1) (of_native ~site:s_eq_word v);
         push_eq_from_slots 0 1)
       (List.rev input);
     let processed = ref 0 in
@@ -299,36 +310,36 @@ let run rt ~scale =
        until the completion finishes — the paper's Knuth-Bendix stack
        shape (deep, rarely unwound, few new frames per collection). *)
     let rec complete_rec () =
-      if (not (R.is_nil rt (R.Global g_queue))) && !processed < max_eqs then
-        ignore (1 + R.call rt ~key:k_step ~args:[] process_one : int)
+      if (not (R.is_nil rt (R.global g_queue))) && !processed < max_eqs then
+        ignore (1 + R.call0 rt ~key:k_step process_one () : int)
     and process_one () =
       incr processed;
       (* pop: u -> slot 0, v -> slot 1 *)
-      R.load_field rt ~obj:(R.Global g_queue) ~idx:0 ~dst:(R.To_slot 0);
-      R.load_field rt ~obj:(R.Global g_queue) ~idx:1 ~dst:(R.To_slot 1);
-      R.load_field rt ~obj:(R.Global g_queue) ~idx:2 ~dst:(R.To_slot 2);
-      R.set_global rt g_queue (R.get_slot rt 2);
-      R.set_slot rt 0 (normalize (R.get_slot rt 0));
-      R.set_slot rt 1 (normalize (R.get_slot rt 1));
-      let nu = to_native (R.get_slot rt 0) in
-      let nv = to_native (R.get_slot rt 1) in
+      R.load_field rt ~obj:(R.global g_queue) ~idx:0 ~dst:(R.to_slot 0);
+      R.load_field rt ~obj:(R.global g_queue) ~idx:1 ~dst:(R.to_slot 1);
+      R.load_field rt ~obj:(R.global g_queue) ~idx:2 ~dst:(R.to_slot 2);
+      R.move rt (R.slot 2) (R.to_global g_queue);
+      R.set rt (R.to_slot 0) (normalize (R.slot 0));
+      R.set rt (R.to_slot 1) (normalize (R.slot 1));
+      let nu = to_native (R.slot 0) in
+      let nv = to_native (R.slot 1) in
       if nu <> nv then begin
         let l, r = if shortlex_gt nu nv then (nu, nv) else (nv, nu) in
         (* the new rule's words are copied into long-lived cells *)
-        R.set_slot rt 0 (of_native ~site:s_rule_sym l);
-        R.set_slot rt 1 (of_native ~site:s_rule_sym r);
-        R.alloc_record rt ~site:s_rule ~dst:(R.To_slot 2)
-          [ R.P (R.Slot 0); R.P (R.Slot 1) ];
+        R.set rt (R.to_slot 0) (of_native ~site:s_rule_sym l);
+        R.set rt (R.to_slot 1) (of_native ~site:s_rule_sym r);
+        R.alloc_record2 rt ~site:s_rule ~mask:0b11 ~dst:(R.to_slot 2)
+          (R.slot 0) (R.slot 1);
         (* critical pairs against the database (native word math over
            the native copies, simulated allocation for the equations) *)
         let eqs = ref [] in
-        R.set_slot rt 3 (R.get_global rt g_rules);
-        while not (R.is_nil rt (R.Slot 3)) do
-          R.load_field rt ~obj:(R.Slot 3) ~idx:0 ~dst:(R.To_slot 4);
-          R.load_field rt ~obj:(R.Slot 4) ~idx:0 ~dst:(R.To_slot 5);
-          let old_l = to_native (R.get_slot rt 5) in
-          R.load_field rt ~obj:(R.Slot 4) ~idx:1 ~dst:(R.To_slot 5);
-          let old_r = to_native (R.get_slot rt 5) in
+        R.move rt (R.global g_rules) (R.to_slot 3);
+        while not (R.is_nil rt (R.slot 3)) do
+          R.load_field rt ~obj:(R.slot 3) ~idx:0 ~dst:(R.to_slot 4);
+          R.load_field rt ~obj:(R.slot 4) ~idx:0 ~dst:(R.to_slot 5);
+          let old_l = to_native (R.slot 5) in
+          R.load_field rt ~obj:(R.slot 4) ~idx:1 ~dst:(R.to_slot 5);
+          let old_r = to_native (R.slot 5) in
           eqs :=
             !eqs
             @ Native.critical_pairs (l, r) (old_l, old_r)
@@ -340,15 +351,15 @@ let run rt ~scale =
            mirror's [eqs @ queue] *)
         List.iter
           (fun (u, v) ->
-            R.set_slot rt 3 (of_native ~site:s_eq_word u);
-            R.set_slot rt 4 (of_native ~site:s_eq_word v);
+            R.set rt (R.to_slot 3) (of_native ~site:s_eq_word u);
+            R.set rt (R.to_slot 4) (of_native ~site:s_eq_word v);
             push_eq_from_slots 3 4)
           (List.rev eqs);
         (* install the rule *)
-        R.set_slot rt 3 (R.get_global rt g_rules);
-        R.alloc_record rt ~site:s_rule_cons ~dst:(R.To_slot 3)
-          [ R.P (R.Slot 2); R.P (R.Slot 3) ];
-        R.set_global rt g_rules (R.get_slot rt 3);
+        R.move rt (R.global g_rules) (R.to_slot 3);
+        R.alloc_record2 rt ~site:s_rule_cons ~mask:0b11 ~dst:(R.to_slot 3)
+          (R.slot 2) (R.slot 3);
+        R.move rt (R.slot 3) (R.to_global g_rules);
         incr rule_count;
         (* rewriting probes: the completion's dominant cost *)
         let prng = Support.Prng.create ~seed:(0x9B0 + !rule_count) in
@@ -356,8 +367,8 @@ let run rt ~scale =
           let w =
             List.init probe_word_len (fun _ -> Support.Prng.int prng alphabet)
           in
-          R.set_slot rt 0 (of_native ~site:s_scratch w);
-          R.set_slot rt 0 (normalize (R.get_slot rt 0))
+          R.set rt (R.to_slot 0) (of_native ~site:s_scratch w);
+          R.set rt (R.to_slot 0) (normalize (R.slot 0))
         done
       end;
       (* recurse for the remaining equations; this frame stays live
@@ -372,13 +383,13 @@ let run rt ~scale =
         (Printf.sprintf "kb: %d rules, want %d" !rule_count expected_count);
     let sum = ref (!rule_count * 13) in
     let sums = ref [] in
-    R.set_slot rt 3 (R.get_global rt g_rules);
-    while not (R.is_nil rt (R.Slot 3)) do
-      R.load_field rt ~obj:(R.Slot 3) ~idx:0 ~dst:(R.To_slot 4);
-      R.load_field rt ~obj:(R.Slot 4) ~idx:0 ~dst:(R.To_slot 5);
-      let l = to_native (R.get_slot rt 5) in
-      R.load_field rt ~obj:(R.Slot 4) ~idx:1 ~dst:(R.To_slot 5);
-      let r = to_native (R.get_slot rt 5) in
+    R.move rt (R.global g_rules) (R.to_slot 3);
+    while not (R.is_nil rt (R.slot 3)) do
+      R.load_field rt ~obj:(R.slot 3) ~idx:0 ~dst:(R.to_slot 4);
+      R.load_field rt ~obj:(R.slot 4) ~idx:0 ~dst:(R.to_slot 5);
+      let l = to_native (R.slot 5) in
+      R.load_field rt ~obj:(R.slot 4) ~idx:1 ~dst:(R.to_slot 5);
+      let r = to_native (R.slot 5) in
       sums := ((word_hash l * 31) + word_hash r) :: !sums;
       Dsl.list_advance rt ~list:3
     done;
@@ -387,6 +398,7 @@ let run rt ~scale =
     List.iter (fun s -> sum := (!sum + s) land 0x3FFFFFFF) (List.rev !sums);
     if !sum <> expected_sum then
       failwith (Printf.sprintf "kb: checksum %d, want %d" !sum expected_sum))
+    ()
 
 let workload =
   { Spec.name = "knuth-bendix";
@@ -395,4 +407,5 @@ let workload =
        critical pairs, no interreduction; equation budget bounded)";
     paper_lines = 618;
     default_scale = 10;
+    scale_range = (1, max_int);
     run }

@@ -166,39 +166,39 @@ let run rt ~scale =
     id
   in
   let state_slot_in_main = 0 in
-  R.call rt ~key:k_main ~args:[] (fun () ->
-    R.alloc_ptr_array rt ~site:s_state ~dst:(R.To_slot state_slot_in_main)
+  R.call0 rt ~key:k_main (fun () ->
+    R.alloc_ptr_array rt ~site:s_state ~dst:(R.to_slot state_slot_in_main)
       ~len:nstates;
     let g_states = 1 in
-    R.set_global rt g_states (R.get_slot rt state_slot_in_main);
+    R.move rt (R.slot state_slot_in_main) (R.to_global g_states);
     let make_state () =
       let id = fresh_state () in
-      R.alloc_record rt ~site:s_state ~dst:(R.To_slot 2)
-        [ R.I (R.Imm id); R.P R.Nil; R.P R.Nil ];
-      R.store_field rt ~obj:(R.Slot state_slot_in_main) ~idx:id
-        (R.P (R.Slot 2));
+      R.alloc_record3 rt ~site:s_state ~mask:0b110 ~dst:(R.to_slot 2)
+        (R.imm id) R.nil R.nil;
+      R.store_field rt ~obj:(R.slot state_slot_in_main) ~idx:id
+        ~ptr:true (R.slot 2);
       id
     in
     let add_trans src sym dst =
-      R.load_field rt ~obj:(R.Slot state_slot_in_main) ~idx:src
-        ~dst:(R.To_slot 2);
-      R.load_field rt ~obj:(R.Slot 2) ~idx:1 ~dst:(R.To_slot 3);
-      R.alloc_record rt ~site:s_trans ~dst:(R.To_slot 3)
-        [ R.I (R.Imm sym); R.I (R.Imm dst); R.P (R.Slot 3) ];
+      R.load_field rt ~obj:(R.slot state_slot_in_main) ~idx:src
+        ~dst:(R.to_slot 2);
+      R.load_field rt ~obj:(R.slot 2) ~idx:1 ~dst:(R.to_slot 3);
+      R.alloc_record3 rt ~site:s_trans ~mask:0b100 ~dst:(R.to_slot 3)
+        (R.imm sym) (R.imm dst) (R.slot 3);
       (* reload the state record: the allocation may have moved it *)
-      R.load_field rt ~obj:(R.Slot state_slot_in_main) ~idx:src
-        ~dst:(R.To_slot 2);
-      R.store_field rt ~obj:(R.Slot 2) ~idx:1 (R.P (R.Slot 3))
+      R.load_field rt ~obj:(R.slot state_slot_in_main) ~idx:src
+        ~dst:(R.to_slot 2);
+      R.store_field rt ~obj:(R.slot 2) ~idx:1 ~ptr:true (R.slot 3)
     in
     let add_eps src dst =
-      R.load_field rt ~obj:(R.Slot state_slot_in_main) ~idx:src
-        ~dst:(R.To_slot 2);
-      R.load_field rt ~obj:(R.Slot 2) ~idx:2 ~dst:(R.To_slot 3);
-      R.alloc_record rt ~site:s_eps ~dst:(R.To_slot 3)
-        [ R.I (R.Imm dst); R.P (R.Slot 3) ];
-      R.load_field rt ~obj:(R.Slot state_slot_in_main) ~idx:src
-        ~dst:(R.To_slot 2);
-      R.store_field rt ~obj:(R.Slot 2) ~idx:2 (R.P (R.Slot 3))
+      R.load_field rt ~obj:(R.slot state_slot_in_main) ~idx:src
+        ~dst:(R.to_slot 2);
+      R.load_field rt ~obj:(R.slot 2) ~idx:2 ~dst:(R.to_slot 3);
+      R.alloc_record2 rt ~site:s_eps ~mask:0b10 ~dst:(R.to_slot 3)
+        (R.imm dst) (R.slot 3);
+      R.load_field rt ~obj:(R.slot state_slot_in_main) ~idx:src
+        ~dst:(R.to_slot 2);
+      R.store_field rt ~obj:(R.slot 2) ~idx:2 ~ptr:true (R.slot 3)
     in
     (* Thompson construction, same numbering as the mirror *)
     let rec thompson = function
@@ -233,90 +233,95 @@ let run rt ~scale =
     in
     let start, _final = thompson regex in
     (* sorted-insert an id into the set list in slot 0 of a fresh frame;
-       returns the new list (no-op if present) *)
-    let rec insert_sorted set_val id =
-      R.call rt ~key:k_insert ~args:[ set_val ] (fun () ->
-        if R.is_nil rt (R.Slot 0) then begin
-          R.alloc_record rt ~site:s_set ~dst:(R.To_slot 1)
-            [ R.I (R.Imm id); R.P R.Nil ];
-          R.get_slot rt 1
+       returns the new list's word (the list itself if present).  Each
+       call body below is built once per run and returns the word of
+       its result, which the caller stores at once. *)
+    let rec insert_body id =
+      if R.is_nil rt (R.slot 0) then begin
+        R.alloc_record2 rt ~site:s_set ~mask:0b10 ~dst:(R.to_slot 1)
+          (R.imm id) R.nil;
+        R.word rt (R.slot 1)
+      end
+      else begin
+        let h = Dsl.list_head_int rt ~list:0 in
+        if h = id then R.word rt (R.slot 0)
+        else if h > id then begin
+          R.alloc_record2 rt ~site:s_set ~mask:0b10 ~dst:(R.to_slot 1)
+            (R.imm id) (R.slot 0);
+          R.word rt (R.slot 1)
         end
         else begin
-          let h = Dsl.list_head_int rt ~list:0 in
-          if h = id then R.get_slot rt 0
-          else if h > id then begin
-            R.alloc_record rt ~site:s_set ~dst:(R.To_slot 1)
-              [ R.I (R.Imm id); R.P (R.Slot 0) ];
-            R.get_slot rt 1
-          end
-          else begin
-            R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 1);
-            R.set_slot rt 1 (insert_sorted (R.get_slot rt 1) id);
-            R.alloc_record rt ~site:s_set ~dst:(R.To_slot 2)
-              [ R.I (R.Imm h); R.P (R.Slot 1) ];
-            R.get_slot rt 2
-          end
-        end)
-    in
+          R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 1);
+          R.set rt (R.to_slot 1) (insert_sorted (R.slot 1) id);
+          R.alloc_record2 rt ~site:s_set ~mask:0b10 ~dst:(R.to_slot 2)
+            (R.imm h) (R.slot 1);
+          R.word rt (R.slot 2)
+        end
+      end
+    and insert_sorted set id = R.call1 rt ~key:k_insert set insert_body id in
     (* epsilon closure of the set in [set_val]; needs the state array *)
-    let closure set_val =
-      R.call rt ~key:k_closure ~args:[ set_val; R.get_global rt 1 ] (fun () ->
-        (* slot 0 = acc set, slot 1 = states, slot 2 = frontier stack,
-           slot 3 = cursor, slot 4 = state rec, slot 5 = eps cursor *)
-        R.set_slot rt 2 (R.get_slot rt 0);
-        (* frontier: reuse the set list itself as the initial worklist *)
-        while not (R.is_nil rt (R.Slot 2)) do
-          let id = Dsl.list_head_int rt ~list:2 in
-          Dsl.list_advance rt ~list:2;
-          R.load_field rt ~obj:(R.Slot 1) ~idx:id ~dst:(R.To_slot 4);
-          R.load_field rt ~obj:(R.Slot 4) ~idx:2 ~dst:(R.To_slot 5);
-          while not (R.is_nil rt (R.Slot 5)) do
-            let dst = R.field_int rt ~obj:(R.Slot 5) ~idx:0 in
-            (* member test against the accumulated set *)
-            let present = ref false in
-            R.set_slot rt 3 (R.get_slot rt 0);
-            while (not !present) && not (R.is_nil rt (R.Slot 3)) do
-              if Dsl.list_head_int rt ~list:3 = dst then present := true
-              else Dsl.list_advance rt ~list:3
-            done;
-            if not !present then begin
-              R.set_slot rt 0 (insert_sorted (R.get_slot rt 0) dst);
-              (* push onto the frontier *)
-              R.alloc_record rt ~site:s_scratch ~dst:(R.To_slot 2)
-                [ R.I (R.Imm dst); R.P (R.Slot 2) ]
-            end;
-            R.load_field rt ~obj:(R.Slot 5) ~idx:1 ~dst:(R.To_slot 5)
-          done
-        done;
-        R.get_slot rt 0)
-    in
-    let move set_val sym =
-      R.call rt ~key:k_move ~args:[ set_val; R.get_global rt 1 ] (fun () ->
-        (* slot 0 = input set cursor, 1 = states, 2 = result,
-           3 = state rec, 4 = trans cursor *)
-        R.set_slot rt 2 Mem.Value.null;
-        while not (R.is_nil rt (R.Slot 0)) do
-          let id = Dsl.list_head_int rt ~list:0 in
-          R.load_field rt ~obj:(R.Slot 1) ~idx:id ~dst:(R.To_slot 3);
-          R.load_field rt ~obj:(R.Slot 3) ~idx:1 ~dst:(R.To_slot 4);
-          while not (R.is_nil rt (R.Slot 4)) do
-            let s = R.field_int rt ~obj:(R.Slot 4) ~idx:0 in
-            let d = R.field_int rt ~obj:(R.Slot 4) ~idx:1 in
-            if s = sym then R.set_slot rt 2 (insert_sorted (R.get_slot rt 2) d);
-            R.load_field rt ~obj:(R.Slot 4) ~idx:2 ~dst:(R.To_slot 4)
+    let closure_body () =
+      (* slot 0 = acc set, slot 1 = states, slot 2 = frontier stack,
+         slot 3 = cursor, slot 4 = state rec, slot 5 = eps cursor *)
+      R.move rt (R.slot 0) (R.to_slot 2);
+      (* frontier: reuse the set list itself as the initial worklist *)
+      while not (R.is_nil rt (R.slot 2)) do
+        let id = Dsl.list_head_int rt ~list:2 in
+        Dsl.list_advance rt ~list:2;
+        R.load_field rt ~obj:(R.slot 1) ~idx:id ~dst:(R.to_slot 4);
+        R.load_field rt ~obj:(R.slot 4) ~idx:2 ~dst:(R.to_slot 5);
+        while not (R.is_nil rt (R.slot 5)) do
+          let dst = R.field_int rt ~obj:(R.slot 5) ~idx:0 in
+          (* member test against the accumulated set *)
+          let present = ref false in
+          R.move rt (R.slot 0) (R.to_slot 3);
+          while (not !present) && not (R.is_nil rt (R.slot 3)) do
+            if Dsl.list_head_int rt ~list:3 = dst then present := true
+            else Dsl.list_advance rt ~list:3
           done;
-          Dsl.list_advance rt ~list:0
+          if not !present then begin
+            R.set rt (R.to_slot 0) (insert_sorted (R.slot 0) dst);
+            (* push onto the frontier *)
+            R.alloc_record2 rt ~site:s_scratch ~mask:0b10 ~dst:(R.to_slot 2)
+              (R.imm dst) (R.slot 2)
+          end;
+          R.load_field rt ~obj:(R.slot 5) ~idx:1 ~dst:(R.to_slot 5)
+        done
+      done;
+      R.word rt (R.slot 0)
+    in
+    let closure set =
+      R.call2 rt ~key:k_closure set (R.global 1) closure_body ()
+    in
+    let move_body sym =
+      (* slot 0 = input set cursor, 1 = states, 2 = result,
+         3 = state rec, 4 = trans cursor *)
+      R.move rt R.nil (R.to_slot 2);
+      while not (R.is_nil rt (R.slot 0)) do
+        let id = Dsl.list_head_int rt ~list:0 in
+        R.load_field rt ~obj:(R.slot 1) ~idx:id ~dst:(R.to_slot 3);
+        R.load_field rt ~obj:(R.slot 3) ~idx:1 ~dst:(R.to_slot 4);
+        while not (R.is_nil rt (R.slot 4)) do
+          let s = R.field_int rt ~obj:(R.slot 4) ~idx:0 in
+          let d = R.field_int rt ~obj:(R.slot 4) ~idx:1 in
+          if s = sym then R.set rt (R.to_slot 2) (insert_sorted (R.slot 2) d);
+          R.load_field rt ~obj:(R.slot 4) ~idx:2 ~dst:(R.to_slot 4)
         done;
-        R.get_slot rt 2)
+        Dsl.list_advance rt ~list:0
+      done;
+      R.word rt (R.slot 2)
+    in
+    let dfa_move set sym =
+      R.call2 rt ~key:k_move set (R.global 1) move_body sym
     in
     (* set equality, no allocation; clobbers slots 6 and 7 *)
     let sets_equal a_src b_src =
-      R.set_slot rt 6 (R.read rt a_src);
-      R.set_slot rt 7 (R.read rt b_src);
+      R.move rt a_src (R.to_slot 6);
+      R.move rt b_src (R.to_slot 7);
       let eq = ref true in
       let continue_ = ref true in
       while !continue_ do
-        match R.is_nil rt (R.Slot 6), R.is_nil rt (R.Slot 7) with
+        match R.is_nil rt (R.slot 6), R.is_nil rt (R.slot 7) with
         | true, true -> continue_ := false
         | true, false | false, true ->
           eq := false;
@@ -336,8 +341,8 @@ let run rt ~scale =
     (* clobbers slot 7 *)
     let hash_set set_src =
       let h = ref 0 in
-      R.set_slot rt 7 (R.read rt set_src);
-      while not (R.is_nil rt (R.Slot 7)) do
+      R.move rt set_src (R.to_slot 7);
+      while not (R.is_nil rt (R.slot 7)) do
         h := ((!h * 131) + Dsl.list_head_int rt ~list:7 + 1) land 0x3FFFFFFF;
         Dsl.list_advance rt ~list:7
       done;
@@ -349,69 +354,67 @@ let run rt ~scale =
     let trans_sum = ref 0 in
     (* keep the DFA table in a global so every frame can reach it *)
     let g_table = 0 in
-    R.set_global rt g_table Mem.Value.null;
+    R.move rt R.nil (R.to_global g_table);
     (* clobbers slots 4..7 *)
     let table_mem set_slot =
       let found = ref false in
-      R.set_slot rt 4 (R.get_global rt g_table);
-      while (not !found) && not (R.is_nil rt (R.Slot 4)) do
-        R.load_field rt ~obj:(R.Slot 4) ~idx:0 ~dst:(R.To_slot 5);
-        if sets_equal (R.Slot 5) (R.Slot set_slot) then found := true
+      R.move rt (R.global g_table) (R.to_slot 4);
+      while (not !found) && not (R.is_nil rt (R.slot 4)) do
+        R.load_field rt ~obj:(R.slot 4) ~idx:0 ~dst:(R.to_slot 5);
+        if sets_equal (R.slot 5) (R.slot set_slot) then found := true
         else Dsl.list_advance rt ~list:4
       done;
       !found
     in
     (* clobbers slots 4 and 7 *)
     let table_add set_slot =
-      R.set_slot rt 4 (R.get_global rt g_table);
-      R.alloc_record rt ~site:s_entry ~dst:(R.To_slot 4)
-        [ R.P (R.Slot set_slot); R.P (R.Slot 4) ];
-      R.set_global rt g_table (R.get_slot rt 4);
+      R.move rt (R.global g_table) (R.to_slot 4);
+      R.alloc_record2 rt ~site:s_entry ~mask:0b11 ~dst:(R.to_slot 4)
+        (R.slot set_slot) (R.slot 4);
+      R.move rt (R.slot 4) (R.to_global g_table);
       incr state_count;
-      state_sum := (!state_sum + hash_set (R.Slot set_slot)) land 0x3FFFFFFF
+      state_sum := (!state_sum + hash_set (R.slot set_slot)) land 0x3FFFFFFF
     in
     (* Worklist processing by non-tail recursion: each pending DFA state
        is expanded one stack level deeper than the last and the whole
        chain of activation records persists until the construction is
        done — the SML lexgen's non-tail traversals give it the deepest
        average stack of the paper's benchmarks after Knuth-Bendix. *)
-    let rec process pending_val =
-      R.call rt ~key:k_explore ~args:[ pending_val ] (fun () ->
-        (* slot 0 = pending worklist (cons cells of sets), slot 1 = the
-           set being expanded, slot 2 = successor; 4..7 scratch *)
-        if R.is_nil rt (R.Slot 0) then 0
-        else begin
-          R.load_field rt ~obj:(R.Slot 0) ~idx:0 ~dst:(R.To_slot 1);
-          R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 0);
-          for sym = 0 to nsyms - 1 do
-            let m = move (R.get_slot rt 1) sym in
-            R.set_slot rt 2 m;
-            if not (R.is_nil rt (R.Slot 2)) then begin
-              R.set_slot rt 2 (closure (R.get_slot rt 2));
-              trans_sum :=
-                (!trans_sum + hash_set (R.Slot 1)
-                 + ((sym + 1) * hash_set (R.Slot 2)))
-                land 0x3FFFFFFF;
-              if not (table_mem 2) then begin
-                table_add 2;
-                (* push the new state onto the worklist *)
-                R.alloc_record rt ~site:s_scratch ~dst:(R.To_slot 0)
-                  [ R.P (R.Slot 2); R.P (R.Slot 0) ]
-              end
+    let rec process_body () =
+      (* slot 0 = pending worklist (cons cells of sets), slot 1 = the
+         set being expanded, slot 2 = successor; 4..7 scratch *)
+      if R.is_nil rt (R.slot 0) then 0
+      else begin
+        R.load_field rt ~obj:(R.slot 0) ~idx:0 ~dst:(R.to_slot 1);
+        R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 0);
+        for sym = 0 to nsyms - 1 do
+          R.set rt (R.to_slot 2) (dfa_move (R.slot 1) sym);
+          if not (R.is_nil rt (R.slot 2)) then begin
+            R.set rt (R.to_slot 2) (closure (R.slot 2));
+            trans_sum :=
+              (!trans_sum + hash_set (R.slot 1)
+               + ((sym + 1) * hash_set (R.slot 2)))
+              land 0x3FFFFFFF;
+            if not (table_mem 2) then begin
+              table_add 2;
+              (* push the new state onto the worklist *)
+              R.alloc_record2 rt ~site:s_scratch ~mask:0b11 ~dst:(R.to_slot 0)
+                (R.slot 2) (R.slot 0)
             end
-          done;
-          (* non-tail: this frame stays live under the rest of the work *)
-          1 + process (R.get_slot rt 0)
-        end)
-    in
+          end
+        done;
+        (* non-tail: this frame stays live under the rest of the work *)
+        1 + process (R.slot 0)
+      end
+    and process pending = R.call1 rt ~key:k_explore pending process_body () in
     (* initial state *)
-    R.set_slot rt 3 (insert_sorted Mem.Value.null start);
-    R.set_slot rt 3 (closure (R.get_slot rt 3));
+    R.set rt (R.to_slot 3) (insert_sorted R.nil start);
+    R.set rt (R.to_slot 3) (closure (R.slot 3));
     table_add 3;
-    R.set_slot rt 2 (R.get_slot rt 3);
-    R.alloc_record rt ~site:s_scratch ~dst:(R.To_slot 3)
-      [ R.P (R.Slot 2); R.P R.Nil ];
-    ignore (process (R.get_slot rt 3) : int);
+    R.move rt (R.slot 3) (R.to_slot 2);
+    R.alloc_record2 rt ~site:s_scratch ~mask:0b11 ~dst:(R.to_slot 3)
+      (R.slot 2) R.nil;
+    ignore (process (R.slot 3) : int);
     if
       !state_count <> expected_states
       || !state_sum <> expected_ssum
@@ -421,6 +424,7 @@ let run rt ~scale =
         (Printf.sprintf "lexgen: dfa (%d, %d, %d), want (%d, %d, %d)"
            !state_count !state_sum !trans_sum expected_states expected_ssum
            expected_tsum))
+    ()
 
 let workload =
   { Spec.name = "lexgen";
@@ -429,4 +433,5 @@ let workload =
        subset-construction DFA over an 8-symbol alphabet";
     paper_lines = 1123;
     default_scale = 70;
+    scale_range = (1, max_int);
     run }

@@ -9,12 +9,16 @@
 module R = Gsc.Runtime
 
 let pack x y = ((x + 512) * 2048) + (y + 512)
-let unpack c = ((c / 2048) - 512, (c mod 2048) - 512)
+let unpack_x c = (c / 2048) - 512
+let unpack_y c = (c mod 2048) - 512
+
+(* the eight neighbours, in the order both the simulated step and its
+   native mirror visit them *)
+let neighbour_offsets =
+  [| (-1, -1); (-1, 0); (-1, 1); (0, -1); (0, 1); (1, -1); (1, 0); (1, 1) |]
 
 let neighbours (x, y) =
-  [ (x - 1, y - 1); (x - 1, y); (x - 1, y + 1);
-    (x, y - 1); (x, y + 1);
-    (x + 1, y - 1); (x + 1, y); (x + 1, y + 1) ]
+  Array.to_list (Array.map (fun (dx, dy) -> (x + dx, y + dy)) neighbour_offsets)
 
 (* native mirror used to compute the expected population *)
 let native_step cells =
@@ -54,71 +58,75 @@ let run rt ~scale =
   let k_mem = R.register_frame rt ~name:"life.mem" ~slots:(Dsl.slots "pp") in
   (* count: 0 = live list (arg), 1 = cursor *)
   let k_count = R.register_frame rt ~name:"life.count" ~slots:(Dsl.slots "pp") in
-  let member ~list_val v =
-    R.call rt ~key:k_mem ~args:[ list_val ] (fun () ->
-      R.set_slot rt 1 (R.get_slot rt 0);
-      let found = ref false in
-      while (not !found) && not (R.is_nil rt (R.Slot 1)) do
-        if Dsl.list_head_int rt ~list:1 = v then found := true
-        else Dsl.list_advance rt ~list:1
-      done;
-      !found)
+  (* the call bodies are built once per run; [member list v] reads its
+     list operand in the caller's frame *)
+  let member_body v =
+    R.move rt (R.slot 0) (R.to_slot 1);
+    let found = ref false in
+    while (not !found) && not (R.is_nil rt (R.slot 1)) do
+      if Dsl.list_head_int rt ~list:1 = v then found := true
+      else Dsl.list_advance rt ~list:1
+    done;
+    !found
   in
-  let live_neighbours ~live_val c =
-    R.call rt ~key:k_count ~args:[ live_val ] (fun () ->
-      let x, y = unpack c in
-      List.fold_left
-        (fun acc (nx, ny) ->
-          if member ~list_val:(R.get_slot rt 0) (pack nx ny) then acc + 1
-          else acc)
-        0 (neighbours (x, y)))
+  let member list v = R.call1 rt ~key:k_mem list member_body v in
+  let live_neighbours_body c =
+    let x = unpack_x c and y = unpack_y c in
+    let n = ref 0 in
+    for k = 0 to Array.length neighbour_offsets - 1 do
+      let dx, dy = neighbour_offsets.(k) in
+      if member (R.slot 0) (pack (x + dx) (y + dy)) then incr n
+    done;
+    !n
   in
-  let step gen_val =
-    R.call rt ~key:k_step ~args:[ gen_val ] (fun () ->
-      (* candidates: all live cells plus their neighbours, deduplicated *)
-      R.set_slot rt 1 Mem.Value.null;
-      R.set_slot rt 3 (R.get_slot rt 0);
-      while not (R.is_nil rt (R.Slot 3)) do
-        let c = Dsl.list_head_int rt ~list:3 in
-        let x, y = unpack c in
-        let consider v =
-          if not (member ~list_val:(R.get_slot rt 1) v) then
-            Dsl.cons_int rt ~site:s_cand ~list:1 v
-        in
-        consider c;
-        List.iter (fun (nx, ny) -> consider (pack nx ny)) (neighbours (x, y));
-        Dsl.list_advance rt ~list:3
-      done;
-      (* apply the rules *)
-      R.set_slot rt 2 Mem.Value.null;
-      R.set_slot rt 4 (R.get_slot rt 1);
-      while not (R.is_nil rt (R.Slot 4)) do
-        let c = Dsl.list_head_int rt ~list:4 in
-        let n = live_neighbours ~live_val:(R.get_slot rt 0) c in
-        let alive = member ~list_val:(R.get_slot rt 0) c in
-        if n = 3 || (n = 2 && alive) then
-          Dsl.cons_int rt ~site:s_cell ~list:2 c;
-        Dsl.list_advance rt ~list:4
-      done;
-      R.get_slot rt 2)
+  let consider v =
+    if not (member (R.slot 1) v) then Dsl.cons_int rt ~site:s_cand ~list:1 v
   in
-  R.call rt ~key:k_main ~args:[] (fun () ->
-    R.set_slot rt 0 Mem.Value.null;
+  let step_body () =
+    (* candidates: all live cells plus their neighbours, deduplicated *)
+    R.move rt R.nil (R.to_slot 1);
+    R.move rt (R.slot 0) (R.to_slot 3);
+    while not (R.is_nil rt (R.slot 3)) do
+      let c = Dsl.list_head_int rt ~list:3 in
+      let x = unpack_x c and y = unpack_y c in
+      consider c;
+      for k = 0 to Array.length neighbour_offsets - 1 do
+        let dx, dy = neighbour_offsets.(k) in
+        consider (pack (x + dx) (y + dy))
+      done;
+      Dsl.list_advance rt ~list:3
+    done;
+    (* apply the rules *)
+    R.move rt R.nil (R.to_slot 2);
+    R.move rt (R.slot 1) (R.to_slot 4);
+    while not (R.is_nil rt (R.slot 4)) do
+      let c = Dsl.list_head_int rt ~list:4 in
+      let n = R.call1 rt ~key:k_count (R.slot 0) live_neighbours_body c in
+      let alive = member (R.slot 0) c in
+      if n = 3 || (n = 2 && alive) then
+        Dsl.cons_int rt ~site:s_cell ~list:2 c;
+      Dsl.list_advance rt ~list:4
+    done;
+    R.word rt (R.slot 2)
+  in
+  R.call0 rt ~key:k_main (fun () ->
+    R.move rt R.nil (R.to_slot 0);
     List.iter
       (fun (x, y) -> Dsl.cons_int rt ~site:s_cell ~list:0 (pack x y))
       initial_cells;
     for _ = 1 to scale do
-      let next = step (R.get_slot rt 0) in
-      R.set_slot rt 0 next
+      R.set rt (R.to_slot 0) (R.call1 rt ~key:k_step (R.slot 0) step_body ())
     done;
     let pop = Dsl.list_length rt ~list:0 ~cursor:1 in
     let want = expected_population ~gens:scale in
     if pop <> want then
       failwith (Printf.sprintf "life: population %d, want %d" pop want))
+    ()
 
 let workload =
   { Spec.name = "life";
     description = "The game of Life implemented using lists (Reade 1989)";
     paper_lines = 146;
     default_scale = 60;
+    scale_range = (1, max_int);
     run }

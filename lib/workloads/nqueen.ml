@@ -31,71 +31,73 @@ let run rt ~scale =
   (* Is placing a queen in column [col] at row [row] safe, given the list
      of already-placed columns (most recent row first)?  Recursive and
      non-tail, like the SML original. *)
-  let rec safe_from placed_val col dist =
-    R.call rt ~key:k_safe ~args:[ placed_val ] (fun () ->
-      if R.is_nil rt (R.Slot 0) then true
+  (* the column under test is fixed for a whole [safe] walk *)
+  let safe_col = ref 0 in
+  let rec safe_from dist =
+    if R.is_nil rt (R.slot 0) then true
+    else begin
+      let col = !safe_col in
+      let c = Dsl.list_head_int rt ~list:0 in
+      if c = col || c = col + dist || c = col - dist then false
       else begin
-        let c = Dsl.list_head_int rt ~list:0 in
-        if c = col || c = col + dist || c = col - dist then false
-        else begin
-          R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 1);
-          let tail = R.get_slot rt 1 in
-          (* non-tail: the && forces work after the recursive call *)
-          let deeper = safe_from tail col (dist + 1) in
-          deeper && c <> col
-        end
-      end)
+        R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 1);
+        (* non-tail: the && forces work after the recursive call *)
+        let deeper = R.call1 rt ~key:k_safe (R.slot 1) safe_from (dist + 1) in
+        deeper && c <> col
+      end
+    end
   in
   (* copy a complete placement into long-lived solution cells and cons it
      onto the solution list; returns the new solutions list *)
-  let record_solution placed_val sols_val =
-    R.call rt ~key:k_copy ~args:[ placed_val; sols_val ] (fun () ->
-      R.set_slot rt 2 Mem.Value.null;
-      while not (R.is_nil rt (R.Slot 0)) do
-        let c = Dsl.list_head_int rt ~list:0 in
-        Dsl.cons_int rt ~site:s_sol_cell ~list:2 c;
-        Dsl.list_advance rt ~list:0
+  let record_solution () =
+    R.move rt R.nil (R.to_slot 2);
+    while not (R.is_nil rt (R.slot 0)) do
+      let c = Dsl.list_head_int rt ~list:0 in
+      Dsl.cons_int rt ~site:s_sol_cell ~list:2 c;
+      Dsl.list_advance rt ~list:0
+    done;
+    R.alloc_record2 rt ~site:s_sol_list ~mask:0b11 ~dst:(R.to_slot 1)
+      (R.slot 2) (R.slot 1);
+    R.word rt (R.slot 1)
+  in
+  let rec place row =
+    if row = n then begin
+      R.set rt (R.to_slot 1)
+        (R.call2 rt ~key:k_copy (R.slot 0) (R.slot 1) record_solution ());
+      R.word rt (R.slot 1)
+    end
+    else begin
+      for col = 0 to n - 1 do
+        (* a short-lived box per attempt: the paper's nqueens allocates
+           heavily per candidate; dead on arrival, so unrooted at once *)
+        R.alloc_record2 rt ~site:s_try ~mask:0 ~dst:(R.to_slot 2)
+          (R.imm col) (R.imm row);
+        R.move rt R.nil (R.to_slot 2);
+        safe_col := col;
+        if R.call1 rt ~key:k_safe (R.slot 0) safe_from 1 then begin
+          R.alloc_record2 rt ~site:s_pos ~mask:0b10 ~dst:(R.to_slot 3)
+            (R.imm col) (R.slot 0);
+          R.set rt (R.to_slot 1)
+            (R.call2 rt ~key:k_place (R.slot 3) (R.slot 1) place (row + 1))
+        end
       done;
-      R.alloc_record rt ~site:s_sol_list ~dst:(R.To_slot 1)
-        [ R.P (R.Slot 2); R.P (R.Slot 1) ];
-      R.get_slot rt 1)
+      R.word rt (R.slot 1)
+    end
   in
-  let rec place row placed_val sols_val =
-    R.call rt ~key:k_place ~args:[ placed_val; sols_val ] (fun () ->
-      if row = n then begin
-        let sols = record_solution (R.get_slot rt 0) (R.get_slot rt 1) in
-        R.set_slot rt 1 sols;
-        R.get_slot rt 1
-      end
-      else begin
-        for col = 0 to n - 1 do
-          (* a short-lived box per attempt: the paper's nqueens allocates
-             heavily per candidate; dead on arrival, so unrooted at once *)
-          R.alloc_record rt ~site:s_try ~dst:(R.To_slot 2)
-            [ R.I (R.Imm col); R.I (R.Imm row) ];
-          R.set_slot rt 2 Mem.Value.null;
-          if safe_from (R.get_slot rt 0) col 1 then begin
-            R.alloc_record rt ~site:s_pos ~dst:(R.To_slot 3)
-              [ R.I (R.Imm col); R.P (R.Slot 0) ];
-            let sols = place (row + 1) (R.get_slot rt 3) (R.get_slot rt 1) in
-            R.set_slot rt 1 sols
-          end
-        done;
-        R.get_slot rt 1
-      end)
-  in
-  R.call rt ~key:k_main ~args:[] (fun () ->
-    R.set_slot rt 0 Mem.Value.null;
-    let sols = place 0 Mem.Value.null (R.get_slot rt 0) in
-    R.set_slot rt 0 sols;
+  R.call0 rt ~key:k_main (fun () ->
+    R.move rt R.nil (R.to_slot 0);
+    R.set rt (R.to_slot 0)
+      (R.call2 rt ~key:k_place R.nil (R.slot 0) place 0);
     let count = Dsl.list_length rt ~list:0 ~cursor:1 in
     let want = expected_solutions.(n) in
     if count <> want then
       failwith (Printf.sprintf "nqueen: %d solutions, want %d" count want))
+    ()
 
 let workload =
   { Spec.name = "nqueen";
     description = "The N-queens problem for n = 10";
     paper_lines = 73;
     default_scale = 10;
+    scale_range = (1, 10);
     run }

@@ -46,18 +46,18 @@ let expected_solutions ~node_budget =
     if !nodes > node_budget then raise Done;
     if pegs = 1 then incr sols
     else
-      Array.iter
-        (fun (f, o, t) ->
-          if board.(f) && board.(o) && not board.(t) then begin
-            board.(f) <- false;
-            board.(o) <- false;
-            board.(t) <- true;
-            dfs (pegs - 1);
-            board.(f) <- true;
-            board.(o) <- true;
-            board.(t) <- false
-          end)
-        moves
+      for m = 0 to Array.length moves - 1 do
+        let f, o, t = moves.(m) in
+        if board.(f) && board.(o) && not board.(t) then begin
+          board.(f) <- false;
+          board.(o) <- false;
+          board.(t) <- true;
+          dfs (pegs - 1);
+          board.(f) <- true;
+          board.(o) <- true;
+          board.(t) <- false
+        end
+      done
   in
   (try dfs (size - 1) with Done -> ());
   !sols
@@ -71,68 +71,64 @@ let run rt ~scale =
   let k_main = R.register_frame rt ~name:"peg.main" ~slots:(Dsl.slots "pppp") in
   (* dfs: 0 = board (arg), 1 = counters (arg), 2 = try box *)
   let k_dfs = R.register_frame rt ~name:"peg.dfs" ~slots:(Dsl.slots "ppp") in
-  R.call rt ~key:k_main ~args:[] (fun () ->
-    R.alloc_record rt ~site:s_marker ~dst:(R.To_slot 1) [ R.I (R.Imm 1) ];
-    R.alloc_record rt ~site:s_marker ~dst:(R.To_slot 2) [ R.I (R.Imm 0) ];
-    R.alloc_ptr_array rt ~site:s_board ~dst:(R.To_slot 0) ~len:size;
+  (* board in slot 0, counters in slot 1 of the dfs frame *)
+  let occupied i =
+    R.load_field rt ~obj:(R.slot 0) ~idx:i ~dst:(R.to_slot 2);
+    R.field_int rt ~obj:(R.slot 2) ~idx:0 = 1
+  in
+  let set_cell i ~peg =
+    R.load_field rt ~obj:(R.slot 1) ~idx:(if peg then 2 else 3)
+      ~dst:(R.to_slot 2);
+    R.store_field rt ~obj:(R.slot 0) ~idx:i ~ptr:true (R.slot 2)
+  in
+  let rec dfs pegs =
+    let nodes = R.field_int rt ~obj:(R.slot 1) ~idx:0 in
+    R.store_field rt ~obj:(R.slot 1) ~idx:0 ~ptr:false (R.imm (nodes + 1));
+    if nodes + 1 > node_budget then R.raise_exn rt (R.imm 0);
+    if pegs = 1 then begin
+      let sols = R.field_int rt ~obj:(R.slot 1) ~idx:1 in
+      R.store_field rt ~obj:(R.slot 1) ~idx:1 ~ptr:false (R.imm (sols + 1))
+    end
+    else
+      for m = 0 to Array.length moves - 1 do
+        let f, o, t = moves.(m) in
+        (* a short-lived box per attempted move *)
+        R.alloc_record2 rt ~site:s_try ~mask:0 ~dst:(R.to_slot 2) (R.imm f)
+          (R.imm t);
+        if occupied f && occupied o && not (occupied t) then begin
+          set_cell f ~peg:false;
+          set_cell o ~peg:false;
+          set_cell t ~peg:true;
+          R.call2 rt ~key:k_dfs (R.slot 0) (R.slot 1) dfs (pegs - 1);
+          set_cell f ~peg:true;
+          set_cell o ~peg:true;
+          set_cell t ~peg:false
+        end
+      done
+  in
+  R.call0 rt ~key:k_main (fun () ->
+    R.alloc_record1 rt ~site:s_marker ~mask:0 ~dst:(R.to_slot 1) (R.imm 1);
+    R.alloc_record1 rt ~site:s_marker ~mask:0 ~dst:(R.to_slot 2) (R.imm 0);
+    R.alloc_ptr_array rt ~site:s_board ~dst:(R.to_slot 0) ~len:size;
     for i = 0 to size - 1 do
       let marker = if i = initial_hole then 2 else 1 in
-      R.store_field rt ~obj:(R.Slot 0) ~idx:i (R.P (R.Slot marker))
+      R.store_field rt ~obj:(R.slot 0) ~idx:i ~ptr:true (R.slot marker)
     done;
     (* counters record: field 0 = nodes, field 1 = solutions,
        fields 2/3 = the two markers so the dfs frame can reach them *)
-    R.alloc_record rt ~site:s_board ~dst:(R.To_slot 3)
-      [ R.I (R.Imm 0); R.I (R.Imm 0); R.P (R.Slot 1); R.P (R.Slot 2) ];
-    let occupied board_src i =
-      R.load_field rt ~obj:board_src ~idx:i ~dst:(R.To_slot 2);
-      R.field_int rt ~obj:(R.Slot 2) ~idx:0 = 1
-    in
-    let set_cell i ~peg =
-      (* board in slot 0, counters in slot 1 of the dfs frame *)
-      R.load_field rt ~obj:(R.Slot 1) ~idx:(if peg then 2 else 3)
-        ~dst:(R.To_slot 2);
-      R.store_field rt ~obj:(R.Slot 0) ~idx:i (R.P (R.Slot 2))
-    in
-    let rec dfs pegs board_val counters_val =
-      R.call rt ~key:k_dfs ~args:[ board_val; counters_val ] (fun () ->
-        let nodes = R.field_int rt ~obj:(R.Slot 1) ~idx:0 in
-        R.store_field rt ~obj:(R.Slot 1) ~idx:0 (R.I (R.Imm (nodes + 1)));
-        if nodes + 1 > node_budget then R.raise_exn rt (R.Imm 0);
-        if pegs = 1 then begin
-          let sols = R.field_int rt ~obj:(R.Slot 1) ~idx:1 in
-          R.store_field rt ~obj:(R.Slot 1) ~idx:1 (R.I (R.Imm (sols + 1)))
-        end
-        else
-          Array.iter
-            (fun (f, o, t) ->
-              (* a short-lived box per attempted move *)
-              R.alloc_record rt ~site:s_try ~dst:(R.To_slot 2)
-                [ R.I (R.Imm f); R.I (R.Imm t) ];
-              if
-                occupied (R.Slot 0) f
-                && occupied (R.Slot 0) o
-                && not (occupied (R.Slot 0) t)
-              then begin
-                set_cell f ~peg:false;
-                set_cell o ~peg:false;
-                set_cell t ~peg:true;
-                dfs (pegs - 1) (R.get_slot rt 0) (R.get_slot rt 1);
-                set_cell f ~peg:true;
-                set_cell o ~peg:true;
-                set_cell t ~peg:false
-              end)
-            moves)
-    in
+    R.alloc_record4 rt ~site:s_board ~mask:0b1100 ~dst:(R.to_slot 3)
+      (R.imm 0) (R.imm 0) (R.slot 1) (R.slot 2);
     let sols =
       R.try_with rt
         (fun () ->
-          dfs (size - 1) (R.get_slot rt 0) (R.get_slot rt 3);
-          R.field_int rt ~obj:(R.Slot 3) ~idx:1)
-        ~handler:(fun () -> R.field_int rt ~obj:(R.Slot 3) ~idx:1)
+          R.call2 rt ~key:k_dfs (R.slot 0) (R.slot 3) dfs (size - 1);
+          R.field_int rt ~obj:(R.slot 3) ~idx:1)
+        ~handler:(fun () -> R.field_int rt ~obj:(R.slot 3) ~idx:1)
     in
     let want = expected_solutions ~node_budget in
     if sols <> want then
       failwith (Printf.sprintf "peg: %d solutions, want %d" sols want))
+    ()
 
 let workload =
   { Spec.name = "peg";
@@ -141,4 +137,5 @@ let workload =
        in place (very high pointer-update rate)";
     paper_lines = 458;
     default_scale = 20000;
+    scale_range = (1, max_int);
     run }

@@ -95,65 +95,76 @@ let run rt ~scale =
   let k_render = R.register_frame rt ~name:"pia.render" ~slots:(Dsl.slots "pp") in
   (* node record: [I disp; P c00; P c10; P c01; P c11];
      leaf record: [I disp] *)
-  let rec build phase level x y =
-    R.call rt ~key:k_build ~args:[] (fun () ->
-      let d = displacement phase level x y in
-      if level = tree_depth then begin
-        R.alloc_record rt ~site:s_leaf ~dst:(R.To_slot 4) [ R.I (R.Imm d) ];
-        R.get_slot rt 4
-      end
-      else begin
-        R.set_slot rt 0 (build phase (level + 1) (2 * x) (2 * y));
-        R.set_slot rt 1 (build phase (level + 1) ((2 * x) + 1) (2 * y));
-        R.set_slot rt 2 (build phase (level + 1) (2 * x) ((2 * y) + 1));
-        R.set_slot rt 3 (build phase (level + 1) ((2 * x) + 1) ((2 * y) + 1));
-        R.alloc_record rt ~site:s_node ~dst:(R.To_slot 4)
-          [ R.I (R.Imm d); R.P (R.Slot 0); R.P (R.Slot 1); R.P (R.Slot 2);
-            R.P (R.Slot 3) ];
-        R.get_slot rt 4
-      end)
+  (* the call bodies take one int: a node's level and coordinates are
+     packed into [cell] (x, y < 2^tree_depth <= 256), and what stays
+     fixed for a whole walk (the phase, the sample point) is set before
+     it *)
+  let cell level x y = (level lsl 16) lor (x lsl 8) lor y in
+  let phase = ref 0 in
+  let rec build c =
+    let level = c lsr 16 and x = (c lsr 8) land 0xFF and y = c land 0xFF in
+    let d = displacement !phase level x y in
+    if level = tree_depth then
+      R.alloc_record1 rt ~site:s_leaf ~mask:0 ~dst:(R.to_slot 4) (R.imm d)
+    else begin
+      let l = level + 1 in
+      R.set rt (R.to_slot 0)
+        (R.call0 rt ~key:k_build build (cell l (2 * x) (2 * y)));
+      R.set rt (R.to_slot 1)
+        (R.call0 rt ~key:k_build build (cell l ((2 * x) + 1) (2 * y)));
+      R.set rt (R.to_slot 2)
+        (R.call0 rt ~key:k_build build (cell l (2 * x) ((2 * y) + 1)));
+      R.set rt (R.to_slot 3)
+        (R.call0 rt ~key:k_build build (cell l ((2 * x) + 1) ((2 * y) + 1)));
+      R.alloc_record5 rt ~site:s_node ~mask:0b11110 ~dst:(R.to_slot 4)
+        (R.imm d) (R.slot 0) (R.slot 1) (R.slot 2) (R.slot 3)
+    end;
+    R.word rt (R.slot 4)
   in
-  let rec lookup tree_val level px py =
-    R.call rt ~key:k_lookup ~args:[ tree_val ] (fun () ->
-      let d = R.field_int rt ~obj:(R.Slot 0) ~idx:0 in
-      if R.obj_length rt ~obj:(R.Slot 0) = 1 then d
-      else begin
-        let bit = tree_depth - 1 - level in
-        let cx = (px lsr bit) land 1 and cy = (py lsr bit) land 1 in
-        let idx = 1 + cx + (2 * cy) in
-        R.load_field rt ~obj:(R.Slot 0) ~idx ~dst:(R.To_slot 1);
-        d + lookup (R.get_slot rt 1) (level + 1) px py
-      end)
+  let px = ref 0 and py = ref 0 in
+  let rec lookup level =
+    let d = R.field_int rt ~obj:(R.slot 0) ~idx:0 in
+    if R.obj_length rt ~obj:(R.slot 0) = 1 then d
+    else begin
+      let bit = tree_depth - 1 - level in
+      let cx = (!px lsr bit) land 1 and cy = (!py lsr bit) land 1 in
+      let idx = 1 + cx + (2 * cy) in
+      R.load_field rt ~obj:(R.slot 0) ~idx ~dst:(R.to_slot 1);
+      d + R.call1 rt ~key:k_lookup (R.slot 1) lookup (level + 1)
+    end
   in
   (* non-tail recursion over scanlines: the stack is [rows] deep while
      the samples of each row are traced *)
-  let rec render_rest tree_val row =
-    R.call rt ~key:k_render ~args:[ tree_val ] (fun () ->
-      let below =
-        if row + 1 = rows then 0 else render_rest (R.get_slot rt 0) (row + 1)
-      in
-      let acc = ref below in
-      for c = 0 to cols - 1 do
-        let px = (row + c) land ((1 lsl tree_depth) - 1) in
-        let py = ((row * 3) + c) land ((1 lsl tree_depth) - 1) in
-        (* short-lived sample box *)
-        R.alloc_record rt ~site:s_sample ~dst:(R.To_slot 1)
-          [ R.I (R.Imm px); R.I (R.Imm py) ];
-        acc := (!acc + lookup (R.get_slot rt 0) 0 px py) land 0x3FFFFFFF
-      done;
-      !acc)
+  let rec render_rest row =
+    let below =
+      if row + 1 = rows then 0
+      else R.call1 rt ~key:k_render (R.slot 0) render_rest (row + 1)
+    in
+    let acc = ref below in
+    for c = 0 to cols - 1 do
+      px := (row + c) land ((1 lsl tree_depth) - 1);
+      py := ((row * 3) + c) land ((1 lsl tree_depth) - 1);
+      (* short-lived sample box *)
+      R.alloc_record2 rt ~site:s_sample ~mask:0 ~dst:(R.to_slot 1)
+        (R.imm !px) (R.imm !py);
+      acc :=
+        (!acc + R.call1 rt ~key:k_lookup (R.slot 0) lookup 0) land 0x3FFFFFFF
+    done;
+    !acc
   in
-  R.call rt ~key:k_main ~args:[] (fun () ->
+  R.call0 rt ~key:k_main (fun () ->
     let total = ref 0 in
-    for phase = 1 to scale do
+    for p = 1 to scale do
       (* the previous phase's mesh dies here *)
-      R.set_slot rt 0 (build phase 0 0 0);
-      let v = render_rest (R.get_slot rt 0) 0 in
+      phase := p;
+      R.set rt (R.to_slot 0) (R.call0 rt ~key:k_build build (cell 0 0 0));
+      let v = R.call1 rt ~key:k_render (R.slot 0) render_rest 0 in
       total := (!total + v) land 0x3FFFFFFF
     done;
     let want = native_total scale in
     if !total <> want then
       failwith (Printf.sprintf "pia: checksum %d, want %d" !total want))
+    ()
 
 let workload =
   { Spec.name = "pia";
@@ -162,4 +173,5 @@ let workload =
        meshes that are promoted and then die (tenured garbage)";
     paper_lines = 2065;
     default_scale = 8;
+    scale_range = (1, max_int);
     run }

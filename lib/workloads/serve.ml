@@ -88,7 +88,7 @@ let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
      live in the global root table (gc-serve sizes [global_slots] to the
      tenant count). *)
   for t = 0 to tenants - 1 do
-    R.alloc_ptr_array rt ~site:s_sess ~dst:(R.To_global t) ~len:sessions
+    R.alloc_ptr_array rt ~site:s_sess ~dst:(R.to_global t) ~len:sessions
   done;
   (* 48-bit LCG (java.util.Random's constants): deterministic and
      host-independent, so the request stream is identical under every
@@ -100,47 +100,46 @@ let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
   in
   let checksum = ref 0 in
   let fold v = checksum := (!checksum * 31 + v) land 0x3FFF_FFFF in
-  let handle_arena () =
-    R.call rt ~key:k_req ~args:[ Mem.Value.null ] (fun () ->
-      let n = 8 + (next () mod 24) in
-      R.set_slot rt 1 Mem.Value.null;
-      for j = 1 to n do
-        Dsl.cons_int rt ~site:s_arena ~list:1 (j * 3)
-      done;
-      fold (Dsl.list_length rt ~list:1 ~cursor:2))
+  (* the request bodies are built once per run; the caller passes the
+     tenant's session table (null for arena requests) *)
+  let arena_body () =
+    let n = 8 + (next () mod 24) in
+    R.move rt R.nil (R.to_slot 1);
+    for j = 1 to n do
+      Dsl.cons_int rt ~site:s_arena ~list:1 (j * 3)
+    done;
+    fold (Dsl.list_length rt ~list:1 ~cursor:2)
   in
-  let handle_cache ~tenant ~session =
-    R.call rt ~key:k_req ~args:[ R.get_global rt tenant ] (fun () ->
-      R.load_field rt ~obj:(R.Slot 0) ~idx:session ~dst:(R.To_slot 1);
-      let adds = 2 + (next () mod 6) in
-      for _ = 1 to adds do
-        Dsl.cons_int rt ~site:s_cache ~list:1 (next () land 0xFF)
-      done;
-      fold (adds + Dsl.list_head_int rt ~list:1);
-      (* wholesale eviction keeps caches bounded: roughly every 32nd
-         update drops the session's whole list *)
-      if next () mod 32 = 0 then R.set_slot rt 1 Mem.Value.null;
-      R.store_field rt ~obj:(R.Slot 0) ~idx:session (R.P (R.Slot 1)))
+  let cache_body session =
+    R.load_field rt ~obj:(R.slot 0) ~idx:session ~dst:(R.to_slot 1);
+    let adds = 2 + (next () mod 6) in
+    for _ = 1 to adds do
+      Dsl.cons_int rt ~site:s_cache ~list:1 (next () land 0xFF)
+    done;
+    fold (adds + Dsl.list_head_int rt ~list:1);
+    (* wholesale eviction keeps caches bounded: roughly every 32nd
+       update drops the session's whole list *)
+    if next () mod 32 = 0 then R.move rt R.nil (R.to_slot 1);
+    R.store_field rt ~obj:(R.slot 0) ~idx:session ~ptr:true (R.slot 1)
   in
-  let handle_archive ~tenant ~session =
-    R.call rt ~key:k_req ~args:[ R.get_global rt tenant ] (fun () ->
-      R.set_slot rt 1 Mem.Value.null;
-      let n = 4 + (next () mod 12) in
-      for j = 1 to n do
-        Dsl.cons_int rt ~site:s_tmp ~list:1 j
-      done;
-      fold (Dsl.list_length rt ~list:1 ~cursor:2);
-      (* the cold tail: roughly every 16th request archives one record
-         permanently *)
-      if next () mod 16 = 0 then begin
-        R.load_field rt ~obj:(R.Slot 0) ~idx:session ~dst:(R.To_slot 1);
-        Dsl.cons_int rt ~site:s_cold ~list:1 (next () land 0xFFFF);
-        R.store_field rt ~obj:(R.Slot 0) ~idx:session (R.P (R.Slot 1))
-      end)
+  let archive_body session =
+    R.move rt R.nil (R.to_slot 1);
+    let n = 4 + (next () mod 12) in
+    for j = 1 to n do
+      Dsl.cons_int rt ~site:s_tmp ~list:1 j
+    done;
+    fold (Dsl.list_length rt ~list:1 ~cursor:2);
+    (* the cold tail: roughly every 16th request archives one record
+       permanently *)
+    if next () mod 16 = 0 then begin
+      R.load_field rt ~obj:(R.slot 0) ~idx:session ~dst:(R.to_slot 1);
+      Dsl.cons_int rt ~site:s_cold ~list:1 (next () land 0xFFFF);
+      R.store_field rt ~obj:(R.slot 0) ~idx:session ~ptr:true (R.slot 1)
+    end
   in
-  let lat = Array.init tenants (fun _ -> Support.Vec.create ()) in
+  let lat = Array.init tenants (fun _ -> Support.Fvec.create ()) in
   let req_n = Array.make tenants 0 in
-  let pause_durs = Array.init tenants (fun _ -> Support.Vec.create ()) in
+  let pause_durs = Array.init tenants (fun _ -> Support.Fvec.create ()) in
   let tick_us = 1e6 /. rate_rps in
   let completion = ref 0. in
   for i = 0 to requests - 1 do
@@ -163,40 +162,37 @@ let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
     in
     let t0 = Support.Units.now_ns () in
     (match kind with
-     | Arena -> handle_arena ()
-     | Cache -> handle_cache ~tenant ~session
-     | Archive -> handle_archive ~tenant ~session);
+     | Arena -> R.call1 rt ~key:k_req R.nil arena_body ()
+     | Cache -> R.call1 rt ~key:k_req (R.global tenant) cache_body session
+     | Archive -> R.call1 rt ~key:k_req (R.global tenant) archive_body session);
     let service_us = float_of_int (Support.Units.now_ns () - t0) /. 1e3 in
     (match slo with
      | Some s ->
        let after = Obs.Slo.pause_count s in
        for p = before to after - 1 do
-         Support.Vec.push pause_durs.(tenant) (Obs.Slo.pause_dur s p)
+         Support.Fvec.push pause_durs.(tenant) (Obs.Slo.pause_dur s p)
        done
      | None -> ());
     let arrival = float_of_int i *. tick_us in
     let c = Float.max arrival !completion +. service_us in
     completion := c;
     req_n.(tenant) <- req_n.(tenant) + 1;
-    Support.Vec.push lat.(tenant) (c -. arrival)
+    Support.Fvec.push lat.(tenant) (c -. arrival)
   done;
   let horizon_us =
     Float.max !completion (float_of_int (max 0 (requests - 1)) *. tick_us)
   in
-  let array_of vec =
-    let a = Array.make (Support.Vec.length vec) 0. in
-    Support.Vec.iteri (fun i v -> a.(i) <- v) vec;
-    a
-  in
   let tenant_reports =
     List.init tenants (fun t ->
       let p50, p99, p999, mx =
-        match Obs.Profile.percentiles_of (array_of lat.(t)) with
+        match Obs.Profile.percentiles_of (Support.Fvec.to_array lat.(t)) with
         | None -> (0., 0., 0., 0.)
         | Some pc -> Obs.Profile.(pc.p50, pc.p99, pc.p999, pc.max_us)
       in
       let pauses, pause_us, p99_p, p999_p =
-        match Obs.Profile.percentiles_of (array_of pause_durs.(t)) with
+        match
+          Obs.Profile.percentiles_of (Support.Fvec.to_array pause_durs.(t))
+        with
         | None -> (0, 0., 0., 0.)
         | Some pc ->
           Obs.Profile.(pc.count, pc.total_us, pc.p99, pc.p999)

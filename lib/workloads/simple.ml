@@ -55,79 +55,72 @@ let run rt ~scale =
      5 = scratch, 6 = next spine (arg) *)
   let k_row = R.register_frame rt ~name:"simple.relax_row" ~slots:(Dsl.slots "ppppppp") in
   (* the grid spine is a pointer array of rows *)
-  let row_of spine i dst =
-    R.load_field rt ~obj:spine ~idx:i ~dst
+  let row_of spine i dst = R.load_field rt ~obj:spine ~idx:i ~dst in
+  (* one frame per row, recursively, so the stack deepens to [rows]
+     while an iteration is in flight *)
+  let rec relax_rows i =
+    (* args arrive in slots 0 and 1; keep the next spine in slot 6,
+       freeing slot 1 for the output row *)
+    R.move rt (R.slot 1) (R.to_slot 6);
+    R.alloc_nonptr_array rt ~site:s_row ~dst:(R.to_slot 1) ~len:cols;
+    row_of (R.slot 0) i (R.to_slot 2);
+    if i > 0 then row_of (R.slot 0) (i - 1) (R.to_slot 3);
+    if i < rows - 1 then row_of (R.slot 0) (i + 1) (R.to_slot 4);
+    for j = 0 to cols - 1 do
+      let v =
+        if i = 0 || j = 0 || i = rows - 1 || j = cols - 1 then
+          R.field_int rt ~obj:(R.slot 2) ~idx:j
+        else begin
+          (* a scratch box per cell: the paper's SIMPLE allocates
+             heavily inside its stencil loops *)
+          R.alloc_record1 rt ~site:s_scratch ~mask:0 ~dst:(R.to_slot 5)
+            (R.imm j);
+          (R.field_int rt ~obj:(R.slot 3) ~idx:j
+           + R.field_int rt ~obj:(R.slot 4) ~idx:j
+           + R.field_int rt ~obj:(R.slot 2) ~idx:(j - 1)
+           + R.field_int rt ~obj:(R.slot 2) ~idx:(j + 1))
+          / 4
+        end
+      in
+      R.store_field rt ~obj:(R.slot 1) ~idx:j ~ptr:false (R.imm v)
+    done;
+    (* store the finished row into the next spine, then recurse for the
+       remaining rows with this frame still live (non-tail: the read
+       below keeps it) *)
+    R.store_field rt ~obj:(R.slot 6) ~idx:i ~ptr:true (R.slot 1);
+    if i + 1 < rows then
+      R.call2 rt ~key:k_row (R.slot 0) (R.slot 6) relax_rows (i + 1);
+    ignore (R.field_int rt ~obj:(R.slot 1) ~idx:0 : int)
   in
-  let alloc_grid dst_spine fill =
-    R.alloc_ptr_array rt ~site:s_spine ~dst:dst_spine ~len:rows;
+  R.call0 rt ~key:k_main (fun () ->
+    (* the first grid, from the boundary values; rows are built in slot 4 *)
+    R.alloc_ptr_array rt ~site:s_spine ~dst:(R.to_slot 0) ~len:rows;
     for i = 0 to rows - 1 do
-      (match dst_spine with
-       | R.To_slot sp ->
-         R.alloc_nonptr_array rt ~site:s_row ~dst:(R.To_slot 4) ~len:cols;
-         for j = 0 to cols - 1 do
-           R.store_field rt ~obj:(R.Slot 4) ~idx:j (R.I (R.Imm (fill i j)))
-         done;
-         R.store_field rt ~obj:(R.Slot sp) ~idx:i (R.P (R.Slot 4))
-       | R.To_reg _ | R.To_global _ ->
-         invalid_arg "simple: spine must live in a slot")
-    done
-  in
-  R.call rt ~key:k_main ~args:[] (fun () ->
-    alloc_grid (R.To_slot 0) (fun i j -> boundary_value i j rows cols);
-    (* one frame per row, recursively, so the stack deepens to [rows]
-       while an iteration is in flight *)
-    let rec relax_rows i prev_spine next_spine =
-      if i < rows then
-        R.call rt ~key:k_row ~args:[ prev_spine; next_spine ] (fun () ->
-            (* args arrive in slots 0 and 1; keep the next spine in
-               slot 6, freeing slot 1 for the output row *)
-            R.set_slot rt 6 (R.get_slot rt 1);
-            R.alloc_nonptr_array rt ~site:s_row ~dst:(R.To_slot 1) ~len:cols;
-            row_of (R.Slot 0) i (R.To_slot 2);
-            if i > 0 then row_of (R.Slot 0) (i - 1) (R.To_slot 3);
-            if i < rows - 1 then row_of (R.Slot 0) (i + 1) (R.To_slot 4);
-            for j = 0 to cols - 1 do
-              let v =
-                if i = 0 || j = 0 || i = rows - 1 || j = cols - 1 then
-                  R.field_int rt ~obj:(R.Slot 2) ~idx:j
-                else begin
-                  (* a scratch box per cell: the paper's SIMPLE allocates
-                     heavily inside its stencil loops *)
-                  R.alloc_record rt ~site:s_scratch ~dst:(R.To_slot 5)
-                    [ R.I (R.Imm j) ];
-                  (R.field_int rt ~obj:(R.Slot 3) ~idx:j
-                   + R.field_int rt ~obj:(R.Slot 4) ~idx:j
-                   + R.field_int rt ~obj:(R.Slot 2) ~idx:(j - 1)
-                   + R.field_int rt ~obj:(R.Slot 2) ~idx:(j + 1))
-                  / 4
-                end
-              in
-              R.store_field rt ~obj:(R.Slot 1) ~idx:j (R.I (R.Imm v))
-            done;
-            (* store the finished row into the next spine, then recurse
-               for the remaining rows with this frame still live
-               (non-tail: the read below keeps it) *)
-            R.store_field rt ~obj:(R.Slot 6) ~idx:i (R.P (R.Slot 1));
-            relax_rows (i + 1) (R.get_slot rt 0) (R.get_slot rt 6);
-            ignore (R.field_int rt ~obj:(R.Slot 1) ~idx:0 : int))
-    in
+      R.alloc_nonptr_array rt ~site:s_row ~dst:(R.to_slot 4) ~len:cols;
+      for j = 0 to cols - 1 do
+        R.store_field rt ~obj:(R.slot 4) ~idx:j ~ptr:false
+          (R.imm (boundary_value i j rows cols))
+      done;
+      R.store_field rt ~obj:(R.slot 0) ~idx:i ~ptr:true (R.slot 4)
+    done;
     for _ = 1 to iters do
       (* build the next grid from the current one *)
-      R.alloc_ptr_array rt ~site:s_spine ~dst:(R.To_slot 1) ~len:rows;
-      relax_rows 0 (R.get_slot rt 0) (R.get_slot rt 1);
-      R.set_slot rt 0 (R.get_slot rt 1)
+      R.alloc_ptr_array rt ~site:s_spine ~dst:(R.to_slot 1) ~len:rows;
+      R.call2 rt ~key:k_row (R.slot 0) (R.slot 1) relax_rows 0;
+      R.move rt (R.slot 1) (R.to_slot 0)
     done;
     (* checksum the final grid *)
     let acc = ref 0 in
     for i = 0 to rows - 1 do
-      row_of (R.Slot 0) i (R.To_slot 2);
+      row_of (R.slot 0) i (R.to_slot 2);
       for j = 0 to cols - 1 do
-        acc := (!acc + R.field_int rt ~obj:(R.Slot 2) ~idx:j) land 0x3FFFFFFF
+        acc := (!acc + R.field_int rt ~obj:(R.slot 2) ~idx:j) land 0x3FFFFFFF
       done
     done;
     let want = native_run ~rows ~cols ~iters in
     if !acc <> want then
       failwith (Printf.sprintf "simple: checksum %d, want %d" !acc want))
+    ()
 
 let workload =
   { Spec.name = "simple";
@@ -136,4 +129,5 @@ let workload =
        per-iteration grids (fixed point)";
     paper_lines = 870;
     default_scale = 60;
+    scale_range = (1, max_int);
     run }

@@ -11,8 +11,15 @@ type t = {
   description : string;         (** after the paper's Table 1 *)
   paper_lines : int;            (** source size reported in Table 1 *)
   default_scale : int;          (** problem-size knob; see DESIGN.md §7 *)
+  scale_range : int * int;
+      (** the smallest and largest scale [run] accepts, inclusive
+          ([max_int]: no upper bound); outside it [run] raises or its
+          self-check fails *)
   run : Gsc.Runtime.t -> scale:int -> unit;
 }
 
 (** [run_default t rt] runs at the default scale. *)
 val run_default : t -> Gsc.Runtime.t -> unit
+
+(** [accepts t scale]: [scale] lies in [t.scale_range]. *)
+val accepts : t -> int -> bool

@@ -31,36 +31,40 @@ let check_integer_value = function
 
 let note_edge rt ~from_site v = R.Internal.note_edge rt ~from_site (V.encode v)
 
-let alloc_record rt ~site ~dst fields =
+(* the scan-elision fallback: a pointer field of a scan-free site's
+   tenured record that holds a nursery object is logged in the barrier,
+   uncounted as an update *)
+let elision_fallback rt ~site ~obj ~loc v =
+  let col = R.Internal.collector rt in
+  let in_nursery = Collectors.Collector.in_nursery col in
+  if R.Internal.scan_free rt site && V.is_ptr v then
+    if in_nursery (V.to_addr v) && not (in_nursery obj) then begin
+      Collectors.Collector.remember col ~obj ~loc;
+      let s = R.stats rt in
+      s.Collectors.Gc_stats.region_scan_fallbacks <-
+        s.Collectors.Gc_stats.region_scan_fallbacks + 1
+    end
+
+let alloc_record rt ~site ~mask ~dst fields =
   let mem = R.Internal.memory rt in
-  let len = List.length fields in
-  let mask =
-    List.fold_left
-      (fun (i, m) f ->
-        match f with
-        | R.P _ -> (i + 1, m lor (1 lsl i))
-        | R.I _ -> (i + 1, m))
-      (0, 0) fields
-    |> snd
-  in
+  let len = Array.length fields in
   let base =
     R.Internal.alloc_object rt { H.kind = H.Record { mask }; len; site }
   in
-  List.iteri
-    (fun i f ->
-      let v =
-        match f with
-        | R.P s ->
-          let v = R.read rt s in
-          check_pointer_value v;
-          note_edge rt ~from_site:site v;
-          v
-        | R.I s ->
-          let v = R.read rt s in
-          check_integer_value v;
-          v
-      in
-      M.set mem (H.field_addr base i) v)
+  Array.iteri
+    (fun i s ->
+      let loc = H.field_addr base i in
+      let v = R.read rt s in
+      if mask land (1 lsl i) <> 0 then begin
+        check_pointer_value v;
+        note_edge rt ~from_site:site v;
+        M.set mem loc v;
+        elision_fallback rt ~site ~obj:base ~loc v
+      end
+      else begin
+        check_integer_value v;
+        M.set mem loc v
+      end)
     fields;
   R.write rt dst (V.Ptr base)
 
@@ -82,28 +86,29 @@ let load_field rt ~obj ~idx ~dst =
   check_index hdr idx;
   R.write rt dst (M.get mem (H.field_addr base idx))
 
-let store_field rt ~obj ~idx field =
+let store_field rt ~obj ~idx ~ptr src =
   mut_op rt;
   let mem = R.Internal.memory rt in
   let base = obj_base rt obj in
   let hdr = H.read mem base in
   check_index hdr idx;
   let loc = H.field_addr base idx in
-  match field with
-  | R.P s ->
+  if ptr then begin
     if not (H.is_pointer_field hdr idx) then
       invalid_arg "Runtime: pointer store into a non-pointer field";
-    let v = R.read rt s in
+    let v = R.read rt src in
     check_pointer_value v;
     M.set mem loc v;
     R.Internal.record_update rt ~obj:base ~loc;
     note_edge rt ~from_site:hdr.H.site v
-  | R.I s ->
+  end
+  else begin
     if H.is_pointer_field hdr idx then
       invalid_arg "Runtime: integer store into a pointer field";
-    let v = R.read rt s in
+    let v = R.read rt src in
     check_integer_value v;
     M.set mem loc v
+  end
 
 let field_int rt ~obj ~idx =
   mut_op rt;

@@ -20,15 +20,15 @@ let profiled_run ?(cfg = generational_cfg) () =
   let s_keep = R.register_site rt ~name:"keeper" in
   let s_churn = R.register_site rt ~name:"churn" in
   let key = R.register_frame rt ~name:"main" ~slots:(Workloads.Dsl.slots "pp") in
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     for i = 1 to 4000 do
-      R.alloc_record rt ~site:s_churn ~dst:(R.To_slot 1)
-        [ R.I (R.Imm i); R.I (R.Imm i) ];
+      R.alloc_record2 rt ~site:s_churn ~mask:0 ~dst:(R.to_slot 1)
+        (R.imm i) (R.imm i);
       if i mod 40 = 0 then
         (* keepers hold a pointer to the previous keeper *)
-        R.alloc_record rt ~site:s_keep ~dst:(R.To_slot 0)
-          [ R.I (R.Imm i); R.P (R.Slot 0) ]
-    done);
+        R.alloc_record2 rt ~site:s_keep ~mask:0b10 ~dst:(R.to_slot 0)
+          (R.imm i) (R.slot 0)
+    done) ();
   (Option.get (R.profile rt), s_keep, s_churn)
 
 let bimodal_profile () =
@@ -138,15 +138,15 @@ let pretenure_from_profile_end_to_end () =
   let s_churn' = R.register_site rt ~name:"churn" in
   check_int "site ids stable across runs" s_keep s_keep';
   let key = R.register_frame rt ~name:"main" ~slots:(Workloads.Dsl.slots "pp") in
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     for i = 1 to 4000 do
-      R.alloc_record rt ~site:s_churn' ~dst:(R.To_slot 1)
-        [ R.I (R.Imm i); R.I (R.Imm i) ];
+      R.alloc_record2 rt ~site:s_churn' ~mask:0 ~dst:(R.to_slot 1)
+        (R.imm i) (R.imm i);
       if i mod 40 = 0 then
-        R.alloc_record rt ~site:s_keep' ~dst:(R.To_slot 0)
-          [ R.I (R.Imm i); R.P (R.Slot 0) ]
+        R.alloc_record2 rt ~site:s_keep' ~mask:0b10 ~dst:(R.to_slot 0)
+          (R.imm i) (R.slot 0)
     done;
-    ignore (R.check_heap rt : int));
+    ignore (R.check_heap rt : int)) ();
   let stats = R.stats rt in
   check_bool "keepers pretenured" true
     (stats.Collectors.Gc_stats.words_pretenured = 100 * 5);

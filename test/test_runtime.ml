@@ -24,41 +24,113 @@ let operand_typing () =
   with_rt @@ fun rt ->
   let site = R.register_site rt ~name:"s" in
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "pi") in
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     (* P field must not take an integer *)
-    (match R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.P (R.Imm 3) ] with
+    (match R.alloc_record1 rt ~site ~mask:0b1 ~dst:(R.to_slot 0) (R.imm 3) with
      | () -> Alcotest.fail "P of Imm must fail"
      | exception Invalid_argument _ -> ());
     (* I field must not take a pointer *)
-    R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 1) ];
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.imm 1);
     (match
-       R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Slot 0) ]
+       R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.slot 0)
      with
      | () -> Alcotest.fail "I of pointer must fail"
      | exception Invalid_argument _ -> ());
     (* store typing must agree with the header mask *)
-    R.alloc_record rt ~site ~dst:(R.To_slot 0)
-      [ R.I (R.Imm 1); R.P R.Nil ];
-    (match R.store_field rt ~obj:(R.Slot 0) ~idx:0 (R.P R.Nil) with
+    R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 0) (R.imm 1) R.nil;
+    (match R.store_field rt ~obj:(R.slot 0) ~idx:0 ~ptr:true R.nil with
      | () -> Alcotest.fail "pointer store into int field must fail"
      | exception Invalid_argument _ -> ());
-    (match R.store_field rt ~obj:(R.Slot 0) ~idx:1 (R.I (R.Imm 2)) with
+    (match R.store_field rt ~obj:(R.slot 0) ~idx:1 ~ptr:false (R.imm 2) with
      | () -> Alcotest.fail "int store into pointer field must fail"
      | exception Invalid_argument _ -> ());
     (* bounds *)
-    (match R.field_int rt ~obj:(R.Slot 0) ~idx:7 with
+    (match R.field_int rt ~obj:(R.slot 0) ~idx:7 with
      | _ -> Alcotest.fail "bounds"
      | exception Invalid_argument _ -> ());
     (* null deref *)
-    (match R.obj_length rt ~obj:R.Nil with
+    (match R.obj_length rt ~obj:R.nil with
      | _ -> Alcotest.fail "null deref"
-     | exception Invalid_argument _ -> ()))
+     | exception Invalid_argument _ -> ())) ()
+
+(* --- word operands allocate no host memory ---
+
+   Each operation a workload's inner loop runs, in a loop of its own
+   after a warm-up that grows the barrier buffers: the [Gc.minor_words]
+   delta must be 0, under the release and the dev profile alike.  The
+   call bodies are built once, as the workloads build theirs, and the
+   nursery is large enough that no simulated collection runs inside a
+   measured loop. *)
+let operands_allocate_nothing () =
+  let cfg =
+    { (Gsc.Config.generational ~budget_bytes:(8 * 1024 * 1024)) with
+      Gsc.Config.nursery_bytes_max = 1024 * 1024 }
+  in
+  with_rt ~cfg @@ fun rt ->
+  let site = R.register_site rt ~name:"s" in
+  let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "ppp") in
+  let callee =
+    R.register_frame rt ~name:"g" ~slots:(Workloads.Dsl.slots "ppi")
+  in
+  let body i = i + R.depth rt in
+  let ops =
+    [ ("load_field", fun _ ->
+        R.load_field rt ~obj:(R.slot 1) ~idx:1 ~dst:(R.to_slot 2));
+      ("store_field", fun _ ->
+        R.store_field rt ~obj:(R.slot 1) ~idx:1 ~ptr:true (R.slot 0));
+      ("field_int", fun i ->
+        ignore (Sys.opaque_identity (i + R.field_int rt ~obj:(R.slot 1) ~idx:0)));
+      ("alloc_record1", fun i ->
+        R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 2) (R.imm i));
+      ("alloc_record2", fun i ->
+        R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 2) (R.imm i)
+          (R.slot 1));
+      ("alloc_record3", fun i ->
+        R.alloc_record3 rt ~site ~mask:0b110 ~dst:(R.to_slot 2) (R.imm i)
+          (R.slot 1) R.nil);
+      ("alloc_record4", fun i ->
+        R.alloc_record4 rt ~site ~mask:0b1010 ~dst:(R.to_slot 2) (R.imm i)
+          (R.slot 1) (R.imm i) (R.slot 0));
+      ("call0", fun i -> ignore (Sys.opaque_identity (R.call0 rt ~key:callee body i)));
+      ("call1", fun i ->
+        ignore (Sys.opaque_identity (R.call1 rt ~key:callee (R.slot 0) body i)));
+      ("call2", fun i ->
+        ignore
+          (Sys.opaque_identity
+             (R.call2 rt ~key:callee (R.slot 0) (R.slot 1) body i)));
+      ("call3", fun i ->
+        ignore
+          (Sys.opaque_identity
+             (R.call3 rt ~key:callee (R.slot 0) (R.slot 1) (R.imm i) body i))) ]
+  in
+  let n = 1000 in
+  R.call0 rt ~key (fun () ->
+    R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 0) (R.imm 0) R.nil;
+    R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 1) (R.imm 1)
+      (R.slot 0);
+    List.iter
+      (fun (name, op) ->
+        (* a collection drains the barrier buffer into its spare and
+           keeps the capacity of both *)
+        for _ = 1 to 2 do
+          for i = 1 to n do op i done;
+          R.collect_now rt
+        done;
+        let gcs = Collectors.Gc_stats.gcs (R.stats rt) in
+        let before = Gc.minor_words () in
+        for i = 1 to n do op i done;
+        let words = Gc.minor_words () -. before in
+        check_int (name ^ ": no simulated collection") gcs
+          (Collectors.Gc_stats.gcs (R.stats rt));
+        Alcotest.(check (float 0.)) (name ^ ": host words") 0. words)
+      ops)
+    ()
 
 (* --- rooting through collections --- *)
 
 let churn rt site slot n =
   for i = 1 to n do
-    R.alloc_record rt ~site ~dst:(R.To_slot slot) [ R.I (R.Imm i) ]
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot slot) (R.imm i)
   done
 
 let registers_are_roots () =
@@ -69,11 +141,11 @@ let registers_are_roots () =
   let key =
     R.register_frame_regs rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") ~regs
   in
-  R.call rt ~key ~args:[] (fun () ->
-    R.alloc_record rt ~site ~dst:(R.To_reg 3) [ R.I (R.Imm 99) ];
+  R.call0 rt ~key (fun () ->
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_reg 3) (R.imm 99);
     churn rt site 0 20000;
     check_int "register root survived" 99
-      (R.field_int rt ~obj:(R.Reg 3) ~idx:0))
+      (R.field_int rt ~obj:(R.reg 3) ~idx:0)) ()
 
 let callee_save_spill_through_gc () =
   with_rt @@ fun rt ->
@@ -90,17 +162,17 @@ let callee_save_spill_through_gc () =
     R.register_frame_regs rt ~name:"callee"
       ~slots:[| T.Callee_save 7; T.Ptr |] ~regs:callee_regs
   in
-  R.call rt ~key:k_caller ~args:[] (fun () ->
-    R.alloc_record rt ~site ~dst:(R.To_reg 7) [ R.I (R.Imm 41) ];
-    R.call rt ~key:k_callee ~args:[] (fun () ->
+  R.call0 rt ~key:k_caller (fun () ->
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_reg 7) (R.imm 41);
+    R.call0 rt ~key:k_callee (fun () ->
       (* spill the caller's register, then clobber it *)
-      R.set_slot rt 0 (R.get_reg rt 7);
-      R.set_reg rt 7 (V.Int 0);
+      R.move rt (R.reg 7) (R.to_slot 0);
+      R.move rt (R.imm 0) (R.to_reg 7);
       churn rt site 1 20000;
       (* the spill slot is a root because the *caller* said the register
          held a pointer; the object must have moved and been tracked *)
       check_int "spill slot root survived" 41
-        (R.field_int rt ~obj:(R.Slot 0) ~idx:0)))
+        (R.field_int rt ~obj:(R.slot 0) ~idx:0)) ()) ()
 
 let compute_trace_through_gc () =
   with_rt @@ fun rt ->
@@ -109,22 +181,22 @@ let compute_trace_through_gc () =
     R.register_frame rt ~name:"poly"
       ~slots:[| T.Non_ptr; T.Compute (T.Type_in_slot 0); T.Ptr |]
   in
-  R.call rt ~key ~args:[] (fun () ->
-    R.set_slot rt 0 (V.Int T.type_code_boxed);
-    R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Imm 7) ];
+  R.call0 rt ~key (fun () ->
+    R.move rt (R.imm T.type_code_boxed) (R.to_slot 0);
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 1) (R.imm 7);
     churn rt site 2 20000;
     check_int "compute-traced slot survived" 7
-      (R.field_int rt ~obj:(R.Slot 1) ~idx:0))
+      (R.field_int rt ~obj:(R.slot 1) ~idx:0)) ()
 
 let globals_are_roots () =
   with_rt @@ fun rt ->
   let site = R.register_site rt ~name:"s" in
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") in
-  R.call rt ~key ~args:[] (fun () ->
-    R.alloc_record rt ~site ~dst:(R.To_global 5) [ R.I (R.Imm 13) ];
+  R.call0 rt ~key (fun () ->
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_global 5) (R.imm 13);
     churn rt site 0 20000;
     check_int "global root survived" 13
-      (R.field_int rt ~obj:(R.Global 5) ~idx:0))
+      (R.field_int rt ~obj:(R.global 5) ~idx:0)) ()
 
 (* both global write paths check the index before anything else: a bad
    one raises, and the runtime's later minors and heap check are
@@ -134,19 +206,19 @@ let bad_global_index_raises () =
   let site = R.register_site rt ~name:"s" in
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") in
   let slots = (R.config rt).Gsc.Config.global_slots in
-  R.call rt ~key ~args:[] (fun () ->
-    R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 7) ];
+  R.call0 rt ~key (fun () ->
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.imm 7);
     List.iter
       (fun g ->
-        (match R.set_global rt g (R.read rt (R.Slot 0)) with
-         | () -> Alcotest.failf "set_global %d must raise" g
+        (match R.move rt (R.slot 0) (R.to_global g) with
+         | () -> Alcotest.failf "move to_global %d must raise" g
          | exception Invalid_argument _ -> ());
-        match R.write rt (R.To_global g) (R.read rt (R.Slot 0)) with
-        | () -> Alcotest.failf "write To_global %d must raise" g
+        match R.write rt (R.to_global g) (R.read rt (R.slot 0)) with
+        | () -> Alcotest.failf "write to_global %d must raise" g
         | exception Invalid_argument _ -> ())
       [ slots; -1 ];
     churn rt site 0 20000;
-    ignore (R.check_heap rt : int))
+    ignore (R.check_heap rt : int)) ()
 
 (* the root check [verify_heap] runs after every minor counts a global
    holding a young object, so a global a minor failed to visit would be
@@ -155,27 +227,29 @@ let young_global_counted () =
   with_rt @@ fun rt ->
   let site = R.register_site rt ~name:"s" in
   check_int "no young roots" 0 (R.young_roots rt);
-  R.alloc_record rt ~site ~dst:(R.To_global 3) [ R.I (R.Imm 1) ];
+  R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_global 3) (R.imm 1);
   check_int "the young global is counted" 1 (R.young_roots rt);
   R.collect_now rt;
   check_int "promoted" 0 (R.young_roots rt);
   with_rt ~cfg:(Gsc.Config.semispace ~budget_bytes:budget) @@ fun rt ->
   let site = R.register_site rt ~name:"s" in
-  R.alloc_record rt ~site ~dst:(R.To_global 3) [ R.I (R.Imm 1) ];
+  R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_global 3) (R.imm 1);
   check_int "no nursery under semispace" 0 (R.young_roots rt)
 
 (* The scan-elision probe: site [a] is pretenured and declared
    scan-free, yet its record holds the only pointer to a young record of
    site [b].  The minor that the nursery churn triggers skips [a]'s
-   region, so [b] is not promoted and [a]'s field is left pointing into
-   the emptied nursery (reading it returns a stale word, not the stored
-   42).  The heap verifier must see that field.  Elision itself stays
-   unsound against such a policy. *)
-let elision_probe ~no_scan =
+   region, so [b] survives only because the record's initialising store
+   fell back to the write barrier; without that fallback [a]'s field was
+   left pointing into the emptied nursery (reading it returned a stale
+   word, not the stored 42).  [~bypass] stores the field behind the
+   runtime's back instead, which the heap verifier must catch.  Returns
+   the value read back and the fallbacks counted. *)
+let elision_probe ?(bypass = false) ~verify ~no_scan () =
   let cfg =
     { (Gsc.Config.with_pretenuring ~budget_bytes:budget
          (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan)) with
-      Gsc.Config.verify_heap = true }
+      Gsc.Config.verify_heap = verify }
   in
   with_rt ~cfg @@ fun rt ->
   let a = R.register_site rt ~name:"a" in
@@ -183,23 +257,40 @@ let elision_probe ~no_scan =
   let b = R.register_site rt ~name:"b" in
   let c = R.register_site rt ~name:"churn" in
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "ppp") in
-  R.call rt ~key ~args:[] (fun () ->
-    R.alloc_record rt ~site:b ~dst:(R.To_slot 1) [ R.I (R.Imm 42) ];
-    R.alloc_record rt ~site:a ~dst:(R.To_slot 0) [ R.P (R.Slot 1) ];
-    R.write rt (R.To_slot 1) V.null;
+  R.call0 rt ~key (fun () ->
+    R.alloc_record1 rt ~site:b ~mask:0 ~dst:(R.to_slot 1) (R.imm 42);
+    if bypass then begin
+      R.alloc_record1 rt ~site:a ~mask:0b1 ~dst:(R.to_slot 0) R.nil;
+      Mem.Memory.set (R.Internal.memory rt)
+        (Mem.Header.field_addr (V.to_addr (R.read rt (R.slot 0))) 0)
+        (R.read rt (R.slot 1))
+    end
+    else R.alloc_record1 rt ~site:a ~mask:0b1 ~dst:(R.to_slot 0) (R.slot 1);
+    R.write rt (R.to_slot 1) V.null;
     churn rt c 2 20000;
     R.collect_now rt;
-    R.load_field rt ~obj:(R.Slot 0) ~idx:0 ~dst:(R.To_slot 1);
-    R.field_int rt ~obj:(R.Slot 1) ~idx:0)
+    R.load_field rt ~obj:(R.slot 0) ~idx:0 ~dst:(R.to_slot 1);
+    ( R.field_int rt ~obj:(R.slot 1) ~idx:0,
+      (R.stats rt).Collectors.Gc_stats.region_scan_fallbacks ))
+    ()
 
 let young_field_caught () =
-  Alcotest.check_raises "scan-free site holding a young pointer"
+  List.iter
+    (fun verify ->
+      let what = if verify then "verified" else "unverified" in
+      let v, fallbacks = elision_probe ~verify ~no_scan:[ 0 ] () in
+      check_int (what ^ ": scan-free site keeps its young referent") 42 v;
+      check_int (what ^ ": one fallback") 1 fallbacks)
+    [ true; false ];
+  Alcotest.check_raises "a young pointer stored past the barrier"
     (Failure "check_heap: a heap field points into the nursery after a minor")
-    (fun () -> ignore (elision_probe ~no_scan:[ 0 ] : int))
+    (fun () ->
+      ignore (elision_probe ~bypass:true ~verify:true ~no_scan:[ 0 ] ()))
 
 let young_field_control () =
-  check_int "scanned site keeps its young referent" 42
-    (elision_probe ~no_scan:[])
+  let v, fallbacks = elision_probe ~verify:true ~no_scan:[] () in
+  check_int "scanned site keeps its young referent" 42 v;
+  check_int "no fallback at a scanned site" 0 fallbacks
 
 (* --- exceptions --- *)
 
@@ -208,24 +299,24 @@ let nested_exceptions () =
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") in
   let site = R.register_site rt ~name:"s" in
   let result =
-    R.call rt ~key ~args:[] (fun () ->
+    R.call0 rt ~key (fun () ->
       R.try_with rt
         (fun () ->
           R.try_with rt
             (fun () ->
-              R.call rt ~key ~args:[] (fun () ->
+              R.call0 rt ~key (fun () ->
                 (* the exception value is itself a heap object and must
                    survive the unwind and later collections *)
-                R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 21) ];
-                R.raise_exn rt (R.Slot 0)))
+                R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.imm 21);
+                R.raise_exn rt (R.slot 0)) ())
             ~handler:(fun () ->
               (* inner handler re-raises the heap value *)
-              R.set_global rt 63 (R.exn_value rt);
-              R.raise_exn rt (R.Global 63)))
+              R.write rt (R.to_global 63) (R.exn_value rt);
+              R.raise_exn rt (R.global 63)))
         ~handler:(fun () ->
           churn rt site 0 20000;
-          R.set_global rt 62 (R.exn_value rt);
-          R.field_int rt ~obj:(R.Global 62) ~idx:0))
+          R.write rt (R.to_global 62) (R.exn_value rt);
+          R.field_int rt ~obj:(R.global 62) ~idx:0)) ()
   in
   check_int "payload through two handlers and a gc" 21 result;
   check_int "stack balanced" 0 (R.depth rt)
@@ -233,10 +324,10 @@ let nested_exceptions () =
 let unhandled_raise_fails () =
   with_rt @@ fun rt ->
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") in
-  R.call rt ~key ~args:[] (fun () ->
-    match R.raise_exn rt (R.Imm 1) with
+  R.call0 rt ~key (fun () ->
+    match R.raise_exn rt (R.imm 1) with
     | _ -> Alcotest.fail "expected failure"
-    | exception Failure _ -> ())
+    | exception Failure _ -> ()) ()
 
 (* --- a rejected allocation leaves no trace ---
 
@@ -245,10 +336,10 @@ let unhandled_raise_fails () =
    profiler's death sweep as phantom objects, and a leaked free-list
    grant would break the mark-sweep major's accounting. *)
 
-let too_wide = List.init 41 (fun i -> R.I (R.Imm i))
+let too_wide = Array.init 41 R.imm
 
 let reject_too_wide rt ~site =
-  match R.alloc_record rt ~site ~dst:(R.To_slot 0) too_wide with
+  match R.Internal.alloc_record rt ~site ~mask:0 ~dst:(R.to_slot 0) too_wide with
   | () -> Alcotest.fail "a 41-field record must be rejected"
   | exception Invalid_argument msg ->
     Alcotest.(check string) "message" "Header: record too large" msg
@@ -267,13 +358,13 @@ let rejected_header_leaves_no_hole () =
         let key =
           R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p")
         in
-        R.call rt ~key ~args:[] (fun () ->
+        R.call0 rt ~key (fun () ->
           for i = 1 to 300 do
-            R.alloc_record rt ~site ~dst:(R.To_slot 0)
-              [ R.I (R.Imm i); R.I (R.Imm i); R.I (R.Imm i); R.I (R.Imm i) ]
+            R.alloc_record4 rt ~site ~mask:0 ~dst:(R.to_slot 0)
+              (R.imm i) (R.imm i) (R.imm i) (R.imm i)
           done;
           R.collect_now rt;
-          R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 1) ];
+          R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.imm 1);
           let st = R.stats rt in
           let words = st.Collectors.Gc_stats.words_allocated
           and objects = st.Collectors.Gc_stats.objects_allocated in
@@ -283,7 +374,7 @@ let rejected_header_leaves_no_hole () =
           check_int "objects allocated unchanged" objects
             st.Collectors.Gc_stats.objects_allocated;
           R.collect_now rt;
-          ignore (R.check_heap rt : int));
+          ignore (R.check_heap rt : int)) ();
         match R.profile rt with
         | None -> Alcotest.fail "profiling run without a profile"
         | Some p ->
@@ -308,10 +399,10 @@ let rejected_pretenured_header_leaks_no_grant () =
   with_rt ~cfg @@ fun rt ->
   let site = R.register_site rt ~name:"s" in
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "p") in
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     for i = 1 to 50 do
-      R.alloc_record rt ~site ~dst:(R.To_slot 0)
-        [ R.I (R.Imm i); R.P (R.Slot 0) ]
+      R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 0)
+        (R.imm i) (R.slot 0)
     done;
     let pretenured = (R.stats rt).Collectors.Gc_stats.words_pretenured in
     reject_too_wide rt ~site;
@@ -320,7 +411,7 @@ let rejected_pretenured_header_leaks_no_grant () =
     (* the major cross-checks granted minus freed against marked words *)
     R.collect_now rt;
     ignore (R.check_heap rt : int);
-    check_int "chain intact" 50 (R.field_int rt ~obj:(R.Slot 0) ~idx:0))
+    check_int "chain intact" 50 (R.field_int rt ~obj:(R.slot 0) ~idx:0)) ()
 
 (* --- the torture property --- *)
 
@@ -460,92 +551,92 @@ let run_sim ?(inspect = ignore) cfg ops =
   (* both interpreters derive "what is in this slot" from their own heap,
      so their control flow stays identical *)
   let is_arr s =
-    (not (R.is_nil rt (R.Slot s))) && R.obj_site rt ~obj:(R.Slot s) = site_arr
+    (not (R.is_nil rt (R.slot s))) && R.obj_site rt ~obj:(R.slot s) = site_arr
   in
   for g = 0 to num_globals - 1 do
-    R.set_global rt (global_base + g) V.null
+    R.write rt (R.to_global (global_base + g)) V.null
   done;
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     List.iter
       (fun op ->
         match op with
         | Alloc (d, v) ->
-          R.alloc_record rt ~site ~dst:(R.To_slot d)
-            [ R.I (R.Imm v); R.P (R.Slot d) ]
+          R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot d)
+            (R.imm v) (R.slot d)
         | AllocArr (d, big) ->
-          R.alloc_ptr_array rt ~site:site_arr ~dst:(R.To_slot d)
+          R.alloc_ptr_array rt ~site:site_arr ~dst:(R.to_slot d)
             ~len:(if big then big_arr else small_arr)
         | Load (s, i) ->
-          if not (R.is_nil rt (R.Slot s)) then begin
+          if not (R.is_nil rt (R.slot s)) then begin
             let idx =
-              if is_arr s then i mod R.obj_length rt ~obj:(R.Slot s) else 1
+              if is_arr s then i mod R.obj_length rt ~obj:(R.slot s) else 1
             in
-            R.load_field rt ~obj:(R.Slot s) ~idx ~dst:(R.To_slot s)
+            R.load_field rt ~obj:(R.slot s) ~idx ~dst:(R.to_slot s)
           end
         | Read s ->
-          if R.is_nil rt (R.Slot s) then add 1
-          else if is_arr s then add (R.obj_length rt ~obj:(R.Slot s))
-          else add (R.field_int rt ~obj:(R.Slot s) ~idx:0)
+          if R.is_nil rt (R.slot s) then add 1
+          else if is_arr s then add (R.obj_length rt ~obj:(R.slot s))
+          else add (R.field_int rt ~obj:(R.slot s) ~idx:0)
         | Store (a, i, b) ->
-          if not (R.is_nil rt (R.Slot a)) then begin
+          if not (R.is_nil rt (R.slot a)) then begin
             let idx =
-              if is_arr a then i mod R.obj_length rt ~obj:(R.Slot a) else 1
+              if is_arr a then i mod R.obj_length rt ~obj:(R.slot a) else 1
             in
-            R.store_field rt ~obj:(R.Slot a) ~idx (R.P (R.Slot b))
+            R.store_field rt ~obj:(R.slot a) ~idx ~ptr:true (R.slot b)
           end
         | StoreInt (s, v) ->
-          if (not (R.is_nil rt (R.Slot s))) && not (is_arr s) then
-            R.store_field rt ~obj:(R.Slot s) ~idx:0 (R.I (R.Imm v))
+          if (not (R.is_nil rt (R.slot s))) && not (is_arr s) then
+            R.store_field rt ~obj:(R.slot s) ~idx:0 ~ptr:false (R.imm v)
         | CallDeep n ->
           (* a non-tail recursion that allocates at every level *)
           let rec deep n =
-            R.call rt ~key:k_deep ~args:[] (fun () ->
+            R.call0 rt ~key:k_deep (fun () ->
               if n > 0 then begin
                 add n;
-                R.alloc_record rt ~site ~dst:(R.To_slot 0)
-                  [ R.I (R.Imm n); R.P (R.Slot 0) ];
+                R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 0)
+                  (R.imm n) (R.slot 0);
                 deep (n - 1)
-              end)
+              end) ()
           in
           deep n
         | RaiseInto v ->
           add
             (R.try_with rt
-               (fun () -> R.raise_exn rt (R.Imm v))
+               (fun () -> R.raise_exn rt (R.imm v))
                ~handler:(fun () -> V.to_int (R.exn_value rt) + 3))
         | DeepRaise (n, v) ->
           (* the unwind skips every frame of the recursion, past the
              markers its collections placed; the handler then allocates,
              so the exception value must survive as a root *)
           let rec deep k =
-            R.call rt ~key:k_deep ~args:[] (fun () ->
+            R.call0 rt ~key:k_deep (fun () ->
               add k;
-              R.alloc_record rt ~site ~dst:(R.To_slot 0)
-                [ R.I (R.Imm k); R.P (R.Slot 0) ];
+              R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 0)
+                (R.imm k) (R.slot 0);
               if k < n then deep (k + 1)
               else begin
-                R.alloc_record rt ~site ~dst:(R.To_slot 1)
-                  [ R.I (R.Imm v); R.P R.Nil ];
-                R.raise_exn rt (R.Slot 1)
-              end)
+                R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 1)
+                  (R.imm v) R.nil;
+                R.raise_exn rt (R.slot 1)
+              end) ()
           in
           add
             (R.try_with rt
                (fun () -> deep 1)
                ~handler:(fun () ->
-                 R.set_global rt 0 (R.exn_value rt);
-                 R.alloc_record rt ~site ~dst:(R.To_global 1)
-                   [ R.I (R.Imm 0); R.P (R.Global 0) ];
-                 let x = R.field_int rt ~obj:(R.Global 0) ~idx:0 in
-                 R.set_global rt 0 V.zero;
-                 R.set_global rt 1 V.zero;
+                 R.write rt (R.to_global 0) (R.exn_value rt);
+                 R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_global 1)
+                   (R.imm 0) (R.global 0);
+                 let x = R.field_int rt ~obj:(R.global 0) ~idx:0 in
+                 R.write rt (R.to_global 0) V.zero;
+                 R.write rt (R.to_global 1) V.zero;
                  x + 5))
         | GStore (g, s) ->
-          R.write rt (R.To_global (global_base + g)) (R.read rt (R.Slot s))
+          R.write rt (R.to_global (global_base + g)) (R.read rt (R.slot s))
         | GLoad (g, d) ->
-          R.write rt (R.To_slot d) (R.read rt (R.Global (global_base + g))))
+          R.write rt (R.to_slot d) (R.read rt (R.global (global_base + g))))
       ops;
-    ignore (R.check_heap rt : int));
+    ignore (R.check_heap rt : int)) ();
   inspect rt;
   !sum
 
@@ -675,34 +766,34 @@ let fresh_frame_after_pop_and_raise () =
   in
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "pipi") in
   let fill () =
-    R.write rt (R.To_slot 0) (V.Int 10);
-    R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Imm 1) ];
-    R.write rt (R.To_slot 2) (V.Int 12);
-    R.alloc_record rt ~site ~dst:(R.To_slot 3) [ R.I (R.Imm 3) ]
+    R.write rt (R.to_slot 0) (V.Int 10);
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 1) (R.imm 1);
+    R.write rt (R.to_slot 2) (V.Int 12);
+    R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 3) (R.imm 3)
   in
   let fresh what =
-    R.call rt ~key ~args:[] (fun () ->
+    R.call0 rt ~key (fun () ->
       List.iteri
         (fun i v ->
           Alcotest.(check bool)
             (Printf.sprintf "%s: slot %d" what i)
             true
-            (V.equal v (R.get_slot rt i)))
-        [ V.null; V.zero; V.null; V.zero ])
+            (V.equal v (R.read rt (R.slot i))))
+        [ V.null; V.zero; V.null; V.zero ]) ()
   in
-  R.call rt ~key ~args:[] (fun () ->
-    R.call rt ~key:dirty ~args:[] fill;
+  R.call0 rt ~key (fun () ->
+    R.call0 rt ~key:dirty fill ();
     fresh "after a return";
     R.try_with rt
       (fun () ->
-        R.call rt ~key:dirty ~args:[] (fun () ->
+        R.call0 rt ~key:dirty (fun () ->
           fill ();
-          R.call rt ~key:dirty ~args:[] (fun () ->
+          R.call0 rt ~key:dirty (fun () ->
             fill ();
-            R.raise_exn rt (R.Imm 0))))
+            R.raise_exn rt (R.imm 0)) ()) ())
       ~handler:(fun () -> ());
     fresh "after a raise";
-    R.call rt ~key ~args:[] (fun () -> fresh "after a raise, one deeper"))
+    R.call0 rt ~key (fun () -> fresh "after a raise, one deeper") ()) ()
 
 (* a stack that outgrows its words array between two collections: every
    frame keeps its integer slot and its record, which both collections
@@ -717,17 +808,16 @@ let stack_growth_between_collections () =
       in
       let depth = 300 in
       let rec descend n =
-        R.call rt ~key ~args:[ V.Int n ] (fun () ->
-          R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Slot 0) ];
-          if n = 10 || n = depth then R.collect_now rt;
-          if n < depth then descend (n + 1);
-          churn rt site 2 8;
-          check_int (Gsc.Config.name cfg ^ ": slot") n
-            (V.to_int (R.get_slot rt 0));
-          check_int (Gsc.Config.name cfg ^ ": record") n
-            (R.field_int rt ~obj:(R.Slot 1) ~idx:0))
+        R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 1) (R.slot 0);
+        if n = 10 || n = depth then R.collect_now rt;
+        if n < depth then R.call1 rt ~key (R.imm (n + 1)) descend (n + 1);
+        churn rt site 2 8;
+        check_int (Gsc.Config.name cfg ^ ": slot") n
+          (V.to_int (R.read rt (R.slot 0)));
+        check_int (Gsc.Config.name cfg ^ ": record") n
+          (R.field_int rt ~obj:(R.slot 1) ~idx:0)
       in
-      descend 1;
+      R.call1 rt ~key (R.imm 1) descend 1;
       ignore (R.check_heap rt : int))
     torture_configs
 
@@ -738,19 +828,19 @@ let host_exception_pops_own_frame () =
                  Gsc.Config.marker_spacing = 1 }
   @@ fun rt ->
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "i") in
-  R.call rt ~key ~args:[ V.Int 1 ] (fun () ->
+  R.call1 rt ~key (R.imm 1) (fun () ->
     (match
-       R.call rt ~key ~args:[ V.Int 2 ] (fun () ->
-         R.call rt ~key ~args:[ V.Int 3 ] (fun () ->
+       R.call1 rt ~key (R.imm 2) (fun () ->
+         R.call1 rt ~key (R.imm 3) (fun () ->
            R.collect_now rt;
-           raise Exit))
+           raise Exit) ()) ()
      with
      | () -> Alcotest.fail "Exit must propagate"
      | exception Exit -> ());
     check_int "the two raising calls popped" 1 (R.depth rt);
-    check_int "the caller's slot intact" 1 (V.to_int (R.get_slot rt 0));
+    check_int "the caller's slot intact" 1 (V.to_int (R.read rt (R.slot 0)));
     check_int "both marked frames fired their stubs" 2
-      (R.marker_stub_hits rt));
+      (R.marker_stub_hits rt)) ();
   check_int "stack balanced" 0 (R.depth rt)
 
 (* --- call arity --- *)
@@ -759,9 +849,9 @@ let call_arity_checked_before_push () =
   with_rt @@ fun rt ->
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "pi") in
   let callee = R.register_frame rt ~name:"g" ~slots:(Workloads.Dsl.slots "i") in
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     (match
-       R.call rt ~key:callee ~args:[ V.Int 1; V.Int 2 ] (fun () -> ())
+       R.call2 rt ~key:callee (R.imm 1) (R.imm 2) ignore ()
      with
      | () -> Alcotest.fail "two args into a one-slot frame must fail"
      | exception Invalid_argument msg ->
@@ -769,8 +859,8 @@ let call_arity_checked_before_push () =
          "Runtime.call: more arguments than frame slots" msg);
     check_int "no frame left behind" 1 (R.depth rt);
     check_int "full arity still accepted" 7
-      (R.call rt ~key:callee ~args:[ V.Int 7 ] (fun () ->
-         V.to_int (R.get_slot rt 0))));
+      (R.call1 rt ~key:callee (R.imm 7) (fun () ->
+         V.to_int (R.read rt (R.slot 0))) ())) ();
   check_int "stack balanced" 0 (R.depth rt)
 
 (* --- the block-handle façade against its safe-tier twin ---
@@ -876,16 +966,17 @@ let arb_fprogram =
     QCheck.Gen.(list_size (int_range 10 80) fop_gen)
 
 type facade = {
-  alloc_record : R.t -> site:int -> dst:R.dst -> R.field list -> unit;
+  alloc_record :
+    R.t -> site:int -> mask:int -> dst:R.dst -> R.src array -> unit;
   load_field : R.t -> obj:R.src -> idx:int -> dst:R.dst -> unit;
-  store_field : R.t -> obj:R.src -> idx:int -> R.field -> unit;
+  store_field : R.t -> obj:R.src -> idx:int -> ptr:bool -> R.src -> unit;
   field_int : R.t -> obj:R.src -> idx:int -> int;
   obj_length : R.t -> obj:R.src -> int;
   obj_site : R.t -> obj:R.src -> int;
 }
 
 let block_handles =
-  { alloc_record = R.alloc_record; load_field = R.load_field;
+  { alloc_record = R.Internal.alloc_record; load_field = R.load_field;
     store_field = R.store_field; field_int = R.field_int;
     obj_length = R.obj_length; obj_site = R.obj_site }
 
@@ -898,11 +989,18 @@ let safe_tier =
     obj_site = Runtime_ref.obj_site }
 
 let src_of = function
-  | O_slot s -> R.Slot s
-  | O_nil -> R.Nil
-  | O_imm n -> R.Imm n
+  | O_slot s -> R.slot s
+  | O_nil -> R.nil
+  | O_imm n -> R.imm n
 
-let field_of (ptr, o) = if ptr then R.P (src_of o) else R.I (src_of o)
+(* a field list as the record allocators take it: a pointer mask and
+   the operands *)
+let mask_of fs =
+  List.fold_left (fun (i, m) (ptr, _) -> (i + 1, if ptr then m lor (1 lsl i) else m))
+    (0, 0) fs
+  |> snd
+
+let srcs_of fs = Array.of_list (List.map (fun (_, o) -> src_of o) fs)
 
 (* every live block of [mem], word for word; block ids are small and
    reused, so a fixed id range covers a test-sized heap *)
@@ -919,7 +1017,8 @@ let work_counters (s : Collectors.Gc_stats.t) =
   let open Collectors.Gc_stats in
   [ s.mutator_ops; s.pointer_updates; s.words_allocated; s.objects_allocated;
     s.words_pretenured; s.minor_gcs; s.major_gcs; s.words_copied;
-    s.words_promoted; s.barrier_entries_processed; s.roots_visited ]
+    s.words_promoted; s.barrier_entries_processed; s.roots_visited;
+    s.region_scan_fallbacks ]
 
 let run_facade (f : facade) cfg ops =
   with_rt ~cfg @@ fun rt ->
@@ -937,7 +1036,7 @@ let run_facade (f : facade) cfg ops =
     in
     let objects =
       List.init 4 (fun i ->
-        match R.get_slot rt i with
+        match R.read rt (R.slot i) with
         | V.Ptr a when not (Mem.Addr.is_null a) ->
           let off = Mem.Addr.offset a in
           Array.to_list
@@ -947,26 +1046,27 @@ let run_facade (f : facade) cfg ops =
     in
     String.concat " " (r :: List.map string_of_int (List.concat objects))
   in
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     let results =
       List.concat_map
         (fun op ->
           match op with
           | F_record (d, fs) ->
             [ outcome (fun () ->
-                f.alloc_record rt ~site ~dst:(R.To_slot d) (List.map field_of fs);
+                f.alloc_record rt ~site ~mask:(mask_of fs) ~dst:(R.to_slot d)
+                  (srcs_of fs);
                 "ok") ]
           | F_array (d, ptr, len) ->
             (if ptr then R.alloc_ptr_array else R.alloc_nonptr_array)
-              rt ~site:site_arr ~dst:(R.To_slot d) ~len;
+              rt ~site:site_arr ~dst:(R.to_slot d) ~len;
             []
           | F_load (o, idx, d) ->
             [ outcome (fun () ->
-                f.load_field rt ~obj:(src_of o) ~idx ~dst:(R.To_slot d);
+                f.load_field rt ~obj:(src_of o) ~idx ~dst:(R.to_slot d);
                 "ok") ]
           | F_store (o, idx, ptr, v) ->
             [ outcome (fun () ->
-                f.store_field rt ~obj:(src_of o) ~idx (field_of (ptr, v));
+                f.store_field rt ~obj:(src_of o) ~idx ~ptr (src_of v);
                 "ok") ]
           | F_field_int (o, idx) ->
             [ outcome (fun () ->
@@ -976,23 +1076,23 @@ let run_facade (f : facade) cfg ops =
           | F_site o ->
             [ outcome (fun () -> string_of_int (f.obj_site rt ~obj:(src_of o))) ]
           | F_stale (d, idx) ->
-            R.set_slot rt 4 (R.get_slot rt d);
+            R.move rt (R.slot d) (R.to_slot 4);
             R.collect_now rt;
-            let obj = R.Slot 4 in
+            let obj = R.slot 4 in
             let reads =
               [ outcome (fun () -> string_of_int (f.obj_length rt ~obj));
                 outcome (fun () -> string_of_int (f.obj_site rt ~obj));
                 outcome (fun () -> string_of_int (f.field_int rt ~obj ~idx)) ]
             in
-            R.set_slot rt 4 (V.Int 0);
+            R.move rt (R.imm 0) (R.to_slot 4);
             reads)
         ops
     in
     ( results,
       heap_words mem,
-      List.init 5 (fun i -> V.encode (R.get_slot rt i)),
+      List.init 5 (fun i -> V.encode (R.read rt (R.slot i))),
       work_counters (R.stats rt),
-      R.profile rt ))
+      R.profile rt )) ()
 
 let twin_configs =
   let budget = 128 * 1024 in
@@ -1007,6 +1107,11 @@ let twin_configs =
     small
       (Gsc.Config.with_pretenuring ~budget_bytes:budget
          (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]));
+    (* scan elision: records pointing at young arrays fall back to the
+       barrier in both tiers *)
+    small
+      (Gsc.Config.with_pretenuring ~budget_bytes:budget
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[ 0 ]));
     { (small
          (Gsc.Config.with_pretenuring ~budget_bytes:budget
             (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[])))
@@ -1042,19 +1147,19 @@ let rejected_field_store () =
     let site = R.register_site rt ~name:"s" in
     let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "ppp") in
     let mem = R.Internal.memory rt in
-    R.call rt ~key ~args:[] (fun () ->
-      R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 7) ];
+    R.call0 rt ~key (fun () ->
+      R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.imm 7);
       (* garbage full of pointers, then a full collection: the next
          grant reuses its words (the reset nursery, or a swept hole) *)
       for _ = 1 to 300 do
-        R.alloc_record rt ~site ~dst:(R.To_slot 2)
-          [ R.P (R.Slot 0); R.P (R.Slot 0); R.P (R.Slot 0); R.P (R.Slot 0) ]
+        R.alloc_record4 rt ~site ~mask:0b1111 ~dst:(R.to_slot 2)
+          (R.slot 0) (R.slot 0) (R.slot 0) (R.slot 0)
       done;
       R.collect_now rt;
       let msg =
         match
-          f.alloc_record rt ~site ~dst:(R.To_slot 1)
-            [ R.P (R.Slot 0); R.P (R.Imm 5); R.P (R.Slot 0); R.I (R.Imm 9) ]
+          f.alloc_record rt ~site ~mask:0b0111 ~dst:(R.to_slot 1)
+            [| R.slot 0; R.imm 5; R.slot 0; R.imm 9 |]
         with
         | () -> Alcotest.fail "an integer in a pointer field must be refused"
         | exception Invalid_argument msg -> msg
@@ -1062,8 +1167,8 @@ let rejected_field_store () =
       (* the abandoned record lies just below the next grant: the
          nursery bumps, and first fit splits the lowest hole from its
          start *)
-      R.alloc_record rt ~site ~dst:(R.To_slot 2) [ R.I (R.Imm 1) ];
-      let probe = V.to_addr (R.get_slot rt 2) in
+      R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 2) (R.imm 1);
+      let probe = V.to_addr (R.read rt (R.slot 2)) in
       let obj = Mem.Addr.add probe (-(Mem.Header.header_words () + 4)) in
       let payload =
         List.init 4 (fun i -> Mem.Memory.get mem (Mem.Header.field_addr obj i))
@@ -1071,14 +1176,14 @@ let rejected_field_store () =
       let stats = R.stats rt in
       let minors = stats.Collectors.Gc_stats.minor_gcs in
       while stats.Collectors.Gc_stats.minor_gcs = minors do
-        R.alloc_record rt ~site ~dst:(R.To_slot 2) [ R.I (R.Imm 2) ]
+        R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 2) (R.imm 2)
       done;
       ignore (R.check_heap rt : int);
       let after_minor = heap_words mem in
       R.collect_now rt;
       ignore (R.check_heap rt : int);
-      check_int "slot 0 intact" 7 (R.field_int rt ~obj:(R.Slot 0) ~idx:0);
-      (msg, payload, after_minor))
+      check_int "slot 0 intact" 7 (R.field_int rt ~obj:(R.slot 0) ~idx:0);
+      (msg, payload, after_minor)) ()
   in
   List.iter
     (fun (name, cfg) ->
@@ -1111,7 +1216,9 @@ let twin_prop =
 let () =
   Alcotest.run "runtime"
     [ ( "typing",
-        [ Alcotest.test_case "operand typing" `Quick operand_typing ] );
+        [ Alcotest.test_case "operand typing" `Quick operand_typing;
+          Alcotest.test_case "operands allocate nothing" `Quick
+            operands_allocate_nothing ] );
       ( "roots",
         [ Alcotest.test_case "registers" `Quick registers_are_roots;
           Alcotest.test_case "callee-save spill" `Quick

@@ -18,24 +18,24 @@ let run_list_sum cfg n =
     R.register_frame rt ~name:"list_sum"
       ~slots:[| Rstack.Trace.Ptr; Rstack.Trace.Ptr; Rstack.Trace.Non_ptr |]
   in
-  R.call rt ~key ~args:[] (fun () ->
-    R.set_slot rt 0 Mem.Value.null;
+  R.call0 rt ~key (fun () ->
+    R.move rt R.nil (R.to_slot 0);
     for i = 1 to n do
       (* cons cell: (int, next) *)
-      R.alloc_record rt ~site:site_cons ~dst:(R.To_slot 0)
-        [ R.I (R.Imm i); R.P (R.Slot 0) ];
+      R.alloc_record2 rt ~site:site_cons ~mask:0b10 ~dst:(R.to_slot 0)
+        (R.imm i) (R.slot 0);
       (* garbage to provoke collections *)
-      R.alloc_record rt ~site:site_junk ~dst:(R.To_slot 1)
-        [ R.I (R.Imm i); R.I (R.Imm (i * 2)) ]
+      R.alloc_record2 rt ~site:site_junk ~mask:0 ~dst:(R.to_slot 1)
+        (R.imm i) (R.imm (i * 2))
     done;
     (* sum the list *)
     let sum = ref 0 in
-    while not (R.is_nil rt (R.Slot 0)) do
-      sum := !sum + R.field_int rt ~obj:(R.Slot 0) ~idx:0;
-      R.load_field rt ~obj:(R.Slot 0) ~idx:1 ~dst:(R.To_slot 0)
+    while not (R.is_nil rt (R.slot 0)) do
+      sum := !sum + R.field_int rt ~obj:(R.slot 0) ~idx:0;
+      R.load_field rt ~obj:(R.slot 0) ~idx:1 ~dst:(R.to_slot 0)
     done;
     let live = R.check_heap rt in
-    (!sum, live, R.stats rt))
+    (!sum, live, R.stats rt)) ()
 
 let expected_sum n = n * (n + 1) / 2
 
@@ -74,21 +74,20 @@ let deep_recursion () =
       ~slots:[| Rstack.Trace.Ptr; Rstack.Trace.Ptr |]
   in
   let rec go depth =
-    R.call rt ~key ~args:[ Mem.Value.null; Mem.Value.Int depth ] (fun () ->
-      R.alloc_record rt ~site ~dst:(R.To_slot 0)
-        [ R.I (R.Imm depth); R.P (R.Slot 0) ];
-      (* garbage so that collections happen while the stack is deep *)
-      for _ = 1 to 10 do
-        R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Imm 0) ]
-      done;
-      if depth = 0 then 0
-      else begin
-        let below = go (depth - 1) in
-        (* our node must still be valid after the recursive work *)
-        below + R.field_int rt ~obj:(R.Slot 0) ~idx:0
-      end)
-  in
-  let total = go 500 in
+    R.alloc_record2 rt ~site ~mask:0b10 ~dst:(R.to_slot 0)
+      (R.imm depth) (R.slot 0);
+    (* garbage so that collections happen while the stack is deep *)
+    for _ = 1 to 10 do
+      R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_slot 1) (R.imm 0)
+    done;
+    if depth = 0 then 0
+    else begin
+      let below = call (depth - 1) in
+      (* our node must still be valid after the recursive work *)
+      below + R.field_int rt ~obj:(R.slot 0) ~idx:0
+    end
+  and call depth = R.call2 rt ~key R.nil (R.imm depth) go depth in
+  let total = call 500 in
   Alcotest.(check int) "sum of depths" (500 * 501 / 2) total;
   let stats = R.stats rt in
   Alcotest.(check bool) "reused frames" true
@@ -101,27 +100,26 @@ let exception_unwind () =
   let site = R.register_site rt ~name:"n" in
   let key = R.register_frame rt ~name:"f" ~slots:[| Rstack.Trace.Ptr |] in
   let result =
-    R.call rt ~key ~args:[] (fun () ->
+    R.call0 rt ~key (fun () ->
       R.try_with rt
         (fun () ->
           let rec go d =
-            R.call rt ~key ~args:[] (fun () ->
-              R.alloc_record rt ~site ~dst:(R.To_slot 0)
-                [ R.I (R.Imm d); R.I (R.Imm 0) ];
-              if d = 0 then R.raise_exn rt (R.Imm 42) else go (d - 1))
+            R.call0 rt ~key (fun () ->
+              R.alloc_record2 rt ~site ~mask:0 ~dst:(R.to_slot 0)
+                (R.imm d) (R.imm 0);
+              if d = 0 then R.raise_exn rt (R.imm 42) else go (d - 1)) ()
           in
           go 100)
-        ~handler:(fun () -> Mem.Value.to_int (R.exn_value rt)))
+        ~handler:(fun () -> Mem.Value.to_int (R.exn_value rt))) ()
   in
   Alcotest.(check int) "handler value" 42 result;
   Alcotest.(check int) "stack rebalanced" 0 (R.depth rt);
   (* keep allocating after the unwind: collections must stay sound *)
-  R.call rt ~key ~args:[] (fun () ->
+  R.call0 rt ~key (fun () ->
     for i = 0 to 5000 do
-      R.alloc_record rt ~site ~dst:(R.To_slot 0)
-        [ R.I (R.Imm i); R.I (R.Imm i) ]
+      R.alloc_record2 rt ~site ~mask:0 ~dst:(R.to_slot 0) (R.imm i) (R.imm i)
     done;
-    ignore (R.check_heap rt : int))
+    ignore (R.check_heap rt : int)) ()
 
 let () =
   Alcotest.run "smoke"

@@ -87,10 +87,35 @@ let nqueen_all_sizes () =
       (Workloads.Registry.find "nqueen").Workloads.Spec.run rt ~scale:n)
     [ 5; 6; 7; 8; 9 ]
 
+(* every workload passes its self-check at the smallest scale it
+   accepts, which is where `repro --factor` lands for a tiny factor *)
+let smallest_scale () =
+  List.iter
+    (fun (w : Workloads.Spec.t) ->
+      let rt = R.create (Gsc.Config.with_markers ~budget_bytes:budget) in
+      Fun.protect ~finally:(fun () -> R.destroy rt) @@ fun () ->
+      w.Workloads.Spec.run rt ~scale:(fst w.Workloads.Spec.scale_range);
+      ignore (R.check_heap rt : int))
+    Workloads.Registry.all
+
+let color_small_paths () =
+  (* short paths have fewer colourings (3 * 2^(n-1)) than the cap (40n):
+     the search ends without the escape for n <= 7 *)
+  List.iter
+    (fun n ->
+      let rt = R.create (Gsc.Config.with_markers ~budget_bytes:budget) in
+      Fun.protect ~finally:(fun () -> R.destroy rt) @@ fun () ->
+      (Workloads.Registry.find "color").Workloads.Spec.run rt ~scale:n)
+    [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+
 let () =
   Alcotest.run "workloads"
     (List.map suite_for Workloads.Registry.all
      @ [ ("budget", [ Alcotest.test_case "tight" `Quick tight_budget_case ]);
          ( "meta",
            [ Alcotest.test_case "determinism" `Quick determinism_case;
-             Alcotest.test_case "nqueen sizes" `Quick nqueen_all_sizes ] ) ])
+             Alcotest.test_case "nqueen sizes" `Quick nqueen_all_sizes;
+             Alcotest.test_case "smallest accepted scale" `Quick
+               smallest_scale;
+             Alcotest.test_case "color below the cap" `Quick
+               color_small_paths ] ) ])
