@@ -342,10 +342,10 @@ let words_scanned t = t.scanned
 
 let site_survivals t =
   match t.sites with
-  | None -> []
-  | Some tab -> Site_tally.rows tab
+  | None -> Site_tally.empty
+  | Some tab -> tab
 
-let sweep_dead ~mem ~space ~on_die =
+let sweep_dead ~mem ~space ~deaths =
   (* one block handle for the whole walk *)
   let base = Mem.Space.base space in
   let cells = Mem.Memory.cells mem base in
@@ -360,10 +360,8 @@ let sweep_dead ~mem ~space ~on_die =
            objects; their "death" must not reach the profiler *)
         && not (Mem.Header.is_filler_c cells ~off)
       then
-        on_die
-          ~site:(Mem.Header.site_c cells ~off)
-          ~birth:(Mem.Header.birth_c cells ~off)
-          ~words;
+        Site_tally.note_death deaths ~site:(Mem.Header.site_c cells ~off)
+          ~birth:(Mem.Header.birth_c cells ~off);
       walk (off + words)
     end
   in

@@ -115,20 +115,18 @@ val words_promoted : t -> int
     to-space objects, queued large objects). *)
 val words_scanned : t -> int
 
-(** Per-allocation-site survival tallies as
-    [(site, objects, first_objects, words)] sorted by site id, where
-    [first_objects] counts the objects surviving their first collection
-    (no survivor bit yet).  Populated only when the engine was created
-    with [site_tallies]; empty otherwise. *)
-val site_survivals : t -> (int * int * int * int) list
+(** Per-allocation-site survival tallies: [(objects, first_objects,
+    words)] per site, where [first_objects] counts the objects
+    surviving their first collection (no survivor bit yet).  Populated
+    only when the engine was created (or last reset) with
+    [site_tallies]; {!Site_tally.empty} otherwise.  The table is the
+    engine's own, rewritten by its next collection. *)
+val site_survivals : t -> Site_tally.t
 
-(** [sweep_dead ~mem ~space ~on_die] walks a collected from-space and
-    reports every object that was not forwarded (used by profiling
-    runs to observe deaths).  Chunk-tail fillers left behind by the
-    parallel drain ({!Mem.Header.filler_site}) are stepped over without
-    reporting. *)
+(** [sweep_dead ~mem ~space ~deaths] walks a collected from-space and
+    counts every object that was not forwarded into [deaths]
+    ({!Site_tally.note_death}; used by profiling runs to observe
+    deaths).  Chunk-tail fillers left behind by the parallel drain
+    ({!Mem.Header.filler_site}) are stepped over without counting. *)
 val sweep_dead :
-  mem:Mem.Memory.t ->
-  space:Mem.Space.t ->
-  on_die:(site:int -> birth:int -> words:int -> unit) ->
-  unit
+  mem:Mem.Memory.t -> space:Mem.Space.t -> deaths:Site_tally.t -> unit

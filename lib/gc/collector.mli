@@ -60,10 +60,11 @@ val stats : t -> Gc_stats.t
 (** Live words after the most recent full collection. *)
 val live_words : t -> int
 
-(** Per-site [(site, objects, words)] allocated since the last
-    collection, sorted by site; the table is emptied.  Empty without
+(** [flush_site_allocs t consume] hands [consume] the per-site
+    [(objects, words)] allocated since the last collection and empties
+    the table, as {!Generational.flush_site_allocs}.  No rows without
     site tallies ({!Cycle.site_tallies}). *)
-val flush_site_allocs : t -> (int * int * int) list
+val flush_site_allocs : t -> (Site_tally.t -> unit) -> unit
 
 (** Release all memory held by the collector. *)
 val destroy : t -> unit

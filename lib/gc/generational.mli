@@ -213,11 +213,12 @@ val in_tenured : t -> Mem.Addr.t -> bool
 (** Current nursery size (the collector shrinks it to the cache cap). *)
 val nursery_bytes : t -> int
 
-(** [flush_site_allocs t] empties the per-site allocation table and
-    returns its [(site, objects, words)] rows sorted by site: the
-    allocations since the last collection, which no [after_collection]
-    call has carried yet.  Empty without site tallies. *)
-val flush_site_allocs : t -> (int * int * int) list
+(** [flush_site_allocs t consume] hands the per-site allocation table
+    to [consume] and empties it: the [(objects, words)] allocated per
+    site since the last collection, which no [after_collection] call
+    has carried yet (no rows without site tallies).  While tracing in
+    detail the rows are also emitted as [site_alloc] records. *)
+val flush_site_allocs : t -> (Site_tally.t -> unit) -> unit
 
 (** Release all memory held by the collector. *)
 val destroy : t -> unit

@@ -4,13 +4,6 @@
     goes the other way), so root enumeration, marker placement and
     profiling arrive as closures. *)
 
-(** The one per-object event the heap profiler still needs: the death
-    sweep behind Figure 2's average age.  [None] disables the (costly)
-    death sweeps.  A collector calls [on_die] for every object it finds
-    dead in a from-space, large-object or mark-sweep sweep, passing the
-    allocation site as an [int] so the sweeps stay allocation-free. *)
-type object_hooks = { on_die : site:int -> birth:int -> words:int -> unit }
-
 type t = {
   scan_stack : Rstack.Scan.mode -> Rstack.Root.Buf.t -> Rstack.Scan.result;
       (** append the stack and register roots to the collector's root
@@ -27,20 +20,28 @@ type t = {
           exception cell is always visited. *)
   after_collection :
     full:bool ->
-    allocs:(int * int * int) list ->
-    copies:(int * int * int * int) list ->
+    allocs:Site_tally.t ->
+    copies:Site_tally.t ->
+    deaths:Site_tally.t ->
     unit;
       (** invoked once per collection after roots are final: the runtime
           places stack markers and refreshes marker bookkeeping, and its
-          profiler folds the collection's per-site rows.  [allocs] are
-          the [(site, objects, words)] allocated since the previous
-          collection ({!Cycle.flush_site_allocs}); [copies] are the
-          [(site, objects, first_objects, words)] this collection copied
-          ({!Cycle.survivals}), empty under the mark-sweep major, whose
-          rows count marks.  Both are sorted by site and empty unless
-          the collector keeps site tallies ({!Cycle.site_tallies}). *)
-  object_hooks : object_hooks option;
-      (** [Some] switches on the death sweeps and the site tallies *)
+          profiler folds the collection's per-site rows.  [allocs] holds
+          the [(objects, words)] allocated per site since the previous
+          collection (the rows of the trace's [site_alloc] records);
+          [copies] the [(objects, first_objects, words)] this collection
+          copied ({!Cycle.survivals}), empty under the mark-sweep major,
+          whose rows count marks; [deaths] the [(objects, Σ birth)] per
+          site it found dead ({!Site_tally.note_death}).  The tables are
+          empty unless the collector keeps site tallies
+          ({!Cycle.site_tallies}), and deaths unless [profiling].  They
+          are the collector's own: valid during the call only, and read,
+          never written. *)
+  profiling : bool;
+      (** [true] switches on the site tallies and the death sweeps: every
+          object a from-space, large-object or mark-sweep sweep finds
+          dead is counted into the collection's [deaths] rows.  The
+          sweeps allocate nothing, and cost a walk of the swept space *)
   site_needs_scan : int -> bool;
       (** Section 7.2 scan elision: [false] means objects born at this
           site can only point at pretenured/tenured data, so the

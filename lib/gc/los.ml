@@ -48,18 +48,20 @@ let mark t addr =
       true
     end
 
-let sweep t ~on_die =
+let sweep t ~deaths =
   let dead = ref [] in
   Hashtbl.iter
     (fun _ e -> if e.marked then e.marked <- false else dead := e :: !dead)
     t.objects;
   List.fold_left
     (fun freed e ->
-      let cells = Mem.Memory.cells t.mem e.base in
-      let off = Mem.Addr.offset e.base in
-      let site = Mem.Header.site_c cells ~off in
-      let birth = Mem.Header.birth_c cells ~off in
-      on_die ~site ~birth ~words:e.words;
+      (match deaths with
+       | None -> ()
+       | Some deaths ->
+         let cells = Mem.Memory.cells t.mem e.base in
+         let off = Mem.Addr.offset e.base in
+         Site_tally.note_death deaths ~site:(Mem.Header.site_c cells ~off)
+           ~birth:(Mem.Header.birth_c cells ~off));
       Alloc.Backend.free t.backend e.base ~words:e.words;
       Hashtbl.remove t.objects e.base;
       t.live_words <- t.live_words - e.words;

@@ -33,13 +33,13 @@ val contains : t -> Mem.Addr.t -> bool
     before (i.e. the caller must scan its fields). *)
 val mark : t -> Mem.Addr.t -> bool
 
-(** [sweep t ~on_die] frees unmarked objects and clears surviving marks.
-    [on_die ~site ~birth ~words] fires for each corpse (scalars, like
-    the collector hot-loop hooks — no header decode allocation).
-    Returns the words returned to the backend (surfaced as
+(** [sweep t ~deaths] frees unmarked objects and clears surviving marks.
+    With [Some deaths] each corpse is counted into it
+    ({!Site_tally.note_death}, the profiler's death rows).  Returns the
+    words returned to the backend (surfaced as
     [Gc_stats.words_los_freed] and the [los_sweep] phase's [freed_w]
     counter). *)
-val sweep : t -> on_die:(site:int -> birth:int -> words:int -> unit) -> int
+val sweep : t -> deaths:Site_tally.t option -> int
 
 (** Words across live (currently allocated) large objects.  Feeds the
     generational collector's occupancy under both major kinds. *)

@@ -107,7 +107,7 @@ let drain t =
     t.scanned <- t.scanned + scan_object t (Support.Vec.pop t.worklist)
   done
 
-let sweep t ~backend ~on_die =
+let sweep t ~backend ~deaths =
   let cells = t.t_cells in
   let base_off = Mem.Addr.offset t.t_base in
   let limit = Mem.Space.used_words t.tenured in
@@ -136,9 +136,11 @@ let sweep t ~backend ~on_die =
         || Bytes.unsafe_get t.marks off = '\001'
       then flush_run ()
       else begin
-        on_die ~site:(Mem.Header.site_c cells ~off:aoff)
-          ~birth:(Mem.Header.birth_c cells ~off:aoff)
-          ~words;
+        (match deaths with
+         | None -> ()
+         | Some deaths ->
+           Site_tally.note_death deaths ~site:(Mem.Header.site_c cells ~off:aoff)
+             ~birth:(Mem.Header.birth_c cells ~off:aoff));
         if !run_words = 0 then run_start := off;
         run_words := !run_words + words
       end;
@@ -156,5 +158,5 @@ let words_scanned t = t.scanned
 
 let site_survivals t =
   match t.sites with
-  | None -> []
-  | Some tab -> Site_tally.rows tab
+  | None -> Site_tally.empty
+  | Some tab -> tab

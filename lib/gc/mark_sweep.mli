@@ -37,18 +37,15 @@ val visit_root : t -> int array -> int -> unit
 (** [drain t] runs the mark loop to a fixpoint over the gray set. *)
 val drain : t -> unit
 
-(** [sweep t ~backend ~on_die] walks the tenured space linearly and
+(** [sweep t ~backend ~deaths] walks the tenured space linearly and
     returns every unmarked, non-filler object to [backend] via [free];
-    adjacent corpses are merged into one hole first.  [on_die] fires
-    per corpse before its words are freed (profiler death accounting;
-    scalar arguments keep the sweep loop allocation-free).
+    adjacent corpses are merged into one hole first.  With
+    [Some deaths] each corpse is counted into it before its words are
+    freed ({!Site_tally.note_death}, the profiler's death rows).
     Returns the words freed.  Large objects are swept separately by
     {!Los.sweep}, which already reclaims into the LOS backend. *)
 val sweep :
-  t ->
-  backend:Alloc.Backend.packed ->
-  on_die:(site:int -> birth:int -> words:int -> unit) ->
-  int
+  t -> backend:Alloc.Backend.packed -> deaths:Site_tally.t option -> int
 
 (** Marked words, tenured + large objects. *)
 val words_marked : t -> int
@@ -63,9 +60,9 @@ val objects_marked : t -> int
 (** Words walked by the {!drain} scan loop. *)
 val words_scanned : t -> int
 
-(** Per-site mark tallies [(site, objects, first_objects, words)] sorted
-    by site id — the mark-phase analogue of {!Cheney.site_survivals},
-    populated only when the engine was created while tracing.  Tenured
-    objects only; large-object survival is not site-tallied, matching
-    the copy engines. *)
-val site_survivals : t -> (int * int * int * int) list
+(** Per-site mark tallies [(objects, first_objects, words)] — the
+    mark-phase analogue of {!Cheney.site_survivals}, populated only when
+    the engine was created with [site_tallies] ({!Site_tally.empty}
+    otherwise).  Tenured objects only; large-object survival is not
+    site-tallied, matching the copy engines. *)
+val site_survivals : t -> Site_tally.t

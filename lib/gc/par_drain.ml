@@ -740,9 +740,8 @@ let report t =
     t.workers
 
 let site_survivals t =
-  Site_tally.rows
-    (Site_tally.merge
-       (List.filter_map (fun w -> w.sites) (Array.to_list t.workers)))
+  Site_tally.merge
+    (List.filter_map (fun w -> w.sites) (Array.to_list t.workers))
 
 (* worst-case to-space slop of a parallel drain on top of the live data:
    one partly-used chunk per worker, plus a filler tail per retire — and

@@ -149,11 +149,10 @@ type worker_report = {
     trace spans). *)
 val report : t -> worker_report array
 
-(** Merged per-site survival tallies
-    [(site, objects, first_objects, words)], sorted by site id;
-    populated only when the engine was created while tracing (same
-    gating and tuple shape as {!Cheney.site_survivals}). *)
-val site_survivals : t -> (int * int * int * int) list
+(** The workers' per-site survival tallies merged into a fresh table;
+    populated only when the engine was created with [site_tallies]
+    (same gating and columns as {!Cheney.site_survivals}). *)
+val site_survivals : t -> Site_tally.t
 
 (** [space_headroom ~parallelism ~copy_bound ()] is the extra to-space a
     parallel drain may consume beyond the live data: one partly-used

@@ -72,7 +72,7 @@ val live_words : t -> int
 val contains : t -> Mem.Addr.t -> bool
 
 (** As {!Generational.flush_site_allocs}. *)
-val flush_site_allocs : t -> (int * int * int) list
+val flush_site_allocs : t -> (Site_tally.t -> unit) -> unit
 
 (** Release all memory held by the collector. *)
 val destroy : t -> unit

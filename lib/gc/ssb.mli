@@ -8,7 +8,7 @@
 
 type t
 
-(** An empty buffer. *)
+(** An empty buffer, with room for 256 entries before it grows. *)
 val create : unit -> t
 
 (** [record t loc] logs a mutated location. *)
@@ -20,11 +20,11 @@ val length : t -> int
 (** Total entries ever recorded. *)
 val total_recorded : t -> int
 
-(** [drain t f env] applies [f env] to every buffered location and
-    empties the buffer first, so locations recorded by [f] itself
+(** [drain t f env] applies [f env] to every location buffered when
+    it starts and removes them; locations recorded by [f] itself
     (re-remembered edges) stay buffered for the next collection.  With
-    a toplevel [f], the drain allocates nothing once the buffers have
-    grown. *)
+    a toplevel [f], the drain allocates nothing while the buffer has
+    room. *)
 val drain : t -> ('a -> Mem.Addr.t -> unit) -> 'a -> unit
 
 (** Drop every buffered entry without processing it. *)

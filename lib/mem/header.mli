@@ -64,6 +64,9 @@ val layout_header_words : ?birth:bool -> layout -> int
     meta word). *)
 val max_record_fields : unit -> int
 
+(** Site ids are [site_bits] wide: [max_site = 2{^site_bits} - 1]. *)
+val site_bits : int
+
 val max_site : int
 
 (** Total footprint of an object with this header, in words. *)

@@ -426,6 +426,14 @@ type percentiles = {
   total_us : float;
 }
 
+(* toplevel, not a closure built per level of [select]: how many levels
+   run depends on the values, and the host words a selection allocated
+   did too (serve's guarded host-word rows moved between runs) *)
+let swap (a : float array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
 (* [select a lo hi k] permutes [a.(lo..hi)] so that [a.(k)] holds the
    value of rank [k] in it, with nothing greater to its left and nothing
    smaller to its right: Hoare quickselect with a median-of-three pivot,
@@ -433,22 +441,17 @@ type percentiles = {
    NaN ranks lowest, as under a sort). *)
 let rec select a lo hi k =
   if lo < hi then begin
-    let swap i j =
-      let x = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- x
-    in
     let mid = lo + ((hi - lo) / 2) in
-    if Float.compare a.(mid) a.(lo) < 0 then swap mid lo;
-    if Float.compare a.(hi) a.(lo) < 0 then swap hi lo;
-    if Float.compare a.(hi) a.(mid) < 0 then swap hi mid;
+    if Float.compare a.(mid) a.(lo) < 0 then swap a mid lo;
+    if Float.compare a.(hi) a.(lo) < 0 then swap a hi lo;
+    if Float.compare a.(hi) a.(mid) < 0 then swap a hi mid;
     let pivot = a.(mid) in
     let i = ref lo and j = ref hi in
     while !i <= !j do
       while Float.compare a.(!i) pivot < 0 do incr i done;
       while Float.compare a.(!j) pivot > 0 do decr j done;
       if !i <= !j then begin
-        swap !i !j;
+        swap a !i !j;
         incr i;
         decr j
       end

@@ -8,18 +8,20 @@
     kilobytes, matching the paper's use of allocation volume as logical
     time.
 
-    The allocation and copy counts are not gathered per object: the
-    runtime folds the collectors' per-collection site rows
-    ({!fold_allocs}, {!fold_copies}), the same rows the trace's
-    [site_alloc] and [site_survival] records carry.  Deaths arrive one
-    object at a time through {!on_die}, from the collectors' death
-    sweeps and the runtime's exit sweep.
+    Nothing is gathered per object: the runtime folds the collectors'
+    per-collection site tables ({!fold_allocs}, {!fold_copies},
+    {!fold_deaths}) — the allocation and copy rows the trace's
+    [site_alloc] and [site_survival] records carry, and the death rows
+    of the collectors' sweeps and the runtime's exit walk.  The
+    profiler's own table is a flat array indexed by site id, so a fold
+    neither hashes nor allocates once the table has grown past the
+    sites it sees.
 
-    [note_edge] builds the site points-to graph (which sites' objects
-    hold pointers to which sites' objects).  The paper obtains this from
-    a data-flow analysis (Section 7.2); we substitute the observed
-    points-to relation of a profiling run, which supports the same
-    scan-elision decision. *)
+    The site points-to graph (which sites' objects hold pointers to
+    which sites' objects) is the runtime's: it hands the observed edges
+    to {!data}.  The paper obtains that graph from a data-flow analysis
+    (Section 7.2); we substitute the observed points-to relation of a
+    profiling run, which supports the same scan-elision decision. *)
 
 type t
 
@@ -27,24 +29,26 @@ type t
     the allocation clock [now_bytes] (total bytes allocated so far). *)
 val create : now_bytes:(unit -> int) -> t
 
-(** [fold_allocs t rows] adds [(site, objects, words)] allocation rows. *)
-val fold_allocs : t -> (int * int * int) list -> unit
+(** [fold_allocs t rows] adds allocation rows: [(objects, words)] per
+    site. *)
+val fold_allocs : t -> Collectors.Site_tally.t -> unit
 
-(** [fold_copies t rows] adds one copying collection's
-    [(site, objects, first_objects, words)] survival rows: every copied
-    word counts towards the site's copied bytes, and [first_objects]
-    (copies of objects surviving their first collection) towards its
-    old fraction. *)
-val fold_copies : t -> (int * int * int * int) list -> unit
+(** [fold_copies t rows] adds one copying collection's survival rows,
+    [(objects, first_objects, words)] per site: every copied word
+    counts towards the site's copied bytes, and [first_objects] (copies
+    of objects surviving their first collection) towards its old
+    fraction. *)
+val fold_copies : t -> Collectors.Site_tally.t -> unit
 
-(** [note_edge t ~from_site ~to_site] records that an object born at
-    [from_site] held a pointer to an object born at [to_site]. *)
-val note_edge : t -> from_site:int -> to_site:int -> unit
+(** [fold_deaths t rows] adds death rows, [(objects, Σ birth)] per site
+    ({!Collectors.Site_tally.note_death}), every death charged at the
+    current allocation clock: nothing may have been allocated since
+    the deaths were counted. *)
+val fold_deaths : t -> Collectors.Site_tally.t -> unit
 
-(** [on_die t ~site ~birth ~words] records one death at the current
-    allocation clock (the collectors' [on_die] hook). *)
-val on_die : t -> site:int -> birth:int -> words:int -> unit
-
-(** [data t ~site_name] snapshots the profile: every site with recorded
-    activity, ascending by id, and the deduplicated edges, sorted. *)
-val data : t -> site_name:(int -> string) -> Profile_data.t
+(** [data t ~site_name ~edges] snapshots the profile: every site with
+    recorded activity, ascending by id, and [edges], the observed
+    [(from_site, to_site)] points-to pairs, sorted and without
+    duplicates. *)
+val data :
+  t -> site_name:(int -> string) -> edges:(int * int) list -> Profile_data.t

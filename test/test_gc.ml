@@ -50,19 +50,119 @@ let los_mark_sweep () =
   check_int "live words" (603 + 703) (Collectors.Los.live_words los);
   check_bool "first mark" true (Collectors.Los.mark los a);
   check_bool "second mark is idempotent" false (Collectors.Los.mark los a);
-  let died = ref [] in
-  let freed =
-    Collectors.Los.sweep los ~on_die:(fun ~site ~birth:_ ~words:_ ->
-      died := site :: !died)
-  in
-  Alcotest.(check (list int)) "b died" [ 2 ] !died;
+  let deaths = Collectors.Site_tally.create () in
+  let freed = Collectors.Los.sweep los ~deaths:(Some deaths) in
+  Alcotest.(check (list (list int))) "b died" [ [ 2; 1; 0; 0 ] ]
+    (List.map (fun (s, o, f, b) -> [ s; o; f; b ])
+       (Collectors.Site_tally.rows deaths));
   check_int "sweep reports freed words" 703 freed;
   check_bool "a survives" true (Collectors.Los.contains los a);
   check_bool "b freed" false (Collectors.Los.contains los b);
   (* marks cleared: an unmarked second sweep kills a *)
-  let freed2 = Collectors.Los.sweep los ~on_die:(fun ~site:_ ~birth:_ ~words:_ -> ()) in
+  let freed2 = Collectors.Los.sweep los ~deaths:None in
   check_int "second sweep frees a" 603 freed2;
   check_int "empty" 0 (Collectors.Los.live_words los)
+
+(* --- Site_tally --- *)
+
+module ST = Collectors.Site_tally
+
+let tally_rows = Alcotest.(check (list (list int)))
+
+let as_lists t = List.map (fun (s, o, f, w) -> [ s; o; f; w ]) (ST.rows t)
+
+(* rows come out in site order whatever order the sites were noted in,
+   through [rows], [iter] and the [site] cursor alike *)
+let tally_sorted () =
+  let t = ST.create () in
+  List.iter
+    (fun (site, first, words) -> ST.note t ~site ~first ~words)
+    [ (7, false, 3); (3, true, 4); (90, false, 5); (3, false, 6); (0, true, 2) ];
+  let want =
+    [ [ 0; 1; 1; 2 ]; [ 3; 2; 1; 10 ]; [ 7; 1; 0; 3 ]; [ 90; 1; 0; 5 ] ]
+  in
+  tally_rows "rows" want (as_lists t);
+  let seen = ref [] in
+  ST.iter t (fun ~site ~objects ~firsts ~sum ->
+    seen := [ site; objects; firsts; sum ] :: !seen);
+  tally_rows "iter" want (List.rev !seen);
+  Alcotest.(check (list int)) "cursor" [ 0; 3; 7; 90 ]
+    (List.init (ST.length t) (ST.site t));
+  check_int "no row" 0 (ST.objects t 5);
+  (* deaths sum births *)
+  let d = ST.create () in
+  ST.note_death d ~site:4 ~birth:100;
+  ST.note_death d ~site:4 ~birth:40;
+  tally_rows "death row" [ [ 4; 2; 0; 140 ] ] (as_lists d)
+
+(* a cleared table has no rows, and a row noted again starts from zero *)
+let tally_clear_reuse () =
+  let t = ST.create () in
+  ST.note t ~site:5 ~first:true ~words:9;
+  ST.note t ~site:2 ~first:false ~words:4;
+  ST.clear t;
+  check_int "no rows" 0 (ST.length t);
+  tally_rows "empty" [] (as_lists t);
+  check_int "zeroed" 0 (ST.sum t 5);
+  ST.note t ~site:5 ~first:false ~words:3;
+  ST.note t ~site:1 ~first:true ~words:2;
+  tally_rows "reused" [ [ 1; 1; 1; 2 ]; [ 5; 1; 0; 3 ] ] (as_lists t)
+
+let tally_merge () =
+  let a = ST.create () and b = ST.create () in
+  ST.note a ~site:3 ~first:true ~words:4;
+  ST.note a ~site:8 ~first:false ~words:5;
+  ST.note b ~site:8 ~first:true ~words:6;
+  ST.note b ~site:1 ~first:false ~words:7;
+  let m = ST.merge [ a; b ] in
+  tally_rows "sums" [ [ 1; 1; 0; 7 ]; [ 3; 1; 1; 4 ]; [ 8; 2; 1; 11 ] ]
+    (as_lists m);
+  tally_rows "inputs untouched" [ [ 3; 1; 1; 4 ]; [ 8; 1; 0; 5 ] ] (as_lists a);
+  tally_rows "merge of none" [] (as_lists (ST.merge []))
+
+(* the largest site a header holds has a row; one past it, a negative
+   site and a row in the shared empty table are refused *)
+let tally_site_range () =
+  let t = ST.create () in
+  ST.note t ~site:H.max_site ~first:true ~words:3;
+  ST.note t ~site:0 ~first:false ~words:1;
+  tally_rows "max site" [ [ 0; 1; 0; 1 ]; [ H.max_site; 1; 1; 3 ] ] (as_lists t);
+  let refused f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "past max_site" true
+    (refused (fun () -> ST.note t ~site:(H.max_site + 1) ~first:false ~words:1));
+  check_bool "negative" true
+    (refused (fun () -> ST.note t ~site:(-1) ~first:false ~words:1));
+  check_bool "empty takes no rows" true
+    (refused (fun () -> ST.note ST.empty ~site:0 ~first:false ~words:1));
+  check_int "empty stays empty" 0 (ST.length ST.empty)
+
+(* once the table has grown past the sites and rows a collection sees,
+   noting, reading the rows in site order and clearing allocate nothing *)
+let tally_no_host_words () =
+  let t = ST.create () in
+  let round () =
+    for i = 0 to 199 do
+      let site = (i * 37) mod 101 in
+      ST.note t ~site ~first:(i land 1 = 0) ~words:i;
+      ST.note_death t ~site ~birth:i
+    done;
+    let total = ref 0 in
+    for r = 0 to ST.length t - 1 do
+      total := !total + ST.sum t (ST.site t r)
+    done;
+    ST.clear t;
+    !total
+  in
+  ignore (round () : int);
+  let before = Gc.minor_words () in
+  let total = round () in
+  let words = Gc.minor_words () -. before in
+  check_int "sums" (2 * 199 * 200 / 2) total;
+  Alcotest.(check (float 0.)) "host words" 0. words
 
 (* --- Ssb / Remset --- *)
 
@@ -945,7 +1045,7 @@ let los_backend_reuse () =
     let a = los_alloc los hdr ~birth:0 in
     let b = los_alloc los hdr ~birth:0 in
     ignore (Collectors.Los.mark los a);
-    let freed = Collectors.Los.sweep los ~on_die:(fun ~site:_ ~birth:_ ~words:_ -> ()) in
+    let freed = Collectors.Los.sweep los ~deaths:None in
     check_int "sweep freed b" 603 freed;
     let c = los_alloc los hdr ~birth:0 in
     let frag = Collectors.Los.frag los in
@@ -1487,16 +1587,21 @@ let ms_sweep_safety_prop =
       Array.iteri (fun i _ -> Collectors.Mark_sweep.visit_root eng cells i) cells;
       Collectors.Mark_sweep.drain eng;
       let free0 = (Alloc.Backend.frag be).Alloc.Backend.free_words in
-      let died = ref 0 in
+      let deaths = Collectors.Site_tally.create () in
       let swept =
-        Collectors.Mark_sweep.sweep eng ~backend:be
-          ~on_die:(fun ~site:_ ~birth:_ ~words -> died := !died + words)
+        Collectors.Mark_sweep.sweep eng ~backend:be ~deaths:(Some deaths)
+      in
+      (* every object is a 3-field record *)
+      let died =
+        List.fold_left
+          (fun acc (_, objects, _, _) -> acc + (objects * (H.header_words () + 3)))
+          0 (Collectors.Site_tally.rows deaths)
       in
       let free1 = (Alloc.Backend.frag be).Alloc.Backend.free_words in
       let _, after = snapshot () in
       before = after
       && Collectors.Mark_sweep.words_marked_tenured eng = reachable_words
-      && swept = !died
+      && swept = died
       && free1 - free0 = swept
       && Alloc.Backend.live_words be = reachable_words)
 
@@ -1665,6 +1770,13 @@ module type ENGINE = sig
   val site_survivals : t -> (int * int * int * int) list
 end
 
+(* the engine under test, its survival table read as rows *)
+module Cheney_engine = struct
+  include Collectors.Cheney
+
+  let site_survivals e = Collectors.Site_tally.rows (site_survivals e)
+end
+
 (* One collection of a freshly built heap; returns every observable as a
    labelled, structurally comparable value. *)
 let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
@@ -1699,11 +1811,8 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
              (H.object_words_at mem a))
          h.Gen_heap.large)
   in
-  let died = ref [] in
-  let freed =
-    Collectors.Los.sweep h.Gen_heap.los ~on_die:(fun ~site ~birth ~words ->
-      died := (site, birth, words) :: !died)
-  in
+  let deaths = Collectors.Site_tally.create () in
+  let freed = Collectors.Los.sweep h.Gen_heap.los ~deaths:(Some deaths) in
   [ ("to-space", cells h.Gen_heap.to_space);
     ("young to-space", cells h.Gen_heap.young_to);
     ("from-space", cells h.Gen_heap.from);
@@ -1714,7 +1823,7 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
       `Ints [ E.words_copied e; E.words_promoted e; E.words_scanned e ] );
     ("site survivals", `Sites (E.site_survivals e));
     ("remember calls", `Remembered (List.rev !remembered));
-    ("los sweep", `Sweep (freed, List.sort compare !died)) ]
+    ("los sweep", `Sweep (freed, Collectors.Site_tally.rows deaths)) ]
 
 (* every option the engine takes: header layout, aging threshold,
    backend-placed promotion, eager evacuation, large-object tracing *)
@@ -1766,7 +1875,7 @@ let cheney_matches_reference_prop =
               if got <> want then
                 QCheck.Test.fail_reportf "%s differ (%s)" what
                   (describe_config config))
-            (run (module Collectors.Cheney : ENGINE))
+            (run (module Cheney_engine : ENGINE))
             (run (module Cheney_ref : ENGINE)))
         reference_configs;
       true)
@@ -2093,11 +2202,7 @@ type entry_config = {
 let entry_collector cfg =
   let mem = Mem.Memory.create () in
   let globals = Array.make 8 V.encoded_zero in
-  let hooks =
-    { (global_hooks globals) with
-      Collectors.Hooks.object_hooks =
-        Some { Collectors.Hooks.on_die = (fun ~site:_ ~birth:_ ~words:_ -> ()) } }
-  in
+  let hooks = { (global_hooks globals) with Collectors.Hooks.profiling = true } in
   let stats = Collectors.Gc_stats.create () in
   let budget_bytes = 128 * 1024 in
   let col =
@@ -2147,7 +2252,12 @@ let run_entry (mem, globals, col) alloc reqs =
   in
   let stats = Collectors.Collector.stats col in
   let result =
-    (outcomes, counters stats, Collectors.Collector.flush_site_allocs col)
+    ( outcomes,
+      counters stats,
+      let rows = ref [] in
+      Collectors.Collector.flush_site_allocs col (fun tab ->
+        rows := Collectors.Site_tally.rows tab);
+      !rows )
   in
   Collectors.Collector.destroy col;
   result
@@ -2242,6 +2352,13 @@ let () =
   Alcotest.run "gc"
     [ ( "los",
         [ Alcotest.test_case "mark and sweep" `Quick los_mark_sweep ] );
+      ( "site tally",
+        [ Alcotest.test_case "rows sorted by site" `Quick tally_sorted;
+          Alcotest.test_case "clear then reuse" `Quick tally_clear_reuse;
+          Alcotest.test_case "merge" `Quick tally_merge;
+          Alcotest.test_case "site range" `Quick tally_site_range;
+          Alcotest.test_case "no host words once grown" `Quick
+            tally_no_host_words ] );
       ( "barriers",
         [ Alcotest.test_case "ssb keeps duplicates" `Quick ssb_duplicates;
           Alcotest.test_case "remset dedups" `Quick remset_dedups ] );

@@ -56,8 +56,9 @@ let operand_typing () =
 (* --- word operands allocate no host memory ---
 
    Each operation a workload's inner loop runs, in a loop of its own
-   after a warm-up that grows the barrier buffers: the [Gc.minor_words]
-   delta must be 0, under the release and the dev profile alike.  The
+   after one warm-up round (the barrier buffers start with room for its
+   stores): the [Gc.minor_words] delta must be 0, under the release and
+   the dev profile alike.  The
    call bodies are built once, as the workloads build theirs, and the
    nursery is large enough that no simulated collection runs inside a
    measured loop. *)
@@ -110,12 +111,8 @@ let operands_allocate_nothing () =
       (R.slot 0);
     List.iter
       (fun (name, op) ->
-        (* a collection drains the barrier buffer into its spare and
-           keeps the capacity of both *)
-        for _ = 1 to 2 do
-          for i = 1 to n do op i done;
-          R.collect_now rt
-        done;
+        for i = 1 to n do op i done;
+        R.collect_now rt;
         let gcs = Collectors.Gc_stats.gcs (R.stats rt) in
         let before = Gc.minor_words () in
         for i = 1 to n do op i done;

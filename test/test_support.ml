@@ -136,6 +136,33 @@ let fvec_push () =
     "pushed" (Array.init 1000 (fun i -> float_of_int i /. 4.))
     (Support.Fvec.to_array v)
 
+(* --- Int_hashset --- *)
+
+(* [add] reports first sight exactly, across the table's doublings,
+   and [iter] returns the keys added *)
+let hashset_prop =
+  QCheck.Test.make ~name:"int hashset = Set of the keys added" ~count:100
+    QCheck.(list (int_bound 1_000_000))
+    (fun keys ->
+      let t = Support.Int_hashset.create () in
+      let module S = Set.Make (Int) in
+      let firsts =
+        List.fold_left
+          (fun (ok, seen) k ->
+            (ok && Support.Int_hashset.add t k = not (S.mem k seen), S.add k seen))
+          (true, S.empty) keys
+      in
+      let got = ref S.empty in
+      Support.Int_hashset.iter t (fun k -> got := S.add k !got);
+      fst firsts && S.equal !got (snd firsts))
+
+let hashset_rejects_negative () =
+  let t = Support.Int_hashset.create () in
+  check_bool "negative key" true
+    (match Support.Int_hashset.add t (-1) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "support"
     [ ( "vec",
@@ -143,6 +170,9 @@ let () =
           Alcotest.test_case "bounds" `Quick vec_bounds;
           QCheck_alcotest.to_alcotest vec_roundtrip_prop;
           QCheck_alcotest.to_alcotest vec_push_pop_prop ] );
+      ( "int hashset",
+        [ QCheck_alcotest.to_alcotest hashset_prop;
+          Alcotest.test_case "negative key" `Quick hashset_rejects_negative ] );
       ( "prng",
         [ Alcotest.test_case "deterministic" `Quick prng_deterministic;
           Alcotest.test_case "seeds differ" `Quick prng_seeds_differ;
