@@ -594,7 +594,10 @@ let gc_profile_cmd =
 
 let gc_serve_cmd =
   let tenants_arg =
-    let doc = "Number of tenants (profiles cycle arena, cache, archive)." in
+    let doc =
+      "Number of tenants (profiles cycle arena, cache, archive), at most \
+       65536: each request's tenant is recorded in 16 bits."
+    in
     Arg.(value & opt int 6 & info [ "tenants" ] ~docv:"N" ~doc)
   in
   let sessions_arg =
@@ -727,6 +730,15 @@ let gc_serve_cmd =
       usage
         "--tenants, --sessions, --requests, --rate and --flight must be \
          positive";
+    if tenants > Workloads.Serve.max_tenants then
+      usage
+        (Printf.sprintf "--tenants must be at most %d (16-bit tenant tags)"
+           Workloads.Serve.max_tenants);
+    if requests > Workloads.Serve.max_requests then
+      usage
+        (Printf.sprintf
+           "--requests must be at most %d (one flat array of latencies)"
+           Workloads.Serve.max_requests);
     if phase_shift < 0 then usage "--phase-shift must be non-negative";
     let positive x = Float.is_finite x && x > 0. in
     if budget <= 0 then usage "--budget must be positive";

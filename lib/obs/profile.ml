@@ -459,56 +459,136 @@ let rec select a lo hi k =
     if k <= !j then select a lo !j k else if k >= !i then select a !i hi k
   end
 
-(* Nearest-rank percentiles by selection: the ceil(q*n)-th smallest
-   value for each q, selected in ascending rank order, each within the
-   suffix the previous selection left at or above it.  Max and total
-   come from the copying pass; the total sums in input order. *)
+(* The four nearest-rank selections on the [n >= 1] samples of
+   [a.(lo .. lo + n - 1)]: the ceil(q*n)-th smallest for each q,
+   selected in ascending rank order, each within the suffix the previous
+   selection left at or above it.  The one selection routine behind
+   every summary below; [max_us] and [total_us] come from the caller's
+   input-order pass. *)
+let select_ranks a ~lo ~n ~max_us ~total_us =
+  let hi = lo + n - 1 in
+  let from = ref lo in
+  let at q =
+    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+    let k = lo + max 0 (min (n - 1) (rank - 1)) in
+    select a !from hi k;
+    from := k;
+    a.(k)
+  in
+  let p50 = at 0.50 in
+  let p90 = at 0.90 in
+  let p99 = at 0.99 in
+  let p999 = at 0.999 in
+  { count = n; p50; p90; p99; p999; max_us; total_us }
+
+(* Max and total of [a] in input order (a NaN ranks lowest, as under
+   [Float.compare]); the total starts from [0.]. *)
+let max_total a =
+  let max_us = ref a.(0) and total = ref 0. in
+  for i = 0 to Array.length a - 1 do
+    let d = a.(i) in
+    if Float.compare d !max_us > 0 then max_us := d;
+    total := !total +. d
+  done;
+  (!max_us, !total)
+
+(* A copy, then the in-place selection. *)
 let percentiles_of durs =
   let n = Array.length durs in
   if n = 0 then None
   else begin
-    let a = Array.make n 0. in
-    let max_us = ref durs.(0) and total = ref 0. in
-    for i = 0 to n - 1 do
-      let d = durs.(i) in
-      a.(i) <- d;
-      if Float.compare d !max_us > 0 then max_us := d;
-      total := !total +. d
-    done;
-    let from = ref 0 in
-    let at q =
-      let k =
-        max 0 (min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
-      in
-      select a !from (n - 1) k;
-      from := k;
-      a.(k)
+    let a = Array.copy durs in
+    let max_us, total_us = max_total a in
+    Some (select_ranks a ~lo:0 ~n ~max_us ~total_us)
+  end
+
+let tag tags i = Bytes.get_uint16_ne tags (2 * i)
+
+let swap_tagged samples tags i j =
+  swap samples i j;
+  let t = tag tags i in
+  Bytes.set_uint16_ne tags (2 * i) (tag tags j);
+  Bytes.set_uint16_ne tags (2 * j) t
+
+(* Three steps, none of which copies a sample: (1) each group's count,
+   max and total in input order, the same arithmetic as [max_total], so
+   totals are bit-identical; (2) an in-place partition by tag (counting
+   offsets, then cycle-leader swaps: every swap puts one sample in its
+   group's next free place for good); (3) the selections on each
+   group's slice.  The partition reorders a group's samples, but a
+   rank's value does not depend on their order. *)
+let group_percentiles samples tags ~groups =
+  let n = Array.length samples in
+  if groups > 0x1_0000 then
+    invalid_arg "Profile.group_percentiles: more groups than 16-bit tags";
+  if Bytes.length tags < 2 * n then
+    invalid_arg "Profile.group_percentiles: fewer tags than samples";
+  let count = Array.make groups 0 in
+  let max_us = Array.make groups 0. and total = Array.make groups 0. in
+  for i = 0 to n - 1 do
+    let g = tag tags i in
+    if g >= groups then
+      invalid_arg "Profile.group_percentiles: tag not below groups";
+    let d = samples.(i) in
+    if count.(g) = 0 || Float.compare d max_us.(g) > 0 then max_us.(g) <- d;
+    total.(g) <- total.(g) +. d;
+    count.(g) <- count.(g) + 1
+  done;
+  let next = Array.make groups 0 in
+  for g = 1 to groups - 1 do
+    next.(g) <- next.(g - 1) + count.(g - 1)
+  done;
+  let start = Array.copy next in
+  for g = 0 to groups - 1 do
+    let stop = start.(g) + count.(g) in
+    while next.(g) < stop do
+      let i = next.(g) in
+      let t = tag tags i in
+      if t = g then next.(g) <- i + 1
+      else begin
+        swap_tagged samples tags i next.(t);
+        next.(t) <- next.(t) + 1
+      end
+    done
+  done;
+  Array.init groups (fun g ->
+    if count.(g) = 0 then None
+    else
+      Some
+        (select_ranks samples ~lo:start.(g) ~n:count.(g) ~max_us:max_us.(g)
+           ~total_us:total.(g)))
+
+(* ["all"] summarises every pause, and also stands for a kind that is
+   itself named "all".  Its selection runs on the grouped array: the
+   same values, no copy. *)
+let kind_percentiles ~kinds durs =
+  let n = Array.length durs in
+  if n = 0 then []
+  else begin
+    let max_us, total_us = max_total durs in
+    let names = List.sort_uniq compare (Array.to_list kinds) in
+    let index = Hashtbl.create 8 in
+    List.iteri (fun g k -> Hashtbl.replace index k g) names;
+    let tags = Bytes.create (2 * n) in
+    Array.iteri
+      (fun i k -> Bytes.set_uint16_ne tags (2 * i) (Hashtbl.find index k))
+      kinds;
+    let by_kind =
+      group_percentiles durs tags ~groups:(List.length names)
     in
-    let p50 = at 0.50 in
-    let p90 = at 0.90 in
-    let p99 = at 0.99 in
-    let p999 = at 0.999 in
-    Some { count = n; p50; p90; p99; p999; max_us = !max_us; total_us = !total }
+    let all = select_ranks durs ~lo:0 ~n ~max_us ~total_us in
+    List.map
+      (fun k ->
+        ( k,
+          if k = "all" then all
+          else Option.get by_kind.(Hashtbl.find index k) ))
+      (List.sort compare ("all" :: names))
   end
 
 let pause_percentiles t =
-  if t.pauses = [] then []
-  else begin
-    let kinds =
-      List.sort_uniq compare (List.map (fun p -> p.kind) t.pauses)
-    in
-    let entry kind =
-      let durs =
-        Array.of_list
-          (List.filter_map
-             (fun p ->
-               if kind = "all" || p.kind = kind then Some p.dur_us else None)
-             t.pauses)
-      in
-      Option.map (fun pc -> (kind, pc)) (percentiles_of durs)
-    in
-    List.filter_map entry (List.sort compare ("all" :: kinds))
-  end
+  kind_percentiles
+    ~kinds:(Array.of_list (List.map (fun p -> p.kind) t.pauses))
+    (Array.of_list (List.map (fun p -> p.dur_us) t.pauses))
 
 (* --- MMU --- *)
 

@@ -158,10 +158,33 @@ type percentiles = {
 (** [percentiles_of durs] summarises a raw duration sample; [None] when
     empty.  The percentiles are nearest-rank (the [ceil(q*n)]-th
     smallest value), found by selection in expected linear time rather
-    than a sort; [total_us] sums [durs] in their given order.  Exposed so
+    than a sort, on a copy ([durs] is left as it was); [total_us] sums
+    [durs] in their given order.  Exposed so
     the online monitor ({!Slo}) and per-tenant reports share the exact
     arithmetic with the offline analyzer. *)
 val percentiles_of : float array -> percentiles option
+
+(** [group_percentiles samples tags ~groups] summarises a tagged sample
+    group by group without copying it: sample [i] belongs to group
+    [Bytes.get_uint16_ne tags (2 * i)], and entry [g] of the result is
+    what {!percentiles_of} gives on group [g]'s samples in input order
+    ([None] for an empty group), [total_us] bit for bit.  [samples] and
+    the first [2 * Array.length samples] bytes of [tags] are permuted in
+    place.  Serve's per-tenant reports and the per-kind pause tables
+    all come from here.
+    @raise Invalid_argument if [groups > 65_536] (the tag width), if
+    [tags] holds fewer than two bytes per sample or if a tag is not
+    below [groups]; nothing is permuted then. *)
+val group_percentiles :
+  float array -> Bytes.t -> groups:int -> percentiles option array
+
+(** [kind_percentiles ~kinds durs] is one entry per distinct kind plus
+    ["all"], sorted by name, where [kinds.(i)] is the kind of [durs.(i)]
+    (arrays of equal length); empty when there is no sample.  [durs] is
+    permuted in place.  {!pause_percentiles} and [Slo.percentiles] share
+    it. *)
+val kind_percentiles :
+  kinds:string array -> float array -> (string * percentiles) list
 
 (** [pause_percentiles t] is one entry per collection kind plus ["all"],
     sorted by kind; empty when the trace has no pauses. *)

@@ -175,23 +175,9 @@ let percentile t q = pct t q
 
 let percentiles t =
   let n = pause_count t in
-  if n = 0 then []
-  else begin
-    let kinds =
-      List.sort_uniq compare (Support.Vec.to_list t.p_kind)
-    in
-    let entry kind =
-      let durs = ref [] in
-      for i = n - 1 downto 0 do
-        if kind = "all" || Support.Vec.get t.p_kind i = kind then
-          durs := Support.Vec.get t.p_dur i :: !durs
-      done;
-      Option.map
-        (fun pc -> (kind, pc))
-        (Profile.percentiles_of (Array.of_list !durs))
-    in
-    List.filter_map entry (List.sort compare ("all" :: kinds))
-  end
+  Profile.kind_percentiles
+    ~kinds:(Array.init n (Support.Vec.get t.p_kind))
+    (Array.init n (Support.Vec.get t.p_dur))
 
 let mmu t ~window_us =
   let pauses = ref [] in

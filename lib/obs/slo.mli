@@ -9,7 +9,7 @@
 
     {b Exactness doctrine} (pinned by tests): the end-of-run reads
     ({!percentiles}, {!mmu}) evaluate the {e same} kernels the offline
-    analyzer uses — {!Profile.percentiles_of} and {!Profile.mmu_of} —
+    analyzer uses — {!Profile.kind_percentiles} and {!Profile.mmu_of} —
     on the same 0.1µs-quantised values the serialiser writes, so
     [Slo] at end of run and [Profile] on the identical trace agree
     exactly, not approximately.  The {e streaming} breach rules are the

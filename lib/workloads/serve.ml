@@ -71,9 +71,19 @@ type report = {
   checksum : int;
 }
 
+(* a request's tenant is recorded in 16 bits *)
+let max_tenants = 0x1_0000
+
+(* every request's latency sits in one flat float array *)
+let max_requests = Sys.max_floatarray_length
+
 let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
     ~seed () =
   if tenants < 1 then invalid_arg "Serve.run: tenants < 1";
+  if tenants > max_tenants then invalid_arg "Serve.run: tenants > 65_536";
+  if requests < 0 then invalid_arg "Serve.run: requests < 0";
+  if requests > max_requests then
+    invalid_arg "Serve.run: requests > Sys.max_floatarray_length";
   if sessions < 1 then invalid_arg "Serve.run: sessions < 1";
   if rate_rps <= 0. then invalid_arg "Serve.run: rate_rps <= 0";
   if phase_shift < 0 then invalid_arg "Serve.run: phase_shift < 0";
@@ -137,9 +147,15 @@ let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
       R.store_field rt ~obj:(R.slot 0) ~idx:session ~ptr:true (R.slot 1)
     end
   in
-  let lat = Array.init tenants (fun _ -> Support.Fvec.create ()) in
-  let req_n = Array.make tenants 0 in
-  let pause_durs = Array.init tenants (fun _ -> Support.Fvec.create ()) in
+  (* the run's record: request [i]'s latency in [lat.(i)] and its tenant
+     in [tag], both sized before the loop; the attributed pauses' tenants
+     go into [pause_tag], indexed from the monitor's count at the start *)
+  let lat = Array.make requests 0. in
+  let tag = Bytes.create (2 * requests) in
+  let pause_base =
+    match slo with Some s -> Obs.Slo.pause_count s | None -> 0
+  in
+  let pause_tag = ref Bytes.empty in
   let tick_us = 1e6 /. rate_rps in
   let completion = ref 0. in
   for i = 0 to requests - 1 do
@@ -168,38 +184,55 @@ let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
     let service_us = float_of_int (Support.Units.now_ns () - t0) /. 1e3 in
     (match slo with
      | Some s ->
+       (* no collection runs between two request bodies, so the pauses
+          from [pause_base] on are each attributed exactly once *)
        let after = Obs.Slo.pause_count s in
+       let need = 2 * (after - pause_base) in
+       if need > Bytes.length !pause_tag then begin
+         let grown = Bytes.create (max need (2 * Bytes.length !pause_tag)) in
+         Bytes.blit !pause_tag 0 grown 0 (2 * (before - pause_base));
+         pause_tag := grown
+       end;
        for p = before to after - 1 do
-         Support.Fvec.push pause_durs.(tenant) (Obs.Slo.pause_dur s p)
+         Bytes.set_uint16_ne !pause_tag (2 * (p - pause_base)) tenant
        done
      | None -> ());
     let arrival = float_of_int i *. tick_us in
     let c = Float.max arrival !completion +. service_us in
     completion := c;
-    req_n.(tenant) <- req_n.(tenant) + 1;
-    Support.Fvec.push lat.(tenant) (c -. arrival)
+    lat.(i) <- c -. arrival;
+    Bytes.set_uint16_ne tag (2 * i) tenant
   done;
   let horizon_us =
     Float.max !completion (float_of_int (max 0 (requests - 1)) *. tick_us)
   in
+  let by_tenant = Obs.Profile.group_percentiles lat tag ~groups:tenants in
+  let pauses_by_tenant =
+    match slo with
+    | None -> Array.make tenants None
+    | Some s ->
+      let durs =
+        Array.init (Obs.Slo.pause_count s - pause_base) (fun p ->
+          Obs.Slo.pause_dur s (pause_base + p))
+      in
+      Obs.Profile.group_percentiles durs !pause_tag ~groups:tenants
+  in
   let tenant_reports =
     List.init tenants (fun t ->
-      let p50, p99, p999, mx =
-        match Obs.Profile.percentiles_of (Support.Fvec.to_array lat.(t)) with
-        | None -> (0., 0., 0., 0.)
-        | Some pc -> Obs.Profile.(pc.p50, pc.p99, pc.p999, pc.max_us)
+      let requests, p50, p99, p999, mx =
+        match by_tenant.(t) with
+        | None -> (0, 0., 0., 0., 0.)
+        | Some pc -> Obs.Profile.(pc.count, pc.p50, pc.p99, pc.p999, pc.max_us)
       in
       let pauses, pause_us, p99_p, p999_p =
-        match
-          Obs.Profile.percentiles_of (Support.Fvec.to_array pause_durs.(t))
-        with
+        match pauses_by_tenant.(t) with
         | None -> (0, 0., 0., 0.)
         | Some pc ->
           Obs.Profile.(pc.count, pc.total_us, pc.p99, pc.p999)
       in
       { tenant = t;
         kind = kind_name (kind_of_tenant t);
-        requests = req_n.(t);
+        requests;
         p50_lat_us = p50;
         p99_lat_us = p99;
         p999_lat_us = p999;

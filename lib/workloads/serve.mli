@@ -45,6 +45,14 @@ type report = {
                                  across collector configurations *)
 }
 
+(** The most tenants a run takes: a request's tenant is recorded in 16
+    bits (65,536). *)
+val max_tenants : int
+
+(** The most requests a run takes: every latency sits in one flat float
+    array ([Sys.max_floatarray_length]). *)
+val max_requests : int
+
 (** [run rt ?slo ?phase_shift ~tenants ~sessions ~requests ~rate_rps
     ~seed ()] drives [requests] requests at [rate_rps] across [tenants]
     tenants of [sessions] sessions each.  Tenant [t]'s session table
@@ -56,7 +64,15 @@ type report = {
     that request ordinal on — the behaviour-change scenario the adaptive
     control plane is measured against; the stream stays a pure function
     of [seed] and [phase_shift], so checksums compare across collector
-    configurations at equal [phase_shift]. *)
+    configurations at equal [phase_shift].
+
+    The run keeps one latency (a float) and one 2-byte tenant tag per
+    request, allocated before the first request, plus a 2-byte tag per
+    attributed pause; the per-tenant reports are selected in place from
+    them ({!Obs.Profile.group_percentiles}).
+    @raise Invalid_argument unless [1 <= tenants <= max_tenants],
+    [0 <= requests <= max_requests], [sessions >= 1], [rate_rps > 0] and
+    [phase_shift >= 0]. *)
 val run :
   Gsc.Runtime.t -> ?slo:Obs.Slo.t -> ?phase_shift:int -> tenants:int ->
   sessions:int -> requests:int -> rate_rps:float -> seed:int -> unit -> report

@@ -1118,6 +1118,131 @@ let percentiles_by_selection_prop =
       let got = Obs.Profile.percentiles_of durs in
       got = Percentiles_ref.percentiles_of durs && durs = before)
 
+(* [percentiles_of] selects on a copy: its input comes back as it was,
+   duplicates, NaN and input order included. *)
+let percentiles_input_untouched () =
+  let durs = [| 3.5; nan; 1.; 9.25; 1.; 0.; 7. |] in
+  let before = Array.map Int64.bits_of_float durs in
+  ignore (Obs.Profile.percentiles_of durs : Obs.Profile.percentiles option);
+  check_bool "input bit for bit" true
+    (Array.map Int64.bits_of_float durs = before)
+
+(* Equal as the sorted oracle sees it: NaN ranks with NaN, so a NaN
+   percentile matches a NaN; the total must match bit for bit. *)
+let same_percentiles (a : Obs.Profile.percentiles)
+    (b : Obs.Profile.percentiles) =
+  let open Obs.Profile in
+  a.count = b.count
+  && Float.equal a.p50 b.p50
+  && Float.equal a.p90 b.p90
+  && Float.equal a.p99 b.p99
+  && Float.equal a.p999 b.p999
+  && Float.equal a.max_us b.max_us
+  && Int64.equal (Int64.bits_of_float a.total_us)
+       (Int64.bits_of_float b.total_us)
+
+(* The group routine against the sorted oracle on each group's samples
+   in input order.  Samples are multiples of 1/8 in [-5, 5] or NaN, and
+   n stays small, so every partial sum is exact and the totals must
+   match bit for bit (a NaN total is the same NaN either way).  The tags
+   come from a random subset of the groups, so some groups are empty. *)
+let group_percentiles_prop =
+  let gen =
+    let open QCheck.Gen in
+    let sample =
+      frequency
+        [ (1, return nan);
+          (8, map (fun k -> float_of_int k /. 8.) (-40 -- 40)) ]
+    in
+    let* groups = 1 -- 5 in
+    let* live = list_size (1 -- groups) (0 -- (groups - 1)) in
+    let* n = 0 -- 300 in
+    let* samples = array_repeat n sample in
+    let* tags = array_repeat n (oneofl live) in
+    return (groups, samples, tags)
+  in
+  QCheck.Test.make ~name:"group percentiles = sorted oracle per group"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (groups, samples, tags) ->
+         Printf.sprintf "groups %d: %s" groups
+           (String.concat " "
+              (Array.to_list
+                 (Array.mapi
+                    (fun i v -> Printf.sprintf "%d:%g" tags.(i) v)
+                    samples))))
+       gen)
+    (fun (groups, samples, tags) ->
+      let n = Array.length samples in
+      let buf = Bytes.create (2 * n) in
+      Array.iteri (fun i g -> Bytes.set_uint16_ne buf (2 * i) g) tags;
+      let got =
+        Obs.Profile.group_percentiles (Array.copy samples) buf ~groups
+      in
+      Array.length got = groups
+      && List.for_all
+           (fun g ->
+             let mine =
+               Array.of_list
+                 (List.filteri (fun i _ -> tags.(i) = g)
+                    (Array.to_list samples))
+             in
+             match (got.(g), Percentiles_ref.percentiles_of mine) with
+             | None, None -> true
+             | Some a, Some b -> same_percentiles a b
+             | _ -> false)
+           (List.init groups Fun.id))
+
+(* Totals sum each group in input order, as [percentiles_of] does: here
+   that order gives 1 and the sorted order 0 (1e16 + 1 rounds back to
+   1e16). *)
+let group_totals_input_order () =
+  let samples = [| 1e16; 5.; 1.; -1e16; 7.; 1. |] in
+  let tags = Bytes.create 12 in
+  List.iteri (fun i g -> Bytes.set_uint16_ne tags (2 * i) g) [ 0; 1; 0; 0; 1; 0 ];
+  let ones = [| 1e16; 1.; -1e16; 1. |] in
+  match Obs.Profile.group_percentiles samples tags ~groups:2 with
+  | [| Some a; Some b |] ->
+    check_bool "input order" true (a.Obs.Profile.total_us = 1.);
+    check_bool "as percentiles_of" true
+      (Some a = Obs.Profile.percentiles_of ones);
+    check_bool "the other group" true (b.Obs.Profile.total_us = 12.)
+  | _ -> Alcotest.fail "expected two non-empty groups"
+
+(* A tag at or above [groups] is refused before anything moves. *)
+let group_percentiles_bad_tag () =
+  let samples = [| 2.; 1.; 3. |] in
+  let tags = Bytes.create 6 in
+  List.iteri (fun i g -> Bytes.set_uint16_ne tags (2 * i) g) [ 1; 0; 2 ];
+  Alcotest.check_raises "tag 2 of 2 groups"
+    (Invalid_argument "Profile.group_percentiles: tag not below groups")
+    (fun () -> ignore (Obs.Profile.group_percentiles samples tags ~groups:2));
+  check_bool "samples unmoved" true (samples = [| 2.; 1.; 3. |]);
+  check_bool "tags unmoved" true
+    (List.init 3 (fun i -> Bytes.get_uint16_ne tags (2 * i)) = [ 1; 0; 2 ])
+
+(* Per-kind tables: "all" plus each kind, sorted by name; "all" counts
+   every pause, including a kind that is itself named "all". *)
+let kind_percentiles_all () =
+  let names l = List.map fst l in
+  let count l k = (List.assoc k l).Obs.Profile.count in
+  let pc =
+    Obs.Profile.kind_percentiles ~kinds:[| "minor"; "major"; "minor" |]
+      [| 10.; 300.; 20. |]
+  in
+  check_bool "names" true (names pc = [ "all"; "major"; "minor" ]);
+  check_int "all" 3 (count pc "all");
+  check_int "minor" 2 (count pc "minor");
+  check_bool "minor total in input order" true
+    ((List.assoc "minor" pc).Obs.Profile.total_us = 30.);
+  let odd =
+    Obs.Profile.kind_percentiles ~kinds:[| "all"; "minor" |] [| 1.; 2. |]
+  in
+  check_bool "a kind named all" true
+    (names odd = [ "all"; "all"; "minor" ]
+     && List.for_all (fun (k, p) -> k <> "all" || p.Obs.Profile.count = 2) odd);
+  check_bool "no pauses" true (Obs.Profile.kind_percentiles ~kinds:[||] [||] = [])
+
 (* --- the flight recorder --- *)
 
 let flight_ring_bounded () =
@@ -1297,7 +1422,16 @@ let () =
          Alcotest.test_case "online equals offline" `Quick slo_equals_profile;
          Alcotest.test_case "mmu rule" `Quick slo_mmu_rule;
          QCheck_alcotest.to_alcotest slo_percentile_prop;
-         QCheck_alcotest.to_alcotest percentiles_by_selection_prop ]);
+         QCheck_alcotest.to_alcotest percentiles_by_selection_prop;
+         Alcotest.test_case "percentiles leave their input" `Quick
+           percentiles_input_untouched;
+         QCheck_alcotest.to_alcotest group_percentiles_prop;
+         Alcotest.test_case "group totals in input order" `Quick
+           group_totals_input_order;
+         Alcotest.test_case "group tag out of range" `Quick
+           group_percentiles_bad_tag;
+         Alcotest.test_case "kind tables keep all" `Quick
+           kind_percentiles_all ]);
       ("flight",
        [ Alcotest.test_case "ring bounded" `Quick flight_ring_bounded;
          Alcotest.test_case "breach dump" `Quick flight_breach_dump;

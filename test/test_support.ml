@@ -125,17 +125,6 @@ let units () =
   check_str "sec" "8.07" (Support.Units.seconds 8.07);
   check_bool "ratio zero denominator" true (Support.Units.ratio 5. 0. = 0.)
 
-(* growth past several doublings keeps every float, in order *)
-let fvec_push () =
-  let v = Support.Fvec.create () in
-  Alcotest.(check (array (float 0.))) "empty" [||] (Support.Fvec.to_array v);
-  for i = 0 to 999 do
-    Support.Fvec.push v (float_of_int i /. 4.)
-  done;
-  Alcotest.(check (array (float 0.)))
-    "pushed" (Array.init 1000 (fun i -> float_of_int i /. 4.))
-    (Support.Fvec.to_array v)
-
 (* --- Int_hashset --- *)
 
 (* [add] reports first sight exactly, across the table's doublings,
@@ -181,5 +170,4 @@ let () =
       ( "textgrid",
         [ Alcotest.test_case "alignment" `Quick grid_alignment;
           Alcotest.test_case "arity" `Quick grid_arity ] );
-      ("fvec", [ Alcotest.test_case "push" `Quick fvec_push ]);
       ("units", [ Alcotest.test_case "formatting" `Quick units ]) ]

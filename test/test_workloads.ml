@@ -108,6 +108,64 @@ let color_small_paths () =
       (Workloads.Registry.find "color").Workloads.Spec.run rt ~scale:n)
     [ 2; 3; 4; 5; 6; 7; 8; 9 ]
 
+(* serve keeps one latency and one tenant tag per request and a tag per
+   attributed pause: every request and every pause of the run lands in
+   exactly one tenant's report.  The small nursery makes over a hundred
+   pauses, so the pause tags outgrow their first buffers. *)
+let serve_accounting () =
+  let tenants = 5 and requests = 3000 in
+  let cfg =
+    let base = Gsc.Config.generational ~budget_bytes:budget in
+    { base with
+      Gsc.Config.nursery_bytes_max = 8 * 1024;
+      global_slots = max base.Gsc.Config.global_slots tenants }
+  in
+  let slo = Obs.Slo.create Obs.Slo.no_target in
+  let rep =
+    Obs.Trace.with_ring ~slo (Obs.Flight.create ~capacity:64 ()) (fun () ->
+      let rt = R.create cfg in
+      Fun.protect ~finally:(fun () -> R.destroy rt) @@ fun () ->
+      Workloads.Serve.run rt ~slo ~tenants ~sessions:16 ~requests
+        ~rate_rps:4000. ~seed:3 ())
+  in
+  let sum f =
+    List.fold_left (fun acc t -> acc + f t) 0 rep.Workloads.Serve.tenants
+  in
+  Alcotest.(check int) "tenants" tenants (List.length rep.Workloads.Serve.tenants);
+  Alcotest.(check int) "requests" requests
+    (sum (fun t -> t.Workloads.Serve.requests));
+  let pauses = Obs.Slo.pause_count slo in
+  Alcotest.(check bool) "over a hundred pauses" true (pauses > 100);
+  Alcotest.(check int) "pauses" pauses (sum (fun t -> t.Workloads.Serve.pauses));
+  List.iter
+    (fun (t : Workloads.Serve.tenant_report) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "tenant %d ranks in order" t.tenant)
+        true
+        (t.requests > 0 && t.p50_lat_us <= t.p99_lat_us
+         && t.p99_lat_us <= t.p999_lat_us && t.p999_lat_us <= t.max_lat_us
+         && t.p99_pause_us <= t.p999_pause_us && t.pause_us > 0.))
+    rep.Workloads.Serve.tenants
+
+(* the record's widths bound a run: 16-bit tenant tags, one float array
+   of latencies *)
+let serve_limits () =
+  let rt = R.create (Gsc.Config.generational ~budget_bytes:budget) in
+  Fun.protect ~finally:(fun () -> R.destroy rt) @@ fun () ->
+  let run ~tenants ~requests () =
+    ignore
+      (Workloads.Serve.run rt ~tenants ~sessions:1 ~requests ~rate_rps:1.
+         ~seed:1 ()
+        : Workloads.Serve.report)
+  in
+  Alcotest.check_raises "tenants"
+    (Invalid_argument "Serve.run: tenants > 65_536")
+    (run ~tenants:(Workloads.Serve.max_tenants + 1) ~requests:1);
+  Alcotest.check_raises "requests"
+    (Invalid_argument "Serve.run: requests > Sys.max_floatarray_length")
+    (run ~tenants:1 ~requests:(Workloads.Serve.max_requests + 1));
+  Alcotest.(check int) "max tenants" 65_536 Workloads.Serve.max_tenants
+
 let () =
   Alcotest.run "workloads"
     (List.map suite_for Workloads.Registry.all
@@ -118,4 +176,8 @@ let () =
              Alcotest.test_case "smallest accepted scale" `Quick
                smallest_scale;
              Alcotest.test_case "color below the cap" `Quick
-               color_small_paths ] ) ])
+               color_small_paths ] );
+         ( "serve",
+           [ Alcotest.test_case "every request and pause reported" `Quick
+               serve_accounting;
+             Alcotest.test_case "record limits" `Quick serve_limits ] ) ])
