@@ -112,10 +112,11 @@ let save_policy ?(note = "") path policy =
      Printf.eprintf "%s: written policy fails to load: %s\n" path msg;
      exit 1);
   Printf.printf
-    "%s: %d pretenured site(s), %d scan-free (cutoff %.2f, min %d objects%s)\n"
+    "%s: %d pretenured site(s), scan elision %s (cutoff %.2f, min %d \
+     objects%s)\n"
     path
     (List.length policy.Gsc.Policy_file.sites)
-    (List.length policy.Gsc.Policy_file.no_scan)
+    (if policy.Gsc.Policy_file.scan_elision then "on" else "off")
     policy.Gsc.Policy_file.cutoff policy.Gsc.Policy_file.min_objects note
 
 (* --- profile --- *)
@@ -123,8 +124,8 @@ let save_policy ?(note = "") path policy =
 let profile_cmd =
   let out =
     let doc =
-      "Write the pretenuring policy this profile selects (with the \
-       scan-free subset) to this file, for `repro run --policy`."
+      "Write the pretenuring policy this profile selects (with scan \
+       elision on) to this file, for `repro run --policy`."
     in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
@@ -546,8 +547,8 @@ let gc_profile_cmd =
            & info [ "min-objects" ] ~docv:"N" ~doc)
     in
     let no_elide_arg =
-      let doc = "Do not derive the scan-free (elidable) subset from the \
-                 traced points-into graph." in
+      let doc = "Write the policy with scan elision off: every \
+                 pretenured region is scanned at the next minor." in
       Arg.(value & flag & info [ "no-elide" ] ~doc)
     in
     let merge_arg =

@@ -32,7 +32,7 @@ let program rt =
 
 let run ~threshold ~pretenure =
   let policy =
-    if pretenure then Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]
+    if pretenure then Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:false
     else Gsc.Pretenure.none
   in
   let cfg =

@@ -2,28 +2,20 @@ type t = {
   cutoff : float;
   min_objects : int;
   sites : int list;
-  no_scan : int list;
+  scan_elision : bool;
 }
 
 (* The one builder behind both derivations: the only place sites are
-   put in canonical order and the scan-free subset is derived. *)
-let make ~cutoff ~min_objects ~scan_elision ~sites ~edges =
-  let sites = List.sort_uniq compare sites in
-  let no_scan =
-    if scan_elision then
-      Site_flow.Int_set.elements
-        (Site_flow.scan_free ~edges ~pretenured:(Site_flow.Int_set.of_list sites))
-    else []
-  in
-  { cutoff; min_objects; sites; no_scan }
+   put in canonical order. *)
+let make ~cutoff ~min_objects ~scan_elision ~sites =
+  { cutoff; min_objects; sites = List.sort_uniq compare sites; scan_elision }
 
 let of_profile p ~cutoff ~min_objects ~scan_elision =
-  make ~cutoff ~min_objects ~scan_elision ~edges:p.Obs.Profile.edges
+  make ~cutoff ~min_objects ~scan_elision
     ~sites:(Obs.Profile.select_pretenure p ~cutoff ~min_objects)
 
 let of_profile_data data ~cutoff ~min_objects ~scan_elision =
   make ~cutoff ~min_objects ~scan_elision
-    ~edges:data.Heap_profile.Profile_data.edges
     ~sites:
       (Heap_profile.Profile_data.select_pretenure_sites data ~cutoff
          ~min_objects)
@@ -37,7 +29,7 @@ let to_json t =
       ("cutoff", num t.cutoff);
       ("min_objects", num (float_of_int t.min_objects));
       ("sites", ints t.sites);
-      ("no_scan", ints t.no_scan) ]
+      ("scan_elision", Obs.Json.Bool t.scan_elision) ]
 
 let int_list_of name = function
   | Obs.Json.List items ->
@@ -93,17 +85,13 @@ let of_json j =
     in
     let* sites_j = field "sites" in
     let* sites = int_list_of "sites" sites_j in
-    let* no_scan_j = field "no_scan" in
-    let* no_scan = int_list_of "no_scan" no_scan_j in
-    let module S = Site_flow.Int_set in
-    if not (S.subset (S.of_list no_scan) (S.of_list sites)) then
-      Error "policy field \"no_scan\" must be a subset of \"sites\""
-    else
-      Ok
-        { cutoff;
-          min_objects;
-          sites = List.sort_uniq compare sites;
-          no_scan = List.sort_uniq compare no_scan }
+    let* scan_elision =
+      match field "scan_elision" with
+      | Ok (Obs.Json.Bool b) -> Ok b
+      | Ok _ -> Error "policy field \"scan_elision\" must be true or false"
+      | Error msg -> Error msg
+    in
+    Ok (make ~cutoff ~min_objects ~scan_elision ~sites)
   | _ -> Error "policy must be a JSON object"
 
 let save t path =

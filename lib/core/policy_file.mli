@@ -17,17 +17,15 @@ type t = {
   cutoff : float;      (** old-fraction threshold the sites passed *)
   min_objects : int;   (** minimum allocated objects the sites passed *)
   sites : int list;    (** pretenured allocation sites, sorted *)
-  no_scan : int list;  (** subset of [sites] proved scan-free, sorted *)
+  scan_elision : bool; (** skip the pretenured-region scan (Section 7.2) *)
 }
 
 (** [of_profile p ~cutoff ~min_objects ~scan_elision] applies the
     paper's rule to an analyzed trace: sites with
     [Obs.Profile.old_fraction >= cutoff] and at least [min_objects]
-    allocations are pretenured; with [scan_elision] the trace's
-    points-to edges additionally exempt scan-free sites
-    ({!Site_flow.scan_free}).  Over a fully-traced run this equals
-    {!of_profile_data} on the live profiler's data: both build the
-    policy through one function. *)
+    allocations are pretenured; [scan_elision] is carried as is.  Over
+    a fully-traced run this equals {!of_profile_data} on the live
+    profiler's data: both build the policy through one function. *)
 val of_profile :
   Obs.Profile.t ->
   cutoff:float ->
@@ -49,8 +47,8 @@ val of_profile_data :
 
 val to_json : t -> Obs.Json.t
 
-(** [of_json j] validates shape, version and the no_scan-subset
-    invariant, with a field-naming error message on failure. *)
+(** [of_json j] validates shape and version, with a field-naming error
+    message on failure. *)
 val of_json : Obs.Json.t -> (t, string) result
 
 (** [save t path] writes the policy as one JSON document (plus a

@@ -28,18 +28,12 @@ type t = {
   stats : Collectors.Gc_stats.t;
   site_names : string Support.Vec.t;
   profiler : Heap_profile.Profiler.t option;
-  edges : Support.Int_hashset.t option;
-      (* the site pairs seen so far, as [from lsl Header.site_bits lor
-         to]: the live profiler's points-to edges and the pairs already
-         emitted as [site_edge] trace records.  [Some] iff profiling or
-         created while tracing in detail *)
-  trace_edges : bool;  (* created while tracing in detail *)
+  scan_elision : bool;  (* the policy's: [init_field] takes the fallback *)
   mutable sites : Bytes.t;
-      (* the per-site placement decisions, one byte of flags per site id
-         ([pretenure_bit], [scan_free_bit]; sites past the end: none).
-         Filled from the static policy at [create]; the adaptive control
-         plane rewrites pretenure bits through [Hooks.set_pretenure] at
-         collection boundaries. *)
+      (* the per-site pretenure decisions, one byte per site id, nonzero
+         when pretenured (sites past the end: not).  Filled from the
+         static policy at [create]; the adaptive control plane rewrites
+         them through [Hooks.set_pretenure] at collection boundaries. *)
   handlers : handler_entry Support.Vec.t;
   mutable next_handler_id : int;
   mutable last_scan_serial : int;
@@ -221,33 +215,20 @@ let after_collection_hook t ~full ~allocs ~copies ~deaths =
 
 (* --- the per-site table --- *)
 
-let pretenure_bit = 1
-let scan_free_bit = 2
-
 (* sites outside the header's range can never be allocated *)
 let site_in_range s = s >= 0 && s <= Header.max_site
 
 let site_table policy =
-  let flag bit tbl s =
-    Bytes.set tbl s (Char.chr (Char.code (Bytes.get tbl s) lor bit))
-  in
-  (* the scan-free sites are a subset of the pretenured ones *)
   let pretenured =
     List.filter site_in_range (Pretenure.pretenured_sites policy)
   in
   let tbl = Bytes.make (List.fold_left max (-1) pretenured + 1) '\000' in
-  List.iter (flag pretenure_bit tbl) pretenured;
-  List.iter (flag scan_free_bit tbl)
-    (List.filter site_in_range (Pretenure.no_scan_sites policy));
+  List.iter (fun s -> Bytes.set tbl s '\001') pretenured;
   tbl
 
-let site_flags t site =
-  if site >= 0 && site < Bytes.length t.sites then
-    Char.code (Bytes.unsafe_get t.sites site)
-  else 0
-
-let pretenured t site = site_flags t site land pretenure_bit <> 0
-let needs_scan t site = site_flags t site land scan_free_bit = 0
+let pretenured t site =
+  site >= 0 && site < Bytes.length t.sites
+  && Bytes.unsafe_get t.sites site <> '\000'
 
 let set_pretenure t ~site ~enabled =
   if site_in_range site then begin
@@ -258,9 +239,7 @@ let set_pretenure t ~site ~enabled =
       Bytes.blit t.sites 0 grown 0 n;
       t.sites <- grown
     end;
-    let flags = Char.code (Bytes.get t.sites site) land lnot pretenure_bit in
-    Bytes.set t.sites site
-      (Char.chr (if enabled then flags lor pretenure_bit else flags))
+    Bytes.set t.sites site (if enabled then '\001' else '\000')
   end
 
 let create cfg =
@@ -297,11 +276,7 @@ let create cfg =
                   (fun () -> stats.Collectors.Gc_stats.words_allocated
                              * Memory.bytes_per_word))
          else None);
-      edges =
-        (if cfg.Config.profiling || Obs.Trace.detailed () then
-           Some (Support.Int_hashset.create ())
-         else None);
-      trace_edges = Obs.Trace.detailed ();
+      scan_elision = Pretenure.scan_elision cfg.Config.pretenure;
       sites = site_table cfg.Config.pretenure;
       handlers = Support.Vec.create ();
       next_handler_id = 0;
@@ -318,7 +293,7 @@ let create cfg =
       (* profiling switches on the collectors' site tallies and death
          sweeps, whose rows feed the profiler through [after_collection] *)
       profiling = cfg.Config.profiling;
-      site_needs_scan = needs_scan t;
+      scan_elision = t.scan_elision;
       set_pretenure = (fun ~site ~enabled -> set_pretenure t ~site ~enabled) }
   in
   let col =
@@ -492,27 +467,6 @@ let int_of t src = Value.decode_int (read_word t src)
 
 (* --- allocation --- *)
 
-(* One first-sight set feeds both edge consumers: the live profiler
-   (scan elision decided in-process) and the trace (the offline
-   analyzer's evidence for the same decision), which gets a [site_edge]
-   record the first time a pair is seen. *)
-let note_edge t ~from_site w =
-  match t.edges with
-  | None -> ()
-  | Some seen ->
-    if Value.encoded_is_ptr w then begin
-      let target = Value.encoded_to_addr w in
-      let cells = Memory.cells t.mem target
-      and off = Mem.Addr.offset target in
-      (* a forwarded target cannot happen outside a collection *)
-      if not (Header.is_forwarded_c cells ~off) then begin
-        let to_site = Header.site_c cells ~off in
-        let pair = (from_site lsl Header.site_bits) lor to_site in
-        if Support.Int_hashset.add seen pair && t.trace_edges then
-          Obs.Trace.site_edge ~from_site ~to_site
-      end
-    end
-
 (* The one allocation path: the scalar collector entry, with the
    pretenure decision read from the per-site table. *)
 let alloc_fields t ~tag ~len ~mask ~site =
@@ -531,19 +485,18 @@ let check_integer_word w =
     invalid_arg "Runtime: pointer written to an integer field"
 
 (* [src] is read, checked and stored into field [i] of the fresh record
-   [base] of [site] ([cells], [off]: its block and offset); bit [i] of
-   [mask] says the field is a pointer.  A pointer field of a scan-free
-   site (Section 7.2) that the minor's region scan would skip falls back
-   to the write barrier when it holds a nursery object: the policy's
-   observed edges are no proof that it never does *)
-let init_field t cells ~off ~site ~mask base i src =
+   [base] ([cells], [off]: its block and offset); bit [i] of [mask] says
+   the field is a pointer.  Under scan elision (Section 7.2) the minor
+   skips the pretenured region, so a pointer field of a record outside
+   the nursery (pretenured, statically or by the adaptive controller)
+   falls back to the write barrier when it holds a nursery object *)
+let init_field t cells ~off ~mask base i src =
   let w = read_word t src in
   let cell = off + Header.header_words () + i in
   if mask land (1 lsl i) <> 0 then begin
     check_pointer_word w;
-    note_edge t ~from_site:site w;
     cells.(cell) <- w;
-    if not (needs_scan t site) && Value.encoded_is_ptr w then begin
+    if t.scan_elision && Value.encoded_is_ptr w then begin
       let col = collector t in
       if
         Collectors.Collector.in_nursery col (Value.encoded_to_addr w)
@@ -564,48 +517,48 @@ let init_field t cells ~off ~site ~mask base i src =
 let alloc_record1 t ~site ~mask ~dst a0 =
   let base = alloc_fields t ~tag:Header.tag_record ~len:1 ~mask ~site in
   let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~site ~mask base 0 a0;
+  init_field t cells ~off ~mask base 0 a0;
   write_word t dst (Value.encode_addr base)
 
 let alloc_record2 t ~site ~mask ~dst a0 a1 =
   let base = alloc_fields t ~tag:Header.tag_record ~len:2 ~mask ~site in
   let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~site ~mask base 0 a0;
-  init_field t cells ~off ~site ~mask base 1 a1;
+  init_field t cells ~off ~mask base 0 a0;
+  init_field t cells ~off ~mask base 1 a1;
   write_word t dst (Value.encode_addr base)
 
 let alloc_record3 t ~site ~mask ~dst a0 a1 a2 =
   let base = alloc_fields t ~tag:Header.tag_record ~len:3 ~mask ~site in
   let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~site ~mask base 0 a0;
-  init_field t cells ~off ~site ~mask base 1 a1;
-  init_field t cells ~off ~site ~mask base 2 a2;
+  init_field t cells ~off ~mask base 0 a0;
+  init_field t cells ~off ~mask base 1 a1;
+  init_field t cells ~off ~mask base 2 a2;
   write_word t dst (Value.encode_addr base)
 
 let alloc_record4 t ~site ~mask ~dst a0 a1 a2 a3 =
   let base = alloc_fields t ~tag:Header.tag_record ~len:4 ~mask ~site in
   let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~site ~mask base 0 a0;
-  init_field t cells ~off ~site ~mask base 1 a1;
-  init_field t cells ~off ~site ~mask base 2 a2;
-  init_field t cells ~off ~site ~mask base 3 a3;
+  init_field t cells ~off ~mask base 0 a0;
+  init_field t cells ~off ~mask base 1 a1;
+  init_field t cells ~off ~mask base 2 a2;
+  init_field t cells ~off ~mask base 3 a3;
   write_word t dst (Value.encode_addr base)
 
 let alloc_record5 t ~site ~mask ~dst a0 a1 a2 a3 a4 =
   let base = alloc_fields t ~tag:Header.tag_record ~len:5 ~mask ~site in
   let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~site ~mask base 0 a0;
-  init_field t cells ~off ~site ~mask base 1 a1;
-  init_field t cells ~off ~site ~mask base 2 a2;
-  init_field t cells ~off ~site ~mask base 3 a3;
-  init_field t cells ~off ~site ~mask base 4 a4;
+  init_field t cells ~off ~mask base 0 a0;
+  init_field t cells ~off ~mask base 1 a1;
+  init_field t cells ~off ~mask base 2 a2;
+  init_field t cells ~off ~mask base 3 a3;
+  init_field t cells ~off ~mask base 4 a4;
   write_word t dst (Value.encode_addr base)
 
 let alloc_record_n t ~site ~mask ~dst fields =
   let len = Array.length fields in
   let base = alloc_fields t ~tag:Header.tag_record ~len ~mask ~site in
   let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  Array.iteri (init_field t cells ~off ~site ~mask base) fields;
+  Array.iteri (init_field t cells ~off ~mask base) fields;
   write_word t dst (Value.encode_addr base)
 
 let alloc_ptr_array t ~site ~dst ~len =
@@ -663,8 +616,7 @@ let store_field t ~obj ~idx ~ptr src =
     cells.(cell) <- w;
     (* the field lies inside the object's block: [cell] was just stored *)
     Collectors.Collector.record_update (collector t) ~obj:base
-      ~loc:(Mem.Addr.unsafe_add base (cell - off));
-    note_edge t ~from_site:(Header.site_c cells ~off) w
+      ~loc:(Mem.Addr.unsafe_add base (cell - off))
   end
   else begin
     if Header.is_pointer_field_c cells ~off idx then
@@ -761,17 +713,6 @@ let observe_exit_deaths t =
       iter_pointer_fields cells ~off push);
     Heap_profile.Profiler.fold_deaths p deaths
 
-(* the seen pairs in [(from, to)] order: [from] holds the high bits *)
-let edge_pairs t =
-  match t.edges with
-  | None -> []
-  | Some seen ->
-    let pairs = ref [] in
-    Support.Int_hashset.iter seen (fun pair -> pairs := pair :: !pairs);
-    List.map
-      (fun pair -> (pair lsr Header.site_bits, pair land Header.max_site))
-      (List.sort Int.compare !pairs)
-
 let profile t =
   Option.map
     (fun p ->
@@ -779,8 +720,7 @@ let profile t =
          has carried their rows yet *)
       Collectors.Collector.flush_site_allocs (collector t)
         (Heap_profile.Profiler.fold_allocs p);
-      Heap_profile.Profiler.data p ~site_name:(site_name t)
-        ~edges:(edge_pairs t))
+      Heap_profile.Profiler.data p ~site_name:(site_name t))
     t.profiler
 
 module Internal = struct
@@ -795,10 +735,7 @@ module Internal = struct
 
   let alloc_record = alloc_record_n
 
-  let scan_free t site = not (needs_scan t site)
-
   let record_update t ~obj ~loc =
     Collectors.Collector.record_update (collector t) ~obj ~loc
 
-  let note_edge = note_edge
 end

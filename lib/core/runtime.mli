@@ -138,9 +138,10 @@ val depth : t -> int
     a record of one to five fields, initialised from the operands in
     order; bit [i] of [mask] is set iff field [i] is a pointer.  A
     pointer field must read as a pointer or [nil], an integer field as
-    an integer.  A pointer field of a scan-free site (Section 7.2)
-    initialised to a nursery object is also recorded in the write
-    barrier, and counted in [Gc_stats.region_scan_fallbacks].
+    an integer.  Under scan elision (Section 7.2) a pointer field of a
+    pretenured record initialised to a nursery object is also recorded
+    in the write barrier, and counted in
+    [Gc_stats.region_scan_fallbacks].
     @raise Invalid_argument on a mismatch, or on a mask wider than the
     record. *)
 val alloc_record1 : t -> site:int -> mask:int -> dst:dst -> src -> unit
@@ -276,16 +277,7 @@ module Internal : sig
       helper: for tests that need other widths. *)
   val alloc_record : t -> site:int -> mask:int -> dst:dst -> src array -> unit
 
-  (** [scan_free t site]: the policy lets the minor skip [site]'s
-      pretenured objects. *)
-  val scan_free : t -> int -> bool
-
   (** [record_update t ~obj ~loc] runs the write barrier for a pointer
       store into [loc], a field of [obj]. *)
   val record_update : t -> obj:Mem.Addr.t -> loc:Mem.Addr.t -> unit
-
-  (** [note_edge t ~from_site w] reports the encoded word [w], just
-      stored into an object of [from_site], to the profiler and the
-      trace when it is a non-null pointer. *)
-  val note_edge : t -> from_site:int -> int -> unit
 end

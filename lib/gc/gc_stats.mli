@@ -25,8 +25,9 @@ type t = {
   mutable words_region_scanned : int; (** pretenured-region scan work *)
   mutable words_region_skipped : int; (** scan elision savings (Section 7.2) *)
   mutable region_scan_fallbacks : int;
-      (** pointer fields of records at scan-free sites initialised to a
-          nursery object, so recorded in the write barrier instead
+      (** pointer fields of pretenured records initialised to a nursery
+          object under scan elision, so recorded in the write barrier
+          instead
           (DESIGN.md §5r); not counted in [pointer_updates] *)
   mutable words_los_freed : int;      (** returned to the LOS backend by sweeps *)
   mutable words_marked : int;

@@ -238,6 +238,7 @@ let in_tenured t a = Mem.Space.contains t.tenured a
 let nursery_bytes t = t.nursery_words * Mem.Memory.bytes_per_word
 let live_words t = t.live + Los.live_words t.los
 let stats t = t.stats
+let hooks t = t.hooks
 
 (* log one old-to-young edge at [loc] in the barrier's structure; the
    remembered set records the [owner] object, so an edge known only by
@@ -334,13 +335,13 @@ let apply_visit visit a = visit a
 
 (* Scan one pretenured object of [words] at [a]: it was allocated
    directly into the tenured generation since the last collection and may
-   hold young pointers.  Objects whose site the flow analysis cleared are
-   skipped (Section 7.2); the engine either rewrites in place
-   (sequential) or stages a packet (parallel), so the region counters
-   are identical either way. *)
-let scan_pretenured t engine cells a ~words =
-  let off = Mem.Addr.offset a in
-  if t.hooks.Hooks.site_needs_scan (Mem.Header.site_c cells ~off) then begin
+   hold young pointers.  Under scan elision (Section 7.2) it is skipped
+   and only counted: the mutator sent its young pointers through the
+   barrier.  The engine either rewrites in place (sequential) or stages
+   a packet (parallel), so the region counters are identical either
+   way. *)
+let scan_pretenured t engine a ~words =
+  if not t.hooks.Hooks.scan_elision then begin
     Cycle.visit_fields engine a;
     t.stats.Gc_stats.words_region_scanned <-
       t.stats.Gc_stats.words_region_scanned + words
@@ -360,14 +361,14 @@ let scan_pretenured_region t engine ~until =
     (* chunk-tail fillers from earlier parallel drains are not
        pretenured objects; step over them without counting *)
     if not (Mem.Header.is_filler_c cells ~off) then
-      scan_pretenured t engine cells !a ~words;
+      scan_pretenured t engine !a ~words;
     a := Mem.Addr.unsafe_add !a words
   done
 
 (* The mark-sweep counterpart of [scan_pretenured_region]: pretenured
    grants may sit in reclaimed holes anywhere in the space, so the
    collector scans exactly the bases recorded since the last collection,
-   with the same site-elision filter and region counters.  Entries are
+   with the same elision switch and region counters.  Entries are
    consumed: once scanned, any surviving old-to-young edge is re-covered
    by the write barrier (or, under aging, by the engine's [remember]). *)
 let scan_pretenured_list t engine =
@@ -375,7 +376,7 @@ let scan_pretenured_list t engine =
   for i = 0 to Support.Vec.length t.new_pretenured - 1 do
     let a = Support.Vec.get t.new_pretenured i in
     let words = Mem.Header.object_words_c cells ~off:(Mem.Addr.offset a) in
-    scan_pretenured t engine cells a ~words
+    scan_pretenured t engine a ~words
   done;
   Support.Vec.clear t.new_pretenured
 

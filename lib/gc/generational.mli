@@ -14,9 +14,8 @@
       by the deduplicating remembered set (the card-marking stand-in).
     - Pretenuring support: [alloc_pretenured] places an object directly
       in the tenured generation; the freshly pretenured region is scanned
-      for young pointers at the next collection (Section 6), except for
-      objects whose site the flow analysis proved scan-free
-      (Section 7.2, [Hooks.site_needs_scan]).
+      for young pointers at the next collection (Section 6), except
+      under scan elision (Section 7.2, [Hooks.scan_elision]).
 
     While [Obs.Trace] is enabled, each collection emits [gc_begin],
     per-phase spans ([roots], [barrier], [region_scan], [copy],
@@ -201,6 +200,10 @@ val full : t -> unit
 
 (** The statistics record the collector mutates in place. *)
 val stats : t -> Gc_stats.t
+
+(** The hooks the collector was created with (tests drive the adaptive
+    controller's [set_pretenure] path through them). *)
+val hooks : t -> Hooks.t
 
 (** Live words after the last major collection, plus large-object words. *)
 val live_words : t -> int

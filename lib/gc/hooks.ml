@@ -8,7 +8,7 @@ type t = {
     deaths:Site_tally.t ->
     unit;
   profiling : bool;
-  site_needs_scan : int -> bool;
+  scan_elision : bool;
   set_pretenure : site:int -> enabled:bool -> unit;
 }
 
@@ -17,6 +17,6 @@ let nothing = {
   visit_globals = (fun _ _ -> ());
   after_collection = (fun ~full:_ ~allocs:_ ~copies:_ ~deaths:_ -> ());
   profiling = false;
-  site_needs_scan = (fun _ -> true);
+  scan_elision = false;
   set_pretenure = (fun ~site:_ ~enabled:_ -> ());
 }

@@ -42,10 +42,12 @@ type t = {
           object a from-space, large-object or mark-sweep sweep finds
           dead is counted into the collection's [deaths] rows.  The
           sweeps allocate nothing, and cost a walk of the swept space *)
-  site_needs_scan : int -> bool;
-      (** Section 7.2 scan elision: [false] means objects born at this
-          site can only point at pretenured/tenured data, so the
-          pretenured-region scan may skip them *)
+  scan_elision : bool;
+      (** Section 7.2 scan elision: [true] means the pretenured-region
+          scan skips every object (counting it in
+          [words_region_skipped]), because the mutator sends each young
+          pointer it initialises into a pretenured object through the
+          write barrier *)
   set_pretenure : site:int -> enabled:bool -> unit;
       (** the adaptive controller's pretenure actuator: override the
           static pretenure decision for [site] from the next allocation

@@ -31,6 +31,7 @@ type t = {
   barrier_entries_processed : int;
   bytes_region_scanned : int;
   bytes_region_skipped : int;
+  region_scan_fallbacks : int;
   profile : Heap_profile.Profile_data.t option;
 }
 
@@ -83,6 +84,7 @@ let run ?trace_path ~workload ~scale ~cfg ~k () =
       s.Collectors.Gc_stats.barrier_entries_processed;
     bytes_region_scanned = s.Collectors.Gc_stats.words_region_scanned * wpb;
     bytes_region_skipped = s.Collectors.Gc_stats.words_region_skipped * wpb;
+    region_scan_fallbacks = s.Collectors.Gc_stats.region_scan_fallbacks;
     profile = Gsc.Runtime.profile rt }
 
 let gc_share m =

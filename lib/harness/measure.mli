@@ -41,6 +41,8 @@ type t = {
   (* pretenured-region scanning *)
   bytes_region_scanned : int;
   bytes_region_skipped : int;
+  region_scan_fallbacks : int;  (** young pointers the initialising
+                                    store sent to the barrier instead *)
   (* profile, when the configuration gathers one *)
   profile : Heap_profile.Profile_data.t option;
 }

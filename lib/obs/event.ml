@@ -1,4 +1,4 @@
-let version = 5
+let version = 6
 
 type t =
   | Gc_begin of {
@@ -38,10 +38,6 @@ type t =
       site : int;
       objects : int;
       words : int;
-    }
-  | Site_edge of {
-      from_site : int;
-      to_site : int;
     }
   | Census of {
       site : int;
@@ -87,7 +83,6 @@ let name = function
   | Stack_scan _ -> "stack_scan"
   | Site_survival _ -> "site_survival"
   | Site_alloc _ -> "site_alloc"
-  | Site_edge _ -> "site_edge"
   | Census _ -> "census"
   | Pretenure _ -> "pretenure"
   | Marker_place _ -> "marker_place"
@@ -173,9 +168,6 @@ let write b ~seq ~t_us ~gc ~dom e =
      field_int b "site" site;
      field_int b "objects" objects;
      field_int b "words" words
-   | Site_edge { from_site; to_site } ->
-     field_int b "from_site" from_site;
-     field_int b "to_site" to_site
    | Census { site; objects; words; ages } ->
      field_int b "site" site;
      field_int b "objects" objects;

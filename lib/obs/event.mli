@@ -16,11 +16,16 @@
     {!Schema} rejects any other value; [policy.json] carries the same
     number so a policy is always traceable to the format that produced
     it.  History: 1 = PR 2's eight-event schema (no version field);
-    2 = adds ["v"], [site_alloc]/[site_edge]/[census] events and
+    2 = adds ["v"], the [site_alloc] and [census] events, a points-to
+    edge event (removed in 6) and
     [site_survival.first_objects]; 3 = adds the ["dom"] envelope field
     (id of the domain that emitted the record); 4 = adds the
     [slo_breach] event (the online {!Slo} monitor's verdicts); 5 = adds
-    the [policy_update] event (the adaptive control plane's decisions). *)
+    the [policy_update] event (the adaptive control plane's decisions);
+    6 = drops the points-to edge event, and the policy's list of
+    scan-free sites becomes the one [scan_elision] flag (elision no
+    longer rests on observed points-to edges but on the initialising-
+    store check, so it covers every pretenured site). *)
 val version : int
 
 type t =
@@ -69,12 +74,6 @@ type t =
     }  (** per-site allocation deltas since the previous [site_alloc]
            for the site (flushed at every collection and at collector
            destruction) — the denominator of the offline [old%] *)
-  | Site_edge of {
-      from_site : int;
-      to_site : int;
-    }  (** a pointer from a [from_site] object to a [to_site] object was
-           observed (stores and record initialisation); deduplicated, so
-           each pair appears at most once per trace *)
   | Census of {
       site : int;
       objects : int;  (** live objects from this site *)

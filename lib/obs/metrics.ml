@@ -190,7 +190,6 @@ let record t e =
   | Event.Site_alloc { site; objects; words } ->
     incr t (Printf.sprintf "site.%d.alloc_objects" site) objects;
     incr t (Printf.sprintf "site.%d.alloc_w" site) words
-  | Event.Site_edge _ -> incr t "site_edges" 1
   | Event.Census _ ->
     (* Census records are live-heap snapshots, not deltas — summing them
        into counters would double-count; the offline analyzer

@@ -23,7 +23,6 @@
       [site.<id>.first_survivals], [site.<id>.alloc_objects],
       [site.<id>.alloc_w], [site.<id>.pretenured_w] — per-site
       allocation/survival/pretenure counters;
-    - [site_edges] — distinct inter-site pointer edges observed;
     - [census.records] — census records seen (censuses are live-heap
       snapshots, so they fold into no cumulative counter — the offline
       analyzer consumes them);

@@ -59,7 +59,6 @@ type t = {
   collections : int;
   gc_kinds : (string * int) list;
   sites : site list;
-  edges : (int * int) list;
   pauses : pause list;
   censuses : census list;
   scan : scan_stats;
@@ -130,7 +129,6 @@ let of_lines lines =
       Hashtbl.replace sites id a;
       a
   in
-  let edges : (int * int, unit) Hashtbl.t = Hashtbl.create 32 in
   let gc_kinds : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let phase_us : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let pauses = ref [] in
@@ -207,10 +205,6 @@ let of_lines lines =
       let a = acc_for (mem_int members "site") in
       a.a_alloc_objects <- a.a_alloc_objects + mem_int members "objects";
       a.a_alloc_words <- a.a_alloc_words + mem_int members "words"
-    | "site_edge" ->
-      Hashtbl.replace edges
-        (mem_int members "from_site", mem_int members "to_site")
-        ()
     | "census" ->
       let row =
         { c_site = mem_int members "site";
@@ -290,9 +284,6 @@ let of_lines lines =
           List.sort compare
             (Hashtbl.fold (fun k v rest -> (k, v) :: rest) gc_kinds []);
         sites = site_list;
-        edges =
-          List.sort compare
-            (Hashtbl.fold (fun e () rest -> e :: rest) edges []);
         pauses = List.rev !pauses;
         censuses =
           List.rev_map
@@ -378,7 +369,6 @@ let merge a b =
     collections = a.collections + b.collections;
     gc_kinds = merge_assoc 0 ( + ) a.gc_kinds b.gc_kinds;
     sites = merge_sites a.sites b.sites;
-    edges = List.sort_uniq compare (a.edges @ b.edges);
     pauses = a.pauses @ b.pauses;
     censuses = a.censuses @ b.censuses;
     scan =

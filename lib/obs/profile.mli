@@ -1,6 +1,6 @@
 (** The offline trace analyzer: folds a JSONL GC trace into per-site
-    survival statistics, exact pause records, heap censuses, inter-site
-    pointer edges and stack-scan cost attribution.
+    survival statistics, exact pause records, heap censuses and
+    stack-scan cost attribution.
 
     This is the batch half of the observability layer: {!Trace} writes
     during a run, [Profile] reads afterwards — no collector needs to be
@@ -94,7 +94,6 @@ type t = {
   collections : int;          (** [gc_begin] records *)
   gc_kinds : (string * int) list;   (** collections by kind, sorted *)
   sites : site list;          (** sorted by site id *)
-  edges : (int * int) list;   (** deduplicated [site_edge]s, sorted *)
   pauses : pause list;        (** in trace order *)
   censuses : census list;     (** in trace order *)
   scan : scan_stats;

@@ -24,7 +24,6 @@ let tables =
      [ ("site", Int); ("objects", Int); ("first_objects", Int);
        ("words", Int) ]);
     ("site_alloc", [ ("site", Int); ("objects", Int); ("words", Int) ]);
-    ("site_edge", [ ("from_site", Int); ("to_site", Int) ]);
     ("census",
      [ ("site", Int); ("objects", Int); ("words", Int); ("ages", Counters) ]);
     ("pretenure", [ ("site", Int); ("words", Int) ]);

@@ -335,7 +335,7 @@ let scan_table (p : Profile.t) =
   end
 
 (* one line per run: the Section 7.2 scan-elision effect — how much
-   pretenured-region walking the scan-free marking removed *)
+   pretenured-region walking the elision switch removed *)
 let region_scan_line (p : Profile.t) =
   let scanned = p.Profile.region_scanned_w
   and skipped = p.Profile.region_skipped_w in

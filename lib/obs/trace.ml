@@ -306,11 +306,6 @@ let site_alloc ~site ~objects ~words =
   | None -> ()
   | Some st -> emit st (Event.Site_alloc { site; objects; words })
 
-let site_edge ~from_site ~to_site =
-  match !state with
-  | None -> ()
-  | Some st -> emit st (Event.Site_edge { from_site; to_site })
-
 let census ~site ~objects ~words ~ages =
   match !state with
   | None -> ()

@@ -135,7 +135,6 @@ val site_survival :
   site:int -> objects:int -> first_objects:int -> words:int -> unit
 
 val site_alloc : site:int -> objects:int -> words:int -> unit
-val site_edge : from_site:int -> to_site:int -> unit
 val census :
   site:int -> objects:int -> words:int -> ages:(string * int) list -> unit
 

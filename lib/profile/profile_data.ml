@@ -10,7 +10,6 @@ type site = {
 
 type t = {
   sites : site list;
-  edges : (int * int) list;
   total_alloc_bytes : int;
   total_copied_bytes : int;
 }

@@ -18,7 +18,6 @@ type site = {
 
 type t = {
   sites : site list;           (** ascending by site id *)
-  edges : (int * int) list;    (** observed site points-to edges *)
   total_alloc_bytes : int;
   total_copied_bytes : int;
 }

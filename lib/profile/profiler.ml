@@ -70,7 +70,7 @@ let ratio num den = if den = 0 then 0. else num /. float_of_int den
 (* a site has a row once some fold counted an object of it; every row
    of a fold counts at least one (a copy adds at least a header's
    bytes) *)
-let data t ~site_name ~edges =
+let data t ~site_name =
   let sites = ref [] in
   for site = (Array.length t.cols / width) - 1 downto 0 do
     let col c = t.cols.((width * site) + c) in
@@ -89,6 +89,5 @@ let data t ~site_name ~edges =
         :: !sites
   done;
   { Profile_data.sites = !sites;
-    edges;
     total_alloc_bytes = t.total_alloc;
     total_copied_bytes = t.total_copied }

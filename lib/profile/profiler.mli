@@ -15,13 +15,7 @@
     of the collectors' sweeps and the runtime's exit walk.  The
     profiler's own table is a flat array indexed by site id, so a fold
     neither hashes nor allocates once the table has grown past the
-    sites it sees.
-
-    The site points-to graph (which sites' objects hold pointers to
-    which sites' objects) is the runtime's: it hands the observed edges
-    to {!data}.  The paper obtains that graph from a data-flow analysis
-    (Section 7.2); we substitute the observed points-to relation of a
-    profiling run, which supports the same scan-elision decision. *)
+    sites it sees. *)
 
 type t
 
@@ -46,9 +40,6 @@ val fold_copies : t -> Collectors.Site_tally.t -> unit
     the deaths were counted. *)
 val fold_deaths : t -> Collectors.Site_tally.t -> unit
 
-(** [data t ~site_name ~edges] snapshots the profile: every site with
-    recorded activity, ascending by id, and [edges], the observed
-    [(from_site, to_site)] points-to pairs, sorted and without
-    duplicates. *)
-val data :
-  t -> site_name:(int -> string) -> edges:(int * int) list -> Profile_data.t
+(** [data t ~site_name] snapshots the profile: every site with recorded
+    activity, ascending by id. *)
+val data : t -> site_name:(int -> string) -> Profile_data.t

@@ -12,8 +12,7 @@ let free = -1
 let create () = { slots = Array.make 64 free; count = 0 }
 
 (* Fibonacci hashing: the multiplier spreads keys that differ only in
-   their high bits (a site pair's [from]) over the low bits the mask
-   keeps *)
+   their high bits over the low bits the mask keeps *)
 let slot slots key =
   let h = key * 0x9E3779B97F4A7C1 in
   (h lxor (h lsr 32)) land (Array.length slots - 1)
@@ -41,5 +40,3 @@ let add t key =
     if 2 * t.count > Array.length t.slots then grow t;
     true
   end
-
-let iter t f = Array.iter (fun key -> if key <> free then f key) t.slots

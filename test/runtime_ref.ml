@@ -8,8 +8,8 @@
    messages and counters.
 
    Below the operand layer it reaches the runtime through
-   [Runtime.Internal]: the allocation entry point, the write barrier and
-   the edge reporting are the façade's own, so only the tier differs. *)
+   [Runtime.Internal]: the allocation entry point and the write barrier
+   are the façade's own, so only the tier differs. *)
 
 module R = Gsc.Runtime
 module V = Mem.Value
@@ -29,15 +29,14 @@ let check_integer_value = function
   | V.Ptr a when Mem.Addr.is_null a -> ()
   | V.Ptr _ -> invalid_arg "Runtime: pointer written to an integer field"
 
-let note_edge rt ~from_site v = R.Internal.note_edge rt ~from_site (V.encode v)
-
-(* the scan-elision fallback: a pointer field of a scan-free site's
-   tenured record that holds a nursery object is logged in the barrier,
-   uncounted as an update *)
-let elision_fallback rt ~site ~obj ~loc v =
+(* the scan-elision fallback: under an eliding policy a pointer field of
+   a tenured record that holds a nursery object is logged in the
+   barrier, uncounted as an update *)
+let elision_fallback rt ~obj ~loc v =
   let col = R.Internal.collector rt in
   let in_nursery = Collectors.Collector.in_nursery col in
-  if R.Internal.scan_free rt site && V.is_ptr v then
+  if Gsc.Pretenure.scan_elision (R.config rt).Gsc.Config.pretenure && V.is_ptr v
+  then
     if in_nursery (V.to_addr v) && not (in_nursery obj) then begin
       Collectors.Collector.remember col ~obj ~loc;
       let s = R.stats rt in
@@ -57,9 +56,8 @@ let alloc_record rt ~site ~mask ~dst fields =
       let v = R.read rt s in
       if mask land (1 lsl i) <> 0 then begin
         check_pointer_value v;
-        note_edge rt ~from_site:site v;
         M.set mem loc v;
-        elision_fallback rt ~site ~obj:base ~loc v
+        elision_fallback rt ~obj:base ~loc v
       end
       else begin
         check_integer_value v;
@@ -99,8 +97,7 @@ let store_field rt ~obj ~idx ~ptr src =
     let v = R.read rt src in
     check_pointer_value v;
     M.set mem loc v;
-    R.Internal.record_update rt ~obj:base ~loc;
-    note_edge rt ~from_site:hdr.H.site v
+    R.Internal.record_update rt ~obj:base ~loc
   end
   else begin
     if H.is_pointer_field hdr idx then

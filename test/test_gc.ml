@@ -396,13 +396,13 @@ let gen_pretenured_region_scan () =
     (stats.Collectors.Gc_stats.words_region_scanned > 0)
 
 let gen_scan_elision_skips () =
-  (* with site_needs_scan = false the region scan skips the object; its
-     young referent is then (unsoundly, by design of the test) lost *)
+  (* with scan_elision the region scan skips the object and only counts
+     its words *)
   let globals = Array.make 1 V.encoded_zero in
   let mem = Mem.Memory.create () in
   let stats = Collectors.Gc_stats.create () in
   let hooks =
-    { (global_hooks globals) with Collectors.Hooks.site_needs_scan = (fun _ -> false) }
+    { (global_hooks globals) with Collectors.Hooks.scan_elision = true }
   in
   let g =
     Collectors.Generational.create mem ~hooks ~stats

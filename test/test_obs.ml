@@ -126,7 +126,6 @@ let metrics_tap () =
   Obs.Metrics.record m
     (Obs.Event.Site_survival { site = 3; objects = 2; first_objects = 1; words = 6 });
   Obs.Metrics.record m (Obs.Event.Site_alloc { site = 3; objects = 5; words = 15 });
-  Obs.Metrics.record m (Obs.Event.Site_edge { from_site = 3; to_site = 4 });
   Obs.Metrics.record m
     (Obs.Event.Census { site = 3; objects = 2; words = 6; ages = [ ("0", 2) ] });
   check_bool "nursery gauge" true (Obs.Metrics.get_gauge m "heap.nursery_w" = Some 10);
@@ -138,7 +137,6 @@ let metrics_tap () =
   check_int "first survivals" 1 (Obs.Metrics.get_counter m "site.3.first_survivals");
   check_int "alloc objects" 5 (Obs.Metrics.get_counter m "site.3.alloc_objects");
   check_int "alloc words" 15 (Obs.Metrics.get_counter m "site.3.alloc_w");
-  check_int "edges" 1 (Obs.Metrics.get_counter m "site_edges");
   check_int "census records" 1 (Obs.Metrics.get_counter m "census.records");
   check_bool "pause histogram" true
     (match Obs.Metrics.get_histogram m "pause_us.minor" with
@@ -179,15 +177,15 @@ let schema_rejects () =
       ("missing envelope", "{\"ev\":\"unwind\",\"target_depth\":1}");
       ("missing version", "{\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":1}");
       ("missing field",
-       "{\"v\":5,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\"}");
+       "{\"v\":6,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\"}");
       ("unknown kind",
-       "{\"v\":5,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"mystery\"}");
+       "{\"v\":6,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"mystery\"}");
       ("wrong type",
-       "{\"v\":5,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":\"x\"}");
+       "{\"v\":6,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":\"x\"}");
       ("unknown field",
-       "{\"v\":5,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":1,\"z\":2}");
+       "{\"v\":6,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":1,\"z\":2}");
       ("negative int",
-       "{\"v\":5,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":-1}");
+       "{\"v\":6,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":-1}");
       ("unparsable", "{") ]
   in
   List.iter
@@ -204,7 +202,7 @@ let schema_version_gate () =
       "{\"v\":%d,\"seq\":0,\"t_us\":0.0,\"gc\":0,\"dom\":0,\"ev\":\"unwind\",\"target_depth\":1}"
       v
   in
-  (match Obs.Schema.validate_line (mk 5) with
+  (match Obs.Schema.validate_line (mk 6) with
    | Ok () -> ()
    | Error msg -> Alcotest.failf "current version rejected: %s" msg);
   List.iter
@@ -215,8 +213,8 @@ let schema_version_gate () =
         check_bool "names the foreign version" true
           (contains ~needle:(Printf.sprintf "version %d" v) msg);
         check_bool "names the supported version" true
-          (contains ~needle:"version 5" msg))
-    [ 2; 3; 4; 6 ]
+          (contains ~needle:"version 6" msg))
+    [ 2; 3; 4; 5; 7 ]
 
 (* --- Golden emitter output --- *)
 
@@ -231,19 +229,18 @@ let ticking_clock () =
 
 let golden =
   String.concat "\n"
-    [ {|{"v":5,"seq":0,"t_us":1.0,"gc":1,"dom":0,"ev":"gc_begin","kind":"minor","nursery_w":100,"tenured_w":200,"los_w":0}|};
-      {|{"v":5,"seq":1,"t_us":2.0,"gc":1,"dom":0,"ev":"site_alloc","site":1,"objects":10,"words":30}|};
-      {|{"v":5,"seq":2,"t_us":3.0,"gc":1,"dom":0,"ev":"phase","name":"roots","dur_us":12.5,"counters":{"roots":3}}|};
-      {|{"v":5,"seq":3,"t_us":4.0,"gc":1,"dom":0,"ev":"stack_scan","mode":"minor","valid_prefix":2,"depth":5,"decoded":3,"reused":2,"slots":7,"roots":4}|};
-      {|{"v":5,"seq":4,"t_us":5.0,"gc":1,"dom":0,"ev":"site_survival","site":1,"objects":4,"first_objects":3,"words":12}|};
-      {|{"v":5,"seq":5,"t_us":6.0,"gc":1,"dom":0,"ev":"census","site":1,"objects":4,"words":12,"ages":{"0":1,"2-3":3}}|};
-      {|{"v":5,"seq":6,"t_us":7.0,"gc":1,"dom":0,"ev":"gc_end","kind":"minor","pause_us":250.0,"copied_w":12,"promoted_w":12,"live_w":212}|};
-      {|{"v":5,"seq":7,"t_us":8.0,"gc":1,"dom":0,"ev":"pretenure","site":2,"words":8}|};
-      {|{"v":5,"seq":8,"t_us":9.0,"gc":1,"dom":0,"ev":"site_edge","from_site":2,"to_site":1}|};
-      {|{"v":5,"seq":9,"t_us":10.0,"gc":1,"dom":0,"ev":"marker_place","installed":3,"depth":9}|};
-      {|{"v":5,"seq":10,"t_us":11.0,"gc":1,"dom":0,"ev":"unwind","target_depth":4}|};
-      {|{"v":5,"seq":11,"t_us":12.0,"gc":1,"dom":0,"ev":"slo_breach","rule":"max_pause","observed_us":250.0,"limit_us":100.0,"window_us":0.0}|};
-      {|{"v":5,"seq":12,"t_us":13.0,"gc":1,"dom":0,"ev":"policy_update","knob":"pretenure_site:2","old":0,"new":1,"window":2,"signals":{"old_permille":875,"objects":64}}|};
+    [ {|{"v":6,"seq":0,"t_us":1.0,"gc":1,"dom":0,"ev":"gc_begin","kind":"minor","nursery_w":100,"tenured_w":200,"los_w":0}|};
+      {|{"v":6,"seq":1,"t_us":2.0,"gc":1,"dom":0,"ev":"site_alloc","site":1,"objects":10,"words":30}|};
+      {|{"v":6,"seq":2,"t_us":3.0,"gc":1,"dom":0,"ev":"phase","name":"roots","dur_us":12.5,"counters":{"roots":3}}|};
+      {|{"v":6,"seq":3,"t_us":4.0,"gc":1,"dom":0,"ev":"stack_scan","mode":"minor","valid_prefix":2,"depth":5,"decoded":3,"reused":2,"slots":7,"roots":4}|};
+      {|{"v":6,"seq":4,"t_us":5.0,"gc":1,"dom":0,"ev":"site_survival","site":1,"objects":4,"first_objects":3,"words":12}|};
+      {|{"v":6,"seq":5,"t_us":6.0,"gc":1,"dom":0,"ev":"census","site":1,"objects":4,"words":12,"ages":{"0":1,"2-3":3}}|};
+      {|{"v":6,"seq":6,"t_us":7.0,"gc":1,"dom":0,"ev":"gc_end","kind":"minor","pause_us":250.0,"copied_w":12,"promoted_w":12,"live_w":212}|};
+      {|{"v":6,"seq":7,"t_us":8.0,"gc":1,"dom":0,"ev":"pretenure","site":2,"words":8}|};
+      {|{"v":6,"seq":8,"t_us":9.0,"gc":1,"dom":0,"ev":"marker_place","installed":3,"depth":9}|};
+      {|{"v":6,"seq":9,"t_us":10.0,"gc":1,"dom":0,"ev":"unwind","target_depth":4}|};
+      {|{"v":6,"seq":10,"t_us":11.0,"gc":1,"dom":0,"ev":"slo_breach","rule":"max_pause","observed_us":250.0,"limit_us":100.0,"window_us":0.0}|};
+      {|{"v":6,"seq":11,"t_us":12.0,"gc":1,"dom":0,"ev":"policy_update","knob":"pretenure_site:2","old":0,"new":1,"window":2,"signals":{"old_permille":875,"objects":64}}|};
       "" ]
 
 let golden_emitter () =
@@ -260,7 +257,6 @@ let golden_emitter () =
       Obs.Trace.gc_end ~kind:"minor" ~pause_us:250.0 ~copied_w:12
         ~promoted_w:12 ~live_w:212;
       Obs.Trace.pretenure ~site:2 ~words:8;
-      Obs.Trace.site_edge ~from_site:2 ~to_site:1;
       Obs.Trace.marker_place ~installed:3 ~depth:9;
       Obs.Trace.unwind ~target_depth:4;
       Obs.Trace.slo_breach ~rule:"max_pause" ~observed_us:250.0
@@ -293,7 +289,6 @@ let async_writer_golden () =
       Obs.Trace.gc_end ~kind:"minor" ~pause_us:250.0 ~copied_w:12
         ~promoted_w:12 ~live_w:212;
       Obs.Trace.pretenure ~site:2 ~words:8;
-      Obs.Trace.site_edge ~from_site:2 ~to_site:1;
       Obs.Trace.marker_place ~installed:3 ~depth:9;
       Obs.Trace.unwind ~target_depth:4;
       Obs.Trace.slo_breach ~rule:"max_pause" ~observed_us:250.0
@@ -452,7 +447,7 @@ let with_file_flushes_on_raise () =
 (* --- the offline analyzer --- *)
 
 let env ~seq ~t_us ~gc rest =
-  Printf.sprintf "{\"v\":5,\"seq\":%d,\"t_us\":%.1f,\"gc\":%d,\"dom\":0,%s}"
+  Printf.sprintf "{\"v\":6,\"seq\":%d,\"t_us\":%.1f,\"gc\":%d,\"dom\":0,%s}"
     seq t_us gc rest
 
 let analyzed_exn lines =
@@ -475,16 +470,13 @@ let synthetic_trace =
       {|"ev":"site_survival","site":3,"objects":4,"first_objects":4,"words":8|};
     env ~seq:7 ~t_us:7.0 ~gc:1 {|"ev":"census","site":1,"objects":90,"words":270,"ages":{"0":90}|};
     env ~seq:8 ~t_us:8.0 ~gc:1 {|"ev":"census","site":2,"objects":10,"words":20,"ages":{"0":10}|};
-    env ~seq:9 ~t_us:9.0 ~gc:1 {|"ev":"site_edge","from_site":1,"to_site":1|};
-    env ~seq:10 ~t_us:9.5 ~gc:1 {|"ev":"site_edge","from_site":1,"to_site":1|};
-    env ~seq:11 ~t_us:9.8 ~gc:1 {|"ev":"site_edge","from_site":2,"to_site":1|};
-    env ~seq:12 ~t_us:100.0 ~gc:1
+    env ~seq:9 ~t_us:100.0 ~gc:1
       {|"ev":"gc_end","kind":"minor","pause_us":100.0,"copied_w":104,"promoted_w":104,"live_w":104|};
-    env ~seq:13 ~t_us:1000.0 ~gc:1 {|"ev":"marker_place","installed":0,"depth":1|} ]
+    env ~seq:10 ~t_us:1000.0 ~gc:1 {|"ev":"marker_place","installed":0,"depth":1|} ]
 
 let analyzer_fold () =
   let t = analyzed_exn synthetic_trace in
-  check_int "events" 14 t.Obs.Profile.events;
+  check_int "events" 11 t.Obs.Profile.events;
   check_int "collections" 1 t.Obs.Profile.collections;
   check_bool "gc kinds" true (t.Obs.Profile.gc_kinds = [ ("minor", 1) ]);
   check_int "sites" 3 (List.length t.Obs.Profile.sites);
@@ -496,8 +488,6 @@ let analyzer_fold () =
      check_int "survived" 90 s.Obs.Profile.survived_objects;
      check_int "first" 85 s.Obs.Profile.first_objects;
      check_bool "old fraction" true (Obs.Profile.old_fraction s = 0.85));
-  check_bool "edges deduplicated" true
-    (t.Obs.Profile.edges = [ (1, 1); (2, 1) ]);
   (match t.Obs.Profile.pauses with
    | [ p ] ->
      check_bool "pause start from gc_begin" true (p.Obs.Profile.start_us = 0.);
@@ -523,7 +513,7 @@ let analyzer_rejects_bad_lines () =
     Obs.Profile.of_lines
       (synthetic_trace @ [ "not json" ])
   with
-  | Error msg -> check_bool "tail line named" true (contains ~needle:"line 15" msg)
+  | Error msg -> check_bool "tail line named" true (contains ~needle:"line 12" msg)
   | Ok _ -> Alcotest.fail "accepted trailing garbage"
 
 let pause_percentiles_exact () =
@@ -684,8 +674,8 @@ let closed_loop (w : Workloads.Spec.t) =
   in
   check "live Pretenure policy = policy file (sites)"
     (pf.Gsc.Policy_file.sites = Gsc.Pretenure.pretenured_sites live);
-  check "live Pretenure policy = policy file (no_scan)"
-    (pf.Gsc.Policy_file.no_scan = Gsc.Pretenure.no_scan_sites live);
+  check "live Pretenure policy = policy file (scan elision)"
+    (pf.Gsc.Policy_file.scan_elision = Gsc.Pretenure.scan_elision live);
   (* the policy survives the file system *)
   let path = Filename.temp_file "gsc_policy" ".json" in
   Gsc.Policy_file.save pf path;
@@ -697,7 +687,7 @@ let closed_loop (w : Workloads.Spec.t) =
   Sys.remove path;
   check "policy round-trips" (loaded = pf);
   (* a second run driven by the loaded policy — live profiler off —
-     pretenures exactly the selected sites and skips the scan-free ones *)
+     pretenures exactly the selected sites *)
   let run_cfg =
     Harness.Runs.with_nursery_cap
       (Gsc.Config.with_pretenuring ~budget_bytes:budget
@@ -794,10 +784,7 @@ let live_profile_equals_trace_fold () =
       Alcotest.(check (list (pair int (pair int (pair int (pair int (float 0.)))))))
         (w.name ^ ": per-site rows")
         (List.map of_trace folded.Obs.Profile.sites)
-        (List.map of_live live.Heap_profile.Profile_data.sites);
-      Alcotest.(check (list (pair int int)))
-        (w.name ^ ": edges") folded.Obs.Profile.edges
-        live.Heap_profile.Profile_data.edges)
+        (List.map of_live live.Heap_profile.Profile_data.sites))
     Workloads.Registry.all
 
 let policy_file_rejects () =
@@ -814,16 +801,16 @@ let policy_file_rejects () =
     Sys.remove path
   in
   check_err "foreign version"
-    {|{"v":99,"kind":"pretenure_policy","cutoff":0.8,"min_objects":32,"sites":[],"no_scan":[]}|}
+    {|{"v":99,"kind":"pretenure_policy","cutoff":0.8,"min_objects":32,"sites":[],"scan_elision":false}|}
     "version 99";
   check_err "wrong kind"
-    {|{"v":5,"kind":"mystery","cutoff":0.8,"min_objects":32,"sites":[],"no_scan":[]}|}
+    {|{"v":6,"kind":"mystery","cutoff":0.8,"min_objects":32,"sites":[],"scan_elision":false}|}
     "kind";
-  check_err "no_scan not a subset"
-    {|{"v":5,"kind":"pretenure_policy","cutoff":0.8,"min_objects":32,"sites":[1],"no_scan":[2]}|}
-    "subset";
+  check_err "scan_elision not a bool"
+    {|{"v":6,"kind":"pretenure_policy","cutoff":0.8,"min_objects":32,"sites":[1],"scan_elision":[1]}|}
+    "scan_elision";
   check_err "missing field"
-    {|{"v":5,"kind":"pretenure_policy","cutoff":0.8,"sites":[],"no_scan":[]}|}
+    {|{"v":6,"kind":"pretenure_policy","cutoff":0.8,"sites":[],"scan_elision":false}|}
     "min_objects"
 
 (* --- loader robustness ---
@@ -989,9 +976,9 @@ let slo_breach_inline () =
         ~promoted_w:0 ~live_w:0);
   let expected =
     String.concat "\n"
-      [ {|{"v":5,"seq":0,"t_us":1.0,"gc":1,"dom":0,"ev":"gc_begin","kind":"minor","nursery_w":1,"tenured_w":0,"los_w":0}|};
-        {|{"v":5,"seq":1,"t_us":2.0,"gc":1,"dom":0,"ev":"gc_end","kind":"minor","pause_us":100.0,"copied_w":0,"promoted_w":0,"live_w":0}|};
-        {|{"v":5,"seq":2,"t_us":2.0,"gc":1,"dom":0,"ev":"slo_breach","rule":"max_pause","observed_us":100.0,"limit_us":50.0,"window_us":0.0}|};
+      [ {|{"v":6,"seq":0,"t_us":1.0,"gc":1,"dom":0,"ev":"gc_begin","kind":"minor","nursery_w":1,"tenured_w":0,"los_w":0}|};
+        {|{"v":6,"seq":1,"t_us":2.0,"gc":1,"dom":0,"ev":"gc_end","kind":"minor","pause_us":100.0,"copied_w":0,"promoted_w":0,"live_w":0}|};
+        {|{"v":6,"seq":2,"t_us":2.0,"gc":1,"dom":0,"ev":"slo_breach","rule":"max_pause","observed_us":100.0,"limit_us":50.0,"window_us":0.0}|};
         "" ]
   in
   check_str "breach rides behind its gc_end" expected (Buffer.contents buf);

@@ -233,24 +233,37 @@ let young_global_counted () =
   R.alloc_record1 rt ~site ~mask:0 ~dst:(R.to_global 3) (R.imm 1);
   check_int "no nursery under semispace" 0 (R.young_roots rt)
 
-(* The scan-elision probe: site [a] is pretenured and declared
-   scan-free, yet its record holds the only pointer to a young record of
-   site [b].  The minor that the nursery churn triggers skips [a]'s
-   region, so [b] survives only because the record's initialising store
-   fell back to the write barrier; without that fallback [a]'s field was
-   left pointing into the emptied nursery (reading it returned a stale
-   word, not the stored 42).  [~bypass] stores the field behind the
-   runtime's back instead, which the heap verifier must catch.  Returns
-   the value read back and the fallbacks counted. *)
-let elision_probe ?(bypass = false) ~verify ~no_scan () =
+(* The scan-elision probe: site [a] is pretenured under a policy that
+   elides the region scan, yet its record holds the only pointer to a
+   young record of site [b].  The minor that the nursery churn triggers
+   skips [a]'s region, so [b] survives only because the record's
+   initialising store fell back to the write barrier; without that
+   fallback [a]'s field was left pointing into the emptied nursery
+   (reading it returned a stale word, not the stored 42).  [~bypass]
+   stores the field behind the runtime's back instead, which the heap
+   verifier must catch.  [~adaptive] leaves [a] out of the static policy
+   and promotes it through [Hooks.set_pretenure], the adaptive
+   controller's path.  Returns the value read back and the fallbacks
+   counted. *)
+let elision_probe ?(bypass = false) ?(adaptive = false) ~verify ~scan_elision
+    () =
   let cfg =
     { (Gsc.Config.with_pretenuring ~budget_bytes:budget
-         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan)) with
+         (Gsc.Pretenure.of_sites
+            ~sites:(if adaptive then [] else [ 0 ])
+            ~scan_elision)) with
       Gsc.Config.verify_heap = verify }
   in
   with_rt ~cfg @@ fun rt ->
   let a = R.register_site rt ~name:"a" in
   check_int "site a is the policy's site 0" 0 a;
+  if adaptive then begin
+    match R.Internal.collector rt with
+    | Collectors.Collector.Generational g ->
+      (Collectors.Generational.hooks g).Collectors.Hooks.set_pretenure
+        ~site:a ~enabled:true
+    | Collectors.Collector.Semispace _ -> Alcotest.fail "not generational"
+  end;
   let b = R.register_site rt ~name:"b" in
   let c = R.register_site rt ~name:"churn" in
   let key = R.register_frame rt ~name:"f" ~slots:(Workloads.Dsl.slots "ppp") in
@@ -275,17 +288,22 @@ let young_field_caught () =
   List.iter
     (fun verify ->
       let what = if verify then "verified" else "unverified" in
-      let v, fallbacks = elision_probe ~verify ~no_scan:[ 0 ] () in
-      check_int (what ^ ": scan-free site keeps its young referent") 42 v;
+      let v, fallbacks = elision_probe ~verify ~scan_elision:true () in
+      check_int (what ^ ": elided site keeps its young referent") 42 v;
       check_int (what ^ ": one fallback") 1 fallbacks)
     [ true; false ];
+  let v, fallbacks =
+    elision_probe ~adaptive:true ~verify:true ~scan_elision:true ()
+  in
+  check_int "adaptively promoted site keeps its young referent" 42 v;
+  check_int "adaptively promoted site: one fallback" 1 fallbacks;
   Alcotest.check_raises "a young pointer stored past the barrier"
     (Failure "check_heap: a heap field points into the nursery after a minor")
     (fun () ->
-      ignore (elision_probe ~bypass:true ~verify:true ~no_scan:[ 0 ] ()))
+      ignore (elision_probe ~bypass:true ~verify:true ~scan_elision:true ()))
 
 let young_field_control () =
-  let v, fallbacks = elision_probe ~verify:true ~no_scan:[] () in
+  let v, fallbacks = elision_probe ~verify:true ~scan_elision:false () in
   check_int "scanned site keeps its young referent" 42 v;
   check_int "no fallback at a scanned site" 0 fallbacks
 
@@ -388,7 +406,7 @@ let rejected_header_leaves_no_hole () =
 let rejected_pretenured_header_leaks_no_grant () =
   let cfg =
     { (Gsc.Config.with_pretenuring ~budget_bytes:budget
-         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]))
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:false))
       with
       Gsc.Config.major_kind = Collectors.Generational.Mark_sweep;
       tenured_backend = Alloc.Backend.Free_list }
@@ -640,7 +658,7 @@ let run_sim ?(inspect = ignore) cfg ops =
 let torture_configs =
   (* worst-case live data: every slot holding a large array *)
   let tight = 96 * 1024 in
-  let pol = Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[] in
+  let pol = Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:false in
   [ { (Gsc.Config.semispace ~budget_bytes:tight) with Gsc.Config.verify_heap = true };
     { (Gsc.Config.generational ~budget_bytes:tight) with
       Gsc.Config.nursery_bytes_max = 2 * 1024;
@@ -650,6 +668,14 @@ let torture_configs =
       marker_spacing = 4;
       verify_heap = true };
     { (Gsc.Config.with_pretenuring ~budget_bytes:tight pol) with
+      Gsc.Config.nursery_bytes_max = 2 * 1024;
+      marker_spacing = 4;
+      verify_heap = true };
+    (* scan elision: the minor skips site 0's pretenured records, so
+       under immediate promotion [verify_heap]'s after-minor check finds
+       any young pointer the initialising-store fallback missed *)
+    { (Gsc.Config.with_pretenuring ~budget_bytes:tight
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:true)) with
       Gsc.Config.nursery_bytes_max = 2 * 1024;
       marker_spacing = 4;
       verify_heap = true };
@@ -1103,15 +1129,15 @@ let twin_configs =
     { gen with Gsc.Config.barrier = Collectors.Generational.Barrier_remset };
     small
       (Gsc.Config.with_pretenuring ~budget_bytes:budget
-         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]));
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:false));
     (* scan elision: records pointing at young arrays fall back to the
        barrier in both tiers *)
     small
       (Gsc.Config.with_pretenuring ~budget_bytes:budget
-         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[ 0 ]));
+         (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:true));
     { (small
          (Gsc.Config.with_pretenuring ~budget_bytes:budget
-            (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[])))
+            (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:false)))
       with
       Gsc.Config.major_kind = Collectors.Generational.Mark_sweep } ]
 
@@ -1134,7 +1160,7 @@ let rejected_field_store () =
       ( "pretenured mark-sweep",
         verified
           { (Gsc.Config.with_pretenuring ~budget_bytes:budget
-               (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~no_scan:[]))
+               (Gsc.Pretenure.of_sites ~sites:[ 0 ] ~scan_elision:false))
             with
             Gsc.Config.major_kind = Collectors.Generational.Mark_sweep;
             tenured_backend = Alloc.Backend.Free_list } ) ]
