@@ -39,17 +39,17 @@ let parallel ~parallelism = parallelism > 1
 
 let chunk_opt chunk_words = if chunk_words > 0 then Some chunk_words else None
 
-let engine ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?card_scan
+let engine ~mem ~from ~to_space ?aging ?remember ?promote_alloc ?card_scan
     ~los ~trace_los ~promoting ~eager ~site_tallies ~parallelism ~mode
     ~chunk_words () =
   if parallel ~parallelism && aging = None && promote_alloc = None then
     Par
-      (Par_drain.create ~mem ~in_from ~to_space ~los ~trace_los ~promoting
+      (Par_drain.create ~mem ~from ~to_space ~los ~trace_los ~promoting
          ~eager ~site_tallies ?card_scan ~parallelism ~mode
          ?chunk_words:(chunk_opt chunk_words) ())
   else
     Seq
-      (Cheney.create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc
+      (Cheney.create ~mem ~from ~to_space ?aging ?remember ?promote_alloc
          ~eager ~site_tallies ~los ~trace_los ~promoting ())
 
 let in_from engine a =

@@ -39,13 +39,15 @@ val parallel : parallelism:int -> bool
     value [n] ([0] = engine default). *)
 val chunk_opt : int -> int option
 
-(** Build the engine for one collection.  The parallel drain is chosen
-    iff {!parallel} holds and neither [aging] nor [promote_alloc] is
-    given (the packet protocol carries neither); the arguments are
-    otherwise those of {!Cheney.create} and {!Par_drain.create}. *)
+(** Build the engine for one collection out of the space [from] (not a
+    predicate: the engine keeps the block id and cell array of [from]).
+    The parallel drain is chosen iff {!parallel} holds and neither
+    [aging] nor [promote_alloc] is given (the packet protocol carries
+    neither); the arguments are otherwise those of {!Cheney.create} and
+    {!Par_drain.create}. *)
 val engine :
   mem:Mem.Memory.t ->
-  in_from:(Mem.Addr.t -> bool) ->
+  from:Mem.Space.t ->
   to_space:Mem.Space.t ->
   ?aging:Cheney.aging ->
   ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
@@ -62,7 +64,8 @@ val engine :
   unit ->
   engine
 
-(** [in_from engine a]: [a] lies in the region the engine evacuates. *)
+(** [in_from engine a]: [a] lies in the engine's from-space, one
+    block-id compare. *)
 val in_from : engine -> Mem.Addr.t -> bool
 
 (** Rewrite one heap location (sequential) or stage it (parallel). *)

@@ -333,37 +333,52 @@ let scan_card t visit env cards card =
 (* the parallel drain hands its card scanner a visit closure *)
 let apply_visit visit a = visit a
 
-(* Scan one pretenured object of [words] at [a]: it was allocated
-   directly into the tenured generation since the last collection and may
-   hold young pointers.  Under scan elision (Section 7.2) it is skipped
-   and only counted: the mutator sent its young pointers through the
-   barrier.  The engine either rewrites in place (sequential) or stages
-   a packet (parallel), so the region counters are identical either
-   way. *)
-let scan_pretenured t engine a ~words =
-  if not t.hooks.Hooks.scan_elision then begin
-    Cycle.visit_fields engine a;
-    t.stats.Gc_stats.words_region_scanned <-
-      t.stats.Gc_stats.words_region_scanned + words
-  end
-  else
+(* The pretenured objects were allocated directly into the tenured
+   generation since the last collection and may hold young pointers.
+   Under scan elision (Section 7.2) they are skipped and only counted:
+   the mutator sent their young pointers through the barrier.  The
+   sequential engine rewrites them in place, the parallel one stages a
+   packet per object, and both count the same words, once per
+   collection. *)
+let count_region t ~elided words =
+  if elided then
     t.stats.Gc_stats.words_region_skipped <-
       t.stats.Gc_stats.words_region_skipped + words
+  else
+    t.stats.Gc_stats.words_region_scanned <-
+      t.stats.Gc_stats.words_region_scanned + words
+
+let stage_nothing () (_ : Mem.Addr.t) = ()
+
+(* the words of the non-filler objects in the region [pretenure_from,
+   until), each handed to [stage env]: chunk-tail fillers from earlier
+   parallel drains are not pretenured objects *)
+let walk_region t ~until stage env =
+  let base = t.pretenure_from in
+  let cells = Mem.Space.cells t.tenured in
+  let base_off = Mem.Addr.offset base in
+  let limit = Mem.Addr.offset until in
+  let words = ref 0 in
+  let off = ref base_off in
+  while !off < limit do
+    let o = !off in
+    let w = Mem.Header.object_words_c cells ~off:o in
+    if not (Mem.Header.is_filler_c cells ~off:o) then begin
+      words := !words + w;
+      stage env (Mem.Addr.unsafe_add base (o - base_off))
+    end;
+    off := o + w
+  done;
+  !words
 
 (* the pretenured region [pretenure_from, frontier_at_gc_start) *)
 let scan_pretenured_region t engine ~until =
-  let cells = Mem.Memory.cells t.mem (Mem.Space.base t.tenured) in
-  let limit = Mem.Addr.offset until in
-  let a = ref t.pretenure_from in
-  while Mem.Addr.offset !a < limit do
-    let off = Mem.Addr.offset !a in
-    let words = Mem.Header.object_words_c cells ~off in
-    (* chunk-tail fillers from earlier parallel drains are not
-       pretenured objects; step over them without counting *)
-    if not (Mem.Header.is_filler_c cells ~off) then
-      scan_pretenured t engine !a ~words;
-    a := Mem.Addr.unsafe_add !a words
-  done
+  let elided = t.hooks.Hooks.scan_elision in
+  count_region t ~elided
+    (match engine with
+     | _ when elided -> walk_region t ~until stage_nothing ()
+     | Cycle.Seq e -> Cheney.scan_region e t.pretenure_from ~until
+     | Cycle.Par p -> walk_region t ~until Par_drain.add_obj p)
 
 (* The mark-sweep counterpart of [scan_pretenured_region]: pretenured
    grants may sit in reclaimed holes anywhere in the space, so the
@@ -372,12 +387,16 @@ let scan_pretenured_region t engine ~until =
    consumed: once scanned, any surviving old-to-young edge is re-covered
    by the write barrier (or, under aging, by the engine's [remember]). *)
 let scan_pretenured_list t engine =
-  let cells = Mem.Memory.cells t.mem (Mem.Space.base t.tenured) in
+  let cells = Mem.Space.cells t.tenured in
+  let elided = t.hooks.Hooks.scan_elision in
+  let words = ref 0 in
   for i = 0 to Support.Vec.length t.new_pretenured - 1 do
     let a = Support.Vec.get t.new_pretenured i in
-    let words = Mem.Header.object_words_c cells ~off:(Mem.Addr.offset a) in
-    scan_pretenured t engine a ~words
+    words :=
+      !words + Mem.Header.object_words_c cells ~off:(Mem.Addr.offset a);
+    if not elided then Cycle.visit_fields engine a
   done;
+  count_region t ~elided !words;
   Support.Vec.clear t.new_pretenured
 
 (* A mutated slot or remembered object inside the nursery needs no
@@ -653,12 +672,12 @@ let cycle t ~kind ~scan_mode reclaim =
     Cycle.end_collection ~alloc_sites:t.alloc_sites ~deaths:t.deaths;
     raise e
 
-(* the engine for a copy out of [in_from] into [to_space]; applied in
+(* the engine for a copy out of [from] into [to_space]; applied in
    full, as a partial application of [Cycle.engine] would allocate a
    chain of closures at every collection *)
-let copy_engine t ~in_from ~to_space ?aging ?remember ?promote_alloc
+let copy_engine t ~from ~to_space ?aging ?remember ?promote_alloc
     ?card_scan ~trace_los ~promoting () =
-  Cycle.engine ~mem:t.mem ~in_from ~to_space ?aging ?remember ?promote_alloc
+  Cycle.engine ~mem:t.mem ~from ~to_space ?aging ?remember ?promote_alloc
     ?card_scan ~los:(Some t.los) ~trace_los ~promoting ~eager:t.cfg.eager_evac
     ~site_tallies:(site_tallies t) ~parallelism:t.cfg.parallelism
     ~mode:t.cfg.parallelism_mode ~chunk_words:t.cfg.chunk_words ()
@@ -666,7 +685,7 @@ let copy_engine t ~in_from ~to_space ?aging ?remember ?promote_alloc
 (* the engine for one minor: out of the nursery, promoting into the
    tenured space *)
 let new_minor_engine t ~aging =
-  copy_engine t ~in_from:(in_nursery t) ~to_space:t.tenured ?aging
+  copy_engine t ~from:t.nursery ~to_space:t.tenured ?aging
     (* old-to-young edges that survive the collection (aging only)
        must re-enter the remembered set *)
     ~remember:(barrier_record t)
@@ -688,7 +707,9 @@ let new_minor_engine t ~aging =
    the same nursery into the tenured space, so one sequential engine
    serves them all: built at the first minor, reset by the next ones,
    and retargeted by the reset when a copying major has replaced the
-   tenured space since.  An aging minor needs the other nursery
+   tenured space since.  The nursery is only ever reset in that
+   configuration, never swapped, so the from-space block the engine
+   keeps stays the nursery's.  An aging minor needs the other nursery
    semispace as its young to-space and a parallel drain its
    per-collection packets, so both build their own. *)
 let minor_engine t ~aging =
@@ -825,7 +846,7 @@ let reclaim_copying t ~traced ~roots ~t1 =
   let to_space = adopt_spare t.mem t.tenured_spare ~words:t.tenured_phys in
   t.tenured_spare <- [||];
   let engine =
-    copy_engine t ~in_from:(Mem.Space.contains t.tenured) ~to_space
+    copy_engine t ~from:t.tenured ~to_space
       ~trace_los:true ~promoting:false ()
   in
   Cycle.drain engine ~stats:t.stats roots;

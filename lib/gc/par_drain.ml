@@ -123,7 +123,8 @@ type worker = {
 
 type t = {
   mem : Mem.Memory.t;
-  in_from : Mem.Addr.t -> bool;
+  from_id : int;        (* block id of the from-space *)
+  from_cells : int array;   (* block handle of the from-space *)
   to_space : Mem.Space.t;
   to_cells : int array;
   to_base : Mem.Addr.t;
@@ -146,7 +147,7 @@ type t = {
   mutable ran : bool;
 }
 
-let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
+let create ~mem ~from ~to_space ~los ~trace_los ~promoting ?(eager = false)
     ~site_tallies ?card_scan ~parallelism ?(mode = Virtual)
     ?(chunk_words = default_chunk_words)
     ?(batch = default_batch) ?(seed = 0x9e3779) () =
@@ -158,7 +159,8 @@ let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
   let to_base = Mem.Space.base to_space in
   let shared_prng = Support.Prng.create ~seed in
   { mem;
-    in_from;
+    from_id = Mem.Addr.block (Mem.Space.base from);
+    from_cells = Mem.Space.cells from;
     to_space;
     to_cells = Mem.Memory.cells mem to_base;
     to_base;
@@ -205,6 +207,9 @@ let create ~mem ~in_from ~to_space ~los ~trace_los ~promoting ?(eager = false)
     ran = false }
 
 let addr_of t doff = Mem.Addr.unsafe_add t.to_base (doff - t.to_base_off)
+
+(* the null address decodes to a block id no live block has *)
+let in_from t a = Mem.Addr.block a = t.from_id
 
 (* --- the mode primitives --- *)
 
@@ -336,18 +341,18 @@ let forward_target t src soff =
   unlock t lk;
   dst
 
-(* The blit runs optimistically before the claim.  A loser rolls the
+(* The copy runs optimistically before the claim.  A loser rolls the
    private bump pointer back ([w.c_alloc <- doff]), abandoning its copy
    — the final filler over [c_alloc, c_limit) covers the garbage.  The
-   winner's blit is pristine: forwarding headers are only ever written
+   winner's copy is pristine: forwarding headers are only ever written
    by a claim, and the winner observed the object unforwarded, so no
-   writer touched the source during the blit.  The bookkeeping then
+   writer touched the source during the copy.  The bookkeeping then
    reads the private copy, since the source header now holds the
    forwarding pointer. *)
 let rec copy_object t w src soff =
   let words = Mem.Header.object_words_c src ~off:soff in
   let doff = alloc_copy t w words in
-  Array.blit src soff t.to_cells doff words;
+  Mem.Memory.copy_cells src soff t.to_cells doff words;
   let dst = addr_of t doff in
   if not (claim t src soff dst) then begin
     w.c_alloc <- doff;
@@ -397,8 +402,8 @@ and eager_children t w doff =
             && word <> Mem.Value.encoded_null
          then begin
            let a = Mem.Value.encoded_to_addr word in
-           if t.in_from a then begin
-             let src = Mem.Memory.cells t.mem a in
+           if in_from t a then begin
+             let src = t.from_cells in
              let soff = Mem.Addr.offset a in
              if not (Mem.Header.is_forwarded_c src ~off:soff) then begin
                w.eager_budget <-
@@ -416,8 +421,8 @@ let evacuate t w word =
   if Mem.Value.encoded_is_int word || word = Mem.Value.encoded_null then word
   else begin
     let a = Mem.Value.encoded_to_addr word in
-    if t.in_from a then begin
-      let src = Mem.Memory.cells t.mem a in
+    if in_from t a then begin
+      let src = t.from_cells in
       let soff = Mem.Addr.offset a in
       if Mem.Header.is_forwarded_c src ~off:soff then
         Mem.Value.encode_addr (forward_target t src soff)
@@ -590,8 +595,6 @@ let flush_pending (type a) t (vec : a Support.Vec.t) (mk : a array -> packet) =
 let add_roots t cells index =
   check_staging t "add_roots";
   if Array.length index > 0 then stage t (Roots (cells, index))
-
-let in_from t a = t.in_from a
 
 let add_loc t loc =
   check_staging t "add_loc";

@@ -11,7 +11,8 @@
     the private chunk, so workers never contend on the shared
     allocation pointer; the unused tail of a retired chunk is padded
     with a {!Mem.Header.filler_site} filler so the to-space stays
-    linearly walkable.  A copy is blitted optimistically, then claimed
+    linearly walkable.  A copy is made optimistically, one word at a
+    time outside any lock, then claimed
     by a check-then-install of the forwarding header; a worker that
     loses the claim rolls its copy back.  A worker drains its local
     grey region depth-first, then its own deque, then steals from the
@@ -49,7 +50,8 @@ type mode = Virtual | Real
 
 (** Mirrors {!Cheney.create} minus aging/remember (the parallel drain
     only runs under immediate promotion; collectors fall back to the
-    sequential engine otherwise).  [eager] (default false) enables
+    sequential engine otherwise): the drain evacuates the named [from]
+    space, whose block id and cell array it keeps.  [eager] (default false) enables
     hierarchical evacuation: after each winning copy, the worker pulls
     the copy's not-yet-forwarded children depth-first into its own
     chunk (same depth/word bounds as the Cheney engine; placement only,
@@ -61,7 +63,7 @@ type mode = Virtual | Real
     @raise Invalid_argument if [parallelism] is outside [1, 16]. *)
 val create :
   mem:Mem.Memory.t ->
-  in_from:(Mem.Addr.t -> bool) ->
+  from:Mem.Space.t ->
   to_space:Mem.Space.t ->
   los:Los.t option ->
   trace_los:bool ->
@@ -77,7 +79,8 @@ val create :
   unit ->
   t
 
-(** [in_from t a]: [a] lies in the region the drain evacuates. *)
+(** [in_from t a]: [a] lies in the from-space (a block-id compare;
+    false for {!Mem.Addr.null}). *)
 val in_from : t -> Mem.Addr.t -> bool
 
 (** {2 Staging}

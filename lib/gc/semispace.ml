@@ -105,7 +105,7 @@ let collect t ~need ~traced =
   let to_space = Mem.Space.create t.mem ~words:to_words in
   let engine =
     Cycle.engine ~mem:t.mem
-      ~in_from:(Mem.Space.contains t.space)
+      ~from:t.space
       ~to_space ~los:None ~trace_los:false ~promoting:false
       ~eager:t.cfg.eager_evac ~site_tallies:(Cycle.site_tallies t.hooks)
       ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode

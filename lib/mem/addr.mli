@@ -6,9 +6,13 @@
     identifiers and is only meaningful for container keys.
 
     The packing leaves 30 bits for the offset (1 Gword per block, far above
-    anything the experiments use) and the rest for the block id. *)
+    anything the experiments use) and the rest for the block id.
 
-type t
+    The representation is an unboxed integer and the type says so: a
+    store of an address into a mutable field or array is a plain word
+    store, not a write-barrier call. *)
+
+type t [@@immediate]
 
 (** The distinguished null address ("no object"). *)
 val null : t

@@ -104,6 +104,18 @@ let set t addr v =
   if off >= Array.length cells then invalid_arg "Memory.set: offset out of block";
   cells.(off) <- Value.encode v
 
+(* one word at a time: [Array.blit] into a major-heap [int array] is a
+   C call that runs the write barrier on every word.  The annotations
+   matter: a loop over ['a array] would store through the barrier
+   again. *)
+let copy_cells (src : int array) soff (dst : int array) doff words =
+  if soff < 0 || doff < 0 || words < 0 || soff + words > Array.length src
+     || doff + words > Array.length dst
+  then invalid_arg "Memory.copy_cells: out of range";
+  for i = 0 to words - 1 do
+    Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+  done
+
 let blit t ~src ~dst ~words =
   let scells = find t src and dcells = find t dst in
   let soff = Addr.offset src and doff = Addr.offset dst in

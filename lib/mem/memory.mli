@@ -77,6 +77,14 @@ val set : t -> Addr.t -> Value.t -> unit
     @raise Invalid_argument on a freed or unknown block. *)
 val cells : t -> Addr.t -> int array
 
+(** [copy_cells src soff dst doff words] copies [words] cells from
+    [src.(soff)] on to [dst.(doff)] on, two block handles, as a loop of
+    plain integer stores (an object copy is a few words; [Array.blit]
+    would run a C call and the host write barrier on each).  The ranges
+    must not overlap within one array.
+    @raise Invalid_argument if either range leaves its array. *)
+val copy_cells : int array -> int -> int array -> int -> int -> unit
+
 (** [blit t ~src ~dst ~words] copies [words] words; source and destination
     may live in different blocks but must not overlap within one block. *)
 val blit : t -> src:Addr.t -> dst:Addr.t -> words:int -> unit

@@ -22,7 +22,7 @@ type aging = Cheney.aging = {
 
 type t = {
   mem : Mem.Memory.t;
-  in_from : Mem.Addr.t -> bool;
+  from : Mem.Space.t;
   to_space : Mem.Space.t;
   aging : aging option;
   remember : (loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) option;
@@ -42,10 +42,10 @@ type t = {
   sites : (int, int * int * int) Hashtbl.t option;
 }
 
-let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = false)
+let create ~mem ~from ~to_space ?aging ?remember ?promote_alloc ?(eager = false)
     ~site_tallies ~los ~trace_los ~promoting () =
   { mem;
-    in_from;
+    from;
     to_space;
     aging;
     remember;
@@ -139,7 +139,7 @@ let rec eager_children_safe t dst ~depth =
         match Mem.Memory.get t.mem (Mem.Header.field_addr dst !i) with
         | Mem.Value.Ptr a
           when (not (Mem.Addr.is_null a))
-               && t.in_from a
+               && Mem.Space.contains t.from a
                && Mem.Header.forwarded t.mem a = None ->
           t.eager_budget <- t.eager_budget - Mem.Header.object_words_at t.mem a;
           let cdst = copy_object_safe t a in
@@ -155,7 +155,7 @@ let evacuate_safe t v =
   | Mem.Value.Int _ -> v
   | Mem.Value.Ptr a ->
     if Mem.Addr.is_null a then v
-    else if t.in_from a then begin
+    else if Mem.Space.contains t.from a then begin
       match Mem.Header.forwarded t.mem a with
       | Some target -> Mem.Value.Ptr target
       | None ->
@@ -211,6 +211,24 @@ let visit_root t cells i =
 let visit_loc t loc = visit_field_safe t ~owner:None loc
 
 let visit_object_fields t base = ignore (scan_object_safe t base : int)
+
+(* every object in [base, until) but the fillers, through the full
+   object scan *)
+let scan_region t base ~until =
+  let words = ref 0 in
+  let a = ref base in
+  while Mem.Addr.diff until !a > 0 do
+    let hdr = Mem.Header.read t.mem !a in
+    let n = Mem.Header.object_words hdr in
+    if not (hdr.Mem.Header.kind = Mem.Header.Nonptr_array
+            && hdr.Mem.Header.site = Mem.Header.filler_site)
+    then begin
+      words := !words + n;
+      ignore (scan_object_safe t !a : int)
+    end;
+    a := Mem.Addr.add !a n
+  done;
+  !words
 
 let drain t =
   let progress = ref true in

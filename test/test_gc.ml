@@ -418,6 +418,110 @@ let gen_scan_elision_skips () =
   check_int "region words skipped" 4 stats.Collectors.Gc_stats.words_region_skipped;
   check_int "none scanned" 0 stats.Collectors.Gc_stats.words_region_scanned
 
+(* --- the pretenured-region loop --- *)
+
+(* One minor over a pretenured region holding one of each thing the
+   region loop tells apart: the filler a parallel drain leaves behind (a
+   pretenured non-pointer array rewritten in place), a non-pointer
+   array, a pointer array (a young field, an integer, a null and an old
+   pointer) and a masked record (a young field, an unmasked integer, an
+   old pointer), plus one barriered store into the region.  Returns a
+   placement-independent digest of the reachable heap (objects numbered
+   in breadth-first order from the roots, each with its space, header,
+   age and fields), [words_region_scanned] and
+   [barrier_entries_processed]. *)
+let region_case ~threshold ~parallelism =
+  let globals = Array.make 2 V.encoded_zero in
+  let mem, g, stats = gen ~threshold ~parallelism globals in
+  let set a i v = Mem.Memory.set mem (H.field_addr a i) v in
+  let young n =
+    let a = gen_alloc g (record_hdr ~mask:0 ~site:3 1) ~birth:0 in
+    set a 0 (V.Int n);
+    a
+  in
+  let y1 = young 11 and y2 = young 22 and y3 = young 33 in
+  let filler =
+    gen_alloc_pretenured g { H.kind = H.Nonptr_array; len = 4; site = 5 }
+      ~birth:0
+  in
+  H.write_filler_c (Mem.Memory.cells mem filler) ~off:(Mem.Addr.offset filler)
+    ~words:(H.header_words () + 4);
+  let raw =
+    gen_alloc_pretenured g { H.kind = H.Nonptr_array; len = 3; site = 6 }
+      ~birth:0
+  in
+  for i = 0 to 2 do
+    set raw i (V.Int (100 + i))
+  done;
+  let arr =
+    gen_alloc_pretenured g { H.kind = H.Ptr_array; len = 4; site = 7 }
+      ~birth:0
+  in
+  set arr 0 (V.Ptr y1);
+  set arr 1 (V.Int 5);
+  set arr 2 V.null;
+  set arr 3 (V.Ptr raw);
+  let rcd = gen_alloc_pretenured g (record_hdr ~mask:0b101 ~site:8 3) ~birth:0 in
+  set rcd 0 (V.Ptr y2);
+  set rcd 1 (V.Int 9);
+  set rcd 2 (V.Ptr arr);
+  set arr 2 (V.Ptr y3);
+  Collectors.Generational.record_update g ~obj:arr ~loc:(H.field_addr arr 2);
+  globals.(0) <- V.encode_addr rcd;
+  globals.(1) <- V.encode_addr raw;
+  Collectors.Generational.minor g;
+  let ids = Hashtbl.create 16 and queue = Queue.create () and out = Buffer.create 256 in
+  let word v =
+    match v with
+    | V.Int n -> Printf.sprintf "i%d" n
+    | V.Ptr a when Mem.Addr.is_null a -> "null"
+    | V.Ptr a ->
+      let id =
+        match Hashtbl.find_opt ids a with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.replace ids a id;
+          Queue.push a queue;
+          id
+      in
+      Printf.sprintf "p%d" id
+  in
+  Array.iter (fun w -> Buffer.add_string out (word (V.decode w) ^ " ")) globals;
+  while not (Queue.is_empty queue) do
+    let a = Queue.pop queue in
+    let h = H.read mem a in
+    Buffer.add_string out
+      (Printf.sprintf "\n%s %s age %d:"
+         (if Collectors.Generational.in_nursery g a then "young"
+          else if Collectors.Generational.in_tenured g a then "old"
+          else "large")
+         (Format.asprintf "%a" H.pp h) (H.age mem a));
+    for i = 0 to h.H.len - 1 do
+      Buffer.add_string out (" " ^ word (Mem.Memory.get mem (H.field_addr a i)))
+    done
+  done;
+  ( Digest.to_hex (Digest.string (Buffer.contents out)),
+    stats.Collectors.Gc_stats.words_region_scanned,
+    stats.Collectors.Gc_stats.barrier_entries_processed )
+
+let region_result = Alcotest.(check (triple string int int))
+
+(* The sequential region loop against the parallel drain's per-object
+   packets under immediate promotion; both, and the aging minor (whose
+   every pointer field takes the engine's full visit, remembered edges
+   included), against values recorded when the region was visited one
+   object at a time through the engine's generic object scan. *)
+let gen_region_loop () =
+  let seq = region_case ~threshold:1 ~parallelism:1 in
+  region_result "p = 1 loop = p = 2 packets" seq
+    (region_case ~threshold:1 ~parallelism:2);
+  region_result "tenure 1 pinned"
+    ("7aa92db8d1e72d1a29b6775c266c97f5", 19, 1) seq;
+  region_result "tenure 2 pinned"
+    ("3b3df27a3a84cfd34b8f1da6acbeaab0", 19, 1)
+    (region_case ~threshold:2 ~parallelism:1)
+
 let gen_survives_many_collections () =
   let globals = Array.make 4 V.encoded_zero in
   let mem, g, stats = gen globals in
@@ -1612,8 +1716,10 @@ let ms_sweep_safety_prop =
    non-pointer arrays carrying random sites, ages and survivor bits,
    whose pointer fields share, form cycles and leave the region (into
    old objects and large objects); old objects whose locations and
-   fields the collection visits the way it visits barrier entries; and,
-   under backend placement, a to-space with holes punched into it. *)
+   fields the collection visits the way it visits barrier entries, and
+   whose block it then walks as a pretenured region ([scan_region]);
+   and, under backend placement, a to-space with holes punched into
+   it. *)
 module Gen_heap = struct
   type t = {
     mem : Mem.Memory.t;
@@ -1655,8 +1761,6 @@ module Gen_heap = struct
         { H.kind; len; site = 1 + int 12 })
     in
     let from_words = words young_shapes in
-    let from = Mem.Space.create mem ~words:from_words in
-    let young = Array.map (place from) young_shapes in
     let old_shapes =
       Array.init (1 + int 4) (fun _ ->
         let len = 1 + int 6 in
@@ -1665,8 +1769,31 @@ module Gen_heap = struct
         in
         { H.kind; len; site = 13 })
     in
-    let old = Mem.Space.create mem ~words:(words old_shapes) in
-    let olds = Array.map (place old) old_shapes in
+    (* the old space is a block issued before the from-space, the large
+       objects blocks issued after it, so the engine's block test meets
+       ids on both sides of the from-space's; a parallel-drain filler
+       may sit among the old objects, as in a pretenured region *)
+    let filler_words = if int 2 = 0 then 0 else H.header_words () + int 3 in
+    let filler_at = int (Array.length old_shapes + 1) in
+    let old = Mem.Space.create mem ~words:(words old_shapes + filler_words) in
+    let add_filler () =
+      if filler_words > 0 then
+        match grant_opt (Mem.Space.grant old filler_words) with
+        | Some a ->
+          H.write_filler_c (Mem.Memory.cells mem a) ~off:(Mem.Addr.offset a)
+            ~words:filler_words
+        | None -> assert false
+    in
+    let olds =
+      Array.mapi
+        (fun i h ->
+          if i = filler_at then add_filler ();
+          place old h)
+        old_shapes
+    in
+    if filler_at = Array.length old_shapes then add_filler ();
+    let from = Mem.Space.create mem ~words:from_words in
+    let young = Array.map (place from) young_shapes in
     let los = Collectors.Los.create mem in
     let large =
       Array.init (int 4) (fun _ ->
@@ -1747,7 +1874,7 @@ module type ENGINE = sig
 
   val create :
     mem:Mem.Memory.t ->
-    in_from:(Mem.Addr.t -> bool) ->
+    from:Mem.Space.t ->
     to_space:Mem.Space.t ->
     ?aging:Collectors.Cheney.aging ->
     ?remember:(loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) ->
@@ -1763,6 +1890,7 @@ module type ENGINE = sig
   val visit_root : t -> int array -> int -> unit
   val visit_loc : t -> Mem.Addr.t -> unit
   val visit_object_fields : t -> Mem.Addr.t -> unit
+  val scan_region : t -> Mem.Addr.t -> until:Mem.Addr.t -> int
   val drain : t -> unit
   val words_copied : t -> int
   val words_promoted : t -> int
@@ -1790,7 +1918,7 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
       threshold
   in
   let e =
-    E.create ~mem ~in_from:(Mem.Space.contains h.Gen_heap.from)
+    E.create ~mem ~from:h.Gen_heap.from
       ~to_space:h.Gen_heap.to_space ?aging
       ~remember:(fun ~loc ~owner -> remembered := (loc, owner) :: !remembered)
       ?promote_alloc:h.Gen_heap.promote_alloc ~eager ~site_tallies:true
@@ -1801,6 +1929,10 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
     h.Gen_heap.globals;
   List.iter (E.visit_loc e) h.Gen_heap.locs;
   List.iter (E.visit_object_fields e) h.Gen_heap.objs;
+  let region_words =
+    E.scan_region e (Mem.Space.base h.Gen_heap.old)
+      ~until:(Mem.Space.frontier h.Gen_heap.old)
+  in
   E.drain e;
   let cells space = `Cells (Array.copy (Mem.Memory.cells mem (Mem.Space.base space))) in
   let large_cells =
@@ -1819,8 +1951,10 @@ let run_engine (module E : ENGINE) ~seed ~n ~threshold ~backend ~eager
     ("old objects", cells h.Gen_heap.old);
     ("large objects", `Large large_cells);
     ("roots", `Roots (Array.copy h.Gen_heap.globals));
-    ( "words copied/promoted/scanned",
-      `Ints [ E.words_copied e; E.words_promoted e; E.words_scanned e ] );
+    ( "words copied/promoted/scanned, region words",
+      `Ints
+        [ E.words_copied e; E.words_promoted e; E.words_scanned e;
+          region_words ] );
     ("site survivals", `Sites (E.site_survivals e));
     ("remember calls", `Remembered (List.rev !remembered));
     ("los sweep", `Sweep (freed, Collectors.Site_tally.rows deaths)) ]
@@ -1993,7 +2127,7 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
       in
       let p =
         Collectors.Par_drain.create ~mem
-          ~in_from:(Mem.Space.contains from)
+          ~from
           ~to_space ~los:None ~trace_los:false ~promoting:false
           ~site_tallies:false ~parallelism ~mode ~seed ()
       in
@@ -2379,6 +2513,7 @@ let () =
           Alcotest.test_case "large object space" `Quick gen_large_object_space;
           Alcotest.test_case "pretenured region scan" `Quick
             gen_pretenured_region_scan;
+          Alcotest.test_case "pretenured region loop" `Quick gen_region_loop;
           Alcotest.test_case "scan elision skips" `Quick gen_scan_elision_skips;
           Alcotest.test_case "long run" `Quick gen_survives_many_collections;
           Alcotest.test_case "pretenured -> LOS edge" `Quick

@@ -142,7 +142,14 @@ let memory_blit () =
     Mem.Memory.set mem (Mem.Addr.add a i) (Mem.Value.Int (i * i))
   done;
   Mem.Memory.blit mem ~src:a ~dst:b ~words:8;
-  check_int "blit copied" 49 (Mem.Value.to_int (Mem.Memory.get mem (Mem.Addr.add b 7)))
+  check_int "blit copied" 49 (Mem.Value.to_int (Mem.Memory.get mem (Mem.Addr.add b 7)));
+  let cells_a = Mem.Memory.cells mem a and cells_b = Mem.Memory.cells mem b in
+  Alcotest.check_raises "copy_cells past the source"
+    (Invalid_argument "Memory.copy_cells: out of range") (fun () ->
+      Mem.Memory.copy_cells cells_a 4 cells_b 0 (Array.length cells_a - 3));
+  Alcotest.check_raises "copy_cells past the destination"
+    (Invalid_argument "Memory.copy_cells: out of range") (fun () ->
+      Mem.Memory.copy_cells cells_a 0 cells_b (Array.length cells_b - 1) 2)
 
 (* --- Raw API vs safe API --- *)
 
@@ -207,7 +214,8 @@ let raw_safe_agreement_prop =
           Mem.Memory.set mem_s (Mem.Addr.add b_s off) v;
           (Mem.Memory.cells mem_r b_r).(off) <- Mem.Value.encode v
         | _ ->
-          (* blit a -> b: safe blit vs Array.blit on the block handles *)
+          (* blit a -> b: safe blit vs the engines' word loop on the
+             block handles *)
           let len = 1 + Support.Prng.int prng (words - 1) in
           let soff = Support.Prng.int prng (words - len + 1) in
           let doff = Support.Prng.int prng (words - len + 1) in
@@ -215,7 +223,7 @@ let raw_safe_agreement_prop =
             ~src:(Mem.Addr.add a_s soff)
             ~dst:(Mem.Addr.add b_s doff)
             ~words:len;
-          Array.blit
+          Mem.Memory.copy_cells
             (Mem.Memory.cells mem_r a_r) soff
             (Mem.Memory.cells mem_r b_r) doff len
       done;
