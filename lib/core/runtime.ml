@@ -467,8 +467,9 @@ let int_of t src = Value.decode_int (read_word t src)
 
 (* --- allocation --- *)
 
-(* The one allocation path: the scalar collector entry, with the
-   pretenure decision read from the per-site table. *)
+(* The general allocation path: the scalar collector entry, with the
+   pretenure decision read from the per-site table.  Only [alloc_small]'s
+   clean nursery records bypass it. *)
 let alloc_fields t ~tag ~len ~mask ~site =
   let pretenure = pretenured t site in
   if pretenure && Obs.Trace.enabled () then
@@ -514,45 +515,103 @@ let init_field t cells ~off ~mask base i src =
     cells.(cell) <- w
   end
 
-let alloc_record1 t ~site ~mask ~dst a0 =
-  let base = alloc_fields t ~tag:Header.tag_record ~len:1 ~mask ~site in
+(* The general record path: grant (collecting if it must) and zero,
+   then read, check and store each field in turn.  A refused field
+   raises with the record granted, the fields before it stored and the
+   rest zero.  [len] <= 5 operands are taken; the rest are ignored. *)
+let alloc_general t ~site ~mask ~dst ~len a0 a1 a2 a3 a4 =
+  let base = alloc_fields t ~tag:Header.tag_record ~len ~mask ~site in
   let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
   init_field t cells ~off ~mask base 0 a0;
+  if len > 1 then init_field t cells ~off ~mask base 1 a1;
+  if len > 2 then init_field t cells ~off ~mask base 2 a2;
+  if len > 3 then init_field t cells ~off ~mask base 3 a3;
+  if len > 4 then init_field t cells ~off ~mask base 4 a4;
   write_word t dst (Value.encode_addr base)
+
+(* An even word below every encoded address and unequal to the null
+   word: no cell or operand ever holds it *)
+let refused = min_int
+
+(* [read_word] without the raise: [refused] where it would raise *)
+let peek_word t s =
+  if s land 1 = 1 then s
+  else
+    let idx = s asr 3 in
+    match (s lsr 1) land 3 with
+    | 0 -> Value.encoded_null
+    | 1 -> Rstack.Stack_.peek_word t.stack idx ~none:refused
+    | 2 ->
+      let regs = Rstack.Reg_file.cells t.regs in
+      if idx >= 0 && idx < Array.length regs then Array.unsafe_get regs idx
+      else refused
+    | _ ->
+      if idx >= 0 && idx < Array.length t.globals then
+        Array.unsafe_get t.globals idx
+      else refused
+
+(* the word [init_field] would store from [src] into a field of this
+   pointerness, or [refused] where it would raise: [check_pointer_word]
+   and [check_integer_word] as tests ([refused] reads as a pointer, so
+   a pointer field keeps it refused) *)
+let field_word t src ~ptr =
+  let w = peek_word t src in
+  if ptr then (if Value.encoded_is_int w then refused else w)
+  else if Value.encoded_is_ptr w then refused
+  else w
+
+(* Records of one to five fields, written once (DESIGN.md §5w).  A
+   nursery record whose every field word reads and checks clean takes a
+   bump that never collects, so the words read before it are still the
+   live ones, and they go straight into the nursery cells: no zero fill,
+   no block lookup.  Everything else (Semispace, a pretenured site, a
+   refused word, a full nursery) takes [alloc_general], which produces
+   the same heap, counters and exceptions it always has.  The pretenure
+   test comes first, so pretenured sites read nothing twice. *)
+let alloc_small t ~site ~mask ~dst ~len a0 a1 a2 a3 a4 =
+  match t.collector with
+  | Some (Collectors.Collector.Generational g) when not (pretenured t site) ->
+    let w0 = field_word t a0 ~ptr:(mask land 1 <> 0) in
+    let w1 = if len > 1 then field_word t a1 ~ptr:(mask land 2 <> 0) else 0 in
+    let w2 = if len > 2 then field_word t a2 ~ptr:(mask land 4 <> 0) else 0 in
+    let w3 = if len > 3 then field_word t a3 ~ptr:(mask land 8 <> 0) else 0 in
+    let w4 = if len > 4 then field_word t a4 ~ptr:(mask land 16 <> 0) else 0 in
+    let base =
+      if w0 = refused || w1 = refused || w2 = refused || w3 = refused
+         || w4 = refused
+      then Mem.Addr.null
+      else
+        Collectors.Generational.bump_record g ~len ~mask ~site
+          ~birth:(birth_bytes t)
+    in
+    if Mem.Addr.is_null base then
+      alloc_general t ~site ~mask ~dst ~len a0 a1 a2 a3 a4
+    else begin
+      let cells = Collectors.Generational.nursery_cells g in
+      let f = Mem.Addr.offset base + Header.header_words () in
+      cells.(f) <- w0;
+      if len > 1 then cells.(f + 1) <- w1;
+      if len > 2 then cells.(f + 2) <- w2;
+      if len > 3 then cells.(f + 3) <- w3;
+      if len > 4 then cells.(f + 4) <- w4;
+      write_word t dst (Value.encode_addr base)
+    end
+  | Some _ | None -> alloc_general t ~site ~mask ~dst ~len a0 a1 a2 a3 a4
+
+let alloc_record1 t ~site ~mask ~dst a0 =
+  alloc_small t ~site ~mask ~dst ~len:1 a0 nil nil nil nil
 
 let alloc_record2 t ~site ~mask ~dst a0 a1 =
-  let base = alloc_fields t ~tag:Header.tag_record ~len:2 ~mask ~site in
-  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~mask base 0 a0;
-  init_field t cells ~off ~mask base 1 a1;
-  write_word t dst (Value.encode_addr base)
+  alloc_small t ~site ~mask ~dst ~len:2 a0 a1 nil nil nil
 
 let alloc_record3 t ~site ~mask ~dst a0 a1 a2 =
-  let base = alloc_fields t ~tag:Header.tag_record ~len:3 ~mask ~site in
-  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~mask base 0 a0;
-  init_field t cells ~off ~mask base 1 a1;
-  init_field t cells ~off ~mask base 2 a2;
-  write_word t dst (Value.encode_addr base)
+  alloc_small t ~site ~mask ~dst ~len:3 a0 a1 a2 nil nil
 
 let alloc_record4 t ~site ~mask ~dst a0 a1 a2 a3 =
-  let base = alloc_fields t ~tag:Header.tag_record ~len:4 ~mask ~site in
-  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~mask base 0 a0;
-  init_field t cells ~off ~mask base 1 a1;
-  init_field t cells ~off ~mask base 2 a2;
-  init_field t cells ~off ~mask base 3 a3;
-  write_word t dst (Value.encode_addr base)
+  alloc_small t ~site ~mask ~dst ~len:4 a0 a1 a2 a3 nil
 
 let alloc_record5 t ~site ~mask ~dst a0 a1 a2 a3 a4 =
-  let base = alloc_fields t ~tag:Header.tag_record ~len:5 ~mask ~site in
-  let cells = Memory.cells t.mem base and off = Mem.Addr.offset base in
-  init_field t cells ~off ~mask base 0 a0;
-  init_field t cells ~off ~mask base 1 a1;
-  init_field t cells ~off ~mask base 2 a2;
-  init_field t cells ~off ~mask base 3 a3;
-  init_field t cells ~off ~mask base 4 a4;
-  write_word t dst (Value.encode_addr base)
+  alloc_small t ~site ~mask ~dst ~len:5 a0 a1 a2 a3 a4
 
 let alloc_record_n t ~site ~mask ~dst fields =
   let len = Array.length fields in

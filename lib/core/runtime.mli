@@ -142,6 +142,11 @@ val depth : t -> int
     pretenured record initialised to a nursery object is also recorded
     in the write barrier, and counted in
     [Gc_stats.region_scan_fallbacks].
+    A mismatch raises with the record already allocated: the fields
+    before it stored, the rest zero.  A nursery record whose every
+    operand reads and checks clean is written once, straight into its
+    grant; the heap, the counters and the exceptions are those of
+    {!Internal.alloc_record} all the same.
     @raise Invalid_argument on a mismatch, or on a mask wider than the
     record. *)
 val alloc_record1 : t -> site:int -> mask:int -> dst:dst -> src -> unit
@@ -273,8 +278,10 @@ module Internal : sig
   val alloc_object : t -> Mem.Header.t -> Mem.Addr.t
 
   (** [alloc_record t ~site ~mask ~dst fields] is [alloc_record1]…
-      [alloc_record5] at any arity, through the same field-initialising
-      helper: for tests that need other widths. *)
+      [alloc_record5] at any arity, always on their general path (grant
+      and zero, then read, check and store each field): for tests that
+      need other widths, and the reference the written-once path is
+      checked against. *)
   val alloc_record : t -> site:int -> mask:int -> dst:dst -> src array -> unit
 
   (** [record_update t ~obj ~loc] runs the write barrier for a pointer

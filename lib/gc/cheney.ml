@@ -36,8 +36,8 @@ type t = {
   mutable eager_budget : int;       (* words left under the current root *)
   mutable scan : Mem.Addr.t;        (* to-space scan pointer *)
   mutable scan_young : Mem.Addr.t;  (* young to-space scan pointer *)
-  gray_large : Mem.Addr.t Support.Vec.t;
-  gray_promoted : Mem.Addr.t Support.Vec.t;
+  gray_large : Support.Int_vec.t;     (* raw addresses, as [gray_promoted] *)
+  gray_promoted : Support.Int_vec.t;
   mutable copied : int;
   mutable promoted : int;
   mutable scanned : int;            (* words walked by the drain loops *)
@@ -70,8 +70,8 @@ let create ~mem ~from ~to_space ?aging ?remember ?promote_alloc ?(eager = false)
       (match aging with
        | Some a -> Mem.Space.frontier a.young_to
        | None -> Mem.Addr.null);
-    gray_large = Support.Vec.create ();
-    gray_promoted = Support.Vec.create ();
+    gray_large = Support.Int_vec.create ();
+    gray_promoted = Support.Int_vec.create ();
     copied = 0;
     promoted = 0;
     scanned = 0;
@@ -85,8 +85,8 @@ let reset t ~to_space ~site_tallies =
   (match t.aging with
    | Some a -> t.scan_young <- Mem.Space.frontier a.young_to
    | None -> ());
-  Support.Vec.clear t.gray_large;
-  Support.Vec.clear t.gray_promoted;
+  Support.Int_vec.clear t.gray_large;
+  Support.Int_vec.clear t.gray_promoted;
   t.copied <- 0;
   t.promoted <- 0;
   t.scanned <- 0;
@@ -150,7 +150,8 @@ let copy_object t src soff =
   t.copied <- t.copied + words;
   if promote then begin
     t.promoted <- t.promoted + words;
-    if t.promote_alloc <> None then Support.Vec.push t.gray_promoted dst
+    if t.promote_alloc <> None then
+      Support.Int_vec.push t.gray_promoted (Mem.Addr.encode_raw dst)
   end;
   dst
 
@@ -225,7 +226,8 @@ let forward t a =
 let mark_large t a =
   match t.los with
   | Some los when Los.contains los a ->
-    if Los.mark los a then Support.Vec.push t.gray_large a
+    if Los.mark los a then
+      Support.Int_vec.push t.gray_large (Mem.Addr.encode_raw a)
   | Some _ | None -> ()
 
 (* forward one encoded word; returns the (possibly rewritten) word *)
@@ -355,9 +357,9 @@ let drain t =
           carries them instead.  The frontier still moves (backend
           fallback bumps it), so the scan-pointer loop must not run —
           it would re-scan frontier grants already queued here. *)
-       while not (Support.Vec.is_empty t.gray_promoted) do
+       while not (Support.Int_vec.is_empty t.gray_promoted) do
          progress := true;
-         let base = Support.Vec.pop t.gray_promoted in
+         let base = Mem.Addr.decode_raw (Support.Int_vec.pop t.gray_promoted) in
          let words = scan_object_c t t.to_cells base in
          t.scanned <- t.scanned + words
        done);
@@ -372,9 +374,9 @@ let drain t =
          t.scan_young <- Mem.Addr.unsafe_add t.scan_young words
        done);
     (* queued large objects *)
-    while not (Support.Vec.is_empty t.gray_large) do
+    while not (Support.Int_vec.is_empty t.gray_large) do
       progress := true;
-      let base = Support.Vec.pop t.gray_large in
+      let base = Mem.Addr.decode_raw (Support.Int_vec.pop t.gray_large) in
       let words = scan_object t base in
       t.scanned <- t.scanned + words
     done

@@ -19,7 +19,7 @@ val kind : t -> kind
     the tenured generation; the semispace collector ignores it (it has a
     single region anyway).  It builds no {!Mem.Header.t}, boxes nothing
     and resolves no block: the runtime's every allocation goes through
-    it.
+    it, except the nursery records {!Generational.bump_record} takes.
     @raise Invalid_argument as {!Mem.Header.validate_fields}, before
     anything is collected, granted or counted. *)
 val alloc_fields :

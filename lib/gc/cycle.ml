@@ -183,8 +183,9 @@ let profile_sweep ~mem ~deaths ~stats ~traced ~since space =
 
 (* --- allocation epilogue: header, zeroed payload, counters --- *)
 
-(* every allocation of the runtime passes through [count_alloc] and
-   [finish_alloc]; the release build's inlining budget (dune-workspace)
+(* every allocation of the runtime passes through [count_alloc], and
+   all but [Generational.bump_record]'s (which writes the header alone)
+   through [finish_alloc]; the release build's inlining budget (dune-workspace)
    inlines them into the collectors' allocation entries, with the header
    and space helpers they call *)
 let count_alloc ~stats ~(sites : Site_tally.t option) ~tag ~site ~words =

@@ -106,8 +106,8 @@ type t = {
          Copying majors only — under the mark-sweep major pretenured
          grants can land in reclaimed holes anywhere in the space, so
          [new_pretenured] records them individually instead *)
-  new_pretenured : Mem.Addr.t Support.Vec.t;
-      (* pretenured object bases since the last collection
+  new_pretenured : Support.Int_vec.t;
+      (* pretenured object bases (raw) since the last collection
          ([major_kind = Mark_sweep] only; stays empty otherwise) *)
   mutable live : int;          (* live words after the last major *)
   mutable in_gc : bool;
@@ -130,7 +130,7 @@ type t = {
       (* the mark-sweep major's bitmap, one byte per tenured word, reused
          by every major (every tenured space is [tenured_phys] words);
          empty under the copying major *)
-  mark_stack : Mem.Addr.t Support.Vec.t;
+  mark_stack : Support.Int_vec.t;
       (* the mark-sweep major's gray stack, reused by every major *)
   mutable minor_engine : Cycle.engine option;
       (* the sequential minor's copy engine, reset and reused by every
@@ -213,7 +213,7 @@ let create mem ~hooks ~stats cfg =
          B_cards (Card_table.create ~space_words:tenured_phys, Ssb.create ()));
     cards_covered_to = Mem.Space.base tenured;
     pretenure_from = Mem.Space.frontier tenured;
-    new_pretenured = Support.Vec.create ();
+    new_pretenured = Support.Int_vec.create ();
     live = 0;
     in_gc = false;
     collections = 0;
@@ -226,7 +226,7 @@ let create mem ~hooks ~stats cfg =
     marks =
       (if cfg.major_kind = Mark_sweep then Bytes.create tenured_phys
        else Bytes.empty);
-    mark_stack = Support.Vec.create ();
+    mark_stack = Support.Int_vec.create ();
     minor_engine = None;
     reclaimed =
       { copied = 0; promoted = 0; live_w = 0; survivals = Site_tally.empty;
@@ -390,14 +390,14 @@ let scan_pretenured_list t engine =
   let cells = Mem.Space.cells t.tenured in
   let elided = t.hooks.Hooks.scan_elision in
   let words = ref 0 in
-  for i = 0 to Support.Vec.length t.new_pretenured - 1 do
-    let a = Support.Vec.get t.new_pretenured i in
+  for i = 0 to Support.Int_vec.length t.new_pretenured - 1 do
+    let a = Mem.Addr.decode_raw (Support.Int_vec.get t.new_pretenured i) in
     words :=
       !words + Mem.Header.object_words_c cells ~off:(Mem.Addr.offset a);
     if not elided then Cycle.visit_fields engine a
   done;
   count_region t ~elided !words;
-  Support.Vec.clear t.new_pretenured
+  Support.Int_vec.clear t.new_pretenured
 
 (* A mutated slot or remembered object inside the nursery needs no
    action: live nursery objects are traced wholesale.  Toplevel, so the
@@ -944,7 +944,7 @@ let reclaim_mark_sweep t ~traced ~roots ~t1 =
   t.pretenure_from <- Mem.Space.frontier t.tenured;
   (* the list is consumed by the preceding minors and nothing allocates
      during the major; keep the invariant explicit *)
-  Support.Vec.clear t.new_pretenured;
+  Support.Int_vec.clear t.new_pretenured;
   cover_new_tenured t;
   report t ~copied:0 ~promoted:0 ~live_w ~survivals ~moved:false
 
@@ -1069,6 +1069,26 @@ let alloc t ~tag ~len ~mask ~site ~birth =
       (Mem.Space.cells t.nursery) ~tag ~len ~mask ~site ~birth base
   end
 
+(* The runtime's record fast path: [alloc] for a record that fits the
+   nursery now, with the header written and the allocation counted as
+   [Cycle.finish_alloc] does, but no zero fill and no collection.
+   [Addr.null] when the nursery lacks the room; the caller then takes
+   [alloc], which collects.  The caller stores every field before its
+   next runtime operation. *)
+let bump_record t ~len ~mask ~site ~birth =
+  let tag = Mem.Header.tag_record in
+  Mem.Header.validate_fields ~tag ~len ~mask ~site;
+  let words = Mem.Header.header_words () + len in
+  let base = Mem.Space.grant t.nursery words in
+  if not (Mem.Addr.is_null base) then begin
+    Mem.Header.write_fields_c (Mem.Space.cells t.nursery)
+      ~off:(Mem.Addr.offset base) ~tag ~len ~mask ~site ~birth;
+    Cycle.count_alloc ~stats:t.stats ~sites:t.alloc_sites ~tag ~site ~words
+  end;
+  base
+
+let nursery_cells t = Mem.Space.cells t.nursery
+
 (* pretenured grants go through the configured placement policy, which
    places inside [t.tenured]'s block; with the default bump backend this
    is a frontier bump of the tenured space *)
@@ -1087,7 +1107,8 @@ let alloc_pretenured t ~tag ~len ~mask ~site ~birth =
   (* the object has already survived its "first collection" by fiat;
      mark it so the profiler does not double-count a later copy *)
   Mem.Header.set_survivor_c cells ~off:(Mem.Addr.offset base);
-  if t.cfg.major_kind = Mark_sweep then Support.Vec.push t.new_pretenured base;
+  if t.cfg.major_kind = Mark_sweep then
+    Support.Int_vec.push t.new_pretenured (Mem.Addr.encode_raw base);
   (match t.controller with
    | None -> ()
    | Some c -> Control.Controller.note_pretenured c site);

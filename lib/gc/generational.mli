@@ -173,6 +173,21 @@ val create : Mem.Memory.t -> hooks:Hooks.t -> stats:Gc_stats.t -> config -> t
 val alloc :
   t -> tag:int -> len:int -> mask:int -> site:int -> birth:int -> Mem.Addr.t
 
+(** [bump_record t ~len ~mask ~site ~birth] is {!alloc} of a record
+    when the nursery has room for it now: the same grant, header and
+    counters, but the payload is left as the nursery held it, and it
+    never collects.  {!Mem.Addr.null}, with nothing granted or counted,
+    when the nursery lacks the room.  The caller must store every field
+    (through {!nursery_cells}) before its next runtime operation.
+    @raise Invalid_argument as {!alloc}. *)
+val bump_record :
+  t -> len:int -> mask:int -> site:int -> birth:int -> Mem.Addr.t
+
+(** [nursery_cells t] is the current nursery's block handle, where
+    {!bump_record}'s grants lie.  An aging minor swaps the nursery, so
+    it is read after the grant. *)
+val nursery_cells : t -> int array
+
 (** [alloc_pretenured t ~tag ~len ~mask ~site ~birth] allocates directly
     into the tenured generation (profile-driven pretenuring), through
     the tenured placement backend.

@@ -21,7 +21,7 @@ type t = {
   t_base : Mem.Addr.t;
   marks : Bytes.t;                  (* '\001' at marked object bases *)
   los : Los.t;
-  worklist : Mem.Addr.t Support.Vec.t;
+  worklist : Support.Int_vec.t;     (* raw addresses *)
   mutable marked_tenured : int;     (* words under marked tenured objects *)
   mutable marked_los : int;         (* words under marked large objects *)
   mutable marked_objects : int;
@@ -36,7 +36,7 @@ let create ~mem ~tenured ~los ~marks ~worklist ~site_tallies () =
   if Bytes.length marks <> Mem.Space.size_words tenured then
     invalid_arg "Mark_sweep.create: mark bitmap size";
   Bytes.fill marks 0 (Bytes.length marks) '\000';
-  Support.Vec.clear worklist;
+  Support.Int_vec.clear worklist;
   { mem;
     tenured;
     t_cells = Mem.Memory.cells mem (Mem.Space.base tenured);
@@ -64,7 +64,7 @@ let mark_tenured t a =
        Site_tally.note tab ~site:(Mem.Header.site_c t.t_cells ~off)
          ~first:(not (Mem.Header.survivor_c t.t_cells ~off))
          ~words);
-    Support.Vec.push t.worklist a
+    Support.Int_vec.push t.worklist (Mem.Addr.encode_raw a)
   end
 
 let mark_addr t a =
@@ -72,7 +72,7 @@ let mark_addr t a =
   else if Los.contains t.los a then
     if Los.mark t.los a then begin
       t.marked_los <- t.marked_los + Mem.Header.object_words_at t.mem a;
-      Support.Vec.push t.worklist a
+      Support.Int_vec.push t.worklist (Mem.Addr.encode_raw a)
     end
 
 (* roots and fields alike are encoded words *)
@@ -103,8 +103,10 @@ let scan_object t base =
   (Mem.Header.header_words ()) + len
 
 let drain t =
-  while not (Support.Vec.is_empty t.worklist) do
-    t.scanned <- t.scanned + scan_object t (Support.Vec.pop t.worklist)
+  while not (Support.Int_vec.is_empty t.worklist) do
+    t.scanned <-
+      t.scanned
+      + scan_object t (Mem.Addr.decode_raw (Support.Int_vec.pop t.worklist))
   done
 
 let sweep t ~backend ~deaths =

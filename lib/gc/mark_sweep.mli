@@ -21,13 +21,13 @@ type t
 (** [create ~mem ~tenured ~los ~marks ~worklist ~site_tallies ()] is
     an engine over the given tenured space and large-object space.
     [marks] is the mark bitmap, one byte per tenured word, and
-    [worklist] the gray stack; [create] clears both, and the engine
+    [worklist] the gray stack (raw addresses); [create] clears both, and the engine
     owns them until dropped, so a collector can hand the same buffers
     to every major.  [site_tallies] switches on {!site_survivals}.
     @raise Invalid_argument if [marks] is not [size_words tenured] long. *)
 val create :
   mem:Mem.Memory.t -> tenured:Mem.Space.t -> los:Los.t -> marks:Bytes.t ->
-  worklist:Mem.Addr.t Support.Vec.t -> site_tallies:bool -> unit -> t
+  worklist:Support.Int_vec.t -> site_tallies:bool -> unit -> t
 
 (** [visit_root t cells i] marks the referent (tenured or large object)
     of the encoded word in the root cell [cells.(i)] and queues it for

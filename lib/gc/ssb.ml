@@ -1,5 +1,5 @@
 type t = {
-  entries : Mem.Addr.t Support.Vec.t;
+  entries : Support.Int_vec.t;  (* raw addresses ([Mem.Addr.encode_raw]) *)
   mutable total : int;
 }
 
@@ -11,15 +11,14 @@ type t = {
 let initial_capacity = 256
 
 let create () =
-  let entries = Support.Vec.make initial_capacity Mem.Addr.null in
-  Support.Vec.clear entries;
-  { entries; total = 0 }
+  { entries = Support.Int_vec.create ~capacity:initial_capacity ();
+    total = 0 }
 
 let record t loc =
-  Support.Vec.push t.entries loc;
+  Support.Int_vec.push t.entries (Mem.Addr.encode_raw loc);
   t.total <- t.total + 1
 
-let length t = Support.Vec.length t.entries
+let length t = Support.Int_vec.length t.entries
 
 let total_recorded t = t.total
 
@@ -29,14 +28,14 @@ let drain t f env =
      after the [n] being drained, and move to the front to survive for
      the next collection *)
   let v = t.entries in
-  let n = Support.Vec.length v in
+  let n = Support.Int_vec.length v in
   for i = 0 to n - 1 do
-    f env (Support.Vec.get v i)
+    f env (Mem.Addr.decode_raw (Support.Int_vec.get v i))
   done;
-  let kept = Support.Vec.length v - n in
+  let kept = Support.Int_vec.length v - n in
   for i = 0 to kept - 1 do
-    Support.Vec.set v i (Support.Vec.get v (n + i))
+    Support.Int_vec.set v i (Support.Int_vec.get v (n + i))
   done;
-  Support.Vec.truncate v kept
+  Support.Int_vec.truncate v kept
 
-let clear t = Support.Vec.clear t.entries
+let clear t = Support.Int_vec.clear t.entries

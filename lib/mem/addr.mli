@@ -45,7 +45,8 @@ val diff : t -> t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** Raw integer view, for {!Value}'s packed encoding only. *)
+(** Raw integer view, for {!Value}'s packed encoding and the collectors'
+    [Support.Int_vec] address buffers only. *)
 val encode_raw : t -> int
 
 val decode_raw : int -> t

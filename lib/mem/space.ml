@@ -17,6 +17,9 @@ type t = {
 
 let of_block mem base =
   let cells = Memory.cells mem base in
+  (* the frontier of a full space must be an address: [grant] relies on
+     it (raises [Addr.add]'s error for a block past the offset field) *)
+  ignore (Addr.add base (Array.length cells) : Addr.t);
   { base;
     cells;
     words = Array.length cells;
@@ -37,12 +40,16 @@ let size_words t = t.words
 let used_words t = Addr.diff t.next t.base
 let free_words t = t.words - used_words t
 
+(* [next] and [base] share a block, and [of_block] made sure the full
+   space's frontier fits Addr's offset field, so the room test reads
+   their offsets and a grant that fits stays inside the block: no block
+   comparison, no range check *)
 let grant t words =
   if words < 0 then invalid_arg "Space.grant";
-  if free_words t < words then Addr.null
+  let a = t.next in
+  if t.words - (Addr.offset a - Addr.offset t.base) < words then Addr.null
   else begin
-    let a = t.next in
-    t.next <- Addr.add a words;
+    t.next <- Addr.unsafe_add a words;
     a
   end
 

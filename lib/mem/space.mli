@@ -7,7 +7,9 @@
 
 type t
 
-(** [create mem ~words] reserves a fresh block of [words] words. *)
+(** [create mem ~words] reserves a fresh block of [words] words.
+    @raise Invalid_argument unless [0 < words] and the frontier of the
+    full space is an address ({!Addr.add}'s offset range). *)
 val create : Memory.t -> words:int -> t
 
 (** [reissue mem cells] is an empty space over [cells], a spare that
@@ -36,7 +38,8 @@ val cells : t -> int array
 (** [grant t words] bumps the frontier, returning the base of the grant,
     or {!Addr.null} when fewer than [words] words remain.  The miss is
     a sentinel, not an option, so a grant allocates nothing on the
-    host. *)
+    host.
+    @raise Invalid_argument if [words < 0]. *)
 val grant : t -> int -> Addr.t
 
 (** [par_begin t] opens a parallel carving phase: the atomic frontier is

@@ -112,6 +112,10 @@ let get_word t i =
   if i < 0 || i >= t.top_size then invalid_arg "Frame.get";
   Array.unsafe_get t.words (t.top_base + i)
 
+let peek_word t i ~none =
+  if i < 0 || i >= t.top_size then none
+  else Array.unsafe_get t.words (t.top_base + i)
+
 let set_word t i w =
   if i < 0 || i >= t.top_size then invalid_arg "Frame.set";
   Array.unsafe_set t.words (t.top_base + i) w

@@ -55,6 +55,10 @@ val unwind_to : t -> depth:int -> unit
     [0 <= i < size_at t (depth t - 1)] (always, on an empty stack). *)
 val get_word : t -> int -> int
 
+(** [peek_word t i ~none] is [get_word t i], or [none] where [get_word]
+    would raise. *)
+val peek_word : t -> int -> none:int -> int
+
 val set_word : t -> int -> int -> unit
 
 (** {!get_word}/{!set_word} decoding and encoding at the edge, with the

@@ -5,10 +5,6 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
-let make n x =
-  if n < 0 then invalid_arg "Vec.make";
-  { data = Array.make (max n 1) x; len = n }
-
 let length v = v.len
 let is_empty v = v.len = 0
 

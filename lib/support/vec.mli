@@ -2,15 +2,13 @@
 
     OCaml 5.1 does not yet ship [Dynarray]; this is the small subset the
     runtime needs: amortised O(1) push/pop at the end, O(1) random access,
-    truncation.  Used for the simulated activation-record stack, sequential
-    store buffers, and various work lists. *)
+    truncation.  Used for handler stacks, free-id lists and various work
+    lists; buffers of immediate words (store buffers, gray stacks) use
+    {!Int_vec}, whose push is a plain store. *)
 
 type 'a t
 
 val create : unit -> 'a t
-
-(** [make n x] is a vector holding [n] copies of [x]. *)
-val make : int -> 'a -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

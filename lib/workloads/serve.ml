@@ -158,6 +158,10 @@ let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
   let pause_tag = ref Bytes.empty in
   let tick_us = 1e6 /. rate_rps in
   let completion = ref 0. in
+  (* one clock read per request: request [i]'s service ends where
+     request [i+1]'s begins, so it also covers the loop's own
+     record-keeping between the two bodies *)
+  let t0 = ref (Support.Units.now_ns ()) in
   for i = 0 to requests - 1 do
     let tenant = next () mod tenants in
     let session = next () mod sessions in
@@ -176,12 +180,13 @@ let run rt ?slo ?(phase_shift = 0) ~tenants ~sessions ~requests ~rate_rps
     let before =
       match slo with Some s -> Obs.Slo.pause_count s | None -> 0
     in
-    let t0 = Support.Units.now_ns () in
     (match kind with
      | Arena -> R.call1 rt ~key:k_req R.nil arena_body ()
      | Cache -> R.call1 rt ~key:k_req (R.global tenant) cache_body session
      | Archive -> R.call1 rt ~key:k_req (R.global tenant) archive_body session);
-    let service_us = float_of_int (Support.Units.now_ns () - t0) /. 1e3 in
+    let t1 = Support.Units.now_ns () in
+    let service_us = float_of_int (t1 - !t0) /. 1e3 in
+    t0 := t1;
     (match slo with
      | Some s ->
        (* no collection runs between two request bodies, so the pauses

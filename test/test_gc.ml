@@ -1685,7 +1685,7 @@ let ms_sweep_safety_prop =
       let eng =
         Collectors.Mark_sweep.create ~mem ~tenured:space ~los
           ~marks:(Bytes.create (Mem.Space.size_words space))
-          ~worklist:(Support.Vec.create ()) ~site_tallies:false ()
+          ~worklist:(Support.Int_vec.create ()) ~site_tallies:false ()
       in
       let cells = Array.map V.encode roots in
       Array.iteri (fun i _ -> Collectors.Mark_sweep.visit_root eng cells i) cells;

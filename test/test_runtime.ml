@@ -998,8 +998,20 @@ type facade = {
   obj_site : R.t -> obj:R.src -> int;
 }
 
+(* records of one to five fields through their arity entries (the
+   written-once path), wider ones through the general path *)
+let arity_entries rt ~site ~mask ~dst (fields : R.src array) =
+  match fields with
+  | [| a0 |] -> R.alloc_record1 rt ~site ~mask ~dst a0
+  | [| a0; a1 |] -> R.alloc_record2 rt ~site ~mask ~dst a0 a1
+  | [| a0; a1; a2 |] -> R.alloc_record3 rt ~site ~mask ~dst a0 a1 a2
+  | [| a0; a1; a2; a3 |] -> R.alloc_record4 rt ~site ~mask ~dst a0 a1 a2 a3
+  | [| a0; a1; a2; a3; a4 |] ->
+    R.alloc_record5 rt ~site ~mask ~dst a0 a1 a2 a3 a4
+  | _ -> R.Internal.alloc_record rt ~site ~mask ~dst fields
+
 let block_handles =
-  { alloc_record = R.Internal.alloc_record; load_field = R.load_field;
+  { alloc_record = arity_entries; load_field = R.load_field;
     store_field = R.store_field; field_int = R.field_int;
     obj_length = R.obj_length; obj_site = R.obj_site }
 
@@ -1224,6 +1236,195 @@ let rejected_field_store () =
         (fast = run safe_tier cfg))
     configs
 
+(* --- records written once ---
+
+   [alloc_record1]…[alloc_record5] store a clean nursery record's words
+   once, into a bump that never collects, and send every other record
+   down the general path, which [R.Internal.alloc_record] always takes.
+   The script drives both through the cases where the two part: a full
+   nursery at the call (the bump misses and a collection runs inside
+   it), refused words on reused nursery words (the fields after the
+   refused one must read zero), a site pretenured mid-run through
+   [Hooks.set_pretenure], bad operands, a mask wider than the record
+   and a site out of range.  Both must leave the same heap words,
+   counters, slots and exception text. *)
+
+let set_pretenure rt ~site ~enabled =
+  match R.Internal.collector rt with
+  | Collectors.Collector.Generational g ->
+    (Collectors.Generational.hooks g).Collectors.Hooks.set_pretenure ~site
+      ~enabled
+  | Collectors.Collector.Semispace _ -> ()
+
+let written_once_script alloc cfg =
+  with_rt ~cfg @@ fun rt ->
+  let site = R.register_site rt ~name:"rec" in
+  let key = R.register_frame rt ~name:"w" ~slots:(Workloads.Dsl.slots "pppi") in
+  let stats = R.stats rt in
+  let collections () =
+    stats.Collectors.Gc_stats.minor_gcs + stats.Collectors.Gc_stats.major_gcs
+  in
+  let outcomes = ref [] in
+  let note r = outcomes := r :: !outcomes in
+  let attempt ?(site = site) ~mask fields =
+    match alloc rt ~site ~mask ~dst:(R.to_slot 1) fields with
+    | () -> note "ok"
+    | exception Invalid_argument msg -> note msg
+  in
+  (* [1 + i mod 5] fields: pointers to the chain in slot 0, to the last
+     record and nil, between integers; every third record joins the
+     chain, so minors copy and forward *)
+  let clean i =
+    let n = 1 + (i mod 5) in
+    let fields =
+      Array.init n (fun j ->
+        match j with
+        | 0 -> R.slot 0
+        | 2 -> R.slot 1
+        | 4 -> R.nil
+        | _ -> R.imm ((7 * i) + j))
+    in
+    attempt ~mask:(0b10101 land ((1 lsl n) - 1)) fields;
+    if i mod 3 = 0 then R.move rt (R.slot 1) (R.to_slot 0)
+  in
+  (* a record refused at field [from] is granted and abandoned: a
+     one-field probe of the same site lands just above it unless a
+     collection runs or a free-list hole lies lower, and its fields from
+     [from] on must read zero, not the words the grant reused *)
+  let mem = R.Internal.memory rt in
+  let hw = Mem.Header.header_words () in
+  let refused_at ~mask ~from fields =
+    attempt ~mask fields;
+    let len = Array.length fields and c = collections () in
+    R.Internal.alloc_record rt ~site ~mask:0 ~dst:(R.to_slot 2) [| R.imm 0 |];
+    let p = V.to_addr (R.read rt (R.slot 2)) in
+    let cells = Mem.Memory.cells mem p in
+    let off = Mem.Addr.offset p - hw - len in
+    if
+      collections () = c && off >= 0
+      && Mem.Header.tag_c cells ~off = Mem.Header.tag_record
+      && Mem.Header.len_c cells ~off = len
+      && Mem.Header.mask_c cells ~off = mask
+      && Mem.Header.site_c cells ~off = site
+    then
+      note
+        (if
+           List.for_all
+             (fun i -> cells.(off + hw + i) = V.encoded_zero)
+             (List.init (len - from) (fun j -> from + j))
+         then "zero tail"
+         else "stale tail")
+  in
+  let refused i =
+    match i mod 8 with
+    | 0 ->
+      (* an integer in field 1 of five pointers: 2-4 stay zero *)
+      refused_at ~mask:0b11111 ~from:1
+        [| R.slot 0; R.imm i; R.slot 0; R.nil; R.slot 0 |]
+    | 1 -> refused_at ~mask:0 ~from:0 [| R.slot 0; R.imm i; R.imm i |]
+    | 2 -> refused_at ~mask:0b1 ~from:1 [| R.slot 0; R.slot 7 |]
+    | 3 -> refused_at ~mask:0 ~from:2 [| R.imm i; R.imm i; R.global 100_000 |]
+    | 4 -> refused_at ~mask:0 ~from:1 [| R.imm i; R.reg 99; R.imm i; R.imm i |]
+    | 5 -> attempt ~mask:0b111 [| R.slot 0; R.slot 7 |]
+    | 6 -> attempt ~site:(Mem.Header.max_site + 1) ~mask:0 [| R.imm i |]
+    | _ -> attempt ~mask:0b100 [| R.imm i; R.imm i |]
+  in
+  R.call0 rt ~key (fun () ->
+    for i = 0 to 199 do
+      clean i;
+      if i mod 11 = 0 then refused (i / 11)
+    done;
+    (* until a collection runs inside the call: a clean record, then a
+       refused one, at a full nursery *)
+    let until_collection f =
+      let c = collections () and n = ref 0 in
+      while collections () = c && !n < 2000 do
+        f !n;
+        incr n
+      done;
+      note (string_of_int !n)
+    in
+    until_collection clean;
+    until_collection (fun n -> refused (8 * n));
+    set_pretenure rt ~site ~enabled:true;
+    for i = 0 to 39 do
+      clean i;
+      if i mod 5 = 0 then refused i
+    done;
+    set_pretenure rt ~site ~enabled:false;
+    for i = 0 to 39 do
+      clean i;
+      if i mod 5 = 0 then refused i
+    done;
+    R.collect_now rt;
+    ignore (R.check_heap rt : int);
+    ( List.rev !outcomes,
+      heap_words (R.Internal.memory rt),
+      List.init 4 (fun i -> V.encode (R.read rt (R.slot i))),
+      work_counters stats )) ()
+
+let written_once_configs =
+  let budget = 128 * 1024 in
+  let small c =
+    { c with
+      Gsc.Config.nursery_bytes_max = 2 * 1024;
+      verify_heap = true }
+  in
+  let gen = small (Gsc.Config.generational ~budget_bytes:budget) in
+  let eliding =
+    small
+      (Gsc.Config.with_pretenuring ~budget_bytes:budget
+         (Gsc.Pretenure.of_sites ~sites:[] ~scan_elision:true))
+  in
+  [ ("classic", gen);
+    ("packed, no birth word", { gen with Gsc.Config.header_layout = Mem.Header.Packed });
+    ( "packed, birth word",
+      { gen with
+        Gsc.Config.header_layout = Mem.Header.Packed;
+        profiling = true } );
+    ("aging", { gen with Gsc.Config.tenure_threshold = 2 });
+    ("scan elision", eliding);
+    ( "mark-sweep",
+      { eliding with
+        Gsc.Config.major_kind = Collectors.Generational.Mark_sweep;
+        tenured_backend = Alloc.Backend.Free_list } );
+    ( "semispace",
+      { (Gsc.Config.semispace ~budget_bytes:budget) with
+        Gsc.Config.verify_heap = true } ) ]
+
+let written_once () =
+  List.iter
+    (fun (name, cfg) ->
+      let ((outcomes, _, _, counters) as once) =
+        written_once_script arity_entries cfg
+      in
+      let general = written_once_script R.Internal.alloc_record cfg in
+      let count p = List.length (List.filter p outcomes) in
+      let tail r = r = "zero tail" || r = "stale tail" in
+      let refusals =
+        count (fun r -> String.length r > 4 && r <> "ok" && not (tail r))
+      in
+      Alcotest.(check bool) (name ^ ": refusals made") true (refusals > 20);
+      Alcotest.(check int) (name ^ ": stale tails") 0
+        (count (String.equal "stale tail"));
+      Alcotest.(check bool) (name ^ ": tails probed") true
+        (count (String.equal "zero tail") > 10);
+      (match counters with
+       | _ :: _ :: _ :: _ :: pretenured :: minors :: _ ->
+         if cfg.Gsc.Config.collector = Gsc.Config.Generational then begin
+           Alcotest.(check bool) (name ^ ": minors ran") true (minors > 2);
+           Alcotest.(check bool) (name ^ ": pretenured mid-run") true
+             (pretenured > 0)
+         end
+       | _ -> Alcotest.fail "counters");
+      let o, h, s, c = general in
+      let o', h', s', c' = once in
+      Alcotest.(check (list string)) (name ^ ": outcomes") o o';
+      Alcotest.(check (list int)) (name ^ ": slots") s s';
+      Alcotest.(check (list int)) (name ^ ": counters") c c';
+      Alcotest.(check bool) (name ^ ": heap words") true (h = h'))
+    written_once_configs
+
 let twin_prop =
   QCheck.Test.make ~name:"block-handle façade matches its safe-tier twin"
     ~count:60 arb_fprogram (fun ops ->
@@ -1268,6 +1469,9 @@ let () =
       ( "rejected field store",
         [ Alcotest.test_case "record stays zeroed and walkable" `Quick
             rejected_field_store ] );
+      ( "written once",
+        [ Alcotest.test_case "arity entries match the general path" `Quick
+            written_once ] );
       ( "call",
         [ Alcotest.test_case "arity checked before the push" `Quick
             call_arity_checked_before_push;

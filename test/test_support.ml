@@ -35,6 +35,35 @@ let vec_bounds () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty")
     (fun () -> ignore (Support.Vec.pop (Support.Vec.create ())))
 
+(* --- Int_vec --- *)
+
+let int_vec_basics () =
+  List.iter
+    (fun capacity ->
+      let v = Support.Int_vec.create ~capacity () in
+      check_bool "empty" true (Support.Int_vec.is_empty v);
+      for i = 0 to 99 do
+        Support.Int_vec.push v i
+      done;
+      check_int "length" 100 (Support.Int_vec.length v);
+      check_int "get" 42 (Support.Int_vec.get v 42);
+      Support.Int_vec.set v 42 (-1);
+      check_int "set" (-1) (Support.Int_vec.get v 42);
+      check_int "pop" 99 (Support.Int_vec.pop v);
+      Support.Int_vec.truncate v 10;
+      check_int "truncate" 10 (Support.Int_vec.length v);
+      Support.Int_vec.truncate v 50;
+      check_int "truncate never grows" 10 (Support.Int_vec.length v);
+      check_int "top after truncate" 9 (Support.Int_vec.pop v);
+      Support.Int_vec.clear v;
+      check_bool "cleared" true (Support.Int_vec.is_empty v);
+      Alcotest.check_raises "get past length"
+        (Invalid_argument "Int_vec: index out of bounds") (fun () ->
+          ignore (Support.Int_vec.get v 0));
+      Alcotest.check_raises "pop empty" (Invalid_argument "Int_vec.pop: empty")
+        (fun () -> ignore (Support.Int_vec.pop v)))
+    [ 0; 1; 256 ]
+
 let vec_roundtrip_prop =
   QCheck.Test.make ~name:"vec of_list/to_list roundtrip" ~count:200
     QCheck.(list int)
@@ -156,6 +185,7 @@ let () =
     [ ( "vec",
         [ Alcotest.test_case "basics" `Quick vec_basics;
           Alcotest.test_case "bounds" `Quick vec_bounds;
+          Alcotest.test_case "int buffer" `Quick int_vec_basics;
           QCheck_alcotest.to_alcotest vec_roundtrip_prop;
           QCheck_alcotest.to_alcotest vec_push_pop_prop ] );
       ( "int hashset",
